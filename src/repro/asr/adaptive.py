@@ -68,8 +68,8 @@ class WorkloadRecorder:
     the edge index ``i`` of the paper's ``ins_i``.  The recorder can be
     attached to an object base to count update events automatically.
 
-    Recording is thread-safe: the serve workers of both cores (and the
-    ``POST /query`` handler) call ``record_*`` concurrently, so every
+    Recording is thread-safe: the serving core's executor threads (and
+    the ``POST /query`` handler) call ``record_*`` concurrently, so every
     mutation and every aggregate read takes the recorder's own lock —
     the same single-lock discipline as
     :class:`~repro.concurrency.ThreadSafeAccessStats`.

@@ -206,18 +206,18 @@ class StoredPartition:
             backward_entries, self.tuples_per_page, self._fanout
         )
 
-    def add_projection(self, row: tuple[Cell, ...], context=None, *, buffer=None) -> None:
+    def add_projection(self, row: tuple[Cell, ...], context=None) -> None:
         """Reference one witness of ``row``; insert trees on 0→1."""
-        buffer = resolve_buffer(context, buffer)
+        buffer = resolve_buffer(context)
         row = tuple(row)
         self._counts[row] += 1
         if self._counts[row] == 1:
             self.forward_tree.insert((cell_key(row[0]), row_key(row)), row, buffer)
             self.backward_tree.insert((cell_key(row[-1]), row_key(row)), row, buffer)
 
-    def remove_projection(self, row: tuple[Cell, ...], context=None, *, buffer=None) -> None:
+    def remove_projection(self, row: tuple[Cell, ...], context=None) -> None:
         """Drop one witness of ``row``; delete from trees on 1→0."""
-        buffer = resolve_buffer(context, buffer)
+        buffer = resolve_buffer(context)
         row = tuple(row)
         count = self._counts.get(row, 0)
         if count == 0:
@@ -233,17 +233,15 @@ class StoredPartition:
     # charged access paths
     # ------------------------------------------------------------------
 
-    def lookup_forward(self, cell: Cell, context=None, *, buffer=None) -> list[tuple[Cell, ...]]:
+    def lookup_forward(self, cell: Cell, context=None) -> list[tuple[Cell, ...]]:
         """All rows whose first column equals ``cell`` (forward clustering)."""
-        return self._prefix_scan(self.forward_tree, cell, resolve_buffer(context, buffer))
+        return self._prefix_scan(self.forward_tree, cell, resolve_buffer(context))
 
-    def lookup_backward(self, cell: Cell, context=None, *, buffer=None) -> list[tuple[Cell, ...]]:
+    def lookup_backward(self, cell: Cell, context=None) -> list[tuple[Cell, ...]]:
         """All rows whose last column equals ``cell`` (backward clustering)."""
-        return self._prefix_scan(self.backward_tree, cell, resolve_buffer(context, buffer))
+        return self._prefix_scan(self.backward_tree, cell, resolve_buffer(context))
 
-    def lookup_backward_range(
-        self, lo: Cell, hi: Cell, context=None, *, buffer=None
-    ) -> list[tuple[Cell, ...]]:
+    def lookup_backward_range(self, lo: Cell, hi: Cell, context=None) -> list[tuple[Cell, ...]]:
         """Rows whose last column lies in ``[lo, hi)`` (value clustering).
 
         The backward tree is clustered on the partition's last column, so
@@ -255,7 +253,7 @@ class StoredPartition:
         for _key, value in self.backward_tree.range(
             lo=(cell_key(lo), ()),
             hi=(cell_key(hi), ()),
-            context=resolve_buffer(context, buffer),
+            context=resolve_buffer(context),
         ):
             results.append(value)
         return results
@@ -270,9 +268,9 @@ class StoredPartition:
             results.append(value)
         return results
 
-    def scan(self, context=None, *, buffer=None) -> list[tuple[Cell, ...]]:
+    def scan(self, context=None) -> list[tuple[Cell, ...]]:
         """Read every row, charging all data pages (exhaustive inspection)."""
-        buffer = resolve_buffer(context, buffer)
+        buffer = resolve_buffer(context)
         return [value for _, value in self.forward_tree.range(context=buffer)]
 
 
@@ -378,11 +376,9 @@ class AccessSupportRelation:
         added: Iterable[tuple[Cell, ...]],
         removed: Iterable[tuple[Cell, ...]],
         context=None,
-        *,
-        buffer=None,
     ) -> None:
         """Apply extension-level row deltas to the logical relation and trees."""
-        buffer = resolve_buffer(context, buffer)
+        buffer = resolve_buffer(context)
         for row in removed:
             row = tuple(row)
             if row not in self.extension_relation:

@@ -110,11 +110,9 @@ class NestedAttributeIndex:
         added: Iterable[tuple[Cell, ...]],
         removed: Iterable[tuple[Cell, ...]],
         context=None,
-        *,
-        buffer=None,
     ) -> None:
         """Apply canonical-extension row deltas to the pair store."""
-        buffer = resolve_buffer(context, buffer)
+        buffer = resolve_buffer(context)
         for row in removed:
             row = tuple(row)
             if row not in self.extension_relation:
@@ -147,9 +145,9 @@ class NestedAttributeIndex:
         """Only the whole-path backward lookup is answerable."""
         return i == 0 and j == self.path.n
 
-    def lookup(self, value: Cell, context=None, *, buffer=None) -> set[OID]:
+    def lookup(self, value: Cell, context=None) -> set[OID]:
         """Anchors whose path reaches ``value`` — one index probe."""
-        buffer = resolve_buffer(context, buffer)
+        buffer = resolve_buffer(context)
         prefix = cell_key(value)
         anchors: set[OID] = set()
         for key, (_value, anchor) in self.tree.range(lo=(prefix, ()), context=buffer):
@@ -158,9 +156,9 @@ class NestedAttributeIndex:
             anchors.add(anchor)
         return anchors
 
-    def lookup_range(self, lo: Cell, hi: Cell, context=None, *, buffer=None) -> set[OID]:
+    def lookup_range(self, lo: Cell, hi: Cell, context=None) -> set[OID]:
         """Anchors reaching any value in ``[lo, hi)`` (value clustering)."""
-        buffer = resolve_buffer(context, buffer)
+        buffer = resolve_buffer(context)
         anchors: set[OID] = set()
         for _key, (_value, anchor) in self.tree.range(
             lo=(cell_key(lo), ()), hi=(cell_key(hi), ()), context=buffer

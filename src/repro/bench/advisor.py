@@ -39,7 +39,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, field, replace
 
-from repro.bench.serve import ServeConfig
+from repro.bench.serve import ServeConfig, write_report
 from repro.faults import FaultInjector
 from repro.server import ServeDaemon, ServerConfig
 from repro.workload.opstream import operation_stream, select_stream
@@ -127,8 +127,13 @@ def run_advisor(config: AdvisorBenchConfig | None = None) -> dict:
     # The daemon's initial stream must be the query-heavy phase's: the
     # shared ServeConfig default (0.8 queries) already prefers the finer
     # decomposition the *shift* is supposed to move to.
+    # A short admission queue: operations admitted before a shift still
+    # run after it, and a backlog longer than a sweep interval's worth
+    # would blend the old mix into the new regime's evidence.
     serve_config = replace(
-        config.serve, query_fraction=config.query_heavy_fraction
+        config.serve,
+        query_fraction=config.query_heavy_fraction,
+        max_inflight=min(config.serve.max_inflight, 16),
     )
     server_config = ServerConfig(
         serve=serve_config,
@@ -346,9 +351,3 @@ def run_advisor(config: AdvisorBenchConfig | None = None) -> dict:
         "metrics": report["metrics"],
     }
 
-
-def write_report(report: dict, path: str) -> None:
-    """Write the report as indented JSON (the ``BENCH_advisor.json`` artifact)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")

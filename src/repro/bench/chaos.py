@@ -30,7 +30,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 
-from repro.bench.serve import OpSample, ServeConfig, _percentile
+from repro.bench.serve import OpSample, ServeConfig, _percentile, write_report
 from repro.resilience import ChaosConfig, RecoveryPolicy
 from repro.server import ServeDaemon, ServerConfig
 
@@ -135,7 +135,6 @@ def run_chaos(config: ChaosBenchConfig | None = None) -> dict:
             "capacity": config.serve.capacity,
             "io_micros": config.serve.io_micros,
             "io_dist": config.serve.io_dist,
-            "async": config.serve.use_async,
             "max_inflight": config.serve.max_inflight,
             "op_deadline_ms": config.serve.op_deadline_ms,
             "shed_backoff_ms": config.serve.shed_backoff_ms,
@@ -180,17 +179,8 @@ def run_chaos(config: ChaosBenchConfig | None = None) -> dict:
             "drain_errors": report["drained"]["errors"],
         },
         "operations": report["operations"],
-        "daemon": {
-            "uptime_seconds": report["uptime_seconds"],
-            "core": report["core"],
-        },
+        "daemon": {"uptime_seconds": report["uptime_seconds"]},
         "metrics": report["metrics"],
         "drift": report["drift"],
     }
 
-
-def write_report(report: dict, path: str) -> None:
-    """Write the report as indented JSON (the ``BENCH_chaos.json`` artifact)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")

@@ -1,7 +1,7 @@
-"""Multi-client query serving over one shared bounded buffer pool.
+"""Query serving over one shared bounded buffer pool: the serving core.
 
 The paper's evaluation is single-client: one operation at a time, page
-accesses as the cost measure.  This driver measures the *serving*
+accesses as the cost measure.  This module measures the *serving*
 dimension instead: a seeded operation stream (:mod:`repro.workload.opstream`)
 replayed against one chain database through a
 :class:`~repro.concurrency.ContextPool`, all workers sharing one bounded
@@ -12,36 +12,30 @@ under :meth:`~repro.asr.manager.ASRManager.exclusive`.
 Page accesses are still the cost *model*; wall-clock needs an I/O model
 on top.  Every operation's charged pages are priced by a
 :class:`~repro.device.DeviceModel` **after** the operation releases its
-locks, in one of two mechanisms:
+locks.  One mechanism does that, :class:`ServingCore`: an asyncio event
+loop drains a bounded admission queue (capacity ``max_inflight``) with
+``max_inflight`` worker tasks; each offloads its CPU-bound plan
+evaluation to a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
+of ``clients`` threads (:func:`execute_operation`, locks and pool
+accounting on real threads) and then *awaits*
+:meth:`~repro.device.DeviceModel.acharge` on the loop — so the simulated
+device waits cost no thread at all, and in-flight operations are bounded
+by ``max_inflight`` instead of ``clients``.
 
-* **threaded** — ``clients`` worker threads each replay a slice of the
-  stream and block in :meth:`~repro.device.DeviceModel.charge`; stalls
-  overlap across threads, so in-flight operations are capped at
-  ``clients``.
-* **async** (``--async``) — one asyncio event loop admits up to
-  ``max_inflight`` concurrent operations; each offloads its CPU-bound
-  plan evaluation to a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
-  of ``clients`` threads (:func:`execute_operation`, which keeps the
-  exact lock discipline of the threaded path) and then *awaits*
-  :meth:`~repro.device.DeviceModel.acharge` on the loop — so the
-  simulated device waits cost no thread at all, and in-flight operations
-  are bounded by ``max_inflight`` instead of ``clients``.
+The headline report (``BENCH_serve.json``): throughput, peak in-flight
+operations, per-operation p50/p95/p99 latencies, the shared pool's hit
+rate, and the accounting invariant (shared totals == retired + Σ live
+per-worker totals).
 
-The headline report (``BENCH_serve.json``): throughput, speedup versus
-the single-client replay of the *same* stream (and, in async mode,
-versus the threaded replay at equal ``clients``), per-operation
-p50/p95/p99 latencies, the shared pool's hit rate, and the accounting
-invariant (shared totals == retired + Σ live per-worker totals).
-
-The benchmark and the long-lived daemon (:mod:`repro.server`) share the
-same machinery: :func:`build_world` assembles the generated database,
-ASR manager, context pool, and drift monitor into one
-:class:`ServeWorld`; :func:`execute_operation` executes one bound
-operation's lock-disciplined core; :func:`drive_operation` /
-:func:`drive_operation_async` add the device charge and latency
-accounting on the thread / event-loop side respectively.  The benchmark
-replays the stream once and reports; the daemon replays it in a loop
-until signalled.
+The benchmark and the long-lived daemon (:mod:`repro.server`) drive the
+same core: :func:`build_world` assembles the generated database, ASR
+manager, context pool, and drift monitor into one :class:`ServeWorld`;
+:func:`execute_operation` executes one bound operation's
+lock-disciplined core; :func:`drive_operation_async` adds the device
+charge and latency accounting; :class:`ServingCore` owns the queue, the
+worker tasks and the drain.  Only the *arrivals* differ: the benchmark
+feeds the finite stream once and waits at a full queue, the daemon
+replays it cyclically and sheds.
 """
 
 from __future__ import annotations
@@ -52,7 +46,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.asr.adaptive import WorkloadRecorder
 from repro.asr.extensions import Extension
@@ -60,6 +54,7 @@ from repro.asr.manager import ASRManager
 from repro.concurrency import ContextPool, ThreadLocalContexts
 from repro.costmodel.parameters import ApplicationProfile
 from repro.device import DeviceModel, LatencyModel, parse_io_dist
+from repro.errors import InjectedFault, SimulatedCrash
 from repro.gom.paths import PathExpression
 from repro.query.costplanner import CostBasedPlanner
 from repro.query.evaluator import QueryEvaluator
@@ -86,15 +81,16 @@ __all__ = [
     "ServeWorld",
     "OpSample",
     "ExecutorWorkers",
+    "ServingCore",
     "build_world",
     "execute_operation",
-    "drive_operation",
     "drive_operation_async",
     "per_operation",
     "run_serve",
     "SMALL_PROFILE",
     "SMALL_FIG16_PROFILE",
     "SERVE_PROFILES",
+    "write_report",
 ]
 
 #: A small n=4 chain (the Figure 14 shape, scaled down ~250×) that
@@ -131,6 +127,8 @@ SERVE_PROFILES = {
 class ServeConfig:
     """Knobs of one serve run (all reachable from ``repro bench serve``)."""
 
+    #: CPU executor threads; 0 replays nothing (the daemon then serves
+    #: only ``POST /query``).
     clients: int = 4
     ops: int = 200
     seed: int = 0
@@ -148,18 +146,15 @@ class ServeConfig:
     #: Per-context span-ring bound (``None`` keeps every span — fine for
     #: one bench replay, set for long-lived daemon workers).
     max_spans: int | None = None
-    #: Serve on an asyncio event loop with executor offload instead of
-    #: one blocking thread per client.
-    use_async: bool = False
-    #: Async mode: concurrent in-flight operation bound (the admission
-    #: limit); threaded mode ignores it — ``clients`` is the bound there.
+    #: Concurrent in-flight operation bound: the admission queue's
+    #: capacity and the number of worker tasks draining it.
     max_inflight: int = 1024
-    #: Async daemon: queue entries older than this many milliseconds at
-    #: dequeue time are shed unexecuted (``deadline.shed``, counted
-    #: separately from admission rejects).  ``None`` disables deadlines.
+    #: Queue entries older than this many milliseconds at dequeue time
+    #: are shed unexecuted (``deadline.shed``, counted separately from
+    #: admission rejects).  ``None`` disables deadlines.
     op_deadline_ms: float | None = None
-    #: Async daemon: admission-pump backoff after shedding into a full
-    #: queue, in milliseconds (jittered ±50% from the run's seed).
+    #: Daemon: admission-pump backoff after shedding into a full queue,
+    #: in milliseconds (jittered ±50% from the run's seed).
     shed_backoff_ms: float = 1.0
     #: Per-ASR circuit breaker: consecutive fault evidence before the
     #: breaker opens (see :mod:`repro.resilience.breaker`).
@@ -210,17 +205,6 @@ class OpSample:
     pages: int
 
 
-@dataclass
-class _RunOutcome:
-    wall_seconds: float
-    samples: list[OpSample] = field(default_factory=list)
-    peak_inflight: int = 0
-
-    @property
-    def throughput(self) -> float:
-        return len(self.samples) / self.wall_seconds if self.wall_seconds else 0.0
-
-
 def _percentile(sorted_values: list[float], q: float) -> float:
     if not sorted_values:
         return 0.0
@@ -245,7 +229,7 @@ class ServeWorld:
     #: Per-request tracing front door (DESIGN §14); disabled by default.
     tracer: Tracer
     #: The live op mix over the chain path, fed by every executed
-    #: operation on both cores and by ``POST /query`` — what the
+    #: operation and by ``POST /query`` — what the
     #: :class:`~repro.resilience.advisor.AdvisorLoop` re-costs designs
     #: against.  Thread-safe; recording is a couple of dict bumps.
     recorder: WorkloadRecorder
@@ -381,90 +365,32 @@ def execute_operation(
     return pages
 
 
-def drive_operation(
-    world: ServeWorld,
-    context,
-    planner: Planner,
-    evaluator: QueryEvaluator,
-    op: Operation,
-    device: DeviceModel,
-    admitted_at: float | None = None,
-) -> OpSample:
-    """Execute one bound operation against ``world`` and time it.
-
-    The threaded drive path: :func:`execute_operation` under the lock
-    discipline, then the charged pages sleep their simulated device
-    latency on *this* thread (:meth:`~repro.device.DeviceModel.charge`,
-    outside all locks), and the end-to-end latency lands in the
-    registry's ``op.latency_ms`` histogram.
-
-    ``admitted_at`` (a ``perf_counter`` instant) is when the operation
-    was picked up for execution; the gap to drive start is published as
-    ``queue.wait_ms`` — the same phase the async core's admission queue
-    records, so decomposition is comparable across cores.  When the
-    world's tracer is enabled the whole operation is traced, with the
-    trace origin backdated to the admission instant.
-    """
-    start = time.perf_counter()
-    trace = world.tracer.begin(op.name, op.kind, started=admitted_at)
-    if admitted_at is not None:
-        wait_ms = (start - admitted_at) * 1e3
-        world.registry.observe("queue.wait_ms", wait_ms)
-        if trace is not None:
-            trace.add_phase("queue", wait_ms)
-    try:
-        if trace is None:
-            pages = execute_operation(world, context, planner, evaluator, op)
-            if pages:
-                device.charge(pages)  # simulated I/O, outside locks
-        else:
-            with activate(trace):
-                pages = execute_operation(
-                    world, context, planner, evaluator, op, trace=trace
-                )
-                if pages:
-                    device.charge(pages, trace=trace)
-    except BaseException:
-        world.tracer.finish(trace, "error")
-        raise
-    latency = time.perf_counter() - start
-    world.registry.observe(
-        "op.latency_ms",
-        latency * 1e3,
-        exemplar=None if trace is None else trace.trace_id,
-        op=op.name,
-        kind=op.kind,
-    )
-    world.tracer.finish(trace)
-    return OpSample(op.name, op.kind, latency, pages)
-
-
 async def drive_operation_async(
     world: ServeWorld,
     workers: "ExecutorWorkers",
     op: Operation,
     device: DeviceModel,
     trace=None,
-    admitted_at: float | None = None,
 ) -> OpSample:
-    """The async drive path: executor offload, then an awaited charge.
+    """Drive one operation: executor offload, then an awaited charge.
 
     The CPU-bound core runs on ``workers``' bounded executor (where the
-    RWLock/ContextPool accounting stays on real threads, exactly as in
-    the threaded path); the simulated device latency is awaited on the
-    event loop, so an operation in its I/O phase holds no thread.
+    RWLock/ContextPool accounting stays on real threads); the simulated
+    device latency is awaited on the event loop, outside all locks, so
+    an operation in its I/O phase holds no thread.  The end-to-end
+    latency lands in the registry's ``op.latency_ms`` histogram.
 
-    ``trace`` is begun by the daemon's admission loop (so the queue wait
-    is inside the trace); a bench-style caller may pass ``None`` and the
-    world's tracer opens one here.  The trace travels into the executor
-    as an explicit argument — ``run_in_executor`` does not propagate
-    ``contextvars`` — and ``workers.execute`` pins it to the worker
-    thread for the deep (lock, ASR) hooks.
+    ``trace`` is begun at admission by :meth:`ServingCore.entry` (so the
+    queue wait is inside the trace); a caller without a queue may pass
+    ``None`` and the world's tracer opens one here.  The trace travels
+    into the executor as an explicit argument — ``run_in_executor`` does
+    not propagate ``contextvars`` — and ``workers.execute`` pins it to
+    the worker thread for the deep (lock, ASR) hooks.
     """
     loop = asyncio.get_running_loop()
     start = time.perf_counter()
     if trace is None:
-        trace = world.tracer.begin(op.name, op.kind, started=admitted_at)
+        trace = world.tracer.begin(op.name, op.kind)
     try:
         pages = await loop.run_in_executor(
             workers.executor, workers.execute, op, trace
@@ -489,14 +415,13 @@ async def drive_operation_async(
 class ExecutorWorkers:
     """A bounded executor whose threads each own a pooled serve context.
 
-    The async serving core offloads :func:`execute_operation` calls
-    here.  Each executor thread lazily acquires its own
+    The serving core offloads :func:`execute_operation` calls here.
+    Each executor thread lazily acquires its own
     :class:`~repro.context.ExecutionContext` from the world's pool (via
     :class:`~repro.concurrency.ThreadLocalContexts`) plus a planner and
-    evaluator bound to it — the same per-worker state a threaded client
-    owns — so the pool's accounting invariant (shared == retired + Σ
-    live) holds identically in both modes.  :meth:`close` shuts the
-    executor down and retires every thread's context.
+    evaluator bound to it, so the pool's accounting invariant (shared ==
+    retired + Σ live) holds.  :meth:`close` shuts the executor down and
+    retires every thread's context.
     """
 
     def __init__(self, world: ServeWorld, max_workers: int) -> None:
@@ -535,8 +460,6 @@ class ExecutorWorkers:
         evaluator's ASR-lookup spans can find it.
         """
         context, planner, evaluator = self._state()
-        if trace is None:
-            return execute_operation(self.world, context, planner, evaluator, op)
         with activate(trace):
             return execute_operation(
                 self.world, context, planner, evaluator, op, trace=trace
@@ -548,116 +471,138 @@ class ExecutorWorkers:
         self._contexts.release_all()
 
 
-def _teardown_world(world: ServeWorld) -> tuple[dict, dict]:
-    """Close a finished run's world; return (pool report, accounting)."""
-    world.manager.check_consistency()
-    world.pool.pool.check_invariants()
-    accounting = world.pool.check_accounting(world.registry)
-    world.drift.publish(world.registry)
-    pool_report = world.pool.describe()
-    world.manager.close()
-    return pool_report, accounting
+class ServingCore:
+    """The one serving core: a bounded admission queue drained by worker tasks.
 
+    Both ``repro bench serve`` and the ``repro serve`` daemon instantiate
+    this class.  It owns the queue (capacity ``max_inflight``), the
+    ``max_inflight`` worker tasks, the bounded executor (``clients``
+    threads), the device model, the ``inflight`` / ``queue.depth``
+    gauges, and the drain.  Each worker task is one in-flight operation
+    slot: dequeue, shed if the entry's deadline already passed, offload
+    the CPU-bound core to the executor, await the device charge on the
+    loop, hand the sample to ``record``.
 
-def _run_clients(
-    config: ServeConfig,
-    clients: int,
-) -> tuple[_RunOutcome, dict, dict, MetricsRegistry, DriftMonitor]:
-    """Replay the stream over ``clients`` threads against a fresh world."""
-    world = build_world(config)
-    stream = world.stream()
-    device = config.device(world.registry)
-    samples_per_client: list[list[OpSample]] = [[] for _ in range(clients)]
-    errors: list[BaseException] = []
+    *Arrivals stay with the caller*: :meth:`serve` runs a caller-supplied
+    coroutine that puts :meth:`entry` tuples on :attr:`queue` — the
+    benchmark awaits ``queue.put`` over its finite stream (waiting at
+    the bound, so every operation runs), the daemon replays cyclically
+    with ``put_nowait`` and sheds on :class:`asyncio.QueueFull`, until
+    stopped or :attr:`errors` is non-empty.
 
-    def client(k: int) -> None:
-        try:
-            with world.pool.context() as context:
-                planner = Planner(
-                    world.manager, drift=world.drift, breakers=world.breakers
-                )
-                evaluator = QueryEvaluator(
-                    world.generated.db, world.generated.store, context=context
-                )
-                for op in stream[k::clients]:
-                    admitted = time.perf_counter()
-                    samples_per_client[k].append(
-                        drive_operation(
-                            world,
-                            context,
-                            planner,
-                            evaluator,
-                            op,
-                            device,
-                            admitted_at=admitted,
-                        )
-                    )
-        except BaseException as error:  # surfaced after join
-            errors.append(error)
-
-    threads = [threading.Thread(target=client, args=(k,)) for k in range(clients)]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - started
-    if errors:
-        raise errors[0]
-
-    pool_report, accounting = _teardown_world(world)
-    outcome = _RunOutcome(
-        wall,
-        [s for per in samples_per_client for s in per],
-        peak_inflight=min(clients, len(stream)),
-    )
-    return outcome, pool_report, accounting, world.registry, world.drift
-
-
-def _run_async(
-    config: ServeConfig,
-    clients: int,
-) -> tuple[_RunOutcome, dict, dict, MetricsRegistry, DriftMonitor]:
-    """Replay the stream on one event loop with ``clients`` executor threads.
-
-    Admission is bounded by ``config.max_inflight`` concurrent
-    operations (the benchmark *waits* at the bound rather than shedding
-    — every stream operation must run for the comparison to be fair; the
-    daemon's admission queue is where overload sheds).
+    ``chaos`` (the daemon's optional
+    :class:`~repro.resilience.ChaosController`) is struck once per
+    dequeued operation; an operation its fault kills is a counted
+    casualty (``chaos.casualties``), not an error — the ASR is
+    quarantined behind its journal and the healer picks it up.
     """
-    world = build_world(config)
-    stream = world.stream()
-    device = config.device(world.registry)
-    workers = ExecutorWorkers(world, clients)
-    samples: list[OpSample] = []
-    inflight = {"now": 0, "peak": 0}
 
-    async def main() -> None:
-        gate = asyncio.Semaphore(max(1, config.max_inflight))
+    def __init__(self, world: ServeWorld, record, chaos=None) -> None:
+        config = world.config
+        self.world = world
+        #: ``record(sample, op)`` receives every completed operation.
+        self.record = record
+        self.chaos = chaos
+        self.workers = ExecutorWorkers(world, config.clients)
+        self.device = config.device(world.registry)
+        self.limit = max(1, config.max_inflight)
+        self.queue: asyncio.Queue = asyncio.Queue(maxsize=self.limit)
+        #: Operations currently executing (mutated only on the loop
+        #: thread; read by gauge scrapes — a plain int is safe).
+        self.inflight = 0
+        self.peak_inflight = 0
+        #: Failures of individual operations; :meth:`serve` raises the
+        #: first once the drain completes.
+        self.errors: list[Exception] = []
+        world.registry.gauge_fn("inflight", lambda: self.inflight)
+        world.registry.gauge_fn("queue.depth", self.queue.qsize)
 
-        async def one(op: Operation) -> None:
-            async with gate:
-                inflight["now"] += 1
-                inflight["peak"] = max(inflight["peak"], inflight["now"])
+    def entry(self, op: Operation) -> tuple:
+        """The queue entry admitting ``op`` now.
+
+        The trace opens at admission, so queue wait is inside it and an
+        operation shed at the front door still leaves a tail-captured
+        "shed" trace behind (the caller finishes ``entry[2]``).
+        """
+        admitted = time.perf_counter()
+        return op, admitted, self.world.tracer.begin(op.name, op.kind, started=admitted)
+
+    def run(self, arrivals) -> None:
+        """Serve on a fresh event loop until ``arrivals`` and the drain end.
+
+        ``clients == 0`` starts no loop and replays nothing — in the
+        benchmark and in the daemon alike.
+        """
+        if self.world.config.clients > 0:
+            asyncio.run(self.serve(arrivals))
+
+    async def serve(self, arrivals) -> None:
+        """Worker tasks drain the queue while ``arrivals()`` feeds it.
+
+        When ``arrivals`` returns, every *already admitted* operation
+        completes (``queue.join``), and only then are the idle workers
+        cancelled — so a drain under a saturated queue loses no
+        admitted work.
+        """
+        tasks = [asyncio.create_task(self._worker()) for _ in range(self.limit)]
+        try:
+            await arrivals()
+            await self.queue.join()
+        finally:
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+        if self.errors:
+            raise self.errors[0]
+
+    async def _worker(self) -> None:
+        """One in-flight operation slot: dequeue, execute, charge, record.
+
+        With ``op_deadline_ms`` set, an entry whose queue wait already
+        exceeds the deadline is shed *unexecuted* (``deadline.shed``) —
+        its caller has given up, so burning a worker slot on it only
+        delays entries that can still make their deadline.  Deadline
+        sheds are deliberately a separate counter from admission
+        rejects: rejects measure pushback at the front door, deadline
+        sheds measure staleness past it.
+        """
+        world = self.world
+        deadline_ms = world.config.op_deadline_ms
+        while True:
+            op, admitted, trace = await self.queue.get()
+            try:
+                wait_ms = (time.perf_counter() - admitted) * 1e3
+                if deadline_ms is not None and wait_ms > deadline_ms:
+                    world.registry.inc("deadline.shed")
+                    world.tracer.finish(trace, "shed")
+                    continue
+                world.registry.observe("queue.wait_ms", wait_ms)
+                if trace is not None:
+                    trace.add_phase("queue", wait_ms)
+                if self.chaos is not None:
+                    self.chaos.on_operation(op)
+                self.inflight += 1
+                self.peak_inflight = max(self.peak_inflight, self.inflight)
                 try:
-                    samples.append(
-                        await drive_operation_async(world, workers, op, device)
+                    sample = await drive_operation_async(
+                        world, self.workers, op, self.device, trace=trace
                     )
+                except (InjectedFault, SimulatedCrash):
+                    if self.chaos is None:
+                        raise
+                    world.registry.inc("chaos.casualties")
+                    continue
                 finally:
-                    inflight["now"] -= 1
+                    self.inflight -= 1
+                self.record(sample, op)
+            except Exception as error:  # noqa: BLE001 - raised after the drain
+                self.errors.append(error)
+            finally:
+                self.queue.task_done()
 
-        await asyncio.gather(*(one(op) for op in stream))
-
-    started = time.perf_counter()
-    try:
-        asyncio.run(main())
-        wall = time.perf_counter() - started
-    finally:
-        workers.close()
-
-    pool_report, accounting = _teardown_world(world)
-    outcome = _RunOutcome(wall, samples, peak_inflight=inflight["peak"])
-    return outcome, pool_report, accounting, world.registry, world.drift
+    def close(self) -> None:
+        """Shut the executor down and retire its threads' contexts."""
+        self.workers.close()
 
 
 def per_operation(samples: list[OpSample]) -> dict:
@@ -681,50 +626,38 @@ def per_operation(samples: list[OpSample]) -> dict:
 def run_serve(config: ServeConfig | None = None) -> dict:
     """Run the serve benchmark; returns the JSON-able report.
 
-    The report embeds the headline run's full metrics snapshot
-    (``metrics``) and the cost-model drift report (``drift``) — the data
-    behind ``repro stats``.  In async mode three replays of the same
-    stream run back to back — single-client threaded, ``clients``-thread
-    threaded, and the async event loop — so the report carries both the
-    classic ``speedup_vs_single_client`` and the async-vs-threaded
-    speedup at equal ``clients`` and device model.
+    One replay of the seeded stream through :class:`ServingCore`.  The
+    benchmark *waits* at the admission bound rather than shedding —
+    every stream operation must run for runs to be comparable; the
+    daemon's admission loop is where overload sheds.  The report embeds
+    the run's full metrics snapshot (``metrics``) and the cost-model
+    drift report (``drift``) — the data behind ``repro stats``.
     """
     config = config or ServeConfig()
     profile, _mix = config.resolved_profile()
-    single, _, _, _, _ = _run_clients(config, clients=1)
-    threaded, pool_report, accounting, registry, drift = _run_clients(
-        config, clients=config.clients
-    )
-    threaded_section = {
-        "clients": config.clients,
-        "wall_seconds": round(threaded.wall_seconds, 4),
-        "throughput_ops_per_s": round(threaded.throughput, 2),
-        "speedup_vs_single_client": round(
-            threaded.throughput / single.throughput if single.throughput else 0.0, 3
-        ),
-    }
-    if config.use_async:
-        headline, pool_report, accounting, registry, drift = _run_async(
-            config, clients=config.clients
-        )
-    else:
-        headline = threaded
-    speedup = headline.throughput / single.throughput if single.throughput else 0.0
-    serve_section = {
-        "mode": "async" if config.use_async else "threaded",
-        "clients": config.clients,
-        "wall_seconds": round(headline.wall_seconds, 4),
-        "throughput_ops_per_s": round(headline.throughput, 2),
-        "speedup_vs_single_client": round(speedup, 3),
-        "peak_inflight": headline.peak_inflight,
-    }
-    if config.use_async:
-        serve_section["max_inflight"] = config.max_inflight
-        serve_section["speedup_vs_threaded"] = round(
-            headline.throughput / threaded.throughput if threaded.throughput else 0.0,
-            3,
-        )
-    report = {
+    world = build_world(config)
+    stream = world.stream()
+    samples: list[OpSample] = []
+    core = ServingCore(world, record=lambda sample, _op: samples.append(sample))
+
+    async def arrivals() -> None:
+        for op in stream:
+            await core.queue.put(core.entry(op))
+
+    started = time.perf_counter()
+    try:
+        core.run(arrivals)
+        wall = time.perf_counter() - started
+    finally:
+        core.close()
+
+    world.manager.check_consistency()
+    world.pool.pool.check_invariants()
+    accounting = world.pool.check_accounting(world.registry)
+    world.drift.publish(world.registry)
+    pool_report = world.pool.describe()
+    world.manager.close()
+    return {
         "benchmark": "serve",
         "config": {
             "clients": config.clients,
@@ -736,7 +669,6 @@ def run_serve(config: ServeConfig | None = None) -> dict:
             "query_fraction": config.query_fraction,
             "build_workers": config.build_workers,
             "profile": config.profile,
-            "async": config.use_async,
             "max_inflight": config.max_inflight,
             "trace_sample_rate": config.trace_sample_rate,
             "slow_trace_ms": config.slow_trace_ms,
@@ -747,24 +679,23 @@ def run_serve(config: ServeConfig | None = None) -> dict:
             "d": list(profile.d),
             "fan": list(profile.fan),
         },
-        "single_client": {
-            "wall_seconds": round(single.wall_seconds, 4),
-            "throughput_ops_per_s": round(single.throughput, 2),
+        "serve": {
+            "clients": config.clients,
+            "max_inflight": config.max_inflight,
+            "wall_seconds": round(wall, 4),
+            "throughput_ops_per_s": round(len(samples) / wall if wall else 0.0, 2),
+            "peak_inflight": core.peak_inflight,
         },
-        "serve": serve_section,
         "pool": pool_report,
         "accounting": accounting,
-        "operations": per_operation(headline.samples),
-        "metrics": registry.snapshot(),
-        "drift": drift.report(),
+        "operations": per_operation(samples),
+        "metrics": world.registry.snapshot(),
+        "drift": world.drift.report(),
     }
-    if config.use_async:
-        report["threaded"] = threaded_section
-    return report
 
 
 def write_report(report: dict, path: str) -> None:
-    """Write the report as indented JSON (the ``BENCH_serve.json`` artifact)."""
+    """Write a bench report as indented JSON (the ``BENCH_*.json`` artifacts)."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

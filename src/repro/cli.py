@@ -40,27 +40,25 @@ Commands
     a path over it.
 
 ``bench serve [--clients N] [--ops K] [--seed S] [--io-micros U]
-[--io-dist D] [--async] [--max-inflight M] [--capacity C]
+[--io-dist D] [--max-inflight M] [--capacity C]
 [--profile fig14|fig16|queries] [--query-fraction F]
 [--query-cache-size Z] [--out BENCH_serve.json]``
     Serve a seeded operation mix over one shared bounded buffer pool
-    and one ASR-managed chain database; report throughput, speedup over
-    a single client, and per-operation p50/p95/p99 latency
-    (:mod:`repro.bench.serve`).  Threaded by default (``N`` blocking
-    client threads); with ``--async`` the same stream runs on an
-    asyncio event loop — up to ``--max-inflight`` concurrent operations
-    awaiting their simulated device charges
+    and one ASR-managed chain database; report throughput, peak
+    in-flight operations, and per-operation p50/p95/p99 latency
+    (:mod:`repro.bench.serve`).  The stream runs once through the
+    serving core: an asyncio event loop with up to ``--max-inflight``
+    concurrent operations awaiting their simulated device charges
     (:mod:`repro.device`, distribution picked by ``--io-dist``) while
-    CPU-bound plan evaluation is offloaded to ``N`` executor threads —
-    and the report adds the async-vs-threaded speedup.  The ``queries``
-    profile replays *textual* selects through the query-service
-    pipeline (parse → validate → plan → execute, compiled plans cached
-    by epoch) instead of pre-bound query objects.  The report embeds
-    the run's metrics snapshot and cost-model drift report, which
-    ``repro stats`` renders.
+    CPU-bound plan evaluation is offloaded to ``N`` executor threads.
+    The ``queries`` profile replays *textual* selects through the
+    query-service pipeline (parse → validate → plan → execute, compiled
+    plans cached by epoch) instead of pre-bound query objects.  The
+    report embeds the run's metrics snapshot and cost-model drift
+    report, which ``repro stats`` renders.
 
 ``bench chaos [--chaos-rate R] [--chaos-burst B]
-[--chaos-crash-points P1,P2:crash] [--async] [--op-deadline-ms D]
+[--chaos-crash-points P1,P2:crash] [--op-deadline-ms D]
 [--soak-ops K] [--min-recoveries R] [--out BENCH_chaos.json]``
     The SLO-gated chaos soak (:mod:`repro.bench.chaos`): one daemon
     serves the seeded stream while a :class:`ChaosController` arms
@@ -87,7 +85,7 @@ Commands
     200 throughout, and the end state is consistent.  Exit 0 iff all
     gates hold.
 
-``serve [--port P] [--clients N] [--async] [--max-inflight M]
+``serve [--port P] [--clients N] [--max-inflight M]
 [--io-dist D] [--profile fig14|fig16|queries] [--ops K]
 [--query-fraction F] [--query-cache-size Z] [--drift-interval SEC]
 [--chaos-rate R] [--op-deadline-ms D] [--shed-backoff-ms B]
@@ -96,11 +94,11 @@ Commands
 [--trace-sample-rate R] [--slow-trace-ms MS] [--trace-capacity N]
 [--out BENCH_serve_daemon.json] [--addr-file F]``
     Run the long-lived serving daemon (:mod:`repro.server`): the seeded
-    operation stream replays in a loop — on client threads, or with
-    ``--async`` on an event loop behind a bounded admission queue that
-    sheds (counting ``admission.rejected``) instead of queueing
-    unboundedly — while an HTTP endpoint serves ``GET /metrics`` (live
-    Prometheus exposition), ``GET /healthz`` (accounting invariant +
+    operation stream replays in a loop — on an event loop behind a
+    bounded admission queue that sheds (counting
+    ``admission.rejected``) instead of queueing unboundedly; with
+    ``--clients 0`` nothing is replayed — while an HTTP endpoint serves
+    ``GET /metrics`` (live Prometheus exposition), ``GET /healthz`` (accounting invariant +
     quarantine state + hit-rate sanity as JSON; non-200 on violation),
     ``GET /stats`` (the ``repro stats`` JSON payload), and
     ``POST /query`` (a JSON ``{"query": "select …"}`` body executed
@@ -113,8 +111,8 @@ Commands
     SIGINT/SIGTERM drain gracefully and write a final report to
     ``--out``.  A background healer retries quarantined ASRs with
     exponential backoff (``--no-healer`` disables it); ``--chaos-rate``
-    arms seeded fault injection against the live stream; in the async
-    core ``--op-deadline-ms`` sheds queue entries whose deadline passed
+    arms seeded fault injection against the live stream;
+    ``--op-deadline-ms`` sheds queue entries whose deadline passed
     before execution and ``--shed-backoff-ms`` paces the admission pump
     after a full-queue shed.  Per-ASR circuit breakers open after
     repeated faults and route queries to the degraded GOM traversal
@@ -216,7 +214,7 @@ def _add_resilience_options(parser) -> None:
         "--op-deadline-ms",
         type=float,
         default=None,
-        help="async core: shed queue entries older than this at dequeue "
+        help="shed queue entries older than this at dequeue "
         "time, unexecuted (counted in deadline.shed, separately from "
         "admission rejects)",
     )
@@ -224,7 +222,7 @@ def _add_resilience_options(parser) -> None:
         "--shed-backoff-ms",
         type=float,
         default=1.0,
-        help="async core: admission-pump backoff after shedding into a "
+        help="admission-pump backoff after shedding into a "
         "full queue (jittered +-50%% from the run's seed)",
     )
     parser.add_argument(
@@ -289,13 +287,13 @@ def _add_serve_workload_options(parser, *, ops_help: str, out_help: str) -> None
     """The workload/device options ``bench serve`` and ``serve`` share.
 
     One definition for both subcommands, so a new knob (``--io-dist``,
-    ``--async``, ``--max-inflight``, …) cannot drift between them.
+    ``--max-inflight``, …) cannot drift between them.
     """
     parser.add_argument(
         "--clients",
         type=int,
         default=4,
-        help="client threads (async mode: CPU executor threads)",
+        help="CPU executor threads (0 replays nothing)",
     )
     parser.add_argument("--ops", type=int, default=200, help=ops_help)
     parser.add_argument("--seed", type=int, default=0)
@@ -317,18 +315,10 @@ def _add_serve_workload_options(parser, *, ops_help: str, out_help: str) -> None
         "lognormal[:SIGMA], or a device class (nvme, ssd, disk)",
     )
     parser.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="serve on an asyncio event loop (awaitable device charges, "
-        "CPU work offloaded to a bounded executor) instead of one "
-        "blocking thread per client",
-    )
-    parser.add_argument(
         "--max-inflight",
         type=int,
         default=1024,
-        help="async mode: bound on concurrent in-flight operations "
+        help="bound on concurrent in-flight operations "
         "(the admission limit; the daemon sheds beyond it)",
     )
     parser.add_argument(
@@ -390,7 +380,6 @@ def _serve_config_from(args) -> "object":
         io_dist=args.io_dist,
         profile=args.profile,
         query_fraction=args.query_fraction,
-        use_async=args.use_async,
         max_inflight=args.max_inflight,
         query_cache_size=args.query_cache_size,
         max_spans=getattr(args, "max_spans", None),
@@ -940,7 +929,7 @@ def _cmd_bench_chaos(args, out) -> int:
     end = report["end_state"]
     healthz = report["healthz"]
     print(
-        f"chaos soak ({report['daemon']['core']} core, rate {chaos.rate:g}): "
+        f"chaos soak (rate {chaos.rate:g}): "
         f"{soak['ops_served']} ops in {soak['storm_seconds']:.1f}s storm "
         f"({soak['throughput_ops_per_s']:.0f} ops/s)",
         file=out,
@@ -1071,24 +1060,12 @@ def _cmd_bench(args, out) -> int:
     report = run_serve(config)
     write_report(report, str(args.out))
     serve = report["serve"]
-    single = report["single_client"]
     print(
-        f"served {args.ops} ops ({args.profile}, {serve['mode']} core) with "
+        f"served {args.ops} ops ({args.profile}) with "
         f"{serve['clients']} client(s): {serve['throughput_ops_per_s']:.0f} ops/s "
-        f"(single client {single['throughput_ops_per_s']:.0f} ops/s, "
-        f"speedup {serve['speedup_vs_single_client']:.2f}x)",
+        f"in {serve['wall_seconds']:.2f}s, peak inflight {serve['peak_inflight']}",
         file=out,
     )
-    if "threaded" in report:
-        threaded = report["threaded"]
-        print(
-            f"async vs threaded at {serve['clients']} client(s): "
-            f"{serve['speedup_vs_threaded']:.2f}x "
-            f"({threaded['throughput_ops_per_s']:.0f} -> "
-            f"{serve['throughput_ops_per_s']:.0f} ops/s, "
-            f"peak inflight {serve['peak_inflight']})",
-            file=out,
-        )
     print(
         f"pool: {report['pool']['hit_rate'] * 100:.1f}% hit rate over "
         f"{report['pool']['capacity']} pages; accounting "
@@ -1134,7 +1111,11 @@ def _cmd_serve(args, out) -> int:
         advisor_dry_run=args.advisor_dry_run,
         advisor_drift_calibration=args.advisor_drift_calibration,
     )
-    return ServeDaemon(config).run(out=out)
+    try:
+        return ServeDaemon(config).run(out=out)
+    except ValueError as error:  # start() refused the configuration
+        print(f"error: {error}", file=out)
+        return 2
 
 
 def _cmd_stats(args, out) -> int:

@@ -20,10 +20,10 @@ delta pairs copy-pasted per caller).
   intervals with their page-access deltas, exportable as a dict / JSON
   (the CLI's ``--trace`` flag writes exactly this).
 
-Every storage / ASR / query entry point now accepts either an
-``ExecutionContext`` or (deprecated, but fully supported) a raw buffer
-scope through the same parameter; :func:`resolve_buffer` performs the
-normalization once at the API boundary.
+Every storage / ASR / query entry point accepts either an
+``ExecutionContext`` or a raw buffer scope through its ``context``
+parameter; :func:`resolve_buffer` performs the normalization once at
+the API boundary.
 """
 
 from __future__ import annotations

@@ -17,14 +17,14 @@ which hard-wired two decisions at once: the latency *distribution*
   multiplicative jitter from a seeded lognormal (the long right tail of
   real devices); the :data:`DEVICE_CLASSES` presets (``nvme`` / ``ssd``
   / ``disk``) bundle a realistic median and spread per device class.
-* **mechanism** — :meth:`DeviceModel.charge` blocks the calling thread
-  (the threaded serve mode), while :meth:`DeviceModel.acharge` awaits
-  ``asyncio.sleep`` so thousands of in-flight operations can wait on
-  one event loop without burning a thread each (the async serve mode).
+* **mechanism** — :meth:`DeviceModel.acharge` awaits ``asyncio.sleep``
+  so thousands of in-flight operations can wait on one event loop
+  without burning a thread each (the serving core), while
+  :meth:`DeviceModel.charge` blocks the calling thread (a ``POST
+  /query`` on its HTTP handler thread).
 
-Both entry points price the *same* seconds for the same pages, so the
-threaded-vs-async benchmark comparison isolates the concurrency
-mechanism from the latency model.  Charges are published into an
+Both entry points price the *same* seconds for the same pages.  Charges
+are published into an
 optional :class:`~repro.telemetry.registry.MetricsRegistry` as the
 ``device.charge_ms`` histogram and ``device.pages`` counter.
 
@@ -166,9 +166,9 @@ class DeviceModel:
     """The simulated device the serving layers wait on.
 
     ``charge(pages)`` blocks the calling thread for the latency model's
-    seconds — the threaded serve path, where each client thread *is* an
-    in-flight operation.  ``acharge(pages)`` awaits the same seconds on
-    the running event loop — the async serve path, where an awaiting
+    seconds — ``POST /query``, where each HTTP handler thread *is* an
+    in-flight request.  ``acharge(pages)`` awaits the same seconds on
+    the running event loop — the serving core, where an awaiting
     coroutine costs no thread.  Both return the simulated seconds (0.0
     for zero pages) and publish ``device.charge_ms`` / ``device.pages``
     into ``registry`` when one is attached.

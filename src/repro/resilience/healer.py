@@ -5,9 +5,8 @@ doctor --repair``.  :class:`HealerLoop` is that human, automated: a
 daemon thread sweeps the manager's quarantine set every ``interval``
 seconds and drives :meth:`~repro.asr.manager.ASRManager.recover` per
 ASR under the shared :class:`~repro.resilience.policy.RecoveryPolicy`.
-One thread serves both serving cores — the threaded client pool and the
-asyncio core — because recovery is lock-bound CPU work that must not
-run on the event loop anyway.
+It is a thread of its own because recovery is lock-bound CPU work that
+must not run on the serving core's event loop.
 
 Lock discipline is inherited from ``recover()`` itself: each replay
 attempt takes the manager's write lock, backoff sleeps happen with the

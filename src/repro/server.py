@@ -4,28 +4,22 @@ Everything before this module runs and exits: the bench replays a
 stream once, writes ``BENCH_serve.json``, and the telemetry it gathered
 is only inspectable after the fact.  :class:`ServeDaemon` turns the same
 machinery (:func:`~repro.bench.serve.build_world` /
-:func:`~repro.bench.serve.drive_operation`) into a *service*, in one of
-two serving cores sharing the same lock discipline:
-
-* **threaded** (default): ``clients`` threads replay the seeded
-  operation stream in a loop over the shared
-  :class:`~repro.concurrency.ContextPool`, each blocking in the
-  :class:`~repro.device.DeviceModel` for its simulated I/O — in-flight
-  operations are capped at ``clients``.
-* **async** (``--async``, DESIGN §12): one asyncio event loop runs an
-  *admission loop* feeding a bounded queue (capacity ``--max-inflight``)
-  drained by up to ``max_inflight`` concurrent operations.  Each
-  operation offloads its CPU-bound core
-  (:func:`~repro.bench.serve.execute_operation`, locks and pool
-  accounting on real executor threads) to a bounded
-  ``ThreadPoolExecutor`` of ``clients`` threads, then *awaits* its
-  device charge on the loop.  When the admission queue is full the
-  arrival is **shed** — counted in ``admission.rejected`` — instead of
-  queueing unboundedly; ``queue.depth``, ``queue.wait_ms``, and
-  ``inflight`` expose the loop's state to every scrape.
+:class:`~repro.bench.serve.ServingCore`, DESIGN §12) into a *service*:
+one asyncio event loop runs an *admission loop* replaying the seeded
+operation stream cyclically into the core's bounded queue (capacity
+``--max-inflight``), drained by up to ``max_inflight`` concurrent
+operations.  Each operation offloads its CPU-bound core
+(:func:`~repro.bench.serve.execute_operation`, locks and pool accounting
+on real executor threads) to a bounded ``ThreadPoolExecutor`` of
+``clients`` threads, then *awaits* its device charge on the loop.  When
+the admission queue is full the arrival is **shed** — counted in
+``admission.rejected`` — instead of queueing unboundedly;
+``queue.depth``, ``queue.wait_ms``, and ``inflight`` expose the loop's
+state to every scrape.  With ``--clients 0`` nothing is replayed and the
+daemon serves only its HTTP endpoints.
 
 A stdlib :class:`~http.server.ThreadingHTTPServer` exposes the live
-registry either way:
+registry:
 
 ``GET /metrics``
     The Prometheus text exposition of the live
@@ -57,8 +51,8 @@ registry either way:
 ``GET /trace/recent`` / ``GET /trace/<id>``
     The retained request traces (DESIGN §14): with tracing enabled
     (``--trace-sample-rate`` / ``--slow-trace-ms``) every front-door
-    request — ``POST /query`` and each replayed operation on either
-    core — carries a trace whose ``queue`` / ``lock.read`` /
+    request — ``POST /query`` and each replayed operation — carries a
+    trace whose ``queue`` / ``lock.read`` /
     ``lock.write`` / ``plan`` / ``cache-hit`` / ``execute`` /
     ``device`` / ``serialize`` phases sum to its end-to-end latency.
     ``/trace/recent`` lists summaries newest-first; ``/trace/<id>``
@@ -93,11 +87,10 @@ quarantined ASR and degrades to 503 only when it gave up (or is absent).
 
 SIGINT/SIGTERM (or :meth:`ServeDaemon.shutdown`) trigger a graceful
 drain: disarm chaos, stop admitting operations, quiesce the serving
-core (join the client threads, or let the admission loop stop and the
-queued operations finish before the event loop and executor wind down),
-run the healer's final forced sweep, flush the ASR manager's batched
-maintenance queues, retire every pool context, and write a final
-``BENCH_serve.json``-shaped report — ``repro stats`` renders it like
+core (the admission loop stops and the queued operations finish before
+the event loop and executor wind down), run the healer's final forced
+sweep, flush the ASR manager's batched maintenance queues, retire every
+pool context, and write a final ``BENCH_serve.json``-shaped report — ``repro stats`` renders it like
 any bench report, and its ``resilience`` section records healer MTTR,
 chaos strikes, breaker transitions, and the end-state quarantine set.
 """
@@ -117,26 +110,16 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.asr.journal import ASRState
 from repro.bench.serve import (
-    ExecutorWorkers,
     OpSample,
     ServeConfig,
     ServeWorld,
+    ServingCore,
     build_world,
-    drive_operation,
-    drive_operation_async,
     per_operation,
     write_report,
 )
-from repro.errors import (
-    InjectedFault,
-    ParseError,
-    QueryError,
-    RecoveryError,
-    SimulatedCrash,
-)
+from repro.errors import ParseError, QueryError, RecoveryError
 from repro.faults import FaultInjector
-from repro.query.evaluator import QueryEvaluator
-from repro.query.planner import Planner
 from repro.asr.adaptive import AdaptiveDesigner
 from repro.resilience import (
     AdvisorLoop,
@@ -211,17 +194,17 @@ class ServerConfig:
 class ServeDaemon:
     """The long-lived serving process behind ``repro serve``.
 
-    Lifecycle: :meth:`start` builds the world and launches the client,
-    publisher, and HTTP threads; :meth:`shutdown` drains and writes the
-    final report; :meth:`run` is the blocking CLI entry point that wires
-    SIGINT/SIGTERM between the two.  Tests drive start/shutdown
-    directly.
+    Lifecycle: :meth:`start` builds the world and launches the serving
+    core's loop thread plus the publisher and HTTP threads;
+    :meth:`shutdown` drains and writes the final report; :meth:`run` is
+    the blocking CLI entry point that wires SIGINT/SIGTERM between the
+    two.  Tests drive start/shutdown directly.
     """
 
     def __init__(self, config: ServerConfig | None = None) -> None:
         self.config = config or ServerConfig()
         self.world: ServeWorld | None = None
-        self._device = None
+        self._core: ServingCore | None = None
         self._stop = threading.Event()
         self._samples: deque[OpSample] = deque(maxlen=self.config.max_samples)
         self._samples_lock = threading.Lock()
@@ -229,20 +212,13 @@ class ServeDaemon:
         self._op_index = 0
         self._index_lock = threading.Lock()
         self._stream: list[Operation] = []
-        self._clients: list[threading.Thread] = []
+        self._loop_thread: threading.Thread | None = None
         self._publisher: threading.Thread | None = None
         self._httpd: ThreadingHTTPServer | None = None
         self._http_thread: threading.Thread | None = None
         self._started_at: float | None = None
         self._errors: list[BaseException] = []
         self._report: dict | None = None
-        # --- async serving core state (``--async`` mode only) ---
-        self._workers: ExecutorWorkers | None = None
-        self._loop_thread: threading.Thread | None = None
-        #: Operations currently executing on the loop (mutated only from
-        #: the loop thread; read by gauge scrapes — a plain int is safe).
-        self._inflight = 0
-        self._queue: asyncio.Queue | None = None
         # --- resilience layer (DESIGN §13) ---
         self._healer: HealerLoop | None = None
         self._chaos: ChaosController | None = None
@@ -262,17 +238,26 @@ class ServeDaemon:
         """Build the world, bind the endpoint, launch the serving core."""
         config = self.config
         self.world = build_world(config.serve)
-        self._device = config.serve.device(self.world.registry)
         self._stream = self.world.stream()
+        if config.serve.clients > 0 and not self._stream:
+            raise ValueError(
+                f"an empty stream (ops={config.serve.ops}) cannot be replayed "
+                f"by clients={config.serve.clients}; clients=0 serves HTTP only"
+            )
         self._wire_resilience()
+        self._core = ServingCore(self.world, self._record, chaos=self._chaos)
         self._started_at = time.perf_counter()
-        self.world.registry.gauge_fn(
+        registry = self.world.registry
+        registry.gauge_fn(
             "serve.uptime_seconds",
             lambda: time.perf_counter() - self._started_at,
         )
-        self.world.registry.gauge_fn(
-            "serve.live_clients",
-            lambda: sum(thread.is_alive() for thread in self._clients),
+        # Overload visibility: how long the current run of consecutive
+        # sheds is, and the worst streak seen — a collapsing daemon
+        # shows a growing streak, not just a rising reject counter.
+        registry.gauge_fn("admission.shed_streak", lambda: self._shed_streak)
+        registry.gauge_fn(
+            "admission.max_shed_streak", lambda: self._max_shed_streak
         )
         self._httpd = ThreadingHTTPServer(
             (config.host, config.port), _make_handler(self)
@@ -286,20 +271,10 @@ class ServeDaemon:
             host, port = self.address
             with open(config.addr_file, "w", encoding="utf-8") as handle:
                 handle.write(f"{host}:{port}\n")
-        if config.serve.use_async:
-            self._start_async_core()
-        else:
-            self._clients = [
-                threading.Thread(
-                    target=self._client_loop,
-                    args=(k,),
-                    name=f"serve-client-{k}",
-                    daemon=True,
-                )
-                for k in range(config.serve.clients)
-            ]
-            for thread in self._clients:
-                thread.start()
+        self._loop_thread = threading.Thread(
+            target=self._loop_main, name="serve-loop", daemon=True
+        )
+        self._loop_thread.start()
         self._publisher = threading.Thread(
             target=self._publisher_loop, name="serve-publisher", daemon=True
         )
@@ -373,27 +348,6 @@ class ServeDaemon:
     def advisor(self) -> AdvisorLoop | None:
         return self._advisor
 
-    def _start_async_core(self) -> None:
-        """Launch the event-loop serving core (``--async`` mode)."""
-        registry = self.world.registry
-        registry.gauge_fn("inflight", lambda: self._inflight)
-        registry.gauge_fn(
-            "queue.depth",
-            lambda: self._queue.qsize() if self._queue is not None else 0,
-        )
-        # Overload visibility: how long the current run of consecutive
-        # sheds is, and the worst streak seen — a collapsing daemon
-        # shows a growing streak, not just a rising reject counter.
-        registry.gauge_fn("admission.shed_streak", lambda: self._shed_streak)
-        registry.gauge_fn(
-            "admission.max_shed_streak", lambda: self._max_shed_streak
-        )
-        self._workers = ExecutorWorkers(self.world, self.config.serve.clients)
-        self._loop_thread = threading.Thread(
-            target=self._async_loop_main, name="serve-loop", daemon=True
-        )
-        self._loop_thread.start()
-
     @property
     def address(self) -> tuple[str, int]:
         """The bound ``(host, port)`` — resolves ``--port 0``."""
@@ -404,7 +358,7 @@ class ServeDaemon:
 
     @property
     def ops_served(self) -> int:
-        """Operations completed so far (all clients)."""
+        """Operations completed so far."""
         with self._samples_lock:
             return self._ops_served
 
@@ -416,10 +370,10 @@ class ServeDaemon:
         """Graceful drain; returns (and writes) the final report.
 
         Drain order: disarm chaos (no new faults land past this point)
-        → stop admitting ops → quiesce the serving core (threaded: join
-        the client threads; async: the admission loop stops, every
-        already-queued operation completes, the loop and executor wind
-        down, and the executor threads' contexts retire) → stop the
+        → stop admitting ops → quiesce the serving core (the admission
+        loop stops, every already-queued operation completes, the loop
+        and executor wind down, and the executor threads' contexts
+        retire) → stop the
         healer with one final forced sweep (chaos is gone, so every
         reachable recovery succeeds — rebuild fallback included) → join
         the publisher → flush the manager's batched maintenance queues →
@@ -439,12 +393,8 @@ class ServeDaemon:
             # completes (or rolls back) before the drain proceeds.
             self._advisor.stop()
         self._stop.set()
-        for thread in self._clients:
-            thread.join()
-        if self._loop_thread is not None:
-            self._loop_thread.join()
-        if self._workers is not None:
-            self._workers.close()
+        self._loop_thread.join()
+        self._core.close()
         if self._healer is not None:
             self._healer.stop(final_sweep=True)
         if self._publisher is not None:
@@ -473,7 +423,6 @@ class ServeDaemon:
         self._report = {
             "benchmark": "serve",
             "mode": "daemon",
-            "core": "async" if config.serve.use_async else "threaded",
             "config": {
                 "clients": config.serve.clients,
                 "ops": config.serve.ops,
@@ -481,7 +430,6 @@ class ServeDaemon:
                 "capacity": config.serve.capacity,
                 "io_micros": config.serve.io_micros,
                 "io_dist": config.serve.io_dist,
-                "async": config.serve.use_async,
                 "max_inflight": config.serve.max_inflight,
                 "query_fraction": config.serve.query_fraction,
                 "profile": config.serve.profile,
@@ -553,9 +501,8 @@ class ServeDaemon:
         out = out or sys.stdout
         self.start()
         host, port = self.address
-        core = "async" if self.config.serve.use_async else "threaded"
         print(
-            f"serving on http://{host}:{port} [{core} core]  "
+            f"serving on http://{host}:{port}  "
             f"(GET /metrics /healthz /stats /trace/recent, POST /query; "
             f"drift republished "
             f"every {self.config.drift_interval:g}s; SIGTERM drains)",
@@ -610,9 +557,9 @@ class ServeDaemon:
     def set_stream(self, stream: list[Operation]) -> None:
         """Swap the replayed stream mid-run (the advisor soak's mix shift).
 
-        Clients pick up the new stream on their next ``_next_op``; an
-        operation already mid-flight finishes against the old mix, which
-        is exactly the boundary a live workload shift has.
+        The admission loop picks up the new stream on its next
+        ``_next_op``; an operation already admitted finishes against the
+        old mix, which is exactly the boundary a live workload shift has.
         """
         if not stream:
             raise ValueError("replacement stream must be non-empty")
@@ -620,119 +567,42 @@ class ServeDaemon:
             self._stream = list(stream)
             self._op_index = 0
 
-    def _client_loop(self, k: int) -> None:
-        world = self.world
-        try:
-            with world.pool.context() as context:
-                planner = Planner(
-                    world.manager, drift=world.drift, breakers=world.breakers
-                )
-                evaluator = QueryEvaluator(
-                    world.generated.db, world.generated.store, context=context
-                )
-                while True:
-                    op = self._next_op()
-                    if op is None:
-                        return
-                    # The threaded core's "admission" instant: the gap to
-                    # drive start (chaos hook included) is this core's
-                    # queue wait, published for parity with the async
-                    # queue's ``queue.wait_ms``.
-                    admitted = time.perf_counter()
-                    if self._chaos is not None:
-                        self._chaos.on_operation(op)
-                    try:
-                        sample = drive_operation(
-                            world,
-                            context,
-                            planner,
-                            evaluator,
-                            op,
-                            self._device,
-                            admitted_at=admitted,
-                        )
-                    except (InjectedFault, SimulatedCrash):
-                        if self._chaos is None:
-                            raise
-                        # A chaos crash killed this operation mid-flight;
-                        # the ASR is quarantined behind its journal and
-                        # the healer will pick it up.  The "process"
-                        # restarts: this client keeps serving.
-                        world.registry.inc("chaos.casualties")
-                        continue
-                    self._record(sample, op)
-        except BaseException as error:  # noqa: BLE001 - reported in the drain
-            self._errors.append(error)
-            self._stop.set()
-
     def _record(self, sample: OpSample, op: Operation) -> None:
         with self._samples_lock:
             self._samples.append(sample)
             self._ops_served += 1
         self.world.registry.inc("serve.ops", op=op.name, kind=op.kind)
 
-    # ------------------------------------------------------------------
-    # the async serving core (DESIGN §12)
-    # ------------------------------------------------------------------
-
-    def _async_loop_main(self) -> None:
-        """Thread target: run the event loop until the drain completes."""
+    def _loop_main(self) -> None:
+        """Thread target: run the serving core until the drain completes."""
         try:
-            asyncio.run(self._async_serve())
+            self._core.run(self._admission_loop)
         except BaseException as error:  # noqa: BLE001 - reported in the drain
             self._errors.append(error)
             self._stop.set()
 
-    async def _async_serve(self) -> None:
-        """Admission loop + bounded worker tasks, until stop, then drain.
-
-        The admission queue (capacity ``max_inflight``) is the overload
-        boundary: a full queue sheds the arrival with a counted
-        rejection instead of queueing unboundedly.  ``max_inflight``
-        worker tasks drain it, each offloading the CPU-bound core to the
-        bounded executor and awaiting the device charge on the loop.  On
-        stop the admission loop exits first, every *already admitted*
-        operation completes (``queue.join``), and only then are the idle
-        workers cancelled — so a drain under a saturated queue loses no
-        admitted work.
-        """
-        limit = max(1, self.config.serve.max_inflight)
-        queue: asyncio.Queue = asyncio.Queue(maxsize=limit)
-        self._queue = queue
-        workers = [
-            asyncio.create_task(self._async_worker(queue)) for _ in range(limit)
-        ]
-        try:
-            await self._admission_loop(queue)
-            await queue.join()
-        finally:
-            for task in workers:
-                task.cancel()
-            await asyncio.gather(*workers, return_exceptions=True)
-
-    async def _admission_loop(self, queue: asyncio.Queue) -> None:
+    async def _admission_loop(self) -> None:
         """Admit replayed operations until stopped; shed when full.
 
-        The post-shed backoff is ``--shed-backoff-ms`` with ±50% seeded
-        jitter, so a saturated pump neither spins (zero backoff) nor
-        beats in lockstep with the drain rate (fixed backoff).
+        The core's admission queue is the overload boundary: a full
+        queue sheds the arrival with a counted rejection instead of
+        queueing unboundedly.  The post-shed backoff is
+        ``--shed-backoff-ms`` with ±50% seeded jitter, so a saturated
+        pump neither spins (zero backoff) nor beats in lockstep with the
+        drain rate (fixed backoff).
         """
+        core = self._core
         registry = self.world.registry
-        tracer = self.world.tracer
         backoff = max(0.0, self.config.serve.shed_backoff_ms) / 1e3
-        while True:
+        while not core.errors:
             op = self._next_op()
             if op is None:
                 return
-            admitted = time.perf_counter()
-            # The trace opens at admission, so queue wait is inside it
-            # and an operation shed at the front door still leaves a
-            # tail-captured "shed" trace behind.
-            trace = tracer.begin(op.name, op.kind, started=admitted)
+            entry = core.entry(op)
             try:
-                queue.put_nowait((op, admitted, trace))
+                core.queue.put_nowait(entry)
             except asyncio.QueueFull:
-                tracer.finish(trace, "shed")
+                self.world.tracer.finish(entry[2], "shed")
                 registry.inc("admission.rejected")
                 self._shed_streak += 1
                 if self._shed_streak > self._max_shed_streak:
@@ -746,53 +616,6 @@ class ServeDaemon:
                 # a closed loop, so without this the pump would fill the
                 # queue before any operation starts.
                 await asyncio.sleep(0)
-
-    async def _async_worker(self, queue: asyncio.Queue) -> None:
-        """One in-flight operation slot: dequeue, execute, charge, record.
-
-        With ``--op-deadline-ms`` set, an entry whose queue wait already
-        exceeds the deadline is shed *unexecuted* (``deadline.shed``) —
-        its caller has given up, so burning a worker slot on it only
-        delays entries that can still make their deadline.  Deadline
-        sheds are deliberately a separate counter from admission
-        rejects: rejects measure pushback at the front door, deadline
-        sheds measure staleness past it.
-        """
-        world = self.world
-        deadline_ms = self.config.serve.op_deadline_ms
-        while True:
-            op, admitted, trace = await queue.get()
-            try:
-                wait_ms = (time.perf_counter() - admitted) * 1e3
-                if deadline_ms is not None and wait_ms > deadline_ms:
-                    world.registry.inc("deadline.shed")
-                    world.tracer.finish(trace, "shed")
-                    continue
-                world.registry.observe("queue.wait_ms", wait_ms)
-                if trace is not None:
-                    trace.add_phase("queue", wait_ms)
-                if self._chaos is not None:
-                    self._chaos.on_operation(op)
-                self._inflight += 1
-                try:
-                    sample = await drive_operation_async(
-                        world, self._workers, op, self._device, trace=trace
-                    )
-                except (InjectedFault, SimulatedCrash):
-                    if self._chaos is None:
-                        raise
-                    world.registry.inc("chaos.casualties")
-                    continue
-                finally:
-                    self._inflight -= 1
-                self._record(sample, op)
-            except asyncio.CancelledError:
-                raise
-            except BaseException as error:  # noqa: BLE001 - drain reports
-                self._errors.append(error)
-                self._stop.set()
-            finally:
-                queue.task_done()
 
     def _publisher_loop(self) -> None:
         interval = max(self.config.drift_interval, 0.05)
@@ -855,12 +678,11 @@ class ServeDaemon:
         payload = {
             "ok": ok,
             "status": "draining" if self._stop.is_set() else "serving",
-            "core": "async" if self.config.serve.use_async else "threaded",
             "uptime_seconds": round(time.perf_counter() - self._started_at, 3),
             "ops_served": self.ops_served,
             # Overload shedding is healthy behaviour, not a failure: the
             # admission counters are informational here.
-            "inflight": self._inflight,
+            "inflight": self._core.inflight,
             "admission_rejected": int(
                 world.registry.counter_value("admission.rejected")
             ),
@@ -896,21 +718,12 @@ class ServeDaemon:
         books ``device``, and the handler finishes with ``serialize``.
         """
         world = self.world
-        if trace is None:
+        with activate(trace):
             with world.pool.context() as context:
-                outcome = world.queries.execute(text, context=context)
+                outcome = world.queries.execute(text, context=context, trace=trace)
             pages = outcome.report.total_pages
-            if pages and self._device is not None:
-                self._device.charge(pages)
-        else:
-            with activate(trace):
-                with world.pool.context() as context:
-                    outcome = world.queries.execute(
-                        text, context=context, trace=trace
-                    )
-                pages = outcome.report.total_pages
-                if pages and self._device is not None:
-                    self._device.charge(pages, trace=trace)
+            if pages:
+                self._core.device.charge(pages, trace=trace)
         world.registry.inc(
             "serve.queries", cached="true" if outcome.cached else "false"
         )

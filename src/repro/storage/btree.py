@@ -17,8 +17,7 @@ Every node is one page.  Read operations accept a ``context`` — an
 :mod:`repro.storage.stats`) — and charge one page read per distinct node
 touched; mutating operations charge page writes for each node they dirty.
 Passing ``context=None`` performs the operation without accounting (the
-logical layer uses that).  The historical ``buffer=`` keyword is still
-accepted with a deprecation warning.
+logical layer uses that).
 """
 
 from __future__ import annotations
@@ -146,9 +145,9 @@ class BPlusTree:
             node = node.children[bisect_right(node.keys, key)]
         return node
 
-    def search(self, key: Any, context=None, *, buffer=None) -> Any:
+    def search(self, key: Any, context=None) -> Any:
         """The value stored under ``key``, or the ``MISSING`` sentinel."""
-        buffer = resolve_buffer(context, buffer)
+        buffer = resolve_buffer(context)
         leaf = self._descend(key, buffer)
         _touch(buffer, leaf, _LEAF_CATEGORY)
         index = bisect_left(leaf.keys, key)
@@ -161,8 +160,6 @@ class BPlusTree:
         lo: Any = None,
         hi: Any = None,
         context=None,
-        *,
-        buffer=None,
     ) -> Iterator[tuple[Any, Any]]:
         """Yield ``(key, value)`` for ``lo <= key < hi`` in key order.
 
@@ -177,10 +174,9 @@ class BPlusTree:
         span that actually does the reading, and a range that is never
         consumed charges nothing.
         """
-        if buffer is None and context is not None and hasattr(context, "current_buffer"):
+        if hasattr(context, "current_buffer"):
             return self._range(lo, hi, _DeferredContextBuffer(context))
-        buffer = resolve_buffer(context, buffer)
-        return self._range(lo, hi, buffer)
+        return self._range(lo, hi, resolve_buffer(context))
 
     def _range(self, lo: Any, hi: Any, buffer) -> Iterator[tuple[Any, Any]]:
         if lo is None:
@@ -210,9 +206,9 @@ class BPlusTree:
     # insertion
     # ------------------------------------------------------------------
 
-    def insert(self, key: Any, value: Any, context=None, *, buffer=None) -> None:
+    def insert(self, key: Any, value: Any, context=None) -> None:
         """Insert a new entry; raises :class:`StorageError` on duplicate key."""
-        buffer = resolve_buffer(context, buffer)
+        buffer = resolve_buffer(context)
         split = self._insert(self._root, key, value, buffer)
         if split is not None:
             separator, right = split
@@ -276,9 +272,9 @@ class BPlusTree:
     # deletion
     # ------------------------------------------------------------------
 
-    def delete(self, key: Any, context=None, *, buffer=None) -> bool:
+    def delete(self, key: Any, context=None) -> bool:
         """Remove ``key``; returns False when it was not present."""
-        buffer = resolve_buffer(context, buffer)
+        buffer = resolve_buffer(context)
         removed = self._delete(self._root, key, buffer)
         if removed:
             self._size -= 1

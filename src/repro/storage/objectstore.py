@@ -116,30 +116,28 @@ class ClusteredObjectStore:
     # charged accesses
     # ------------------------------------------------------------------
 
-    def access(self, oid: OID, type_name: str, context=None, *, buffer=None) -> None:
+    def access(self, oid: OID, type_name: str, context=None) -> None:
         """Charge the page read for dereferencing ``oid``."""
-        buffer = resolve_buffer(context, buffer)
+        buffer = resolve_buffer(context)
         if buffer is not None:
             buffer.touch(("obj",) + self.page_of(oid, type_name), "object")
 
-    def write(self, oid: OID, type_name: str, context=None, *, buffer=None) -> None:
+    def write(self, oid: OID, type_name: str, context=None) -> None:
         """Charge the page write for updating ``oid`` in place."""
-        buffer = resolve_buffer(context, buffer)
+        buffer = resolve_buffer(context)
         if buffer is not None:
             buffer.touch_write(("obj",) + self.page_of(oid, type_name), "object")
 
-    def scan_type(self, type_name: str, context=None, *, buffer=None) -> None:
+    def scan_type(self, type_name: str, context=None) -> None:
         """Charge a full extent scan of ``type_name`` (``op_i`` page reads)."""
-        buffer = resolve_buffer(context, buffer)
+        buffer = resolve_buffer(context)
         if buffer is None:
             return
         for page in range(self.pages_of_type(type_name)):
             buffer.touch(("obj", type_name, page), "object")
 
-    def access_all(
-        self, oids: Iterable[OID], type_name: str, context=None, *, buffer=None
-    ) -> None:
+    def access_all(self, oids: Iterable[OID], type_name: str, context=None) -> None:
         """Charge reads for a set of same-typed objects (distinct pages once)."""
-        buffer = resolve_buffer(context, buffer)
+        buffer = resolve_buffer(context)
         for oid in oids:
             self.access(oid, type_name, buffer)

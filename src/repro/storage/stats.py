@@ -17,7 +17,6 @@ exactly where a real engine would — on the page read/write boundary.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -150,8 +149,8 @@ class BufferScope:
         self._dirty.clear()
 
 
-def resolve_buffer(context=None, buffer=None):
-    """Normalize ``(context=, buffer=)`` parameters to a raw buffer scope.
+def resolve_buffer(context=None):
+    """Normalize a ``context`` parameter to a raw buffer scope.
 
     Every charged entry point accepts its accounting sink through a
     ``context`` parameter that may be
@@ -163,18 +162,7 @@ def resolve_buffer(context=None, buffer=None):
     * a raw buffer scope (anything with ``touch``/``touch_write``) —
       charge it directly, which is how pre-context code passed buffers
       positionally and remains supported.
-
-    The keyword-only ``buffer=`` spelling is deprecated but honoured.
     """
-    if buffer is not None:
-        warnings.warn(
-            "the 'buffer=' parameter is deprecated; pass an ExecutionContext "
-            "(or a buffer scope) via 'context=' instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if context is None:
-            context = buffer
     if context is None:
         return None
     current = getattr(context, "current_buffer", None)

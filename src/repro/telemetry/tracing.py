@@ -142,7 +142,7 @@ class Trace:
         self.outcome = "ok"
         self.started_unix = time.time()
         #: perf_counter origin; backdated when the request was admitted
-        #: before the trace object existed (threaded-core queue wait).
+        #: before the trace object existed (queue wait).
         self.started = time.perf_counter() if started is None else started
         self.duration_ms: float | None = None
         #: ``(name, phase, start_ms, duration_ms, parent_index)`` rows.

@@ -10,7 +10,8 @@ from tests.test_cli import run_cli
 
 FAST_SOAK = dict(
     serve=ServeConfig(
-        clients=2, ops=32, seed=7, capacity=64, io_micros=20.0, max_spans=64
+        clients=2, ops=32, seed=7, capacity=64, io_micros=20.0, max_spans=64,
+        max_inflight=16, op_deadline_ms=500.0,
     ),
     chaos=ChaosConfig(rate=0.5, burst=2, seed=7),
     recovery=RecoveryPolicy(backoff_s=0.001, jitter=0.25),
@@ -44,26 +45,7 @@ class TestRunChaos:
         persisted = json.loads(out.read_text())
         assert persisted["config"]["seed"] == 7
         assert persisted["config"]["chaos_rate"] == 0.5
-
-    def test_soak_runs_on_the_async_core(self, tmp_path):
-        config = dict(FAST_SOAK)
-        config["serve"] = ServeConfig(
-            clients=2,
-            ops=32,
-            seed=7,
-            capacity=64,
-            io_micros=20.0,
-            max_spans=64,
-            use_async=True,
-            max_inflight=16,
-            op_deadline_ms=500.0,
-        )
-        out = tmp_path / "BENCH_chaos_async.json"
-        report = run_chaos(ChaosBenchConfig(out=str(out), **config))
-        assert report["daemon"]["core"] == "async"
-        assert report["end_state"]["consistent"]
-        assert report["healer"]["recoveries"] >= 1
-        assert report["config"]["op_deadline_ms"] == 500.0
+        assert persisted["config"]["op_deadline_ms"] == 500.0
 
 
 class TestChaosCLI:

@@ -2,7 +2,6 @@
 
 import json
 
-import pytest
 
 from repro.bench.serve import ServeConfig
 from repro.faults import FaultInjector
@@ -14,14 +13,12 @@ from tests.test_server import async_config, get, tiny_config, wait_until
 STORM = ChaosConfig(rate=0.5, burst=3, seed=7)
 
 
-def chaos_config(tmp_path, *, use_async=False, **overrides):
-    serve = dict(
-        clients=3, ops=48, seed=7, capacity=64, io_micros=20.0, max_spans=64
-    )
-    if use_async:
-        serve.update(use_async=True, max_inflight=16)
+def chaos_config(tmp_path, **overrides):
     defaults = dict(
-        serve=ServeConfig(**serve),
+        serve=ServeConfig(
+            clients=3, ops=48, seed=7, capacity=64, io_micros=20.0, max_spans=64,
+            max_inflight=16,
+        ),
         recovery=RecoveryPolicy(backoff_s=0.001, jitter=0.25),
         healer_interval=0.01,
         chaos=STORM,
@@ -31,9 +28,8 @@ def chaos_config(tmp_path, *, use_async=False, **overrides):
 
 
 class TestChaosStorm:
-    @pytest.mark.parametrize("use_async", [False, True], ids=["threaded", "async"])
-    def test_storm_heals_and_drains_consistent(self, tmp_path, use_async):
-        """The tentpole soak in miniature, on both serving cores.
+    def test_storm_heals_and_drains_consistent(self, tmp_path):
+        """The tentpole soak in miniature.
 
         While the storm rages, every `/healthz` poll must show the
         accounting invariant holding (shared == retired + live, checked
@@ -41,7 +37,7 @@ class TestChaosStorm:
         record at least one recovery; the drain must end with zero
         quarantined ASRs and no errors.
         """
-        daemon = ServeDaemon(chaos_config(tmp_path, use_async=use_async)).start()
+        daemon = ServeDaemon(chaos_config(tmp_path)).start()
         try:
             polled = {"healthz": 0}
 
@@ -96,7 +92,7 @@ class TestChaosStorm:
 
     def test_crash_points_kill_the_op_not_the_client(self, tmp_path):
         # ':crash' strikes raise SimulatedCrash out of the victim
-        # operation; under chaos the client loop absorbs it as a
+        # operation; under chaos the serving core absorbs it as a
         # casualty and keeps serving.
         config = chaos_config(
             tmp_path,

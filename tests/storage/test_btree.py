@@ -150,7 +150,7 @@ class TestPageAccounting:
         tree = BPlusTree.bulk_load([(k, k) for k in range(1000)], 50, 50)
         stats = AccessStats()
         with BufferScope(stats) as buffer:
-            list(tree.range(buffer=buffer))
+            list(tree.range(context=buffer))
         leaf_reads = stats.by_category.get("btree_leaf", 0)
         assert leaf_reads == tree.leaf_count()
 

@@ -211,7 +211,7 @@ class TestBenchServe:
             "--capacity", "64", "--out", str(target),
         )
         assert code == 0
-        assert "speedup" in text
+        assert "peak inflight" in text
         assert "accounting consistent" in text
         assert "cost-model drift" in text
         assert "(finite)" in text
@@ -227,16 +227,19 @@ class TestBenchServe:
             "bench", "serve",
             "--clients", "2", "--ops", "16", "--capacity", "16",
             "--io-micros", "1000", "--io-dist", "lognormal:0.3",
-            "--async", "--max-inflight", "32", "--out", str(target),
+            "--max-inflight", "32", "--out", str(target),
         )
         assert code == 0
-        assert "async core" in text
-        assert "async vs threaded" in text
         report = json.loads(target.read_text())
-        assert report["config"]["async"] is True
+        serve = report["serve"]
+        assert f"peak inflight {serve['peak_inflight']}" in text
+        assert report["config"]["max_inflight"] == 32
         assert report["config"]["io_dist"] == "lognormal:0.3"
         assert report["device"]["dist"] == "lognormal"
-        assert report["serve"]["mode"] == "async"
+        # Device waits hold no thread: more in flight than executor
+        # threads, never more than the admission limit.
+        assert 2 < serve["peak_inflight"] <= 32
+        assert sum(e["count"] for e in report["operations"].values()) == 16
         assert report["accounting"]["ok"] is True
 
     def test_bad_io_dist_rejected_at_parse_time(self):

@@ -273,11 +273,6 @@ class TestResolveBuffer:
         with context.operation("op") as buffer:
             assert resolve_buffer(context) is buffer
 
-    def test_buffer_kwarg_is_deprecated(self):
-        scope = BufferScope(AccessStats())
-        with pytest.warns(DeprecationWarning):
-            assert resolve_buffer(buffer=scope) is scope
-
     def test_rejects_junk(self):
         with pytest.raises(TypeError):
             resolve_buffer(object())

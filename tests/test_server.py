@@ -21,8 +21,10 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 def tiny_config(tmp_path, **overrides) -> ServerConfig:
     defaults = dict(
+        # A short admission queue keeps every drain to a few dozen ops.
         serve=ServeConfig(
-            clients=2, ops=24, seed=7, capacity=64, io_micros=20.0, max_spans=64
+            clients=2, ops=24, seed=7, capacity=64, io_micros=20.0, max_spans=64,
+            max_inflight=8,
         ),
         port=0,
         drift_interval=0.1,
@@ -77,7 +79,7 @@ def prom_value(exposition: str, name: str):
 
 
 def async_config(tmp_path, **serve_overrides) -> ServerConfig:
-    """An async-core daemon config whose device waits dominate.
+    """A daemon config whose device waits dominate.
 
     The cold 16-page pool makes operations fault real pages and the
     slow fixed device prices them at milliseconds each — so in-flight
@@ -91,7 +93,6 @@ def async_config(tmp_path, **serve_overrides) -> ServerConfig:
         capacity=16,
         io_micros=4000.0,
         max_spans=64,
-        use_async=True,
         max_inflight=8,
     )
     serve.update(serve_overrides)
@@ -229,12 +230,11 @@ class TestAsyncCore:
             status, _, body = get(daemon, "/healthz")
             payload = json.loads(body)
             assert status == 200
-            assert payload["core"] == "async"
             assert payload["ok"] is True
 
             # With 8 admission slots over 2 executor threads and a slow
             # device, a scrape catches more operations in flight than
-            # the threaded core could ever hold (> clients).
+            # there are executor threads (> clients).
             def inflight_exceeds_clients():
                 _, _, exposition = get(daemon, "/metrics")
                 inflight = prom_value(exposition, "repro_inflight")
@@ -246,7 +246,6 @@ class TestAsyncCore:
             assert "repro_queue_wait_ms" in exposition
         finally:
             report = daemon.shutdown()
-        assert report["core"] == "async"
         assert report["accounting"]["ok"] is True
         assert report["drained"]["errors"] == []
 
@@ -291,11 +290,30 @@ class TestAsyncCore:
         assert report["accounting"]["ok"] is True
         assert report["drained"]["errors"] == []
         written = json.loads(Path(config.out).read_text())
-        assert written["core"] == "async"
-        assert written["config"]["async"] is True
+        assert written["config"]["max_inflight"] == 2
+        assert written["ops_served"] == report["ops_served"]
 
 
 class TestServeCLI:
+    def test_empty_stream_with_clients_is_a_usage_error(self, tmp_path):
+        import io
+
+        from repro.cli import main
+
+        config = tiny_config(tmp_path, serve=ServeConfig(clients=2, ops=0))
+        with pytest.raises(ValueError, match="empty stream"):
+            ServeDaemon(config).start()
+        out = io.StringIO()
+        code = main(
+            ["serve", "--port", "0", "--ops", "0", "--clients", "2",
+             "--out", str(tmp_path / "never.json")],
+            out=out,
+        )
+        assert code == 2
+        assert out.getvalue().startswith("error: ")
+        assert len(out.getvalue().splitlines()) == 1
+        assert not (tmp_path / "never.json").exists()
+
     def test_daemon_serves_and_drains_on_sigterm(self, tmp_path):
         addr_file = tmp_path / "serve.addr"
         out = tmp_path / "BENCH_serve.json"
@@ -341,45 +359,4 @@ class TestServeCLI:
         assert "drained after" in stdout
         report = json.loads(out.read_text())
         assert report["mode"] == "daemon"
-        assert report["accounting"]["ok"] is True
-
-    def test_async_daemon_drains_on_sigterm(self, tmp_path):
-        addr_file = tmp_path / "serve.addr"
-        out = tmp_path / "BENCH_serve.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--port", "0", "--clients", "2", "--ops", "24",
-                "--capacity", "16", "--io-micros", "4000",
-                "--async", "--max-inflight", "8",
-                "--drift-interval", "0.2",
-                "--addr-file", str(addr_file), "--out", str(out),
-            ],
-            cwd=tmp_path,
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        try:
-            assert wait_until(addr_file.exists, timeout=30), "daemon never bound"
-            addr = addr_file.read_text().strip()
-            with urllib.request.urlopen(f"http://{addr}/healthz", timeout=10) as resp:
-                payload = json.load(resp)
-                assert payload["ok"] is True
-                assert payload["core"] == "async"
-            process.send_signal(signal.SIGTERM)
-            stdout, _ = process.communicate(timeout=30)
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.communicate()
-        assert process.returncode == 0, stdout
-        assert "[async core]" in stdout
-        report = json.loads(out.read_text())
-        assert report["core"] == "async"
         assert report["accounting"]["ok"] is True

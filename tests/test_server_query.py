@@ -3,7 +3,7 @@
 These tests quiesce the replay loop first (``request_stop`` stops
 admission while the HTTP endpoint keeps serving), so cache and plan
 counters move only when the test POSTs — the cache-hit and
-epoch-invalidation assertions are exact, on both serving cores.
+epoch-invalidation assertions are exact.
 """
 
 import json
@@ -21,8 +21,8 @@ from repro.server import ServeDaemon, ServerConfig
 QUERY = "select x from x in extent(T0) where x.A.A.A.A.Payload >= -5"
 
 
-def queries_config(tmp_path, use_async: bool) -> ServerConfig:
-    serve = ServeConfig(
+def queries_config(tmp_path, **serve_overrides) -> ServerConfig:
+    serve = dict(
         clients=2,
         ops=16,
         seed=7,
@@ -33,11 +33,11 @@ def queries_config(tmp_path, use_async: bool) -> ServerConfig:
         # No updates: the object graph — and hence the ASR epoch — stays
         # quiescent between the test's own POSTs.
         query_fraction=1.0,
-        use_async=use_async,
         max_inflight=8,
     )
+    serve.update(serve_overrides)
     return ServerConfig(
-        serve=serve,
+        serve=ServeConfig(**serve),
         port=0,
         drift_interval=0.5,
         out=str(tmp_path / "BENCH_serve.json"),
@@ -76,14 +76,15 @@ def quiesce(daemon: ServeDaemon) -> None:
     """Stop the replay loop; the HTTP endpoint stays up."""
     daemon.request_stop()
     assert wait_until(
-        lambda: all(not thread.is_alive() for thread in daemon._clients)
-        and (daemon._loop_thread is None or not daemon._loop_thread.is_alive())
+        lambda: not daemon._loop_thread.is_alive()
     ), "replay loop did not quiesce"
 
 
-@pytest.fixture(params=["threaded", "async"])
-def quiet_daemon(request, tmp_path):
-    daemon = ServeDaemon(queries_config(tmp_path, request.param == "async"))
+# One-valued on purpose: the id keeps these items' names
+# (``test_x[async]``) stable now that the event-loop core is the only one.
+@pytest.fixture(params=["async"])
+def quiet_daemon(tmp_path):
+    daemon = ServeDaemon(queries_config(tmp_path))
     daemon.start()
     assert wait_until(lambda: daemon.ops_served > 0), "no operation completed"
     quiesce(daemon)
@@ -214,9 +215,9 @@ class TestQueryErrors:
 
 
 class TestDegradedFallback:
-    @pytest.fixture(params=["threaded", "async"])
-    def unhealed_daemon(self, request, tmp_path):
-        config = queries_config(tmp_path, request.param == "async")
+    @pytest.fixture(params=["async"])
+    def unhealed_daemon(self, tmp_path):
+        config = queries_config(tmp_path)
         config.healer = False  # keep the quarantine in force for the test
         daemon = ServeDaemon(config)
         daemon.start()
@@ -245,3 +246,25 @@ class TestDegradedFallback:
             # The trees were never torn; restore state for a clean drain.
             with manager.lock.write():
                 manager._mark_consistent(payload_asr)
+
+
+class TestZeroClients:
+    def test_serves_queries_and_replays_nothing(self, tmp_path):
+        # ``clients=0`` starts no loop: the front door answers, while no
+        # replayed operation ever completes behind it.
+        daemon = ServeDaemon(queries_config(tmp_path, clients=0)).start()
+        try:
+            assert not wait_until(lambda: daemon.ops_served > 0, timeout=0.3)
+            status, payload = post_query(daemon, QUERY)
+            assert status == 200
+            assert payload["row_count"] > 0
+            status, again = post_query(daemon, QUERY)
+            assert status == 200 and again["cached"] is True
+        finally:
+            report = daemon.shutdown()
+        assert report["ops_served"] == 0
+        assert report["operations"] == {}
+        assert "serve.ops" not in report["metrics"]["counters"]
+        assert "op.latency_ms" not in report["metrics"]["histograms"]
+        assert report["accounting"]["ok"] is True
+        assert report["drained"]["errors"] == []

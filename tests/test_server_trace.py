@@ -1,7 +1,7 @@
 """End-to-end request tracing: phases, endpoints, self-metrics, stress.
 
-The acceptance bar of DESIGN §14: a single ``POST /query`` against
-either serving core yields a retrievable trace whose phase rollup
+The acceptance bar of DESIGN §14: a single ``POST /query`` yields a
+retrievable trace whose phase rollup
 (``queue + lock + plan + cache-hit + execute + device + serialize``)
 accounts for >= 90% of the reported end-to-end latency, and the trace
 endpoints plus the HTTP self-metrics observe every request — scrapes
@@ -22,7 +22,7 @@ from repro.telemetry.tracing import PHASES
 QUERY = "select x from x in extent(T0) where x.A.A.A.A.Payload >= -5"
 
 
-def traced_config(tmp_path, use_async: bool, **overrides) -> ServerConfig:
+def traced_config(tmp_path, **overrides) -> ServerConfig:
     serve_kwargs = dict(
         clients=2,
         ops=16,
@@ -34,7 +34,6 @@ def traced_config(tmp_path, use_async: bool, **overrides) -> ServerConfig:
         max_spans=64,
         profile="queries",
         query_fraction=1.0,
-        use_async=use_async,
         max_inflight=8,
         trace_sample_rate=1.0,
         slow_trace_ms=0.0,
@@ -92,14 +91,15 @@ def wait_until(predicate, timeout=30.0, interval=0.01):
 def quiesce(daemon: ServeDaemon) -> None:
     daemon.request_stop()
     assert wait_until(
-        lambda: all(not thread.is_alive() for thread in daemon._clients)
-        and (daemon._loop_thread is None or not daemon._loop_thread.is_alive())
+        lambda: not daemon._loop_thread.is_alive()
     ), "replay loop did not quiesce"
 
 
-@pytest.fixture(params=["threaded", "async"])
-def traced_daemon(request, tmp_path):
-    daemon = ServeDaemon(traced_config(tmp_path, request.param == "async"))
+# One-valued on purpose: the id keeps these items' names
+# (``test_x[async]``) stable now that the event-loop core is the only one.
+@pytest.fixture(params=["async"])
+def traced_daemon(tmp_path):
+    daemon = ServeDaemon(traced_config(tmp_path))
     daemon.start()
     assert wait_until(lambda: daemon.ops_served > 0), "no operation completed"
     quiesce(daemon)
@@ -250,12 +250,11 @@ class TestHttpSelfMetrics:
 
 
 class TestSamplingOff:
-    @pytest.fixture(params=["threaded", "async"])
-    def untraced_daemon(self, request, tmp_path):
+    @pytest.fixture(params=["async"])
+    def untraced_daemon(self, tmp_path):
         daemon = ServeDaemon(
             traced_config(
                 tmp_path,
-                request.param == "async",
                 io_dist="fixed",
                 io_micros=20.0,
                 trace_sample_rate=0.0,
@@ -279,25 +278,15 @@ class TestSamplingOff:
         assert body["tracing"]["enabled"] is False
         assert body["traces"] == []
 
-    def test_threaded_core_publishes_queue_wait_either_way(
-        self, untraced_daemon
-    ):
-        # The queue.wait_ms histogram exists on both cores now — the
-        # threaded core's admission instant is the hand-off from
-        # _next_op to drive start.
-        hist = untraced_daemon.world.registry.histogram("queue.wait_ms")
-        assert hist is not None and hist.count > 0
-
 
 class TestTraceIntegrityUnderConcurrency:
-    """8 workers hammering both cores must never tear a span tree."""
+    """8 workers hammering the core must never tear a span tree."""
 
-    @pytest.fixture(params=["threaded", "async"])
-    def busy_daemon(self, request, tmp_path):
+    @pytest.fixture(params=["async"])
+    def busy_daemon(self, tmp_path):
         daemon = ServeDaemon(
             traced_config(
                 tmp_path,
-                request.param == "async",
                 clients=8,
                 ops=64,
                 io_dist="fixed",
