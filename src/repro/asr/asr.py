@@ -165,25 +165,14 @@ class StoredPartition:
 
     def bulk_load(self, rows: Iterable[tuple[Cell, ...]]) -> None:
         """Replace the contents with ``rows`` (each counted once)."""
-        self._counts = Counter()
+        counts: Counter[tuple[Cell, ...]] = Counter()
         for row in rows:
             if len(row) != self.arity:
                 raise RelationError(
                     f"partition row arity {len(row)} != {self.arity}"
                 )
-            self._counts[tuple(row)] += 1
-        forward_entries = sorted(
-            ((cell_key(row[0]), row_key(row)), row) for row in self._counts
-        )
-        backward_entries = sorted(
-            ((cell_key(row[-1]), row_key(row)), row) for row in self._counts
-        )
-        self.forward_tree = BPlusTree.bulk_load(
-            forward_entries, self.tuples_per_page, self._fanout
-        )
-        self.backward_tree = BPlusTree.bulk_load(
-            backward_entries, self.tuples_per_page, self._fanout
-        )
+            counts[tuple(row)] += 1
+        self._load(counts)
 
     def load_from_extension(self, extension_rows: Iterable[tuple[Cell, ...]]) -> None:
         """Project and reference-count full extension rows, then bulk load."""
@@ -192,18 +181,25 @@ class StoredPartition:
             projected = self.project(extension_row)
             if projected is not None:
                 counts[projected] += 1
+        self._load(counts)
+
+    def _load(self, counts: Counter[tuple[Cell, ...]]) -> None:
+        """Adopt ``counts`` and bulk-load both trees from its rows.
+
+        Each row is keyed once and the two clusterings share that key
+        tuple (its first and last elements are the clustering prefixes).
+        """
         self._counts = counts
-        forward_entries = sorted(
-            ((cell_key(row[0]), row_key(row)), row) for row in counts
-        )
-        backward_entries = sorted(
-            ((cell_key(row[-1]), row_key(row)), row) for row in counts
-        )
+        keyed = [(row_key(row), row) for row in counts]
         self.forward_tree = BPlusTree.bulk_load(
-            forward_entries, self.tuples_per_page, self._fanout
+            sorted(((key[0], key), row) for key, row in keyed),
+            self.tuples_per_page,
+            self._fanout,
         )
         self.backward_tree = BPlusTree.bulk_load(
-            backward_entries, self.tuples_per_page, self._fanout
+            sorted(((key[-1], key), row) for key, row in keyed),
+            self.tuples_per_page,
+            self._fanout,
         )
 
     def add_projection(self, row: tuple[Cell, ...], context=None) -> None:
@@ -349,6 +345,9 @@ class AccessSupportRelation:
         self.extension_relation = build_extension(
             db, self.path, self.extension, workers=workers
         )
+        # Warm the by-cell index here, in the build, so the first update
+        # after a rebuild or a swap does not pay for it under a write lock.
+        self.extension_relation.index_cells()
         rows = self.extension_relation.rows
         if workers is not None and workers > 1 and len(self.partitions) > 1:
             from concurrent.futures import ThreadPoolExecutor
@@ -449,6 +448,7 @@ class AccessSupportRelation:
             f"ASR drifted from object base: missing={sorted(missing, key=row_key)[:5]} "
             f"spurious={sorted(spurious, key=row_key)[:5]}"
         )
+        actual.check_cell_index()
         for partition in self.partitions:
             expected_counts: Counter = Counter()
             for row in expected.rows:

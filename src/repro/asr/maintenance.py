@@ -5,8 +5,13 @@ updates; this module supplies the *algorithm*: translate every change
 event into a set of **dirty anchors** — ``(type index, cell)`` pairs whose
 surrounding paths may have changed — then
 
-1. select the currently stored extension rows passing through any anchor
-   (or containing a deleted OID) — the *old* neighbourhood;
+1. select, **by key**, the currently stored extension rows passing
+   through any anchor (or containing a deleted OID) — the *old*
+   neighbourhood.  The logical extension relation keeps a by-cell index
+   (:meth:`~repro.asr.relation.Relation.containing`), so this costs
+   ``O(rows through the anchors)`` whatever ``#E_X`` is: the in-memory
+   analogue of the keyed search Eq. 36 prices, and as uncharged as the
+   logical relation it reads;
 2. recompute, from the post-update object graph, all extension rows
    passing through each live anchor (``rows_through``: backward-maximal ×
    forward-maximal path segments, filtered by the extension's rules) —
@@ -29,9 +34,9 @@ the ``I_l`` / ``I_r`` materialization of section 6.1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.asr.extensions import Extension
+from repro.asr.relation import Relation
 from repro.gom.database import ObjectBase
 from repro.gom.events import (
     AttributeSet,
@@ -248,26 +253,31 @@ def neighbourhood_delta(
     db: ObjectBase,
     path: PathExpression,
     extension: Extension,
-    current_rows: Iterable[tuple[Cell, ...]],
+    relation: Relation,
     region: DirtyRegion,
 ) -> tuple[set[tuple[Cell, ...]], set[tuple[Cell, ...]]]:
-    """The ``(added, removed)`` extension rows induced by ``region``."""
+    """The ``(added, removed)`` extension rows induced by ``region``.
+
+    The old neighbourhood is selected by key from ``relation``'s
+    by-cell index (:meth:`~repro.asr.relation.Relation.containing`): per
+    anchor the rows holding its cell at the anchor's column, per dead OID
+    every row holding it.  The cost is ``O(rows through the anchors)``,
+    independent of ``#E_X``; the relation is never iterated.  A NULL
+    anchor selects nothing — NULL is no path node, and
+    :func:`rows_through` recomputes nothing for it either.
+    """
     if not region:
         return set(), set()
-    anchor_columns: list[tuple[int, Cell]] = [
-        (path.column_of(i), cell) for i, cell in region.anchors
-    ]
     dead = region.dead
-
-    def touches(row: tuple[Cell, ...]) -> bool:
-        if dead and any(cell in dead for cell in row if isinstance(cell, OID)):
-            return True
-        return any(row[column] == cell for column, cell in anchor_columns)
-
-    old_rows = {row for row in current_rows if touches(row)}
+    containing = relation.containing
+    old_rows: set[tuple[Cell, ...]] = set()
     new_rows: set[tuple[Cell, ...]] = set()
     for i, cell in region.anchors:
+        column = path.column_of(i)
+        old_rows.update(row for row in containing(cell) if row[column] == cell)
         new_rows |= rows_through(db, path, i, cell, extension)
+    for oid in dead:
+        old_rows.update(containing(oid))
     # A recomputed row may still contain a dead OID at a *different*
     # column only if the object base itself were inconsistent; guard
     # anyway so deletions can never resurrect rows.

@@ -85,6 +85,7 @@ class NestedAttributeIndex:
     def rebuild(self, db: ObjectBase) -> None:
         """Recompute from scratch (initial load)."""
         self.extension_relation = build_extension(db, self.path, Extension.CANONICAL)
+        self.extension_relation.index_cells()
         counts: Counter[tuple[Cell, Cell]] = Counter()
         for row in self.extension_relation.rows:
             counts[(row[-1], row[0])] += 1
@@ -201,6 +202,7 @@ class NestedAttributeIndex:
         assert expected_rows == self.extension_relation.rows, (
             "nested index's canonical extension drifted"
         )
+        self.extension_relation.check_cell_index()
         expected_pairs: Counter = Counter()
         for row in expected_rows:
             expected_pairs[(row[-1], row[0])] += 1

@@ -31,6 +31,19 @@ class OID:
     def __repr__(self) -> str:
         return f"i{self.value}"
 
+    # Written by hand: the generated pair builds and compares ``(value,)``
+    # tuples, and rows (tuples, which do not cache their hash) re-enter
+    # them once per cell on every set or dict operation.
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, OID):
             return NotImplemented

@@ -129,6 +129,22 @@ class CostModelPredictor:
         self.profile = profile
         self.query_model = QueryCostModel(profile)
         self.update_model = UpdateCostModel(profile)
+        # Predictions are pure functions of the (immutable) profile and
+        # the key, so each is computed once; ``None`` results cache too.
+        # Unlocked: racing threads would store the same value.
+        self._memo: dict[tuple, float | None] = {}
+
+    def _memoised(self, key: tuple, compute) -> float | None:
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        try:
+            predicted = compute()
+        except Exception:
+            predicted = None
+        self._memo[key] = predicted
+        return predicted
 
     def predict_query(self, query: Query, asr) -> float | None:
         """Predicted pages for ``query`` as executed (``asr=None`` ⇒ Eqs. 31–32).
@@ -138,24 +154,32 @@ class CostModelPredictor:
         """
         if query.kind not in ("fw", "bw"):
             return None
-        try:
-            if asr is None:
-                return self.query_model.qnas(query.i, query.j, query.kind)
-            return self.query_model.qsup(
-                asr.extension, query.i, query.j, query.kind, type_decomposition(asr)
+        i, j, kind = query.i, query.j, query.kind
+        if asr is None:
+            return self._memoised(
+                ("query", i, j, kind), lambda: self.query_model.qnas(i, j, kind)
             )
+        try:
+            extension, dec = asr.extension, type_decomposition(asr)
         except Exception:
             return None
+        return self._memoised(
+            ("query", i, j, kind, extension, dec),
+            lambda: self.query_model.qsup(extension, i, j, kind, dec),
+        )
 
     def predict_update(self, level: int, asr) -> float | None:
         """Predicted maintenance pages of ``ins_level`` against ``asr``."""
         try:
-            dec = type_decomposition(asr)
-            return self.update_model.search(
-                asr.extension, level, dec
-            ) + self.update_model.aup(asr.extension, level, dec)
+            extension, dec = asr.extension, type_decomposition(asr)
         except Exception:
             return None
+        model = self.update_model
+        return self._memoised(
+            ("update", level, extension, dec),
+            lambda: model.search(extension, level, dec)
+            + model.aup(extension, level, dec),
+        )
 
 
 class DriftMonitor:

@@ -47,6 +47,24 @@ class TestStoredPartition:
         assert partition.lookup_backward(OID(99)) == [(OID(0), OID(99))]
         assert partition.lookup_forward(OID(777)) == []
 
+    def test_both_loaders_build_the_trees_incremental_inserts_build(self):
+        rows = [(OID(i % 7), OID(i)) for i in range(40)] + [(NULL, OID(3))]
+        bulk, projected, grown = self.make(), self.make(), self.make()
+        bulk.bulk_load(rows)
+        projected.load_from_extension(rows + rows[:5] + [(NULL, NULL)])
+        grown.bulk_load([])
+        for row in rows:
+            grown.add_projection(row)
+        for loaded in (bulk, projected):
+            assert list(loaded.forward_tree.items()) == list(grown.forward_tree.items())
+            assert list(loaded.backward_tree.items()) == list(grown.backward_tree.items())
+            # One key tuple per row, shared by the two clusterings.
+            backward = {row: key for (_last, key), row in loaded.backward_tree.items()}
+            for (first, key), row in loaded.forward_tree.items():
+                assert key == row_key(row) and first == key[0]
+                assert backward[row] is key
+        assert projected._counts[rows[0]] == 2 and bulk._counts[rows[0]] == 1
+
     def test_refcounted_projection_deltas(self):
         partition = self.make()
         partition.bulk_load([])

@@ -21,6 +21,7 @@ from repro.errors import InjectedFault, RecoveryError, SimulatedCrash
 from repro.faults import FaultInjector
 
 from tests.asr.test_batched_maintenance import apply_op, make_world, operations
+from tests.asr.test_maintenance import assert_index_matches_scan
 
 FLUSH_POINTS = ("asr.flush.journal", "asr.flush.mid-delta", "asr.flush.post-delta")
 APPLY_POINTS = ("asr.apply.journal", "asr.apply.mid-delta", "asr.apply.post-delta")
@@ -85,6 +86,25 @@ class TestCrashPoints:
         assert asr.quarantined  # the second "process" died too
         manager.recover()  # third run is clean and idempotent
         assert asr.state is ASRState.CONSISTENT
+        manager.check_consistency()
+
+    @pytest.mark.parametrize("point", ("asr.flush.journal", "asr.flush.mid-delta"))
+    def test_recovery_heals_the_by_cell_index(self, point):
+        # recover() heals the logical relation row by row (add/discard)
+        # before it reloads the partitions: the index must follow.
+        db, path, parts, sets, prods, injector, manager = managed_world()
+        asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
+        seed_rows(db, parts, sets, prods)
+        injector.crash_at(point)
+        with pytest.raises(SimulatedCrash):
+            with manager.batch():
+                db.set_insert(sets[0], parts[5])
+                db.set_remove(sets[1], parts[1])
+        db.set_attr(prods[2], "Parts", sets[0])  # absorbed while quarantined
+        before = asr.extension_relation.rows
+        assert manager.recover() == 1
+        assert asr.extension_relation.rows != before
+        assert_index_matches_scan(asr.extension_relation)
         manager.check_consistency()
 
     def test_recovery_is_idempotent_after_post_delta_crash(self):

@@ -10,10 +10,73 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asr import ASRManager, Decomposition, Extension
-from repro.asr.maintenance import analyze_event, rows_through
-from repro.gom import NULL, ObjectBase, PathExpression, Schema
-from repro.gom.events import AttributeSet, ObjectCreated
+from repro.asr import AccessSupportRelation, ASRManager, Decomposition, Extension
+from repro.asr.maintenance import (
+    DirtyRegion,
+    analyze_event,
+    neighbourhood_delta,
+    rows_through,
+)
+from repro.asr.relation import Relation
+from repro.gom import NULL, OID, ObjectBase, PathExpression, Schema
+from repro.gom.events import AttributeSet, ObjectCreated, ObjectDeleted
+
+
+def assert_index_matches_scan(relation):
+    """``containing(cell)`` == the brute-force ``{row : cell in row}``."""
+    cells = {cell for row in relation for cell in row if cell is not NULL}
+    for cell in cells:
+        hits = relation.containing(cell)
+        assert len(hits) == len(set(hits)), f"{cell!r} lists a row twice"
+        assert set(hits) == {row for row in relation if cell in row}
+    assert relation.containing(NULL) == ()
+    relation.check_cell_index()  # and no entry survives for a cell that left
+
+
+def scan_delta(db, path, extension, current_rows, region):
+    """The reference ``neighbourhood_delta``: the old neighbourhood found
+    by a pass over the whole relation, as it was before the by-cell index."""
+    if not region:
+        return set(), set()
+    anchor_columns = [(path.column_of(i), cell) for i, cell in region.anchors]
+    dead = region.dead
+
+    def touches(row):
+        if dead and any(cell in dead for cell in row if isinstance(cell, OID)):
+            return True
+        return any(row[column] == cell for column, cell in anchor_columns)
+
+    old_rows = {row for row in current_rows if touches(row)}
+    new_rows = set()
+    for i, cell in region.anchors:
+        new_rows |= rows_through(db, path, i, cell, extension)
+    if dead:
+        new_rows = {
+            row
+            for row in new_rows
+            if not any(cell in dead for cell in row if isinstance(cell, OID))
+        }
+    return new_rows - old_rows, old_rows - new_rows
+
+
+class Shadow:
+    """An unmanaged ASR kept current by hand: on every event the keyed
+    delta must equal the scanned one, and the index the brute force."""
+
+    def __init__(self, db, path, extension):
+        self.db, self.path = db, path
+        self.asr = AccessSupportRelation.build(db, path, extension)
+        self.events = []
+        db.subscribe(self)
+
+    def __call__(self, event):
+        asr, relation = self.asr, self.asr.extension_relation
+        region = analyze_event(self.db, self.path, event)
+        delta = neighbourhood_delta(self.db, self.path, asr.extension, relation, region)
+        assert delta == scan_delta(self.db, self.path, asr.extension, relation, region)
+        asr.apply_delta(*delta)
+        assert_index_matches_scan(relation)
+        self.events.append((event, region, delta))
 
 
 @pytest.fixture()
@@ -162,6 +225,128 @@ class TestRepeatedTypesAlongPath:
         db.delete(nodes[3])
         manager.check_consistency()
 
+    def test_one_cell_at_two_columns_of_a_row(self):
+        """A cycle shorter than the path puts one OID at two columns of
+        one row; the index lists such a row once, through add → discard
+        → add."""
+        db, path, nodes = self.make_cyclic_world()
+        shadows = [Shadow(db, path, extension) for extension in Extension]
+        n0, n1, n2 = nodes[:3]
+        db.set_attr(nodes[5], "Next", n0)  # closes the six-cycle
+        looped = (n0, n1, n2, n0)
+        for _ in range(2):
+            db.set_attr(n2, "Next", n0)  # add: 0 → 1 → 2 → 0
+            for shadow in shadows:
+                relation = shadow.asr.extension_relation
+                assert looped in relation
+                assert relation.containing(n0).count(looped) == 1
+            db.set_attr(n2, "Next", NULL)  # discard
+            for shadow in shadows:
+                relation = shadow.asr.extension_relation
+                assert looped not in relation.containing(n0)
+        db.set_attr(n0, "Next", n0)  # one OID at all four columns
+        for shadow in shadows:
+            relation = shadow.asr.extension_relation
+            assert relation.containing(n0).count((n0, n0, n0, n0)) == 1
+            shadow.asr.consistency_check(db)
+
+
+class TestOldNeighbourhoodByKey:
+    """``neighbourhood_delta`` finds the old neighbourhood through the
+    relation's by-cell index, never by a pass over the relation."""
+
+    def test_relation_is_never_iterated(self, company_world):
+        class Unscannable(Relation):
+            __slots__ = ()
+
+            def __iter__(self):
+                raise AssertionError("neighbourhood_delta scanned the relation")
+
+        db, path, o = company_world
+        rows = AccessSupportRelation.build(db, path, Extension.FULL).extension_relation
+        expected = Relation(rows.columns, rows)
+        guarded = Unscannable(rows.columns, rows)
+        old_name = db.attr(o["door"], "Name")
+        db.set_attr(o["door"], "Name", "Gate")
+        region = analyze_event(
+            db, path, AttributeSet(o["door"], "BasePart", "Name", old_name, "Gate")
+        )
+        delta = neighbourhood_delta(db, path, Extension.FULL, guarded, region)
+        assert delta == scan_delta(db, path, Extension.FULL, expected, region)
+        assert delta[0] and delta[1]
+
+    def test_numeric_cells_match_as_equality_did(self, company_world):
+        """``1``, ``1.0`` and ``True`` are one key, as ``==`` made them
+        one anchor; ``2`` and the string ``"1"`` stay apart."""
+        db, path, o = company_world
+        labels = path.column_labels()
+        pad = (NULL,) * (len(labels) - 2)
+        rows = [
+            (o["auto"],) + pad + (1,),
+            (o["truck"],) + pad + (1.0,),
+            (o["space"],) + pad + (True,),
+            (o["sec"],) + pad + (2,),
+            (o["trak"],) + pad + ("1",),
+        ]
+        relation = Relation(labels, rows)
+        for anchor in (1, 1.0, True):
+            assert set(relation.containing(anchor)) == set(rows[:3])
+            region = DirtyRegion(frozenset({(path.n, anchor)}))
+            delta = neighbourhood_delta(db, path, Extension.FULL, relation, region)
+            assert delta == scan_delta(db, path, Extension.FULL, relation, region)
+            assert delta[1] == set(rows[:3])
+        assert relation.containing(2) == (rows[3],)
+        assert relation.containing("1") == (rows[4],)
+        # An anchor matches at its own column only.
+        region = DirtyRegion(frozenset({(0, 1)}))
+        assert neighbourhood_delta(db, path, Extension.FULL, relation, region) == (
+            set(),
+            set(),
+        )
+        assert_index_matches_scan(relation)
+
+    def test_decimal_terminal_update(self):
+        schema = Schema()
+        schema.define_tuple("Part", {"Price": "DECIMAL"})
+        schema.define_tuple("Prod", {"Main": "Part"})
+        schema.validate()
+        db = ObjectBase(schema)
+        parts = [db.new("Part", Price=price) for price in (1, 1.0, 2)]
+        for part in parts:
+            db.new("Prod", Main=part)
+        path = PathExpression.parse(schema, "Prod.Main.Price")
+        shadows = [Shadow(db, path, extension) for extension in Extension]
+        db.set_attr(parts[0], "Price", 2)  # old anchor 1 also selects the 1.0 row
+        db.set_attr(parts[1], "Price", 1)  # an equal row: nothing to change
+        db.set_attr(parts[2], "Price", 1.0)
+        for shadow in shadows:
+            deltas = [delta for _event, _region, delta in shadow.events]
+            assert deltas[0][0] and deltas[0][1] and deltas[1] == (set(), set())
+            shadow.asr.consistency_check(db)
+
+    def test_deleted_collection_is_found_through_dead(self, company_world):
+        """A collection OID sits at a non-type column no anchor names;
+        the stale relation of a batch gives it up through ``dead``."""
+        db, path, o = company_world
+        relation = AccessSupportRelation.build(db, path, Extension.FULL).extension_relation
+        victim = o["prods_truck"]
+        column = next(
+            c for c, spec in enumerate(path.columns) if spec.type_name == "ProdSET"
+        )
+        assert column not in {path.column_of(i) for i in range(path.n + 1)}
+        held = set(relation.containing(victim))
+        assert held and all(row[column] == victim for row in held)
+        events = []
+        db.subscribe(events.append)
+        db.delete(victim)
+        assert isinstance(events[-1], ObjectDeleted)
+        region = analyze_event(db, path, events[-1])
+        assert region.dead == {victim}
+        only_dead = DirtyRegion(frozenset(), region.dead)
+        delta = neighbourhood_delta(db, path, Extension.FULL, relation, only_dead)
+        assert delta == scan_delta(db, path, Extension.FULL, relation, only_dead)
+        assert delta == (set(), held)
+
 
 # ----------------------------------------------------------------------
 # hypothesis: random update streams vs rebuild
@@ -194,6 +379,7 @@ def test_random_streams_match_rebuild(ops, extension):
     manager = ASRManager(db)
     manager.create(path, extension, Decomposition.binary(path.m))
     manager.create(path, extension, Decomposition.none(path.m))
+    shadow = Shadow(db, path, extension)
     alive_parts = list(parts)
     for op, x, y in ops:
         if op == "attr":
@@ -208,3 +394,6 @@ def test_random_streams_match_rebuild(ops, extension):
             victim = alive_parts.pop(x % len(alive_parts))
             db.delete(victim)
         manager.check_consistency()
+        for asr in manager.asrs:
+            assert_index_matches_scan(asr.extension_relation)
+        assert shadow.asr.extension_relation == manager.asrs[0].extension_relation

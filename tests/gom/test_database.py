@@ -1,10 +1,15 @@
 """Unit tests for the object base: instantiation, typing, updates, events."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ObjectBaseError, TypingError
 from repro.gom import (
     NULL,
+    OID,
     AttributeSet,
     ObjectBase,
     ObjectCreated,
@@ -30,6 +35,28 @@ def schema():
 @pytest.fixture()
 def db(schema):
     return ObjectBase(schema)
+
+
+class TestOID:
+    """The hand-written ``__hash__`` / ``__eq__`` keep the dataclass contract."""
+
+    def test_equality_is_by_class_and_value(self):
+        assert OID(7) == OID(7) and hash(OID(7)) == hash(OID(7))
+        assert OID(7) != OID(8)
+        assert OID(7) != 7 and 7 != OID(7)  # never equal to its bare value
+        assert {OID(7), 7, OID(7)} == {7, OID(7)}
+        assert (OID(1), 7.0) in {(OID(1), 7)}
+
+    def test_order_frozen_copy_and_pickle_survive(self):
+        assert OID(1) < OID(2) <= OID(2) and max(OID(3), OID(9)) == OID(9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            OID(1).value = 2
+        for clone in (
+            copy.copy(OID(5)),
+            copy.deepcopy(OID(5)),
+            pickle.loads(pickle.dumps(OID(5))),
+        ):
+            assert clone == OID(5) and hash(clone) == hash(OID(5))
 
 
 class TestInstantiation:

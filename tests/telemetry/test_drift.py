@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.asr.decomposition import Decomposition
 from repro.asr.extensions import Extension
 from repro.asr.manager import ASRManager
 from repro.costmodel.parameters import ApplicationProfile
@@ -110,6 +111,62 @@ class TestCostModelPredictor:
         predictor = CostModelPredictor(SMALL)
         predicted = predictor.predict_update(1, manager.asrs[0])
         assert predicted is not None and predicted > 0
+
+
+    def test_warm_cache_repeats_the_cold_predictions(self):
+        """Memoised results equal a fresh predictor's, ``None`` included,
+        for every extension — and a repeat costs no model evaluation."""
+        class Shape:
+            def __init__(self, path, extension, decomposition):
+                self.path, self.extension = path, extension
+                self.decomposition = decomposition
+
+        class Q:
+            def __init__(self, i, j, kind):
+                self.i, self.j, self.kind = i, j, kind
+
+        generated = ChainGenerator(seed=3).generate(SMALL)
+        path, n = generated.path, SMALL.n
+        shapes = [
+            Shape(path, extension, decomposition)
+            for extension in Extension
+            for decomposition in (Decomposition.none(path.m), Decomposition.binary(path.m))
+        ] + [None]
+        queries = [
+            Q(i, j, kind)
+            for i in range(n)
+            for j in range(i + 1, n + 2)  # j = n + 1: outside the profile
+            for kind in ("fw", "bw", "range")
+        ]
+        warm = CostModelPredictor(SMALL)
+
+        def ask(predictor):
+            answers = [
+                predictor.predict_query(query, shape)
+                for shape in shapes
+                for query in queries
+            ]
+            answers += [
+                predictor.predict_update(level, shape)
+                for shape in shapes[:-1]
+                for level in range(n + 2)
+            ]
+            return answers
+
+        cold = ask(warm)
+        assert any(answer is None for answer in cold)
+        assert any(answer is not None and answer > 0 for answer in cold)
+        assert ask(CostModelPredictor(SMALL)) == cold
+
+        reentered = []
+        for model, names in (
+            (warm.query_model, ("qnas", "qsup")),
+            (warm.update_model, ("search", "aup")),
+        ):
+            for name in names:
+                setattr(model, name, lambda *args, **kwargs: reentered.append(args))
+        assert ask(warm) == cold
+        assert not reentered
 
 
 class TestDriftMonitor:
