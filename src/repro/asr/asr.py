@@ -84,6 +84,11 @@ def cell_key(cell: Cell) -> tuple:
     return (4, str(cell))
 
 
+#: The smallest key above NULL's ``(0, 0)``: where a value-range scan
+#: starts when its lower bound (``BOTTOM``, or ``NULL`` itself) is lower.
+_ABOVE_NULL = (0, 1)
+
+
 def row_key(row: Sequence[Cell]) -> tuple:
     """A total order over whole rows (the unique tie-break for tree keys)."""
     return tuple(cell_key(cell) for cell in row)
@@ -243,11 +248,13 @@ class StoredPartition:
         The backward tree is clustered on the partition's last column, so
         when a path terminates in an atomic type this is a genuine index
         range scan over the values — e.g. all paths reaching a ``Price``
-        between two bounds.
+        between two bounds.  Rows ending in ``NULL`` (dangling paths) are
+        never returned, however low ``lo`` is: a NULL terminal satisfies
+        no comparison.
         """
         results = []
         for _key, value in self.backward_tree.range(
-            lo=(cell_key(lo), ()),
+            lo=(max(cell_key(lo), _ABOVE_NULL), ()),
             hi=(cell_key(hi), ()),
             context=resolve_buffer(context),
         ):

@@ -56,12 +56,17 @@ from repro.costmodel.parameters import ApplicationProfile
 from repro.device import DeviceModel, LatencyModel, parse_io_dist
 from repro.errors import InjectedFault, SimulatedCrash
 from repro.gom.paths import PathExpression
-from repro.query.costplanner import CostBasedPlanner
 from repro.query.evaluator import QueryEvaluator
 from repro.query.planner import Planner
 from repro.query.service import QueryService
 from repro.resilience import BreakerBoard
-from repro.telemetry import CostModelPredictor, DriftMonitor, MetricsRegistry, Tracer
+from repro.telemetry import (
+    CostModelPredictor,
+    DriftMonitor,
+    MeasuredCosts,
+    MetricsRegistry,
+    Tracer,
+)
 from repro.telemetry.tracing import activate, maybe_span
 from repro.workload.generator import (
     ChainGenerator,
@@ -223,8 +228,12 @@ class ServeWorld:
     pool: ContextPool
     drift: DriftMonitor
     breakers: BreakerBoard
+    #: The replay stream's planner (shared by every executor thread):
+    #: structural ranking, breaker-gated, feeding :attr:`drift`.
+    planner: Planner
     #: The text-in/rows-out front door (``POST /query`` and the
-    #: ``queries`` profile's select operations).
+    #: ``queries`` profile's select operations); its planner ranks by
+    #: the cost model.
     queries: QueryService
     #: Per-request tracing front door (DESIGN §14); disabled by default.
     tracer: Tracer
@@ -287,12 +296,15 @@ def build_world(
         registry=registry,
     )
     manager.add_state_listener(breakers.on_asr_state)
-    # The textual front door: cost-based planning with breaker gating
-    # and an epoch-keyed compiled-plan cache.  Drift stays focused on
-    # the replay stream's Q_{i,j} shapes, so no drift hook here.
+    # The two planners a world needs, both breaker-gated.  Replay ranks
+    # structurally and feeds the drift monitor; the textual front door
+    # ranks by the cost model over measured profiles, behind an
+    # epoch-keyed compiled-plan cache.  Drift stays focused on the
+    # replay stream's Q_{i,j} shapes, so no drift hook there.
+    planner = Planner(manager, drift=drift, breakers=breakers)
     queries = QueryService(
         generated.db,
-        CostBasedPlanner(manager, breakers=breakers),
+        Planner(manager, breakers=breakers, costs=MeasuredCosts(generated.db)),
         store=generated.store,
         cache_size=config.query_cache_size,
         registry=registry,
@@ -313,6 +325,7 @@ def build_world(
         pool,
         drift,
         breakers,
+        planner,
         queries,
         tracer,
         recorder,
@@ -418,8 +431,8 @@ class ExecutorWorkers:
     The serving core offloads :func:`execute_operation` calls here.
     Each executor thread lazily acquires its own
     :class:`~repro.context.ExecutionContext` from the world's pool (via
-    :class:`~repro.concurrency.ThreadLocalContexts`) plus a planner and
-    evaluator bound to it, so the pool's accounting invariant (shared ==
+    :class:`~repro.concurrency.ThreadLocalContexts`) plus an evaluator
+    bound to it, so the pool's accounting invariant (shared ==
     retired + Σ live) holds.  :meth:`close` shuts the executor down and
     retires every thread's context.
     """
@@ -433,23 +446,17 @@ class ExecutorWorkers:
         self._contexts = ThreadLocalContexts(world.pool)
         self._local = threading.local()
 
-    def _state(self) -> tuple:
-        state = getattr(self._local, "state", None)
+    def _evaluator(self) -> QueryEvaluator:
+        """This thread's evaluator, bound to its current pooled context."""
+        evaluator = getattr(self._local, "evaluator", None)
         context = self._contexts.get()
-        if state is None or state[0] is not context:
-            planner = Planner(
-                self.world.manager,
-                drift=self.world.drift,
-                breakers=self.world.breakers,
-            )
-            evaluator = QueryEvaluator(
+        if evaluator is None or evaluator.context is not context:
+            evaluator = self._local.evaluator = QueryEvaluator(
                 self.world.generated.db,
                 self.world.generated.store,
                 context=context,
             )
-            state = (context, planner, evaluator)
-            self._local.state = state
-        return state
+        return evaluator
 
     def execute(self, op: Operation, trace=None) -> int:
         """Run one operation's core on the calling executor thread.
@@ -459,10 +466,10 @@ class ExecutorWorkers:
         thread for the duration, so the RWLock wait hooks and the
         evaluator's ASR-lookup spans can find it.
         """
-        context, planner, evaluator = self._state()
+        world, evaluator = self.world, self._evaluator()
         with activate(trace):
             return execute_operation(
-                self.world, context, planner, evaluator, op, trace=trace
+                world, evaluator.context, world.planner, evaluator, op, trace=trace
             )
 
     def close(self) -> None:

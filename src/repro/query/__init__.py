@@ -12,14 +12,13 @@ with two evaluation strategies:
   when the query's endpoint is not on a partition border.
 
 The :mod:`repro.query.planner` applies the applicability rules of Eq. 35
-to pick a strategy, and :mod:`repro.query.parser` offers the small
+to pick a strategy and is the one place a chosen plan is run, and :mod:`repro.query.parser` offers the small
 SQL-like surface syntax used in the paper's examples (Queries 1–3).
 """
 
 from repro.query.queries import BackwardQuery, ForwardQuery, Query, ValueRangeQuery
 from repro.query.evaluator import EvaluationResult, QueryEvaluator
 from repro.query.planner import Plan, Planner
-from repro.query.costplanner import CostBasedPlanner, RecordingPlanner
 from repro.query.parser import parse_select, SelectStatement
 from repro.query.executor import CompiledSelect, ExecutionReport, SelectExecutor
 from repro.query.validate import validate_select
@@ -34,8 +33,6 @@ __all__ = [
     "QueryEvaluator",
     "EvaluationResult",
     "Planner",
-    "CostBasedPlanner",
-    "RecordingPlanner",
     "Plan",
     "parse_select",
     "SelectStatement",

@@ -37,6 +37,23 @@ from repro.storage.stats import AccessStats, BufferScope
 from repro.telemetry.tracing import current_trace, maybe_span
 
 
+def access_restriction(asr: AccessSupportRelation, breakers=None) -> str | None:
+    """The access restriction on ``asr`` right now, ``None`` when readable.
+
+    The one degraded-mode rule: a quarantined ASR (trees possibly torn)
+    or one whose circuit breaker refuses the query is an *access
+    restriction* in the sense of Benedikt et al. — Eq. 35 then treats
+    the relation as absent and the query is answered under whatever is
+    left.  ``breakers.allow_query`` is stateful (a half-open breaker
+    admits exactly one probe), so ask once per ASR per decision.
+    """
+    if asr.quarantined:
+        return "quarantined"
+    if breakers is not None and not breakers.allow_query(asr):
+        return "breaker-open"
+    return None
+
+
 @dataclass
 class EvaluationResult:
     """The answer set of a query plus its measured page accesses."""
@@ -106,7 +123,7 @@ class QueryEvaluator:
         is counted in the context trace under ``query.degraded-fallback``.
         """
         if asr is not None and asr.supports_query(query.i, query.j):
-            if asr.quarantined:
+            if access_restriction(asr) is not None:
                 if self.context is not None:
                     self.context.count("query.degraded-fallback")
                 result = self.evaluate_unsupported(query)
@@ -145,7 +162,7 @@ class QueryEvaluator:
                 f"extension {asr.extension.value!r} cannot evaluate "
                 f"Q{query.i},{query.j} (Eq. 35)"
             )
-        if asr.quarantined:
+        if access_restriction(asr) is not None:
             raise QueryError(
                 f"ASR {asr.path} [{asr.extension.value}] is quarantined after "
                 "a crash/fault; recover it or use evaluate() to fall back"
@@ -162,9 +179,7 @@ class QueryEvaluator:
             with self._measured(f"query.supported.{query.kind}") as buffer:
                 if isinstance(query, ForwardQuery):
                     cells = self._supported_forward(query, asr, buffer)
-                elif isinstance(query, ValueRangeQuery):
-                    cells = self._supported_range(query, asr, buffer)
-                elif isinstance(query, BackwardQuery):
+                elif isinstance(query, (BackwardQuery, ValueRangeQuery)):
                     cells = self._supported_backward(query, asr, buffer)
                 else:
                     raise QueryError(f"unknown query shape {query!r}")
@@ -194,30 +209,11 @@ class QueryEvaluator:
 
     def _forward_traverse(self, query: ForwardQuery, buffer) -> set[Cell]:
         """Pointer-chasing from a single start object (Eq. 31 profile)."""
-        path, i, j = query.path, query.i, query.j
         if isinstance(query.start, OID) and query.start not in self.db:
             return set()
-        frontier: set[Cell] = {query.start}
-        for level in range(i, j):
-            step = path.steps[level]
-            next_frontier: set[Cell] = set()
-            for cell in frontier:
-                if not isinstance(cell, OID):
-                    continue
-                # Reading the attribute requires the object's page.
-                self._charge_object(cell, self.db.type_of(cell), buffer)
-                value = self.db.attr(cell, step.attribute)
-                if value is NULL:
-                    continue
-                if step.is_set_occurrence:
-                    assert isinstance(value, OID)
-                    next_frontier.update(self.db.members(value))
-                else:
-                    next_frontier.add(value)
-            frontier = next_frontier
-            if not frontier:
-                break
-        return frontier
+        return self._forward_from(
+            query.start, query.path, query.i, query.j, buffer, charge_start=True
+        )
 
     def _range_scan(self, query: ValueRangeQuery, buffer) -> set[Cell]:
         """Exhaustive search with a value-range predicate at the terminal."""
@@ -253,6 +249,11 @@ class QueryEvaluator:
     def _forward_from(
         self, start: Cell, path, i: int, j: int, buffer, charge_start: bool
     ) -> set[Cell]:
+        """Chase references level by level from ``start`` ∈ ``t_i`` to ``t_j``.
+
+        ``charge_start=False`` is for callers that already paid for the
+        start object's page (an extent scan).
+        """
         frontier: set[Cell] = {start}
         for level in range(i, j):
             step = path.steps[level]
@@ -260,6 +261,7 @@ class QueryEvaluator:
             for cell in frontier:
                 if not isinstance(cell, OID):
                     continue
+                # Reading the attribute requires the object's page.
                 if level > i or charge_start:
                     self._charge_object(cell, self.db.type_of(cell), buffer)
                 value = self.db.attr(cell, step.attribute)
@@ -311,47 +313,32 @@ class QueryEvaluator:
                 break
         return frontier
 
-    def _supported_range(
-        self, query: ValueRangeQuery, asr: AccessSupportRelation, buffer
-    ) -> set[Cell]:
-        """Index range scan over the final partition's value clustering."""
-        path = asr.path
-        first_column = path.column_of(query.i)
-        last_column = path.m
-        frontier: set[Cell] | None = None
-        for partition in reversed(asr.partitions):
-            a, b = partition.first_column, partition.last_column
-            if b <= first_column:
-                break
-            if frontier is None:
-                # The terminal partition: one range scan over the values.
-                rows = partition.lookup_backward_range(query.lo, query.hi, buffer)
-            else:
-                rows = [
-                    row
-                    for cell in frontier
-                    for row in partition.lookup_backward(cell, buffer)
-                ]
-            advance = max(a, first_column) - a
-            frontier = {row[advance] for row in rows if row[advance] is not NULL}
-            if not frontier:
-                break
-        return frontier or set()
-
     def _supported_backward(
-        self, query: BackwardQuery, asr: AccessSupportRelation, buffer
+        self, query: BackwardQuery | ValueRangeQuery, asr: AccessSupportRelation, buffer
     ) -> set[Cell]:
+        """Stitch partitions right to left from the target (Eq. 34).
+
+        A value-range query differs only in how the terminal partition
+        is entered: one index range scan over its value clustering
+        instead of a lookup of the single target.
+        """
         path = asr.path
         first_column = path.column_of(query.i)
         last_column = path.column_of(query.j)
-        frontier: set[Cell] = {query.target}
+        frontier: set[Cell] | None = (
+            None if isinstance(query, ValueRangeQuery) else {query.target}
+        )
         for partition in reversed(asr.partitions):
             a, b = partition.first_column, partition.last_column
             if a >= last_column:
                 continue
             if b <= first_column:
                 break
-            if b > last_column:
+            if frontier is None:
+                # The terminal partition of a range query: one scan
+                # over the value clustering.
+                rows = partition.lookup_backward_range(query.lo, query.hi, buffer)
+            elif b > last_column:
                 # The query's target lies strictly inside this partition.
                 offset = last_column - a
                 rows = [
@@ -367,4 +354,4 @@ class QueryEvaluator:
             frontier = {row[advance] for row in rows if row[advance] is not NULL}
             if not frontier:
                 break
-        return frontier
+        return frontier or set()

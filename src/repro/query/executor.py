@@ -39,19 +39,18 @@ from repro.query.evaluator import QueryEvaluator
 class PredicateAction:
     """One compiled step of the ASR fast path, in predicate order.
 
-    ``kind`` is ``"supported"`` (evaluate ``query`` through
-    ``plan.asr`` and intersect the candidates) or ``"degraded"`` (support
-    exists but was unusable at compile time — keep the nested-loop
-    filter and flag the strategy).  Supported actions are re-checked at
-    execution time: quarantine or an open breaker demotes them to
-    degraded without recompiling.
+    ``plan`` is the planner's decision for ``query``, the ``Q_{i,j}``
+    form of ``predicate``: supported (evaluate through ``plan.asr`` and
+    intersect the candidates) or degraded (``plan.restriction`` names
+    why covering support was unusable at compile time — keep the
+    nested-loop filter and flag the strategy).  Supported plans are
+    re-checked at execution time: quarantine or an open breaker degrades
+    them without recompiling.
     """
 
-    kind: str
     predicate: Predicate
     query: Query
-    plan: Plan | None = None
-    reason: str = "quarantined"
+    plan: Plan
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class CompiledSelect:
     @property
     def supported(self) -> bool:
         """Whether any predicate will be answered through an ASR."""
-        return any(action.kind == "supported" for action in self.actions)
+        return any(action.plan.supported for action in self.actions)
 
 
 #: Strategy strings for the two ways a supported predicate degrades.
@@ -97,6 +96,9 @@ class ExecutionReport:
     strategy: str = "nested-loop traversal"
     page_reads: int = 0
     page_writes: int = 0
+    #: The access restriction (``"quarantined"`` / ``"breaker-open"``)
+    #: that degraded some predicate to the nested-loop filter, if any.
+    restriction: str | None = None
 
     @property
     def total_pages(self) -> int:
@@ -153,8 +155,8 @@ class SelectExecutor:
 
         Recognizes the paper's flagship pattern — predicates comparing a
         path expression rooted at the first range variable with a
-        literal — and plans each through the attached planner.  Plan
-        decisions are traced (``plan.supported`` / ``plan.unsupported``)
+        literal — and plans each through the attached planner, which
+        counts the decisions (``plan.supported`` / ``plan.unsupported``)
         *here*, so replaying the compiled statement via
         :meth:`run_compiled` provably does no planning work.
         """
@@ -175,38 +177,25 @@ class SelectExecutor:
                 query = self._indexable_query(path, literal, op)
                 if query is None:
                     continue
-                plan = self.planner.plan(query)
-                if context is not None:
-                    chosen = "unsupported" if plan.asr is None else "supported"
-                    context.count(f"plan.{chosen}")
-                if plan.asr is None:
-                    if self.planner.quarantined_applicable(query):
-                        # Support exists but is quarantined: keep the
-                        # nested-loop filter (correct, just slower) and
-                        # say so in the strategy string / trace.
-                        actions.append(
-                            PredicateAction(
-                                "degraded", predicate, query, plan, "quarantined"
-                            )
-                        )
-                    elif plan.breaker_blocked:
-                        actions.append(
-                            PredicateAction(
-                                "degraded", predicate, query, plan, "breaker-open"
-                            )
-                        )
-                    continue
-                actions.append(PredicateAction("supported", predicate, query, plan))
+                plan = self.planner.plan(query, context)
+                # Without covering support (or with the deliberate
+                # Figure 8 fallback) the nested-loop filter simply
+                # applies; a *degraded* plan keeps it too (correct, just
+                # slower) but says so in the strategy string / trace.
+                if plan.supported or plan.restriction is not None:
+                    actions.append(PredicateAction(predicate, query, plan))
         return CompiledSelect(statement, tuple(actions))
 
     def run_compiled(self, compiled: CompiledSelect) -> ExecutionReport:
         """Execute a previously compiled statement against live data.
 
-        Supported actions are re-validated cheaply: an ASR that was
+        Supported plans are re-validated cheaply
+        (:meth:`~repro.query.planner.Planner.recheck`): an ASR that was
         quarantined or breaker-vetoed since compile time degrades that
         predicate to the nested-loop filter instead of returning wrong
-        rows, and supported evaluations feed the breaker board exactly
-        as freshly planned ones do.
+        rows, and supported evaluations go through the planner's one
+        :meth:`~repro.query.planner.Planner.run`, as freshly planned
+        ones do.
         """
         if self.planner is not None:
             with self.planner.manager.lock.read():
@@ -225,31 +214,19 @@ class SelectExecutor:
         candidates = set(self._range_members(first, {}))
         asr_filtered: set[str] = set()
         context = self.evaluator.context
-        breakers = self.planner.breakers if self.planner is not None else None
+        restriction = None
         for action in compiled.actions:
-            reason = action.reason
-            if action.kind == "supported":
-                asr = action.plan.asr
-                if asr.quarantined:
-                    reason = "quarantined"
-                elif breakers is not None and not breakers.allow_query(asr):
-                    reason = "breaker-open"
-                else:
-                    try:
-                        result = self.evaluator.evaluate_supported(action.query, asr)
-                    except Exception:
-                        if breakers is not None:
-                            breakers.record_failure(asr)
-                        raise
-                    if breakers is not None:
-                        breakers.record_success(asr)
-                    candidates &= result.cells
-                    reads += result.page_reads
-                    writes += result.page_writes
-                    strategy = f"asr-backward via {asr.extension.value}"
-                    asr_filtered.add(str(action.predicate))
-                    continue
-            strategy = _DEGRADED_STRATEGIES[reason]
+            plan = self.planner.recheck(action.plan)
+            if plan.asr is not None:
+                result = self.planner.run(plan, self.evaluator)
+                candidates &= result.cells
+                reads += result.page_reads
+                writes += result.page_writes
+                strategy = f"asr-backward via {plan.asr.extension.value}"
+                asr_filtered.add(str(action.predicate))
+                continue
+            restriction = restriction or plan.restriction
+            strategy = _DEGRADED_STRATEGIES[plan.restriction]
             if context is not None:
                 context.count("query.degraded-fallback")
         bindings_list: list[dict[str, Cell]] = []
@@ -270,7 +247,7 @@ class SelectExecutor:
                 if combo not in seen:
                     seen.add(combo)
                     rows.append(combo)
-        return ExecutionReport(rows, strategy, reads, writes)
+        return ExecutionReport(rows, strategy, reads, writes, restriction)
 
     def _extend_bindings(
         self,

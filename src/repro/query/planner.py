@@ -1,34 +1,46 @@
-"""Plan selection: which ASR (if any) should answer a query.
+"""Plan selection and the one run path: which ASR (if any) answers a query.
 
-Implements the case analysis of Eq. 35: an access support relation can
-answer ``Q_{i,j}`` only when its extension covers the query's range
-(canonical: whole path; left: prefixes; right: suffixes; full: any), and
-otherwise the query falls back to unsupported evaluation.  When several
-registered ASRs apply, the planner ranks them by an estimate of the pages
-a supported evaluation touches (partition data pages along the query
-range, which dominates; tree interiors are comparatively tiny).
+Eq. 35's case analysis: an access support relation can answer
+``Q_{i,j}`` only when its extension covers the query's range (canonical:
+whole path; left: prefixes; right: suffixes; full: any); otherwise the
+query falls back to unsupported evaluation (Eqs. 31-32).
 
-Quarantined ASRs (see :mod:`repro.asr.journal`) are never candidates:
-their trees may be torn, so the planner degrades to another applicable
-decomposition or to the unsupported evaluation — results stay correct,
-only the page profile suffers.  Degraded decisions are counted in the
-context trace under ``plan.degraded-fallback``.
+A covering ASR may still be unreadable right now — quarantined (see
+:mod:`repro.asr.journal`: its trees may be torn) or refused by its
+circuit breaker on the attached
+:class:`~repro.resilience.breaker.BreakerBoard`.  Either is an *access
+restriction* (:func:`~repro.query.evaluator.access_restriction`, the one
+predicate): the relation counts as absent and the plan degrades to
+another covering decomposition or to the unsupported evaluation —
+results stay correct, only the page profile suffers.  ``allow_query`` is
+stateful (a half-open breaker admits exactly one probe), so
+:meth:`Planner.plan` asks once per covering ASR per decision and
+:meth:`Planner.recheck` once more for a plan frozen earlier.
 
-With a :class:`~repro.resilience.breaker.BreakerBoard` attached, an ASR
-whose circuit breaker is **open** is filtered out the same way even
-while nominally consistent (``plan.breaker-open`` in the trace): a
-relation that keeps faulting gets a cooldown before queries trust it
-again, and a half-open breaker admits exactly one probe query —
-:meth:`Planner.execute` reports the probe's outcome back to the board.
+Among the usable ASRs the cheapest wins.  Without a ``costs``
+collaborator prices are structural and any usable ASR beats the
+fallback; with one they are the analytical model's over the measured
+profile of the queried path, and the traversal/scan wins whenever it is
+priced cheaper — the paper's Figure 8: a partial-range query against a
+non-decomposed full extension degenerates to an exhaustive index scan
+that can cost more than no support at all.
+
+:meth:`Planner.run` is the only place a plan is executed and its
+outcome reported (breaker board, drift monitor, workload recorder);
+:meth:`Planner.execute` is ``plan`` + ``run``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.asr.asr import AccessSupportRelation
 from repro.asr.manager import ASRManager
-from repro.query.evaluator import EvaluationResult, QueryEvaluator
+from repro.query.evaluator import (
+    EvaluationResult,
+    QueryEvaluator,
+    access_restriction,
+)
 from repro.query.queries import Query
 from repro.telemetry.tracing import maybe_span
 
@@ -40,9 +52,13 @@ class Plan:
     query: Query
     asr: AccessSupportRelation | None
     estimated_pages: float
-    #: Applicable, consistent ASRs the breaker board vetoed (open
+    #: Covering, consistent ASRs the breaker board vetoed (open
     #: breakers) while this plan was chosen.
     breaker_blocked: int = 0
+    #: ``"quarantined"`` or ``"breaker-open"`` when covering ASRs exist
+    #: but restrictions left none usable (a *degraded* plan); ``None``
+    #: otherwise, including the deliberate Figure 8 fallback.
+    restriction: str | None = None
 
     @property
     def supported(self) -> bool:
@@ -57,64 +73,77 @@ class Plan:
         )
 
 
-class Planner:
-    """Chooses among registered ASRs and the unsupported fallback.
+def mark_restriction(trace, restriction: str | None) -> None:
+    """Mark ``trace`` as answered under ``restriction`` (tail capture keeps it)."""
+    if trace is not None and restriction is not None:
+        trace.mark("degraded" if restriction == "quarantined" else restriction)
 
-    ``drift`` optionally attaches a
-    :class:`~repro.telemetry.drift.DriftMonitor` (duck-typed: anything
-    with ``observe_query``): :meth:`execute` then records every
-    executed plan's measured page accesses against the cost model's
-    prediction, feeding the live drift report.
+
+class Planner:
+    """Chooses among registered ASRs and the unsupported fallback, and runs it.
+
+    Every collaborator is optional and duck-typed.  ``drift`` (a
+    :class:`~repro.telemetry.drift.DriftMonitor`: ``observe_query``)
+    gets every run plan's measured pages against the cost model's
+    prediction.  ``breakers`` (a
+    :class:`~repro.resilience.breaker.BreakerBoard`: ``allow_query`` /
+    ``record_success`` / ``record_failure``) vetoes candidates and is
+    fed by every supported evaluation.  ``costs`` (a
+    :class:`~repro.telemetry.drift.MeasuredCosts`: ``predict_query``)
+    ranks by the analytical cost model instead of structurally.
+    ``recorder`` (a :class:`~repro.asr.adaptive.PathRecorders`:
+    ``for_path``) counts every run query in its path's workload recorder.
     """
 
-    def __init__(self, manager: ASRManager, drift=None, breakers=None) -> None:
+    def __init__(
+        self, manager: ASRManager, drift=None, breakers=None, costs=None, recorder=None
+    ) -> None:
         self.manager = manager
         self.drift = drift
-        #: Optional :class:`~repro.resilience.breaker.BreakerBoard`
-        #: (duck-typed: ``allow_query`` / ``record_success`` /
-        #: ``record_failure``) filtering candidates and fed by probes.
         self.breakers = breakers
+        self.costs = costs
+        self.recorder = recorder
+
+    # ------------------------------------------------------------------
+    # candidates
+    # ------------------------------------------------------------------
+
+    def _covering(self, query: Query) -> list[AccessSupportRelation]:
+        """Registered ASRs whose extension covers ``query`` (Eq. 35)."""
+        return [
+            asr
+            for asr in self.manager.asrs
+            if asr.path == query.path and asr.supports_query(query.i, query.j)
+        ]
 
     def applicable(self, query: Query) -> list[AccessSupportRelation]:
         """All registered ASRs that may answer ``query`` per Eq. 35.
 
         Quarantined ASRs are excluded: reading possibly-torn trees could
-        return wrong results, and wrong is worse than slow.
+        return wrong results, and wrong is worse than slow.  (Breakers
+        are not consulted — asking one is not a pure read.)
         """
         with self.manager.lock.read():
             return [
-                asr
-                for asr in self.manager.asrs
-                if asr.path == query.path
-                and asr.supports_query(query.i, query.j)
-                and not asr.quarantined
+                asr for asr in self._covering(query) if access_restriction(asr) is None
             ]
 
     def quarantined_applicable(self, query: Query) -> list[AccessSupportRelation]:
         """ASRs that *would* answer ``query`` but are quarantined.
 
-        Non-empty exactly when a plan is degraded: the query had support
-        before the fault, and will have it again after recovery.
+        The query had support before the fault, and will have it again
+        after recovery.
         """
         with self.manager.lock.read():
             return [
                 asr
-                for asr in self.manager.asrs
-                if asr.path == query.path
-                and asr.supports_query(query.i, query.j)
-                and asr.quarantined
+                for asr in self._covering(query)
+                if access_restriction(asr) == "quarantined"
             ]
 
-    def _count_degraded(self, query: Query, plan: Plan, context) -> None:
-        """Trace a degraded decision (quarantine or an open breaker)."""
-        if context is None:
-            return
-        if plan.breaker_blocked:
-            context.count("plan.breaker-open", plan.breaker_blocked)
-        if plan.asr is None and (
-            plan.breaker_blocked or self.quarantined_applicable(query)
-        ):
-            context.count("plan.degraded-fallback")
+    # ------------------------------------------------------------------
+    # ranking
+    # ------------------------------------------------------------------
 
     def estimate_supported_pages(
         self, query: Query, asr: AccessSupportRelation
@@ -143,66 +172,121 @@ class Planner:
                 pages += partition.forward_tree.interior_height + 2
         return pages
 
-    def plan(self, query: Query) -> Plan:
-        """The cheapest plan for ``query`` among ASRs and the fallback."""
+    def cost(self, query: Query, asr: AccessSupportRelation | None) -> float:
+        """The price of answering ``query`` through ``asr`` (``None``: without).
+
+        Structural without ``costs`` — the fallback is then priced at
+        infinity, so it is chosen only when nothing usable covers the
+        query; the model's Eqs. 31-34 with ``costs``, where a shape the
+        model cannot price ranks last.
+        """
+        if self.costs is None:
+            if asr is None:
+                return float("inf")
+            return self.estimate_supported_pages(query, asr)
+        predicted = self.costs.predict_query(query, asr)
+        return float("inf") if predicted is None else predicted
+
+    # ------------------------------------------------------------------
+    # plan, run, execute
+    # ------------------------------------------------------------------
+
+    def plan(self, query: Query, context=None) -> Plan:
+        """The cheapest plan for ``query`` among usable ASRs and the fallback.
+
+        ``context`` (an :class:`~repro.context.ExecutionContext`) gets
+        the decision counted: ``plan.supported`` / ``plan.unsupported``,
+        ``plan.breaker-open`` per vetoed ASR, and
+        ``plan.degraded-fallback`` for a plan with a :attr:`Plan.restriction`.
+        """
         with self.manager.lock.read():
-            candidates = self.applicable(query)
-            blocked = 0
-            if self.breakers is not None and candidates:
-                admitted = [
-                    asr for asr in candidates if self.breakers.allow_query(asr)
-                ]
-                blocked = len(candidates) - len(admitted)
-                candidates = admitted
-            if not candidates:
-                return Plan(query, None, float("inf"), breaker_blocked=blocked)
-            best = min(
-                candidates, key=lambda asr: self.estimate_supported_pages(query, asr)
+            best, best_cost = None, self.cost(query, None)
+            quarantined = vetoed = 0
+            for asr in self._covering(query):
+                restriction = access_restriction(asr, self.breakers)
+                if restriction == "quarantined":
+                    quarantined += 1
+                elif restriction == "breaker-open":
+                    vetoed += 1
+                else:
+                    cost = self.cost(query, asr)
+                    if cost < best_cost:
+                        best, best_cost = asr, cost
+        restriction = None
+        if best is None:
+            if quarantined:
+                restriction = "quarantined"
+            elif vetoed:
+                restriction = "breaker-open"
+        if context is not None:
+            context.count("plan.unsupported" if best is None else "plan.supported")
+            if vetoed:
+                context.count("plan.breaker-open", vetoed)
+            if restriction is not None:
+                context.count("plan.degraded-fallback")
+        return Plan(
+            query, best, best_cost, breaker_blocked=vetoed, restriction=restriction
+        )
+
+    def recheck(self, plan: Plan) -> Plan:
+        """``plan`` as it stands under the restrictions in force *now*.
+
+        For plans frozen earlier (the compiled-plan cache): a supported
+        plan whose ASR has since been quarantined or breaker-vetoed
+        comes back unsupported with the restriction named.  Consults the
+        breaker once, like a fresh decision.
+        """
+        if plan.asr is None:
+            return plan
+        restriction = access_restriction(plan.asr, self.breakers)
+        if restriction is None:
+            return plan
+        return replace(plan, asr=None, restriction=restriction)
+
+    def run(
+        self, plan: Plan, evaluator: QueryEvaluator, trace=None
+    ) -> EvaluationResult:
+        """Evaluate ``plan`` and report what happened to every collaborator.
+
+        The manager's read lock is held across the probes, so a
+        concurrent flush or recovery can never mutate a tree mid-query
+        (readers share; writers wait).  A supported evaluation blowing
+        up is breaker evidence (a half-open probe failing re-opens), a
+        success closes a probing breaker.  ``trace`` books the
+        evaluation as the ``execute`` phase.
+        """
+        query, asr = plan.query, plan.asr
+        with self.manager.lock.read(), maybe_span(trace, "evaluate", "execute"):
+            if asr is None:
+                result = evaluator.evaluate_unsupported(query)
+            else:
+                try:
+                    result = evaluator.evaluate_supported(query, asr)
+                except Exception:
+                    if self.breakers is not None:
+                        self.breakers.record_failure(asr)
+                    raise
+                if self.breakers is not None:
+                    self.breakers.record_success(asr)
+        if self.drift is not None:
+            self.drift.observe_query(query, asr, result.total_pages)
+        if self.recorder is not None:
+            self.recorder.for_path(query.path).record_query(
+                query.i, query.j, query.kind
             )
-            return Plan(
-                query,
-                best,
-                self.estimate_supported_pages(query, best),
-                breaker_blocked=blocked,
-            )
+        return result
 
     def execute(
         self, query: Query, evaluator: QueryEvaluator, trace=None
     ) -> EvaluationResult:
-        """Plan and evaluate in one step.
-
-        The manager's read lock is held across both the plan decision
-        and the evaluation, so a concurrent flush or recovery can never
-        mutate a tree mid-probe (readers share; writers wait).
+        """Plan and run in one step, under one hold of the read lock.
 
         ``trace`` records the plan decision as the ``plan`` phase and
-        the evaluation as ``execute``; a degraded or breaker-vetoed
-        decision marks the trace's outcome so tail capture retains it.
+        the evaluation as ``execute``; a degraded decision marks the
+        trace's outcome so tail capture retains it.
         """
         with self.manager.lock.read():
             with maybe_span(trace, "plan", "plan"):
-                plan = self.plan(query)
-            self._count_degraded(query, plan, evaluator.context)
-            if trace is not None:
-                if plan.breaker_blocked and plan.asr is None:
-                    trace.mark("breaker-open")
-                elif plan.asr is None and self.quarantined_applicable(query):
-                    trace.mark("degraded")
-            with maybe_span(trace, "evaluate", "execute"):
-                if plan.asr is None:
-                    result = evaluator.evaluate_unsupported(query)
-                else:
-                    try:
-                        result = evaluator.evaluate_supported(query, plan.asr)
-                    except Exception:
-                        # A supported evaluation blowing up is breaker
-                        # evidence (a half-open probe failing re-opens).
-                        if self.breakers is not None:
-                            self.breakers.record_failure(plan.asr)
-                        raise
-                    else:
-                        if self.breakers is not None:
-                            self.breakers.record_success(plan.asr)
-        if self.drift is not None:
-            self.drift.observe_query(query, plan.asr, result.total_pages)
-        return result
+                plan = self.plan(query, evaluator.context)
+            mark_restriction(trace, plan.restriction)
+            return self.run(plan, evaluator, trace)

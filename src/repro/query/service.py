@@ -32,7 +32,7 @@ from repro.query.cache import CompiledPlanCache, normalize_query
 from repro.query.evaluator import QueryEvaluator
 from repro.query.executor import ExecutionReport, SelectExecutor
 from repro.query.parser import SelectStatement, parse_select
-from repro.query.planner import Planner
+from repro.query.planner import Planner, mark_restriction
 from repro.query.validate import validate_select
 from repro.telemetry.tracing import maybe_span
 
@@ -155,12 +155,7 @@ class QueryService:
                 epoch=epoch,
                 pages=report.total_pages,
             )
-            if "degraded" in report.strategy:
-                trace.mark(
-                    "breaker-open"
-                    if "breaker open" in report.strategy
-                    else "degraded"
-                )
+            mark_restriction(trace, report.restriction)
         if self.registry is not None:
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             self.registry.observe(

@@ -7,7 +7,8 @@ pieces:
   lock-safe sink (counters, gauges, log-scale histograms) every layer
   publishes into, with a JSON snapshot and a Prometheus text exposition;
 * :mod:`repro.telemetry.drift` — :class:`DriftMonitor` +
-  :class:`CostModelPredictor`, continuously comparing the analytical
+  :class:`CostModelPredictor` (+ :class:`MeasuredCosts`, the planner's
+  per-path pricing over measured profiles), continuously comparing the analytical
   cost model's predicted page accesses (Eqs. 31–36) against the spans'
   measured ones, per (extension, decomposition, op-kind);
 * :mod:`repro.telemetry.render` — the text tables behind ``repro
@@ -43,6 +44,7 @@ from repro.telemetry.tracing import (
 _LAZY = {
     "CostModelPredictor": "repro.telemetry.drift",
     "DriftMonitor": "repro.telemetry.drift",
+    "MeasuredCosts": "repro.telemetry.drift",
     "type_decomposition": "repro.telemetry.drift",
     "format_drift": "repro.telemetry.render",
     "format_metrics": "repro.telemetry.render",
@@ -73,6 +75,7 @@ __all__ = [
     "maybe_span",
     "DriftMonitor",
     "CostModelPredictor",
+    "MeasuredCosts",
     "type_decomposition",
     "format_metrics",
     "format_drift",

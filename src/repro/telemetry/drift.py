@@ -21,6 +21,9 @@ model term is wrong, and names which term.
 unsupported plans, Eqs. 33–34 (with the ASR's actual decomposition
 translated to type indices) for supported ones, and the section 6
 ``search + aup`` maintenance terms for ``ins_i`` updates.
+:class:`MeasuredCosts` keeps one such predictor per queried path over a
+lazily measured profile — the planner's ``costs`` collaborator, so plan
+ranking and drift reporting price a plan with the same code.
 """
 
 from __future__ import annotations
@@ -31,11 +34,13 @@ from dataclasses import dataclass
 
 from repro.asr.decomposition import Decomposition
 from repro.costmodel.parameters import ApplicationProfile
+from repro.costmodel.profiling import profile_from_database
 from repro.costmodel.querycost import QueryCostModel
 from repro.costmodel.updatecost import UpdateCostModel
+from repro.gom.paths import PathExpression
 from repro.query.queries import Query
 
-__all__ = ["DriftMonitor", "CostModelPredictor", "type_decomposition"]
+__all__ = ["DriftMonitor", "CostModelPredictor", "MeasuredCosts", "type_decomposition"]
 
 #: Key label for plans answered without any ASR.
 UNSUPPORTED = "unsupported"
@@ -46,7 +51,7 @@ def type_decomposition(asr) -> Decomposition:
 
     ASR partitions are declared over *columns* of the extension (which
     may repeat types for non-full extensions); the cost model speaks
-    type indices.  Shared with the cost-based planner.
+    type indices.
     """
     borders = tuple(
         dict.fromkeys(
@@ -180,6 +185,52 @@ class CostModelPredictor:
             lambda: model.search(extension, level, dec)
             + model.aup(extension, level, dec),
         )
+
+
+class MeasuredCosts:
+    """One :class:`CostModelPredictor` per path, over a measured profile.
+
+    The profile of a path is measured from ``db`` on the first query
+    over it (:func:`~repro.costmodel.profiling.profile_from_database`;
+    ``object_sizes`` maps type names to byte sizes, defaulting to
+    ``default_size``) and kept with its predictor's memo until
+    :meth:`invalidate` — nothing re-measures on its own, so call that
+    after bulk changes.  Unlocked like the predictor's memo: racing
+    threads would measure and store the same profile.
+    """
+
+    def __init__(
+        self,
+        db,
+        object_sizes: dict[str, int] | None = None,
+        default_size: int = 100,
+    ) -> None:
+        self.db = db
+        self.object_sizes = object_sizes
+        self.default_size = default_size
+        self._predictors: dict[PathExpression, CostModelPredictor] = {}
+
+    def predictor_for(self, path: PathExpression) -> CostModelPredictor:
+        """The (cached) predictor over the measured profile of ``path``."""
+        predictor = self._predictors.get(path)
+        if predictor is None:
+            predictor = self._predictors[path] = CostModelPredictor(
+                profile_from_database(
+                    self.db, path, self.object_sizes, self.default_size
+                )
+            )
+        return predictor
+
+    def predict_query(self, query: Query, asr) -> float | None:
+        """:meth:`CostModelPredictor.predict_query` over ``query.path``."""
+        return self.predictor_for(query.path).predict_query(query, asr)
+
+    def invalidate(self, path: PathExpression | None = None) -> None:
+        """Drop the profile and memo of ``path`` (of every path when ``None``)."""
+        if path is None:
+            self._predictors.clear()
+        else:
+            self._predictors.pop(path, None)
 
 
 class DriftMonitor:

@@ -29,6 +29,20 @@ def catalog():
         )
         for i in range(8)
     ]
+    # Two dangling paths — NULL terminals in the full extension, and a
+    # NULL satisfies no comparison: a product composed of nothing, and
+    # one with a part that has no price beside the dearest part.
+    products.append(
+        db.new("Product", Name="Hollow", Composition=db.new_set("BasePartSET", []))
+    )
+    unpriced = db.new("BasePart", Name="P-unpriced")
+    products.append(
+        db.new(
+            "Product",
+            Name="Unpriced",
+            Composition=db.new_set("BasePartSET", [unpriced, parts[-1]]),
+        )
+    )
     db.set_var("Catalog", db.new_set("ProdSET", products), "ProdSET")
     path = PathExpression.parse(schema, "Product.Composition.Price")
     manager = ASRManager(db)
@@ -60,6 +74,8 @@ class TestComparisonSemantics:
         "select p.Name from p in Catalog where 20 > p.Composition.Price",
         "select p.Name from p in Catalog where 80 <= p.Composition.Price",
         'select p.Name from p in Catalog where p.Name >= "Pr5"',
+        "select p.Name from p in Catalog "
+        "where p.Composition.Price >= 20 and p.Composition.Price < 60",
     ]
 
     @pytest.mark.parametrize("query", QUERIES)

@@ -4,8 +4,8 @@ import pytest
 
 from repro.asr import ASRManager, Decomposition, Extension
 from repro.costmodel import ApplicationProfile
-from repro.query import BackwardQuery, ForwardQuery, QueryEvaluator
-from repro.query.costplanner import CostBasedPlanner
+from repro.query import BackwardQuery, ForwardQuery, Planner, QueryEvaluator
+from repro.telemetry import MeasuredCosts
 from repro.workload import ChainGenerator
 
 PROFILE = ApplicationProfile(
@@ -22,7 +22,7 @@ SIZES = {"T0": 400, "T1": 300, "T2": 200, "T3": 100}
 def world():
     generated = ChainGenerator(seed=53).generate(PROFILE)
     manager = ASRManager(generated.db)
-    planner = CostBasedPlanner(manager, SIZES)
+    planner = Planner(manager, costs=MeasuredCosts(generated.db, SIZES))
     evaluator = QueryEvaluator(generated.db, generated.store)
     return generated, manager, planner, evaluator
 
@@ -48,9 +48,7 @@ class TestCostBasedChoice:
         # pages; the supported plan must scan the whole undecomposed
         # relation (the query endpoint is interior).
         query = ForwardQuery(path, 0, 1, start=generated.layers[0][0])
-        assert planner.unsupported_cost(query) < planner.supported_cost(
-            query, manager.asrs[0]
-        )
+        assert planner.cost(query, None) < planner.cost(query, manager.asrs[0])
         plan = planner.plan(query)
         assert not plan.supported
         result = planner.execute(query, evaluator)
@@ -68,12 +66,13 @@ class TestCostBasedChoice:
     def test_profile_cache_and_invalidate(self, world):
         generated, _manager, planner, _evaluator = world
         path = generated.path
-        first = planner.profile_for(path)
-        assert planner.profile_for(path) is first  # cached
+        costs = planner.costs
+        first = costs.predictor_for(path)
+        assert costs.predictor_for(path) is first  # profile and memo cached
         generated.db.delete(generated.layers[3][0])
-        planner.invalidate(path)
-        second = planner.profile_for(path)
-        assert second.c[3] == first.c[3] - 1
+        costs.invalidate(path)
+        second = costs.predictor_for(path)  # re-measured
+        assert second.profile.c[3] == first.profile.c[3] - 1
 
     def test_costs_positive_and_finite(self, world):
         generated, manager, planner, _evaluator = world
@@ -81,5 +80,5 @@ class TestCostBasedChoice:
         asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
         for i, j in [(0, 3), (1, 3), (0, 2)]:
             query = BackwardQuery(path, i, j, target=generated.layers[j][0])
-            assert planner.unsupported_cost(query) > 0
-            assert planner.supported_cost(query, asr) > 0
+            assert 0 < planner.cost(query, None) < float("inf")
+            assert 0 < planner.cost(query, asr) < float("inf")

@@ -13,7 +13,7 @@ from repro.context import ExecutionContext
 from repro.errors import QueryError, SimulatedCrash
 from repro.faults import FaultInjector
 from repro.query import BackwardQuery, Planner, QueryEvaluator, SelectExecutor
-from repro.query.costplanner import CostBasedPlanner
+from repro.telemetry import MeasuredCosts
 
 
 def quarantine(manager, injector, db, o):
@@ -75,7 +75,7 @@ class TestPlannerSkipsQuarantined:
         context = ExecutionContext()
         manager = ASRManager(db, context=context, fault_injector=injector)
         manager.create(path, Extension.FULL, Decomposition.binary(path.m))
-        planner = CostBasedPlanner(manager)
+        planner = Planner(manager, costs=MeasuredCosts(db))
         evaluator = QueryEvaluator(db, context=context)
         quarantine(manager, injector, db, o)
         query = BackwardQuery(path, 0, path.n, target="Door")

@@ -165,6 +165,33 @@ class TestPageCosts:
         unsupported = evaluator.evaluate_unsupported(query)
         assert "object" in unsupported.detail
 
+    #: (i, j) -> total_pages of [unsupported fw, unsupported bw] then
+    #: [supported fw, supported bw] per decomposition of ``all_asrs``,
+    #: FULL extension — as charged before the traversal and backward
+    #: stitch twins were folded (PR 17); the fold must not move a page.
+    PINNED_PAGES = {
+        (0, 3): [4, 9, 6, 1, 2, 2, 3, 1],
+        (0, 2): [3, 5, 4, 1, 2, 4, 2, 2],
+        (1, 3): [3, 8, 4, 1, 4, 2, 4, 1],
+        (1, 2): [1, 4, 2, 1, 4, 4, 3, 2],
+    }
+
+    def test_page_totals_pinned(self, chain):
+        generated, manager, evaluator = chain
+        path = generated.path
+        full = [asr for asr in all_asrs(manager, path) if asr.extension is Extension.FULL]
+        for (i, j), pinned in self.PINNED_PAGES.items():
+            forward = ForwardQuery(path, i, j, start=generated.layers[i][0])
+            backward = BackwardQuery(path, i, j, target=generated.layers[j][0])
+            pages = [
+                evaluator.evaluate_unsupported(forward).total_pages,
+                evaluator.evaluate_unsupported(backward).total_pages,
+            ]
+            for asr in full:
+                pages.append(evaluator.evaluate_supported(forward, asr).total_pages)
+                pages.append(evaluator.evaluate_supported(backward, asr).total_pages)
+            assert pages == pinned, (i, j)
+
     def test_no_store_means_zero_pages(self, small_chain):
         evaluator = QueryEvaluator(small_chain.db)  # no store attached
         path = small_chain.path

@@ -121,3 +121,31 @@ class TestParity:
         unsupported = evaluator.evaluate_unsupported(query)
         assert supported.cells == unsupported.cells
         assert supported.page_reads <= unsupported.page_reads
+
+    #: borders -> supported total_pages per RANGES entry, and the
+    #: exhaustive scan's, as charged before ``_supported_range`` was
+    #: folded into the backward stitch (PR 17).
+    RANGES = [(0.0, 60.0), (100.0, 180.0), (55.0, 56.0), (500.0, 900.0)]
+    PINNED_PAGES = {
+        (0, 1, 2, 3): [3, 3, 1, 1],
+        (0, 3): [1, 1, 1, 1],
+        (0, 2, 3): [2, 2, 1, 1],
+        "unsupported": [3, 3, 3, 3],
+    }
+
+    def test_page_totals_pinned(self, priced_world):
+        from repro.storage import ClusteredObjectStore
+
+        db, path, *_ = priced_world
+        store = ClusteredObjectStore({"Product": 300, "BasePart": 200})
+        store.attach(db)
+        manager = ASRManager(db)
+        evaluator = QueryEvaluator(db, store)
+        queries = [ValueRangeQuery(path, 0, path.n, lo=lo, hi=hi) for lo, hi in self.RANGES]
+        for borders, pinned in self.PINNED_PAGES.items():
+            if borders == "unsupported":
+                pages = [evaluator.evaluate_unsupported(q).total_pages for q in queries]
+            else:
+                asr = manager.create(path, Extension.FULL, Decomposition(borders))
+                pages = [evaluator.evaluate_supported(q, asr).total_pages for q in queries]
+            assert pages == pinned, borders

@@ -1,10 +1,12 @@
-"""RecordingPlanner: query history feeds the adaptive designer."""
+"""A recording planner: query history feeds the adaptive designer."""
 
 import pytest
 
 from repro.asr import ASRManager, AdaptiveDesigner, Decomposition, Extension
+from repro.asr.adaptive import PathRecorders
 from repro.costmodel import ApplicationProfile
-from repro.query import BackwardQuery, ForwardQuery, QueryEvaluator, RecordingPlanner
+from repro.query import BackwardQuery, ForwardQuery, Planner, QueryEvaluator
+from repro.telemetry import MeasuredCosts
 from repro.workload import ChainGenerator
 
 PROFILE = ApplicationProfile(
@@ -21,7 +23,11 @@ SIZES = {"T0": 400, "T1": 300, "T2": 200, "T3": 100}
 def world():
     generated = ChainGenerator(seed=97).generate(PROFILE)
     manager = ASRManager(generated.db)
-    planner = RecordingPlanner(manager, SIZES)
+    planner = Planner(
+        manager,
+        costs=MeasuredCosts(generated.db, SIZES),
+        recorder=PathRecorders(generated.db),
+    )
     evaluator = QueryEvaluator(generated.db, generated.store)
     return generated, manager, planner, evaluator
 
@@ -39,19 +45,19 @@ class TestRecording:
         planner.execute(
             ForwardQuery(path, 0, 1, start=generated.layers[0][0]), evaluator
         )
-        recorder = planner.recorder_for(path)
+        recorder = planner.recorder.for_path(path)
         assert recorder.queries[(0, path.n, "bw")] == 3
         assert recorder.queries[(0, 1, "fw")] == 1
 
     def test_updates_counted_via_attachment(self, world):
         generated, _manager, planner, _evaluator = world
         db, path = generated.db, generated.path
-        planner.recorder_for(path)  # attaches the recorder
+        planner.recorder.for_path(path)  # attaches the recorder
         owner = generated.layers[0][0]
         collection = db.attr(owner, "A")
         if collection:
             db.set_insert(collection, generated.layers[1][0])
-            assert planner.recorder_for(path).total_updates >= 1
+            assert planner.recorder.for_path(path).total_updates >= 1
 
     def test_end_to_end_self_tuning(self, world):
         """Execute a workload through the planner, then re-tune from it."""
@@ -64,10 +70,10 @@ class TestRecording:
                 evaluator,
             )
         designer = AdaptiveDesigner(
-            manager, asr, planner.recorder_for(path), SIZES
+            manager, asr, planner.recorder.for_path(path), SIZES
         )
         # Make P_up well-defined even with zero recorded updates.
-        planner.recorder_for(path).record_update(0)
+        planner.recorder.for_path(path).record_update(0)
         decision = designer.retune()
         assert decision.retuned
         assert designer.asr.extension in (Extension.FULL, Extension.LEFT)
@@ -76,4 +82,4 @@ class TestRecording:
     def test_one_recorder_per_path(self, world):
         generated, _manager, planner, _evaluator = world
         path = generated.path
-        assert planner.recorder_for(path) is planner.recorder_for(path)
+        assert planner.recorder.for_path(path) is planner.recorder.for_path(path)
