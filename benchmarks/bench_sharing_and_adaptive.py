@@ -13,6 +13,7 @@ from repro.asr import (
 from repro.bench.render import format_table
 from repro.costmodel import ApplicationProfile
 from repro.gom import ObjectBase, PathExpression, Schema
+from repro.telemetry import MeasuredCosts
 from repro.workload import ChainGenerator
 
 
@@ -87,7 +88,9 @@ def test_adaptive_retune_throughput(benchmark, record):
         recorder = WorkloadRecorder(generated.path)
         recorder.record_query(0, 2, "bw", count=100)
         recorder.record_update(0, count=5)
-        designer = AdaptiveDesigner(manager, asr, recorder, sizes)
+        designer = AdaptiveDesigner(
+            manager, asr, recorder, MeasuredCosts(generated.db, sizes)
+        )
         decision = designer.retune()
         manager.drop(designer.asr)
         return decision

@@ -26,6 +26,7 @@ from repro.asr import (
 from repro.costmodel import ApplicationProfile
 from repro.gom import ObjectBase, PathExpression, Schema
 from repro.query import BackwardQuery, QueryEvaluator
+from repro.telemetry import MeasuredCosts
 from repro.workload import ChainGenerator
 
 
@@ -106,7 +107,7 @@ def adaptive_demo() -> None:
 
     mix, p_up = recorder.to_mix()
     print(f"recorded workload: {mix} at P_up={p_up:.3f}")
-    designer = AdaptiveDesigner(manager, asr, recorder, sizes)
+    designer = AdaptiveDesigner(manager, asr, recorder, MeasuredCosts(db, sizes))
     decision = designer.retune()
     print(f"decision: {decision.describe()}")
     print(

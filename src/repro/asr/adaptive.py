@@ -16,8 +16,10 @@ This module implements that loop:
    per queried path);
 2. :meth:`WorkloadRecorder.to_mix` turns the log into the cost model's
    ``(OperationMix, P_up)``;
-3. :class:`AdaptiveDesigner` measures the live profile
-   (:func:`~repro.costmodel.profiling.profile_from_database`), runs the
+3. :class:`AdaptiveDesigner` re-measures the live profile through its
+   :class:`~repro.telemetry.drift.MeasuredCosts` (in a serving world the
+   one the planner and the drift monitor price from, so a sweep
+   refreshes their profile too), runs the
    :class:`~repro.costmodel.advisor.DesignAdvisor`, and — when the best
    design beats the current one by a configurable factor — re-materializes
    the ASR under the new (extension, decomposition).
@@ -41,7 +43,6 @@ old design still registered and consistent.
 
 from __future__ import annotations
 
-import logging
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -53,13 +54,11 @@ from repro.asr.maintenance import analyze_event, merge_regions, neighbourhood_de
 from repro.asr.manager import ASRManager
 from repro.costmodel.advisor import DesignAdvisor, DesignChoice
 from repro.costmodel.opmix import OperationMix, QuerySpec, UpdateSpec
-from repro.costmodel.profiling import profile_from_database
 from repro.errors import CostModelError
 from repro.faults import reach
 from repro.gom.events import AttributeSet, Event, SetInserted, SetRemoved
 from repro.gom.paths import PathExpression
-
-_logger = logging.getLogger("repro.adaptive")
+from repro.telemetry.drift import MeasuredCosts
 
 
 class WorkloadRecorder:
@@ -240,7 +239,7 @@ class AdaptiveDesigner:
         manager: ASRManager,
         asr: AccessSupportRelation,
         recorder: WorkloadRecorder,
-        object_sizes: dict[str, int] | None = None,
+        costs: MeasuredCosts | None = None,
         improvement_threshold: float = 1.2,
     ) -> None:
         if asr not in manager.asrs:
@@ -250,26 +249,32 @@ class AdaptiveDesigner:
         self.manager = manager
         self.asr = asr
         self.recorder = recorder
-        self.object_sizes = object_sizes
+        #: Where the measured profile lives; a serving world hands over
+        #: the one its planner and drift monitor price from.
+        self.costs = costs if costs is not None else MeasuredCosts(manager.db)
         self.improvement_threshold = improvement_threshold
 
     # ------------------------------------------------------------------
 
-    def measured_profile(self):
-        return profile_from_database(
-            self.manager.db, self.asr.path, self.object_sizes
-        )
-
     def recommend(self) -> TuningDecision:
-        """Advise on the recorded workload without changing anything."""
+        """Advise on the recorded workload without changing anything.
+
+        Every call re-measures the path's profile — the one place a
+        :class:`~repro.telemetry.drift.MeasuredCosts` profile is
+        refreshed, so whoever shares ``costs`` prices from this
+        measurement until the next call.
+        """
         mix, p_up = self.recorder.to_mix()
+        path = self.asr.path
         # Profiling walks the live object graph; hold the read side so a
         # concurrent update transaction cannot tear the measurement.
         with self.manager.shared():
-            profile = self.measured_profile()
-            advisor = DesignAdvisor(profile)
+            self.costs.invalidate(path)
+            advisor = DesignAdvisor(self.costs.predictor_for(path).profile)
             best = advisor.best(mix, p_up)
-            current_cost = self._cost_of_current(advisor, mix, p_up)
+            current_cost = advisor.model.mix_cost(
+                self.asr.extension, self.asr.type_decomposition, mix, p_up
+            )
         should_switch = (
             best.cost * self.improvement_threshold < current_cost
             and not self._is_current(best)
@@ -349,44 +354,6 @@ class AdaptiveDesigner:
 
     # ------------------------------------------------------------------
 
-    def _cost_of_current(self, advisor: DesignAdvisor, mix, p_up) -> float:
-        type_borders = self._type_borders()
-        return advisor.model.mix_cost(
-            self.asr.extension, Decomposition(type_borders), mix, p_up
-        )
-
-    def _type_borders(self) -> tuple[int, ...]:
-        """The current decomposition expressed over type indices.
-
-        A set-valued step owns two ASR columns (collection OID and
-        element) that map to the same type index, so when *both* appear
-        as decomposition borders the type-level view is strictly coarser
-        than the physical design — the cost model prices one fewer
-        partition than actually materialized.  That collapse is logged
-        rather than silent, so a mispriced current design is visible in
-        the advisor's output instead of quietly skewing decisions.
-        """
-        columns = tuple(dict.fromkeys(self.asr.decomposition.borders))
-        borders = tuple(
-            self.asr.path.type_index_of_column(column) for column in columns
-        )
-        unique = tuple(dict.fromkeys(borders))
-        if len(unique) != len(borders):
-            collapsed = tuple(
-                column
-                for column, border in zip(columns, borders)
-                if borders.count(border) > 1
-            )
-            _logger.warning(
-                "decomposition columns %s of %s collapse to type borders "
-                "%s; the cost model prices a coarser decomposition than "
-                "the one materialized",
-                collapsed,
-                self.asr.path,
-                unique,
-            )
-        return unique
-
     def _is_current(self, choice: DesignChoice) -> bool:
         if choice.extension is None:
             return False
@@ -396,6 +363,5 @@ class AdaptiveDesigner:
         # into re-materializing the same design on every sweep.
         return (
             choice.extension == self.asr.extension
-            and choice.decomposition is not None
-            and choice.decomposition.borders == self._type_borders()
+            and choice.decomposition == self.asr.type_decomposition
         )

@@ -16,7 +16,9 @@ incremental maintenance (:mod:`repro.asr.maintenance`) exact.
 
 from __future__ import annotations
 
+import logging
 from collections import Counter
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from repro.asr.decomposition import Decomposition
@@ -36,6 +38,8 @@ from repro.storage.pages import (
     btree_fanout,
     tuples_per_page,
 )
+
+_logger = logging.getLogger("repro.asr")
 
 
 class _KeyBound:
@@ -328,49 +332,25 @@ class AccessSupportRelation:
         decomposition: Decomposition | None = None,
         page_size: int = DEFAULT_PAGE_SIZE,
         oid_size: int = DEFAULT_OID_SIZE,
-        workers: int | None = None,
     ) -> "AccessSupportRelation":
-        """Materialize the ASR for ``path`` from the object base.
-
-        ``workers`` (> 1) parallelizes the bulk build: the auxiliary
-        scans are partitioned across a thread pool and the decomposition
-        partitions are bulk-loaded concurrently.  The result is
-        identical to the sequential build (see :mod:`repro.asr.auxiliary`).
-        """
+        """Materialize the ASR for ``path`` from the object base."""
         asr = cls(path, extension, decomposition, page_size, oid_size)
-        asr.rebuild(db, workers=workers)
+        asr.rebuild(db)
         return asr
 
-    def rebuild(self, db: ObjectBase, workers: int | None = None) -> None:
+    def rebuild(self, db: ObjectBase) -> None:
         """Recompute the extension from scratch and reload every partition.
 
         A rebuild restores consistency unconditionally, so it also lifts
-        any quarantine.  ``workers`` parallelizes the auxiliary scans and
-        the per-partition bulk loads (each partition owns its trees, so
-        the loads are independent).
+        any quarantine.
         """
-        self.extension_relation = build_extension(
-            db, self.path, self.extension, workers=workers
-        )
+        self.extension_relation = build_extension(db, self.path, self.extension)
         # Warm the by-cell index here, in the build, so the first update
         # after a rebuild or a swap does not pay for it under a write lock.
         self.extension_relation.index_cells()
         rows = self.extension_relation.rows
-        if workers is not None and workers > 1 and len(self.partitions) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(self.partitions))
-            ) as executor:
-                list(
-                    executor.map(
-                        lambda partition: partition.load_from_extension(rows),
-                        self.partitions,
-                    )
-                )
-        else:
-            for partition in self.partitions:
-                partition.load_from_extension(rows)
+        for partition in self.partitions:
+            partition.load_from_extension(rows)
         self.state = ASRState.CONSISTENT
 
     # ------------------------------------------------------------------
@@ -407,6 +387,34 @@ class AccessSupportRelation:
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
+
+    @cached_property
+    def type_decomposition(self) -> Decomposition:
+        """The decomposition expressed over type indices (``m == n``).
+
+        Partitions are declared over *columns* of the extension; the
+        cost model speaks type indices.  A set-valued step owns two
+        columns (collection OID and element) that map to the same type
+        index, so when *both* are borders the type-level view is
+        strictly coarser than the physical design — the cost model
+        prices one fewer partition than materialized.  That collapse is
+        logged, once (path and decomposition never change after
+        construction), so a mispriced design is visible instead of
+        quietly skewing the advisor, the planner and the drift report.
+        """
+        columns = self.decomposition.borders
+        borders = tuple(self.path.type_index_of_column(c) for c in columns)
+        unique = tuple(dict.fromkeys(borders))
+        if len(unique) != len(borders):
+            _logger.warning(
+                "decomposition columns %s of %s collapse to type borders "
+                "%s; the cost model prices a coarser decomposition than "
+                "the one materialized",
+                tuple(c for c, b in zip(columns, borders) if borders.count(b) > 1),
+                self.path,
+                unique,
+            )
+        return Decomposition(unique)
 
     @property
     def quarantined(self) -> bool:

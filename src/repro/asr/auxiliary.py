@@ -12,19 +12,9 @@ For each attribute ``A_j`` of a path expression the auxiliary relation
   ``(id(o_{j-1}), id(o'_j), NULL)`` when the set is empty.
 
 The extensions of Definitions 3.4–3.7 are join chains over these.
-
-**Parallel bulk build**: ``auxiliary_relation(..., workers=k)`` splits
-the (sorted) source extent into contiguous chunks, builds a partial
-relation per chunk on a :class:`~concurrent.futures.ThreadPoolExecutor`,
-and merges the partials.  Each source object lands in exactly one chunk
-and rows are a set, so the merged relation is *identical* to the
-sequential build regardless of worker count or scheduling — the
-property the bulk-build tests assert.  The object base is only read.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.asr.relation import Relation
 from repro.gom.database import ObjectBase
@@ -59,22 +49,8 @@ def _single_step_rows(db: ObjectBase, step, oids) -> list[tuple]:
     return rows
 
 
-def _chunks(items: list, workers: int) -> list[list]:
-    """Split ``items`` into at most ``workers`` contiguous chunks."""
-    if not items:
-        return []
-    size = max(1, -(-len(items) // workers))  # ceil division
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def auxiliary_relation(
-    db: ObjectBase, path: PathExpression, j: int, workers: int | None = None
-) -> Relation:
-    """Build ``E_{j-1}`` for the step ``A_j`` (``j`` is 1-based, 1..n).
-
-    ``workers`` (> 1) partitions the source extent across a thread pool;
-    the result is identical to the sequential build.
-    """
+def auxiliary_relation(db: ObjectBase, path: PathExpression, j: int) -> Relation:
+    """Build ``E_{j-1}`` for the step ``A_j`` (``j`` is 1-based, 1..n)."""
     step = path.steps[j - 1]
     schema = db.schema
     if step.is_set_occurrence:
@@ -90,29 +66,14 @@ def auxiliary_relation(
         make_rows = _single_step_rows
     extent = sorted(db.extent(step.domain_type), key=lambda o: o.value)
     relation = Relation(columns)
-    if workers is None or workers <= 1 or len(extent) <= 1:
-        for row in make_rows(db, step, extent):
-            relation.add(row)
-        return relation
-    chunks = _chunks(extent, workers)
-    with ThreadPoolExecutor(max_workers=len(chunks)) as executor:
-        partials = list(
-            executor.map(lambda chunk: make_rows(db, step, chunk), chunks)
-        )
-    for partial in partials:
-        for row in partial:
-            relation.add(row)
+    for row in make_rows(db, step, extent):
+        relation.add(row)
     return relation
 
 
-def auxiliary_relations(
-    db: ObjectBase, path: PathExpression, workers: int | None = None
-) -> list[Relation]:
+def auxiliary_relations(db: ObjectBase, path: PathExpression) -> list[Relation]:
     """All auxiliary relations ``[E_0, …, E_{n-1}]`` for ``path``."""
-    return [
-        auxiliary_relation(db, path, j, workers=workers)
-        for j in range(1, path.n + 1)
-    ]
+    return [auxiliary_relation(db, path, j) for j in range(1, path.n + 1)]
 
 
 def _range_label(schema, type_name: str) -> str:

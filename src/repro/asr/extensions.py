@@ -99,16 +99,7 @@ def compose_extension(
 
 
 def build_extension(
-    db: ObjectBase,
-    path: PathExpression,
-    extension: Extension,
-    workers: int | None = None,
+    db: ObjectBase, path: PathExpression, extension: Extension
 ) -> Relation:
-    """Materialize the extension of the ASR for ``path`` from the object base.
-
-    ``workers`` parallelizes the auxiliary-relation scans (see
-    :func:`~repro.asr.auxiliary.auxiliary_relation`); the join chain
-    itself is evaluated once, so the result is bit-identical to the
-    sequential build.
-    """
-    return compose_extension(auxiliary_relations(db, path, workers=workers), extension)
+    """Materialize the extension of the ASR for ``path`` from the object base."""
+    return compose_extension(auxiliary_relations(db, path), extension)

@@ -218,17 +218,9 @@ class ASRManager:
         path: PathExpression,
         extension: Extension = Extension.FULL,
         decomposition: Decomposition | None = None,
-        workers: int | None = None,
     ) -> AccessSupportRelation:
-        """Build and register an ASR for ``path`` from the current state.
-
-        ``workers`` parallelizes the bulk build across a thread pool
-        (see :meth:`AccessSupportRelation.build`); the result is
-        identical to the sequential build.
-        """
-        asr = AccessSupportRelation.build(
-            self.db, path, extension, decomposition, workers=workers
-        )
+        """Build and register an ASR for ``path`` from the current state."""
+        asr = AccessSupportRelation.build(self.db, path, extension, decomposition)
         with self.lock.write():
             self.asrs.append(asr)
             self._epoch += 1

@@ -60,19 +60,9 @@ from repro.query.evaluator import QueryEvaluator
 from repro.query.planner import Planner
 from repro.query.service import QueryService
 from repro.resilience import BreakerBoard
-from repro.telemetry import (
-    CostModelPredictor,
-    DriftMonitor,
-    MeasuredCosts,
-    MetricsRegistry,
-    Tracer,
-)
+from repro.telemetry import DriftMonitor, MeasuredCosts, MetricsRegistry, Tracer
 from repro.telemetry.tracing import activate, maybe_span
-from repro.workload.generator import (
-    ChainGenerator,
-    GeneratedDatabase,
-    measure_profile,
-)
+from repro.workload.generator import ChainGenerator, GeneratedDatabase
 from repro.workload.opstream import (
     Operation,
     apply_update,
@@ -145,7 +135,6 @@ class ServeConfig:
     #: ``fixed``, ``lognormal[:SIGMA]``, or a device class preset.
     io_dist: str = "fixed"
     query_fraction: float = 0.8
-    build_workers: int = 4
     #: Which application shape to serve (a :data:`SERVE_PROFILES` key).
     profile: str = "fig14"
     #: Per-context span-ring bound (``None`` keeps every span — fine for
@@ -273,21 +262,29 @@ def build_world(
     pool = ContextPool(config.capacity, metrics=registry, max_spans=config.max_spans)
     manager_context = pool.acquire()
     manager = ASRManager(generated.db, context=manager_context)
-    manager.create(generated.path, Extension.FULL, workers=config.build_workers)
+    manager.create(generated.path, Extension.FULL)
     if config.profile == "queries":
         # The queries profile selects on the chain's Payload terminals;
         # give those selects an ASR over the value-extended path so the
         # service's planner has something to choose.  (Other profiles
-        # keep the single chain ASR their committed baselines assume.)
+        # keep the single chain ASR.)
         payload_path = PathExpression(
             generated.db.schema,
             "T0",
             tuple("A" for _ in range(generated.n)) + ("Payload",),
         )
-        manager.create(payload_path, Extension.FULL, workers=config.build_workers)
-    # Drift predictions come from the *measured* profile of the world we
-    # actually built, so the report isolates model error from input error.
-    drift = DriftMonitor(CostModelPredictor(measure_profile(generated)), registry)
+        manager.create(payload_path, Extension.FULL)
+    # The world's one cost oracle: drift monitor, front-door planner and
+    # (in the daemon) the advisor all price through it, over the
+    # *measured* profile of the world we actually built — so the drift
+    # report isolates model error from input error, about the prices
+    # plans were ranked by.  The chain path is measured here, not when
+    # the first query arrives; other paths on first use.
+    costs = MeasuredCosts(
+        generated.db, dict(zip(generated.path.types, generated.profile.size))
+    )
+    costs.predictor_for(generated.path)
+    drift = DriftMonitor(costs, registry)
     # Per-ASR circuit breakers, fed by the manager's quarantine
     # transitions; the planners below filter candidates through them.
     breakers = BreakerBoard(
@@ -298,13 +295,14 @@ def build_world(
     manager.add_state_listener(breakers.on_asr_state)
     # The two planners a world needs, both breaker-gated.  Replay ranks
     # structurally and feeds the drift monitor; the textual front door
-    # ranks by the cost model over measured profiles, behind an
-    # epoch-keyed compiled-plan cache.  Drift stays focused on the
-    # replay stream's Q_{i,j} shapes, so no drift hook there.
+    # ranks by the cost model, behind an epoch-keyed compiled-plan
+    # cache.  Drift stays focused on the replay stream's Q_{i,j} shapes
+    # (a value-range select would be priced as a point query), so no
+    # drift hook there.
     planner = Planner(manager, drift=drift, breakers=breakers)
     queries = QueryService(
         generated.db,
-        Planner(manager, breakers=breakers, costs=MeasuredCosts(generated.db)),
+        Planner(manager, breakers=breakers, costs=costs),
         store=generated.store,
         cache_size=config.query_cache_size,
         registry=registry,
@@ -674,7 +672,6 @@ def run_serve(config: ServeConfig | None = None) -> dict:
             "io_micros": config.io_micros,
             "io_dist": config.io_dist,
             "query_fraction": config.query_fraction,
-            "build_workers": config.build_workers,
             "profile": config.profile,
             "max_inflight": config.max_inflight,
             "trace_sample_rate": config.trace_sample_rate,

@@ -241,8 +241,13 @@ def _add_resilience_options(parser) -> None:
     )
 
 
-def _add_advisor_options(parser) -> None:
-    """The self-tuning knobs ``bench advisor`` and ``serve`` share."""
+def _add_advisor_options(parser, *, threshold: float) -> None:
+    """The self-tuning knobs ``bench advisor`` and ``serve`` share.
+
+    ``threshold`` is the subcommand's own ``--advisor-threshold``
+    default: the soak's update-heavy phase's materialized winner is a
+    close call, a daemon wants more hysteresis.
+    """
     parser.add_argument(
         "--advisor-interval",
         type=float,
@@ -254,11 +259,10 @@ def _add_advisor_options(parser) -> None:
     parser.add_argument(
         "--advisor-threshold",
         type=float,
-        default=None,
+        default=threshold,
         help="hysteresis: predicted gain (current cost / best cost) a "
         "retune must clear before the ASR is re-materialized "
-        "(serve default: 1.2; bench advisor default: 1.05 — its "
-        "update-heavy phase's materialized winner is a close call)",
+        f"(default: {threshold:g})",
     )
     parser.add_argument(
         "--advisor-min-ops",
@@ -273,21 +277,14 @@ def _add_advisor_options(parser) -> None:
         help="decide but never touch the physical design (what *would* "
         "have been retuned shows up in GET /advisor)",
     )
-    parser.add_argument(
-        "--advisor-drift-calibration",
-        action="store_true",
-        help="scale the current design's cost by the drift monitor's "
-        "observed/predicted ratio before the hysteresis gate (off by "
-        "default: a cached pool under-runs the model for every design, "
-        "so one-sided calibration suppresses earned retunes)",
-    )
 
 
-def _add_serve_workload_options(parser, *, ops_help: str, out_help: str) -> None:
-    """The workload/device options ``bench serve`` and ``serve`` share.
+def _add_serve_workload_options(parser, *, ops_help: str, out: str) -> None:
+    """The workload/device options the ``bench`` actions and ``serve`` share.
 
-    One definition for both subcommands, so a new knob (``--io-dist``,
-    ``--max-inflight``, …) cannot drift between them.
+    One definition for every subcommand, so a new knob (``--io-dist``,
+    ``--max-inflight``, …) cannot drift between them.  ``out`` is the
+    subcommand's own ``--out`` default: no two write the same report.
     """
     parser.add_argument(
         "--clients",
@@ -363,7 +360,10 @@ def _add_serve_workload_options(parser, *, ops_help: str, out_help: str) -> None
         help="ring-buffer capacity of the retained-trace store",
     )
     parser.add_argument(
-        "--out", type=Path, default=Path("BENCH_serve.json"), help=out_help
+        "--out",
+        type=Path,
+        default=Path(out),
+        help=f"where the JSON report is written (default: {out})",
     )
 
 
@@ -461,47 +461,50 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = commands.add_parser(
         "bench", help="runtime benchmarks (beyond the paper's page counts)"
     )
-    bench.add_argument(
-        "action", choices=["serve", "chaos", "advisor"], help="which benchmark"
-    )
-    _add_serve_workload_options(
-        bench,
-        ops_help="operations to replay (chaos: per client-loop pass)",
-        out_help="where to write the JSON report "
-        "(chaos default: BENCH_chaos.json; advisor: BENCH_advisor.json)",
-    )
-    _add_resilience_options(bench)
-    _add_advisor_options(bench)
-    bench.add_argument(
-        "--phase-seconds",
-        type=float,
-        default=20.0,
-        help="bench advisor: wall-clock cap on each convergence phase",
-    )
-    bench.add_argument(
-        "--soak-ops",
-        type=int,
-        default=400,
-        help="bench chaos: operations the storm phase must serve",
-    )
-    bench.add_argument(
-        "--min-recoveries",
-        type=int,
-        default=1,
-        help="bench chaos: healer recoveries the storm phase waits for",
-    )
-    bench.add_argument(
-        "--soak-seconds",
-        type=float,
-        default=60.0,
-        help="bench chaos: wall-clock cap on the storm phase",
-    )
-    bench.add_argument(
-        "--settle-seconds",
-        type=float,
-        default=10.0,
-        help="bench chaos: wall-clock cap on the settle (heal) phase",
-    )
+    actions = bench.add_subparsers(dest="action", required=True)
+    for action, summary in (
+        ("serve", "replay a seeded stream once through the serving core"),
+        ("chaos", "SLO-gated chaos soak: fault storm against the healer"),
+        ("advisor", "SLO-gated self-tuning soak: mix shift, rollback, epochs"),
+    ):
+        sub = actions.add_parser(action, help=summary)
+        _add_serve_workload_options(
+            sub,
+            ops_help="operations to replay (chaos: per client-loop pass)",
+            out=f"BENCH_{action}.json",
+        )
+        _add_resilience_options(sub)
+        _add_advisor_options(sub, threshold=1.05)
+        sub.add_argument(
+            "--phase-seconds",
+            type=float,
+            default=20.0,
+            help="bench advisor: wall-clock cap on each convergence phase",
+        )
+        sub.add_argument(
+            "--soak-ops",
+            type=int,
+            default=400,
+            help="bench chaos: operations the storm phase must serve",
+        )
+        sub.add_argument(
+            "--min-recoveries",
+            type=int,
+            default=1,
+            help="bench chaos: healer recoveries the storm phase waits for",
+        )
+        sub.add_argument(
+            "--soak-seconds",
+            type=float,
+            default=60.0,
+            help="bench chaos: wall-clock cap on the storm phase",
+        )
+        sub.add_argument(
+            "--settle-seconds",
+            type=float,
+            default=10.0,
+            help="bench chaos: wall-clock cap on the settle (heal) phase",
+        )
 
     serve = commands.add_parser(
         "serve", help="long-lived serving daemon with an HTTP metrics endpoint"
@@ -513,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_serve_workload_options(
         serve,
         ops_help="length of the seeded stream replayed in a loop",
-        out_help="where the final drain report is written",
+        out="BENCH_serve_daemon.json",
     )
     serve.add_argument(
         "--drift-interval",
@@ -534,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the bound host:port here once listening",
     )
     _add_resilience_options(serve)
-    _add_advisor_options(serve)
+    _add_advisor_options(serve, threshold=1.2)
 
     stats = commands.add_parser(
         "stats", help="render the telemetry embedded in a serve report"
@@ -889,23 +892,10 @@ def _cmd_doctor(args, out) -> int:
     return 0 if report["ok"] else 1
 
 
-def _redirect_shared_out(out_path: Path, fallback: str) -> Path:
-    """Steer the shared ``--out`` default away from the bench-serve baseline.
-
-    ``BENCH_serve.json`` is the committed baseline CI compares against;
-    only an explicit non-default ``--out`` (or ``bench serve`` itself,
-    which owns that path) may write it.
-    """
-    if out_path == Path("BENCH_serve.json"):
-        return Path(fallback)
-    return out_path
-
-
 def _cmd_bench_chaos(args, out) -> int:
     from repro.bench.chaos import ChaosBenchConfig, run_chaos, write_report
     from repro.resilience import ChaosConfig
 
-    out_path = _redirect_shared_out(args.out, "BENCH_chaos.json")
     # A soak with no chaos is pointless; default to a real storm.
     chaos = _chaos_config_from(args) or ChaosConfig(rate=0.25, seed=args.seed)
     config = ChaosBenchConfig(
@@ -916,10 +906,10 @@ def _cmd_bench_chaos(args, out) -> int:
         min_recoveries=args.min_recoveries,
         soak_seconds=args.soak_seconds,
         settle_seconds=args.settle_seconds,
-        out=str(out_path),
+        out=str(args.out),
     )
     report = run_chaos(config)
-    write_report(report, str(out_path))
+    write_report(report, str(args.out))
     soak = report["soak"]
     chaos_report = report["chaos"] or {}
     healer = report["healer"] or {}
@@ -968,28 +958,25 @@ def _cmd_bench_chaos(args, out) -> int:
         f"accounting {'consistent' if end['accounting_ok'] else 'INCONSISTENT'}",
         file=out,
     )
-    print(f"report -> {out_path}", file=out)
+    print(f"report -> {args.out}", file=out)
     return 0 if end_ok and healthz["status"] == 200 else 1
 
 
 def _cmd_bench_advisor(args, out) -> int:
     from repro.bench.advisor import AdvisorBenchConfig, run_advisor, write_report
 
-    out_path = _redirect_shared_out(args.out, "BENCH_advisor.json")
     config = AdvisorBenchConfig(
         serve=_serve_config_from(args),
         advisor_interval=(
             args.advisor_interval if args.advisor_interval > 0 else 0.25
         ),
-        advisor_threshold=(
-            args.advisor_threshold if args.advisor_threshold is not None else 1.05
-        ),
+        advisor_threshold=args.advisor_threshold,
         advisor_min_ops=args.advisor_min_ops,
         phase_seconds=args.phase_seconds,
-        out=str(out_path),
+        out=str(args.out),
     )
     report = run_advisor(config)
-    write_report(report, str(out_path))
+    write_report(report, str(args.out))
     advisor = report["advisor"]
     for phase in report["phases"]:
         line = (
@@ -1031,7 +1018,7 @@ def _cmd_bench_advisor(args, out) -> int:
         f"accounting {'consistent' if end['accounting_ok'] else 'INCONSISTENT'}",
         file=out,
     )
-    print(f"report -> {out_path}", file=out)
+    print(f"report -> {args.out}", file=out)
     return 0 if report["ok"] else 1
 
 
@@ -1092,24 +1079,20 @@ def _cmd_bench(args, out) -> int:
 def _cmd_serve(args, out) -> int:
     from repro.server import ServeDaemon, ServerConfig
 
-    out_path = _redirect_shared_out(args.out, "BENCH_serve_daemon.json")
     config = ServerConfig(
         serve=_serve_config_from(args),
         host=args.host,
         port=args.port,
         drift_interval=args.drift_interval,
-        out=str(out_path),
+        out=str(args.out),
         addr_file=str(args.addr_file) if args.addr_file is not None else None,
         healer=args.healer,
         healer_interval=args.healer_interval,
         chaos=_chaos_config_from(args),
         advisor_interval=args.advisor_interval,
-        advisor_threshold=(
-            args.advisor_threshold if args.advisor_threshold is not None else 1.2
-        ),
+        advisor_threshold=args.advisor_threshold,
         advisor_min_ops=args.advisor_min_ops,
         advisor_dry_run=args.advisor_dry_run,
-        advisor_drift_calibration=args.advisor_drift_calibration,
     )
     try:
         return ServeDaemon(config).run(out=out)

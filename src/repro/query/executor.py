@@ -147,7 +147,7 @@ class SelectExecutor:
             # state between the plan decision and the tree probes (the
             # read side is reentrant, so nested plan calls are fine).
             with self.planner.manager.lock.read():
-                return self.run_compiled(self.compile(statement))
+                return self.run_compiled(self.compile(statement), fresh=True)
         return self.run_compiled(self.compile(statement))
 
     def compile(self, statement: SelectStatement | str) -> CompiledSelect:
@@ -186,7 +186,9 @@ class SelectExecutor:
                     actions.append(PredicateAction(predicate, query, plan))
         return CompiledSelect(statement, tuple(actions))
 
-    def run_compiled(self, compiled: CompiledSelect) -> ExecutionReport:
+    def run_compiled(
+        self, compiled: CompiledSelect, fresh: bool = False
+    ) -> ExecutionReport:
         """Execute a previously compiled statement against live data.
 
         Supported plans are re-validated cheaply
@@ -195,18 +197,21 @@ class SelectExecutor:
         predicate to the nested-loop filter instead of returning wrong
         rows, and supported evaluations go through the planner's one
         :meth:`~repro.query.planner.Planner.run`, as freshly planned
-        ones do.
+        ones do.  ``fresh`` says ``compiled`` was planned under the read
+        hold the caller still has (a cold request): nothing can have
+        changed, and asking again would spend a half-open breaker's one
+        probe on the question instead of on the run.
         """
         if self.planner is not None:
             with self.planner.manager.lock.read():
-                return self._run_actions(compiled)
-        return self._run_actions(compiled)
+                return self._run_actions(compiled, fresh)
+        return self._run_actions(compiled, fresh)
 
     # ------------------------------------------------------------------
     # binding
     # ------------------------------------------------------------------
 
-    def _run_actions(self, compiled: CompiledSelect) -> ExecutionReport:
+    def _run_actions(self, compiled: CompiledSelect, fresh: bool) -> ExecutionReport:
         statement = compiled.statement
         strategy = "nested-loop traversal"
         reads = writes = 0
@@ -216,7 +221,7 @@ class SelectExecutor:
         context = self.evaluator.context
         restriction = None
         for action in compiled.actions:
-            plan = self.planner.recheck(action.plan)
+            plan = action.plan if fresh else self.planner.recheck(action.plan)
             if plan.asr is not None:
                 result = self.planner.run(plan, self.evaluator)
                 candidates &= result.cells

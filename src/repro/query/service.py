@@ -144,7 +144,7 @@ class QueryService:
                     self.cache.put(normalized, epoch, compiled)
             try:
                 with maybe_span(trace, "run_compiled", "execute"):
-                    report = executor.run_compiled(compiled)
+                    report = executor.run_compiled(compiled, fresh=not cached)
             except Exception:
                 self._count_error("execute")
                 raise

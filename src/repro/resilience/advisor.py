@@ -17,10 +17,8 @@ Decision gates, in order:
   must see a representative mix before it is trusted;
 * **baseline** — the advisor may conclude *no ASR at all* is cheapest;
   the loop refuses to de-materialize a serving index (``baseline``);
-* **hysteresis** — the predicted gain (current cost / best cost,
-  optionally calibrated by the :class:`~repro.telemetry.drift.DriftMonitor`'s
-  observed-vs-predicted ratio for the *current* design) must clear
-  ``threshold`` (``below-threshold``);
+* **hysteresis** — the predicted gain (current cost / best cost) must
+  clear ``threshold`` (``below-threshold``);
 * **cooldown** — at most one retune per ``cooldown`` seconds
   (``cooldown``): a mix oscillating around the break-even point must
   not thrash rebuilds;
@@ -60,7 +58,7 @@ class AdvisorLoop:
     returning a decision with ``current_cost`` / ``best`` / ``retuned``,
     ``apply(decision)``, a ``recorder`` with ``total_operations`` /
     ``reset()``, and an ``asr`` with ``extension.value`` /
-    ``decomposition``; ``drift`` (optional) needs ``report()``.
+    ``decomposition``.
     """
 
     def __init__(
@@ -73,7 +71,6 @@ class AdvisorLoop:
         dry_run: bool = False,
         registry=None,
         tracer=None,
-        drift=None,
         time_fn=time.monotonic,
     ) -> None:
         if threshold < 1.0:
@@ -88,7 +85,6 @@ class AdvisorLoop:
         self.dry_run = dry_run
         self.registry = registry
         self.tracer = tracer
-        self.drift = drift
         self._time = time_fn
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -222,37 +218,7 @@ class AdvisorLoop:
         best_cost = getattr(decision.best, "cost", 0.0)
         if best_cost <= 0.0:
             return math.inf
-        return decision.current_cost * self._calibration() / best_cost
-
-    def _calibration(self) -> float:
-        """Observed-vs-predicted ratio for the *current* design, if known.
-
-        The drift monitor accumulates ``observed / predicted`` per
-        (extension, decomposition, op) key.  Scaling the current cost by
-        the current design's ratio compares what the workload actually
-        pays against the candidate's raw prediction — the candidate has
-        no observations yet, so its side stays uncalibrated.
-        """
-        if self.drift is None:
-            return 1.0
-        extension = self._current_design().get("extension")
-        try:
-            entries = self.drift.report()["by_key"]
-        except Exception:
-            return 1.0
-        log_sum = 0.0
-        weight = 0
-        for entry in entries:
-            if entry.get("extension") != extension:
-                continue
-            ratio = entry.get("geo_mean_ratio")
-            count = entry.get("count", 0)
-            if ratio and count and math.isfinite(ratio) and ratio > 0.0:
-                log_sum += math.log(ratio) * count
-                weight += count
-        if not weight:
-            return 1.0
-        return math.exp(log_sum / weight)
+        return decision.current_cost / best_cost
 
     def _in_cooldown(self) -> bool:
         with self._lock:

@@ -133,6 +133,11 @@ from repro.workload.opstream import Operation
 
 __all__ = ["ServerConfig", "ServeDaemon"]
 
+#: Seconds between the HTTP thread's checks for a shutdown request:
+#: ``socketserver`` blocks ``shutdown()`` until the next check, so this
+#: bounds what the endpoint adds to every drain (its default is 0.5 s).
+_HTTP_POLL_S = 0.02
+
 
 @dataclass
 class ServerConfig:
@@ -146,10 +151,8 @@ class ServerConfig:
     port: int = 8000
     #: Seconds between drift/accounting re-publications.
     drift_interval: float = 5.0
-    #: Where the final drain report is written.  Deliberately *not*
-    #: ``BENCH_serve.json``: that path is the committed bench-serve
-    #: baseline CI compares against, and a daemon drain must never
-    #: overwrite it.
+    #: Where the final drain report is written (``bench serve`` owns
+    #: ``BENCH_serve.json``; no two subcommands share a default).
     out: str = "BENCH_serve_daemon.json"
     #: Optional file the daemon writes ``host:port`` into once bound —
     #: how tests and the CI smoke job discover an ephemeral port.
@@ -183,12 +186,6 @@ class ServerConfig:
     #: Decide-but-don't-act mode: the loop records what it *would* have
     #: retuned (``GET /advisor``) without touching the physical design.
     advisor_dry_run: bool = False
-    #: Scale the current design's cost by the drift monitor's
-    #: observed/predicted ratio before the hysteresis gate.  Off by
-    #: default: on a cached pool the observed side under-runs the model
-    #: for *every* design, so one-sided calibration suppresses retunes
-    #: the candidate would have earned just as much.
-    advisor_drift_calibration: bool = False
 
 
 class ServeDaemon:
@@ -264,7 +261,10 @@ class ServeDaemon:
         )
         self._httpd.daemon_threads = True
         self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever, name="serve-http", daemon=True
+            target=self._httpd.serve_forever,
+            kwargs={"poll_interval": _HTTP_POLL_S},
+            name="serve-http",
+            daemon=True,
         )
         self._http_thread.start()
         if config.addr_file:
@@ -314,10 +314,14 @@ class ServeDaemon:
             # "queries" profile's payload-path ASR stays as built: the
             # recorder has no per-range evidence for it.)
             chain_asr = manager.find(self.world.generated.path)[0]
+            # It prices from the world's one oracle, so each sweep's
+            # re-measured profile is the planner's and the drift
+            # monitor's too.
             designer = AdaptiveDesigner(
                 manager,
                 chain_asr,
                 self.world.recorder,
+                costs=self.world.drift.predictor,
                 improvement_threshold=config.advisor_threshold,
             )
             self._advisor = AdvisorLoop(
@@ -329,11 +333,6 @@ class ServeDaemon:
                 dry_run=config.advisor_dry_run,
                 registry=registry,
                 tracer=self.world.tracer,
-                drift=(
-                    self.world.drift
-                    if config.advisor_drift_calibration
-                    else None
-                ),
             ).start()
 
     @property

@@ -7,7 +7,7 @@ pieces:
   lock-safe sink (counters, gauges, log-scale histograms) every layer
   publishes into, with a JSON snapshot and a Prometheus text exposition;
 * :mod:`repro.telemetry.drift` — :class:`DriftMonitor` +
-  :class:`CostModelPredictor` (+ :class:`MeasuredCosts`, the planner's
+  :class:`CostModelPredictor` (+ :class:`MeasuredCosts`, a world's one
   per-path pricing over measured profiles), continuously comparing the analytical
   cost model's predicted page accesses (Eqs. 31–36) against the spans'
   measured ones, per (extension, decomposition, op-kind);
@@ -45,7 +45,6 @@ _LAZY = {
     "CostModelPredictor": "repro.telemetry.drift",
     "DriftMonitor": "repro.telemetry.drift",
     "MeasuredCosts": "repro.telemetry.drift",
-    "type_decomposition": "repro.telemetry.drift",
     "format_drift": "repro.telemetry.render",
     "format_metrics": "repro.telemetry.render",
     "format_stats": "repro.telemetry.render",
@@ -76,7 +75,6 @@ __all__ = [
     "DriftMonitor",
     "CostModelPredictor",
     "MeasuredCosts",
-    "type_decomposition",
     "format_metrics",
     "format_drift",
     "format_stats",

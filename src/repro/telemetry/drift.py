@@ -18,12 +18,14 @@ this workload; a sustained departure means the profile drifted or the
 model term is wrong, and names which term.
 
 :class:`CostModelPredictor` supplies the predictions: Eqs. 31–32 for
-unsupported plans, Eqs. 33–34 (with the ASR's actual decomposition
-translated to type indices) for supported ones, and the section 6
-``search + aup`` maintenance terms for ``ins_i`` updates.
-:class:`MeasuredCosts` keeps one such predictor per queried path over a
-lazily measured profile — the planner's ``costs`` collaborator, so plan
-ranking and drift reporting price a plan with the same code.
+unsupported plans, Eqs. 33–34 (over the ASR's decomposition in type
+indices, :attr:`~repro.asr.asr.AccessSupportRelation.type_decomposition`)
+for supported ones, and the section 6 ``search + aup`` maintenance terms
+for ``ins_i`` updates.  :class:`MeasuredCosts` keeps one such predictor
+per path over that path's measured profile.  A world owns exactly one
+(:func:`~repro.bench.serve.build_world`): the drift monitor, the
+front-door planner and the adaptive designer all price through it, so
+the prices ``/drift`` validates are the prices plans were ranked by.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import math
 import threading
 from dataclasses import dataclass
 
-from repro.asr.decomposition import Decomposition
 from repro.costmodel.parameters import ApplicationProfile
 from repro.costmodel.profiling import profile_from_database
 from repro.costmodel.querycost import QueryCostModel
@@ -40,26 +41,10 @@ from repro.costmodel.updatecost import UpdateCostModel
 from repro.gom.paths import PathExpression
 from repro.query.queries import Query
 
-__all__ = ["DriftMonitor", "CostModelPredictor", "MeasuredCosts", "type_decomposition"]
+__all__ = ["DriftMonitor", "CostModelPredictor", "MeasuredCosts"]
 
 #: Key label for plans answered without any ASR.
 UNSUPPORTED = "unsupported"
-
-
-def type_decomposition(asr) -> Decomposition:
-    """An ASR's decomposition expressed over type indices (``m == n``).
-
-    ASR partitions are declared over *columns* of the extension (which
-    may repeat types for non-full extensions); the cost model speaks
-    type indices.
-    """
-    borders = tuple(
-        dict.fromkeys(
-            asr.path.type_index_of_column(column)
-            for column in asr.decomposition.borders
-        )
-    )
-    return Decomposition(borders)
 
 
 @dataclass
@@ -164,10 +149,7 @@ class CostModelPredictor:
             return self._memoised(
                 ("query", i, j, kind), lambda: self.query_model.qnas(i, j, kind)
             )
-        try:
-            extension, dec = asr.extension, type_decomposition(asr)
-        except Exception:
-            return None
+        extension, dec = asr.extension, asr.type_decomposition
         return self._memoised(
             ("query", i, j, kind, extension, dec),
             lambda: self.query_model.qsup(extension, i, j, kind, dec),
@@ -175,10 +157,7 @@ class CostModelPredictor:
 
     def predict_update(self, level: int, asr) -> float | None:
         """Predicted maintenance pages of ``ins_level`` against ``asr``."""
-        try:
-            extension, dec = asr.extension, type_decomposition(asr)
-        except Exception:
-            return None
+        extension, dec = asr.extension, asr.type_decomposition
         model = self.update_model
         return self._memoised(
             ("update", level, extension, dec),
@@ -190,13 +169,17 @@ class CostModelPredictor:
 class MeasuredCosts:
     """One :class:`CostModelPredictor` per path, over a measured profile.
 
-    The profile of a path is measured from ``db`` on the first query
-    over it (:func:`~repro.costmodel.profiling.profile_from_database`;
+    The profile of a path is measured from ``db`` on the first price
+    asked over it (:func:`~repro.costmodel.profiling.profile_from_database`;
     ``object_sizes`` maps type names to byte sizes, defaulting to
     ``default_size``) and kept with its predictor's memo until
-    :meth:`invalidate` — nothing re-measures on its own, so call that
-    after bulk changes.  Unlocked like the predictor's memo: racing
-    threads would measure and store the same profile.
+    :meth:`invalidate`.  Its one caller is
+    :meth:`~repro.asr.adaptive.AdaptiveDesigner.recommend`: an advisor
+    sweep re-measures its path, and every other reader prices from that
+    profile until the next sweep.  Queries are priced over their own
+    path, updates over the maintained ASR's.  Unlocked like the
+    predictor's memo: racing threads measure the same object base and
+    store an equal profile.
     """
 
     def __init__(
@@ -225,6 +208,10 @@ class MeasuredCosts:
         """:meth:`CostModelPredictor.predict_query` over ``query.path``."""
         return self.predictor_for(query.path).predict_query(query, asr)
 
+    def predict_update(self, level: int, asr) -> float | None:
+        """:meth:`CostModelPredictor.predict_update` over ``asr.path``."""
+        return self.predictor_for(asr.path).predict_update(level, asr)
+
     def invalidate(self, path: PathExpression | None = None) -> None:
         """Drop the profile and memo of ``path`` (of every path when ``None``)."""
         if path is None:
@@ -239,9 +226,11 @@ class DriftMonitor:
     Parameters
     ----------
     predictor:
-        Optional :class:`CostModelPredictor`; required for the
-        ``observe_query`` / ``observe_update`` convenience entry points
-        (``record`` always works with caller-supplied predictions).
+        Optional :class:`MeasuredCosts` (or one bare
+        :class:`CostModelPredictor`: anything with ``predict_query`` /
+        ``predict_update``); required for the ``observe_query`` /
+        ``observe_update`` convenience entry points (``record`` always
+        works with caller-supplied predictions).
     registry:
         Optional :class:`~repro.telemetry.registry.MetricsRegistry` into
         which every recorded pair bumps the ``drift.observations``
@@ -250,7 +239,11 @@ class DriftMonitor:
     Thread-safe: planner threads of a serve run share one monitor.
     """
 
-    def __init__(self, predictor: CostModelPredictor | None = None, registry=None):
+    def __init__(
+        self,
+        predictor: MeasuredCosts | CostModelPredictor | None = None,
+        registry=None,
+    ):
         self.predictor = predictor
         self.registry = registry
         self._lock = threading.Lock()
@@ -294,7 +287,7 @@ class DriftMonitor:
             extension, decomposition = UNSUPPORTED, "-"
         else:
             extension = asr.extension.value
-            decomposition = str(type_decomposition(asr))
+            decomposition = str(asr.type_decomposition)
         self.record(extension, decomposition, query.kind, predicted, observed_pages)
 
     def observe_update(self, level: int, asrs, observed_pages: float) -> None:
@@ -321,7 +314,7 @@ class DriftMonitor:
                 share = observed_pages / len(asrs)
             self.record(
                 asr.extension.value,
-                str(type_decomposition(asr)),
+                str(asr.type_decomposition),
                 f"ins_{level}",
                 predicted,
                 share,

@@ -25,12 +25,12 @@ import random
 from dataclasses import dataclass
 
 from repro.costmodel.parameters import ApplicationProfile
+from repro.costmodel.profiling import profile_from_database
 from repro.errors import CostModelError
 from repro.gom.database import ObjectBase
 from repro.gom.objects import OID
 from repro.gom.paths import PathExpression
 from repro.gom.schema import Schema
-from repro.gom.types import NULL
 from repro.storage.objectstore import ClusteredObjectStore
 
 
@@ -122,49 +122,15 @@ def measure_profile(
 ) -> ApplicationProfile:
     """The *realized* characteristics of a generated database.
 
-    Returns an :class:`ApplicationProfile` with measured ``c_i``, ``d_i``,
-    average ``fan_i`` and ``shar_i`` — the honest inputs for comparing
-    analytical predictions against simulator measurements (random
-    generation makes the realized values deviate slightly from the
-    requested ones).
+    :func:`~repro.costmodel.profiling.profile_from_database` over the
+    chain path — measured ``c_i``, ``d_i``, average ``fan_i`` and
+    ``shar_i``, the honest inputs for comparing analytical predictions
+    against simulator measurements (random generation makes the realized
+    values deviate slightly from the requested ones).  Object sizes are
+    ``size`` when given, else the generating profile's (the profiler's
+    default when that has none).
     """
-    db, path = generated.db, generated.path
-    n = path.n
-    c = []
-    d = []
-    fan = []
-    shar = []
-    for i in range(n + 1):
-        extent = db.extent(f"T{i}", include_subtypes=False)
-        c.append(max(len(extent), 1))
-    for i in range(n):
-        step = path.steps[i]
-        owners = [
-            oid
-            for oid in db.extent(f"T{i}", include_subtypes=False)
-            if db.attr(oid, "A") is not NULL
-        ]
-        d.append(len(owners))
-        references = 0
-        targets: set[OID] = set()
-        for owner in owners:
-            value = db.attr(owner, "A")
-            if step.is_set_occurrence:
-                members = db.members(value)  # type: ignore[arg-type]
-                references += len(members)
-                targets.update(members)  # type: ignore[arg-type]
-            else:
-                references += 1
-                targets.add(value)  # type: ignore[arg-type]
-        fan.append(references / len(owners) if owners else 0.0)
-        shar.append(references / len(targets) if targets else 0.0)
-    sizes = size
-    if sizes is None and generated.profile.size:
-        sizes = generated.profile.size
-    return ApplicationProfile(
-        c=tuple(c),
-        d=tuple(d),
-        fan=tuple(fan),
-        size=tuple(sizes) if sizes else (),
-        shar=tuple(shar),
+    sizes = size if size is not None else generated.profile.size
+    return profile_from_database(
+        generated.db, generated.path, dict(zip(generated.path.types, sizes))
     )

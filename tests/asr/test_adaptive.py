@@ -16,6 +16,7 @@ from repro.asr import (
 from repro.costmodel import ApplicationProfile
 from repro.errors import CostModelError, InjectedFault, SimulatedCrash
 from repro.faults import FaultInjector
+from repro.telemetry import MeasuredCosts
 from repro.workload import ChainGenerator
 
 PROFILE = ApplicationProfile(
@@ -26,6 +27,10 @@ PROFILE = ApplicationProfile(
 )
 
 SIZES = {"T0": 400, "T1": 300, "T2": 200, "T3": 100}
+
+
+def measured(generated) -> MeasuredCosts:
+    return MeasuredCosts(generated.db, SIZES)
 
 
 @pytest.fixture()
@@ -101,7 +106,7 @@ class TestAdaptiveDesigner:
         for _ in range(50):
             recorder.record_query(0, 2, "bw")  # RIGHT cannot serve (0,2)
         recorder.record_update(0, count=2)
-        designer = AdaptiveDesigner(manager, asr, recorder, SIZES)
+        designer = AdaptiveDesigner(manager, asr, recorder, measured(generated))
         decision = designer.retune()
         assert decision.retuned
         assert designer.asr.extension in (Extension.FULL, Extension.LEFT)
@@ -114,7 +119,7 @@ class TestAdaptiveDesigner:
         recorder = WorkloadRecorder(path)
         recorder.record_query(1, 2, "fw", count=20)  # only full serves this
         designer = AdaptiveDesigner(
-            manager, asr, recorder, SIZES, improvement_threshold=3.0
+            manager, asr, recorder, measured(generated), improvement_threshold=3.0
         )
         decision = designer.retune()
         assert designer.asr is asr  # not replaced
@@ -127,7 +132,7 @@ class TestAdaptiveDesigner:
         recorder = WorkloadRecorder(path)
         for _ in range(30):
             recorder.record_query(0, 1, "bw")
-        designer = AdaptiveDesigner(manager, asr, recorder, SIZES)
+        designer = AdaptiveDesigner(manager, asr, recorder, measured(generated))
         designer.retune()
         owner = generated.layers[0][0]
         collection = db.attr(owner, "A")
@@ -169,7 +174,7 @@ class TestAdaptiveDesigner:
         for _ in range(50):
             recorder.record_query(0, 2, "bw")
         recorder.record_update(0, count=2)
-        designer = AdaptiveDesigner(manager, asr, recorder, SIZES)
+        designer = AdaptiveDesigner(manager, asr, recorder, measured(generated))
         assert designer.retune().retuned  # moves off the poor design once
         first = designer.recommend()
         second = designer.recommend()
@@ -183,7 +188,7 @@ class TestAdaptiveDesigner:
         recorder = WorkloadRecorder(path)
         for _ in range(50):
             recorder.record_query(0, 2, "bw")
-        designer = AdaptiveDesigner(manager, asr, recorder, SIZES)
+        designer = AdaptiveDesigner(manager, asr, recorder, measured(generated))
         epoch_before = manager.epoch
         assert designer.retune().retuned
         assert manager.epoch == epoch_before + 1
@@ -202,7 +207,7 @@ class TestRetuneRollback:
         recorder = WorkloadRecorder(path)
         for _ in range(50):
             recorder.record_query(0, 2, "bw")
-        designer = AdaptiveDesigner(manager, asr, recorder, SIZES)
+        designer = AdaptiveDesigner(manager, asr, recorder, measured(generated))
         return generated, injector, manager, asr, designer
 
     def assert_rolled_back(self, manager, asr, designer, epoch_before):
@@ -245,7 +250,7 @@ class TestOnlineRetune:
         recorder = WorkloadRecorder(path)
         for _ in range(50):
             recorder.record_query(0, 2, "bw")
-        designer = AdaptiveDesigner(manager, asr, recorder, SIZES)
+        designer = AdaptiveDesigner(manager, asr, recorder, measured(generated))
 
         real_build = AccessSupportRelation.build.__func__
         owner = generated.layers[0][0]
@@ -278,11 +283,17 @@ class TestTypeBorders:
         path = generated.path
         asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
         recorder = WorkloadRecorder(path)
-        designer = AdaptiveDesigner(manager, asr, recorder, SIZES)
-        with caplog.at_level(logging.WARNING, logger="repro.adaptive"):
-            borders = designer._type_borders()
-        assert len(borders) == len(set(borders))  # deduped
-        assert any("coarser" in record.message for record in caplog.records)
+        recorder.record_query(0, 2, "bw", count=20)
+        designer = AdaptiveDesigner(manager, asr, recorder, measured(generated))
+        with caplog.at_level(logging.WARNING, logger="repro.asr"):
+            designer.recommend()
+            designer.recommend()
+            for level in range(path.n):
+                assert designer.costs.predict_update(level, asr) is not None
+        borders = asr.type_decomposition.borders
+        assert len(borders) == len(set(borders)) < len(asr.decomposition.borders)
+        # ...once per ASR, however often the design is re-costed or priced.
+        assert sum("coarser" in record.message for record in caplog.records) == 1
 
 
 class TestRecorderThreadSafety:

@@ -26,6 +26,7 @@ from repro.asr import AdaptiveDesigner, WorkloadRecorder
 from repro.costmodel import OperationMix, QuerySpec, UpdateSpec
 from repro.gom.serialization import dump_object_base, load_object_base
 from repro.query import Planner
+from repro.telemetry import MeasuredCosts
 
 
 def test_full_story(tmp_path):
@@ -115,7 +116,7 @@ def test_full_story(tmp_path):
     recorder.record_update(2, count=2)
     designer = AdaptiveDesigner(
         manager, asr, recorder,
-        {"Division": 500, "Product": 400, "BasePart": 300},
+        MeasuredCosts(db, {"Division": 500, "Product": 400, "BasePart": 300}),
     )
     decision = designer.recommend()
     assert decision.best.extension is not None

@@ -22,6 +22,7 @@ from repro.costmodel import ApplicationProfile, profile_from_database
 from repro.gom.serialization import dump_object_base, load_object_base
 from repro.gom.traversal import origins_reaching, reachable_terminals
 from repro.query import BackwardQuery, ForwardQuery, QueryEvaluator
+from repro.telemetry import MeasuredCosts
 from repro.workload import ChainGenerator
 
 PROFILE = ApplicationProfile(
@@ -137,7 +138,9 @@ class TestLongChain:
         recorder = WorkloadRecorder(generated.path)
         recorder.record_query(0, 3, "bw", count=40)  # canonical cannot serve
         recorder.record_update(4, count=1)
-        designer = AdaptiveDesigner(manager, asr, recorder, sizes)
+        designer = AdaptiveDesigner(
+            manager, asr, recorder, MeasuredCosts(generated.db, sizes)
+        )
         decision = designer.retune()
         assert decision.retuned
         assert designer.asr.extension in (Extension.FULL, Extension.LEFT)

@@ -1,17 +1,20 @@
 """One planner across its configuration product.
 
 {structural, cost-ranked} x {``planner.execute(Q_{i,j})``, the same
-question as text through ``SelectExecutor``} x {healthy, quarantined,
-breaker-open, half-open probe succeeding, half-open probe raising}: the
-answer always equals ``evaluate_unsupported``, and what the decision
-leaves behind — ``plan.*`` / ``query.degraded-fallback`` counts, breaker
+question as text through ``SelectExecutor``, compiled earlier or cold} x
+{healthy, quarantined, breaker-open, half-open probe succeeding,
+half-open probe raising}: the answer always equals
+``evaluate_unsupported``, and what the decision leaves behind — ``plan.*`` / ``query.degraded-fallback`` counts, breaker
 transitions, drift observations, the ``restriction`` field, how often
 the (stateful) breaker was asked — depends on route and state only,
 never on which ranking the planner was handed.
 
 The text route compiles while healthy and runs the frozen plan after the
 state change: that is the compiled-plan re-check, the one other place a
-restriction is decided.
+restriction is decided.  The cold-text route plans and runs in one call
+after the state change (``SelectExecutor.run``): a plan made in this
+call is not re-checked, so a half-open breaker's one probe is spent on
+the run.
 """
 
 import pytest
@@ -40,7 +43,7 @@ PROFILE = ApplicationProfile(
 )
 
 RANKINGS = ["structural", "cost-ranked"]
-ROUTES = ["execute", "text"]
+ROUTES = ["execute", "text", "cold-text"]
 STATES = ["healthy", "quarantined", "breaker-open", "probe-succeeds", "probe-raises"]
 
 OPEN_PROBE = {("closed", "open"): 1, ("open", "half-open"): 1}
@@ -71,15 +74,17 @@ def expected_counts(route: str, state: str) -> dict:
     counts = {"plan.unsupported": 1, "plan.degraded-fallback": 1}
     if state == "breaker-open":
         counts["plan.breaker-open"] = 1
+    if route == "cold-text":
+        counts["query.degraded-fallback"] = 1
     return counts
 
 
 def expected_drift(route: str, state: str) -> int:
-    """Every run plan is observed once; the text route's degraded
+    """Every run plan is observed once; the text routes' degraded
     predicates run no plan (the nested-loop filter answers them)."""
     if state == "probe-raises":
         return 0
-    if route == "text" and state in ("quarantined", "breaker-open"):
+    if route != "execute" and state in ("quarantined", "breaker-open"):
         return 0
     return 1
 
@@ -162,7 +167,10 @@ class World:
             assert {"plan", "execute"} <= set(trace.phases)
             marks = {"ok": None, "degraded": "quarantined"}
             return cells, marks.get(trace.outcome, trace.outcome)
-        report = self.executor.run_compiled(compiled)
+        if route == "cold-text":
+            report = self.executor.run(self.text)
+        else:
+            report = self.executor.run_compiled(compiled)
         assert ("degraded" in report.strategy) == (report.restriction is not None)
         return {row[0] for row in report.rows}, report.restriction
 
@@ -241,7 +249,7 @@ def test_cost_ranking_prices_a_shape_once():
 def test_cost_ranked_planner_is_a_drop_in_for_the_serving_core():
     """``execute_operation`` passes ``trace=`` to whatever planner it is
     handed; the front door's cost-ranked planner must take it."""
-    world = build_world(ServeConfig(clients=1, ops=8, seed=3, build_workers=1))
+    world = build_world(ServeConfig(clients=1, ops=8, seed=3))
     try:
         op = next(op for op in world.stream() if op.kind == "query")
         with world.pool.context() as context:

@@ -70,7 +70,10 @@ class TestRecording:
                 evaluator,
             )
         designer = AdaptiveDesigner(
-            manager, asr, planner.recorder.for_path(path), SIZES
+            manager,
+            asr,
+            planner.recorder.for_path(path),
+            MeasuredCosts(generated.db, SIZES),
         )
         # Make P_up well-defined even with zero recorded updates.
         planner.recorder.for_path(path).record_update(0)

@@ -191,37 +191,6 @@ class TestApply:
         assert entry["applied"] is False
 
 
-class TestCalibration:
-    class FakeDrift:
-        def __init__(self, entries):
-            self.entries = entries
-
-        def report(self):
-            return {"by_key": self.entries}
-
-    def test_current_extension_ratio_scales_gain(self):
-        drift = self.FakeDrift(
-            [
-                {"extension": "full", "geo_mean_ratio": 0.5, "count": 10},
-                {"extension": "left", "geo_mean_ratio": 9.0, "count": 99},
-            ]
-        )
-        designer = FakeDesigner([switch_decision(gain=2.0)])
-        loop = AdvisorLoop(designer, threshold=1.2, drift=drift)
-        # Only the *current* design's (full) ratio applies: 2.0 * 0.5 < 1.2.
-        assert loop.sweep() is False
-        assert loop.rejected == {"below-threshold": 1}
-
-    def test_no_matching_entries_means_no_calibration(self):
-        drift = self.FakeDrift(
-            [{"extension": "right", "geo_mean_ratio": 0.1, "count": 5}]
-        )
-        loop = AdvisorLoop(
-            FakeDesigner([switch_decision(gain=2.0)]), threshold=1.2, drift=drift
-        )
-        assert loop.sweep() is True
-
-
 class TestLifecycle:
     def test_background_loop_sweeps_and_stops(self):
         designer = FakeDesigner([switch_decision() for _ in range(500)])

@@ -4,12 +4,13 @@ import math
 
 import pytest
 
+from repro.asr.asr import AccessSupportRelation
 from repro.asr.decomposition import Decomposition
 from repro.asr.extensions import Extension
 from repro.asr.manager import ASRManager
 from repro.costmodel.parameters import ApplicationProfile
 from repro.telemetry import CostModelPredictor, DriftMonitor, MetricsRegistry
-from repro.telemetry.drift import UNSUPPORTED, DriftEntry, type_decomposition
+from repro.telemetry.drift import UNSUPPORTED, DriftEntry
 from repro.workload.generator import ChainGenerator, measure_profile
 from repro.workload.opstream import operation_stream
 from repro.workload.profiles import FIG14_MIX
@@ -73,7 +74,7 @@ class TestTypeDecomposition:
     def test_borders_are_type_indices(self, world):
         generated, manager = world
         asr = manager.asrs[0]
-        dec = type_decomposition(asr)
+        dec = asr.type_decomposition
         n = generated.path.n
         assert dec.m == n  # the cost model needs m == n
         assert all(0 <= border <= n for border in dec.borders)
@@ -116,11 +117,6 @@ class TestCostModelPredictor:
     def test_warm_cache_repeats_the_cold_predictions(self):
         """Memoised results equal a fresh predictor's, ``None`` included,
         for every extension — and a repeat costs no model evaluation."""
-        class Shape:
-            def __init__(self, path, extension, decomposition):
-                self.path, self.extension = path, extension
-                self.decomposition = decomposition
-
         class Q:
             def __init__(self, i, j, kind):
                 self.i, self.j, self.kind = i, j, kind
@@ -128,7 +124,7 @@ class TestCostModelPredictor:
         generated = ChainGenerator(seed=3).generate(SMALL)
         path, n = generated.path, SMALL.n
         shapes = [
-            Shape(path, extension, decomposition)
+            AccessSupportRelation(path, extension, decomposition)
             for extension in Extension
             for decomposition in (Decomposition.none(path.m), Decomposition.binary(path.m))
         ] + [None]

@@ -247,21 +247,26 @@ class TestBenchServe:
             run_cli("bench", "serve", "--io-dist", "tape")
 
     def test_shared_out_default_redirected_off_the_baseline(self):
-        # BENCH_serve.json is the committed bench-serve baseline; every
-        # other subcommand sharing the --out default must steer clear.
+        # Every subcommand sharing the --out option has its own default,
+        # so no run overwrites another's report unasked.
         from pathlib import Path
 
-        from repro.cli import _redirect_shared_out
+        from repro.cli import _build_parser
 
-        default = Path("BENCH_serve.json")
-        assert _redirect_shared_out(default, "BENCH_serve_daemon.json") == Path(
-            "BENCH_serve_daemon.json"
-        )
-        assert _redirect_shared_out(default, "BENCH_chaos.json") == Path(
-            "BENCH_chaos.json"
-        )
-        explicit = Path("/tmp/elsewhere/BENCH_serve.json")
-        assert _redirect_shared_out(explicit, "BENCH_chaos.json") == explicit
+        parser = _build_parser()
+        defaults = {
+            argv: parser.parse_args(argv.split()).out
+            for argv in ("bench serve", "bench chaos", "bench advisor", "serve")
+        }
+        assert defaults == {
+            "bench serve": Path("BENCH_serve.json"),
+            "bench chaos": Path("BENCH_chaos.json"),
+            "bench advisor": Path("BENCH_advisor.json"),
+            "serve": Path("BENCH_serve_daemon.json"),
+        }
+        # ...and an explicit --out is honoured verbatim, whatever it names.
+        explicit = parser.parse_args(["bench", "chaos", "--out", "BENCH_serve.json"])
+        assert explicit.out == Path("BENCH_serve.json")
 
     def test_daemon_config_default_out_is_not_the_baseline(self):
         from repro.server import ServerConfig

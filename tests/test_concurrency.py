@@ -439,30 +439,6 @@ class TestThreadLocalContexts:
         assert pool.check_accounting()["ok"] is True
 
 
-class TestParallelBuild:
-    def test_parallel_build_matches_sequential(self):
-        generated = ChainGenerator(seed=11).generate(SMALL)
-        from repro.asr.asr import AccessSupportRelation
-
-        sequential = AccessSupportRelation.build(
-            generated.db, generated.path, Extension.FULL
-        )
-        parallel = AccessSupportRelation.build(
-            generated.db, generated.path, Extension.FULL, workers=4
-        )
-        assert parallel.extension_relation.rows == sequential.extension_relation.rows
-        assert parallel.tuple_count == sequential.tuple_count
-        for left, right in zip(parallel.partitions, sequential.partitions):
-            assert left.tuple_count == right.tuple_count
-            assert list(left.forward_tree.items()) == list(right.forward_tree.items())
-
-    def test_parallel_build_consistency_checked(self):
-        generated = ChainGenerator(seed=3).generate(SMALL)
-        manager = ASRManager(generated.db)
-        manager.create(generated.path, Extension.FULL, workers=3)
-        manager.check_consistency()
-
-
 class TestConcurrentServing:
     def make_world(self, seed=0):
         generated = ChainGenerator(seed=seed).generate(SMALL)

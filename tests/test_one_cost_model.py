@@ -1,0 +1,104 @@
+"""One measured cost model per world (DESIGN §10).
+
+The drift monitor, the front-door planner and the daemon's adaptive
+designer price through the *same* :class:`MeasuredCosts`: one profile
+per path, measured with the world's object sizes, refreshed by the
+advisor sweep — so a price ``/drift`` validates is the price a plan was
+ranked by.
+"""
+
+from itertools import combinations
+
+import pytest
+
+from repro.bench.serve import ServeConfig, build_world, execute_operation
+from repro.gom.types import NULL
+from repro.query import BackwardQuery, ForwardQuery, QueryEvaluator
+from repro.server import ServeDaemon, ServerConfig
+from repro.telemetry import MeasuredCosts
+
+
+@pytest.fixture()
+def world():
+    built = build_world(
+        ServeConfig(clients=1, ops=200, seed=7, profile="queries", query_fraction=0.5)
+    )
+    yield built
+    built.manager.close()
+
+
+def test_planner_and_drift_share_the_worlds_oracle(world):
+    costs = world.drift.predictor
+    assert isinstance(costs, MeasuredCosts)
+    assert world.queries.planner.costs is costs
+    # Sizes are the world's, not MeasuredCosts' default.
+    profile = costs.predictor_for(world.generated.path).profile
+    assert profile.size == world.generated.profile.size
+
+
+def test_planner_price_is_the_drift_price(world):
+    planner, predictor = world.queries.planner, world.drift.predictor
+    assert len(world.manager.asrs) == 2
+    for asr in world.manager.asrs:
+        path = asr.path
+        for i, j in combinations(range(path.n + 1), 2):
+            for query in (
+                BackwardQuery(path, i, j, target=NULL),
+                ForwardQuery(path, i, j, start=NULL),
+            ):
+                for candidate in (asr, None):
+                    price = predictor.predict_query(query, candidate)
+                    assert price is not None
+                    assert planner.cost(query, candidate) == price
+
+
+def test_queries_profile_records_update_drift(world):
+    updates = 0
+    with world.pool.context() as context:
+        evaluator = QueryEvaluator(
+            world.generated.db, world.generated.store, context=context
+        )
+        for op in world.stream():
+            execute_operation(world, context, world.planner, evaluator, op)
+            updates += op.kind == "update"
+    assert updates
+    priced = {
+        entry["decomposition"]
+        for entry in world.drift.report()["by_key"]
+        if entry["op"].startswith("ins_")
+    }
+    # Each maintained ASR is priced over its own path: the payload-path
+    # ASR no longer makes the whole update sample unpriceable.
+    assert priced == {str(asr.type_decomposition) for asr in world.manager.asrs}
+
+
+def test_advisor_sweep_refreshes_the_shared_profile(tmp_path):
+    daemon = ServeDaemon(
+        ServerConfig(
+            serve=ServeConfig(clients=0, ops=8, seed=7),
+            port=0,
+            out=str(tmp_path / "drain.json"),
+            healer=False,
+            advisor_interval=3600.0,  # sweeps below are the test's own
+        )
+    ).start()
+    try:
+        world = daemon.world
+        costs, path = world.drift.predictor, world.generated.path
+        assert daemon.advisor.designer.costs is costs
+        db, layer = world.generated.db, world.generated.layers[0]
+        owner = next(oid for oid in layer if db.attr(oid, "A") is NULL)
+        before = costs.predictor_for(path).profile
+        member = world.generated.layers[1][0]
+        with world.manager.exclusive():
+            db.set_attr(owner, "A", db.new_set("SET_T1", [member]))
+        assert costs.predictor_for(path).profile is before  # nothing swept yet
+        world.recorder.record_query(0, path.n, "bw", count=40)
+        world.recorder.record_update(0)
+        daemon.advisor.sweep(force=True)
+        after = costs.predictor_for(path).profile
+        assert after.d[0] == before.d[0] + 1
+        # The planner and the drift monitor see the sweep's measurement.
+        assert world.queries.planner.costs.predictor_for(path).profile is after
+    finally:
+        daemon.shutdown()
