@@ -2,8 +2,9 @@
 
 The paper's section 6 costs are analytical only.  Here a live ASR is
 maintained through a stream of set-insert updates with page accounting
-switched on (``ASRManager.buffer``), and the measured tree page writes
-per update are compared — loosely — with the model's ``aup`` term.  The
+switched on (an ``ExecutionContext`` on the manager, one ``operation()``
+per update), and the measured tree page writes per update are compared
+— loosely — with the model's ``aup`` term.  The
 *search* term is not comparable (the simulator's object base has a
 reverse-reference index the paper's object layout lacks), so the checks
 are order-of-magnitude sanity bounds plus the structural claim that the
@@ -15,8 +16,8 @@ import random
 
 from repro.asr import ASRManager, Decomposition, Extension
 from repro.bench.render import format_table
+from repro.context import ExecutionContext
 from repro.costmodel import ApplicationProfile, UpdateCostModel
-from repro.storage.stats import AccessStats, BufferScope
 from repro.workload import ChainGenerator, measure_profile
 
 PROFILE = ApplicationProfile(
@@ -30,9 +31,9 @@ PROFILE = ApplicationProfile(
 def measured_maintenance_pages(extension: Extension, updates: int = 30):
     generated = ChainGenerator(seed=61).generate(PROFILE)
     db, path = generated.db, generated.path
-    manager = ASRManager(db)
+    context = ExecutionContext()
+    manager = ASRManager(db, context=context)
     manager.create(path, extension, Decomposition.binary(path.m))
-    stats = AccessStats()
     rng = random.Random(62)
     applied = 0
     while applied < updates:
@@ -41,14 +42,12 @@ def measured_maintenance_pages(extension: Extension, updates: int = 30):
         if not collection:
             continue
         target = rng.choice(generated.layers[3])
-        with BufferScope(stats) as buffer:
-            manager.buffer = buffer
+        with context.operation("ins_2"):
             changed = db.set_insert(collection, target)
-            manager.buffer = None
         if changed:
             applied += 1
     manager.check_consistency()
-    return stats.total / updates, measure_profile(generated)
+    return context.stats.total / updates, measure_profile(generated)
 
 
 def test_maintenance_pages_full_vs_right(benchmark, record):

@@ -34,7 +34,7 @@ from repro.device import (
     LognormalLatency,
     parse_io_dist,
 )
-from repro.context import ExecutionContext, Span
+from repro.context import ExecutionContext
 from repro.errors import ExitHookError
 from repro.faults import FaultInjector
 from repro.gom import (
@@ -107,7 +107,6 @@ __all__ = [
     "ExitHookError",
     # execution context / fault injection / concurrency
     "ExecutionContext",
-    "Span",
     "FaultInjector",
     "ContextPool",
     "RWLock",

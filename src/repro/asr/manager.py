@@ -95,9 +95,7 @@ class ASRManager:
         The object base whose change events drive maintenance.
     context:
         Optional :class:`~repro.context.ExecutionContext` charged for
-        tree maintenance.  Setting the legacy ``manager.buffer``
-        attribute to a raw buffer scope remains supported and takes
-        precedence while set.
+        tree maintenance.
     fault_injector:
         Optional :class:`~repro.faults.FaultInjector` whose named crash
         points the flush/recovery pipeline consults; defaults to the
@@ -144,9 +142,6 @@ class ASRManager:
         self._state_listeners: list[Callable] = []
         self.asrs: list[AccessSupportRelation] = []
         self._suspended = 0
-        #: Optional page-access buffer charged for tree maintenance
-        #: (legacy spelling; prefer passing an ExecutionContext).
-        self.buffer = None
         self.context = context
         self.fault_injector = fault_injector
         self.auto_recover = auto_recover
@@ -324,12 +319,6 @@ class ASRManager:
     # event handling
     # ------------------------------------------------------------------
 
-    def _charge_target(self):
-        """Where maintenance page accesses go (legacy buffer wins)."""
-        if self.buffer is not None:
-            return self.buffer
-        return self.context
-
     def _injector(self):
         """The fault policy in force (explicit wins over the context's)."""
         if self.fault_injector is not None:
@@ -400,7 +389,7 @@ class ASRManager:
                 if region:
                     items.append((asr, region))
             if items:
-                self._journaled_run(items, self._charge_target(), "asr.apply")
+                self._journaled_run(items, self.context, "asr.apply")
 
     def _enqueue(self, event: Event) -> None:
         """Accumulate the event's dirty regions without touching trees.
@@ -505,14 +494,14 @@ class ASRManager:
 
         Returns the number of extension rows that changed (added plus
         removed, over all ASRs).  Page accesses are charged to
-        ``context`` when given, else to the manager's context / legacy
-        buffer.  No-op when nothing is pending.
+        ``context`` when given, else to the manager's context.  No-op
+        when nothing is pending.
         """
         with self.lock.write():
             if not self._pending:
                 return 0
             pending, self._pending = self._pending, {}
-            target = context if context is not None else self._charge_target()
+            target = context if context is not None else self.context
             if isinstance(target, ExecutionContext):
                 with target.operation("asr.flush") as scope:
                     return self._journaled_run(pending.values(), scope, "asr.flush")
@@ -681,7 +670,7 @@ class ASRManager:
             return 0
         retries = self.policy.max_retries if max_retries is None else max_retries
         injector = self._injector()
-        target = context if context is not None else self._charge_target()
+        target = context if context is not None else self.context
         recovered = 0
         if isinstance(target, ExecutionContext):
             with target.operation("asr.recover") as scope:

@@ -61,7 +61,7 @@ from repro.query.planner import Planner
 from repro.query.service import QueryService
 from repro.resilience import BreakerBoard
 from repro.telemetry import DriftMonitor, MeasuredCosts, MetricsRegistry, Tracer
-from repro.telemetry.tracing import activate, maybe_span
+from repro.telemetry.tracing import activate, maybe_span, record_pages
 from repro.workload.generator import ChainGenerator, GeneratedDatabase
 from repro.workload.opstream import (
     Operation,
@@ -137,9 +137,6 @@ class ServeConfig:
     query_fraction: float = 0.8
     #: Which application shape to serve (a :data:`SERVE_PROFILES` key).
     profile: str = "fig14"
-    #: Per-context span-ring bound (``None`` keeps every span — fine for
-    #: one bench replay, set for long-lived daemon workers).
-    max_spans: int | None = None
     #: Concurrent in-flight operation bound: the admission queue's
     #: capacity and the number of worker tasks draining it.
     max_inflight: int = 1024
@@ -259,7 +256,7 @@ def build_world(
     registry = registry if registry is not None else MetricsRegistry()
     profile, _mix = config.resolved_profile()
     generated = ChainGenerator(config.seed).generate(profile)
-    pool = ContextPool(config.capacity, metrics=registry, max_spans=config.max_spans)
+    pool = ContextPool(config.capacity, metrics=registry)
     manager_context = pool.acquire()
     manager = ASRManager(generated.db, context=manager_context)
     manager.create(generated.path, Extension.FULL)
@@ -351,9 +348,10 @@ def execute_operation(
 
     ``trace`` threads the request trace into the planner / query
     service (``plan`` / ``cache-hit`` / ``execute`` phases) and books an
-    update's mutation + maintenance under ``execute``; the write-lock
-    wait is attributed by the :class:`~repro.concurrency.RWLock` hook,
-    which reads the *thread-local* active trace — callers activate it.
+    update's mutation + maintenance under ``execute``, as one
+    ``asr.maintain`` row carrying the pages returned; the write-lock
+    wait and the evaluator's measured rows are attributed through the
+    *thread-local* active trace — callers activate it.
     """
     manager, drift = world.manager, world.drift
     if op.kind == "query":
@@ -367,10 +365,12 @@ def execute_operation(
         world.recorder.record_query(0, world.recorder.path.n, "bw")
         return outcome.report.total_pages
     with manager.exclusive():
-        with maybe_span(trace, "apply_update+maintain", "execute"):
+        with maybe_span(trace, "asr.maintain", "execute") as row:
             before = manager.context.stats.snapshot()
             apply_update(world.generated, op)
-            pages = manager.context.stats.delta_since(before).total
+            delta = manager.context.stats.delta_since(before)
+            record_pages(row, delta)
+            pages = delta.total
     drift.observe_update(op.level, manager.asrs, pages)
     world.recorder.record_update(op.level)
     return pages
@@ -462,7 +462,7 @@ class ExecutorWorkers:
         ``trace`` arrives as an explicit argument from the event loop
         (``run_in_executor`` copies no context) and is pinned to this
         thread for the duration, so the RWLock wait hooks and the
-        evaluator's ASR-lookup spans can find it.
+        context's measured operations can find it.
         """
         world, evaluator = self.world, self._evaluator()
         with activate(trace):
@@ -583,7 +583,7 @@ class ServingCore:
                     continue
                 world.registry.observe("queue.wait_ms", wait_ms)
                 if trace is not None:
-                    trace.add_phase("queue", wait_ms)
+                    trace.add_phase("serve.queue", "queue", wait_ms)
                 if self.chaos is not None:
                     self.chaos.on_operation(op)
                 self.inflight += 1

@@ -21,12 +21,13 @@ Commands
 
 ``validate [--seed S] [--scale X] [--trace trace.json]``
     Generate a chain object base, run queries on the page-counting
-    simulator, and print measured vs model page counts.  With
-    ``--trace`` the whole run executes under one
-    :class:`~repro.context.ExecutionContext` with a metrics registry
-    attached, and its trace (per-span page accesses, operation
-    counters, metric snapshots interleaved at phase boundaries) is
-    written as JSON.
+    simulator, and print measured vs model page counts.  The run
+    executes under one :class:`~repro.context.ExecutionContext`; with
+    ``--trace`` a :class:`~repro.telemetry.tracing.Trace` is active
+    around it and is written as JSON beside the context's counters:
+    one row per measured operation (seconds and page accesses),
+    operation counters, metric snapshots interleaved at phase
+    boundaries.
 
 ``demo``
     The robot quickstart (paper Query 1) end to end.
@@ -162,6 +163,8 @@ from repro.costmodel import (
 )
 from repro.errors import ReproError
 from repro.query import BackwardQuery, QueryEvaluator
+from repro.telemetry import MetricsRegistry
+from repro.telemetry.tracing import Trace, activate
 from repro.workload import ChainGenerator, FIG14_MIX, measure_profile
 
 
@@ -382,7 +385,6 @@ def _serve_config_from(args) -> "object":
         query_fraction=args.query_fraction,
         max_inflight=args.max_inflight,
         query_cache_size=args.query_cache_size,
-        max_spans=getattr(args, "max_spans", None),
         op_deadline_ms=getattr(args, "op_deadline_ms", None),
         shed_backoff_ms=getattr(args, "shed_backoff_ms", 1.0),
         trace_sample_rate=args.trace_sample_rate,
@@ -440,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace",
         type=Path,
         default=None,
-        help="write the ExecutionContext trace (spans, counters) as JSON",
+        help="write the run's trace (rows with seconds and pages) as JSON",
     )
 
     commands.add_parser("demo", help="run the robot quickstart")
@@ -523,12 +525,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         help="seconds between drift/accounting re-publications",
-    )
-    serve.add_argument(
-        "--max-spans",
-        type=int,
-        default=256,
-        help="per-context span-ring bound (long-lived workers stay bounded)",
     )
     serve.add_argument(
         "--addr-file",
@@ -687,29 +683,28 @@ def _cmd_validate(args, out) -> int:
     )
     generated = ChainGenerator(seed=args.seed).generate(scaled)
     measured = measure_profile(generated)
-    if args.trace is not None:
-        from repro.telemetry import MetricsRegistry
-
-        # Trace runs carry a registry so the exported trace interleaves
-        # metric snapshots with the span timeline.
-        context = ExecutionContext(metrics=MetricsRegistry())
-    else:
-        context = None
-    manager = ASRManager(generated.db, context=context)
-    asr = manager.create(
-        generated.path, Extension.FULL, Decomposition.binary(generated.path.m)
+    # The run executes under one context; ``--trace`` activates a trace
+    # around it, so every measured operation becomes one of its rows and
+    # the metric snapshots interleave with them.
+    context = ExecutionContext(metrics=MetricsRegistry())
+    trace = (
+        Trace("validate", "validate", "validate", sampled=True)
+        if args.trace is not None
+        else None
     )
-    if context is not None:
+    with activate(trace):
+        manager = ASRManager(generated.db, context=context)
+        asr = manager.create(
+            generated.path, Extension.FULL, Decomposition.binary(generated.path.m)
+        )
         context.snapshot_metrics("after-build")
-    evaluator = QueryEvaluator(generated.db, generated.store, context=context)
-    model = QueryCostModel(measured)
-    target = generated.layers[measured.n][0]
-    query = BackwardQuery(generated.path, 0, measured.n, target=target)
-    unsupported = evaluator.evaluate_unsupported(query)
-    if context is not None:
+        evaluator = QueryEvaluator(generated.db, generated.store, context=context)
+        model = QueryCostModel(measured)
+        target = generated.layers[measured.n][0]
+        query = BackwardQuery(generated.path, 0, measured.n, target=target)
+        unsupported = evaluator.evaluate_unsupported(query)
         context.snapshot_metrics("after-unsupported")
-    supported = evaluator.evaluate_supported(query, asr)
-    if context is not None:
+        supported = evaluator.evaluate_supported(query, asr)
         context.snapshot_metrics("after-supported")
     print(
         f"world: c={tuple(int(x) for x in measured.c)} "
@@ -730,11 +725,14 @@ def _cmd_validate(args, out) -> int:
     print(
         "results identical:", supported.cells == unsupported.cells, file=out
     )
-    if context is not None:
+    if trace is not None:
         context.close()
-        args.trace.write_text(context.to_json())
+        trace.finish()
+        args.trace.write_text(
+            json.dumps({**context.to_dict(), **trace.as_dict()}, indent=2)
+        )
         print(
-            f"trace: {len(context.spans)} span(s), "
+            f"trace: {len(trace.spans)} span(s), "
             f"{len(context.metric_snapshots)} metric snapshot(s), "
             f"{context.stats.page_reads} reads / {context.stats.page_writes} "
             f"writes -> {args.trace}",
@@ -1102,7 +1100,7 @@ def _cmd_serve(args, out) -> int:
 
 
 def _cmd_stats(args, out) -> int:
-    from repro.telemetry import MetricsRegistry, format_stats
+    from repro.telemetry import format_stats
 
     data = json.loads(args.input.read_text())
     metrics = data.get("metrics")

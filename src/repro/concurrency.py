@@ -13,9 +13,9 @@ concurrent:
   transitions are exclusive).
 * :class:`ContextPool` — the per-connection-context idiom: each worker
   thread acquires its *own* :class:`~repro.context.ExecutionContext`
-  (private span trace, private per-operation accounting) while all of
-  them share one :class:`~repro.storage.stats.SharedBufferPool` of
-  bounded capacity and one lock-protected
+  (private per-operation accounting) while all of them share one
+  :class:`~repro.storage.stats.SharedBufferPool` of bounded capacity
+  and one lock-protected
   :class:`~repro.storage.stats.ThreadSafeAccessStats` aggregate.
 
 The invariant that makes the accounting trustworthy under contention:
@@ -110,7 +110,8 @@ class RWLock:
                 self._cond.wait()
             self._readers[me] = self._readers.get(me, 0) + 1
         if start is not None:
-            trace.add_phase("lock.read", (time.perf_counter() - start) * 1e3)
+            waited_ms = (time.perf_counter() - start) * 1e3
+            trace.add_phase("concurrency.lock.read", "lock.read", waited_ms)
 
     def _may_read(self, me: int) -> bool:
         """Whether ``me`` may be admitted as a reader right now."""
@@ -161,7 +162,7 @@ class RWLock:
         if self.metrics is not None:
             self.metrics.observe("lock.writer_wait_ms", waited_ms)
         if trace is not None and start is not None:
-            trace.add_phase("lock.write", waited_ms)
+            trace.add_phase("concurrency.lock.write", "lock.write", waited_ms)
 
     def release_write(self) -> None:
         me = threading.get_ident()
@@ -206,10 +207,6 @@ class ContextPool:
         contexts recycled), passed to every acquired context, and the
         target of :meth:`check_accounting` — the pool never pays for
         metrics on the touch path.
-    max_spans:
-        Optional per-context span-trace bound, forwarded to every
-        acquired :class:`~repro.context.ExecutionContext` (long-lived
-        serve workers keep bounded memory; ``None`` keeps every span).
 
     Usage, one worker thread each::
 
@@ -220,8 +217,8 @@ class ContextPool:
                 ...
 
     Every context created by :meth:`acquire` has a *private*
-    :class:`~repro.storage.stats.AccessStats` (so its spans measure only
-    its own thread's accesses) and charges the shared pool through a
+    :class:`~repro.storage.stats.AccessStats` (so its operations measure
+    only its own thread's accesses) and charges the shared pool through a
     :class:`~repro.storage.stats.WorkerScope`; the pool charges the
     shared :attr:`stats`, whose totals therefore equal the sum of the
     per-worker totals at any quiescent point.
@@ -246,7 +243,6 @@ class ContextPool:
         stats: AccessStats | None = None,
         fault_injector=None,
         metrics=None,
-        max_spans: int | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("pool capacity must be at least one page")
@@ -254,7 +250,6 @@ class ContextPool:
         self.stats = stats if stats is not None else ThreadSafeAccessStats()
         self.fault_injector = fault_injector
         self.metrics = metrics
-        self.max_spans = max_spans
         self.pool = SharedBufferPool(self.stats, capacity, fault_injector)
         #: Accumulated private stats of every retired (released) context.
         self.retired = AccessStats()
@@ -300,7 +295,6 @@ class ContextPool:
             fault_injector=self.fault_injector,
             shared_buffer=scope,
             metrics=self.metrics,
-            max_spans=self.max_spans,
         )
         with self._lock:
             self._contexts.append(context)

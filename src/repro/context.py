@@ -1,4 +1,4 @@
-"""Execution contexts: one object owning accounting, buffering, tracing.
+"""Execution contexts: one object owning accounting, buffering, measuring.
 
 Historically every charged operation in this library threaded a bare
 ``buffer=None`` parameter from the public API down to the B+ tree nodes.
@@ -16,9 +16,12 @@ delta pairs copy-pasted per caller).
   (``unbounded`` — the analytical model's assumption, ``bounded`` — a
   finite LRU pool persisting across operations, ``null`` — every touch
   charged);
-* it records **operation spans**: named, optionally nested measurement
-  intervals with their page-access deltas, exportable as a dict / JSON
-  (the CLI's ``--trace`` flag writes exactly this).
+* it delimits **measured operations**: named, optionally nested
+  intervals whose page-access delta is taken once, published as the
+  ``span.pages`` histogram and — when a request trace is active on the
+  thread (:func:`~repro.telemetry.tracing.current_trace`) — written as
+  one row of that trace, seconds and pages side by side.  The context
+  itself retains no per-operation record.
 
 Every storage / ASR / query entry point accepts either an
 ``ExecutionContext`` or a raw buffer scope through its ``context``
@@ -29,9 +32,7 @@ the API boundary.
 from __future__ import annotations
 
 import json
-from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.errors import ExitHookError
@@ -42,38 +43,27 @@ from repro.storage.stats import (
     NullBuffer,
     resolve_buffer,
 )
+from repro.telemetry.tracing import current_trace, maybe_span, record_pages
 
-__all__ = ["ExecutionContext", "Span", "resolve_buffer", "POLICIES"]
+__all__ = ["ExecutionContext", "Measured", "resolve_buffer", "POLICIES"]
 
 #: Recognized buffer policies (see :class:`ExecutionContext`).
 POLICIES = ("unbounded", "bounded", "null")
 
 
-@dataclass
-class Span:
-    """One traced operation: a named interval with its access delta."""
+class Measured:
+    """What :meth:`ExecutionContext.measure` yields.
 
-    name: str
-    index: int
-    depth: int
-    page_reads: int = 0
-    page_writes: int = 0
-    by_category: dict[str, int] = field(default_factory=dict)
+    ``buffer`` is the scope to charge inside the block; ``delta`` is the
+    interval's :class:`~repro.storage.stats.AccessStats` delta, set when
+    the block closes.
+    """
 
-    @property
-    def total_pages(self) -> int:
-        return self.page_reads + self.page_writes
+    __slots__ = ("buffer", "delta")
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "index": self.index,
-            "depth": self.depth,
-            "page_reads": self.page_reads,
-            "page_writes": self.page_writes,
-            "total_pages": self.total_pages,
-            "by_category": dict(self.by_category),
-        }
+    def __init__(self, buffer: BufferScope | NullBuffer) -> None:
+        self.buffer = buffer
+        self.delta: AccessStats | None = None
 
 
 class ExecutionContext:
@@ -113,20 +103,11 @@ class ExecutionContext:
         pool and may be omitted.
     metrics:
         Optional :class:`~repro.telemetry.registry.MetricsRegistry`.
-        When attached, every completed span publishes its page delta
-        into the ``span.pages`` histogram (labelled by operation name),
-        :meth:`count` mirrors operation counters into the ``ops``
-        counter family, and dropped spans bump ``spans.dropped`` — the
-        registry is how many contexts' traces aggregate into one
-        observable surface.
-    max_spans:
-        Optional bound on the retained span trace.  ``None`` (the
-        default) keeps every span, as tests and one-shot measurements
-        expect.  Long-lived servers set a bound: :attr:`spans` becomes a
-        ring buffer of the most recent ``max_spans`` spans and
-        :attr:`spans_dropped` counts the evicted ones (also surfaced in
-        :meth:`to_dict` and the metrics registry), so a context serving
-        millions of operations holds bounded memory.
+        When attached, every completed operation publishes its page
+        delta into the ``span.pages`` histogram (labelled by operation
+        name) and :meth:`count` mirrors operation counters into the
+        ``ops`` counter family — the registry is how many contexts'
+        operations aggregate into one observable surface.
 
     Use as a context manager to get an explicit lifetime boundary::
 
@@ -148,7 +129,6 @@ class ExecutionContext:
         fault_injector=None,
         shared_buffer=None,
         metrics=None,
-        max_spans: int | None = None,
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unknown buffer policy {policy!r}; known: {POLICIES}")
@@ -161,30 +141,18 @@ class ExecutionContext:
             raise ValueError("bounded policy requires a positive page capacity")
         if policy != "bounded" and capacity is not None:
             raise ValueError(f"capacity is only meaningful under 'bounded', not {policy!r}")
-        if max_spans is not None and max_spans < 1:
-            raise ValueError("max_spans must be a positive span count")
         self.policy = policy
         self.capacity = capacity
         self.stats = stats if stats is not None else AccessStats()
         self.fault_injector = fault_injector
         self.metrics = metrics
-        self.max_spans = max_spans
-        #: Completed operation spans, in completion order.  A plain list
-        #: when unbounded; a ring of the newest ``max_spans`` otherwise.
-        self.spans: list[Span] | deque[Span] = (
-            [] if max_spans is None else deque(maxlen=max_spans)
-        )
-        #: Spans evicted from a full ring buffer (0 when unbounded).
-        self.spans_dropped = 0
         #: ``operation name -> times entered`` counters.
         self.op_counts: dict[str, int] = {}
         #: Metric snapshots interleaved with the trace (``--trace``).
         self.metric_snapshots: list[dict] = []
-        self._span_stack: list[Span] = []
         self._buffer_stack: list[BufferScope | NullBuffer] = []
         self._ambient: BufferScope | NullBuffer | None = shared_buffer
         self._exit_hooks: list[Callable[[], None]] = []
-        self._next_index = 0
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -218,7 +186,7 @@ class ExecutionContext:
     def current_buffer(self) -> BufferScope | NullBuffer:
         """The buffer accesses are charged to right now.
 
-        Inside an :meth:`operation` span this is the span's scope;
+        Inside an :meth:`operation` this is the operation's scope;
         outside, a context-lifetime ambient scope (created lazily) so
         that charging through a bare context is always well defined.
         """
@@ -227,40 +195,41 @@ class ExecutionContext:
         return self._ambient_scope()
 
     # ------------------------------------------------------------------
-    # tracing
+    # measuring
     # ------------------------------------------------------------------
 
     @contextmanager
-    def operation(self, name: str) -> Iterator[BufferScope | NullBuffer]:
-        """Delimit one traced operation; yields its buffer scope.
+    def measure(self, name: str, **notes) -> Iterator[Measured]:
+        """Delimit one measured operation; yields its :class:`Measured`.
 
-        The span's page-access delta is recorded on exit.  Operations
-        nest: a child span's accesses are also part of its parent's
-        delta (the deltas are measured on the shared stats).
+        The one place a page delta is taken: ``name`` is counted, the
+        policy's scope is opened, and on exit the delta lands on the
+        yielded handle and in the ``span.pages`` histogram.  When a
+        request trace is active on this thread the interval is also one
+        row of it — seconds and pages together, plus ``notes`` — and
+        with none active no clock is read and nothing is retained.
+        Operations nest: a child's accesses are also part of its
+        parent's delta (the deltas are measured on the shared stats).
         """
-        span = Span(name, self._next_index, depth=len(self._span_stack))
-        self._next_index += 1
         self.count(name)
+        measured = Measured(self.new_scope())
         before = self.stats.snapshot()
-        buffer = self.new_scope()
-        self._span_stack.append(span)
-        self._buffer_stack.append(buffer)
+        self._buffer_stack.append(measured.buffer)
         try:
-            yield buffer
+            with maybe_span(current_trace(), name) as row:
+                yield measured
         finally:
             self._buffer_stack.pop()
-            self._span_stack.pop()
-            delta = self.stats.delta_since(before)
-            span.page_reads = delta.page_reads
-            span.page_writes = delta.page_writes
-            span.by_category = dict(delta.by_category)
-            if self.max_spans is not None and len(self.spans) == self.max_spans:
-                self.spans_dropped += 1
-                if self.metrics is not None:
-                    self.metrics.inc("spans.dropped")
-            self.spans.append(span)
+            delta = measured.delta = self.stats.delta_since(before)
+            record_pages(row, delta, **notes)
             if self.metrics is not None:
-                self.metrics.observe("span.pages", span.total_pages, op=name)
+                self.metrics.observe("span.pages", delta.total, op=name)
+
+    @contextmanager
+    def operation(self, name: str) -> Iterator[BufferScope | NullBuffer]:
+        """:meth:`measure` for callers that only charge: yields the scope."""
+        with self.measure(name) as measured:
+            yield measured.buffer
 
     def count(self, name: str, n: int = 1) -> None:
         """Bump the ``name`` operation counter by ``n``.
@@ -275,18 +244,19 @@ class ExecutionContext:
             self.metrics.inc("ops", n, op=name)
 
     def snapshot_metrics(self, label: str | None = None) -> dict | None:
-        """Interleave a registry snapshot with the span trace.
+        """Interleave a registry snapshot with the active trace.
 
         Appends (and returns) an entry recording the attached registry's
-        full state *and* the trace position (``at_span`` — the index the
-        next span will get), so an exported trace shows how metrics
-        evolved between phases.  No-op returning ``None`` without a
-        registry.
+        full state *and* the trace position (``at_span`` — rows recorded
+        so far in the thread's active trace, 0 without one), so an
+        exported trace shows how metrics evolved between phases.  No-op
+        returning ``None`` without a registry.
         """
         if self.metrics is None:
             return None
+        trace = current_trace()
         entry = {
-            "at_span": self._next_index,
+            "at_span": 0 if trace is None else len(trace.spans),
             "label": label,
             "metrics": self.metrics.snapshot(),
         }
@@ -343,7 +313,7 @@ class ExecutionContext:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """The full trace: policy, headline counters, and all spans."""
+        """Policy, headline counters, operation counts, metric snapshots."""
         out = {
             "policy": self.policy,
             "capacity": self.capacity,
@@ -352,9 +322,6 @@ class ExecutionContext:
             "total_pages": self.stats.total,
             "by_category": dict(self.stats.by_category),
             "op_counts": dict(self.op_counts),
-            "spans": [span.as_dict() for span in self.spans],
-            "max_spans": self.max_spans,
-            "spans_dropped": self.spans_dropped,
         }
         if self.metric_snapshots:
             out["metric_snapshots"] = list(self.metric_snapshots)
@@ -366,8 +333,7 @@ class ExecutionContext:
     def __repr__(self) -> str:
         return (
             f"ExecutionContext(policy={self.policy!r}, "
-            f"reads={self.stats.page_reads}, writes={self.stats.page_writes}, "
-            f"spans={len(self.spans)})"
+            f"reads={self.stats.page_reads}, writes={self.stats.page_writes})"
         )
 
 

@@ -208,7 +208,8 @@ class DeviceModel:
         if seconds:
             time.sleep(seconds)
         if trace is not None:
-            trace.add_phase("device", (time.perf_counter() - start) * 1e3)
+            waited_ms = (time.perf_counter() - start) * 1e3
+            trace.add_phase("device.charge", "device", waited_ms)
         self._observe(pages, seconds)
         return seconds
 
@@ -219,7 +220,8 @@ class DeviceModel:
         if seconds:
             await asyncio.sleep(seconds)
         if trace is not None:
-            trace.add_phase("device", (time.perf_counter() - start) * 1e3)
+            waited_ms = (time.perf_counter() - start) * 1e3
+            trace.add_phase("device.charge", "device", waited_ms)
         self._observe(pages, seconds)
         return seconds
 

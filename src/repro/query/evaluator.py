@@ -22,7 +22,6 @@ their page-access profiles differ.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.asr.asr import AccessSupportRelation
@@ -33,8 +32,6 @@ from repro.gom.objects import OID, Cell
 from repro.gom.types import NULL
 from repro.query.queries import BackwardQuery, ForwardQuery, Query, ValueRangeQuery
 from repro.storage.objectstore import ClusteredObjectStore
-from repro.storage.stats import AccessStats, BufferScope
-from repro.telemetry.tracing import current_trace, maybe_span
 
 
 def access_restriction(asr: AccessSupportRelation, breakers=None) -> str | None:
@@ -81,10 +78,11 @@ class QueryEvaluator:
         evaluation charges object-page accesses to it.  Without a store,
         results are still exact but page counts are zero.
     context:
-        Optional :class:`~repro.context.ExecutionContext`.  When given,
-        the evaluator charges the context's stats, draws per-query
-        buffer scopes from the context's policy, and records one traced
-        operation span per evaluated query.
+        The :class:`~repro.context.ExecutionContext` to charge; the
+        evaluator makes its own (``unbounded`` policy) when none is
+        given.  Every evaluated query is one measured operation of it:
+        a per-query buffer scope drawn from the context's policy, one
+        page delta, and — under an active trace — one row.
     """
 
     def __init__(
@@ -95,18 +93,8 @@ class QueryEvaluator:
     ):
         self.db = db
         self.store = store
-        self.context = context
-        self.stats = context.stats if context is not None else AccessStats()
-
-    @contextmanager
-    def _measured(self, name: str):
-        """One per-query buffer scope, traced when a context is attached."""
-        if self.context is not None:
-            with self.context.operation(name) as buffer:
-                yield buffer
-        else:
-            with BufferScope(self.stats) as buffer:
-                yield buffer
+        self.context = context if context is not None else ExecutionContext()
+        self.stats = self.context.stats
 
     # ------------------------------------------------------------------
     # public API
@@ -124,8 +112,7 @@ class QueryEvaluator:
         """
         if asr is not None and asr.supports_query(query.i, query.j):
             if access_restriction(asr) is not None:
-                if self.context is not None:
-                    self.context.count("query.degraded-fallback")
+                self.context.count("query.degraded-fallback")
                 result = self.evaluate_unsupported(query)
                 result.strategy = "unsupported (degraded: ASR quarantined)"
                 return result
@@ -133,8 +120,8 @@ class QueryEvaluator:
         return self.evaluate_unsupported(query)
 
     def evaluate_unsupported(self, query: Query) -> EvaluationResult:
-        before = self.stats.snapshot()
-        with self._measured(f"query.unsupported.{query.kind}") as buffer:
+        with self.context.measure(f"query.unsupported.{query.kind}") as measured:
+            buffer = measured.buffer
             if isinstance(query, ForwardQuery):
                 cells = self._forward_traverse(query, buffer)
             elif isinstance(query, ValueRangeQuery):
@@ -143,7 +130,7 @@ class QueryEvaluator:
                 cells = self._backward_scan(query, buffer)
             else:
                 raise QueryError(f"unknown query shape {query!r}")
-        delta = self.stats.delta_since(before)
+        delta = measured.delta
         return EvaluationResult(
             cells,
             delta.page_reads,
@@ -167,24 +154,20 @@ class QueryEvaluator:
                 f"ASR {asr.path} [{asr.extension.value}] is quarantined after "
                 "a crash/fault; recover it or use evaluate() to fall back"
             )
-        before = self.stats.snapshot()
-        # A nested annotation span (no phase — the planner already books
-        # this time under `execute`), naming the ASR that served the
-        # lookup; resolved from the thread-local active trace because
-        # evaluation may run on an executor thread the loop handed off to.
-        with maybe_span(
-            current_trace(),
-            f"asr.lookup[{asr.extension.value}:{asr.decomposition}]",
-        ):
-            with self._measured(f"query.supported.{query.kind}") as buffer:
-                if isinstance(query, ForwardQuery):
-                    cells = self._supported_forward(query, asr, buffer)
-                elif isinstance(query, (BackwardQuery, ValueRangeQuery)):
-                    cells = self._supported_backward(query, asr, buffer)
-                else:
-                    raise QueryError(f"unknown query shape {query!r}")
-        delta = self.stats.delta_since(before)
-        if self.context is not None and self.context.metrics is not None:
+        # The measured row (no phase — the planner already books this
+        # time under `execute`) names the ASR that served the lookup.
+        served = f"{asr.extension.value}:{asr.decomposition}"
+        with self.context.measure(
+            f"query.supported.{query.kind}", asr=served
+        ) as measured:
+            if isinstance(query, ForwardQuery):
+                cells = self._supported_forward(query, asr, measured.buffer)
+            elif isinstance(query, (BackwardQuery, ValueRangeQuery)):
+                cells = self._supported_backward(query, asr, measured.buffer)
+            else:
+                raise QueryError(f"unknown query shape {query!r}")
+        delta = measured.delta
+        if self.context.metrics is not None:
             # Per-ASR lookup traffic: which physical design served reads.
             self.context.metrics.inc(
                 "asr.lookups",
@@ -195,7 +178,7 @@ class QueryEvaluator:
             cells,
             delta.page_reads,
             delta.page_writes,
-            f"asr:{asr.extension.value}:{asr.decomposition}",
+            f"asr:{served}",
             dict(delta.by_category),
         )
 

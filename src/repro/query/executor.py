@@ -218,7 +218,6 @@ class SelectExecutor:
         first = statement.ranges[0]
         candidates = set(self._range_members(first, {}))
         asr_filtered: set[str] = set()
-        context = self.evaluator.context
         restriction = None
         for action in compiled.actions:
             plan = action.plan if fresh else self.planner.recheck(action.plan)
@@ -232,8 +231,7 @@ class SelectExecutor:
                 continue
             restriction = restriction or plan.restriction
             strategy = _DEGRADED_STRATEGIES[plan.restriction]
-            if context is not None:
-                context.count("query.degraded-fallback")
+            self.evaluator.context.count("query.degraded-fallback")
         bindings_list: list[dict[str, Cell]] = []
         for candidate in sorted(candidates, key=repr):
             self._extend_bindings(

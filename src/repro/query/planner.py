@@ -256,7 +256,7 @@ class Planner:
         evaluation as the ``execute`` phase.
         """
         query, asr = plan.query, plan.asr
-        with self.manager.lock.read(), maybe_span(trace, "evaluate", "execute"):
+        with self.manager.lock.read(), maybe_span(trace, "query.evaluate", "execute"):
             if asr is None:
                 result = evaluator.evaluate_unsupported(query)
             else:
@@ -286,7 +286,7 @@ class Planner:
         trace's outcome so tail capture retains it.
         """
         with self.manager.lock.read():
-            with maybe_span(trace, "plan", "plan"):
+            with maybe_span(trace, "query.plan", "plan"):
                 plan = self.plan(query, evaluator.context)
             mark_restriction(trace, plan.restriction)
             return self.run(plan, evaluator, trace)

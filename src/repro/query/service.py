@@ -125,11 +125,11 @@ class QueryService:
         # the key we cache under and the trees we probe.
         with manager.lock.read():
             epoch = manager.epoch
-            with maybe_span(trace, "cache.probe", "cache-hit"):
+            with maybe_span(trace, "query.cache.probe", "cache-hit"):
                 compiled = self.cache.get(normalized, epoch)
             cached = compiled is not None
             if compiled is None:
-                with maybe_span(trace, "parse+validate+compile", "plan"):
+                with maybe_span(trace, "query.compile", "plan"):
                     try:
                         statement = parse_select(normalized)
                     except ParseError:
@@ -143,7 +143,7 @@ class QueryService:
                     compiled = replace(executor.compile(statement), epoch=epoch)
                     self.cache.put(normalized, epoch, compiled)
             try:
-                with maybe_span(trace, "run_compiled", "execute"):
+                with maybe_span(trace, "query.run_compiled", "execute"):
                     report = executor.run_compiled(compiled, fresh=not cached)
             except Exception:
                 self._count_error("execute")

@@ -56,7 +56,9 @@ registry:
     ``lock.write`` / ``plan`` / ``cache-hit`` / ``execute`` /
     ``device`` / ``serialize`` phases sum to its end-to-end latency.
     ``/trace/recent`` lists summaries newest-first; ``/trace/<id>``
-    returns one full span tree (404 once evicted or never retained).
+    returns one full span tree — rows named ``<layer>.<what>``, the
+    measured ones carrying ``page_reads`` / ``page_writes`` (404 once
+    evicted or never retained).
 
 Every HTTP request, scrape included, also self-reports:
 ``http.requests{endpoint}`` counts and ``http.latency_ms{endpoint}``
@@ -128,7 +130,7 @@ from repro.resilience import (
     HealerLoop,
     RecoveryPolicy,
 )
-from repro.telemetry.tracing import activate
+from repro.telemetry.tracing import activate, maybe_span
 from repro.workload.opstream import Operation
 
 __all__ = ["ServerConfig", "ServeDaemon"]
@@ -432,7 +434,6 @@ class ServeDaemon:
                 "max_inflight": config.serve.max_inflight,
                 "query_fraction": config.serve.query_fraction,
                 "profile": config.serve.profile,
-                "max_spans": config.serve.max_spans,
                 "op_deadline_ms": config.serve.op_deadline_ms,
                 "shed_backoff_ms": config.serve.shed_backoff_ms,
                 "query_cache_size": config.serve.query_cache_size,
@@ -712,9 +713,10 @@ class ServeDaemon:
         are released — the same discipline as replayed operations.
 
         ``trace`` (opened by the handler) is activated on this thread so
-        the read-lock wait and the ASR lookups attribute to it; the
-        service books ``cache-hit`` / ``plan`` / ``execute``, the device
-        books ``device``, and the handler finishes with ``serialize``.
+        the read-lock wait and the measured evaluations attribute to it;
+        the service books ``cache-hit`` / ``plan`` / ``execute``, the
+        device books ``device``, and the handler finishes with
+        ``serialize``.
         """
         world = self.world
         with activate(trace):
@@ -884,28 +886,25 @@ def _make_handler(daemon: ServeDaemon) -> type:
                 trace = tracer.begin("POST /query", "query")
                 try:
                     outcome = daemon.execute_query(text, trace=trace)
-                except ParseError as error:
-                    tracer.finish(trace, "error")
-                    self._send_json(
-                        400, {"error": {"kind": "parse", "message": str(error)}}
-                    )
-                    return
-                except QueryError as error:
-                    tracer.finish(trace, "error")
-                    self._send_json(
-                        400, {"error": {"kind": "validate", "message": str(error)}}
-                    )
-                    return
-                if trace is None:
-                    body_text = json.dumps(outcome.payload(), indent=2)
-                else:
                     # Rendering rows to JSON-clean cells is serialization
                     # work too, so the payload build sits inside the span.
-                    with trace.span("serialize", "serialize"):
+                    with maybe_span(trace, "server.serialize", "serialize"):
                         payload = outcome.payload()
-                        payload["trace_id"] = trace.trace_id
+                        if trace is not None:
+                            payload["trace_id"] = trace.trace_id
                         body_text = json.dumps(payload, indent=2)
-                    tracer.finish(trace)
+                except QueryError as error:
+                    tracer.finish(trace, "error")
+                    kind = "parse" if isinstance(error, ParseError) else "validate"
+                    self._send_json(
+                        400, {"error": {"kind": kind, "message": str(error)}}
+                    )
+                    return
+                except Exception:
+                    # The 500 below is exactly what tail capture is for.
+                    tracer.finish(trace, "error")
+                    raise
+                tracer.finish(trace)
                 self._send(200, "application/json", body_text)
             except Exception as error:  # noqa: BLE001 - surfaced to the client
                 self._send_json(500, {"error": repr(error)})

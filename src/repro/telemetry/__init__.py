@@ -36,11 +36,11 @@ from repro.telemetry.tracing import (
 )
 
 # drift (and render, which uses it) reaches through the ASR layer, which
-# in turn needs repro.concurrency — and concurrency needs
-# repro.telemetry.tracing for lock-wait attribution.  Loading drift
-# lazily (PEP 562) keeps this package importable from concurrency
-# without a cycle: ``from repro.telemetry import DriftMonitor`` still
-# works, it just resolves on first attribute access.
+# in turn needs repro.concurrency — and concurrency and repro.context
+# need repro.telemetry.tracing (lock-wait attribution, measured rows).
+# Loading drift lazily (PEP 562) keeps this package importable from
+# both without a cycle: ``from repro.telemetry import DriftMonitor``
+# still works, it just resolves on first attribute access.
 _LAZY = {
     "CostModelPredictor": "repro.telemetry.drift",
     "DriftMonitor": "repro.telemetry.drift",

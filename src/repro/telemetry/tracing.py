@@ -13,7 +13,13 @@ trace:
   wait, ``plan`` vs ``cache-hit``, ``execute``, ``device``, and
   ``serialize``.  Phases are recorded over *disjoint* segments of the
   request, so their sum approaches the end-to-end latency from below;
-  the remainder is reported as ``unattributed_ms``.
+  the remainder is reported as ``unattributed_ms``.  The rows of the
+  span tree are the product's **one span record**: every row is named
+  ``<layer>.<what>`` (:data:`LAYERS`), carries ``start_ms`` /
+  ``duration_ms``, and — when it brackets charged work — the interval's
+  ``page_reads`` / ``page_writes`` (:func:`record_pages`; written by
+  :meth:`ExecutionContext.measure <repro.context.ExecutionContext.measure>`,
+  the one place a page delta is taken).
 * :class:`Tracer` — issues trace IDs at the front door, decides
   retention.  **Head sampling** keeps a seeded-RNG fraction of traces
   (``--trace-sample-rate``; deterministic per the chaos-layer idiom —
@@ -34,10 +40,10 @@ slow path), and no clock is read on behalf of tracing.
 queue tuple, the drive functions, and ``ExecutorWorkers.execute`` —
 because ``loop.run_in_executor`` does not copy ``contextvars`` context.
 For hooks too deep to thread a parameter into (the ``RWLock`` wait
-paths, the evaluator's ASR lookups), :func:`activate` pins the trace to
-the executing thread and :func:`current_trace` reads it back; a single
-request never runs on two threads at once, so per-trace state needs no
-lock of its own.
+paths, the execution context's measured operations), :func:`activate`
+pins the trace to the executing thread and :func:`current_trace` reads
+it back; a single request never runs on two threads at once, so
+per-trace state needs no lock of its own.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from contextlib import contextmanager
 from typing import Iterator
 
 __all__ = [
+    "LAYERS",
     "PHASES",
     "TAIL_OUTCOMES",
     "Trace",
@@ -61,7 +68,22 @@ __all__ = [
     "activate",
     "current_trace",
     "maybe_span",
+    "record_pages",
 ]
+
+#: The layer prefixes of row names (``<layer>.<what>``) — the product
+#: layers of the benchmark ladder's per-layer sheet, so a trace and the
+#: ladder speak one vocabulary.
+LAYERS = (
+    "storage",
+    "asr",
+    "gom",
+    "query",
+    "concurrency",
+    "device",
+    "serve",
+    "server",
+)
 
 #: Every phase a trace may attribute time to, in pipeline order.
 PHASES = (
@@ -145,7 +167,9 @@ class Trace:
         #: before the trace object existed (queue wait).
         self.started = time.perf_counter() if started is None else started
         self.duration_ms: float | None = None
-        #: ``(name, phase, start_ms, duration_ms, parent_index)`` rows.
+        #: ``{name, phase, start_ms, duration_ms, parent}`` rows, plus
+        #: ``page_reads`` / ``page_writes`` (and ``by_category`` when
+        #: non-empty) on rows whose interval was measured.
         self.spans: list[dict] = []
         self.phases: dict[str, float] = {}
         self.annotations: dict = {}
@@ -155,8 +179,8 @@ class Trace:
     # recording
     # ------------------------------------------------------------------
 
-    def add_phase(self, phase: str, duration_ms: float, name: str | None = None) -> None:
-        """Attribute ``duration_ms`` to ``phase`` as a leaf span.
+    def add_phase(self, name: str, phase: str, duration_ms: float) -> None:
+        """Attribute ``duration_ms`` to ``phase`` as a leaf span called ``name``.
 
         The span is backdated so its end coincides with *now*; used by
         hooks that only learn the duration after the fact (lock waits,
@@ -166,7 +190,7 @@ class Trace:
         parent = self._stack[-1] if self._stack else None
         self.spans.append(
             {
-                "name": name or phase,
+                "name": name,
                 "phase": phase,
                 "start_ms": round(max(0.0, now_ms - duration_ms), 4),
                 "duration_ms": round(duration_ms, 4),
@@ -176,33 +200,32 @@ class Trace:
         self.phases[phase] = self.phases.get(phase, 0.0) + duration_ms
 
     @contextmanager
-    def span(self, name: str, phase: str | None = None) -> Iterator[None]:
+    def span(self, name: str, phase: str | None = None) -> Iterator[dict]:
         """Record a timed span; attribute it to ``phase`` when given.
 
         Spans nest: a span opened inside another becomes its child in
         the exported tree.  Only spans with a ``phase`` contribute to
-        the rollup, so a nested annotation span (``asr.lookup`` inside
-        ``execute``) never double-counts.
+        the rollup, so a measured row nested inside a phase row
+        (``query.supported.bw`` inside ``query.evaluate``) never
+        double-counts.  Yields the row, so the caller that measured the
+        interval's pages can put them on it (:func:`record_pages`).
         """
         start = time.perf_counter()
-        index = len(self.spans)
-        parent = self._stack[-1] if self._stack else None
-        self.spans.append(
-            {
-                "name": name,
-                "phase": phase,
-                "start_ms": round((start - self.started) * 1e3, 4),
-                "duration_ms": None,
-                "parent": parent,
-            }
-        )
-        self._stack.append(index)
+        row = {
+            "name": name,
+            "phase": phase,
+            "start_ms": round((start - self.started) * 1e3, 4),
+            "duration_ms": None,
+            "parent": self._stack[-1] if self._stack else None,
+        }
+        self._stack.append(len(self.spans))
+        self.spans.append(row)
         try:
-            yield
+            yield row
         finally:
             self._stack.pop()
             duration_ms = (time.perf_counter() - start) * 1e3
-            self.spans[index]["duration_ms"] = round(duration_ms, 4)
+            row["duration_ms"] = round(duration_ms, 4)
             if phase is not None:
                 self.phases[phase] = self.phases.get(phase, 0.0) + duration_ms
 
@@ -258,13 +281,29 @@ class Trace:
 @contextmanager
 def maybe_span(
     trace: "Trace | None", name: str, phase: str | None = None
-) -> Iterator[None]:
+) -> Iterator[dict | None]:
     """``trace.span(...)`` that degrades to a no-op when tracing is off."""
     if trace is None:
-        yield
+        yield None
     else:
-        with trace.span(name, phase):
-            yield
+        with trace.span(name, phase) as row:
+            yield row
+
+
+def record_pages(row: dict | None, delta, **notes) -> None:
+    """Make ``row`` a *measured* row: the interval's page delta, plus ``notes``.
+
+    ``delta`` is the :class:`~repro.storage.stats.AccessStats` delta
+    taken over exactly the interval the row times.  A ``None`` row
+    (tracing off) costs one comparison.
+    """
+    if row is None:
+        return
+    row["page_reads"] = delta.page_reads
+    row["page_writes"] = delta.page_writes
+    if delta.by_category:
+        row["by_category"] = dict(delta.by_category)
+    row.update(notes)
 
 
 class TraceStore:

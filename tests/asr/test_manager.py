@@ -169,7 +169,7 @@ class TestBatching:
         manager.check_consistency()
         assert "asr.flush" in context.op_counts
 
-    def test_batched_maintenance_charges_context(self, company_world):
+    def test_batched_maintenance_charges_context(self, company_world, trace):
         db, path, o = company_world
         context = ExecutionContext()
         manager = ASRManager(db, context=context)
@@ -177,8 +177,8 @@ class TestBatching:
         with manager.batch():
             db.set_insert(o["parts_sec"], o["pepper"])
         assert context.stats.total > 0
-        spans = [span.name for span in context.spans]
-        assert "asr.flush" in spans
+        (flush,) = [row for row in trace.spans if row["name"] == "asr.flush"]
+        assert flush["page_reads"] + flush["page_writes"] == context.stats.total
 
 
 class TestSuspension:

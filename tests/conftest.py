@@ -6,7 +6,16 @@ import pytest
 
 from repro.costmodel import ApplicationProfile
 from repro.gom import ObjectBase, PathExpression, Schema
+from repro.telemetry.tracing import Trace, activate
 from repro.workload import ChainGenerator
+
+
+@pytest.fixture()
+def trace():
+    """A trace active on the test's thread: measured operations become its rows."""
+    active = Trace("t-test", "test", "test", sampled=True)
+    with activate(active):
+        yield active
 
 
 @pytest.fixture()

@@ -160,7 +160,7 @@ class TestExecutionReportPages:
         assert report.page_writes == 0  # a read-only query writes nothing
         assert report.total_pages == report.page_reads + report.page_writes
 
-    def test_executor_threads_context(self, company_world):
+    def test_executor_threads_context(self, company_world, trace):
         from repro.context import ExecutionContext
 
         db, path, _objects = company_world
@@ -173,4 +173,4 @@ class TestExecutionReportPages:
             'where d.Manufactures.Composition.Name = "Door"'
         )
         assert report.page_reads == context.stats.page_reads
-        assert any(span.name.startswith("query.supported") for span in context.spans)
+        assert any(row["name"].startswith("query.supported") for row in trace.spans)

@@ -33,7 +33,7 @@ def _http_json(url: str, body: dict | None = None) -> tuple[int, dict]:
 def _config() -> ServerConfig:
     return ServerConfig(
         serve=ServeConfig(
-            clients=8, ops=64, seed=11, capacity=64, io_micros=20.0, max_spans=64
+            clients=8, ops=64, seed=11, capacity=64, io_micros=20.0
         ),
         port=0,
         drift_interval=0.5,

@@ -11,7 +11,7 @@ from tests.test_cli import run_cli
 # chosen against the default profile's cost landscape (see the module
 # docstring of repro.bench.advisor).  Only the wall-clock cap shrinks.
 FAST_SOAK = AdvisorBenchConfig(
-    serve=ServeConfig(seed=7, io_micros=20.0, max_spans=64),
+    serve=ServeConfig(seed=7, io_micros=20.0),
     phase_seconds=15.0,
 )
 

@@ -10,7 +10,7 @@ from tests.test_cli import run_cli
 
 FAST_SOAK = dict(
     serve=ServeConfig(
-        clients=2, ops=32, seed=7, capacity=64, io_micros=20.0, max_spans=64,
+        clients=2, ops=32, seed=7, capacity=64, io_micros=20.0,
         max_inflight=16, op_deadline_ms=500.0,
     ),
     chaos=ChaosConfig(rate=0.5, burst=2, seed=7),

@@ -16,7 +16,7 @@ STORM = ChaosConfig(rate=0.5, burst=3, seed=7)
 def chaos_config(tmp_path, **overrides):
     defaults = dict(
         serve=ServeConfig(
-            clients=3, ops=48, seed=7, capacity=64, io_micros=20.0, max_spans=64,
+            clients=3, ops=48, seed=7, capacity=64, io_micros=20.0,
             max_inflight=16,
         ),
         recovery=RecoveryPolicy(backoff_s=0.001, jitter=0.25),

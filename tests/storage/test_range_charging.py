@@ -22,7 +22,7 @@ def make_tree(entries: int = 200) -> BPlusTree:
 
 
 class TestDeferredRangeCharging:
-    def test_consuming_span_is_charged_not_creating_span(self):
+    def test_consuming_span_is_charged_not_creating_span(self, trace):
         tree = make_tree()
         context = ExecutionContext()
         with context.operation("create"):
@@ -30,10 +30,10 @@ class TestDeferredRangeCharging:
         with context.operation("consume"):
             consumed = list(scan)
         assert len(consumed) == 150
-        create_span = next(s for s in context.spans if s.name == "create")
-        consume_span = next(s for s in context.spans if s.name == "consume")
-        assert create_span.page_reads == 0
-        assert consume_span.page_reads > 0
+        create_span = next(s for s in trace.spans if s["name"] == "create")
+        consume_span = next(s for s in trace.spans if s["name"] == "consume")
+        assert create_span["page_reads"] == 0
+        assert consume_span["page_reads"] > 0
 
     def test_unconsumed_range_charges_nothing(self):
         tree = make_tree()
@@ -62,7 +62,7 @@ class TestDeferredRangeCharging:
         assert rows_lazy == rows_eager
         assert context.stats.page_reads == stats.page_reads
 
-    def test_scan_created_in_warm_span_still_charges_consuming_span(self):
+    def test_scan_created_in_warm_span_still_charges_consuming_span(self, trace):
         # The regression proper: under eager resolution the scan kept the
         # creating span's buffer scope, whose residency made a later
         # consumption in a fresh span look free.
@@ -74,8 +74,8 @@ class TestDeferredRangeCharging:
         with context.operation("cold"):
             consumed = list(scan)
         assert len(consumed) == 150
-        cold = next(s for s in context.spans if s.name == "cold")
-        assert cold.page_reads > 0
+        cold = next(s for s in trace.spans if s["name"] == "cold")
+        assert cold["page_reads"] > 0
 
     def test_raw_buffer_scope_still_honoured(self):
         tree = make_tree()
@@ -84,7 +84,7 @@ class TestDeferredRangeCharging:
         assert list(tree.range(0, 20, buffer))
         assert stats.page_reads > 0
 
-    def test_interleaved_consumption_splits_charges_between_spans(self):
+    def test_interleaved_consumption_splits_charges_between_spans(self, trace):
         tree = make_tree()
         context = ExecutionContext()
         scan = tree.range(None, None, context)
@@ -95,7 +95,7 @@ class TestDeferredRangeCharging:
             with pytest.raises(StopIteration):
                 while True:
                     next(scan)
-        first = next(s for s in context.spans if s.name == "first-half")
-        second = next(s for s in context.spans if s.name == "second-half")
-        assert first.page_reads > 0
-        assert second.page_reads > 0
+        first = next(s for s in trace.spans if s["name"] == "first-half")
+        second = next(s for s in trace.spans if s["name"] == "second-half")
+        assert first["page_reads"] > 0
+        assert second["page_reads"] > 0

@@ -1,0 +1,58 @@
+"""The documented metric catalogue equals what ``src/`` emits (names only).
+
+ROADMAP aim 4: ``docs/observability.md``'s tables are mechanically
+checked against the literal metric names the code passes to the
+registry — directly, or through the thin per-module wrappers below.
+Labels, endpoints and flags are not covered yet.
+"""
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
+
+#: Registry entry points whose first argument is a metric name.
+ENTRY_POINTS = ("inc", "observe", "set_gauge", "gauge_fn")
+#: Module-private wrappers that forward their first argument to one of
+#: them.  (``ASRManager._count`` is not one: its argument is an ``op``
+#: label of the ``ops`` family.)
+WRAPPERS = {
+    "asr/manager.py": "_metric_inc",
+    "query/cache.py": "_count",
+    "resilience/advisor.py": "_inc",
+}
+
+
+def emitted_names() -> set[str]:
+    names: set[str] = set()
+    for path in SRC.rglob("*.py"):
+        module = path.relative_to(SRC).as_posix()
+        if module == "telemetry/registry.py":
+            continue  # the registry's own docstring examples
+        methods = ENTRY_POINTS + tuple(
+            wrapper for suffix, wrapper in WRAPPERS.items() if module == suffix
+        )
+        call = re.compile(r"\.(?:%s)\(\s*\"([^\"]+)\"" % "|".join(methods))
+        names.update(call.findall(path.read_text()))
+    return names
+
+
+def documented_names() -> set[str]:
+    text = (ROOT / "docs" / "observability.md").read_text()
+    section = text.split("## Metric catalogue", 1)[1].split("\n## ", 1)[0]
+    names: set[str] = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            first_cell = line.split("|")[1]
+            names.update(re.findall(r"`([^`]+)`", first_cell))
+    return names
+
+
+def test_every_emitted_metric_is_documented_and_vice_versa():
+    emitted, documented = emitted_names(), documented_names()
+    assert len(emitted) > 60, "the scan lost the emitters"
+    undocumented = sorted(emitted - documented)
+    assert not undocumented, f"emitted but not in docs/observability.md: {undocumented}"
+    stale = sorted(documented - emitted)
+    assert not stale, f"documented but emitted nowhere under src/: {stale}"

@@ -5,6 +5,7 @@ import logging
 
 import pytest
 
+from repro.storage.stats import AccessStats
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.tracing import (
     PHASES,
@@ -15,6 +16,7 @@ from repro.telemetry.tracing import (
     activate,
     current_trace,
     maybe_span,
+    record_pages,
 )
 
 
@@ -107,7 +109,7 @@ class TestTailCapture:
             epoch=3,
             pages=17,
         )
-        trace.add_phase("execute", 1.25)
+        trace.add_phase("query.evaluate", "execute", 1.25)
         with caplog.at_level(logging.INFO, logger="repro.slowquery"):
             tracer.finish(trace)
         records = [r for r in caplog.records if r.name == "repro.slowquery"]
@@ -133,9 +135,9 @@ class TestTailCapture:
 class TestTraceRecording:
     def test_phases_roll_up_and_sum(self):
         trace = Trace("t-1", "op", "select", sampled=True)
-        trace.add_phase("queue", 2.0)
-        trace.add_phase("lock.read", 1.0)
-        trace.add_phase("lock.read", 0.5)
+        trace.add_phase("serve.queue", "queue", 2.0)
+        trace.add_phase("concurrency.lock.read", "lock.read", 1.0)
+        trace.add_phase("concurrency.lock.read", "lock.read", 0.5)
         assert trace.phases == {"queue": 2.0, "lock.read": 1.5}
         assert trace.phase_total_ms == 3.5
 
@@ -151,15 +153,17 @@ class TestTraceRecording:
 
     def test_unphased_spans_never_touch_the_rollup(self):
         trace = Trace("t-1", "op", "select", sampled=True)
-        with trace.span("execute", "execute"):
-            with trace.span("asr.lookup[full:1]"):  # annotation only
-                pass
+        with trace.span("query.evaluate", "execute"):
+            with trace.span("query.supported.bw") as row:  # measured, no phase
+                record_pages(row, AccessStats(3, 1, {"btree_leaf": 3}), asr="full:1")
         assert set(trace.phases) == {"execute"}
+        assert (row["page_reads"], row["page_writes"], row["asr"]) == (3, 1, "full:1")
+        assert trace.spans[1] is row
 
     def test_every_declared_phase_is_recordable(self):
         trace = Trace("t-1", "op", "select", sampled=True)
         for phase in PHASES:
-            trace.add_phase(phase, 1.0)
+            trace.add_phase(f"serve.{phase}", phase, 1.0)
         assert set(trace.phases) == set(PHASES)
 
     def test_mark_ok_never_overwrites_a_failure(self):
@@ -170,7 +174,7 @@ class TestTraceRecording:
 
     def test_summary_reports_unattributed_remainder(self):
         trace = Trace("t-1", "op", "select", sampled=True)
-        trace.add_phase("execute", 1.0)
+        trace.add_phase("query.evaluate", "execute", 1.0)
         trace.finish()
         summary = trace.summary()
         assert summary["unattributed_ms"] == pytest.approx(

@@ -343,10 +343,13 @@ class TestContextPool:
     def test_trace_export_under_concurrent_writers(self):
         # Every worker runs traced operations against the shared pool
         # while the others charge it concurrently, then exports its
-        # trace.  Per-worker spans must reflect only that worker's
-        # charges, and the global accounting invariant must hold when
-        # asserted through the metrics registry.
+        # context's counters and its thread's trace.  Per-worker rows
+        # must reflect only that worker's charges, and the global
+        # accounting invariant must hold when asserted through the
+        # metrics registry.
         import json
+
+        from repro.telemetry.tracing import Trace, activate
 
         registry = MetricsRegistry()
         pool = ContextPool(48, metrics=registry)
@@ -355,13 +358,14 @@ class TestContextPool:
 
         def worker(k):
             rng = random.Random(k)
-            with pool.context() as context:
+            trace = Trace(f"t-{k}", "worker", "test", sampled=True)
+            with pool.context() as context, activate(trace):
                 for i in range(rounds):
                     with context.operation(f"op-{k}") as buffer:
                         buffer.touch(f"page-{rng.randrange(120)}")
                         if rng.random() < 0.3:
                             buffer.touch_write(f"page-{rng.randrange(120)}")
-                traces[k] = json.loads(context.to_json())
+                traces[k] = {**json.loads(context.to_json()), **trace.as_dict()}
 
         run_threads(clients, worker)
         for k, trace in traces.items():

@@ -1,4 +1,4 @@
-"""ExecutionContext: policies, spans, hooks, export, and the buffer shim."""
+"""ExecutionContext: policies, measured operations, hooks, export, buffer shim."""
 
 import json
 
@@ -62,28 +62,36 @@ class TestPolicies:
 
 
 class TestSpans:
-    def test_operation_records_delta(self):
+    def test_operation_records_delta(self, trace):
         context = ExecutionContext()
         with context.operation("load") as buffer:
             buffer.touch("p1", "object")
             buffer.touch_write("p2", "object")
-        (span,) = context.spans
-        assert span.name == "load"
-        assert (span.page_reads, span.page_writes, span.total_pages) == (1, 1, 2)
-        assert span.by_category == {"object": 1, "object:write": 1}
+        (row,) = trace.spans
+        assert row["name"] == "load"
+        assert (row["page_reads"], row["page_writes"]) == (1, 1)
+        assert row["by_category"] == {"object": 1, "object:write": 1}
+        assert row["duration_ms"] >= 0.0  # seconds and pages on one row
         assert context.op_counts == {"load": 1}
 
-    def test_nested_spans_share_parent_delta(self):
+    def test_measure_hands_back_the_delta(self):
+        context = ExecutionContext()
+        with context.measure("load") as measured:
+            measured.buffer.touch("p1", "object")
+            assert measured.delta is None  # set when the block closes
+        assert (measured.delta.page_reads, measured.delta.total) == (1, 1)
+
+    def test_nested_spans_share_parent_delta(self, trace):
         context = ExecutionContext()
         with context.operation("outer") as outer:
             outer.touch("p1")
             with context.operation("inner") as inner:
                 inner.touch("p2")
-        inner_span, outer_span = context.spans  # completion order
-        assert inner_span.name == "inner" and inner_span.depth == 1
-        assert inner_span.page_reads == 1
-        assert outer_span.name == "outer" and outer_span.depth == 0
-        assert outer_span.page_reads == 2  # child accesses included
+        outer_row, inner_row = trace.spans  # opening order
+        assert inner_row["name"] == "inner" and inner_row["parent"] == 0
+        assert inner_row["page_reads"] == 1
+        assert outer_row["name"] == "outer" and outer_row["parent"] is None
+        assert outer_row["page_reads"] == 2  # child accesses included
 
     def test_current_buffer_tracks_operation(self):
         context = ExecutionContext()
@@ -95,36 +103,6 @@ class TestSpans:
 
 
 class TestSpanRing:
-    def test_max_spans_validated(self):
-        import pytest
-
-        with pytest.raises(ValueError, match="max_spans"):
-            ExecutionContext(max_spans=0)
-
-    def test_default_keeps_every_span(self):
-        context = ExecutionContext()
-        for i in range(10):
-            with context.operation(f"op{i}"):
-                pass
-        assert len(context.spans) == 10
-        assert context.spans_dropped == 0
-        assert context.max_spans is None
-
-    def test_ring_keeps_newest_and_counts_drops(self):
-        context = ExecutionContext(max_spans=4)
-        for i in range(6):
-            with context.operation(f"op{i}"):
-                pass
-        assert [span.name for span in context.spans] == [
-            "op2", "op3", "op4", "op5",
-        ]
-        assert context.spans_dropped == 2
-        # The trace says what it lost; op_counts still covers all ops.
-        trace = context.to_dict()
-        assert trace["max_spans"] == 4
-        assert trace["spans_dropped"] == 2
-        assert sum(context.op_counts.values()) == 6
-
     def test_count_mirrors_into_registry(self):
         from repro.telemetry import MetricsRegistry
 
@@ -139,15 +117,13 @@ class TestSpanRing:
         from repro.telemetry import MetricsRegistry
 
         registry = MetricsRegistry()
-        context = ExecutionContext(max_spans=1, metrics=registry)
+        context = ExecutionContext(metrics=registry)
         for _ in range(3):
             with context.operation("probe") as buffer:
                 buffer.touch("p")
         assert registry.histogram("span.pages", op="probe").count == 3
-        assert registry.counter_value("spans.dropped") == 2
-        assert context.spans_dropped == 2
 
-    def test_snapshot_metrics_interleaves_with_trace(self):
+    def test_snapshot_metrics_interleaves_with_trace(self, trace):
         from repro.telemetry import MetricsRegistry
 
         context = ExecutionContext(metrics=MetricsRegistry())
@@ -156,10 +132,10 @@ class TestSpanRing:
         with context.operation("op"):
             pass
         context.snapshot_metrics("end")
-        trace = context.to_dict()
-        assert [s["at_span"] for s in trace["metric_snapshots"]] == [0, 1]
-        # The second snapshot already sees the completed span.
-        end = trace["metric_snapshots"][1]["metrics"]
+        exported = context.to_dict()
+        assert [s["at_span"] for s in exported["metric_snapshots"]] == [0, 1]
+        # The second snapshot already sees the completed operation.
+        end = exported["metric_snapshots"][1]["metrics"]
         assert end["counters"]["ops"][0]["value"] == 1
 
     def test_snapshot_metrics_without_registry_is_a_noop(self):
@@ -256,8 +232,8 @@ class TestExport:
         assert data["page_reads"] == 1
         assert data["total_pages"] == 1
         assert data["op_counts"] == {"q": 1}
-        assert data["spans"][0]["name"] == "q"
-        assert data["spans"][0]["by_category"] == {"btree_leaf": 1}
+        assert data["by_category"] == {"btree_leaf": 1}
+        assert "spans" not in data  # the rows live in the trace, not here
 
 
 class TestResolveBuffer:
@@ -279,7 +255,7 @@ class TestResolveBuffer:
 
 
 class TestThreadingThroughStorage:
-    def test_btree_charges_context(self):
+    def test_btree_charges_context(self, trace):
         context = ExecutionContext()
         tree = BPlusTree(4, 4)
         with context.operation("build"):
@@ -287,15 +263,17 @@ class TestThreadingThroughStorage:
                 tree.insert(key, key, context)
         with context.operation("probe"):
             assert tree.search(7, context) == 7
-        build, probe = context.spans
-        assert build.page_writes > 0
-        assert probe.page_reads > 0
-        assert context.stats.total == build.total_pages + probe.total_pages
+        build, probe = trace.spans
+        assert build["page_writes"] > 0
+        assert probe["page_reads"] > 0
+        assert context.stats.total == sum(
+            row["page_reads"] + row["page_writes"] for row in trace.spans
+        )
 
-    def test_bare_context_uses_ambient_scope(self):
+    def test_bare_context_uses_ambient_scope(self, trace):
         context = ExecutionContext()
         tree = BPlusTree(4, 4)
         tree.insert(1, "one", context)
         assert tree.search(1, context) == "one"
         assert context.stats.total > 0
-        assert context.spans == []  # no operation was opened
+        assert trace.spans == []  # no operation was opened

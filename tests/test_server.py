@@ -23,7 +23,7 @@ def tiny_config(tmp_path, **overrides) -> ServerConfig:
     defaults = dict(
         # A short admission queue keeps every drain to a few dozen ops.
         serve=ServeConfig(
-            clients=2, ops=24, seed=7, capacity=64, io_micros=20.0, max_spans=64,
+            clients=2, ops=24, seed=7, capacity=64, io_micros=20.0,
             max_inflight=8,
         ),
         port=0,
@@ -92,7 +92,6 @@ def async_config(tmp_path, **serve_overrides) -> ServerConfig:
         seed=7,
         capacity=16,
         io_micros=4000.0,
-        max_spans=64,
         max_inflight=8,
     )
     serve.update(serve_overrides)

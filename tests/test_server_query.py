@@ -28,7 +28,6 @@ def queries_config(tmp_path, **serve_overrides) -> ServerConfig:
         seed=7,
         capacity=64,
         io_micros=20.0,
-        max_spans=64,
         profile="queries",
         # No updates: the object graph — and hence the ASR epoch — stays
         # quiescent between the test's own POSTs.

@@ -19,6 +19,8 @@ from repro.bench.serve import ServeConfig
 from repro.server import ServeDaemon, ServerConfig
 from repro.telemetry.tracing import PHASES
 
+from tests.telemetry.test_one_span_model import LAYER_PREFIXES, measured_pages
+
 QUERY = "select x from x in extent(T0) where x.A.A.A.A.Payload >= -5"
 
 
@@ -31,7 +33,6 @@ def traced_config(tmp_path, **overrides) -> ServerConfig:
         # Disk-class I/O: the device phase dominates, so attribution
         # coverage is a meaningful bar rather than clock noise.
         io_dist="disk",
-        max_spans=64,
         profile="queries",
         query_fraction=1.0,
         max_inflight=8,
@@ -153,6 +154,35 @@ class TestQueryTraceAcceptance:
             assert span["parent"] is None or 0 <= span["parent"] < index
         assert trace["annotations"]["strategy"] == payload["strategy"]
         assert trace["annotations"]["pages"] == payload["total_pages"]
+
+    def test_measured_rows_sum_to_the_response_total_pages(self, traced_daemon):
+        status, payload = post_query(traced_daemon, QUERY.replace("-5", "-6"))
+        assert status == 200
+        _status, trace = http_get(traced_daemon, f"/trace/{payload['trace_id']}")
+        assert measured_pages(trace["spans"]) == payload["total_pages"]
+        assert any("page_reads" in span for span in trace["spans"])
+        names = {span["name"] for span in trace["spans"]}
+        expected = {"query.compile", "query.run_compiled", "server.serialize"}
+        if payload["total_pages"]:  # a buffer-resident query charges no I/O
+            expected.add("device.charge")
+        assert expected <= names
+        assert all(name.startswith(LAYER_PREFIXES) for name in names), names
+
+    def test_a_500_leaves_an_error_trace_behind(self, traced_daemon, monkeypatch):
+        # Regression: only ParseError / QueryError finished the trace, so
+        # the request tail capture exists for was the one it lost.
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("storage on fire")
+
+        monkeypatch.setattr(traced_daemon.world.queries, "execute", broken)
+        registry = traced_daemon.world.registry
+        before = registry.counter_value("tracing.sampled")
+        status, body = post_query(traced_daemon, QUERY)
+        assert status == 500 and "storage on fire" in body["error"]
+        newest = traced_daemon.world.tracer.store.recent(1)[0]
+        assert (newest.name, newest.outcome) == ("POST /query", "error")
+        assert newest.duration_ms is not None
+        assert registry.counter_value("tracing.sampled") == before + 1
 
     def test_latency_exemplar_names_a_retained_trace(self, traced_daemon):
         status, payload = post_query(traced_daemon, QUERY)
@@ -317,6 +347,7 @@ class TestTraceIntegrityUnderConcurrency:
                 assert parent is None or 0 <= parent < index
                 assert span["duration_ms"] is not None
                 assert span["start_ms"] >= 0.0
+                assert span["name"].startswith(LAYER_PREFIXES), span["name"]
             assert set(trace.phases) <= set(PHASES)
             # Phases are disjoint segments: their sum can only approach
             # the end-to-end latency from below (small scheduling
