@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.asr.decomposition import Decomposition
@@ -96,6 +97,26 @@ _ABOVE_NULL = (0, 1)
 def row_key(row: Sequence[Cell]) -> tuple:
     """A total order over whole rows (the unique tie-break for tree keys)."""
     return tuple(cell_key(cell) for cell in row)
+
+
+def prefix_bounds(cell: Cell) -> tuple[tuple, tuple]:
+    """The half-open tree-key interval clustered under ``cell``.
+
+    Tree keys are ``(cell_key(cell), tie-break)`` with a non-empty tuple
+    as tie-break: ``(prefix, ())`` sorts before every one of them, and a
+    first element that *extends* the prefix sorts after them all yet
+    before the next prefix.
+    """
+    prefix = cell_key(cell)
+    return (prefix, ()), (prefix + (0,),)
+
+
+def _concatenated(slices) -> list:
+    """The values of a :meth:`BPlusTree.leaf_slices` walk, leaf after leaf."""
+    rows: list = []
+    for _keys, values in slices:
+        rows += values
+    return rows
 
 
 class StoredPartition:
@@ -256,29 +277,44 @@ class StoredPartition:
         never returned, however low ``lo`` is: a NULL terminal satisfies
         no comparison.
         """
-        results = []
-        for _key, value in self.backward_tree.range(
-            lo=(max(cell_key(lo), _ABOVE_NULL), ()),
-            hi=(cell_key(hi), ()),
-            context=resolve_buffer(context),
-        ):
-            results.append(value)
-        return results
+        return _concatenated(
+            self.backward_tree.leaf_slices(
+                (max(cell_key(lo), _ABOVE_NULL), ()),
+                (cell_key(hi), ()),
+                resolve_buffer(context),
+            )
+        )
 
     @staticmethod
     def _prefix_scan(tree: BPlusTree, cell: Cell, buffer) -> list[tuple[Cell, ...]]:
-        prefix = cell_key(cell)
-        results = []
-        for key, value in tree.range(lo=(prefix, ()), context=buffer):
-            if key[0] != prefix:
-                break
-            results.append(value)
-        return results
+        lo, hi = prefix_bounds(cell)
+        return _concatenated(tree.leaf_slices(lo, hi, buffer))
 
     def scan(self, context=None) -> list[tuple[Cell, ...]]:
         """Read every row, charging all data pages (exhaustive inspection)."""
-        buffer = resolve_buffer(context)
-        return [value for _, value in self.forward_tree.range(context=buffer)]
+        return _concatenated(
+            self.forward_tree.leaf_slices(context=resolve_buffer(context))
+        )
+
+    def select(
+        self, offset: int, cells: set[Cell], context=None
+    ) -> list[tuple[Cell, ...]]:
+        """Rows whose column ``offset`` is in the set ``cells``.
+
+        The access path of a query endpoint strictly inside the
+        partition: no clustering helps, so every data page is inspected
+        and charged exactly as :meth:`scan` charges it (the second sum
+        of Eqs. 33/34).  Membership is decided a page at a time — rows
+        are only looked at on the pages that hold a match.
+        """
+        column = itemgetter(offset)
+        rows: list = []
+        for _keys, values in self.forward_tree.leaf_slices(
+            context=resolve_buffer(context)
+        ):
+            if not cells.isdisjoint(map(column, values)):
+                rows += [row for row in values if row[offset] in cells]
+        return rows
 
 
 class AccessSupportRelation:

@@ -17,9 +17,10 @@ index keeps the canonical extension as its logical source of truth
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable
 
-from repro.asr.asr import cell_key
+from repro.asr.asr import cell_key, prefix_bounds
 from repro.asr.extensions import Extension, build_extension
 from repro.asr.journal import ASRState
 from repro.context import resolve_buffer
@@ -33,6 +34,9 @@ from repro.storage.pages import (
     DEFAULT_PAGE_SIZE,
     btree_fanout,
 )
+
+#: The anchor of a stored ``(value, anchor)`` pair.
+_ANCHOR = itemgetter(1)
 
 
 class NestedAttributeIndex:
@@ -148,23 +152,18 @@ class NestedAttributeIndex:
 
     def lookup(self, value: Cell, context=None) -> set[OID]:
         """Anchors whose path reaches ``value`` — one index probe."""
-        buffer = resolve_buffer(context)
-        prefix = cell_key(value)
-        anchors: set[OID] = set()
-        for key, (_value, anchor) in self.tree.range(lo=(prefix, ()), context=buffer):
-            if key[0] != prefix:
-                break
-            anchors.add(anchor)
-        return anchors
+        lo, hi = prefix_bounds(value)
+        return self._anchors(lo, hi, context)
 
     def lookup_range(self, lo: Cell, hi: Cell, context=None) -> set[OID]:
         """Anchors reaching any value in ``[lo, hi)`` (value clustering)."""
-        buffer = resolve_buffer(context)
+        return self._anchors((cell_key(lo), ()), (cell_key(hi), ()), context)
+
+    def _anchors(self, lo: tuple, hi: tuple, context) -> set[OID]:
+        """The anchors of the pairs keyed in ``[lo, hi)``, a leaf at a time."""
         anchors: set[OID] = set()
-        for _key, (_value, anchor) in self.tree.range(
-            lo=(cell_key(lo), ()), hi=(cell_key(hi), ()), context=buffer
-        ):
-            anchors.add(anchor)
+        for _keys, pairs in self.tree.leaf_slices(lo, hi, resolve_buffer(context)):
+            anchors.update(map(_ANCHOR, pairs))
         return anchors
 
     # ------------------------------------------------------------------

@@ -9,45 +9,30 @@ their identity — so atomic values appear directly wherever an OID could.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import total_ordering
-from typing import Any, Union
+from typing import Any, NamedTuple, Union
 
 from repro.gom.types import NULL, Null
 
 
-@total_ordering
-@dataclass(frozen=True)
-class OID:
+class OID(NamedTuple):
     """A system-generated object identifier.
 
     OIDs are invisible to the database user in GOM; here they surface as
     opaque, hashable, totally ordered handles (ordering is needed because
     OIDs serve as B+ tree keys).  The repr ``i42`` matches the paper's
     ``i0, i1, ...`` notation.
+
+    A one-field tuple, so hashing, equality and ordering — which rows
+    (tuples, which do not cache their hash) re-enter once per cell on
+    every set or dict operation — run in C without entering bytecode,
+    and still by *value*: set iteration order stays a function of the
+    data, never of addresses.  ``OID(7)`` is not ``7``.
     """
 
     value: int
 
     def __repr__(self) -> str:
         return f"i{self.value}"
-
-    # Written by hand: the generated pair builds and compares ``(value,)``
-    # tuples, and rows (tuples, which do not cache their hash) re-enter
-    # them once per cell on every set or dict operation.
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, OID):
-            return NotImplemented
-        return self.value < other.value
 
 
 #: A cell of an access support relation or an attribute slot: either an

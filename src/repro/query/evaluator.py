@@ -280,10 +280,7 @@ class QueryEvaluator:
             if a < first_column:
                 # The query's origin lies strictly inside this partition:
                 # every page must be inspected (second sum of Eq. 33).
-                offset = first_column - a
-                rows = [
-                    row for row in partition.scan(buffer) if row[offset] in frontier
-                ]
+                rows = partition.select(first_column - a, frontier, buffer)
             else:
                 rows = [
                     row
@@ -323,10 +320,7 @@ class QueryEvaluator:
                 rows = partition.lookup_backward_range(query.lo, query.hi, buffer)
             elif b > last_column:
                 # The query's target lies strictly inside this partition.
-                offset = last_column - a
-                rows = [
-                    row for row in partition.scan(buffer) if row[offset] in frontier
-                ]
+                rows = partition.select(last_column - a, frontier, buffer)
             else:
                 rows = [
                     row

@@ -18,6 +18,12 @@ Every node is one page.  Read operations accept a ``context`` — an
 touched; mutating operations charge page writes for each node they dirty.
 Passing ``context=None`` performs the operation without accounting (the
 logical layer uses that).
+
+The leaf page is also the unit scans *hand out*: :meth:`BPlusTree.leaf_slices`
+is the one leaf-chain walker, yielding each visited leaf's keys and values
+as lists, and :meth:`BPlusTree.range` is written on it — so a consumer
+that can decide per page (concatenate, filter a column with a set
+operation) never pays an interpreter step per row.
 """
 
 from __future__ import annotations
@@ -83,6 +89,9 @@ class BPlusTree:
         self.interior_capacity = interior_capacity
         self._root: _Leaf | _Interior = _Leaf()
         self._size = 0
+        # Leaf pages; only ``_split_leaf``, a leaf ``_merge`` and
+        # ``bulk_load`` change it.
+        self._leaves = 1
 
     # ------------------------------------------------------------------
     # basic queries
@@ -110,12 +119,7 @@ class BPlusTree:
         return self.height - 1
 
     def leaf_count(self) -> int:
-        count = 0
-        leaf = self._leftmost_leaf()
-        while leaf is not None:
-            count += 1
-            leaf = leaf.next
-        return count
+        return self._leaves
 
     def interior_count(self) -> int:
         if self._root.is_leaf:
@@ -155,6 +159,60 @@ class BPlusTree:
             return leaf.values[index]
         return _MISSING
 
+    def leaf_slices(
+        self,
+        lo: Any = None,
+        hi: Any = None,
+        context=None,
+    ) -> Iterator[tuple[list[Any], list[Any]]]:
+        """Yield ``(keys, values)`` per visited leaf for ``lo <= key < hi``.
+
+        The one leaf-chain walker: a leaf lying inside the bounds hands
+        out its own two lists (read them, never mutate them), a leaf the
+        bounds cut hands out slices found by ``bisect``, an empty cut
+        nothing.  ``None`` bounds are open.
+
+        Pages are charged as the walk touches them: interior pages on
+        the one descent, then each leaf as the consumer reaches it —
+        including the leaf on which the scan finds out it is over (a cut
+        that runs to the end of a leaf moves on and touches the next one
+        before it can see its first key).
+
+        The walk is lazy, and so is its accounting: when called with an
+        :class:`~repro.context.ExecutionContext`, the charge target is
+        resolved each time a page is touched — i.e. at *consumption*
+        time — not when the walker is created.  A scan created in one
+        operation span but iterated in another therefore charges the
+        span that actually does the reading, and a scan that is never
+        consumed charges nothing.
+        """
+        if hasattr(context, "current_buffer"):
+            return self._leaf_slices(lo, hi, _DeferredContextBuffer(context))
+        return self._leaf_slices(lo, hi, resolve_buffer(context))
+
+    def _leaf_slices(
+        self, lo: Any, hi: Any, buffer
+    ) -> Iterator[tuple[list[Any], list[Any]]]:
+        if lo is None:
+            leaf: _Leaf | None = self._leftmost_leaf(buffer)
+            start = 0
+        else:
+            leaf = self._descend(lo, buffer)
+            start = bisect_left(leaf.keys, lo)
+        while leaf is not None:
+            _touch(buffer, leaf, _LEAF_CATEGORY)
+            keys = leaf.keys
+            stop = len(keys) if hi is None else bisect_left(keys, hi, start)
+            if start < stop:
+                if stop - start == len(keys):
+                    yield keys, leaf.values
+                else:
+                    yield keys[start:stop], leaf.values[start:stop]
+            if stop < len(keys):
+                return  # the first key at or above ``hi`` is on this leaf
+            leaf = leaf.next
+            start = 0
+
     def range(
         self,
         lo: Any = None,
@@ -163,38 +221,11 @@ class BPlusTree:
     ) -> Iterator[tuple[Any, Any]]:
         """Yield ``(key, value)`` for ``lo <= key < hi`` in key order.
 
-        ``None`` bounds are open.  Pages are charged as the scan touches
-        them (interior pages on the initial descent, every leaf visited).
-
-        The scan is lazy, and so is its accounting: when called with an
-        :class:`~repro.context.ExecutionContext`, the charge target is
-        resolved each time a page is touched — i.e. at *consumption*
-        time — not when ``range`` is called.  A range created in one
-        operation span but iterated in another therefore charges the
-        span that actually does the reading, and a range that is never
-        consumed charges nothing.
+        :meth:`leaf_slices` flattened: same bounds, same pages, same
+        laziness and consumption-time charging.
         """
-        if hasattr(context, "current_buffer"):
-            return self._range(lo, hi, _DeferredContextBuffer(context))
-        return self._range(lo, hi, resolve_buffer(context))
-
-    def _range(self, lo: Any, hi: Any, buffer) -> Iterator[tuple[Any, Any]]:
-        if lo is None:
-            leaf: _Leaf | None = self._leftmost_leaf(buffer)
-            index = 0
-        else:
-            leaf = self._descend(lo, buffer)
-            index = bisect_left(leaf.keys, lo)
-        while leaf is not None:
-            _touch(buffer, leaf, _LEAF_CATEGORY)
-            while index < len(leaf.keys):
-                key = leaf.keys[index]
-                if hi is not None and not key < hi:
-                    return
-                yield key, leaf.values[index]
-                index += 1
-            leaf = leaf.next
-            index = 0
+        for keys, values in self.leaf_slices(lo, hi, context):
+            yield from zip(keys, values)
 
     def items(self) -> Iterator[tuple[Any, Any]]:
         return self.range()
@@ -254,6 +285,7 @@ class BPlusTree:
             right.next.prev = right
         right.prev = leaf
         leaf.next = right
+        self._leaves += 1
         _touch_write(buffer, right, _LEAF_CATEGORY)
         return right.keys[0], right
 
@@ -366,6 +398,7 @@ class BPlusTree:
             left.next = right.next
             if right.next is not None:
                 right.next.prev = left
+            self._leaves -= 1
         else:
             left.keys.append(parent.keys[left_index])
             left.keys.extend(right.keys)
@@ -441,6 +474,7 @@ class BPlusTree:
             level = next_level
         tree._root = level[0]
         tree._size = len(entries)
+        tree._leaves = len(leaves)
         return tree
 
     @staticmethod
@@ -460,6 +494,12 @@ class BPlusTree:
         collected = [key for key, _ in self.range()]
         assert collected == sorted(collected), "leaf chain out of order"
         assert len(collected) == self._size, "size counter out of sync"
+        chain = 0
+        leaf = self._leftmost_leaf()
+        while leaf is not None:
+            chain += 1
+            leaf = leaf.next
+        assert chain == self._leaves, "leaf counter out of sync"
 
     def _check_node(self, node, lo, hi, is_root=False) -> int:
         if node.is_leaf:

@@ -1,8 +1,12 @@
 """Unit tests for the object base: instantiation, typing, updates, events."""
 
 import copy
-import dataclasses
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +42,7 @@ def db(schema):
 
 
 class TestOID:
-    """The hand-written ``__hash__`` / ``__eq__`` keep the dataclass contract."""
+    """The tuple-backed ``OID`` keeps the contract of the dataclass it replaced."""
 
     def test_equality_is_by_class_and_value(self):
         assert OID(7) == OID(7) and hash(OID(7)) == hash(OID(7))
@@ -49,7 +53,7 @@ class TestOID:
 
     def test_order_frozen_copy_and_pickle_survive(self):
         assert OID(1) < OID(2) <= OID(2) and max(OID(3), OID(9)) == OID(9)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             OID(1).value = 2
         for clone in (
             copy.copy(OID(5)),
@@ -57,6 +61,48 @@ class TestOID:
             pickle.loads(pickle.dumps(OID(5))),
         ):
             assert clone == OID(5) and hash(clone) == hash(OID(5))
+
+    def test_an_oid_is_not_an_int(self):
+        assert not isinstance(OID(7), int) and isinstance(OID(7), OID)
+        assert OID(7).value == 7 and repr(OID(7)) == "i7"
+        with pytest.raises(TypeError):
+            OID(7) + 1
+        with pytest.raises(TypeError):
+            OID(7) < 8
+
+    def test_no_json_boundary_renders_an_oid_as_a_list(self):
+        # An OID is a tuple, so a bare ``json.dumps`` would emit ``[42]``
+        # where the dataclass raised: both boundaries must encode it first.
+        from repro.gom.serialization import decode_cell, encode_cell
+        from repro.query.service import jsonable_cell
+
+        for cell in (OID(42), NULL, 42, 4.5, "i42", True):
+            rendered = json.dumps(jsonable_cell(cell))
+            assert "[" not in rendered
+            assert decode_cell(json.loads(json.dumps(encode_cell(cell)))) == cell
+        assert json.dumps(jsonable_cell(OID(42))) == '"i42"'
+        assert not isinstance(encode_cell(OID(42)), (list, tuple))
+
+    def test_set_order_is_a_function_of_the_values_not_the_process(self):
+        # What an identity-hashed flyweight would break: two processes
+        # with different hash seeds iterate a set of OIDs in one order.
+        script = (
+            "from repro.gom import OID\n"
+            "print(list({OID(v) for v in range(0, 4000, 37)}))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        printed = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=60,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert printed[0] == printed[1] and printed[0].startswith("[i")
 
 
 class TestInstantiation:

@@ -114,6 +114,42 @@ class TestNestedAttributeIndex:
             expected |= index.lookup(payload)
         assert index.lookup_range(10, 20) == expected
 
+    def test_index_scans_read_what_the_row_at_a_time_loops_read(self, small_chain):
+        from repro.asr.asr import cell_key
+        from tests.storage.reference_walker import RecordingBuffer, reference_range
+
+        db = small_chain.db
+        value_path = PathExpression(db.schema, "T0", ("A", "A", "A", "Payload"))
+        for index_t3, oid in enumerate(small_chain.layers[3]):
+            db.set_attr(oid, "Payload", index_t3 % 5)
+        # 48-byte pages: three pairs per leaf, so every value's anchors
+        # span leaves.
+        index = NestedAttributeIndex(value_path, page_size=48, oid_size=8)
+        index.rebuild(db)
+        assert index.total_pages > 10
+
+        def reference(lo, hi, buffer, prefix=None):
+            anchors = set()
+            for key, (_value, anchor) in reference_range(index.tree, lo, hi, buffer):
+                if prefix is not None and key[0] != prefix:
+                    break
+                anchors.add(anchor)
+            return anchors
+
+        for value in (-1, 0, 2, 4, 5, "absent"):
+            ours, theirs = RecordingBuffer(), RecordingBuffer()
+            prefix = cell_key(value)
+            assert index.lookup(value, ours) == reference(
+                (prefix, ()), None, theirs, prefix
+            )
+            assert ours.touched == theirs.touched
+        for lo, hi in ((0, 5), (1, 3), (2, 2), (3, 1), (-4, 9)):
+            ours, theirs = RecordingBuffer(), RecordingBuffer()
+            assert index.lookup_range(lo, hi, ours) == reference(
+                (cell_key(lo), ()), (cell_key(hi), ()), theirs
+            )
+            assert ours.touched == theirs.touched
+
     def test_storage_statistics(self, company_world):
         db, path, _o = company_world
         index = NestedAttributeIndex.build(db, path)

@@ -7,6 +7,7 @@ epoch-invalidation assertions are exact.
 """
 
 import json
+import re
 import time
 import urllib.error
 import urllib.request
@@ -109,6 +110,18 @@ class TestQueryEndpoint:
         assert payload["cached"] is False
         # OIDs render as their repr, so rows are JSON-clean.
         assert all(isinstance(cell, str) for row in payload["rows"] for cell in row)
+
+    def test_projection_renders_oids_as_strings_never_as_lists(self, quiet_daemon):
+        # An OID is a one-field tuple: a JSON boundary that skipped
+        # ``jsonable_cell`` would emit ``[42]`` instead of raising.
+        status, payload = post_query(
+            quiet_daemon, QUERY.replace("select x ", "select x, x.A.A.A.A.Payload ")
+        )
+        assert status == 200 and payload["row_count"] > 0
+        for oid, value in payload["rows"]:
+            assert re.fullmatch(r"i\d+", oid), oid
+            assert isinstance(value, int) and not isinstance(value, bool)
+        assert not re.search(r"\[\s*\d+\s*\]", json.dumps(payload))
 
     def test_second_identical_post_hits_cache_and_skips_planning(
         self, quiet_daemon

@@ -116,9 +116,17 @@ class TestQueryTraceAcceptance:
         # machine, so take the best of a few attempts — a systematic
         # attribution hole fails all of them.  Each attempt varies the
         # literal so every plan is a cache miss (the bar covers the
-        # full parse/validate/compile pipeline, not a cache probe).
+        # full parse/validate/compile pipeline, not a cache probe), and
+        # runs against a cold pool: the relative bar presumes the
+        # disk-class device phase ``traced_config`` promises, and after
+        # warm-up the 64-page pool holds everything the request reads —
+        # no page charged, no ``device`` phase, and the front door's
+        # constant ~80 us of unspanned glue (docs/observability.md) is a
+        # tenth of a sub-millisecond request.
         best = None
+        least_unattributed_ms = float("inf")
         for attempt in range(5):
+            traced_daemon.world.pool.pool.evict_all()
             status, payload = post_query(
                 traced_daemon, QUERY.replace(">= -5", f">= -{5 + attempt}")
             )
@@ -129,14 +137,25 @@ class TestQueryTraceAcceptance:
             assert trace["trace_id"] == trace_id
             assert trace["name"] == "POST /query"
             assert trace["outcome"] == "ok"
+            # The premise of the relative bar; it lapsed silently once.
+            assert payload["total_pages"] > 0
+            assert trace["phases"]["device"] > 0
             covered = sum(trace["phases"].values())
+            least_unattributed_ms = min(
+                least_unattributed_ms, trace["unattributed_ms"]
+            )
             if best is None or covered / trace["duration_ms"] > best[0]:
                 best = (covered / trace["duration_ms"], payload, trace, covered)
-            if covered >= 0.9 * trace["duration_ms"]:
+            if covered >= 0.9 * trace["duration_ms"] and least_unattributed_ms <= 0.3:
                 break
         ratio, payload, trace, covered = best
         assert covered >= 0.9 * trace["duration_ms"], (
             f"best phase coverage over 5 attempts was {ratio:.1%}"
+        )
+        # The absolute bar the relative one stands in for: the glue no
+        # span covers is a constant, whatever the device adds.
+        assert least_unattributed_ms <= 0.3, (
+            f"least unattributed time over 5 attempts was {least_unattributed_ms:.3f} ms"
         )
         assert trace["unattributed_ms"] == pytest.approx(
             trace["duration_ms"] - covered, abs=1e-3
