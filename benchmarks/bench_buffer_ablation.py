@@ -3,7 +3,7 @@
 The cost model (and Yao's formula) implicitly assumes a buffer large
 enough that each distinct page is read once per operation.  This bench
 re-runs the exhaustive backward scan under LRU buffers of decreasing
-capacity (``BoundedBufferScope``) and shows how page traffic inflates
+capacity (``SharedBufferPool``) and shows how page traffic inflates
 once the working set no longer fits — quantifying how load-bearing that
 modelling assumption is.
 """
@@ -13,7 +13,7 @@ from repro.costmodel import ApplicationProfile
 from repro.gom.objects import OID
 from repro.gom.types import NULL
 from repro.query import BackwardQuery
-from repro.storage.stats import AccessStats, BoundedBufferScope, BufferScope
+from repro.storage.stats import AccessStats, BufferScope, SharedBufferPool
 from repro.workload import ChainGenerator
 
 PROFILE = ApplicationProfile(
@@ -31,7 +31,7 @@ def scan_pages_with_capacity(generated, capacity: int | None) -> int:
     buffer = (
         BufferScope(stats)
         if capacity is None
-        else BoundedBufferScope(stats, capacity)
+        else SharedBufferPool(stats, capacity)
     )
     target = generated.layers[path.n][0]
     # Inline unsupported backward scan so the custom buffer is used.

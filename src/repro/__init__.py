@@ -27,7 +27,7 @@ from repro.errors import (
     StorageError,
     TypingError,
 )
-from repro.concurrency import ContextPool, RWLock, ThreadLocalContexts
+from repro.concurrency import ContextPool, RWLock
 from repro.device import (
     DeviceModel,
     FixedLatency,
@@ -110,7 +110,6 @@ __all__ = [
     "FaultInjector",
     "ContextPool",
     "RWLock",
-    "ThreadLocalContexts",
     # simulated device
     "DeviceModel",
     "FixedLatency",

@@ -43,7 +43,6 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,7 +50,7 @@ from dataclasses import dataclass
 from repro.asr.adaptive import WorkloadRecorder
 from repro.asr.extensions import Extension
 from repro.asr.manager import ASRManager
-from repro.concurrency import ContextPool, ThreadLocalContexts
+from repro.concurrency import ContextPool
 from repro.costmodel.parameters import ApplicationProfile
 from repro.device import DeviceModel, LatencyModel, parse_io_dist
 from repro.errors import InjectedFault, SimulatedCrash
@@ -424,15 +423,14 @@ async def drive_operation_async(
 
 
 class ExecutorWorkers:
-    """A bounded executor whose threads each own a pooled serve context.
+    """A bounded executor running each operation on its own pooled context.
 
     The serving core offloads :func:`execute_operation` calls here.
-    Each executor thread lazily acquires its own
-    :class:`~repro.context.ExecutionContext` from the world's pool (via
-    :class:`~repro.concurrency.ThreadLocalContexts`) plus an evaluator
-    bound to it, so the pool's accounting invariant (shared ==
-    retired + Σ live) holds.  :meth:`close` shuts the executor down and
-    retires every thread's context.
+    Every operation borrows an :class:`~repro.context.ExecutionContext`
+    from the world's pool for its lifetime (``with pool.context()``, as
+    ``POST /query`` does per request), so the pool's accounting
+    invariant (shared == retired + Σ live) holds and a failed operation
+    still retires its context.  :meth:`close` shuts the executor down.
     """
 
     def __init__(self, world: ServeWorld, max_workers: int) -> None:
@@ -441,20 +439,6 @@ class ExecutorWorkers:
         self.executor = ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="serve-exec"
         )
-        self._contexts = ThreadLocalContexts(world.pool)
-        self._local = threading.local()
-
-    def _evaluator(self) -> QueryEvaluator:
-        """This thread's evaluator, bound to its current pooled context."""
-        evaluator = getattr(self._local, "evaluator", None)
-        context = self._contexts.get()
-        if evaluator is None or evaluator.context is not context:
-            evaluator = self._local.evaluator = QueryEvaluator(
-                self.world.generated.db,
-                self.world.generated.store,
-                context=context,
-            )
-        return evaluator
 
     def execute(self, op: Operation, trace=None) -> int:
         """Run one operation's core on the calling executor thread.
@@ -464,16 +448,18 @@ class ExecutorWorkers:
         thread for the duration, so the RWLock wait hooks and the
         context's measured operations can find it.
         """
-        world, evaluator = self.world, self._evaluator()
-        with activate(trace):
+        world = self.world
+        with activate(trace), world.pool.context() as context:
+            evaluator = QueryEvaluator(
+                world.generated.db, world.generated.store, context=context
+            )
             return execute_operation(
-                world, evaluator.context, world.planner, evaluator, op, trace=trace
+                world, context, world.planner, evaluator, op, trace=trace
             )
 
     def close(self) -> None:
-        """Drain the executor, then retire every thread's context."""
+        """Drain the executor (every operation retired its own context)."""
         self.executor.shutdown(wait=True)
-        self._contexts.release_all()
 
 
 class ServingCore:
@@ -606,7 +592,7 @@ class ServingCore:
                 self.queue.task_done()
 
     def close(self) -> None:
-        """Shut the executor down and retire its threads' contexts."""
+        """Shut the executor down."""
         self.workers.close()
 
 

@@ -44,7 +44,7 @@ from repro.storage.stats import (
 )
 from repro.telemetry.tracing import current_trace
 
-__all__ = ["RWLock", "ContextPool", "ThreadLocalContexts"]
+__all__ = ["RWLock", "ContextPool"]
 
 
 class RWLock:
@@ -193,9 +193,6 @@ class ContextPool:
     ----------
     capacity:
         Page capacity of the shared LRU pool.
-    stats:
-        The shared aggregate; a fresh
-        :class:`~repro.storage.stats.ThreadSafeAccessStats` by default.
     fault_injector:
         Optional injector consulted by the shared pool on charged
         accesses (under the pool lock, so fault decisions are
@@ -208,7 +205,7 @@ class ContextPool:
         target of :meth:`check_accounting` — the pool never pays for
         metrics on the touch path.
 
-    Usage, one worker thread each::
+    Usage, per worker thread or per served operation::
 
         pool = ContextPool(capacity=256)
         def worker():
@@ -224,30 +221,22 @@ class ContextPool:
     per-worker totals at any quiescent point.
 
     **Recycling.**  :meth:`release` (and the :meth:`context` manager)
-    retires a finished context: its exit hooks run, its private stats
-    fold into the pool's :attr:`retired` accumulator, and its
-    :class:`~repro.storage.stats.WorkerScope` goes onto a free list that
-    :meth:`acquire` drains first — the scope is *reset* onto a fresh
-    private :class:`AccessStats`, so a reused worker slot never inherits
-    a predecessor's counters.  :attr:`contexts` therefore lists only
-    *live* contexts, and the accounting invariant becomes
+    retires a finished context: its exit hooks run and its private stats
+    fold into the pool's :attr:`retired` accumulator.  :attr:`contexts`
+    therefore lists only *live* contexts, and the accounting invariant
+    becomes
 
         shared totals  ==  retired totals + Σ live per-worker totals
 
     which :meth:`check_accounting` evaluates (and publishes).
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        stats: AccessStats | None = None,
-        fault_injector=None,
-        metrics=None,
-    ) -> None:
+    def __init__(self, capacity: int, fault_injector=None, metrics=None) -> None:
         if capacity < 1:
             raise ValueError("pool capacity must be at least one page")
         self.capacity = capacity
-        self.stats = stats if stats is not None else ThreadSafeAccessStats()
+        #: The shared aggregate every worker's charge lands in.
+        self.stats = ThreadSafeAccessStats()
         self.fault_injector = fault_injector
         self.metrics = metrics
         self.pool = SharedBufferPool(self.stats, capacity, fault_injector)
@@ -255,11 +244,8 @@ class ContextPool:
         self.retired = AccessStats()
         #: Contexts retired through :meth:`release` so far.
         self.recycled = 0
-        #: Acquisitions that reused a retired worker scope.
-        self.reused = 0
         self._lock = threading.Lock()
         self._contexts: list[ExecutionContext] = []
-        self._free_scopes: list[WorkerScope] = []
         if metrics is not None:
             self._register_gauges(metrics)
 
@@ -275,25 +261,10 @@ class ContextPool:
         metrics.gauge_fn("pool.recycled", lambda: self.recycled)
 
     def acquire(self) -> ExecutionContext:
-        """A worker context sharing this pool's buffer frames.
-
-        Reuses a retired :class:`WorkerScope` when one is free (reset
-        onto fresh private stats); otherwise creates a new scope.
-        """
-        worker_stats = AccessStats()
-        with self._lock:
-            scope = self._free_scopes.pop() if self._free_scopes else None
-            if scope is not None:
-                self.reused += 1
-        if scope is None:
-            scope = WorkerScope(self.pool, worker_stats)
-        else:
-            scope.stats = worker_stats
+        """A worker context sharing this pool's buffer frames."""
         context = ExecutionContext(
-            policy="bounded",
-            stats=worker_stats,
+            buffer=WorkerScope(self.pool, AccessStats()),
             fault_injector=self.fault_injector,
-            shared_buffer=scope,
             metrics=self.metrics,
         )
         with self._lock:
@@ -301,7 +272,7 @@ class ContextPool:
         return context
 
     def release(self, context: ExecutionContext) -> None:
-        """Retire ``context``: close it, fold its stats, recycle its scope.
+        """Retire ``context``: close it and fold its stats.
 
         The context's private totals move into :attr:`retired` even when
         an exit hook raises, so the accounting invariant holds across
@@ -316,9 +287,6 @@ class ContextPool:
                     self._contexts.remove(context)
                     self.retired.merge(context.stats)
                     self.recycled += 1
-                    scope = context._ambient
-                    if isinstance(scope, WorkerScope):
-                        self._free_scopes.append(scope)
 
     @contextmanager
     def context(self) -> Iterator[ExecutionContext]:
@@ -392,73 +360,4 @@ class ContextPool:
             "page_writes": self.stats.page_writes,
             "contexts": len(self.contexts),
             "recycled": self.recycled,
-            "reused": self.reused,
         }
-
-
-class ThreadLocalContexts:
-    """Hands each calling thread one pooled context, lazily.
-
-    The executor-offload serving path (DESIGN §12) runs CPU-bound plan
-    evaluation on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
-    whose threads the event loop reuses for arbitrary operations — so a
-    context cannot be scoped to one operation the way
-    :meth:`ContextPool.context` scopes it to one client thread's whole
-    replay.  This helper pins a pool context to each *thread* instead:
-    the first :meth:`get` on a thread acquires from the pool, later calls
-    return the same context, and :meth:`release_all` retires every
-    handed-out context at once.
-
-    :meth:`release_all` is for the coordinator thread *after* the worker
-    threads are done (e.g. after ``executor.shutdown(wait=True)``):
-    releasing a context still in use by a live thread would tear its
-    accounting mid-charge.
-    """
-
-    def __init__(self, pool: ContextPool) -> None:
-        self.pool = pool
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._handed_out: list[ExecutionContext] = []
-        #: Bumped by :meth:`release_all` so a surviving thread never
-        #: resurrects a context that was already retired under it.
-        self._generation = 0
-
-    def get(self) -> ExecutionContext:
-        """This thread's context, acquiring one on first use."""
-        entry = getattr(self._local, "entry", None)
-        if entry is not None:
-            context, generation = entry
-            if generation == self._generation:
-                return context
-        with self._lock:
-            generation = self._generation
-        context = self.pool.acquire()
-        self._local.entry = (context, generation)
-        with self._lock:
-            if generation == self._generation:
-                self._handed_out.append(context)
-                return context
-        # A release_all raced our acquisition: retire immediately.
-        self._local.entry = None
-        self.pool.release(context)
-        return self.get()
-
-    @property
-    def live(self) -> int:
-        """Contexts currently handed out and not yet released."""
-        with self._lock:
-            return len(self._handed_out)
-
-    def release_all(self) -> None:
-        """Retire every handed-out context back into the pool.
-
-        Call only once the owning threads are quiescent (executor shut
-        down); a thread that calls :meth:`get` afterwards acquires a
-        fresh context.
-        """
-        with self._lock:
-            contexts, self._handed_out = self._handed_out, []
-            self._generation += 1
-        for context in contexts:
-            self.pool.release(context)

@@ -4,18 +4,18 @@ Historically every charged operation in this library threaded a bare
 ``buffer=None`` parameter from the public API down to the B+ tree nodes.
 That worked for single measurements but left three concerns scattered
 across ~60 call sites: *which* :class:`~repro.storage.stats.AccessStats`
-gets charged, *what buffer policy* governs distinct-page counting (the
-paper's Yao-style per-operation buffer, a bounded LRU pool, or no
-caching at all), and *how* one measurement is delimited (snapshot /
-delta pairs copy-pasted per caller).
+gets charged, *what buffer* governs distinct-page counting (the paper's
+Yao-style per-operation scope, or one buffer that outlives operations),
+and *how* one measurement is delimited (snapshot / delta pairs
+copy-pasted per caller).
 
 :class:`ExecutionContext` consolidates all three:
 
 * it owns the :class:`~repro.storage.stats.AccessStats` counters;
-* it instantiates buffer scopes according to a declared policy
-  (``unbounded`` — the analytical model's assumption, ``bounded`` — a
-  finite LRU pool persisting across operations, ``null`` — every touch
-  charged);
+* it gives every operation its buffer: a fresh per-operation
+  :class:`~repro.storage.stats.BufferScope` (the analytical model's
+  assumption), or the one buffer it was constructed with (a view of a
+  finite shared LRU pool, typically);
 * it delimits **measured operations**: named, optionally nested
   intervals whose page-access delta is taken once, published as the
   ``span.pages`` histogram and — when a request trace is active on the
@@ -38,17 +38,18 @@ from typing import Callable, Iterator
 from repro.errors import ExitHookError
 from repro.storage.stats import (
     AccessStats,
-    BoundedBufferScope,
     BufferScope,
     NullBuffer,
+    SharedBufferPool,
+    WorkerScope,
     resolve_buffer,
 )
 from repro.telemetry.tracing import current_trace, maybe_span, record_pages
 
-__all__ = ["ExecutionContext", "Measured", "resolve_buffer", "POLICIES"]
+__all__ = ["ExecutionContext", "Measured", "resolve_buffer"]
 
-#: Recognized buffer policies (see :class:`ExecutionContext`).
-POLICIES = ("unbounded", "bounded", "null")
+#: What a context charges: anything with ``touch`` / ``touch_write`` / ``stats``.
+Buffer = BufferScope | NullBuffer | SharedBufferPool | WorkerScope
 
 
 class Measured:
@@ -61,46 +62,33 @@ class Measured:
 
     __slots__ = ("buffer", "delta")
 
-    def __init__(self, buffer: BufferScope | NullBuffer) -> None:
+    def __init__(self, buffer: Buffer) -> None:
         self.buffer = buffer
         self.delta: AccessStats | None = None
 
 
 class ExecutionContext:
-    """Owns accounting, buffer policy, and tracing for one execution.
+    """Owns accounting, buffering, and measuring for one execution.
 
     Parameters
     ----------
-    policy:
-        ``"unbounded"`` (default): each operation gets a fresh
+    buffer:
+        ``None`` (default): each measured operation gets a fresh
         :class:`BufferScope` — the per-operation distinct-page counting
-        the analytical model assumes (section 5.6).
-        ``"bounded"``: one :class:`BoundedBufferScope` of ``capacity``
-        pages shared by *all* operations of the context — a real,
-        finite buffer pool whose residency survives operation
-        boundaries.
-        ``"null"``: a :class:`NullBuffer` — every touch is charged.
-    capacity:
-        LRU capacity in pages; required for (and only meaningful under)
-        the ``bounded`` policy.
-    stats:
-        An existing :class:`AccessStats` to charge; a fresh one by
-        default.
+        the analytical model assumes (section 5.6).  Otherwise the
+        externally owned scope (anything with ``touch`` / ``touch_write``
+        / ``stats``: a :class:`~repro.storage.stats.WorkerScope` over a
+        :class:`~repro.storage.stats.SharedBufferPool`, the pool itself,
+        a :class:`~repro.storage.stats.NullBuffer`) that *is* the buffer
+        of every operation and of the ambient scope — residency survives
+        operation boundaries — and ``context.stats is buffer.stats``.
     fault_injector:
-        Optional :class:`~repro.faults.FaultInjector`.  Every buffer
-        scope the context creates consults it on charged page accesses,
-        and subsystems holding the context (the ASR manager's flush and
+        Optional :class:`~repro.faults.FaultInjector`.  Every
+        per-operation scope the context creates consults it on charged
+        page accesses (a supplied ``buffer`` carries its own), and
+        subsystems holding the context (the ASR manager's flush and
         recovery pipeline) consult its named crash points — so one
         policy object makes a whole execution's failures reproducible.
-    shared_buffer:
-        Optional externally owned buffer scope (typically a
-        :class:`~repro.storage.stats.WorkerScope` over a
-        :class:`~repro.storage.stats.SharedBufferPool`) used as *the*
-        scope for every operation of this context — the per-connection
-        idiom of :class:`~repro.concurrency.ContextPool`, where many
-        contexts share one bounded pool.  Only meaningful under the
-        ``bounded`` policy; ``capacity`` then describes the shared
-        pool and may be omitted.
     metrics:
         Optional :class:`~repro.telemetry.registry.MetricsRegistry`.
         When attached, every completed operation publishes its page
@@ -122,36 +110,18 @@ class ExecutionContext:
     """
 
     def __init__(
-        self,
-        policy: str = "unbounded",
-        capacity: int | None = None,
-        stats: AccessStats | None = None,
-        fault_injector=None,
-        shared_buffer=None,
-        metrics=None,
+        self, buffer: Buffer | None = None, fault_injector=None, metrics=None
     ) -> None:
-        if policy not in POLICIES:
-            raise ValueError(f"unknown buffer policy {policy!r}; known: {POLICIES}")
-        if shared_buffer is not None:
-            if policy != "bounded":
-                raise ValueError("a shared buffer implies the 'bounded' policy")
-            if capacity is None:
-                capacity = getattr(shared_buffer, "capacity", None)
-        elif policy == "bounded" and (capacity is None or capacity < 1):
-            raise ValueError("bounded policy requires a positive page capacity")
-        if policy != "bounded" and capacity is not None:
-            raise ValueError(f"capacity is only meaningful under 'bounded', not {policy!r}")
-        self.policy = policy
-        self.capacity = capacity
-        self.stats = stats if stats is not None else AccessStats()
+        self.buffer = buffer
+        self.stats: AccessStats = AccessStats() if buffer is None else buffer.stats
         self.fault_injector = fault_injector
         self.metrics = metrics
         #: ``operation name -> times entered`` counters.
         self.op_counts: dict[str, int] = {}
         #: Metric snapshots interleaved with the trace (``--trace``).
         self.metric_snapshots: list[dict] = []
-        self._buffer_stack: list[BufferScope | NullBuffer] = []
-        self._ambient: BufferScope | NullBuffer | None = shared_buffer
+        self._buffer_stack: list[Buffer] = []
+        self._ambient: Buffer | None = buffer
         self._exit_hooks: list[Callable[[], None]] = []
         self._closed = False
 
@@ -159,31 +129,14 @@ class ExecutionContext:
     # buffer management
     # ------------------------------------------------------------------
 
-    def new_scope(self) -> BufferScope | NullBuffer:
-        """A fresh buffer scope under this context's policy."""
-        if self.policy == "bounded":
-            # The bounded pool is a *shared* resource: residency must
-            # survive operation boundaries, so there is only one.
-            return self._ambient_scope()
-        if self.policy == "null":
-            return NullBuffer(self.stats, self.fault_injector)
+    def new_scope(self) -> Buffer:
+        """One operation's buffer: the supplied one, else a fresh scope."""
+        if self.buffer is not None:
+            return self.buffer
         return BufferScope(self.stats, self.fault_injector)
 
-    def _ambient_scope(self) -> BufferScope | NullBuffer:
-        if self._ambient is None:
-            if self.policy == "bounded":
-                assert self.capacity is not None
-                self._ambient = BoundedBufferScope(
-                    self.stats, self.capacity, self.fault_injector
-                )
-            elif self.policy == "null":
-                self._ambient = NullBuffer(self.stats, self.fault_injector)
-            else:
-                self._ambient = BufferScope(self.stats, self.fault_injector)
-        return self._ambient
-
     @property
-    def current_buffer(self) -> BufferScope | NullBuffer:
+    def current_buffer(self) -> Buffer:
         """The buffer accesses are charged to right now.
 
         Inside an :meth:`operation` this is the operation's scope;
@@ -192,7 +145,9 @@ class ExecutionContext:
         """
         if self._buffer_stack:
             return self._buffer_stack[-1]
-        return self._ambient_scope()
+        if self._ambient is None:
+            self._ambient = self.new_scope()
+        return self._ambient
 
     # ------------------------------------------------------------------
     # measuring
@@ -203,7 +158,7 @@ class ExecutionContext:
         """Delimit one measured operation; yields its :class:`Measured`.
 
         The one place a page delta is taken: ``name`` is counted, the
-        policy's scope is opened, and on exit the delta lands on the
+        operation's buffer is opened, and on exit the delta lands on the
         yielded handle and in the ``span.pages`` histogram.  When a
         request trace is active on this thread the interval is also one
         row of it — seconds and pages together, plus ``notes`` — and
@@ -226,7 +181,7 @@ class ExecutionContext:
                 self.metrics.observe("span.pages", delta.total, op=name)
 
     @contextmanager
-    def operation(self, name: str) -> Iterator[BufferScope | NullBuffer]:
+    def operation(self, name: str) -> Iterator[Buffer]:
         """:meth:`measure` for callers that only charge: yields the scope."""
         with self.measure(name) as measured:
             yield measured.buffer
@@ -313,10 +268,13 @@ class ExecutionContext:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Policy, headline counters, operation counts, metric snapshots."""
+        """Buffer capacity, headline counters, operation counts, snapshots.
+
+        ``capacity`` is the supplied buffer's (``None`` for per-operation
+        scopes, which are unbounded).
+        """
         out = {
-            "policy": self.policy,
-            "capacity": self.capacity,
+            "capacity": getattr(self.buffer, "capacity", None),
             "page_reads": self.stats.page_reads,
             "page_writes": self.stats.page_writes,
             "total_pages": self.stats.total,
@@ -332,7 +290,7 @@ class ExecutionContext:
 
     def __repr__(self) -> str:
         return (
-            f"ExecutionContext(policy={self.policy!r}, "
+            f"ExecutionContext(buffer={type(self.buffer).__name__}, "
             f"reads={self.stats.page_reads}, writes={self.stats.page_writes})"
         )
 

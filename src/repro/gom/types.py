@@ -44,6 +44,11 @@ class Null:
     def __bool__(self) -> bool:
         return False
 
+    def __hash__(self) -> int:
+        # By value, not by address: a set of rows holding NULL iterates
+        # in the same order in every process.
+        return 0x4E554C4C
+
     def __repr__(self) -> str:
         return "NULL"
 

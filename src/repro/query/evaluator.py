@@ -79,10 +79,10 @@ class QueryEvaluator:
         results are still exact but page counts are zero.
     context:
         The :class:`~repro.context.ExecutionContext` to charge; the
-        evaluator makes its own (``unbounded`` policy) when none is
+        evaluator makes its own (per-operation scopes) when none is
         given.  Every evaluated query is one measured operation of it:
-        a per-query buffer scope drawn from the context's policy, one
-        page delta, and — under an active trace — one row.
+        the context's buffer for one operation, one page delta, and —
+        under an active trace — one row.
     """
 
     def __init__(

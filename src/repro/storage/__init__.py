@@ -16,7 +16,7 @@ The paper's cost model measures everything in *secondary page accesses*
   must traverse.
 """
 
-from repro.storage.stats import AccessStats, BoundedBufferScope, BufferScope, NullBuffer
+from repro.storage.stats import AccessStats, BufferScope, NullBuffer
 from repro.storage.pages import (
     DEFAULT_PAGE_SIZE,
     DEFAULT_OID_SIZE,
@@ -33,7 +33,6 @@ from repro.storage.objectstore import ClusteredObjectStore
 __all__ = [
     "AccessStats",
     "BufferScope",
-    "BoundedBufferScope",
     "NullBuffer",
     "BPlusTree",
     "ClusteredObjectStore",

@@ -451,27 +451,20 @@ class BPlusTree:
             before.values, last.values = combined_values[:half], combined_values[half:]
         level: list[Any] = leaves
         while len(level) > 1:
-            next_level: list[Any] = []
-            for start in range(0, len(level), interior_capacity):
-                group = level[start : start + interior_capacity]
-                if len(group) == 1:
-                    next_level.append(group[0])
-                    continue
+            groups = [
+                level[start : start + interior_capacity]
+                for start in range(0, len(level), interior_capacity)
+            ]
+            # Avoid a lone tail node (it gets a sibling from its full
+            # predecessor, which keeps at least two of its >= 3 children).
+            if len(groups[-1]) == 1:
+                groups[-1].insert(0, groups[-2].pop())
+            level = []
+            for group in groups:
                 node = _Interior()
                 node.children = group
                 node.keys = [cls._smallest_key(child) for child in group[1:]]
-                next_level.append(node)
-            # Avoid an interior node with a single child at the tail.
-            if (
-                len(next_level) >= 2
-                and not next_level[-1].is_leaf
-                and len(next_level[-1].children) < 2
-            ):
-                orphan = next_level.pop()
-                target = next_level[-1]
-                target.keys.append(cls._smallest_key(orphan.children[0]))
-                target.children.extend(orphan.children)
-            level = next_level
+                level.append(node)
         tree._root = level[0]
         tree._size = len(entries)
         tree._leaves = len(leaves)

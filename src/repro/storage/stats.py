@@ -195,77 +195,6 @@ class NullBuffer:
         return True
 
 
-class BoundedBufferScope(BufferScope):
-    """A buffer with finite capacity and LRU replacement.
-
-    The plain :class:`BufferScope` models the paper's implicit
-    assumption of a buffer large enough to hold one operation's working
-    set (Yao's distinct-page counting).  This variant bounds residency at
-    ``capacity`` pages: re-touching an evicted page is charged again,
-    which is what a real, smaller buffer pool would do.  Used by the
-    buffer-sensitivity ablation benchmark and the ``bounded`` policy of
-    :class:`~repro.context.ExecutionContext`.
-
-    Writes participate in residency and recency exactly like reads: a
-    written page occupies a frame, dirtying it refreshes its recency,
-    and a page written again after eviction is charged a second write
-    (the first write-back already happened at eviction time).
-    """
-
-    def __init__(self, stats: AccessStats, capacity: int, injector=None) -> None:
-        super().__init__(stats, injector)
-        if capacity < 1:
-            raise ValueError("buffer capacity must be at least one page")
-        self.capacity = capacity
-        #: Pages pushed out by LRU replacement since construction.
-        self.evictions = 0
-        # page id -> dirty flag; insertion order is recency order.
-        self._lru: dict[Hashable, bool] = {}
-
-    def _evict_excess(self) -> None:
-        while len(self._lru) > self.capacity:
-            evicted = next(iter(self._lru))
-            del self._lru[evicted]
-            self.evictions += 1
-
-    def touch(self, page_id: Hashable, category: str = "page") -> bool:
-        if page_id in self._lru:
-            dirty = self._lru.pop(page_id)
-            self._lru[page_id] = dirty  # refresh recency
-            return False
-        if self.injector is not None:
-            self.injector.on_read(page_id, category)
-        self.stats.read(1, category)
-        self._lru[page_id] = False
-        self._evict_excess()
-        return True
-
-    def touch_write(self, page_id: Hashable, category: str = "page") -> bool:
-        if page_id in self._lru:
-            if not self._lru[page_id] and self.injector is not None:
-                self.injector.on_write(page_id, category)
-            dirty = self._lru.pop(page_id)
-            self._lru[page_id] = True  # refresh recency, mark dirty
-            if dirty:
-                return False
-            self.stats.write(1, category)
-            return True
-        if self.injector is not None:
-            self.injector.on_write(page_id, category)
-        self.stats.write(1, category)
-        self._lru[page_id] = True
-        self._evict_excess()
-        return True
-
-    @property
-    def distinct_pages(self) -> int:
-        return len(self._lru)
-
-    def evict_all(self) -> None:
-        self._lru.clear()
-        self._dirty.clear()
-
-
 class ThreadSafeAccessStats(AccessStats):
     """An :class:`AccessStats` whose accumulation is lock-protected.
 
@@ -299,53 +228,97 @@ class ThreadSafeAccessStats(AccessStats):
             )
 
 
-class SharedBufferPool(BoundedBufferScope):
-    """A thread-safe bounded LRU pool shared by many execution contexts.
+class SharedBufferPool:
+    """The bounded LRU pool: finite capacity, thread-safe, shared.
 
-    One internal lock covers the LRU order, the residency decision, and
-    the stats charge, so concurrent touches can never tear the recency
-    list or double-charge a resident page.  Hit/miss counters accumulate
-    under the same lock; :attr:`hit_rate` is the headline number the
-    serve benchmark reports.
+    The plain :class:`BufferScope` models the paper's implicit
+    assumption of a buffer large enough to hold one operation's working
+    set (Yao's distinct-page counting).  The pool bounds residency at
+    ``capacity`` pages across operations and threads: re-touching an
+    evicted page is charged again, which is what a real, smaller buffer
+    pool does.
 
-    The pool is handed to workers through :class:`WorkerScope` views
-    (usually via :class:`~repro.concurrency.ContextPool`), which mirror
-    each worker's charges onto a thread-private :class:`AccessStats` —
-    the shared totals then provably equal the per-worker sums.
+    Writes participate in residency and recency exactly like reads: a
+    written page occupies a frame, dirtying it refreshes its recency,
+    and a page written again after eviction is charged a second write
+    (the first write-back already happened at eviction time).
+
+    One lock covers the residency decision, the LRU order, the fault
+    consultation, the stats charge and the hit/miss counters, so
+    concurrent touches can never tear the recency list or double-charge
+    a resident page.  The injector is consulted *before* anything
+    mutates: a faulted touch leaves the LRU, the stats and the counters
+    as they were.  :attr:`hit_rate` is the headline number the serve
+    benchmark reports.
+
+    Workers reach the pool through :class:`WorkerScope` views (usually
+    via :class:`~repro.concurrency.ContextPool`), which mirror each
+    worker's charges onto a thread-private :class:`AccessStats` — the
+    shared totals then provably equal the per-worker sums.  A
+    single-threaded caller (the buffer-size ablation) touches it
+    directly.
     """
 
     def __init__(self, stats: AccessStats, capacity: int, injector=None) -> None:
-        super().__init__(stats, capacity, injector)
-        self._pool_lock = threading.RLock()
+        if capacity < 1:
+            raise ValueError("buffer capacity must be at least one page")
+        self.stats = stats
+        self.capacity = capacity
+        self.injector = injector
+        #: Pages pushed out by LRU replacement since construction.
+        self.evictions = 0
         self.hits = 0
         self.misses = 0
+        self._lock = threading.Lock()
+        # page id -> dirty flag; insertion order is recency order.
+        self._lru: dict[Hashable, bool] = {}
+
+    def _admit(self, page_id: Hashable, dirty: bool) -> None:
+        """Count the miss and give ``page_id`` a frame (lock held)."""
+        self.misses += 1
+        self._lru[page_id] = dirty
+        if len(self._lru) > self.capacity:
+            del self._lru[next(iter(self._lru))]
+            self.evictions += 1
 
     def touch(self, page_id: Hashable, category: str = "page") -> bool:
-        with self._pool_lock:
-            charged = super().touch(page_id, category)
-            if charged:
-                self.misses += 1
-            else:
+        """Read ``page_id``; returns True when it caused a physical read."""
+        with self._lock:
+            lru = self._lru
+            if page_id in lru:
+                lru[page_id] = lru.pop(page_id)  # refresh recency
                 self.hits += 1
-            return charged
+                return False
+            if self.injector is not None:
+                self.injector.on_read(page_id, category)
+            self.stats.read(1, category)
+            self._admit(page_id, False)
+            return True
 
     def touch_write(self, page_id: Hashable, category: str = "page") -> bool:
-        with self._pool_lock:
-            charged = super().touch_write(page_id, category)
-            if charged:
-                self.misses += 1
-            else:
+        """Mark ``page_id`` dirty; returns True when the write is charged."""
+        with self._lock:
+            lru = self._lru
+            if lru.get(page_id):
+                lru[page_id] = lru.pop(page_id)  # already dirty: refresh recency
                 self.hits += 1
-            return charged
-
-    def evict_all(self) -> None:
-        with self._pool_lock:
-            super().evict_all()
+                return False
+            if self.injector is not None:
+                self.injector.on_write(page_id, category)
+            self.stats.write(1, category)
+            lru.pop(page_id, None)  # a clean resident page re-enters as newest
+            self._admit(page_id, True)
+            return True
 
     @property
     def distinct_pages(self) -> int:
-        with self._pool_lock:
+        with self._lock:
             return len(self._lru)
+
+    def evict_all(self) -> None:
+        """Forget residency (the next touches are charged again)."""
+        with self._lock:
+            self._lru.clear()
 
     @property
     def hit_rate(self) -> float:
@@ -354,7 +327,7 @@ class SharedBufferPool(BoundedBufferScope):
 
     def check_invariants(self) -> None:
         """Assert the LRU is not torn (used by the stress suite)."""
-        with self._pool_lock:
+        with self._lock:
             assert len(self._lru) <= self.capacity, (
                 f"LRU overflow: {len(self._lru)} frames > capacity {self.capacity}"
             )

@@ -1,7 +1,11 @@
 """Unit tests for the GOM type system."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,31 @@ class TestNull:
         assert NULL == NULL
         assert NULL != 0
         assert NULL != ""
+
+    def test_row_set_order_is_a_function_of_the_values_not_the_process(self):
+        # An address-hashed NULL makes a set of rows iterate in a
+        # per-process order, and maintenance walks such sets: the same
+        # seeded stream then touches a different number of pages per run.
+        script = (
+            "from repro.gom import NULL, OID\n"
+            "rows = {(OID(v), NULL if v % 3 else OID(v + 1), NULL)"
+            " for v in range(0, 4000, 37)}\n"
+            "print(hash(NULL), list(rows))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        printed = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=60,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert printed[0] == printed[1] and "NULL" in printed[0]
+        assert hash(NULL) == hash(copy.deepcopy(NULL)) == int(printed[0].split()[0])
 
 
 class TestAtomicTypes:

@@ -121,6 +121,17 @@ class TestBulkLoad:
         tree = BPlusTree.bulk_load(entries, 10, 16)
         assert tree.leaf_count() == 10  # fully packed
 
+    @pytest.mark.parametrize("leaves, fan_out", [(4, 3), (339, 338)])
+    def test_lone_tail_node_gets_a_sibling(self, leaves, fan_out):
+        # A level of ``k * fan_out + 1`` nodes used to pass its last node
+        # up unwrapped, one level shallower than its siblings.
+        entries = [(k, k) for k in range(2 * leaves)]
+        tree = BPlusTree.bulk_load(entries, 2, fan_out)
+        assert tree.leaf_count() == leaves
+        tree.check_invariants()
+        assert list(tree.items()) == entries
+        assert tree.interior_count() == 3 and tree.height == 3
+
     def test_mutable_after_bulk_load(self):
         tree = BPlusTree.bulk_load([(k, k) for k in range(50)], 8, 8)
         tree.insert(1000, 1000)

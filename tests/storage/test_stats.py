@@ -8,6 +8,7 @@ from repro.storage.stats import (
     AccessStats,
     BufferScope,
     NullBuffer,
+    SharedBufferPool,
     ThreadSafeAccessStats,
 )
 
@@ -92,20 +93,19 @@ class TestNullBuffer:
 
 
 class TestBoundedBufferScope:
-    def test_within_capacity_behaves_like_plain_buffer(self):
-        from repro.storage.stats import BoundedBufferScope
+    """The bounded LRU scope — :class:`SharedBufferPool`, single-threaded."""
 
+    def test_within_capacity_behaves_like_plain_buffer(self):
         stats = AccessStats()
-        buffer = BoundedBufferScope(stats, capacity=10)
+        buffer = SharedBufferPool(stats, capacity=10)
         assert buffer.touch("p1") is True
         assert buffer.touch("p1") is False
         assert stats.page_reads == 1
+        assert (buffer.hits, buffer.misses) == (1, 1)
 
     def test_eviction_recharges(self):
-        from repro.storage.stats import BoundedBufferScope
-
         stats = AccessStats()
-        buffer = BoundedBufferScope(stats, capacity=2)
+        buffer = SharedBufferPool(stats, capacity=2)
         buffer.touch("p1")
         buffer.touch("p2")
         buffer.touch("p3")  # evicts p1 (LRU)
@@ -113,10 +113,8 @@ class TestBoundedBufferScope:
         assert stats.page_reads == 4
 
     def test_lru_recency_refresh(self):
-        from repro.storage.stats import BoundedBufferScope
-
         stats = AccessStats()
-        buffer = BoundedBufferScope(stats, capacity=2)
+        buffer = SharedBufferPool(stats, capacity=2)
         buffer.touch("p1")
         buffer.touch("p2")
         buffer.touch("p1")  # refresh p1; p2 becomes LRU
@@ -125,16 +123,12 @@ class TestBoundedBufferScope:
         assert buffer.touch("p2") is True
 
     def test_capacity_validation(self):
-        from repro.storage.stats import BoundedBufferScope
-
         with pytest.raises(ValueError):
-            BoundedBufferScope(AccessStats(), capacity=0)
+            SharedBufferPool(AccessStats(), capacity=0)
 
     def test_distinct_pages_bounded(self):
-        from repro.storage.stats import BoundedBufferScope
-
         stats = AccessStats()
-        buffer = BoundedBufferScope(stats, capacity=3)
+        buffer = SharedBufferPool(stats, capacity=3)
         for page in range(10):
             buffer.touch(page)
         assert buffer.distinct_pages == 3
@@ -142,10 +136,8 @@ class TestBoundedBufferScope:
         assert buffer.distinct_pages == 0
 
     def test_write_enters_residency(self):
-        from repro.storage.stats import BoundedBufferScope
-
         stats = AccessStats()
-        buffer = BoundedBufferScope(stats, capacity=2)
+        buffer = SharedBufferPool(stats, capacity=2)
         assert buffer.touch_write("p1") is True
         assert buffer.touch_write("p1") is False  # dirty and resident
         assert buffer.touch("p1") is False  # a write makes the page resident
@@ -153,10 +145,8 @@ class TestBoundedBufferScope:
         assert stats.page_reads == 0
 
     def test_write_refreshes_lru_recency(self):
-        from repro.storage.stats import BoundedBufferScope
-
         stats = AccessStats()
-        buffer = BoundedBufferScope(stats, capacity=2)
+        buffer = SharedBufferPool(stats, capacity=2)
         buffer.touch("p1")
         buffer.touch("p2")
         buffer.touch_write("p1")  # write refreshes p1; p2 becomes LRU
@@ -165,31 +155,26 @@ class TestBoundedBufferScope:
         assert buffer.touch("p2") is True
 
     def test_evicted_dirty_page_recharges_on_rewrite(self):
-        from repro.storage.stats import BoundedBufferScope
-
         stats = AccessStats()
-        buffer = BoundedBufferScope(stats, capacity=2)
+        buffer = SharedBufferPool(stats, capacity=2)
         buffer.touch_write("p1")
         buffer.touch("p2")
         buffer.touch("p3")  # evicts p1
         assert buffer.touch_write("p1") is True  # write charged again
         assert stats.page_writes == 2
+        assert buffer.misses == stats.total  # one miss per charged page
 
     def test_read_after_write_keeps_dirty_flag(self):
-        from repro.storage.stats import BoundedBufferScope
-
         stats = AccessStats()
-        buffer = BoundedBufferScope(stats, capacity=4)
+        buffer = SharedBufferPool(stats, capacity=4)
         buffer.touch_write("p1")
         buffer.touch("p1")  # read must not launder the dirty state
         assert buffer.touch_write("p1") is False  # still dirty: no new charge
         assert stats.page_writes == 1
 
     def test_evictions_counted(self):
-        from repro.storage.stats import BoundedBufferScope
-
         stats = AccessStats()
-        buffer = BoundedBufferScope(stats, capacity=2)
+        buffer = SharedBufferPool(stats, capacity=2)
         for page in range(5):
             buffer.touch(page)
         assert buffer.evictions == 3

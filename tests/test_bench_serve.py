@@ -5,8 +5,17 @@ import math
 
 import pytest
 
-from repro.bench.serve import SERVE_PROFILES, ServeConfig, run_serve, write_report
+from repro.bench.serve import (
+    SERVE_PROFILES,
+    ExecutorWorkers,
+    ServeConfig,
+    build_world,
+    run_serve,
+    write_report,
+)
 from repro.costmodel.parameters import ApplicationProfile
+from repro.errors import InjectedFault
+from repro.faults import FaultInjector
 from repro.workload.generator import ChainGenerator
 from repro.workload.opstream import Operation, operation_stream
 from repro.workload.profiles import FIG14_MIX
@@ -188,3 +197,43 @@ class TestServeProfiles:
         assert len(report["profile"]["c"]) == 6
         assert report["accounting"]["ok"] is True
         assert report["drift"]["overall"]["finite"] is True
+
+
+class TestExecutorWorkers:
+    """The one serving-context path: ``pool.context()`` per operation."""
+
+    def make_world(self, ops):
+        return build_world(ServeConfig(clients=4, ops=ops, seed=7, capacity=64))
+
+    def test_every_operation_borrows_and_retires_its_context(self):
+        world = self.make_world(200)
+        pool = world.pool
+        workers = ExecutorWorkers(world, 4)
+        pages = list(workers.executor.map(workers.execute, world.stream()))
+        workers.close()
+        assert len(pages) == 200 and sum(pages) > 0
+        # Only the manager's context outlives the run.
+        assert pool.contexts == [world.manager.context]
+        assert pool.recycled == 200
+        assert pool.check_accounting()["ok"] is True
+        # Every charged page is one miss of the one shared LRU.
+        assert pool.stats.total == pool.pool.misses
+        pool.pool.check_invariants()
+        world.manager.check_consistency()
+
+    def test_faulted_operation_still_releases_its_context(self):
+        world = self.make_world(8)
+        pool = world.pool
+        workers = ExecutorWorkers(world, 1)
+        query = next(op for op in world.stream() if op.kind == "query")
+        pool.pool.evict_all()
+        pool.pool.injector = FaultInjector(read_fault_rate=1.0)
+        with pytest.raises(InjectedFault):
+            workers.executor.submit(workers.execute, query).result()
+        pool.pool.injector = None
+        assert pool.contexts == [world.manager.context]
+        assert pool.recycled == 1
+        assert workers.executor.submit(workers.execute, query).result() > 0
+        workers.close()
+        assert pool.recycled == 2
+        assert pool.check_accounting()["ok"] is True

@@ -171,7 +171,7 @@ class TestTracing:
         assert code == 0
         assert "trace:" in text
         data = json.loads(trace.read_text())
-        assert data["policy"] == "unbounded"
+        assert data["capacity"] is None
         assert data["total_pages"] == data["page_reads"] + data["page_writes"]
         names = [span["name"] for span in data["spans"]]
         assert "query.unsupported.bw" in names

@@ -19,7 +19,7 @@ import pytest
 from repro.asr.extensions import Extension
 from repro.asr.journal import ASRState
 from repro.asr.manager import ASRManager
-from repro.concurrency import ContextPool, RWLock, ThreadLocalContexts
+from repro.concurrency import ContextPool, RWLock
 from repro.costmodel.parameters import ApplicationProfile
 from repro.errors import SimulatedCrash
 from repro.faults import FaultInjector
@@ -254,13 +254,6 @@ class TestContextPool:
         with pytest.raises(ValueError):
             ContextPool(0)
 
-    def test_shared_buffer_requires_bounded_policy(self):
-        from repro.context import ExecutionContext
-
-        pool = ContextPool(8)
-        with pytest.raises(ValueError, match="bounded"):
-            ExecutionContext(policy="unbounded", shared_buffer=pool.pool)
-
     def test_contexts_share_residency(self):
         pool = ContextPool(64)
         first = pool.acquire()
@@ -308,16 +301,13 @@ class TestContextPool:
     def test_recycling_reuses_worker_scopes(self):
         pool = ContextPool(16)
         with pool.context() as context:
-            first_scope = context.current_buffer
-            first_scope.touch("page-A")
+            context.current_buffer.touch("page-A")
         assert pool.recycled == 1
         assert not pool.contexts  # retired, not live
         with pool.context() as context:
-            # The WorkerScope object is recycled but its stats are fresh.
-            assert context.current_buffer is first_scope
+            # A later context never inherits a predecessor's counters.
             assert context.stats.page_reads == 0
             context.current_buffer.touch("page-B")
-        assert pool.reused == 1
         assert pool.recycled == 2
         # Retired totals still cover both generations' charges.
         totals = pool.worker_totals()
@@ -389,58 +379,6 @@ class TestContextPool:
         )
         assert total_spans == clients * rounds
         assert registry.counter_value("ops", op="op-0") == rounds
-
-
-class TestThreadLocalContexts:
-    def test_one_context_per_thread_stable_across_calls(self):
-        pool = ContextPool(16)
-        contexts = ThreadLocalContexts(pool)
-        assert contexts.get() is contexts.get()
-        seen = {}
-
-        def worker(k):
-            first = contexts.get()
-            assert contexts.get() is first
-            seen[k] = first
-
-        run_threads(4, worker)
-        # Four worker threads, four distinct contexts (plus this one).
-        assert len({id(c) for c in seen.values()}) == 4
-        assert contexts.live == 5
-        contexts.release_all()
-        assert contexts.live == 0
-        assert pool.check_accounting()["ok"] is True
-
-    def test_executor_threads_charge_under_accounting_invariant(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ContextPool(32)
-        contexts = ThreadLocalContexts(pool)
-
-        def touch(k):
-            context = contexts.get()
-            context.current_buffer.touch(f"page-{k % 40}")
-
-        with ThreadPoolExecutor(max_workers=4) as executor:
-            list(executor.map(touch, range(200)))
-        contexts.release_all()
-        accounting = pool.check_accounting()
-        assert accounting["ok"] is True
-        assert pool.stats.snapshot().page_reads == pool.pool.misses
-
-    def test_get_after_release_all_acquires_fresh_context(self):
-        pool = ContextPool(8)
-        contexts = ThreadLocalContexts(pool)
-        first = contexts.get()
-        first.current_buffer.touch("page-A")
-        contexts.release_all()
-        # The retired context must not be resurrected: a later get() on
-        # the same thread starts a fresh pool generation.
-        second = contexts.get()
-        assert second.stats.page_reads == 0
-        assert contexts.live == 1
-        contexts.release_all()
-        assert pool.check_accounting()["ok"] is True
 
 
 class TestConcurrentServing:

@@ -1,63 +1,70 @@
-"""ExecutionContext: policies, measured operations, hooks, export, buffer shim."""
+"""ExecutionContext: buffers, measured operations, hooks, export, buffer shim."""
 
 import json
 
 import pytest
 
-from repro.context import POLICIES, ExecutionContext, resolve_buffer
+from repro.context import ExecutionContext, resolve_buffer
 from repro.storage.btree import BPlusTree
 from repro.storage.stats import (
     AccessStats,
-    BoundedBufferScope,
     BufferScope,
     NullBuffer,
+    SharedBufferPool,
 )
 
 
 class TestPolicies:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            ExecutionContext(policy="magic")
+    """Two regimes: a fresh scope per operation, or the buffer you pass."""
 
-    def test_bounded_requires_capacity(self):
-        with pytest.raises(ValueError):
-            ExecutionContext(policy="bounded")
-        with pytest.raises(ValueError):
-            ExecutionContext(policy="bounded", capacity=0)
+    def test_unknown_policy_rejected(self):
+        # No policy names any more, and no alias left behind for them.
+        for removed in (
+            {"policy": "bounded"},
+            {"stats": AccessStats()},
+            {"shared_buffer": NullBuffer(AccessStats())},
+        ):
+            with pytest.raises(TypeError):
+                ExecutionContext(**removed)
 
     def test_capacity_only_for_bounded(self):
-        with pytest.raises(ValueError):
-            ExecutionContext(policy="unbounded", capacity=8)
-
-    def test_all_policies_constructible(self):
-        for policy in POLICIES:
-            capacity = 4 if policy == "bounded" else None
-            context = ExecutionContext(policy=policy, capacity=capacity)
-            assert context.policy == policy
+        # Capacity is the bounded pool's, not a keyword of the context.
+        with pytest.raises(TypeError):
+            ExecutionContext(capacity=8)
+        assert ExecutionContext().to_dict()["capacity"] is None
+        pool = SharedBufferPool(AccessStats(), 8)
+        assert ExecutionContext(buffer=pool).to_dict()["capacity"] == 8
 
     def test_unbounded_scopes_are_fresh_per_operation(self):
         context = ExecutionContext()
         with context.operation("a") as buffer:
+            assert type(buffer) is BufferScope
             buffer.touch("p1")
         with context.operation("b") as buffer:
             buffer.touch("p1")  # new scope: charged again
         assert context.stats.page_reads == 2
 
     def test_bounded_pool_survives_operations(self):
-        context = ExecutionContext(policy="bounded", capacity=8)
+        pool = SharedBufferPool(AccessStats(), 8)
+        context = ExecutionContext(buffer=pool)
+        assert context.stats is pool.stats
+        assert context.current_buffer is pool  # the ambient scope too
         with context.operation("a") as buffer:
-            assert isinstance(buffer, BoundedBufferScope)
+            assert buffer is pool
             buffer.touch("p1")
         with context.operation("b") as buffer:
-            buffer.touch("p1")  # still resident in the shared pool
+            buffer.touch("p1")  # still resident in the supplied pool
         assert context.stats.page_reads == 1
+        assert (pool.hits, pool.misses) == (1, 1)
 
     def test_null_policy_charges_every_touch(self):
-        context = ExecutionContext(policy="null")
+        null = NullBuffer(AccessStats())
+        context = ExecutionContext(buffer=null)
         with context.operation("a") as buffer:
-            assert isinstance(buffer, NullBuffer)
+            assert buffer is null
             buffer.touch("p1")
             buffer.touch("p1")
+        assert context.stats is null.stats
         assert context.stats.page_reads == 2
 
 
@@ -228,7 +235,8 @@ class TestExport:
         with context.operation("q") as buffer:
             buffer.touch("p1", "btree_leaf")
         data = json.loads(context.to_json())
-        assert data["policy"] == "unbounded"
+        assert "policy" not in data
+        assert data["capacity"] is None  # per-operation scopes are unbounded
         assert data["page_reads"] == 1
         assert data["total_pages"] == 1
         assert data["op_counts"] == {"q": 1}

@@ -7,9 +7,9 @@ from repro.errors import InjectedFault, SimulatedCrash, StorageError
 from repro.faults import KNOWN_CRASH_POINTS, FaultInjector, reach
 from repro.storage.stats import (
     AccessStats,
-    BoundedBufferScope,
     BufferScope,
     NullBuffer,
+    SharedBufferPool,
 )
 
 
@@ -142,22 +142,42 @@ class TestBufferWiring:
     def test_bounded_scope_faults_before_lru_mutation(self):
         stats = AccessStats()
         injector = FaultInjector()
-        scope = BoundedBufferScope(stats, capacity=2, injector=injector)
+        scope = SharedBufferPool(stats, capacity=2, injector=injector)
         scope.touch("p1")
-        injector.write_fault_rate = 1.0
+        scope.touch("p2")  # p1 is now the eviction candidate
+        injector.write_fault_rate = injector.read_fault_rate = 1.0
         with pytest.raises(InjectedFault):
             scope.touch_write("p1")  # resident but clean: write is charged
+        with pytest.raises(InjectedFault):
+            scope.touch("p3")
+        # A faulted touch moves nothing: not the stats, not the hit/miss
+        # counters, not the recency order, not the dirty flag.
+        assert (stats.page_reads, stats.page_writes) == (2, 0)
+        assert (scope.hits, scope.misses, scope.evictions) == (0, 2, 0)
+        injector.read_fault_rate = 0.0
+        scope.touch("p3")  # evicts p1: the failed write did not refresh it
+        assert scope.touch("p2") is False
+        with pytest.raises(InjectedFault):
+            scope.touch_write("p2")
         # The failed write must not have marked the frame dirty, so a
         # retry after clearing the fault charges the write normally.
         injector.write_fault_rate = 0.0
-        assert scope.touch_write("p1") is True
+        assert scope.touch_write("p2") is True
         assert stats.page_writes == 1
 
     def test_context_threads_injector_into_scopes(self):
-        for policy, capacity in (("unbounded", None), ("bounded", 4), ("null", None)):
-            injector = FaultInjector(seed=3, read_fault_rate=1.0)
-            context = ExecutionContext(
-                policy=policy, capacity=capacity, fault_injector=injector
-            )
+        def injector():
+            return FaultInjector(seed=3, read_fault_rate=1.0)
+
+        # The per-operation scope gets the context's injector; a supplied
+        # buffer consults the one it was built with.
+        for context in (
+            ExecutionContext(fault_injector=injector()),
+            ExecutionContext(buffer=SharedBufferPool(AccessStats(), 4, injector())),
+            ExecutionContext(buffer=NullBuffer(AccessStats(), injector())),
+        ):
             with pytest.raises(InjectedFault):
                 context.current_buffer.touch("p1")
+            with pytest.raises(InjectedFault), context.operation("op") as buffer:
+                buffer.touch("p1")
+            assert context.stats.total == 0
