@@ -12,8 +12,7 @@ This module implements that loop:
    backward queries by range, ``ins_i``-style updates — either via
    explicit ``record_*`` calls or by observing an
    :class:`~repro.query.evaluator.QueryEvaluator` and the object base's
-   change events (:class:`PathRecorders` hands a planner one recorder
-   per queried path);
+   change events;
 2. :meth:`WorkloadRecorder.to_mix` turns the log into the cost model's
    ``(OperationMix, P_up)``;
 3. :class:`AdaptiveDesigner` re-measures the live profile through its
@@ -156,29 +155,6 @@ class WorkloadRecorder:
         with self._lock:
             self.queries.clear()
             self.updates.clear()
-
-
-class PathRecorders:
-    """One :class:`WorkloadRecorder` per path, created on first use.
-
-    The planner's ``recorder`` collaborator: every query it runs lands
-    in the recorder of the query's path, and each recorder is attached
-    to ``db`` so updates are counted too — an :class:`AdaptiveDesigner`
-    can then re-tune from the *actual* history with no manual
-    ``record_*`` calls.
-    """
-
-    def __init__(self, db) -> None:
-        self.db = db
-        self.recorders: dict[PathExpression, WorkloadRecorder] = {}
-
-    def for_path(self, path: PathExpression) -> WorkloadRecorder:
-        """The (lazily created, attached) workload recorder of ``path``."""
-        recorder = self.recorders.get(path)
-        if recorder is None:
-            recorder = self.recorders[path] = WorkloadRecorder(path)
-            recorder.attach(self.db)
-        return recorder
 
 
 class _CatchUpObserver:

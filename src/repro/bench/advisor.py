@@ -37,7 +37,7 @@ import json
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from repro.bench.serve import ServeConfig, write_report
 from repro.faults import FaultInjector
@@ -324,10 +324,7 @@ def run_advisor(config: AdvisorBenchConfig | None = None) -> dict:
         "benchmark": "advisor",
         "ok": ok,
         "config": {
-            "clients": config.serve.clients,
-            "ops": config.serve.ops,
-            "seed": config.serve.seed,
-            "profile": config.serve.profile,
+            **asdict(config.serve),
             "advisor_interval": config.advisor_interval,
             "advisor_threshold": config.advisor_threshold,
             "advisor_min_ops": config.advisor_min_ops,

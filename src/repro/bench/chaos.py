@@ -28,7 +28,7 @@ import json
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.bench.serve import OpSample, ServeConfig, _percentile, write_report
 from repro.resilience import ChaosConfig, RecoveryPolicy
@@ -129,15 +129,7 @@ def run_chaos(config: ChaosBenchConfig | None = None) -> dict:
     return {
         "benchmark": "chaos",
         "config": {
-            "clients": config.serve.clients,
-            "ops": config.serve.ops,
-            "seed": config.serve.seed,
-            "capacity": config.serve.capacity,
-            "io_micros": config.serve.io_micros,
-            "io_dist": config.serve.io_dist,
-            "max_inflight": config.serve.max_inflight,
-            "op_deadline_ms": config.serve.op_deadline_ms,
-            "shed_backoff_ms": config.serve.shed_backoff_ms,
+            **asdict(config.serve),
             "chaos_rate": config.chaos.rate,
             "chaos_burst": config.chaos.burst,
             "chaos_points": [f"{n}:{k}" for n, k in config.chaos.points],

@@ -45,7 +45,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.asr.adaptive import WorkloadRecorder
 from repro.asr.extensions import Extension
@@ -650,19 +650,7 @@ def run_serve(config: ServeConfig | None = None) -> dict:
     world.manager.close()
     return {
         "benchmark": "serve",
-        "config": {
-            "clients": config.clients,
-            "ops": config.ops,
-            "seed": config.seed,
-            "capacity": config.capacity,
-            "io_micros": config.io_micros,
-            "io_dist": config.io_dist,
-            "query_fraction": config.query_fraction,
-            "profile": config.profile,
-            "max_inflight": config.max_inflight,
-            "trace_sample_rate": config.trace_sample_rate,
-            "slow_trace_ms": config.slow_trace_ms,
-        },
+        "config": asdict(config),
         "device": config.latency_model().describe(),
         "profile": {
             "c": list(profile.c),

@@ -6,9 +6,11 @@ type extents, or dependent ranges over attribute paths), evaluates the
 
 When a :class:`~repro.query.planner.Planner` is supplied, the executor
 recognizes the paper's flagship pattern — a predicate comparing a path
-expression rooted at a range variable with a literal — and answers it
-through a registered access support relation as a backward query,
-instead of traversing from every binding.
+expression rooted at the first range variable with a literal — lowers
+it to its ``Q_{i,j}`` and has :meth:`Planner.run` answer it: through a
+registered access support relation, or as the (charged) unsupported
+scan when none is usable.  Only the residual predicates are filtered
+binding by binding.
 """
 
 from __future__ import annotations
@@ -37,13 +39,15 @@ from repro.query.evaluator import QueryEvaluator
 
 @dataclass(frozen=True)
 class PredicateAction:
-    """One compiled step of the ASR fast path, in predicate order.
+    """One lowered predicate, in predicate order.
 
     ``plan`` is the planner's decision for ``query``, the ``Q_{i,j}``
-    form of ``predicate``: supported (evaluate through ``plan.asr`` and
-    intersect the candidates) or degraded (``plan.restriction`` names
-    why covering support was unusable at compile time — keep the
-    nested-loop filter and flag the strategy).  Supported plans are
+    form of ``predicate``: through ``plan.asr``, or — no covering
+    support, the deliberate Figure 8 fallback, or a degraded plan whose
+    ``plan.restriction`` names why covering support was unusable — the
+    unsupported evaluation.  Either way
+    :meth:`~repro.query.planner.Planner.run` answers it and the
+    candidates are intersected with its cells.  Supported plans are
     re-checked at execution time: quarantine or an open breaker degrades
     them without recompiling.
     """
@@ -66,7 +70,10 @@ class CompiledSelect:
     """
 
     statement: SelectStatement
-    actions: tuple[PredicateAction, ...] = ()
+    actions: tuple[PredicateAction, ...]
+    #: The predicates no action answers (joins, ``<=`` / ``>``, anything
+    #: not rooted at the first range variable): the nested-loop filter.
+    residual: tuple[Predicate, ...]
     epoch: int | None = None
 
     @property
@@ -86,10 +93,12 @@ _DEGRADED_STRATEGIES = {
 class ExecutionReport:
     """Result rows plus how they were obtained.
 
-    ``page_reads`` and ``page_writes`` are the page accesses charged by
-    any ASR-supported predicate evaluation; ``total_pages`` is their sum
-    (the paper's cost measure).  Plain nested-loop binding reads the
-    logical object graph only and charges nothing.
+    ``page_reads`` and ``page_writes`` are the page accesses of every
+    lowered predicate — what :meth:`~repro.query.planner.Planner.run`
+    charged for its ``Q_{i,j}``, through an ASR or as the unsupported
+    scan; ``total_pages`` is their sum (the paper's cost measure).
+    Binding dependent ranges, residual predicates and projection read
+    the logical object graph only and charge nothing.
     """
 
     rows: list[tuple[Cell, ...]]
@@ -97,7 +106,7 @@ class ExecutionReport:
     page_reads: int = 0
     page_writes: int = 0
     #: The access restriction (``"quarantined"`` / ``"breaker-open"``)
-    #: that degraded some predicate to the nested-loop filter, if any.
+    #: that degraded some predicate to the unsupported scan, if any.
     restriction: str | None = None
 
     @property
@@ -153,38 +162,29 @@ class SelectExecutor:
     def compile(self, statement: SelectStatement | str) -> CompiledSelect:
         """Freeze the plan decisions for ``statement`` without running it.
 
-        Recognizes the paper's flagship pattern — predicates comparing a
-        path expression rooted at the first range variable with a
-        literal — and plans each through the attached planner, which
-        counts the decisions (``plan.supported`` / ``plan.unsupported``)
-        *here*, so replaying the compiled statement via
-        :meth:`run_compiled` provably does no planning work.
+        Lowers every predicate comparing a path expression rooted at the
+        first range variable with a literal to its ``Q_{i,j}`` and plans
+        each through the attached planner, which counts the decisions
+        (``plan.supported`` / ``plan.unsupported``) *here*, so replaying
+        the compiled statement via :meth:`run_compiled` provably does no
+        planning work.  What does not lower is ``residual``; without a
+        planner everything is.
         """
         if isinstance(statement, str):
             statement = parse_select(statement)
+        if self.planner is None:
+            return CompiledSelect(statement, (), statement.predicates)
+        first = statement.ranges[0]
         actions: list[PredicateAction] = []
-        if self.planner is not None and statement.predicates:
-            first = statement.ranges[0]
-            context = self.evaluator.context
-            for predicate in statement.predicates:
-                rooted = self._rooted_literal_predicate(predicate, first.variable)
-                if rooted is None:
-                    continue
-                attributes, literal, op = rooted
-                path = self._try_path(first, attributes)
-                if path is None:
-                    continue
-                query = self._indexable_query(path, literal, op)
-                if query is None:
-                    continue
-                plan = self.planner.plan(query, context)
-                # Without covering support (or with the deliberate
-                # Figure 8 fallback) the nested-loop filter simply
-                # applies; a *degraded* plan keeps it too (correct, just
-                # slower) but says so in the strategy string / trace.
-                if plan.supported or plan.restriction is not None:
-                    actions.append(PredicateAction(predicate, query, plan))
-        return CompiledSelect(statement, tuple(actions))
+        residual: list[Predicate] = []
+        for predicate in statement.predicates:
+            query = self._lower(predicate, first)
+            if query is None:
+                residual.append(predicate)
+            else:
+                plan = self.planner.plan(query, self.evaluator.context)
+                actions.append(PredicateAction(predicate, query, plan))
+        return CompiledSelect(statement, tuple(actions), tuple(residual))
 
     def run_compiled(
         self, compiled: CompiledSelect, fresh: bool = False
@@ -194,13 +194,14 @@ class SelectExecutor:
         Supported plans are re-validated cheaply
         (:meth:`~repro.query.planner.Planner.recheck`): an ASR that was
         quarantined or breaker-vetoed since compile time degrades that
-        predicate to the nested-loop filter instead of returning wrong
-        rows, and supported evaluations go through the planner's one
-        :meth:`~repro.query.planner.Planner.run`, as freshly planned
-        ones do.  ``fresh`` says ``compiled`` was planned under the read
-        hold the caller still has (a cold request): nothing can have
-        changed, and asking again would spend a half-open breaker's one
-        probe on the question instead of on the run.
+        predicate to the unsupported scan instead of returning wrong
+        rows, and every action — supported or not — goes through the
+        planner's one :meth:`~repro.query.planner.Planner.run`, as a
+        ``Q_{i,j}`` asked directly does.  ``fresh`` says ``compiled`` was
+        planned under the read hold the caller still has (a cold
+        request): nothing can have changed, and asking again would spend
+        a half-open breaker's one probe on the question instead of on
+        the run.
         """
         if self.planner is not None:
             with self.planner.manager.lock.read():
@@ -217,25 +218,23 @@ class SelectExecutor:
         reads = writes = 0
         first = statement.ranges[0]
         candidates = set(self._range_members(first, {}))
-        asr_filtered: set[str] = set()
         restriction = None
         for action in compiled.actions:
             plan = action.plan if fresh else self.planner.recheck(action.plan)
             if plan.asr is not None:
-                result = self.planner.run(plan, self.evaluator)
-                candidates &= result.cells
-                reads += result.page_reads
-                writes += result.page_writes
                 strategy = f"asr-backward via {plan.asr.extension.value}"
-                asr_filtered.add(str(action.predicate))
-                continue
-            restriction = restriction or plan.restriction
-            strategy = _DEGRADED_STRATEGIES[plan.restriction]
-            self.evaluator.context.count("query.degraded-fallback")
+            elif plan.restriction is not None:
+                restriction = restriction or plan.restriction
+                strategy = _DEGRADED_STRATEGIES[plan.restriction]
+                self.evaluator.context.count("query.degraded-fallback")
+            result = self.planner.run(plan, self.evaluator)
+            candidates &= result.cells
+            reads += result.page_reads
+            writes += result.page_writes
         bindings_list: list[dict[str, Cell]] = []
         for candidate in sorted(candidates, key=repr):
             self._extend_bindings(
-                statement, 1, {first.variable: candidate}, bindings_list, asr_filtered
+                compiled, 1, {first.variable: candidate}, bindings_list
             )
         rows: list[tuple[Cell, ...]] = []
         seen: set[tuple[Cell, ...]] = set()
@@ -254,25 +253,20 @@ class SelectExecutor:
 
     def _extend_bindings(
         self,
-        statement: SelectStatement,
+        compiled: CompiledSelect,
         range_index: int,
         bindings: dict[str, Cell],
         output: list[dict[str, Cell]],
-        asr_filtered: set[str],
     ) -> None:
-        if range_index == len(statement.ranges):
-            if all(
-                str(predicate) in asr_filtered or self._holds(predicate, bindings)
-                for predicate in statement.predicates
-            ):
+        ranges = compiled.statement.ranges
+        if range_index == len(ranges):
+            if all(self._holds(predicate, bindings) for predicate in compiled.residual):
                 output.append(dict(bindings))
             return
-        decl = statement.ranges[range_index]
+        decl = ranges[range_index]
         for member in sorted(self._range_members(decl, bindings), key=repr):
             bindings[decl.variable] = member
-            self._extend_bindings(
-                statement, range_index + 1, bindings, output, asr_filtered
-            )
+            self._extend_bindings(compiled, range_index + 1, bindings, output)
             del bindings[decl.variable]
 
     def _range_members(self, decl, bindings: dict[str, Cell]) -> Iterable[Cell]:
@@ -365,6 +359,17 @@ class SelectExecutor:
     # ------------------------------------------------------------------
 
     _MIRRORED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "in": "in"}
+
+    def _lower(self, predicate: Predicate, first) -> Query | None:
+        """The ``Q_{i,j}`` form of ``predicate``; ``None`` keeps it residual."""
+        rooted = self._rooted_literal_predicate(predicate, first.variable)
+        if rooted is None:
+            return None
+        attributes, literal, op = rooted
+        path = self._try_path(first, attributes)
+        if path is None:
+            return None
+        return self._indexable_query(path, literal, op)
 
     @classmethod
     def _rooted_literal_predicate(

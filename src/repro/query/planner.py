@@ -26,7 +26,7 @@ non-decomposed full extension degenerates to an exhaustive index scan
 that can cost more than no support at all.
 
 :meth:`Planner.run` is the only place a plan is executed and its
-outcome reported (breaker board, drift monitor, workload recorder);
+outcome reported (breaker board, drift monitor);
 :meth:`Planner.execute` is ``plan`` + ``run``.
 """
 
@@ -91,18 +91,15 @@ class Planner:
     fed by every supported evaluation.  ``costs`` (a
     :class:`~repro.telemetry.drift.MeasuredCosts`: ``predict_query``)
     ranks by the analytical cost model instead of structurally.
-    ``recorder`` (a :class:`~repro.asr.adaptive.PathRecorders`:
-    ``for_path``) counts every run query in its path's workload recorder.
     """
 
     def __init__(
-        self, manager: ASRManager, drift=None, breakers=None, costs=None, recorder=None
+        self, manager: ASRManager, drift=None, breakers=None, costs=None
     ) -> None:
         self.manager = manager
         self.drift = drift
         self.breakers = breakers
         self.costs = costs
-        self.recorder = recorder
 
     # ------------------------------------------------------------------
     # candidates
@@ -126,19 +123,6 @@ class Planner:
         with self.manager.lock.read():
             return [
                 asr for asr in self._covering(query) if access_restriction(asr) is None
-            ]
-
-    def quarantined_applicable(self, query: Query) -> list[AccessSupportRelation]:
-        """ASRs that *would* answer ``query`` but are quarantined.
-
-        The query had support before the fault, and will have it again
-        after recovery.
-        """
-        with self.manager.lock.read():
-            return [
-                asr
-                for asr in self._covering(query)
-                if access_restriction(asr) == "quarantined"
             ]
 
     # ------------------------------------------------------------------
@@ -270,10 +254,6 @@ class Planner:
                     self.breakers.record_success(asr)
         if self.drift is not None:
             self.drift.observe_query(query, asr, result.total_pages)
-        if self.recorder is not None:
-            self.recorder.for_path(query.path).record_query(
-                query.i, query.j, query.kind
-            )
         return result
 
     def execute(

@@ -17,8 +17,10 @@ Decision gates, in order:
   must see a representative mix before it is trusted;
 * **baseline** — the advisor may conclude *no ASR at all* is cheapest;
   the loop refuses to de-materialize a serving index (``baseline``);
-* **hysteresis** — the predicted gain (current cost / best cost) must
-  clear ``threshold`` (``below-threshold``);
+* **improvement** — the designer must say the best design beats the
+  current one (``not-better``); its ``improvement_threshold`` is the one
+  hysteresis gate, so ``retuned`` already means the predicted gain
+  (current cost / best cost) cleared it;
 * **cooldown** — at most one retune per ``cooldown`` seconds
   (``cooldown``): a mix oscillating around the break-even point must
   not thrash rebuilds;
@@ -65,7 +67,6 @@ class AdvisorLoop:
         self,
         designer,
         interval: float = 5.0,
-        threshold: float = 1.2,
         cooldown: float | None = None,
         min_ops: int = 32,
         dry_run: bool = False,
@@ -73,11 +74,8 @@ class AdvisorLoop:
         tracer=None,
         time_fn=time.monotonic,
     ) -> None:
-        if threshold < 1.0:
-            raise ValueError("advisor threshold must be >= 1")
         self.designer = designer
         self.interval = max(0.005, interval)
-        self.threshold = threshold
         #: Seconds between applied retunes; defaults to two sweeps so an
         #: oscillating mix cannot thrash rebuilds back to back.
         self.cooldown = 2.0 * self.interval if cooldown is None else cooldown
@@ -132,8 +130,8 @@ class AdvisorLoop:
         """One decision pass; returns True when a retune was applied.
 
         ``force`` skips the evidence floor and cooldown gates (used by
-        tests and the bench soak's convergence probe); the hysteresis
-        threshold and the baseline refusal always stand.
+        tests and the bench soak's convergence probe); the designer's
+        hysteresis threshold and the baseline refusal always stand.
         """
         with self._lock:
             self.sweeps += 1
@@ -164,8 +162,6 @@ class AdvisorLoop:
             return self._reject("baseline")
         if not decision.retuned:
             return self._reject("not-better")
-        if gain < self.threshold:
-            return self._reject("below-threshold")
         if not force and self._in_cooldown():
             return self._reject("cooldown")
         if self.dry_run:
@@ -257,7 +253,7 @@ class AdvisorLoop:
                 "running": self.running,
                 "dry_run": self.dry_run,
                 "interval_s": self.interval,
-                "threshold": self.threshold,
+                "threshold": getattr(self.designer, "improvement_threshold", None),
                 "cooldown_s": self.cooldown,
                 "min_ops": self.min_ops,
                 "sweeps": self.sweeps,

@@ -107,8 +107,9 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
 
 from repro.asr.journal import ASRState
 from repro.bench.serve import (
@@ -329,7 +330,6 @@ class ServeDaemon:
             self._advisor = AdvisorLoop(
                 designer,
                 interval=config.advisor_interval,
-                threshold=config.advisor_threshold,
                 cooldown=config.advisor_cooldown,
                 min_ops=config.advisor_min_ops,
                 dry_run=config.advisor_dry_run,
@@ -425,21 +425,7 @@ class ServeDaemon:
             "benchmark": "serve",
             "mode": "daemon",
             "config": {
-                "clients": config.serve.clients,
-                "ops": config.serve.ops,
-                "seed": config.serve.seed,
-                "capacity": config.serve.capacity,
-                "io_micros": config.serve.io_micros,
-                "io_dist": config.serve.io_dist,
-                "max_inflight": config.serve.max_inflight,
-                "query_fraction": config.serve.query_fraction,
-                "profile": config.serve.profile,
-                "op_deadline_ms": config.serve.op_deadline_ms,
-                "shed_backoff_ms": config.serve.shed_backoff_ms,
-                "query_cache_size": config.serve.query_cache_size,
-                "trace_sample_rate": config.serve.trace_sample_rate,
-                "slow_trace_ms": config.serve.slow_trace_ms,
-                "trace_capacity": config.serve.trace_capacity,
+                **asdict(config.serve),
                 "host": host,
                 "port": port,
                 "drift_interval": config.drift_interval,
@@ -761,8 +747,8 @@ def _make_handler(daemon: ServeDaemon) -> type:
         def log_message(self, *_args) -> None:  # keep the daemon's stdout clean
             pass
 
-        def _instrumented(self, handler) -> None:
-            """Run one request handler; self-report count and latency.
+        def _serve(self, method: str, path: str) -> None:
+            """Route one request; self-report count and latency.
 
             Every endpoint — scrapes included — lands in
             ``http.requests{endpoint}`` / ``http.latency_ms{endpoint}``,
@@ -770,9 +756,21 @@ def _make_handler(daemon: ServeDaemon) -> type:
             """
             registry = daemon.world.registry
             endpoint = _endpoint_label(self.path)
+            route = _route(path)
             started = time.perf_counter()
             try:
-                handler()
+                if route is None or route.method != method:
+                    self._send_json(
+                        404,
+                        {
+                            "error": f"unknown path {self.path!r}",
+                            "endpoints": _ENDPOINTS,
+                        },
+                    )
+                else:
+                    getattr(self, route.handler)()
+            except Exception as error:  # noqa: BLE001 - surfaced to the client
+                self._send_json(500, {"error": repr(error)})
             finally:
                 registry.inc("http.requests", endpoint=endpoint)
                 registry.observe(
@@ -793,60 +791,54 @@ def _make_handler(daemon: ServeDaemon) -> type:
             self._send(status, "application/json", json.dumps(payload, indent=2))
 
         def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-            self._instrumented(self._do_get)
+            self._serve("GET", self.path.partition("?")[0])
 
-        def _do_get(self) -> None:
-            try:
-                path, _, query_string = self.path.partition("?")
-                if path == "/metrics":
-                    self._send(
-                        200,
-                        "text/plain; version=0.0.4; charset=utf-8",
-                        daemon.world.registry.render_prometheus(),
-                    )
-                elif path == "/healthz":
-                    ok, payload = daemon.health()
-                    self._send_json(200 if ok else 503, payload)
-                elif path == "/stats":
-                    self._send_json(200, daemon.stats_payload())
-                elif path == "/advisor":
-                    self._send_json(200, daemon.advisor_payload())
-                elif path == "/trace/recent":
-                    limit = 50
-                    for part in query_string.split("&"):
-                        key, _, value = part.partition("=")
-                        if key == "limit" and value.isdigit():
-                            limit = int(value)
-                    tracer = daemon.world.tracer
-                    self._send_json(
-                        200,
-                        {
-                            "tracing": tracer.describe(),
-                            "traces": [
-                                trace.summary()
-                                for trace in tracer.store.recent(limit)
-                            ],
-                        },
-                    )
-                elif path.startswith("/trace/"):
-                    trace = daemon.world.tracer.store.get(path[len("/trace/") :])
-                    if trace is None:
-                        self._send_json(
-                            404,
-                            {"error": "trace not found (evicted or never retained)"},
-                        )
-                    else:
-                        self._send_json(200, trace.as_dict())
-                else:
-                    self._send_json(
-                        404,
-                        {
-                            "error": f"unknown path {self.path!r}",
-                            "endpoints": _ENDPOINTS,
-                        },
-                    )
-            except Exception as error:  # noqa: BLE001 - surfaced to the client
-                self._send_json(500, {"error": repr(error)})
+        def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+            self._serve("POST", self.path)
+
+        def _get_metrics(self) -> None:
+            self._send(
+                200,
+                "text/plain; version=0.0.4; charset=utf-8",
+                daemon.world.registry.render_prometheus(),
+            )
+
+        def _get_healthz(self) -> None:
+            ok, payload = daemon.health()
+            self._send_json(200 if ok else 503, payload)
+
+        def _get_stats(self) -> None:
+            self._send_json(200, daemon.stats_payload())
+
+        def _get_advisor(self) -> None:
+            self._send_json(200, daemon.advisor_payload())
+
+        def _get_recent_traces(self) -> None:
+            limit = 50
+            for part in self.path.partition("?")[2].split("&"):
+                key, _, value = part.partition("=")
+                if key == "limit" and value.isdigit():
+                    limit = int(value)
+            tracer = daemon.world.tracer
+            self._send_json(
+                200,
+                {
+                    "tracing": tracer.describe(),
+                    "traces": [
+                        trace.summary() for trace in tracer.store.recent(limit)
+                    ],
+                },
+            )
+
+        def _get_trace(self) -> None:
+            trace_id = self.path.partition("?")[0][len("/trace/") :]
+            trace = daemon.world.tracer.store.get(trace_id)
+            if trace is None:
+                self._send_json(
+                    404, {"error": "trace not found (evicted or never retained)"}
+                )
+            else:
+                self._send_json(200, trace.as_dict())
 
         def _bad_request(self, message: str) -> None:
             daemon.world.registry.inc("query.errors", kind="bad-request")
@@ -854,81 +846,88 @@ def _make_handler(daemon: ServeDaemon) -> type:
                 400, {"error": {"kind": "bad-request", "message": message}}
             )
 
-        def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-            self._instrumented(self._do_post)
-
-        def _do_post(self) -> None:
+        def _post_query(self) -> None:
+            length = int(self.headers.get("Content-Length") or 0)
+            raw = self.rfile.read(length) if length > 0 else b""
             try:
-                if self.path != "/query":
-                    self._send_json(
-                        404,
-                        {
-                            "error": f"unknown path {self.path!r}",
-                            "endpoints": _ENDPOINTS,
-                        },
-                    )
-                    return
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length) if length > 0 else b""
-                try:
-                    body = json.loads(raw.decode("utf-8")) if raw else None
-                except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                    self._bad_request(f"body is not valid JSON: {error}")
-                    return
-                if not isinstance(body, dict):
-                    self._bad_request('body must be a JSON object {"query": "…"}')
-                    return
-                text = body.get("query")
-                if not isinstance(text, str) or not text.strip():
-                    self._bad_request('"query" must be a non-empty string')
-                    return
-                tracer = daemon.world.tracer
-                trace = tracer.begin("POST /query", "query")
-                try:
-                    outcome = daemon.execute_query(text, trace=trace)
-                    # Rendering rows to JSON-clean cells is serialization
-                    # work too, so the payload build sits inside the span.
-                    with maybe_span(trace, "server.serialize", "serialize"):
-                        payload = outcome.payload()
-                        if trace is not None:
-                            payload["trace_id"] = trace.trace_id
-                        body_text = json.dumps(payload, indent=2)
-                except QueryError as error:
-                    tracer.finish(trace, "error")
-                    kind = "parse" if isinstance(error, ParseError) else "validate"
-                    self._send_json(
-                        400, {"error": {"kind": kind, "message": str(error)}}
-                    )
-                    return
-                except Exception:
-                    # The 500 below is exactly what tail capture is for.
-                    tracer.finish(trace, "error")
-                    raise
-                tracer.finish(trace)
-                self._send(200, "application/json", body_text)
-            except Exception as error:  # noqa: BLE001 - surfaced to the client
-                self._send_json(500, {"error": repr(error)})
+                body = json.loads(raw.decode("utf-8")) if raw else None
+            except (UnicodeDecodeError, json.JSONDecodeError) as error:
+                self._bad_request(f"body is not valid JSON: {error}")
+                return
+            if not isinstance(body, dict):
+                self._bad_request('body must be a JSON object {"query": "…"}')
+                return
+            text = body.get("query")
+            if not isinstance(text, str) or not text.strip():
+                self._bad_request('"query" must be a non-empty string')
+                return
+            tracer = daemon.world.tracer
+            trace = tracer.begin("POST /query", "query")
+            try:
+                outcome = daemon.execute_query(text, trace=trace)
+                # Rendering rows to JSON-clean cells is serialization
+                # work too, so the payload build sits inside the span.
+                with maybe_span(trace, "server.serialize", "serialize"):
+                    payload = outcome.payload()
+                    if trace is not None:
+                        payload["trace_id"] = trace.trace_id
+                    body_text = json.dumps(payload, indent=2)
+            except QueryError as error:
+                tracer.finish(trace, "error")
+                kind = "parse" if isinstance(error, ParseError) else "validate"
+                self._send_json(400, {"error": {"kind": kind, "message": str(error)}})
+                return
+            except Exception:
+                # The 500 from `_serve` is exactly what tail capture is for.
+                tracer.finish(trace, "error")
+                raise
+            tracer.finish(trace)
+            self._send(200, "application/json", body_text)
 
     return Handler
 
 
+class _Route(NamedTuple):
+    method: str
+    #: The bounded-cardinality ``endpoint`` label; a trailing ``:id``
+    #: stands for any suffix.
+    label: str
+    #: The :func:`_make_handler` method that answers it.
+    handler: str
+
+    @property
+    def documented(self) -> str:
+        """``METHOD /path`` as docs/observability.md's endpoint table spells it."""
+        return f"{self.method} {self.label.replace(':id', '<id>')}"
+
+
+#: The daemon's routes, written once, in match order.
+_ROUTES = (
+    _Route("GET", "/metrics", "_get_metrics"),
+    _Route("GET", "/healthz", "_get_healthz"),
+    _Route("GET", "/stats", "_get_stats"),
+    _Route("GET", "/advisor", "_get_advisor"),
+    _Route("GET", "/trace/recent", "_get_recent_traces"),
+    _Route("GET", "/trace/:id", "_get_trace"),
+    _Route("POST", "/query", "_post_query"),
+)
+
+
+def _route(path: str) -> _Route | None:
+    """The route whose label matches ``path`` (no query string), if any."""
+    for route in _ROUTES:
+        prefix, parameter, _ = route.label.partition(":")
+        matches = path.startswith(prefix) if parameter else path == route.label
+        if matches:
+            return route
+    return None
+
+
 def _endpoint_label(path: str) -> str:
     """The bounded-cardinality ``endpoint`` label for one request path."""
-    path = path.partition("?")[0]
-    if path in ("/metrics", "/healthz", "/stats", "/advisor", "/query", "/trace/recent"):
-        return path
-    if path.startswith("/trace/"):
-        return "/trace/:id"
-    return "other"
+    route = _route(path.partition("?")[0])
+    return "other" if route is None else route.label
 
 
 #: What the 404 payload advertises.
-_ENDPOINTS = [
-    "/metrics",
-    "/healthz",
-    "/stats",
-    "/advisor",
-    "/trace/recent",
-    "/trace/<id>",
-    "POST /query",
-]
+_ENDPOINTS = [route.documented.removeprefix("GET ") for route in _ROUTES]

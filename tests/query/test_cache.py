@@ -7,7 +7,8 @@ from repro.telemetry import MetricsRegistry
 
 
 def compiled(text: str) -> CompiledSelect:
-    return CompiledSelect(parse_select(text))
+    statement = parse_select(text)
+    return CompiledSelect(statement, (), statement.predicates)
 
 
 PLAN_A = 'select d from d in Mercedes where d.Name = "Auto"'

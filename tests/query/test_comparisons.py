@@ -7,7 +7,16 @@ import pytest
 from repro.asr import ASRManager, Decomposition, Extension
 from repro.errors import ParseError
 from repro.gom import ObjectBase, PathExpression, Schema
-from repro.query import Planner, QueryEvaluator, SelectExecutor, parse_select
+from repro.query import (
+    ForwardQuery,
+    Planner,
+    QueryEvaluator,
+    SelectExecutor,
+    ValueRangeQuery,
+    parse_select,
+)
+
+from tests.query.test_planner_product import World
 
 
 @pytest.fixture()
@@ -126,3 +135,40 @@ class TestComparisonSemantics:
             'where p.Composition.Price < 50 and p.Name = "Pr0"'
         )
         assert sorted(fast.run(query).rows) == sorted(slow.run(query).rows)
+
+
+def test_two_bounds_on_a_set_valued_path_do_not_fold_into_one_range():
+    """``>= lo and < hi`` is two existential predicates, not one interval.
+
+    On a set-valued path each bound may be witnessed by a *different*
+    reachable value, so the two half-open scans intersected are the
+    correct plan and ``ValueRangeQuery(lo, hi)`` — one value inside the
+    interval — is a different, stricter question.  Pinned on the
+    planner-product world so a future fold fails here instead of
+    shipping.
+    """
+    world = World("structural")
+    lo, hi = 131577, 142921
+    text = (
+        "select x from x in extent(T0) "
+        f"where x.A.A.A.Payload >= {lo} and x.A.A.A.Payload < {hi}"
+    )
+    report = world.executor.run(text)
+    assert report.strategy == "asr-backward via full"
+    answer = {row[0] for row in report.rows}
+    assert answer == {row[0] for row in SelectExecutor(world.db).run(text).rows}
+    assert len(answer) == 17
+    path = world.path
+    folded = world.planner.execute(
+        ValueRangeQuery(path, 0, path.n, lo=lo, hi=hi), world.evaluator
+    ).cells
+    assert len(folded) == 2 and folded < answer
+    # The witness: an origin reaching one value at or above `lo` and
+    # another below `hi`, but none inside [lo, hi).
+    witness = min(answer - folded)
+    reached = world.evaluator.evaluate_unsupported(
+        ForwardQuery(path, 0, path.n, start=witness)
+    ).cells
+    assert any(value >= lo for value in reached)
+    assert any(value < hi for value in reached)
+    assert not any(lo <= value < hi for value in reached)

@@ -4,7 +4,14 @@ import pytest
 
 from repro.asr import ASRManager, Decomposition, Extension
 from repro.costmodel import ApplicationProfile
-from repro.query import BackwardQuery, ForwardQuery, Planner, QueryEvaluator
+from repro.gom import PathExpression
+from repro.query import (
+    BackwardQuery,
+    ForwardQuery,
+    Planner,
+    QueryEvaluator,
+    SelectExecutor,
+)
 from repro.telemetry import MeasuredCosts
 from repro.workload import ChainGenerator
 
@@ -82,3 +89,31 @@ class TestCostBasedChoice:
             query = BackwardQuery(path, i, j, target=generated.layers[j][0])
             assert 0 < planner.cost(query, None) < float("inf")
             assert 0 < planner.cost(query, asr) < float("inf")
+
+    def test_figure8_fallback_through_text_is_charged(self, world):
+        """A text predicate the planner deliberately answers by the scan
+        (priced below the covering ASR) reports the scan's pages — what
+        ``Planner.execute`` charges for its Q_{i,j} — not 0."""
+        generated, manager, _planner, evaluator = world
+        db = generated.db
+        n = generated.n
+        path = PathExpression(db.schema, "T0", ("A",) * n + ("Payload",))
+        manager.create(path, Extension.FULL, Decomposition.none(path.m))
+
+        class ScanIsCheaper:
+            def predict_query(self, query, asr):
+                return 1.0 if asr is None else 1000.0
+
+        planner = Planner(manager, costs=ScanIsCheaper())
+        value = db.attr(generated.layers[n][0], "Payload")
+        hops = ".".join(["A"] * n + ["Payload"])
+        report = SelectExecutor(db, planner, evaluator=evaluator).run(
+            f"select x from x in extent(T0) where x.{hops} = {value}"
+        )
+        query = BackwardQuery(path, 0, path.n, target=value)
+        scan = planner.execute(query, evaluator)
+        assert scan.strategy == "unsupported"
+        assert {row[0] for row in report.rows} == scan.cells != set()
+        assert report.total_pages == scan.total_pages > 0
+        assert report.strategy == "nested-loop traversal"
+        assert report.restriction is None

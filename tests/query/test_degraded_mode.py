@@ -37,7 +37,7 @@ class TestPlannerSkipsQuarantined:
         expected = planner.execute(query, evaluator).cells
         quarantine(manager, injector, db, o)
         assert planner.applicable(query) == []
-        assert planner.quarantined_applicable(query) == [asr]
+        assert planner.plan(query).restriction == "quarantined"
         result = planner.execute(query, evaluator)
         assert result.strategy == "unsupported"
         assert result.cells == evaluator.evaluate_unsupported(query).cells

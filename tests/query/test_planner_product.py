@@ -4,7 +4,9 @@
 question as text through ``SelectExecutor``, compiled earlier or cold} x
 {healthy, quarantined, breaker-open, half-open probe succeeding,
 half-open probe raising}: the answer always equals
-``evaluate_unsupported``, and what the decision leaves behind — ``plan.*`` / ``query.degraded-fallback`` counts, breaker
+``evaluate_unsupported``, the pages charged equal ``planner.execute``'s
+for the same question in the same state, and what the decision leaves
+behind — ``plan.*`` / ``query.degraded-fallback`` counts, breaker
 transitions, drift observations, the ``restriction`` field, how often
 the (stateful) breaker was asked — depends on route and state only,
 never on which ranking the planner was handed.
@@ -79,14 +81,9 @@ def expected_counts(route: str, state: str) -> dict:
     return counts
 
 
-def expected_drift(route: str, state: str) -> int:
-    """Every run plan is observed once; the text routes' degraded
-    predicates run no plan (the nested-loop filter answers them)."""
-    if state == "probe-raises":
-        return 0
-    if route != "execute" and state in ("quarantined", "breaker-open"):
-        return 0
-    return 1
+def expected_drift(state: str) -> int:
+    """Every run plan is observed once, whatever the door it came through."""
+    return 0 if state == "probe-raises" else 1
 
 
 class CountingBoard(BreakerBoard):
@@ -159,20 +156,21 @@ class World:
     def truth(self) -> set:
         return QueryEvaluator(self.db).evaluate_unsupported(self.query).cells
 
-    def decide(self, route: str, compiled) -> tuple[set, str | None]:
-        """Ask the question once; returns (answer, restriction seen)."""
+    def decide(self, route: str, compiled) -> tuple[set, str | None, int]:
+        """Ask the question once; returns (answer, restriction seen, pages)."""
         if route == "execute":
             trace = Trace("t", "Q", "query", sampled=True)
-            cells = self.planner.execute(self.query, self.evaluator, trace=trace).cells
+            result = self.planner.execute(self.query, self.evaluator, trace=trace)
             assert {"plan", "execute"} <= set(trace.phases)
             marks = {"ok": None, "degraded": "quarantined"}
-            return cells, marks.get(trace.outcome, trace.outcome)
+            seen = marks.get(trace.outcome, trace.outcome)
+            return result.cells, seen, result.total_pages
         if route == "cold-text":
             report = self.executor.run(self.text)
         else:
             report = self.executor.run_compiled(compiled)
         assert ("degraded" in report.strategy) == (report.restriction is not None)
-        return {row[0] for row in report.rows}, report.restriction
+        return {row[0] for row in report.rows}, report.restriction, report.total_pages
 
     def plan_counts(self) -> dict:
         return {
@@ -198,18 +196,23 @@ def test_configuration_product(ranking, route, state):
         with pytest.raises(RuntimeError, match="torn tree"):
             world.decide(route, compiled)
     else:
-        cells, seen = world.decide(route, compiled)
+        cells, seen, pages = world.decide(route, compiled)
         assert cells == world.truth() != set()
         assert seen == restriction
+        # The pages column: whatever the door, the question costs what
+        # ``planner.execute`` charges for its Q_{i,j} in the same state.
+        twin = World(ranking)
+        twin.enter(state)
+        assert pages == twin.decide("execute", None)[2] > 0
     assert world.board.asked.get(id(world.asr), 0) - asked_before == asks
     assert world.board.breaker_for(world.asr).transitions == transitions
     assert world.plan_counts() == expected_counts(route, state)
-    assert world.monitor.report()["overall"]["count"] == expected_drift(route, state)
+    assert world.monitor.report()["overall"]["count"] == expected_drift(state)
     if state == "probe-raises":
         # The failed probe re-opened the breaker: the next ask degrades
         # and still answers correctly.
         del world.evaluator.evaluate_supported
-        cells, seen = world.decide(route, compiled)
+        cells, seen, _ = world.decide(route, compiled)
         assert cells == world.truth()
         assert seen == "breaker-open"
 

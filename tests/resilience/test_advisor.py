@@ -119,9 +119,16 @@ class TestGates:
         assert loop.rejected == {"not-better": 1}
 
     def test_hysteresis_threshold(self):
-        loop = AdvisorLoop(FakeDesigner([switch_decision(gain=1.1)]), threshold=1.2)
+        """The designer's threshold is the one hysteresis gate: a gain
+        it did not clear arrives as ``retuned=False``."""
+        designer = FakeDesigner(
+            [FakeDecision(11.0, FakeChoice("left", 10.0), retuned=False)]
+        )
+        designer.improvement_threshold = 1.2
+        loop = AdvisorLoop(designer)
         assert loop.sweep() is False
-        assert loop.rejected == {"below-threshold": 1}
+        assert loop.rejected == {"not-better": 1}
+        assert loop.describe()["threshold"] == 1.2
 
     def test_cooldown_paces_retunes(self):
         clock = {"now": 100.0}
@@ -147,8 +154,9 @@ class TestGates:
         assert len(designer.applied) == 2
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            AdvisorLoop(FakeDesigner([]), threshold=0.9)
+        """The threshold is the designer's to hold and validate."""
+        with pytest.raises(TypeError):
+            AdvisorLoop(FakeDesigner([]), threshold=1.2)
 
 
 class TestApply:

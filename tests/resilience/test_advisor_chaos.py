@@ -33,7 +33,15 @@ def _http_json(url: str, body: dict | None = None) -> tuple[int, dict]:
 def _config() -> ServerConfig:
     return ServerConfig(
         serve=ServeConfig(
-            clients=8, ops=64, seed=11, capacity=64, io_micros=20.0
+            clients=8,
+            ops=64,
+            seed=11,
+            capacity=64,
+            io_micros=20.0,
+            # Phase 2's selects have no ASR on their path, so each is a
+            # charged extent scan (every page touch takes the pool's
+            # lock): keep the queue the final drain must empty short.
+            max_inflight=32,
         ),
         port=0,
         drift_interval=0.5,

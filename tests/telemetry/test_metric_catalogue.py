@@ -1,13 +1,16 @@
-"""The documented metric catalogue equals what ``src/`` emits (names only).
+"""The documented catalogue equals what ``src/`` emits and serves.
 
 ROADMAP aim 4: ``docs/observability.md``'s tables are mechanically
 checked against the literal metric names the code passes to the
-registry — directly, or through the thin per-module wrappers below.
-Labels, endpoints and flags are not covered yet.
+registry — directly, or through the thin per-module wrappers below —
+and against the daemon's one route table.  Labels (beyond
+``http.requests{endpoint}``) and flags are not covered yet.
 """
 
 import re
 from pathlib import Path
+
+from repro.server import _ROUTES
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
@@ -56,3 +59,15 @@ def test_every_emitted_metric_is_documented_and_vice_versa():
     assert not undocumented, f"emitted but not in docs/observability.md: {undocumented}"
     stale = sorted(documented - emitted)
     assert not stale, f"documented but emitted nowhere under src/: {stale}"
+
+
+def test_documented_endpoints_are_exactly_the_route_table():
+    text = (ROOT / "docs" / "observability.md").read_text()
+    documented = set(re.findall(r"^\| `((?:GET|POST) /[^`]*)` \|", text, re.MULTILINE))
+    assert documented == {route.documented for route in _ROUTES}
+    # The `endpoint` label values of `http.requests` are the same table.
+    row = next(
+        line for line in text.splitlines() if line.startswith("| `http.requests`")
+    )
+    labels = set(re.findall(r"`(/[^`]*|other)`", row.split("|")[3]))
+    assert labels == {route.label for route in _ROUTES} | {"other"}
