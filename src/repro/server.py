@@ -18,8 +18,11 @@ the admission queue is full the arrival is **shed** — counted in
 state to every scrape.  With ``--clients 0`` nothing is replayed and the
 daemon serves only its HTTP endpoints.
 
-A stdlib :class:`~http.server.ThreadingHTTPServer` exposes the live
-registry:
+A pre-threaded HTTP/1.1 listener (:mod:`repro.httpd`: a fixed set of
+worker threads blocked in ``accept()`` on one socket, keep-alive, the
+request reader and its wire-level refusals) exposes the live registry;
+this module keeps the route table (``_ROUTES``) and the handlers, plain
+functions from a parsed request to ``(status, content_type, body)``:
 
 ``GET /metrics``
     The Prometheus text exposition of the live
@@ -63,7 +66,11 @@ registry:
 Every HTTP request, scrape included, also self-reports:
 ``http.requests{endpoint}`` counts and ``http.latency_ms{endpoint}``
 times ``/metrics``, ``/healthz``, ``/stats``, ``/query``, and the
-``/trace/*`` family (``/trace/:id`` is one label).
+``/trace/*`` family (``/trace/:id`` is one label); unrouted paths and
+requests the wire refused (400 / 413 / 431 / 501 / 505) are
+``endpoint="other"``.  ``http.connections`` counts accepted
+connections, so ``http.requests / http.connections`` is the keep-alive
+reuse ratio.
 
 A background publisher re-snapshots the
 :class:`~repro.telemetry.drift.DriftMonitor` (and the accounting gauges)
@@ -108,8 +115,8 @@ import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 from repro.asr.journal import ASRState
 from repro.bench.serve import (
@@ -123,6 +130,7 @@ from repro.bench.serve import (
 )
 from repro.errors import ParseError, QueryError, RecoveryError
 from repro.faults import FaultInjector
+from repro.httpd import Listener, Request
 from repro.asr.adaptive import AdaptiveDesigner
 from repro.resilience import (
     AdvisorLoop,
@@ -135,11 +143,6 @@ from repro.telemetry.tracing import activate, maybe_span
 from repro.workload.opstream import Operation
 
 __all__ = ["ServerConfig", "ServeDaemon"]
-
-#: Seconds between the HTTP thread's checks for a shutdown request:
-#: ``socketserver`` blocks ``shutdown()`` until the next check, so this
-#: bounds what the endpoint adds to every drain (its default is 0.5 s).
-_HTTP_POLL_S = 0.02
 
 
 @dataclass
@@ -214,8 +217,7 @@ class ServeDaemon:
         self._stream: list[Operation] = []
         self._loop_thread: threading.Thread | None = None
         self._publisher: threading.Thread | None = None
-        self._httpd: ThreadingHTTPServer | None = None
-        self._http_thread: threading.Thread | None = None
+        self._httpd: Listener | None = None
         self._started_at: float | None = None
         self._errors: list[BaseException] = []
         self._report: dict | None = None
@@ -259,17 +261,13 @@ class ServeDaemon:
         registry.gauge_fn(
             "admission.max_shed_streak", lambda: self._max_shed_streak
         )
-        self._httpd = ThreadingHTTPServer(
-            (config.host, config.port), _make_handler(self)
-        )
-        self._httpd.daemon_threads = True
-        self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": _HTTP_POLL_S},
-            name="serve-http",
-            daemon=True,
-        )
-        self._http_thread.start()
+        self._httpd = Listener(
+            (config.host, config.port),
+            partial(_serve, self),
+            on_connect=lambda: registry.inc("http.connections"),
+            # Refused at the wire, so no route ever saw it.
+            on_reject=lambda: registry.inc("http.requests", endpoint="other"),
+        ).start()
         if config.addr_file:
             host, port = self.address
             with open(config.addr_file, "w", encoding="utf-8") as handle:
@@ -354,8 +352,7 @@ class ServeDaemon:
         """The bound ``(host, port)`` — resolves ``--port 0``."""
         if self._httpd is None:
             raise RuntimeError("daemon not started")
-        host, port = self._httpd.server_address[:2]
-        return str(host), int(port)
+        return self._httpd.address
 
     @property
     def ops_served(self) -> int:
@@ -477,9 +474,7 @@ class ServeDaemon:
             "drift": world.drift.report(),
         }
         write_report(self._report, self.config.out)
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._http_thread.join()
+        self._httpd.stop()
         return self._report
 
     def run(self, out=None) -> int:
@@ -692,11 +687,12 @@ class ServeDaemon:
     def execute_query(self, text: str, trace=None):
         """Run one ``POST /query`` text end to end; returns the outcome.
 
-        Each HTTP request runs on its own :class:`ThreadingHTTPServer`
-        thread, so the query borrows a fresh context from the shared
-        pool for its lifetime (accounting stays exact), and its charged
-        pages are priced on the shared device model *after* all locks
-        are released — the same discipline as replayed operations.
+        Each HTTP request runs on one of the endpoint's worker threads
+        (:mod:`repro.httpd`), so the query borrows a fresh context from
+        the shared pool for its lifetime (accounting stays exact), and
+        its charged pages are priced on the shared device model *after*
+        all locks are released — the same discipline as replayed
+        operations.
 
         ``trace`` (opened by the handler) is activated on this thread so
         the read-lock wait and the measured evaluations attribute to it;
@@ -738,153 +734,103 @@ class ServeDaemon:
         }
 
 
-def _make_handler(daemon: ServeDaemon) -> type:
-    """A request handler class closed over ``daemon``."""
+# ----------------------------------------------------------------------
+# the HTTP routes: plain functions from a parsed request to a reply
+# ----------------------------------------------------------------------
 
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "repro-serve/1.0"
+#: ``(status, content_type, body)`` — what :class:`~repro.httpd.Listener`
+#: writes back.
+Reply = tuple[int, str, bytes]
 
-        def log_message(self, *_args) -> None:  # keep the daemon's stdout clean
-            pass
+_JSON = "application/json"
 
-        def _serve(self, method: str, path: str) -> None:
-            """Route one request; self-report count and latency.
 
-            Every endpoint — scrapes included — lands in
-            ``http.requests{endpoint}`` / ``http.latency_ms{endpoint}``,
-            so the observability plane observes itself.
-            """
-            registry = daemon.world.registry
-            endpoint = _endpoint_label(self.path)
-            route = _route(path)
-            started = time.perf_counter()
-            try:
-                if route is None or route.method != method:
-                    self._send_json(
-                        404,
-                        {
-                            "error": f"unknown path {self.path!r}",
-                            "endpoints": _ENDPOINTS,
-                        },
-                    )
-                else:
-                    getattr(self, route.handler)()
-            except Exception as error:  # noqa: BLE001 - surfaced to the client
-                self._send_json(500, {"error": repr(error)})
-            finally:
-                registry.inc("http.requests", endpoint=endpoint)
-                registry.observe(
-                    "http.latency_ms",
-                    (time.perf_counter() - started) * 1e3,
-                    endpoint=endpoint,
-                )
+def _json(status: int, payload: dict) -> Reply:
+    return status, _JSON, json.dumps(payload, indent=2).encode("utf-8")
 
-        def _send(self, status: int, content_type: str, body: str) -> None:
-            payload = body.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
 
-        def _send_json(self, status: int, payload: dict) -> None:
-            self._send(status, "application/json", json.dumps(payload, indent=2))
+def _get_metrics(daemon: ServeDaemon, _request: Request) -> Reply:
+    return (
+        200,
+        "text/plain; version=0.0.4; charset=utf-8",
+        daemon.world.registry.render_prometheus().encode("utf-8"),
+    )
 
-        def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-            self._serve("GET", self.path.partition("?")[0])
 
-        def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-            self._serve("POST", self.path)
+def _get_healthz(daemon: ServeDaemon, _request: Request) -> Reply:
+    ok, payload = daemon.health()
+    return _json(200 if ok else 503, payload)
 
-        def _get_metrics(self) -> None:
-            self._send(
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                daemon.world.registry.render_prometheus(),
-            )
 
-        def _get_healthz(self) -> None:
-            ok, payload = daemon.health()
-            self._send_json(200 if ok else 503, payload)
+def _get_stats(daemon: ServeDaemon, _request: Request) -> Reply:
+    return _json(200, daemon.stats_payload())
 
-        def _get_stats(self) -> None:
-            self._send_json(200, daemon.stats_payload())
 
-        def _get_advisor(self) -> None:
-            self._send_json(200, daemon.advisor_payload())
+def _get_advisor(daemon: ServeDaemon, _request: Request) -> Reply:
+    return _json(200, daemon.advisor_payload())
 
-        def _get_recent_traces(self) -> None:
-            limit = 50
-            for part in self.path.partition("?")[2].split("&"):
-                key, _, value = part.partition("=")
-                if key == "limit" and value.isdigit():
-                    limit = int(value)
-            tracer = daemon.world.tracer
-            self._send_json(
-                200,
-                {
-                    "tracing": tracer.describe(),
-                    "traces": [
-                        trace.summary() for trace in tracer.store.recent(limit)
-                    ],
-                },
-            )
 
-        def _get_trace(self) -> None:
-            trace_id = self.path.partition("?")[0][len("/trace/") :]
-            trace = daemon.world.tracer.store.get(trace_id)
-            if trace is None:
-                self._send_json(
-                    404, {"error": "trace not found (evicted or never retained)"}
-                )
-            else:
-                self._send_json(200, trace.as_dict())
+def _get_recent_traces(daemon: ServeDaemon, request: Request) -> Reply:
+    limit = 50
+    for part in request.query.split("&"):
+        key, _, value = part.partition("=")
+        if key == "limit" and value.isdigit():
+            limit = int(value)
+    tracer = daemon.world.tracer
+    return _json(
+        200,
+        {
+            "tracing": tracer.describe(),
+            "traces": [trace.summary() for trace in tracer.store.recent(limit)],
+        },
+    )
 
-        def _bad_request(self, message: str) -> None:
-            daemon.world.registry.inc("query.errors", kind="bad-request")
-            self._send_json(
-                400, {"error": {"kind": "bad-request", "message": message}}
-            )
 
-        def _post_query(self) -> None:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length > 0 else b""
-            try:
-                body = json.loads(raw.decode("utf-8")) if raw else None
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                self._bad_request(f"body is not valid JSON: {error}")
-                return
-            if not isinstance(body, dict):
-                self._bad_request('body must be a JSON object {"query": "…"}')
-                return
-            text = body.get("query")
-            if not isinstance(text, str) or not text.strip():
-                self._bad_request('"query" must be a non-empty string')
-                return
-            tracer = daemon.world.tracer
-            trace = tracer.begin("POST /query", "query")
-            try:
-                outcome = daemon.execute_query(text, trace=trace)
-                # Rendering rows to JSON-clean cells is serialization
-                # work too, so the payload build sits inside the span.
-                with maybe_span(trace, "server.serialize", "serialize"):
-                    payload = outcome.payload()
-                    if trace is not None:
-                        payload["trace_id"] = trace.trace_id
-                    body_text = json.dumps(payload, indent=2)
-            except QueryError as error:
-                tracer.finish(trace, "error")
-                kind = "parse" if isinstance(error, ParseError) else "validate"
-                self._send_json(400, {"error": {"kind": kind, "message": str(error)}})
-                return
-            except Exception:
-                # The 500 from `_serve` is exactly what tail capture is for.
-                tracer.finish(trace, "error")
-                raise
-            tracer.finish(trace)
-            self._send(200, "application/json", body_text)
+def _get_trace(daemon: ServeDaemon, request: Request) -> Reply:
+    trace = daemon.world.tracer.store.get(request.path[len("/trace/") :])
+    if trace is None:
+        return _json(404, {"error": "trace not found (evicted or never retained)"})
+    return _json(200, trace.as_dict())
 
-    return Handler
+
+def _bad_request(daemon: ServeDaemon, message: str) -> Reply:
+    daemon.world.registry.inc("query.errors", kind="bad-request")
+    return _json(400, {"error": {"kind": "bad-request", "message": message}})
+
+
+def _post_query(daemon: ServeDaemon, request: Request) -> Reply:
+    raw = request.body
+    try:
+        body = json.loads(raw.decode("utf-8")) if raw else None
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        return _bad_request(daemon, f"body is not valid JSON: {error}")
+    if not isinstance(body, dict):
+        return _bad_request(daemon, 'body must be a JSON object {"query": "…"}')
+    text = body.get("query")
+    if not isinstance(text, str) or not text.strip():
+        return _bad_request(daemon, '"query" must be a non-empty string')
+    tracer = daemon.world.tracer
+    trace = tracer.begin("POST /query", "query")
+    try:
+        outcome = daemon.execute_query(text, trace=trace)
+        # Rendering rows to JSON-clean cells is serialization
+        # work too, so the payload build sits inside the span.
+        with maybe_span(trace, "server.serialize", "serialize"):
+            payload = outcome.payload()
+            if trace is not None:
+                payload["trace_id"] = trace.trace_id
+            # No ``indent``: the one hot body takes json's C encoder.
+            reply = 200, _JSON, json.dumps(payload).encode("utf-8")
+    except QueryError as error:
+        tracer.finish(trace, "error")
+        kind = "parse" if isinstance(error, ParseError) else "validate"
+        return _json(400, {"error": {"kind": kind, "message": str(error)}})
+    except Exception:
+        # The wire's 500 is exactly what tail capture is for.
+        tracer.finish(trace, "error")
+        raise
+    tracer.finish(trace)
+    return reply
 
 
 class _Route(NamedTuple):
@@ -892,8 +838,7 @@ class _Route(NamedTuple):
     #: The bounded-cardinality ``endpoint`` label; a trailing ``:id``
     #: stands for any suffix.
     label: str
-    #: The :func:`_make_handler` method that answers it.
-    handler: str
+    handler: Callable[[ServeDaemon, Request], Reply]
 
     @property
     def documented(self) -> str:
@@ -903,14 +848,17 @@ class _Route(NamedTuple):
 
 #: The daemon's routes, written once, in match order.
 _ROUTES = (
-    _Route("GET", "/metrics", "_get_metrics"),
-    _Route("GET", "/healthz", "_get_healthz"),
-    _Route("GET", "/stats", "_get_stats"),
-    _Route("GET", "/advisor", "_get_advisor"),
-    _Route("GET", "/trace/recent", "_get_recent_traces"),
-    _Route("GET", "/trace/:id", "_get_trace"),
-    _Route("POST", "/query", "_post_query"),
+    _Route("GET", "/metrics", _get_metrics),
+    _Route("GET", "/healthz", _get_healthz),
+    _Route("GET", "/stats", _get_stats),
+    _Route("GET", "/advisor", _get_advisor),
+    _Route("GET", "/trace/recent", _get_recent_traces),
+    _Route("GET", "/trace/:id", _get_trace),
+    _Route("POST", "/query", _post_query),
 )
+
+#: What the 404 payload advertises.
+_ENDPOINTS = [route.documented.removeprefix("GET ") for route in _ROUTES]
 
 
 def _route(path: str) -> _Route | None:
@@ -923,11 +871,30 @@ def _route(path: str) -> _Route | None:
     return None
 
 
-def _endpoint_label(path: str) -> str:
-    """The bounded-cardinality ``endpoint`` label for one request path."""
-    route = _route(path.partition("?")[0])
-    return "other" if route is None else route.label
+def _serve(daemon: ServeDaemon, request: Request) -> Reply:
+    """Route one request; self-report count and latency.
 
-
-#: What the 404 payload advertises.
-_ENDPOINTS = [route.documented.removeprefix("GET ") for route in _ROUTES]
+    Route and ``endpoint`` label come from the same query-stripped path,
+    whatever the method.  Every endpoint — scrapes included — lands in
+    ``http.requests{endpoint}`` / ``http.latency_ms{endpoint}``, so the
+    observability plane observes itself; a handler's exception passes
+    through (counted) to the wire's 500.
+    """
+    registry = daemon.world.registry
+    route = _route(request.path)
+    endpoint = "other" if route is None else route.label
+    started = time.perf_counter()
+    try:
+        if route is None or route.method != request.method:
+            return _json(
+                404,
+                {"error": f"unknown path {request.target!r}", "endpoints": _ENDPOINTS},
+            )
+        return route.handler(daemon, request)
+    finally:
+        registry.inc("http.requests", endpoint=endpoint)
+        registry.observe(
+            "http.latency_ms",
+            (time.perf_counter() - started) * 1e3,
+            endpoint=endpoint,
+        )

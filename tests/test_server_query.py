@@ -6,8 +6,10 @@ counters move only when the test POSTs — the cache-hit and
 epoch-invalidation assertions are exact.
 """
 
+import http.client
 import json
 import re
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -224,6 +226,104 @@ class TestQueryErrors:
         status, payload = post(quiet_daemon, "/nope", b"{}")
         assert status == 404
         assert "POST /query" in payload["endpoints"]
+
+    @pytest.mark.parametrize(
+        "target, expected_status, label",
+        [
+            ("/query?x=1", 200, "/query"),
+            ("/nope?x=1", 404, "other"),
+            ("/query/x", 404, "other"),
+        ],
+    )
+    def test_route_and_label_agree_on_a_post_target(
+        self, quiet_daemon, target, expected_status, label
+    ):
+        # One split of the target serves both: a query string neither
+        # hides the route nor mislabels the 404.
+        registry = quiet_daemon.world.registry
+        before = registry.counter_value("http.requests", endpoint=label)
+        status, payload = post(
+            quiet_daemon, target, json.dumps({"query": QUERY}).encode()
+        )
+        assert status == expected_status
+        if status == 404:
+            assert payload["error"] == f"unknown path {target!r}"
+        assert registry.counter_value("http.requests", endpoint=label) == before + 1
+
+
+class TestWire:
+    """The daemon end of :mod:`repro.httpd` (its own contract: tests/test_httpd.py)."""
+
+    def test_one_kept_alive_connection_carries_three_requests(self, quiet_daemon):
+        registry = quiet_daemon.world.registry
+        def requests_total() -> float:
+            family = registry.snapshot()["counters"].get("http.requests", [])
+            return sum(entry["value"] for entry in family)
+
+        connections = registry.counter_value("http.connections")
+        requests = requests_total()
+        client = http.client.HTTPConnection(*quiet_daemon.address, timeout=10)
+        try:
+            for _ in range(2):
+                client.request("POST", "/query", body=json.dumps({"query": QUERY}))
+                response = client.getresponse()
+                body = response.read()
+                assert response.status == 200
+                # The hot body is the C encoder's: one line.
+                assert b"\n" not in body and json.loads(body)["row_count"] > 0
+            client.request("GET", "/metrics")
+            exposition = client.getresponse().read().decode()
+        finally:
+            client.close()
+        assert "repro_http_connections_total" in exposition
+        assert registry.counter_value("http.connections") == connections + 1
+        assert requests_total() == requests + 3
+
+    def test_refused_at_the_wire_is_counted_as_other(self, quiet_daemon):
+        registry = quiet_daemon.world.registry
+        before = registry.counter_value("http.requests", endpoint="other")
+        with socket.create_connection(quiet_daemon.address, timeout=10) as conn:
+            conn.sendall(b"GARBAGE\r\n\r\n")
+            reply = b""
+            while chunk := conn.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert registry.counter_value("http.requests", endpoint="other") == before + 1
+
+    def test_shutdown_does_not_wait_out_a_parked_connection(self, quiet_daemon):
+        client = http.client.HTTPConnection(*quiet_daemon.address, timeout=10)
+        try:
+            client.request("GET", "/advisor")
+            assert client.getresponse().read()
+            started = time.monotonic()
+            quiet_daemon.shutdown()  # idempotent: the fixture's is a no-op
+            waited = time.monotonic() - started
+            assert client.sock.recv(1) == b"", "the parked connection was left open"
+        finally:
+            client.close()
+        # Well under the wire's 5 s idle timeout, drain included.
+        assert waited < 2.0
+
+    def test_handler_exception_is_a_counted_500(self, quiet_daemon, monkeypatch):
+        def broken(text, trace=None):
+            raise RuntimeError("kaboom")
+
+        monkeypatch.setattr(quiet_daemon, "execute_query", broken)
+        registry = quiet_daemon.world.registry
+        before = registry.counter_value("http.requests", endpoint="/query")
+        host, port = quiet_daemon.address
+        request = urllib.request.Request(
+            f"http://{host}:{port}/query",
+            data=json.dumps({"query": QUERY}).encode(),
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=10)
+        assert caught.value.code == 500
+        assert caught.value.read() == json.dumps(
+            {"error": repr(RuntimeError("kaboom"))}, indent=2
+        ).encode()
+        assert registry.counter_value("http.requests", endpoint="/query") == before + 1
 
 
 class TestDegradedFallback:
