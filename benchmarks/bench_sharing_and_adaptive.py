@@ -78,8 +78,8 @@ def test_adaptive_retune_throughput(benchmark, record):
         size=(400, 300, 200, 100),
     )
     generated = ChainGenerator(seed=43).generate(profile)
-    manager = ASRManager(generated.db)
     sizes = {f"T{i}": int(profile.size[i]) for i in range(4)}
+    manager = ASRManager(generated.db, costs=MeasuredCosts(generated.db, sizes))
 
     def tune_once():
         asr = manager.create(
@@ -88,9 +88,7 @@ def test_adaptive_retune_throughput(benchmark, record):
         recorder = WorkloadRecorder(generated.path)
         recorder.record_query(0, 2, "bw", count=100)
         recorder.record_update(0, count=5)
-        designer = AdaptiveDesigner(
-            manager, asr, recorder, MeasuredCosts(generated.db, sizes)
-        )
+        designer = AdaptiveDesigner(manager, asr, recorder)
         decision = designer.retune()
         manager.drop(designer.asr)
         return decision

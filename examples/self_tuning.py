@@ -85,8 +85,8 @@ def adaptive_demo() -> None:
     )
     generated = ChainGenerator(seed=21).generate(profile)
     db, path = generated.db, generated.path
-    manager = ASRManager(db)
     sizes = {f"T{i}": int(profile.size[i]) for i in range(4)}
+    manager = ASRManager(db, costs=MeasuredCosts(db, sizes))
 
     # Start with a deliberately poor choice for the workload to come.
     asr = manager.create(path, Extension.RIGHT, Decomposition.binary(path.m))
@@ -107,7 +107,7 @@ def adaptive_demo() -> None:
 
     mix, p_up = recorder.to_mix()
     print(f"recorded workload: {mix} at P_up={p_up:.3f}")
-    designer = AdaptiveDesigner(manager, asr, recorder, MeasuredCosts(db, sizes))
+    designer = AdaptiveDesigner(manager, asr, recorder)
     decision = designer.retune()
     print(f"decision: {decision.describe()}")
     print(

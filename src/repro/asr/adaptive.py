@@ -16,9 +16,9 @@ This module implements that loop:
 2. :meth:`WorkloadRecorder.to_mix` turns the log into the cost model's
    ``(OperationMix, P_up)``;
 3. :class:`AdaptiveDesigner` re-measures the live profile through its
-   :class:`~repro.telemetry.drift.MeasuredCosts` (in a serving world the
-   one the planner and the drift monitor price from, so a sweep
-   refreshes their profile too), runs the
+   :class:`~repro.telemetry.drift.MeasuredCosts` (the manager's
+   ``costs``, which its planners — and in a serving world the drift
+   monitor — price from, so a sweep refreshes their profile too), runs the
    :class:`~repro.costmodel.advisor.DesignAdvisor`, and — when the best
    design beats the current one by a configurable factor — re-materializes
    the ASR under the new (extension, decomposition).
@@ -215,7 +215,6 @@ class AdaptiveDesigner:
         manager: ASRManager,
         asr: AccessSupportRelation,
         recorder: WorkloadRecorder,
-        costs: MeasuredCosts | None = None,
         improvement_threshold: float = 1.2,
     ) -> None:
         if asr not in manager.asrs:
@@ -225,9 +224,12 @@ class AdaptiveDesigner:
         self.manager = manager
         self.asr = asr
         self.recorder = recorder
-        #: Where the measured profile lives; a serving world hands over
-        #: the one its planner and drift monitor price from.
-        self.costs = costs if costs is not None else MeasuredCosts(manager.db)
+        #: Where the measured profile lives: the manager's price list,
+        #: which its planners (and a serving world's drift monitor)
+        #: price from; a private one when the manager has none.
+        self.costs = (
+            manager.costs if manager.costs is not None else MeasuredCosts(manager.db)
+        )
         self.improvement_threshold = improvement_threshold
 
     # ------------------------------------------------------------------

@@ -114,6 +114,13 @@ class ASRManager:
         ``asr.quarantine.entered`` / ``asr.quarantine.exited`` (labelled
         by extension), and every operation counter the manager bumps in
         the context trace is mirrored into the ``ops`` counter family.
+    costs:
+        Optional :class:`~repro.telemetry.drift.MeasuredCosts`: the object
+        base's one price list.  Every
+        :class:`~repro.query.planner.Planner` over this manager ranks by
+        it (``predict_query`` is all a planner asks), and an
+        :class:`~repro.asr.adaptive.AdaptiveDesigner` prices and
+        re-measures through it; without one, planners rank structurally.
     """
 
     #: Bounded-retry default seeding the manager's
@@ -129,8 +136,10 @@ class ASRManager:
         auto_recover: bool = True,
         metrics=None,
         policy: RecoveryPolicy | None = None,
+        costs=None,
     ) -> None:
         self.db = db
+        self.costs = costs
         #: The retry/backoff contract every recovery path follows —
         #: shared verbatim with ``repro doctor --repair`` and the
         #: :class:`~repro.resilience.healer.HealerLoop`.

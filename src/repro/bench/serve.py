@@ -214,11 +214,11 @@ class ServeWorld:
     drift: DriftMonitor
     breakers: BreakerBoard
     #: The replay stream's planner (shared by every executor thread):
-    #: structural ranking, breaker-gated, feeding :attr:`drift`.
+    #: ranked by ``manager.costs``, breaker-gated, feeding :attr:`drift`.
     planner: Planner
     #: The text-in/rows-out front door (``POST /query`` and the
     #: ``queries`` profile's select operations); its planner ranks by
-    #: the cost model.
+    #: the same price list.
     queries: QueryService
     #: Per-request tracing front door (DESIGN §14); disabled by default.
     tracer: Tracer
@@ -256,8 +256,19 @@ def build_world(
     profile, _mix = config.resolved_profile()
     generated = ChainGenerator(config.seed).generate(profile)
     pool = ContextPool(config.capacity, metrics=registry)
+    # The world's one price list, owned by its manager: every planner
+    # over it, the drift monitor and (in the daemon) the advisor price
+    # through it, over the *measured* profile of the world we actually
+    # built — so the drift report isolates model error from input
+    # error, about the prices plans were ranked by.  The chain path is
+    # measured here, not when the first query arrives; other paths on
+    # first use.
+    costs = MeasuredCosts(
+        generated.db, dict(zip(generated.path.types, generated.profile.size))
+    )
+    costs.predictor_for(generated.path)
     manager_context = pool.acquire()
-    manager = ASRManager(generated.db, context=manager_context)
+    manager = ASRManager(generated.db, context=manager_context, costs=costs)
     manager.create(generated.path, Extension.FULL)
     if config.profile == "queries":
         # The queries profile selects on the chain's Payload terminals;
@@ -270,16 +281,6 @@ def build_world(
             tuple("A" for _ in range(generated.n)) + ("Payload",),
         )
         manager.create(payload_path, Extension.FULL)
-    # The world's one cost oracle: drift monitor, front-door planner and
-    # (in the daemon) the advisor all price through it, over the
-    # *measured* profile of the world we actually built — so the drift
-    # report isolates model error from input error, about the prices
-    # plans were ranked by.  The chain path is measured here, not when
-    # the first query arrives; other paths on first use.
-    costs = MeasuredCosts(
-        generated.db, dict(zip(generated.path.types, generated.profile.size))
-    )
-    costs.predictor_for(generated.path)
     drift = DriftMonitor(costs, registry)
     # Per-ASR circuit breakers, fed by the manager's quarantine
     # transitions; the planners below filter candidates through them.
@@ -289,16 +290,16 @@ def build_world(
         registry=registry,
     )
     manager.add_state_listener(breakers.on_asr_state)
-    # The two planners a world needs, both breaker-gated.  Replay ranks
-    # structurally and feeds the drift monitor; the textual front door
-    # ranks by the cost model, behind an epoch-keyed compiled-plan
-    # cache.  Drift stays focused on the replay stream's Q_{i,j} shapes
-    # (a value-range select would be priced as a point query), so no
-    # drift hook there.
+    # The two planners a world needs, both breaker-gated and both ranked
+    # by the manager's price list, so they choose alike.  Replay feeds
+    # the drift monitor; the textual front door sits behind an
+    # epoch-keyed compiled-plan cache.  Drift stays focused on the
+    # replay stream's Q_{i,j} shapes (a value-range select is priced as
+    # the point backward query over its range), so no drift hook there.
     planner = Planner(manager, drift=drift, breakers=breakers)
     queries = QueryService(
         generated.db,
-        Planner(manager, breakers=breakers, costs=costs),
+        Planner(manager, breakers=breakers),
         store=generated.store,
         cache_size=config.query_cache_size,
         registry=registry,

@@ -49,6 +49,8 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.telemetry.tracing import maybe_span
+
 __all__ = [
     "LatencyModel",
     "FixedLatency",
@@ -199,30 +201,25 @@ class DeviceModel:
     def charge(self, pages: int, trace=None) -> float:
         """Sleep the simulated latency on the calling thread.
 
-        ``trace`` (a :class:`~repro.telemetry.tracing.Trace`) records
-        the *measured* wait as the ``device`` phase — sleeps overshoot,
-        and phase sums must account for real elapsed time.
+        ``trace`` (a :class:`~repro.telemetry.tracing.Trace`) gets the
+        whole *measured* charge as its ``device`` phase: the pricing,
+        the sleep (sleeps overshoot, and phase sums must account for
+        real elapsed time), the wake-up, and the published metrics.
         """
-        seconds = self.seconds(pages)
-        start = time.perf_counter() if trace is not None else None
-        if seconds:
-            time.sleep(seconds)
-        if trace is not None:
-            waited_ms = (time.perf_counter() - start) * 1e3
-            trace.add_phase("device.charge", "device", waited_ms)
-        self._observe(pages, seconds)
+        with maybe_span(trace, "device.charge", "device"):
+            seconds = self.seconds(pages)
+            if seconds:
+                time.sleep(seconds)
+            self._observe(pages, seconds)
         return seconds
 
     async def acharge(self, pages: int, trace=None) -> float:
         """Await the simulated latency on the running event loop."""
-        seconds = self.seconds(pages)
-        start = time.perf_counter() if trace is not None else None
-        if seconds:
-            await asyncio.sleep(seconds)
-        if trace is not None:
-            waited_ms = (time.perf_counter() - start) * 1e3
-            trace.add_phase("device.charge", "device", waited_ms)
-        self._observe(pages, seconds)
+        with maybe_span(trace, "device.charge", "device"):
+            seconds = self.seconds(pages)
+            if seconds:
+                await asyncio.sleep(seconds)
+            self._observe(pages, seconds)
         return seconds
 
     def describe(self) -> dict:

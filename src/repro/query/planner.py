@@ -17,13 +17,16 @@ stateful (a half-open breaker admits exactly one probe), so
 :meth:`Planner.plan` asks once per covering ASR per decision and
 :meth:`Planner.recheck` once more for a plan frozen earlier.
 
-Among the usable ASRs the cheapest wins.  Without a ``costs``
-collaborator prices are structural and any usable ASR beats the
-fallback; with one they are the analytical model's over the measured
-profile of the queried path, and the traversal/scan wins whenever it is
-priced cheaper — the paper's Figure 8: a partial-range query against a
-non-decomposed full extension degenerates to an exhaustive index scan
-that can cost more than no support at all.
+Among the usable ASRs the cheapest wins, priced by the manager's one
+price list (``ASRManager.costs``, a
+:class:`~repro.telemetry.drift.MeasuredCosts`): the analytical model
+over the measured profile of the queried path, so the traversal/scan
+wins whenever it is priced cheaper — the paper's Figure 8: a query
+whose endpoint falls inside a partition degenerates to an exhaustive
+scan of that partition, which can cost more than no support at all.  A
+manager built without a price list (the demo, the examples, small test
+worlds) gets structural prices, under which any usable ASR beats the
+fallback.
 
 :meth:`Planner.run` is the only place a plan is executed and its
 outcome reported (breaker board, drift monitor);
@@ -65,8 +68,20 @@ class Plan:
         return self.asr is not None
 
     def describe(self) -> str:
+        """One line; a plan without an ASR says why it has none.
+
+        ``priced ~N pages`` is a fallback chosen on price (Figure 8),
+        ``degraded: <restriction>`` one forced by an access restriction,
+        and ``no usable ASR`` one that nothing covering could answer.
+        """
         if self.asr is None:
-            return f"{self.query}: unsupported traversal/scan"
+            if self.restriction is not None:
+                why = f"degraded: {self.restriction}"
+            elif self.estimated_pages == float("inf"):
+                why = "no usable ASR"
+            else:
+                why = f"priced ~{self.estimated_pages:.0f} pages"
+            return f"{self.query}: unsupported traversal/scan ({why})"
         return (
             f"{self.query}: via ASR[{self.asr.extension.value}, "
             f"dec={self.asr.decomposition}] (~{self.estimated_pages:.0f} pages)"
@@ -82,24 +97,22 @@ def mark_restriction(trace, restriction: str | None) -> None:
 class Planner:
     """Chooses among registered ASRs and the unsupported fallback, and runs it.
 
-    Every collaborator is optional and duck-typed.  ``drift`` (a
+    Ranks by ``manager.costs`` when the manager has a price list, else
+    structurally (:meth:`cost`), so every planner over one manager
+    prices alike.  Both other collaborators are optional and
+    duck-typed.  ``drift`` (a
     :class:`~repro.telemetry.drift.DriftMonitor`: ``observe_query``)
     gets every run plan's measured pages against the cost model's
     prediction.  ``breakers`` (a
     :class:`~repro.resilience.breaker.BreakerBoard`: ``allow_query`` /
     ``record_success`` / ``record_failure``) vetoes candidates and is
-    fed by every supported evaluation.  ``costs`` (a
-    :class:`~repro.telemetry.drift.MeasuredCosts`: ``predict_query``)
-    ranks by the analytical cost model instead of structurally.
+    fed by every supported evaluation.
     """
 
-    def __init__(
-        self, manager: ASRManager, drift=None, breakers=None, costs=None
-    ) -> None:
+    def __init__(self, manager: ASRManager, drift=None, breakers=None) -> None:
         self.manager = manager
         self.drift = drift
         self.breakers = breakers
-        self.costs = costs
 
     # ------------------------------------------------------------------
     # candidates
@@ -159,16 +172,17 @@ class Planner:
     def cost(self, query: Query, asr: AccessSupportRelation | None) -> float:
         """The price of answering ``query`` through ``asr`` (``None``: without).
 
-        Structural without ``costs`` — the fallback is then priced at
-        infinity, so it is chosen only when nothing usable covers the
-        query; the model's Eqs. 31-34 with ``costs``, where a shape the
-        model cannot price ranks last.
+        The model's Eqs. 31-34 through ``manager.costs``, where a shape
+        the model cannot price ranks last; structural when the manager
+        has no price list — the fallback is then priced at infinity, so
+        it is chosen only when nothing usable covers the query.
         """
-        if self.costs is None:
+        costs = self.manager.costs
+        if costs is None:
             if asr is None:
                 return float("inf")
             return self.estimate_supported_pages(query, asr)
-        predicted = self.costs.predict_query(query, asr)
+        predicted = costs.predict_query(query, asr)
         return float("inf") if predicted is None else predicted
 
     # ------------------------------------------------------------------

@@ -315,14 +315,13 @@ class ServeDaemon:
             # "queries" profile's payload-path ASR stays as built: the
             # recorder has no per-range evidence for it.)
             chain_asr = manager.find(self.world.generated.path)[0]
-            # It prices from the world's one oracle, so each sweep's
-            # re-measured profile is the planner's and the drift
+            # It prices from the manager's price list, so each sweep's
+            # re-measured profile is the planners' and the drift
             # monitor's too.
             designer = AdaptiveDesigner(
                 manager,
                 chain_asr,
                 self.world.recorder,
-                costs=self.world.drift.predictor,
                 improvement_threshold=config.advisor_threshold,
             )
             self._advisor = AdvisorLoop(

@@ -22,10 +22,12 @@ unsupported plans, Eqs. 33–34 (over the ASR's decomposition in type
 indices, :attr:`~repro.asr.asr.AccessSupportRelation.type_decomposition`)
 for supported ones, and the section 6 ``search + aup`` maintenance terms
 for ``ins_i`` updates.  :class:`MeasuredCosts` keeps one such predictor
-per path over that path's measured profile.  A world owns exactly one
-(:func:`~repro.bench.serve.build_world`): the drift monitor, the
-front-door planner and the adaptive designer all price through it, so
-the prices ``/drift`` validates are the prices plans were ranked by.
+per path over that path's measured profile.  A world owns exactly one,
+held by its manager as ``ASRManager.costs``
+(:func:`~repro.bench.serve.build_world`): the drift monitor, every
+planner over the manager and the adaptive designer all price through
+it, so the prices ``/drift`` validates are the prices plans were ranked
+by.
 """
 
 from __future__ import annotations
@@ -139,8 +141,12 @@ class CostModelPredictor:
     def predict_query(self, query: Query, asr) -> float | None:
         """Predicted pages for ``query`` as executed (``asr=None`` ⇒ Eqs. 31–32).
 
-        Returns ``None`` for shapes the model does not price (value-range
-        queries, ranges outside the profile) — callers skip those.
+        A :class:`~repro.query.queries.ValueRangeQuery` has ``kind ==
+        "bw"`` and is priced as the point backward query over the same
+        ``(i, j)``: the model has no selectivity term, and the front door
+        ranks range selects by that price.  Returns ``None`` for shapes
+        the model does not price (a kind other than ``fw`` / ``bw``, a
+        range outside the profile) — callers skip those.
         """
         if query.kind not in ("fw", "bw"):
             return None

@@ -36,7 +36,7 @@ def measured(generated) -> MeasuredCosts:
 @pytest.fixture()
 def world():
     generated = ChainGenerator(seed=19).generate(PROFILE)
-    manager = ASRManager(generated.db)
+    manager = ASRManager(generated.db, costs=measured(generated))
     return generated, manager
 
 
@@ -106,7 +106,7 @@ class TestAdaptiveDesigner:
         for _ in range(50):
             recorder.record_query(0, 2, "bw")  # RIGHT cannot serve (0,2)
         recorder.record_update(0, count=2)
-        designer = AdaptiveDesigner(manager, asr, recorder, measured(generated))
+        designer = AdaptiveDesigner(manager, asr, recorder)
         decision = designer.retune()
         assert decision.retuned
         assert designer.asr.extension in (Extension.FULL, Extension.LEFT)
@@ -118,9 +118,7 @@ class TestAdaptiveDesigner:
         asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
         recorder = WorkloadRecorder(path)
         recorder.record_query(1, 2, "fw", count=20)  # only full serves this
-        designer = AdaptiveDesigner(
-            manager, asr, recorder, measured(generated), improvement_threshold=3.0
-        )
+        designer = AdaptiveDesigner(manager, asr, recorder, improvement_threshold=3.0)
         decision = designer.retune()
         assert designer.asr is asr  # not replaced
         assert "pages/op" in decision.describe()
@@ -132,7 +130,7 @@ class TestAdaptiveDesigner:
         recorder = WorkloadRecorder(path)
         for _ in range(30):
             recorder.record_query(0, 1, "bw")
-        designer = AdaptiveDesigner(manager, asr, recorder, measured(generated))
+        designer = AdaptiveDesigner(manager, asr, recorder)
         designer.retune()
         owner = generated.layers[0][0]
         collection = db.attr(owner, "A")
@@ -174,7 +172,7 @@ class TestAdaptiveDesigner:
         for _ in range(50):
             recorder.record_query(0, 2, "bw")
         recorder.record_update(0, count=2)
-        designer = AdaptiveDesigner(manager, asr, recorder, measured(generated))
+        designer = AdaptiveDesigner(manager, asr, recorder)
         assert designer.retune().retuned  # moves off the poor design once
         first = designer.recommend()
         second = designer.recommend()
@@ -188,7 +186,7 @@ class TestAdaptiveDesigner:
         recorder = WorkloadRecorder(path)
         for _ in range(50):
             recorder.record_query(0, 2, "bw")
-        designer = AdaptiveDesigner(manager, asr, recorder, measured(generated))
+        designer = AdaptiveDesigner(manager, asr, recorder)
         epoch_before = manager.epoch
         assert designer.retune().retuned
         assert manager.epoch == epoch_before + 1
@@ -201,13 +199,15 @@ class TestRetuneRollback:
     def scenario(self):
         generated = ChainGenerator(seed=19).generate(PROFILE)
         injector = FaultInjector(seed=0)
-        manager = ASRManager(generated.db, fault_injector=injector)
+        manager = ASRManager(
+            generated.db, fault_injector=injector, costs=measured(generated)
+        )
         path = generated.path
         asr = manager.create(path, Extension.RIGHT, Decomposition.binary(path.m))
         recorder = WorkloadRecorder(path)
         for _ in range(50):
             recorder.record_query(0, 2, "bw")
-        designer = AdaptiveDesigner(manager, asr, recorder, measured(generated))
+        designer = AdaptiveDesigner(manager, asr, recorder)
         return generated, injector, manager, asr, designer
 
     def assert_rolled_back(self, manager, asr, designer, epoch_before):
@@ -250,7 +250,7 @@ class TestOnlineRetune:
         recorder = WorkloadRecorder(path)
         for _ in range(50):
             recorder.record_query(0, 2, "bw")
-        designer = AdaptiveDesigner(manager, asr, recorder, measured(generated))
+        designer = AdaptiveDesigner(manager, asr, recorder)
 
         real_build = AccessSupportRelation.build.__func__
         owner = generated.layers[0][0]
@@ -284,7 +284,7 @@ class TestTypeBorders:
         asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
         recorder = WorkloadRecorder(path)
         recorder.record_query(0, 2, "bw", count=20)
-        designer = AdaptiveDesigner(manager, asr, recorder, measured(generated))
+        designer = AdaptiveDesigner(manager, asr, recorder)
         with caplog.at_level(logging.WARNING, logger="repro.asr"):
             designer.recommend()
             designer.recommend()

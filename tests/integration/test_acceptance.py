@@ -114,10 +114,8 @@ def test_full_story(tmp_path):
     recorder = WorkloadRecorder(path)
     recorder.record_query(0, 3, "bw", count=50)
     recorder.record_update(2, count=2)
-    designer = AdaptiveDesigner(
-        manager, asr, recorder,
-        MeasuredCosts(db, {"Division": 500, "Product": 400, "BasePart": 300}),
-    )
+    manager.costs = MeasuredCosts(db, {"Division": 500, "Product": 400, "BasePart": 300})
+    designer = AdaptiveDesigner(manager, asr, recorder)
     decision = designer.recommend()
     assert decision.best.extension is not None
     manager.check_consistency()

@@ -36,7 +36,8 @@ PROFILE = ApplicationProfile(
 @pytest.fixture(scope="module")
 def world():
     generated = ChainGenerator(seed=47).generate(PROFILE)
-    manager = ASRManager(generated.db)
+    sizes = {f"T{i}": int(PROFILE.size[i]) for i in range(6)}
+    manager = ASRManager(generated.db, costs=MeasuredCosts(generated.db, sizes))
     decs = [
         Decomposition.binary(generated.path.m),
         Decomposition.none(generated.path.m),
@@ -131,16 +132,13 @@ class TestLongChain:
 
     def test_adaptive_on_long_chain(self, world):
         generated, manager, _asrs = world
-        sizes = {f"T{i}": int(PROFILE.size[i]) for i in range(6)}
         asr = manager.create(
             generated.path, Extension.CANONICAL, Decomposition.binary(generated.path.m)
         )
         recorder = WorkloadRecorder(generated.path)
         recorder.record_query(0, 3, "bw", count=40)  # canonical cannot serve
         recorder.record_update(4, count=1)
-        designer = AdaptiveDesigner(
-            manager, asr, recorder, MeasuredCosts(generated.db, sizes)
-        )
+        designer = AdaptiveDesigner(manager, asr, recorder)
         decision = designer.retune()
         assert decision.retuned
         assert designer.asr.extension in (Extension.FULL, Extension.LEFT)

@@ -28,8 +28,8 @@ SIZES = {"T0": 400, "T1": 300, "T2": 200, "T3": 100}
 @pytest.fixture()
 def world():
     generated = ChainGenerator(seed=53).generate(PROFILE)
-    manager = ASRManager(generated.db)
-    planner = Planner(manager, costs=MeasuredCosts(generated.db, SIZES))
+    manager = ASRManager(generated.db, costs=MeasuredCosts(generated.db, SIZES))
+    planner = Planner(manager)
     evaluator = QueryEvaluator(generated.db, generated.store)
     return generated, manager, planner, evaluator
 
@@ -71,9 +71,9 @@ class TestCostBasedChoice:
         assert plan.asr is nodec  # one descent beats one per partition
 
     def test_profile_cache_and_invalidate(self, world):
-        generated, _manager, planner, _evaluator = world
+        generated, manager, _planner, _evaluator = world
         path = generated.path
-        costs = planner.costs
+        costs = manager.costs
         first = costs.predictor_for(path)
         assert costs.predictor_for(path) is first  # profile and memo cached
         generated.db.delete(generated.layers[3][0])
@@ -104,7 +104,8 @@ class TestCostBasedChoice:
             def predict_query(self, query, asr):
                 return 1.0 if asr is None else 1000.0
 
-        planner = Planner(manager, costs=ScanIsCheaper())
+        manager.costs = ScanIsCheaper()
+        planner = Planner(manager)
         value = db.attr(generated.layers[n][0], "Payload")
         hops = ".".join(["A"] * n + ["Payload"])
         report = SelectExecutor(db, planner, evaluator=evaluator).run(

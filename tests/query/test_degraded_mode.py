@@ -73,9 +73,11 @@ class TestPlannerSkipsQuarantined:
         db, path, o = company_world
         injector = FaultInjector()
         context = ExecutionContext()
-        manager = ASRManager(db, context=context, fault_injector=injector)
+        manager = ASRManager(
+            db, context=context, fault_injector=injector, costs=MeasuredCosts(db)
+        )
         manager.create(path, Extension.FULL, Decomposition.binary(path.m))
-        planner = Planner(manager, costs=MeasuredCosts(db))
+        planner = Planner(manager)
         evaluator = QueryEvaluator(db, context=context)
         quarantine(manager, injector, db, o)
         query = BackwardQuery(path, 0, path.n, target="Door")

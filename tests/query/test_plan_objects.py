@@ -5,6 +5,7 @@ import pytest
 from repro.asr import ASRManager, Decomposition, Extension
 from repro.query import BackwardQuery, ForwardQuery, Planner
 from repro.query.planner import Plan
+from repro.telemetry import MeasuredCosts
 
 
 @pytest.fixture()
@@ -22,7 +23,31 @@ class TestPlanDescribe:
         plan = planner.plan(query)
         assert plan.asr is None
         assert plan.estimated_pages == float("inf")
-        assert "unsupported" in plan.describe()
+        assert plan.describe().endswith("unsupported traversal/scan (no usable ASR)")
+
+    def test_unsupported_plan_says_why(self, setup):
+        """A slow-query line tells a Figure 8 choice from a degraded one."""
+        generated, _manager, _planner = setup
+        query = ForwardQuery(generated.path, 0, 1, start=generated.layers[0][0])
+        why = {
+            "priced ~1 pages": Plan(query, None, 1.2),
+            "no usable ASR": Plan(query, None, float("inf")),
+            "degraded: quarantined": Plan(query, None, 3.0, restriction="quarantined"),
+            "degraded: breaker-open": Plan(
+                query, None, float("inf"), breaker_blocked=1, restriction="breaker-open"
+            ),
+        }
+        for reason, plan in why.items():
+            assert plan.describe() == f"{query}: unsupported traversal/scan ({reason})"
+
+    def test_fallback_chosen_on_price_is_described_by_its_price(self, small_chain):
+        path = small_chain.path
+        manager = ASRManager(small_chain.db, costs=MeasuredCosts(small_chain.db))
+        manager.create(path, Extension.FULL, Decomposition.none(path.m))
+        query = ForwardQuery(path, 1, 2, start=small_chain.layers[1][0])
+        plan = Planner(manager).plan(query)
+        assert plan.asr is None and plan.restriction is None
+        assert f"(priced ~{plan.estimated_pages:.0f} pages)" in plan.describe()
 
     def test_supported_plan_mentions_design(self, setup):
         generated, manager, planner = setup

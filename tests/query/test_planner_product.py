@@ -9,7 +9,7 @@ for the same question in the same state, and what the decision leaves
 behind — ``plan.*`` / ``query.degraded-fallback`` counts, breaker
 transitions, drift observations, the ``restriction`` field, how often
 the (stateful) breaker was asked — depends on route and state only,
-never on which ranking the planner was handed.
+never on whether the manager carries a price list.
 
 The text route compiles while healthy and runs the frozen plan after the
 state change: that is the compiled-plan re-check, the one other place a
@@ -107,7 +107,10 @@ class World:
         self.context = ExecutionContext()
         self.injector = FaultInjector()
         self.manager = ASRManager(
-            db, context=self.context, fault_injector=self.injector
+            db,
+            context=self.context,
+            fault_injector=self.injector,
+            costs=MeasuredCosts(db) if ranking == "cost-ranked" else None,
         )
         self.asr = self.manager.create(
             path, Extension.FULL, Decomposition.binary(path.m)
@@ -117,12 +120,7 @@ class World:
         self.monitor = DriftMonitor(
             CostModelPredictor(profile_from_database(db, path))
         )
-        self.planner = Planner(
-            self.manager,
-            drift=self.monitor,
-            breakers=self.board,
-            costs=MeasuredCosts(db) if ranking == "cost-ranked" else None,
-        )
+        self.planner = Planner(self.manager, drift=self.monitor, breakers=self.board)
         self.evaluator = QueryEvaluator(db, generated.store, context=self.context)
         self.executor = SelectExecutor(db, self.planner, evaluator=self.evaluator)
         # A payload some T0 object reaches, so the answer is not empty.
@@ -233,7 +231,7 @@ def test_cost_ranking_prices_a_shape_once():
     """A repeated shape re-enters the cost model zero times; invalidating
     the path drops profile and memo together."""
     world = World("cost-ranked")
-    planner, costs, path = world.planner, world.planner.costs, world.path
+    planner, costs, path = world.planner, world.manager.costs, world.path
     first = planner.plan(world.query)
     predictor = costs.predictor_for(path)
     reentered = []

@@ -22,8 +22,8 @@ SIZES = {"T0": 400, "T1": 300, "T2": 200, "T3": 100}
 @pytest.fixture()
 def world():
     generated = ChainGenerator(seed=97).generate(PROFILE)
-    manager = ASRManager(generated.db)
-    planner = Planner(manager, costs=MeasuredCosts(generated.db, SIZES))
+    manager = ASRManager(generated.db, costs=MeasuredCosts(generated.db, SIZES))
+    planner = Planner(manager)
     evaluator = QueryEvaluator(generated.db, generated.store)
     return generated, manager, planner, evaluator
 
@@ -39,9 +39,8 @@ class TestRecording:
             query = BackwardQuery(path, 0, 2, target=generated.layers[2][0])
             planner.execute(query, evaluator)
             recorder.record_query(query.i, query.j, query.kind)
-        designer = AdaptiveDesigner(
-            manager, asr, recorder, MeasuredCosts(generated.db, SIZES)
-        )
+        designer = AdaptiveDesigner(manager, asr, recorder)
+        assert designer.costs is manager.costs
         # Make P_up well-defined even with zero recorded updates.
         recorder.record_update(0)
         decision = designer.retune()

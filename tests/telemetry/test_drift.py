@@ -9,7 +9,14 @@ from repro.asr.decomposition import Decomposition
 from repro.asr.extensions import Extension
 from repro.asr.manager import ASRManager
 from repro.costmodel.parameters import ApplicationProfile
-from repro.telemetry import CostModelPredictor, DriftMonitor, MetricsRegistry
+from repro.gom import PathExpression
+from repro.query import BackwardQuery, ValueRangeQuery
+from repro.telemetry import (
+    CostModelPredictor,
+    DriftMonitor,
+    MeasuredCosts,
+    MetricsRegistry,
+)
 from repro.telemetry.drift import UNSUPPORTED, DriftEntry
 from repro.workload.generator import ChainGenerator, measure_profile
 from repro.workload.opstream import operation_stream
@@ -113,6 +120,22 @@ class TestCostModelPredictor:
         predicted = predictor.predict_update(1, manager.asrs[0])
         assert predicted is not None and predicted > 0
 
+    def test_value_range_is_priced_as_the_point_backward_query(self, world):
+        """The front door ranks range selects by this price: ``None`` would
+        price the ASR and the fallback alike at inf, and every range select
+        would fall to the nested loop."""
+        generated, _manager = world
+        db = generated.db
+        path = PathExpression(db.schema, "T0", ("A",) * generated.n + ("Payload",))
+        asr = AccessSupportRelation(path, Extension.FULL, Decomposition.none(path.m))
+        costs = MeasuredCosts(db)
+        for i in range(path.n):
+            ranged = ValueRangeQuery(path, i, path.n, lo=0, hi=10)
+            point = BackwardQuery(path, i, path.n, target=0)
+            for candidate in (asr, None):
+                price = costs.predict_query(ranged, candidate)
+                assert price is not None
+                assert price == costs.predict_query(point, candidate)
 
     def test_warm_cache_repeats_the_cold_predictions(self):
         """Memoised results equal a fresh predictor's, ``None`` included,

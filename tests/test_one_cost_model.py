@@ -1,10 +1,11 @@
 """One measured cost model per world (DESIGN §10).
 
-The drift monitor, the front-door planner and the daemon's adaptive
-designer price through the *same* :class:`MeasuredCosts`: one profile
-per path, measured with the world's object sizes, refreshed by the
-advisor sweep — so a price ``/drift`` validates is the price a plan was
-ranked by.
+The manager holds the world's one :class:`MeasuredCosts`; the drift
+monitor, both planners (replay and front door) and the daemon's
+adaptive designer price through it: one profile per path, measured with
+the world's object sizes, refreshed by the advisor sweep — so a price
+``/drift`` validates is the price a plan was ranked by, and the two
+planners choose alike.
 """
 
 from itertools import combinations
@@ -27,29 +28,48 @@ def world():
     built.manager.close()
 
 
+def shapes(world):
+    """Every ``(i, j, kind)`` over both of the world's paths."""
+    for asr in world.manager.asrs:
+        path = asr.path
+        for i, j in combinations(range(path.n + 1), 2):
+            yield asr, BackwardQuery(path, i, j, target=NULL)
+            yield asr, ForwardQuery(path, i, j, start=NULL)
+
+
 def test_planner_and_drift_share_the_worlds_oracle(world):
-    costs = world.drift.predictor
+    costs = world.manager.costs
     assert isinstance(costs, MeasuredCosts)
-    assert world.queries.planner.costs is costs
+    assert world.drift.predictor is costs
+    assert world.planner.manager.costs is costs
+    assert world.queries.planner.manager.costs is costs
     # Sizes are the world's, not MeasuredCosts' default.
     profile = costs.predictor_for(world.generated.path).profile
     assert profile.size == world.generated.profile.size
 
 
 def test_planner_price_is_the_drift_price(world):
-    planner, predictor = world.queries.planner, world.drift.predictor
+    predictor = world.drift.predictor
     assert len(world.manager.asrs) == 2
-    for asr in world.manager.asrs:
-        path = asr.path
-        for i, j in combinations(range(path.n + 1), 2):
-            for query in (
-                BackwardQuery(path, i, j, target=NULL),
-                ForwardQuery(path, i, j, start=NULL),
-            ):
-                for candidate in (asr, None):
-                    price = predictor.predict_query(query, candidate)
-                    assert price is not None
-                    assert planner.cost(query, candidate) == price
+    for asr, query in shapes(world):
+        for candidate in (asr, None):
+            price = predictor.predict_query(query, candidate)
+            assert price is not None
+            for planner in (world.planner, world.queries.planner):
+                assert planner.cost(query, candidate) == price
+
+
+def test_replay_and_front_door_choose_alike(world):
+    """One price list, one choice: the replay planner takes the front
+    door's plan for every shape — ``Q1,2(fw)`` over the chain included,
+    which the front door answers by traversal (Figure 8)."""
+    fallbacks = set()
+    for _asr, query in shapes(world):
+        chosen = world.planner.plan(query).asr
+        assert chosen is world.queries.planner.plan(query).asr
+        if chosen is None and query.path == world.generated.path:
+            fallbacks.add((query.i, query.j, query.kind))
+    assert (1, 2, "fw") in fallbacks
 
 
 def test_queries_profile_records_update_drift(world):
@@ -84,8 +104,9 @@ def test_advisor_sweep_refreshes_the_shared_profile(tmp_path):
     ).start()
     try:
         world = daemon.world
-        costs, path = world.drift.predictor, world.generated.path
+        costs, path = world.manager.costs, world.generated.path
         assert daemon.advisor.designer.costs is costs
+        assert world.drift.predictor is costs
         db, layer = world.generated.db, world.generated.layers[0]
         owner = next(oid for oid in layer if db.attr(oid, "A") is NULL)
         before = costs.predictor_for(path).profile
@@ -98,7 +119,9 @@ def test_advisor_sweep_refreshes_the_shared_profile(tmp_path):
         daemon.advisor.sweep(force=True)
         after = costs.predictor_for(path).profile
         assert after.d[0] == before.d[0] + 1
-        # The planner and the drift monitor see the sweep's measurement.
-        assert world.queries.planner.costs.predictor_for(path).profile is after
+        # The planners and the drift monitor see the sweep's measurement.
+        for planner in (world.planner, world.queries.planner):
+            assert planner.manager.costs.predictor_for(path).profile is after
+        assert world.drift.predictor.predictor_for(path).profile is after
     finally:
         daemon.shutdown()
