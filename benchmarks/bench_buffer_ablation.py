@@ -2,10 +2,12 @@
 
 The cost model (and Yao's formula) implicitly assumes a buffer large
 enough that each distinct page is read once per operation.  This bench
-re-runs the exhaustive backward scan under LRU buffers of decreasing
-capacity (``SharedBufferPool``) and shows how page traffic inflates
-once the working set no longer fits — quantifying how load-bearing that
-modelling assumption is.
+re-runs the exhaustive backward scan under shared pools of decreasing
+capacity (``SharedBufferPool``, LIRS replacement: the pages re-touched
+at the shortest distance keep all but ``max(1, capacity // 100)``
+frames) and shows how page traffic inflates once the working set no
+longer fits — quantifying how load-bearing that modelling assumption
+is.
 """
 
 from repro.bench.render import format_table
@@ -75,7 +77,7 @@ def test_buffer_capacity_sweep(benchmark, record):
         format_table(
             ["buffer pages", "page reads", "vs unbounded"],
             rows,
-            "Ablation — backward-scan page reads under LRU buffers",
+            "Ablation — backward-scan page reads under LIRS shared pools",
         ),
     )
     # Traffic is monotonically non-decreasing as the buffer shrinks.

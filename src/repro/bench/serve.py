@@ -5,7 +5,9 @@ accesses as the cost measure.  This module measures the *serving*
 dimension instead: a seeded operation stream (:mod:`repro.workload.opstream`)
 replayed against one chain database through a
 :class:`~repro.concurrency.ContextPool`, all workers sharing one bounded
-LRU pool and the ASR manager's readers-writer lock — queries proceed
+pool (LIRS: pages re-touched at short distance hold its LIR frames, and
+evictions come only from a small FIFO of the rest) and the ASR
+manager's readers-writer lock — queries proceed
 concurrently, updates (graph mutation plus eager ASR maintenance) run
 under :meth:`~repro.asr.manager.ASRManager.exclusive`.
 

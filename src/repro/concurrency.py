@@ -192,7 +192,9 @@ class ContextPool:
     Parameters
     ----------
     capacity:
-        Page capacity of the shared LRU pool.
+        Page capacity of the shared pool, whose LIRS replacement keeps
+        all but ``max(1, capacity // 100)`` frames for the pages
+        re-touched at the shortest distance.
     fault_injector:
         Optional injector consulted by the shared pool on charged
         accesses (under the pool lock, so fault decisions are

@@ -15,7 +15,8 @@ copy-pasted per caller).
 * it gives every operation its buffer: a fresh per-operation
   :class:`~repro.storage.stats.BufferScope` (the analytical model's
   assumption), or the one buffer it was constructed with (a view of a
-  finite shared LRU pool, typically);
+  finite shared pool, typically, whose LIRS replacement evicts only
+  from the pages not re-touched within its LIR set's reuse distance);
 * it delimits **measured operations**: named, optionally nested
   intervals whose page-access delta is taken once, published as the
   ``span.pages`` histogram and — when a request trace is active on the

@@ -5,7 +5,10 @@ Every storage structure charges its page touches to an
 per-operation buffer the analytical model implicitly assumes: within one
 query or update, re-touching a page that is already resident is free —
 this is exactly the "number of *distinct* pages" that Yao's formula
-estimates (section 5.6).
+estimates (section 5.6).  The finite pool shared across operations,
+:class:`SharedBufferPool`, replaces pages by LIRS: it evicts only from
+a small FIFO of pages outside its LIR set, the pages re-touched at the
+shortest distance, so a scan longer than the pool cannot flush it.
 
 Buffer scopes are also where simulated storage faults surface: a scope
 constructed with a :class:`~repro.faults.FaultInjector` consults it on
@@ -17,6 +20,7 @@ exactly where a real engine would — on the page read/write boundary.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -229,7 +233,7 @@ class ThreadSafeAccessStats(AccessStats):
 
 
 class SharedBufferPool:
-    """The bounded LRU pool: finite capacity, thread-safe, shared.
+    """The bounded LIRS pool: finite capacity, thread-safe, shared.
 
     The plain :class:`BufferScope` models the paper's implicit
     assumption of a buffer large enough to hold one operation's working
@@ -238,18 +242,29 @@ class SharedBufferPool:
     evicted page is charged again, which is what a real, smaller buffer
     pool does.
 
-    Writes participate in residency and recency exactly like reads: a
-    written page occupies a frame, dirtying it refreshes its recency,
-    and a page written again after eviction is charged a second write
-    (the first write-back already happened at eviction time).
+    Replacement is LIRS (Jiang & Zhang, SIGMETRICS 2002): a page keeps
+    one of ``capacity - max(1, capacity // 100)`` LIR frames while it is
+    re-touched sooner than the oldest LIR page was, and every eviction
+    takes the oldest of the few HIR frames, so a loop longer than the
+    pool keeps a fixed part of itself resident instead of missing on
+    every touch, as it would under LRU.  The recency stack ``S`` holds
+    the LIR pages, the HIR pages touched since its bottom (always a LIR
+    page) and at most ``capacity`` non-resident "ghost" entries that
+    let an evicted page prove a short re-touch distance.
 
-    One lock covers the residency decision, the LRU order, the fault
-    consultation, the stats charge and the hit/miss counters, so
-    concurrent touches can never tear the recency list or double-charge
-    a resident page.  The injector is consulted *before* anything
-    mutates: a faulted touch leaves the LRU, the stats and the counters
-    as they were.  :attr:`hit_rate` is the headline number the serve
-    benchmark reports.
+    Writes participate in residency and recency exactly like reads: a
+    written page occupies a frame, dirtying it counts as a touch, and a
+    page written again after eviction is charged a second write (the
+    first write-back already happened at eviction time, so a ghost
+    carries no dirty flag).
+
+    One lock covers the residency decision, the LIRS bookkeeping, the
+    fault consultation, the stats charge and the hit/miss counters, so
+    concurrent touches can never tear the stack or double-charge a
+    resident page.  The injector is consulted *before* anything
+    mutates: a faulted touch leaves ``S``, the HIR queue, the stats and
+    the counters as they were.  :attr:`hit_rate` is the headline number
+    the serve benchmark reports.
 
     Workers reach the pool through :class:`WorkerScope` views (usually
     via :class:`~repro.concurrency.ContextPool`), which mirror each
@@ -264,29 +279,102 @@ class SharedBufferPool:
             raise ValueError("buffer capacity must be at least one page")
         self.stats = stats
         self.capacity = capacity
+        #: Frames held by LIR pages; the rest (at least one) cycle HIR pages.
+        self.lir_capacity = capacity - max(1, capacity // 100)
         self.injector = injector
-        #: Pages pushed out by LRU replacement since construction.
+        #: Resident pages pushed out since construction.
         self.evictions = 0
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
-        # page id -> dirty flag; insertion order is recency order.
-        self._lru: dict[Hashable, bool] = {}
+        # The recency stack S, bottom first; its bottom is always LIR.
+        # Ordered dicts, not dicts: S, the queue and the ghosts are read
+        # from the front, which a dict reaches only by scanning past the
+        # slots of every key deleted there since it last resized.
+        self._stack: OrderedDict[Hashable, None] = OrderedDict()
+        self._bottom: Hashable = None
+        # Resident pages -> dirty flag: the LIR set, and the HIR queue
+        # whose first page is the next victim.
+        self._lir: dict[Hashable, bool] = {}
+        self._hir: OrderedDict[Hashable, bool] = OrderedDict()
+        # Non-resident pages still in S, in stack order.
+        self._ghosts: OrderedDict[Hashable, None] = OrderedDict()
+
+    def _prune(self) -> None:
+        """Drop the HIR and ghost entries below the lowest LIR page of S."""
+        stack, lir, ghosts = self._stack, self._lir, self._ghosts
+        while True:
+            page_id = next(iter(stack))
+            if page_id in lir:
+                self._bottom = page_id
+                return
+            del stack[page_id]
+            ghosts.pop(page_id, None)
+
+    def _promote(self, page_id: Hashable, dirty: bool) -> None:
+        """Make ``page_id`` (in S) LIR on top; the bottom LIR page turns HIR."""
+        stack = self._stack
+        stack.move_to_end(page_id)
+        self._lir[page_id] = dirty
+        bottom = self._bottom
+        del stack[bottom]
+        self._hir[bottom] = self._lir.pop(bottom)
+        self._prune()
+
+    def _hit(self, page_id: Hashable) -> None:
+        """Reorder for a touch of resident ``page_id`` (lock held)."""
+        if page_id in self._lir:
+            self._stack.move_to_end(page_id)
+            if page_id == self._bottom:
+                self._prune()
+            return
+        dirty = self._hir.pop(page_id)
+        if page_id in self._stack:
+            self._promote(page_id, dirty)
+        else:
+            self._hir[page_id] = dirty
+            if self._stack:
+                self._stack[page_id] = None
 
     def _admit(self, page_id: Hashable, dirty: bool) -> None:
         """Count the miss and give ``page_id`` a frame (lock held)."""
         self.misses += 1
-        self._lru[page_id] = dirty
-        if len(self._lru) > self.capacity:
-            del self._lru[next(iter(self._lru))]
+        stack, lir, hir, ghosts = self._stack, self._lir, self._hir, self._ghosts
+        if len(lir) < self.lir_capacity:
+            if not stack:
+                self._bottom = page_id
+            stack[page_id] = None
+            lir[page_id] = dirty
+            return
+        if len(lir) + len(hir) >= self.capacity:
+            victim, _ = hir.popitem(last=False)  # its dirty flag goes too
             self.evictions += 1
+            if victim in stack:
+                ghosts[victim] = None
+        if page_id in ghosts:
+            del ghosts[page_id]
+            self._promote(page_id, dirty)
+            return
+        hir[page_id] = dirty
+        if stack:
+            stack[page_id] = None
+        if len(ghosts) > self.capacity:
+            oldest, _ = ghosts.popitem(last=False)
+            del stack[oldest]
 
     def touch(self, page_id: Hashable, category: str = "page") -> bool:
         """Read ``page_id``; returns True when it caused a physical read."""
         with self._lock:
-            lru = self._lru
-            if page_id in lru:
-                lru[page_id] = lru.pop(page_id)  # refresh recency
+            if page_id in self._lir:
+                # The common hit, inlined: one move, and a prune only
+                # when the page was the stack bottom.
+                self._stack.move_to_end(page_id)
+                if page_id == self._bottom:
+                    self._prune()
+                self.hits += 1
+                return False
+            if page_id in self._hir:
+                self._hit(page_id)
                 self.hits += 1
                 return False
             if self.injector is not None:
@@ -298,27 +386,41 @@ class SharedBufferPool:
     def touch_write(self, page_id: Hashable, category: str = "page") -> bool:
         """Mark ``page_id`` dirty; returns True when the write is charged."""
         with self._lock:
-            lru = self._lru
-            if lru.get(page_id):
-                lru[page_id] = lru.pop(page_id)  # already dirty: refresh recency
+            dirty = self._lir.get(page_id)
+            if dirty is None:
+                dirty = self._hir.get(page_id)
+            if dirty:
+                self._hit(page_id)
                 self.hits += 1
                 return False
             if self.injector is not None:
                 self.injector.on_write(page_id, category)
             self.stats.write(1, category)
-            lru.pop(page_id, None)  # a clean resident page re-enters as newest
-            self._admit(page_id, True)
+            if dirty is None:
+                self._admit(page_id, True)
+                return True
+            # A clean resident page: the write is charged, the frame kept.
+            self.misses += 1
+            self._hit(page_id)
+            if page_id in self._lir:
+                self._lir[page_id] = True
+            else:
+                self._hir[page_id] = True
             return True
 
     @property
     def distinct_pages(self) -> int:
         with self._lock:
-            return len(self._lru)
+            return len(self._lir) + len(self._hir)
 
     def evict_all(self) -> None:
         """Forget residency (the next touches are charged again)."""
         with self._lock:
-            self._lru.clear()
+            self._stack.clear()
+            self._lir.clear()
+            self._hir.clear()
+            self._ghosts.clear()
+            self._bottom = None
 
     @property
     def hit_rate(self) -> float:
@@ -326,14 +428,33 @@ class SharedBufferPool:
         return self.hits / total if total else 0.0
 
     def check_invariants(self) -> None:
-        """Assert the LRU is not torn (used by the stress suite)."""
+        """Assert the LIRS state is not torn (used by the stress suite)."""
         with self._lock:
-            assert len(self._lru) <= self.capacity, (
-                f"LRU overflow: {len(self._lru)} frames > capacity {self.capacity}"
+            stack, lir, hir, ghosts = self._stack, self._lir, self._hir, self._ghosts
+            resident = lir.keys() | hir.keys()
+            assert len(resident) <= self.capacity, (
+                f"pool overflow: {len(resident)} frames > capacity {self.capacity}"
             )
-            assert all(isinstance(dirty, bool) for dirty in self._lru.values()), (
-                "LRU dirty flags torn"
+            assert len(lir) <= self.lir_capacity, (
+                f"LIR overflow: {len(lir)} pages > {self.lir_capacity}"
             )
+            assert len(lir) + len(hir) == len(resident), "a page is both LIR and HIR"
+            assert all(
+                isinstance(dirty, bool) for dirty in (*lir.values(), *hir.values())
+            ), "dirty flags torn"
+            assert lir.keys() <= stack.keys(), "a LIR page fell out of S"
+            if stack:
+                bottom = next(iter(stack))
+                assert bottom in lir and bottom == self._bottom, (
+                    f"stack bottom {bottom!r} is not the LIR bottom"
+                )
+            assert len(ghosts) <= self.capacity, (
+                f"{len(ghosts)} ghosts > capacity {self.capacity}"
+            )
+            assert ghosts.keys() <= stack.keys() and not ghosts.keys() & resident, (
+                "a ghost is resident or outside S"
+            )
+            assert stack.keys() <= resident | ghosts.keys(), "S holds a stray page"
 
 
 class WorkerScope:

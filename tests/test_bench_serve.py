@@ -216,7 +216,7 @@ class TestExecutorWorkers:
         assert pool.contexts == [world.manager.context]
         assert pool.recycled == 200
         assert pool.check_accounting()["ok"] is True
-        # Every charged page is one miss of the one shared LRU.
+        # Every charged page is one miss of the one shared pool.
         assert pool.stats.total == pool.pool.misses
         pool.pool.check_invariants()
         world.manager.check_consistency()

@@ -2,7 +2,8 @@
 
 The invariants these tests pin down:
 
-* the shared LRU pool is never torn (bounded residency, sane flags);
+* the shared LIRS pool is never torn (bounded residency and ghosts, a
+  LIR stack bottom, sane flags);
 * shared stats totals equal the sum of the per-worker private totals;
 * readers share the ASR manager's lock, writers are exclusive, and the
   answers under contention equal the single-threaded oracle;

@@ -143,26 +143,38 @@ class TestBufferWiring:
         stats = AccessStats()
         injector = FaultInjector()
         scope = SharedBufferPool(stats, capacity=2, injector=injector)
-        scope.touch("p1")
-        scope.touch("p2")  # p1 is now the eviction candidate
+        scope.touch("p1")  # the LIR frame
+        scope.touch("p2")  # the HIR frame: the eviction candidate
+
+        def lirs_state():
+            return (
+                list(scope._stack),
+                list(scope._hir.items()),
+                list(scope._lir.items()),
+                list(scope._ghosts),
+            )
+
+        before = lirs_state()
         injector.write_fault_rate = injector.read_fault_rate = 1.0
         with pytest.raises(InjectedFault):
-            scope.touch_write("p1")  # resident but clean: write is charged
+            scope.touch_write("p2")  # resident but clean: write is charged
         with pytest.raises(InjectedFault):
             scope.touch("p3")
         # A faulted touch moves nothing: not the stats, not the hit/miss
-        # counters, not the recency order, not the dirty flag.
+        # counters, not S, the HIR queue, the LIR set or the ghosts, not
+        # the dirty flag.
+        assert lirs_state() == before
         assert (stats.page_reads, stats.page_writes) == (2, 0)
         assert (scope.hits, scope.misses, scope.evictions) == (0, 2, 0)
         injector.read_fault_rate = 0.0
-        scope.touch("p3")  # evicts p1: the failed write did not refresh it
-        assert scope.touch("p2") is False
+        scope.touch("p3")  # evicts p2: the failed write did not promote it
+        assert scope.touch("p1") is False
         with pytest.raises(InjectedFault):
-            scope.touch_write("p2")
+            scope.touch_write("p1")
         # The failed write must not have marked the frame dirty, so a
         # retry after clearing the fault charges the write normally.
         injector.write_fault_rate = 0.0
-        assert scope.touch_write("p2") is True
+        assert scope.touch_write("p1") is True
         assert stats.page_writes == 1
 
     def test_context_threads_injector_into_scopes(self):
