@@ -12,6 +12,10 @@ single partition row can be witnessed by several extension rows; the
 partition therefore reference-counts its rows and physically inserts or
 deletes tree entries only on the 0↔1 transitions.  This is what makes
 incremental maintenance (:mod:`repro.asr.maintenance`) exact.
+
+Each tree entry is keyed ``(prefix, tie-break)`` (:func:`tree_keys`):
+the clustering cell's :func:`cell_key`, then the whole row's flat
+:func:`row_key` — one tuple per row, shared by its two keys.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from functools import cached_property
-from operator import itemgetter
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from repro.asr.decomposition import Decomposition
@@ -76,12 +80,12 @@ def cell_key(cell: Cell) -> tuple:
     The pseudo-cells :data:`BOTTOM` and :data:`TOP` compare below and
     above everything else, for use as open range-scan endpoints.
     """
-    if isinstance(cell, _KeyBound):
-        return cell.key
+    if isinstance(cell, OID):  # first: most stored cells are OIDs
+        return (1, cell[0])
     if cell is NULL:
         return (0, 0)
-    if isinstance(cell, OID):
-        return (1, cell.value)
+    if isinstance(cell, _KeyBound):
+        return cell.key
     if isinstance(cell, bool):
         return (2, int(cell))
     if isinstance(cell, (int, float)):
@@ -95,8 +99,38 @@ _ABOVE_NULL = (0, 1)
 
 
 def row_key(row: Sequence[Cell]) -> tuple:
-    """A total order over whole rows (the unique tie-break for tree keys)."""
-    return tuple(cell_key(cell) for cell in row)
+    """A total order over whole rows: the flat ``(rank0, v0, rank1, v1, …)``.
+
+    Every :func:`cell_key` has length 2, so concatenating them orders
+    rows exactly as the tuple of per-cell keys would, in one tuple.
+    """
+    return tuple(chain.from_iterable(map(cell_key, row)))
+
+
+def tree_keys(
+    row: Sequence[Cell], prefixes: dict[tuple, tuple] | None = None
+) -> tuple[tuple, tuple]:
+    """The forward and backward tree keys of a partition row.
+
+    Each is ``(prefix, row_key(row))``: the clustering cell's
+    :func:`cell_key` — the first cell's forward, the last cell's
+    backward — then the flat :func:`row_key` as the unique tie-break,
+    one tuple shared by the two keys.  A load passes one ``prefixes``
+    dict for all its rows, so rows with the same border cell share its
+    prefix tuple.
+
+    The pair orders exactly as the flat row key would (forward) or as
+    the last cell's key prepended to it (backward); it stays a pair so
+    that ``key[1]`` is the whole tie-break — the benchmark ladder's
+    storage sheet (``benchmarks/ladder/layers.py``) makes unused keys
+    beside stored ones as ``(key[0], key[1] + ((9, 0),))``.
+    """
+    key = row_key(row)
+    first, last = key[:2], key[-2:]
+    if prefixes is not None:
+        first = prefixes.setdefault(first, first)
+        last = prefixes.setdefault(last, last)
+    return (first, key), (last, key)
 
 
 def prefix_bounds(cell: Cell) -> tuple[tuple, tuple]:
@@ -216,21 +250,20 @@ class StoredPartition:
     def _load(self, counts: Counter[tuple[Cell, ...]]) -> None:
         """Adopt ``counts`` and bulk-load both trees from its rows.
 
-        Each row is keyed once and the two clusterings share that key
-        tuple (its first and last elements are the clustering prefixes).
+        Each row is encoded once (:func:`tree_keys`), its two keys share
+        the row's flat key, and all rows share one tuple per border cell.
         """
         self._counts = counts
-        keyed = [(row_key(row), row) for row in counts]
-        self.forward_tree = BPlusTree.bulk_load(
-            sorted(((key[0], key), row) for key, row in keyed),
-            self.tuples_per_page,
-            self._fanout,
-        )
-        self.backward_tree = BPlusTree.bulk_load(
-            sorted(((key[-1], key), row) for key, row in keyed),
-            self.tuples_per_page,
-            self._fanout,
-        )
+        prefixes: dict[tuple, tuple] = {}
+        forward, backward = [], []
+        for row in counts:
+            forward_key, backward_key = tree_keys(row, prefixes)
+            forward.append((forward_key, row))
+            backward.append((backward_key, row))
+        forward.sort()
+        backward.sort()
+        self.forward_tree = BPlusTree.bulk_load(forward, self.tuples_per_page, self._fanout)
+        self.backward_tree = BPlusTree.bulk_load(backward, self.tuples_per_page, self._fanout)
 
     def add_projection(self, row: tuple[Cell, ...], context=None) -> None:
         """Reference one witness of ``row``; insert trees on 0→1."""
@@ -238,8 +271,9 @@ class StoredPartition:
         row = tuple(row)
         self._counts[row] += 1
         if self._counts[row] == 1:
-            self.forward_tree.insert((cell_key(row[0]), row_key(row)), row, buffer)
-            self.backward_tree.insert((cell_key(row[-1]), row_key(row)), row, buffer)
+            forward, backward = tree_keys(row)
+            self.forward_tree.insert(forward, row, buffer)
+            self.backward_tree.insert(backward, row, buffer)
 
     def remove_projection(self, row: tuple[Cell, ...], context=None) -> None:
         """Drop one witness of ``row``; delete from trees on 1→0."""
@@ -250,8 +284,9 @@ class StoredPartition:
             raise RelationError(f"row {row!r} not present in partition")
         if count == 1:
             del self._counts[row]
-            self.forward_tree.delete((cell_key(row[0]), row_key(row)), buffer)
-            self.backward_tree.delete((cell_key(row[-1]), row_key(row)), buffer)
+            forward, backward = tree_keys(row)
+            self.forward_tree.delete(forward, buffer)
+            self.backward_tree.delete(backward, buffer)
         else:
             self._counts[row] = count - 1
 
@@ -304,15 +339,16 @@ class StoredPartition:
         The access path of a query endpoint strictly inside the
         partition: no clustering helps, so every data page is inspected
         and charged exactly as :meth:`scan` charges it (the second sum
-        of Eqs. 33/34).  Membership is decided a page at a time — rows
-        are only looked at on the pages that hold a match.
+        of Eqs. 33/34).  Membership is decided a page at a time, by one
+        set test of ``cells`` against the leaf's cached column set
+        (:meth:`BPlusTree.column_slices`) — rows are only looked at on
+        the pages that hold a match.
         """
-        column = itemgetter(offset)
         rows: list = []
-        for _keys, values in self.forward_tree.leaf_slices(
-            context=resolve_buffer(context)
+        for values, column in self.forward_tree.column_slices(
+            offset, resolve_buffer(context)
         ):
-            if not cells.isdisjoint(map(column, values)):
+            if not cells.isdisjoint(column):
                 rows += [row for row in values if row[offset] in cells]
         return rows
 
@@ -501,6 +537,13 @@ class AccessSupportRelation:
         )
         actual.check_cell_index()
         for partition in self.partitions:
+            trees = (partition.forward_tree, partition.backward_tree)
+            for side, tree in enumerate(trees):
+                for key, row in tree.items():
+                    assert key == tree_keys(row)[side], (
+                        f"partition ({partition.first_column},{partition.last_column}) "
+                        f"keys {row!r} under {key!r}"
+                    )
             expected_counts: Counter = Counter()
             for row in expected.rows:
                 projected = partition.project(row)

@@ -7,10 +7,10 @@ underlying tree: unique totally ordered keys, values at the leaves,
 leaves doubly linked for range scans, interior nodes holding separators.
 
 Duplicate logical keys (one OID starting many partial paths) are handled
-one level up (:mod:`repro.asr.asr`) by composite keys ``(cell key, row
-tie-break)``; this keeps the tree itself in the textbook unique-key
-regime with full delete rebalancing (borrow from siblings, merge,
-root collapse).
+one level up (:mod:`repro.asr.asr`) by keys ``(cell key, row key)``
+whose tie-break is the whole row as one flat tuple; this keeps the tree
+itself in the textbook unique-key regime with full delete rebalancing
+(borrow from siblings, merge, root collapse).
 
 Every node is one page.  Read operations accept a ``context`` — an
 :class:`~repro.context.ExecutionContext` or a raw buffer scope (see
@@ -24,6 +24,13 @@ is the one leaf-chain walker, yielding each visited leaf's keys and values
 as lists, and :meth:`BPlusTree.range` is written on it — so a consumer
 that can decide per page (concatenate, filter a column with a set
 operation) never pays an interpreter step per row.
+
+Leaves also answer column probes.  When the values are rows,
+:meth:`BPlusTree.column_slices` hands out each leaf's values beside the
+set of their ``offset``-th cells, so "does this page hold any of these
+cells?" is one set test.  A leaf builds such a set the first time a
+probe asks for it and keeps it until its lists change: every insert,
+delete, split, borrow and merge that touches a leaf drops its sets.
 """
 
 from __future__ import annotations
@@ -40,13 +47,16 @@ _LEAF_CATEGORY = "btree_leaf"
 
 
 class _Leaf:
-    __slots__ = ("keys", "values", "next", "prev")
+    __slots__ = ("keys", "values", "next", "prev", "columns")
 
     def __init__(self) -> None:
         self.keys: list[Any] = []
         self.values: list[Any] = []
         self.next: _Leaf | None = None
         self.prev: _Leaf | None = None
+        # offset -> frozenset of the values' offset-th cells, built on the
+        # first probe; None whenever the lists have changed since.
+        self.columns: dict[int, frozenset] | None = None
 
     is_leaf = True
 
@@ -186,9 +196,7 @@ class BPlusTree:
         span that actually does the reading, and a scan that is never
         consumed charges nothing.
         """
-        if hasattr(context, "current_buffer"):
-            return self._leaf_slices(lo, hi, _DeferredContextBuffer(context))
-        return self._leaf_slices(lo, hi, resolve_buffer(context))
+        return self._leaf_slices(lo, hi, _charge_target(context))
 
     def _leaf_slices(
         self, lo: Any, hi: Any, buffer
@@ -212,6 +220,40 @@ class BPlusTree:
                 return  # the first key at or above ``hi`` is on this leaf
             leaf = leaf.next
             start = 0
+
+    def column_slices(
+        self, offset: int, context=None
+    ) -> Iterator[tuple[list[Any], frozenset]]:
+        """Yield ``(values, column)`` per leaf of a whole-tree walk.
+
+        ``column`` is the frozenset of ``value[offset]`` over the leaf's
+        values (which must be rows), cached on the leaf until its lists
+        next change; ``values`` is the leaf's own list (read it, never
+        mutate it).  Pages are charged exactly as ``leaf_slices()`` with
+        open bounds charges them — the leftmost descent, then every leaf
+        in chain order, consumption-time resolved — and an empty root
+        leaf is touched but yields nothing.
+        """
+        return self._column_slices(offset, _charge_target(context))
+
+    def _column_slices(
+        self, offset: int, buffer
+    ) -> Iterator[tuple[list[Any], frozenset]]:
+        leaf: _Leaf | None = self._leftmost_leaf(buffer)
+        while leaf is not None:
+            _touch(buffer, leaf, _LEAF_CATEGORY)
+            values = leaf.values
+            if values:
+                columns = leaf.columns
+                if columns is None:
+                    columns = leaf.columns = {}
+                column = columns.get(offset)
+                if column is None:
+                    column = columns[offset] = frozenset(
+                        [value[offset] for value in values]
+                    )
+                yield values, column
+            leaf = leaf.next
 
     def range(
         self,
@@ -257,6 +299,7 @@ class BPlusTree:
                 raise StorageError(f"duplicate key {key!r}")
             node.keys.insert(index, key)
             node.values.insert(index, value)
+            node.columns = None
             _touch_write(buffer, node, _LEAF_CATEGORY)
             if len(node.keys) > self.leaf_capacity:
                 return self._split_leaf(node, buffer)
@@ -280,6 +323,7 @@ class BPlusTree:
         right.values = leaf.values[middle:]
         del leaf.keys[middle:]
         del leaf.values[middle:]
+        leaf.columns = None
         right.next = leaf.next
         if right.next is not None:
             right.next.prev = right
@@ -327,6 +371,7 @@ class BPlusTree:
                 return False
             del node.keys[index]
             del node.values[index]
+            node.columns = None
             _touch_write(buffer, node, _LEAF_CATEGORY)
             return True
         child_index = bisect_right(node.keys, key)
@@ -366,6 +411,7 @@ class BPlusTree:
         if child.is_leaf:
             child.keys.insert(0, left.keys.pop())
             child.values.insert(0, left.values.pop())
+            child.columns = left.columns = None
             parent.keys[index - 1] = child.keys[0]
         else:
             child.keys.insert(0, parent.keys[index - 1])
@@ -380,6 +426,7 @@ class BPlusTree:
         if child.is_leaf:
             child.keys.append(right.keys.pop(0))
             child.values.append(right.values.pop(0))
+            child.columns = right.columns = None
             parent.keys[index] = right.keys[0]
         else:
             child.keys.append(parent.keys[index])
@@ -395,6 +442,7 @@ class BPlusTree:
         if left.is_leaf:
             left.keys.extend(right.keys)
             left.values.extend(right.values)
+            left.columns = None
             left.next = right.next
             if right.next is not None:
                 right.next.prev = left
@@ -503,6 +551,10 @@ class BPlusTree:
                 assert lo is None or not key < lo
                 assert hi is None or key < hi
             assert node.keys == sorted(node.keys)
+            for offset, column in (node.columns or {}).items():
+                assert column == frozenset(value[offset] for value in node.values), (
+                    f"stale column set at offset {offset}"
+                )
             return 1
         assert len(node.children) == len(node.keys) + 1
         if not is_root:
@@ -552,6 +604,13 @@ class _DeferredContextBuffer:
 
     def touch_write(self, page_id, category: str = "page") -> bool:
         return self.context.current_buffer.touch_write(page_id, category)
+
+
+def _charge_target(context):
+    """Where a lazy walk charges: per touch for a context, else the buffer."""
+    if hasattr(context, "current_buffer"):
+        return _DeferredContextBuffer(context)
+    return resolve_buffer(context)
 
 
 def _touch(buffer, node, category: str) -> None:

@@ -20,7 +20,9 @@ class TestCellKeys:
         assert cell_key(OID(1)) < cell_key(OID(2))
 
     def test_row_key_tuples(self):
-        assert row_key((OID(1), NULL)) == (cell_key(OID(1)), cell_key(NULL))
+        # One flat tuple: the cells' 2-element keys, concatenated.
+        assert row_key((OID(1), NULL)) == cell_key(OID(1)) + cell_key(NULL)
+        assert row_key((OID(1), NULL)) == (1, 1, 0, 0)
 
 
 class TestStoredPartition:
@@ -58,11 +60,16 @@ class TestStoredPartition:
         for loaded in (bulk, projected):
             assert list(loaded.forward_tree.items()) == list(grown.forward_tree.items())
             assert list(loaded.backward_tree.items()) == list(grown.backward_tree.items())
-            # One key tuple per row, shared by the two clusterings.
-            backward = {row: key for (_last, key), row in loaded.backward_tree.items()}
+            # One key per tree per row: the clustering cell's key, then
+            # the row's flat key — one tuple shared by the two trees; a
+            # load also shares one prefix tuple per border cell.
+            backward = {row: key for key, row in loaded.backward_tree.items()}
+            prefixes: dict = {}
             for (first, key), row in loaded.forward_tree.items():
-                assert key == row_key(row) and first == key[0]
-                assert backward[row] is key
+                assert key == row_key(row) and first == cell_key(row[0]) == key[:2]
+                assert backward[row] == (cell_key(row[-1]), key)
+                assert backward[row][1] is key
+                assert prefixes.setdefault(first, first) is first
         assert projected._counts[rows[0]] == 2 and bulk._counts[rows[0]] == 1
 
     def test_refcounted_projection_deltas(self):
@@ -168,6 +175,23 @@ class TestAccessSupportRelation:
             asr.consistency_check(db)
         asr.rebuild(db)
         asr.consistency_check(db)
+
+    @pytest.mark.parametrize("side", ["forward_tree", "backward_tree"])
+    def test_consistency_check_catches_a_key_not_encoding_its_row(
+        self, company_world, side
+    ):
+        db, path, _o = company_world
+        asr = AccessSupportRelation.build(
+            db, path, Extension.FULL, Decomposition.binary(path.m)
+        )
+        tree = getattr(asr.partitions[0], side)
+        leaf = tree._leftmost_leaf()
+        # Still sorted, the tree's invariants hold and every row is
+        # stored — but the key no longer encodes its row.
+        leaf.keys[-1] = leaf.keys[-1] + (0,)
+        tree.check_invariants()
+        with pytest.raises(AssertionError, match="keys"):
+            asr.consistency_check(db)
 
     def test_total_bytes_and_pages(self, company_world):
         db, path, _o = company_world

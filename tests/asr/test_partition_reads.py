@@ -128,6 +128,8 @@ def check_every_read(partition: StoredPartition) -> None:
                     row for row in partition.scan(buffer) if row[offset] in cells
                 ],
             )
+    # The column sets those selects cached equal fresh ones.
+    partition.forward_tree.check_invariants()
 
 
 class TestDuplicatesAcrossLeafBoundaries:

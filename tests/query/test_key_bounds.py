@@ -11,7 +11,7 @@ sort below/above every real cell of every rank, closing the hole.
 import pytest
 
 from repro.asr import ASRManager, Decomposition, Extension
-from repro.asr.asr import BOTTOM, TOP, cell_key
+from repro.asr.asr import BOTTOM, TOP, cell_key, prefix_bounds, tree_keys
 from repro.gom.objects import OID
 from repro.gom.types import NULL
 from repro.query import Planner, QueryEvaluator, SelectExecutor
@@ -40,6 +40,16 @@ class TestSentinelOrder:
     @pytest.mark.parametrize("cell", REPRESENTATIVE_CELLS, ids=repr)
     def test_bottom_below_and_top_above_every_cell(self, cell):
         assert cell_key(BOTTOM) < cell_key(cell) < cell_key(TOP)
+        # Tree keys are (cell key, flat row key) pairs: the sentinels'
+        # scan bounds hold them too, and so do the cell's own prefix
+        # bounds whatever the rest of the row.
+        lo, hi = prefix_bounds(cell)
+        for other in (NULL, OID(2**62), "￿" * 9):
+            forward, _ = tree_keys((cell, other))
+            _, backward = tree_keys((other, cell))
+            for key in (forward, backward):
+                assert (cell_key(BOTTOM), ()) < key < (cell_key(TOP), ())
+                assert lo < key < hi
 
     def test_sentinels_bound_each_other(self):
         assert cell_key(BOTTOM) < cell_key(TOP)
