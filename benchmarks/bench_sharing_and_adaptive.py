@@ -11,9 +11,8 @@ from repro.asr import (
     WorkloadRecorder,
 )
 from repro.bench.render import format_table
-from repro.costmodel import ApplicationProfile
+from repro.costmodel import ApplicationProfile, MeasuredCosts
 from repro.gom import ObjectBase, PathExpression, Schema
-from repro.telemetry import MeasuredCosts
 from repro.workload import ChainGenerator
 
 

@@ -23,10 +23,9 @@ from repro.asr import (
     SharedASRBundle,
     WorkloadRecorder,
 )
-from repro.costmodel import ApplicationProfile
+from repro.costmodel import ApplicationProfile, MeasuredCosts
 from repro.gom import ObjectBase, PathExpression, Schema
 from repro.query import BackwardQuery, QueryEvaluator
-from repro.telemetry import MeasuredCosts
 from repro.workload import ChainGenerator
 
 

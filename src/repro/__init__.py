@@ -83,7 +83,7 @@ from repro.resilience import (
     HealerLoop,
     RecoveryPolicy,
 )
-from repro.telemetry import CostModelPredictor, DriftMonitor, MetricsRegistry
+from repro.telemetry import DriftMonitor, MetricsRegistry
 
 __version__ = "1.0.0"
 
@@ -152,7 +152,6 @@ __all__ = [
     # telemetry
     "MetricsRegistry",
     "DriftMonitor",
-    "CostModelPredictor",
     # resilience
     "RecoveryPolicy",
     "CircuitBreaker",

@@ -16,7 +16,7 @@ This module implements that loop:
 2. :meth:`WorkloadRecorder.to_mix` turns the log into the cost model's
    ``(OperationMix, P_up)``;
 3. :class:`AdaptiveDesigner` re-measures the live profile through its
-   :class:`~repro.telemetry.drift.MeasuredCosts` (the manager's
+   :class:`~repro.costmodel.measured.MeasuredCosts` (the manager's
    ``costs``, which its planners — and in a serving world the drift
    monitor — price from, so a sweep refreshes their profile too), runs the
    :class:`~repro.costmodel.advisor.DesignAdvisor`, and — when the best
@@ -57,7 +57,6 @@ from repro.errors import CostModelError
 from repro.faults import reach
 from repro.gom.events import AttributeSet, Event, SetInserted, SetRemoved
 from repro.gom.paths import PathExpression
-from repro.telemetry.drift import MeasuredCosts
 
 
 class WorkloadRecorder:
@@ -226,10 +225,8 @@ class AdaptiveDesigner:
         self.recorder = recorder
         #: Where the measured profile lives: the manager's price list,
         #: which its planners (and a serving world's drift monitor)
-        #: price from; a private one when the manager has none.
-        self.costs = (
-            manager.costs if manager.costs is not None else MeasuredCosts(manager.db)
-        )
+        #: price from.
+        self.costs = manager.costs
         self.improvement_threshold = improvement_threshold
 
     # ------------------------------------------------------------------
@@ -238,7 +235,7 @@ class AdaptiveDesigner:
         """Advise on the recorded workload without changing anything.
 
         Every call re-measures the path's profile — the one place a
-        :class:`~repro.telemetry.drift.MeasuredCosts` profile is
+        :class:`~repro.costmodel.measured.MeasuredCosts` profile is
         refreshed, so whoever shares ``costs`` prices from this
         measurement until the next call.
         """
@@ -248,7 +245,7 @@ class AdaptiveDesigner:
         # concurrent update transaction cannot tear the measurement.
         with self.manager.shared():
             self.costs.invalidate(path)
-            advisor = DesignAdvisor(self.costs.predictor_for(path).profile)
+            advisor = DesignAdvisor(self.costs.profile_for(path))
             best = advisor.best(mix, p_up)
             current_cost = advisor.model.mix_cost(
                 self.asr.extension, self.asr.type_decomposition, mix, p_up

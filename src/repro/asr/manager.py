@@ -73,6 +73,7 @@ from repro.asr.maintenance import (
 )
 from repro.concurrency import RWLock
 from repro.context import ExecutionContext
+from repro.costmodel.measured import MeasuredCosts
 from repro.errors import (
     InjectedFault,
     ObjectBaseError,
@@ -115,12 +116,14 @@ class ASRManager:
         by extension), and every operation counter the manager bumps in
         the context trace is mirrored into the ``ops`` counter family.
     costs:
-        Optional :class:`~repro.telemetry.drift.MeasuredCosts`: the object
-        base's one price list.  Every
+        The object base's one price list, a
+        :class:`~repro.costmodel.measured.MeasuredCosts`; ``None`` means
+        ``MeasuredCosts(db)`` (default object sizes).  Every
         :class:`~repro.query.planner.Planner` over this manager ranks by
         it (``predict_query`` is all a planner asks), and an
         :class:`~repro.asr.adaptive.AdaptiveDesigner` prices and
-        re-measures through it; without one, planners rank structurally.
+        re-measures through it.  Profiles are measured on the first
+        price asked for a path, not here.
     """
 
     #: Bounded-retry default seeding the manager's
@@ -136,10 +139,10 @@ class ASRManager:
         auto_recover: bool = True,
         metrics=None,
         policy: RecoveryPolicy | None = None,
-        costs=None,
+        costs: MeasuredCosts | None = None,
     ) -> None:
         self.db = db
-        self.costs = costs
+        self.costs = costs if costs is not None else MeasuredCosts(db)
         #: The retry/backoff contract every recovery path follows —
         #: shared verbatim with ``repro doctor --repair`` and the
         #: :class:`~repro.resilience.healer.HealerLoop`.

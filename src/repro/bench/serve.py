@@ -53,6 +53,7 @@ from repro.asr.adaptive import WorkloadRecorder
 from repro.asr.extensions import Extension
 from repro.asr.manager import ASRManager
 from repro.concurrency import ContextPool
+from repro.costmodel.measured import MeasuredCosts
 from repro.costmodel.parameters import ApplicationProfile
 from repro.device import DeviceModel, LatencyModel, parse_io_dist
 from repro.errors import InjectedFault, SimulatedCrash
@@ -61,7 +62,7 @@ from repro.query.evaluator import QueryEvaluator
 from repro.query.planner import Planner
 from repro.query.service import QueryService
 from repro.resilience import BreakerBoard
-from repro.telemetry import DriftMonitor, MeasuredCosts, MetricsRegistry, Tracer
+from repro.telemetry import DriftMonitor, MetricsRegistry, Tracer
 from repro.telemetry.tracing import activate, maybe_span, record_pages
 from repro.workload.generator import ChainGenerator, GeneratedDatabase
 from repro.workload.opstream import (
@@ -268,7 +269,7 @@ def build_world(
     costs = MeasuredCosts(
         generated.db, dict(zip(generated.path.types, generated.profile.size))
     )
-    costs.predictor_for(generated.path)
+    costs.profile_for(generated.path)
     manager_context = pool.acquire()
     manager = ASRManager(generated.db, context=manager_context, costs=costs)
     manager.create(generated.path, Extension.FULL)

@@ -766,14 +766,19 @@ def _cmd_demo(args, out) -> int:
         schema, "ROBOT.Arm.MountedTool.ManufacturedBy.Location"
     )
     manager = ASRManager(db)
-    asr = manager.create(path, Extension.CANONICAL, Decomposition.binary(path.m))
+    # Undecomposed, the ASR answers Query 1 with one lookup; the price
+    # list picks it over the traversal (under binary it would not).
+    asr = manager.create(path, Extension.CANONICAL, Decomposition.none(path.m))
     print(f"indexed {path} ({asr.tuple_count} complete paths)", file=out)
     executor = SelectExecutor(db, Planner(manager), QueryEvaluator(db))
-    report = executor.run(
+    compiled = executor.compile(
         'select r.Name from r in OurRobots '
         'where r.Arm.MountedTool.ManufacturedBy.Location = "Utopia"'
     )
+    report = executor.run_compiled(compiled)
     print(f"Query 1 -> {sorted(report.rows)}  [{report.strategy}]", file=out)
+    for action in compiled.actions:
+        print(f"plan: {action.plan.describe()}", file=out)
     print(f"page accesses: {report.describe_pages()}", file=out)
     return 0
 

@@ -20,7 +20,9 @@ sizes).  On top of them:
   updates (section 6, Eq. 36 and the cluster-count formulas);
 * :mod:`repro.costmodel.opmix` — weighted operation mixes (section 6.4);
 * :mod:`repro.costmodel.advisor` — exhaustive physical-design search
-  over (extension, decomposition) pairs, the paper's stated application.
+  over (extension, decomposition) pairs, the paper's stated application;
+* :mod:`repro.costmodel.measured` — :class:`MeasuredCosts`, an object
+  base's one price list over its measured profiles (section 7).
 """
 
 from repro.costmodel.parameters import ApplicationProfile, SystemParameters
@@ -33,6 +35,7 @@ from repro.costmodel.updatecost import UpdateCostModel
 from repro.costmodel.opmix import OperationMix, QuerySpec, UpdateSpec, MixCostModel
 from repro.costmodel.advisor import DesignAdvisor, DesignChoice
 from repro.costmodel.profiling import profile_from_database
+from repro.costmodel.measured import MeasuredCosts
 from repro.costmodel.schema_advisor import PathWorkload, SchemaDesign, SchemaDesignAdvisor
 
 __all__ = [
@@ -52,6 +55,7 @@ __all__ = [
     "DesignAdvisor",
     "DesignChoice",
     "profile_from_database",
+    "MeasuredCosts",
     "PathWorkload",
     "SchemaDesign",
     "SchemaDesignAdvisor",

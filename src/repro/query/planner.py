@@ -17,16 +17,13 @@ stateful (a half-open breaker admits exactly one probe), so
 :meth:`Planner.plan` asks once per covering ASR per decision and
 :meth:`Planner.recheck` once more for a plan frozen earlier.
 
-Among the usable ASRs the cheapest wins, priced by the manager's one
-price list (``ASRManager.costs``, a
-:class:`~repro.telemetry.drift.MeasuredCosts`): the analytical model
+Among the usable ASRs and the fallback the cheapest wins, priced by the
+manager's one price list (``ASRManager.costs``, a
+:class:`~repro.costmodel.measured.MeasuredCosts`): the analytical model
 over the measured profile of the queried path, so the traversal/scan
 wins whenever it is priced cheaper — the paper's Figure 8: a query
 whose endpoint falls inside a partition degenerates to an exhaustive
-scan of that partition, which can cost more than no support at all.  A
-manager built without a price list (the demo, the examples, small test
-worlds) gets structural prices, under which any usable ASR beats the
-fallback.
+scan of that partition, which can cost more than no support at all.
 
 :meth:`Planner.run` is the only place a plan is executed and its
 outcome reported (breaker board, drift monitor);
@@ -70,9 +67,10 @@ class Plan:
     def describe(self) -> str:
         """One line; a plan without an ASR says why it has none.
 
-        ``priced ~N pages`` is a fallback chosen on price (Figure 8),
+        ``priced ~N pages`` is a fallback at its price, below every
+        usable covering ASR (Figure 8) or with none to beat,
         ``degraded: <restriction>`` one forced by an access restriction,
-        and ``no usable ASR`` one that nothing covering could answer.
+        and ``no usable ASR`` one the model prices no plan for.
         """
         if self.asr is None:
             if self.restriction is not None:
@@ -97,9 +95,8 @@ def mark_restriction(trace, restriction: str | None) -> None:
 class Planner:
     """Chooses among registered ASRs and the unsupported fallback, and runs it.
 
-    Ranks by ``manager.costs`` when the manager has a price list, else
-    structurally (:meth:`cost`), so every planner over one manager
-    prices alike.  Both other collaborators are optional and
+    Ranks by ``manager.costs`` (:meth:`cost`), so every planner over one
+    manager prices alike.  Both other collaborators are optional and
     duck-typed.  ``drift`` (a
     :class:`~repro.telemetry.drift.DriftMonitor`: ``observe_query``)
     gets every run plan's measured pages against the cost model's
@@ -142,47 +139,13 @@ class Planner:
     # ranking
     # ------------------------------------------------------------------
 
-    def estimate_supported_pages(
-        self, query: Query, asr: AccessSupportRelation
-    ) -> float:
-        """A coarse page estimate for ranking candidate ASRs.
-
-        Partitions whose border matches the query endpoint cost roughly
-        their tree height plus a handful of leaf pages; partitions that
-        must be scanned cost all their data pages.  This mirrors the
-        structure of Eqs. 33–34 without needing the application profile.
-        """
-        path = asr.path
-        first_column = path.column_of(query.i)
-        last_column = path.column_of(query.j)
-        pages = 0.0
-        for partition in asr.partitions:
-            a, b = partition.first_column, partition.last_column
-            if b <= first_column or a >= last_column:
-                continue
-            endpoint_interior = (
-                a < first_column if query.kind == "fw" else b > last_column
-            )
-            if endpoint_interior:
-                pages += partition.page_count
-            else:
-                pages += partition.forward_tree.interior_height + 2
-        return pages
-
     def cost(self, query: Query, asr: AccessSupportRelation | None) -> float:
         """The price of answering ``query`` through ``asr`` (``None``: without).
 
         The model's Eqs. 31-34 through ``manager.costs``, where a shape
-        the model cannot price ranks last; structural when the manager
-        has no price list — the fallback is then priced at infinity, so
-        it is chosen only when nothing usable covers the query.
+        the model cannot price ranks last.
         """
-        costs = self.manager.costs
-        if costs is None:
-            if asr is None:
-                return float("inf")
-            return self.estimate_supported_pages(query, asr)
-        predicted = costs.predict_query(query, asr)
+        predicted = self.manager.costs.predict_query(query, asr)
         return float("inf") if predicted is None else predicted
 
     # ------------------------------------------------------------------

@@ -6,11 +6,11 @@ pieces:
 * :mod:`repro.telemetry.registry` — :class:`MetricsRegistry`, the
   lock-safe sink (counters, gauges, log-scale histograms) every layer
   publishes into, with a JSON snapshot and a Prometheus text exposition;
-* :mod:`repro.telemetry.drift` — :class:`DriftMonitor` +
-  :class:`CostModelPredictor` (+ :class:`MeasuredCosts`, a world's one
-  per-path pricing over measured profiles), continuously comparing the analytical
-  cost model's predicted page accesses (Eqs. 31–36) against the spans'
-  measured ones, per (extension, decomposition, op-kind);
+* :mod:`repro.telemetry.drift` — :class:`DriftMonitor`, continuously
+  comparing the manager's price list
+  (:class:`~repro.costmodel.measured.MeasuredCosts`, Eqs. 31–36) against
+  the spans' measured page accesses, per (extension, decomposition,
+  op-kind);
 * :mod:`repro.telemetry.render` — the text tables behind ``repro
   stats``;
 * :mod:`repro.telemetry.tracing` — :class:`Tracer` / :class:`Trace` /
@@ -42,9 +42,7 @@ from repro.telemetry.tracing import (
 # both without a cycle: ``from repro.telemetry import DriftMonitor``
 # still works, it just resolves on first attribute access.
 _LAZY = {
-    "CostModelPredictor": "repro.telemetry.drift",
     "DriftMonitor": "repro.telemetry.drift",
-    "MeasuredCosts": "repro.telemetry.drift",
     "format_drift": "repro.telemetry.render",
     "format_metrics": "repro.telemetry.render",
     "format_stats": "repro.telemetry.render",
@@ -73,8 +71,6 @@ __all__ = [
     "current_trace",
     "maybe_span",
     "DriftMonitor",
-    "CostModelPredictor",
-    "MeasuredCosts",
     "format_metrics",
     "format_drift",
     "format_stats",

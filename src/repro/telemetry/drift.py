@@ -17,17 +17,15 @@ drift report close to 1.0 means the advisor's rankings can be trusted on
 this workload; a sustained departure means the profile drifted or the
 model term is wrong, and names which term.
 
-:class:`CostModelPredictor` supplies the predictions: Eqs. 31–32 for
-unsupported plans, Eqs. 33–34 (over the ASR's decomposition in type
-indices, :attr:`~repro.asr.asr.AccessSupportRelation.type_decomposition`)
-for supported ones, and the section 6 ``search + aup`` maintenance terms
-for ``ins_i`` updates.  :class:`MeasuredCosts` keeps one such predictor
-per path over that path's measured profile.  A world owns exactly one,
-held by its manager as ``ASRManager.costs``
-(:func:`~repro.bench.serve.build_world`): the drift monitor, every
-planner over the manager and the adaptive designer all price through
-it, so the prices ``/drift`` validates are the prices plans were ranked
-by.
+The predictions come from the manager's price list
+(:class:`~repro.costmodel.measured.MeasuredCosts`, ``ASRManager.costs``):
+Eqs. 31–32 for unsupported plans, Eqs. 33–34 (over the ASR's
+decomposition in type indices,
+:attr:`~repro.asr.asr.AccessSupportRelation.type_decomposition`) for
+supported ones, and the section 6 ``search + aup`` maintenance terms for
+``ins_i`` updates.  Every planner over the manager and the adaptive
+designer price through the same object, so the prices ``/drift``
+validates are the prices plans were ranked by.
 """
 
 from __future__ import annotations
@@ -36,14 +34,10 @@ import math
 import threading
 from dataclasses import dataclass
 
-from repro.costmodel.parameters import ApplicationProfile
-from repro.costmodel.profiling import profile_from_database
-from repro.costmodel.querycost import QueryCostModel
-from repro.costmodel.updatecost import UpdateCostModel
-from repro.gom.paths import PathExpression
+from repro.costmodel.measured import MeasuredCosts
 from repro.query.queries import Query
 
-__all__ = ["DriftMonitor", "CostModelPredictor", "MeasuredCosts"]
+__all__ = ["DriftMonitor"]
 
 #: Key label for plans answered without any ASR.
 UNSUPPORTED = "unsupported"
@@ -106,135 +100,14 @@ class DriftEntry:
         }
 
 
-class CostModelPredictor:
-    """Predicts page accesses for executed operations from one profile.
-
-    Built over the *measured* profile of the generated world (so the
-    drift isolates model error, not input error).  Query predictions
-    follow the Eq. 35 dispatch the executed plan actually took; update
-    predictions price the ASR maintenance terms (``search + aup``)
-    without the flat object-representation constant, because the
-    simulator charges maintenance pages only.
-    """
-
-    def __init__(self, profile: ApplicationProfile) -> None:
-        self.profile = profile
-        self.query_model = QueryCostModel(profile)
-        self.update_model = UpdateCostModel(profile)
-        # Predictions are pure functions of the (immutable) profile and
-        # the key, so each is computed once; ``None`` results cache too.
-        # Unlocked: racing threads would store the same value.
-        self._memo: dict[tuple, float | None] = {}
-
-    def _memoised(self, key: tuple, compute) -> float | None:
-        try:
-            return self._memo[key]
-        except KeyError:
-            pass
-        try:
-            predicted = compute()
-        except Exception:
-            predicted = None
-        self._memo[key] = predicted
-        return predicted
-
-    def predict_query(self, query: Query, asr) -> float | None:
-        """Predicted pages for ``query`` as executed (``asr=None`` ⇒ Eqs. 31–32).
-
-        A :class:`~repro.query.queries.ValueRangeQuery` has ``kind ==
-        "bw"`` and is priced as the point backward query over the same
-        ``(i, j)``: the model has no selectivity term, and the front door
-        ranks range selects by that price.  Returns ``None`` for shapes
-        the model does not price (a kind other than ``fw`` / ``bw``, a
-        range outside the profile) — callers skip those.
-        """
-        if query.kind not in ("fw", "bw"):
-            return None
-        i, j, kind = query.i, query.j, query.kind
-        if asr is None:
-            return self._memoised(
-                ("query", i, j, kind), lambda: self.query_model.qnas(i, j, kind)
-            )
-        extension, dec = asr.extension, asr.type_decomposition
-        return self._memoised(
-            ("query", i, j, kind, extension, dec),
-            lambda: self.query_model.qsup(extension, i, j, kind, dec),
-        )
-
-    def predict_update(self, level: int, asr) -> float | None:
-        """Predicted maintenance pages of ``ins_level`` against ``asr``."""
-        extension, dec = asr.extension, asr.type_decomposition
-        model = self.update_model
-        return self._memoised(
-            ("update", level, extension, dec),
-            lambda: model.search(extension, level, dec)
-            + model.aup(extension, level, dec),
-        )
-
-
-class MeasuredCosts:
-    """One :class:`CostModelPredictor` per path, over a measured profile.
-
-    The profile of a path is measured from ``db`` on the first price
-    asked over it (:func:`~repro.costmodel.profiling.profile_from_database`;
-    ``object_sizes`` maps type names to byte sizes, defaulting to
-    ``default_size``) and kept with its predictor's memo until
-    :meth:`invalidate`.  Its one caller is
-    :meth:`~repro.asr.adaptive.AdaptiveDesigner.recommend`: an advisor
-    sweep re-measures its path, and every other reader prices from that
-    profile until the next sweep.  Queries are priced over their own
-    path, updates over the maintained ASR's.  Unlocked like the
-    predictor's memo: racing threads measure the same object base and
-    store an equal profile.
-    """
-
-    def __init__(
-        self,
-        db,
-        object_sizes: dict[str, int] | None = None,
-        default_size: int = 100,
-    ) -> None:
-        self.db = db
-        self.object_sizes = object_sizes
-        self.default_size = default_size
-        self._predictors: dict[PathExpression, CostModelPredictor] = {}
-
-    def predictor_for(self, path: PathExpression) -> CostModelPredictor:
-        """The (cached) predictor over the measured profile of ``path``."""
-        predictor = self._predictors.get(path)
-        if predictor is None:
-            predictor = self._predictors[path] = CostModelPredictor(
-                profile_from_database(
-                    self.db, path, self.object_sizes, self.default_size
-                )
-            )
-        return predictor
-
-    def predict_query(self, query: Query, asr) -> float | None:
-        """:meth:`CostModelPredictor.predict_query` over ``query.path``."""
-        return self.predictor_for(query.path).predict_query(query, asr)
-
-    def predict_update(self, level: int, asr) -> float | None:
-        """:meth:`CostModelPredictor.predict_update` over ``asr.path``."""
-        return self.predictor_for(asr.path).predict_update(level, asr)
-
-    def invalidate(self, path: PathExpression | None = None) -> None:
-        """Drop the profile and memo of ``path`` (of every path when ``None``)."""
-        if path is None:
-            self._predictors.clear()
-        else:
-            self._predictors.pop(path, None)
-
-
 class DriftMonitor:
     """Accumulates predicted-vs-observed page accesses per plan shape.
 
     Parameters
     ----------
     predictor:
-        Optional :class:`MeasuredCosts` (or one bare
-        :class:`CostModelPredictor`: anything with ``predict_query`` /
-        ``predict_update``); required for the ``observe_query`` /
+        Optional :class:`~repro.costmodel.measured.MeasuredCosts`, the
+        manager's price list; required for the ``observe_query`` /
         ``observe_update`` convenience entry points (``record`` always
         works with caller-supplied predictions).
     registry:
@@ -245,11 +118,7 @@ class DriftMonitor:
     Thread-safe: planner threads of a serve run share one monitor.
     """
 
-    def __init__(
-        self,
-        predictor: MeasuredCosts | CostModelPredictor | None = None,
-        registry=None,
-    ):
+    def __init__(self, predictor: MeasuredCosts | None = None, registry=None):
         self.predictor = predictor
         self.registry = registry
         self._lock = threading.Lock()

@@ -13,10 +13,9 @@ from repro.asr import (
     Extension,
     WorkloadRecorder,
 )
-from repro.costmodel import ApplicationProfile
+from repro.costmodel import ApplicationProfile, MeasuredCosts
 from repro.errors import CostModelError, InjectedFault, SimulatedCrash
 from repro.faults import FaultInjector
-from repro.telemetry import MeasuredCosts
 from repro.workload import ChainGenerator
 
 PROFILE = ApplicationProfile(

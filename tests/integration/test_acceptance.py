@@ -23,10 +23,9 @@ from repro import (
     build_extension,
 )
 from repro.asr import AdaptiveDesigner, WorkloadRecorder
-from repro.costmodel import OperationMix, QuerySpec, UpdateSpec
+from repro.costmodel import MeasuredCosts, OperationMix, QuerySpec, UpdateSpec
 from repro.gom.serialization import dump_object_base, load_object_base
 from repro.query import Planner
-from repro.telemetry import MeasuredCosts
 
 
 def test_full_story(tmp_path):
@@ -65,9 +64,13 @@ def test_full_story(tmp_path):
     assert sizes[Extension.CANONICAL] <= sizes[Extension.LEFT] <= sizes[Extension.FULL]
     assert sizes[Extension.CANONICAL] <= sizes[Extension.RIGHT] <= sizes[Extension.FULL]
 
-    # 3. Index the path; answer Query 2 through it.
-    manager = ASRManager(db)
-    asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
+    # 3. Index the path; answer Query 2 through it.  Undecomposed, the
+    #    ASR answers with one lookup, and the manager's price list (over
+    #    the measured profile) prices that below the traversal.
+    manager = ASRManager(
+        db, costs=MeasuredCosts(db, {"Division": 500, "Product": 400, "BasePart": 300})
+    )
+    asr = manager.create(path, Extension.FULL, Decomposition.none(path.m))
     executor = SelectExecutor(db, Planner(manager), QueryEvaluator(db))
     report = executor.run(
         'select d.Name from d in Mercedes '
@@ -114,7 +117,6 @@ def test_full_story(tmp_path):
     recorder = WorkloadRecorder(path)
     recorder.record_query(0, 3, "bw", count=50)
     recorder.record_update(2, count=2)
-    manager.costs = MeasuredCosts(db, {"Division": 500, "Product": 400, "BasePart": 300})
     designer = AdaptiveDesigner(manager, asr, recorder)
     decision = designer.recommend()
     assert decision.best.extension is not None

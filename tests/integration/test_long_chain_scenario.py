@@ -18,11 +18,10 @@ from repro.asr import (
     Extension,
     WorkloadRecorder,
 )
-from repro.costmodel import ApplicationProfile, profile_from_database
+from repro.costmodel import ApplicationProfile, MeasuredCosts, profile_from_database
 from repro.gom.serialization import dump_object_base, load_object_base
 from repro.gom.traversal import origins_reaching, reachable_terminals
 from repro.query import BackwardQuery, ForwardQuery, QueryEvaluator
-from repro.telemetry import MeasuredCosts
 from repro.workload import ChainGenerator
 
 PROFILE = ApplicationProfile(

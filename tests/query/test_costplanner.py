@@ -3,7 +3,7 @@
 import pytest
 
 from repro.asr import ASRManager, Decomposition, Extension
-from repro.costmodel import ApplicationProfile
+from repro.costmodel import ApplicationProfile, MeasuredCosts
 from repro.gom import PathExpression
 from repro.query import (
     BackwardQuery,
@@ -12,7 +12,6 @@ from repro.query import (
     QueryEvaluator,
     SelectExecutor,
 )
-from repro.telemetry import MeasuredCosts
 from repro.workload import ChainGenerator
 
 PROFILE = ApplicationProfile(
@@ -74,12 +73,12 @@ class TestCostBasedChoice:
         generated, manager, _planner, _evaluator = world
         path = generated.path
         costs = manager.costs
-        first = costs.predictor_for(path)
-        assert costs.predictor_for(path) is first  # profile and memo cached
+        first = costs.profile_for(path)
+        assert costs.profile_for(path) is first  # profile and memo cached
         generated.db.delete(generated.layers[3][0])
         costs.invalidate(path)
-        second = costs.predictor_for(path)  # re-measured
-        assert second.profile.c[3] == first.profile.c[3] - 1
+        second = costs.profile_for(path)  # re-measured
+        assert second.c[3] == first.c[3] - 1
 
     def test_costs_positive_and_finite(self, world):
         generated, manager, planner, _evaluator = world

@@ -13,7 +13,6 @@ from repro.context import ExecutionContext
 from repro.errors import QueryError, SimulatedCrash
 from repro.faults import FaultInjector
 from repro.query import BackwardQuery, Planner, QueryEvaluator, SelectExecutor
-from repro.telemetry import MeasuredCosts
 
 
 def quarantine(manager, injector, db, o):
@@ -30,7 +29,8 @@ class TestPlannerSkipsQuarantined:
         injector = FaultInjector()
         context = ExecutionContext()
         manager = ASRManager(db, context=context, fault_injector=injector)
-        asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
+        # Undecomposed: one lookup, priced below the traversal.
+        asr = manager.create(path, Extension.FULL, Decomposition.none(path.m))
         planner = Planner(manager)
         evaluator = QueryEvaluator(db, context=context)
         query = BackwardQuery(path, 0, path.n, target="Door")
@@ -73,9 +73,7 @@ class TestPlannerSkipsQuarantined:
         db, path, o = company_world
         injector = FaultInjector()
         context = ExecutionContext()
-        manager = ASRManager(
-            db, context=context, fault_injector=injector, costs=MeasuredCosts(db)
-        )
+        manager = ASRManager(db, context=context, fault_injector=injector)
         manager.create(path, Extension.FULL, Decomposition.binary(path.m))
         planner = Planner(manager)
         evaluator = QueryEvaluator(db, context=context)
@@ -125,7 +123,7 @@ class TestExecutorDegradedPath:
         injector = FaultInjector()
         context = ExecutionContext()
         manager = ASRManager(db, context=context, fault_injector=injector)
-        manager.create(path, Extension.FULL, Decomposition.binary(path.m))
+        manager.create(path, Extension.FULL, Decomposition.none(path.m))
         executor = SelectExecutor(
             db, Planner(manager), QueryEvaluator(db, context=context)
         )

@@ -98,10 +98,13 @@ class TestExecutionFeatures:
 
 
 class TestASRFastPath:
+    """Undecomposed, the ASR answers with one lookup, which the price list
+    ranks below the traversal."""
+
     def test_fast_path_used_and_correct(self, company_world):
         db, path, _objects = company_world
         manager = ASRManager(db)
-        manager.create(path, Extension.FULL, Decomposition.binary(path.m))
+        manager.create(path, Extension.FULL, Decomposition.none(path.m))
         with_asr = SelectExecutor(db, Planner(manager), QueryEvaluator(db))
         without_asr = SelectExecutor(db)
         query = (
@@ -117,7 +120,7 @@ class TestASRFastPath:
     def test_fast_path_respects_other_predicates(self, company_world):
         db, path, _objects = company_world
         manager = ASRManager(db)
-        manager.create(path, Extension.FULL, Decomposition.binary(path.m))
+        manager.create(path, Extension.FULL, Decomposition.none(path.m))
         executor = SelectExecutor(db, Planner(manager), QueryEvaluator(db))
         report = executor.run(
             'select d.Name from d in Mercedes '
@@ -128,7 +131,7 @@ class TestASRFastPath:
     def test_fast_path_stays_correct_after_updates(self, company_world):
         db, path, objects = company_world
         manager = ASRManager(db)
-        manager.create(path, Extension.FULL, Decomposition.binary(path.m))
+        manager.create(path, Extension.FULL, Decomposition.none(path.m))
         executor = SelectExecutor(db, Planner(manager), QueryEvaluator(db))
         db.set_remove(objects["parts_sec"], objects["door"])
         report = executor.run(
@@ -149,7 +152,7 @@ class TestExecutionReportPages:
     def test_fast_path_reports_page_accesses(self, company_world):
         db, path, _objects = company_world
         manager = ASRManager(db)
-        manager.create(path, Extension.FULL, Decomposition.binary(path.m))
+        manager.create(path, Extension.FULL, Decomposition.none(path.m))
         executor = SelectExecutor(db, Planner(manager), QueryEvaluator(db))
         report = executor.run(
             'select d.Name from d in Mercedes '
@@ -165,7 +168,7 @@ class TestExecutionReportPages:
 
         db, path, _objects = company_world
         manager = ASRManager(db)
-        manager.create(path, Extension.FULL, Decomposition.binary(path.m))
+        manager.create(path, Extension.FULL, Decomposition.none(path.m))
         context = ExecutionContext()
         executor = SelectExecutor(db, Planner(manager), context=context)
         report = executor.run(

@@ -75,8 +75,9 @@ class TestOneSidedScanRegression:
         return db, path, objects
 
     def _executor(self, db, path):
+        # Undecomposed, so the price list takes the ASR's range scan.
         manager = ASRManager(db)
-        manager.create(path, Extension.FULL, Decomposition.binary(path.m))
+        manager.create(path, Extension.FULL, Decomposition.none(path.m))
         return SelectExecutor(db, Planner(manager), QueryEvaluator(db))
 
     def test_ge_scan_reaches_values_above_old_string_sentinel(

@@ -53,7 +53,8 @@ class TestApplicability:
     def test_execute_matches_direct_evaluation(self, setup):
         generated, manager, planner, evaluator = setup
         path = generated.path
-        manager.create(path, Extension.FULL, Decomposition.binary(path.m))
+        # Undecomposed: one lookup, which the price list takes.
+        manager.create(path, Extension.FULL, Decomposition.none(path.m))
         query = BackwardQuery(path, 0, path.n, target=generated.layers[-1][0])
         via_planner = planner.execute(query, evaluator)
         direct = evaluator.evaluate_unsupported(query)

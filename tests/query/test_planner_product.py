@@ -1,15 +1,14 @@
 """One planner across its configuration product.
 
-{structural, cost-ranked} x {``planner.execute(Q_{i,j})``, the same
-question as text through ``SelectExecutor``, compiled earlier or cold} x
-{healthy, quarantined, breaker-open, half-open probe succeeding,
-half-open probe raising}: the answer always equals
+{``planner.execute(Q_{i,j})``, the same question as text through
+``SelectExecutor``, compiled earlier or cold} x {healthy, quarantined,
+breaker-open, half-open probe succeeding, half-open probe raising}, all
+ranked by the manager's one price list: the answer always equals
 ``evaluate_unsupported``, the pages charged equal ``planner.execute``'s
 for the same question in the same state, and what the decision leaves
 behind — ``plan.*`` / ``query.degraded-fallback`` counts, breaker
 transitions, drift observations, the ``restriction`` field, how often
-the (stateful) breaker was asked — depends on route and state only,
-never on whether the manager carries a price list.
+the (stateful) breaker was asked — depends on route and state only.
 
 The text route compiles while healthy and runs the frozen plan after the
 state change: that is the compiled-plan re-check, the one other place a
@@ -24,14 +23,13 @@ import pytest
 from repro.asr import ASRManager, Decomposition, Extension
 from repro.bench.serve import ServeConfig, build_world, execute_operation
 from repro.context import ExecutionContext
-from repro.costmodel import ApplicationProfile
-from repro.costmodel.profiling import profile_from_database
+from repro.costmodel import ApplicationProfile, QueryCostModel
 from repro.errors import SimulatedCrash
 from repro.faults import FaultInjector
 from repro.gom import PathExpression
 from repro.query import BackwardQuery, Planner, QueryEvaluator, SelectExecutor
 from repro.resilience import BreakerBoard
-from repro.telemetry import CostModelPredictor, DriftMonitor, MeasuredCosts
+from repro.telemetry import DriftMonitor
 from repro.telemetry.tracing import Trace
 from repro.workload import ChainGenerator
 
@@ -44,13 +42,14 @@ PROFILE = ApplicationProfile(
     size=(400, 300, 200, 100),
 )
 
-RANKINGS = ["structural", "cost-ranked"]
+#: One ranking, the manager's price list; a parameter so case ids name it.
+RANKINGS = ["cost-ranked"]
 ROUTES = ["execute", "text", "cold-text"]
 STATES = ["healthy", "quarantined", "breaker-open", "probe-succeeds", "probe-raises"]
 
 OPEN_PROBE = {("closed", "open"): 1, ("open", "half-open"): 1}
 
-#: state -> what either route must observe, whatever the ranking:
+#: state -> what every route must observe:
 #: (restriction, breaker transitions, ``allow_query`` calls of the
 #: decision under test).  A quarantined ASR is restricted before its
 #: breaker is ever asked.
@@ -99,27 +98,20 @@ class CountingBoard(BreakerBoard):
 
 
 class World:
-    def __init__(self, ranking: str) -> None:
+    def __init__(self) -> None:
         self.generated = generated = ChainGenerator(seed=53).generate(PROFILE)
         self.db = db = generated.db
         n = generated.n
         self.path = path = PathExpression(db.schema, "T0", ("A",) * n + ("Payload",))
         self.context = ExecutionContext()
         self.injector = FaultInjector()
-        self.manager = ASRManager(
-            db,
-            context=self.context,
-            fault_injector=self.injector,
-            costs=MeasuredCosts(db) if ranking == "cost-ranked" else None,
-        )
+        self.manager = ASRManager(db, context=self.context, fault_injector=self.injector)
         self.asr = self.manager.create(
             path, Extension.FULL, Decomposition.binary(path.m)
         )
         self.clock = FakeClock()
         self.board = CountingBoard(threshold=2, cooldown_s=1.0, time_fn=self.clock)
-        self.monitor = DriftMonitor(
-            CostModelPredictor(profile_from_database(db, path))
-        )
+        self.monitor = DriftMonitor(self.manager.costs)
         self.planner = Planner(self.manager, drift=self.monitor, breakers=self.board)
         self.evaluator = QueryEvaluator(db, generated.store, context=self.context)
         self.executor = SelectExecutor(db, self.planner, evaluator=self.evaluator)
@@ -182,7 +174,7 @@ class World:
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("ranking", RANKINGS)
 def test_configuration_product(ranking, route, state):
-    world = World(ranking)
+    world = World()
     compiled = None
     if route == "text":
         compiled = world.executor.compile(world.text)
@@ -199,7 +191,7 @@ def test_configuration_product(ranking, route, state):
         assert seen == restriction
         # The pages column: whatever the door, the question costs what
         # ``planner.execute`` charges for its Q_{i,j} in the same state.
-        twin = World(ranking)
+        twin = World()
         twin.enter(state)
         assert pages == twin.decide("execute", None)[2] > 0
     assert world.board.asked.get(id(world.asr), 0) - asked_before == asks
@@ -217,7 +209,7 @@ def test_configuration_product(ranking, route, state):
 
 @pytest.mark.parametrize("ranking", RANKINGS)
 def test_each_breaker_is_asked_once_per_decision(ranking):
-    world = World(ranking)
+    world = World()
     other = world.manager.create(
         world.path, Extension.FULL, Decomposition.none(world.path.m)
     )
@@ -227,23 +219,27 @@ def test_each_breaker_is_asked_once_per_decision(ranking):
     assert world.board.asked == {id(world.asr): 2, id(other): 2}
 
 
-def test_cost_ranking_prices_a_shape_once():
+def test_cost_ranking_prices_a_shape_once(monkeypatch):
     """A repeated shape re-enters the cost model zero times; invalidating
     the path drops profile and memo together."""
-    world = World("cost-ranked")
+    world = World()
     planner, costs, path = world.planner, world.manager.costs, world.path
     first = planner.plan(world.query)
-    predictor = costs.predictor_for(path)
+    profile = costs.profile_for(path)
     reentered = []
     for name in ("qnas", "qsup"):
-        setattr(
-            predictor.query_model, name, lambda *args, **kwargs: reentered.append(args)
+        monkeypatch.setattr(
+            QueryCostModel, name, lambda *args, **kwargs: reentered.append(args)
         )
     again = planner.plan(BackwardQuery(path, 0, path.n, target=-1))  # same shape
     assert not reentered
     assert (again.asr, again.estimated_pages) == (first.asr, first.estimated_pages)
     costs.invalidate(path)
-    assert costs.predictor_for(path) is not predictor
+    assert costs.profile_for(path) is not profile
+    planner.plan(world.query)
+    assert reentered  # the memo went with the profile
+    monkeypatch.undo()
+    costs.invalidate(path)
     assert planner.plan(world.query).estimated_pages == first.estimated_pages
 
 

@@ -4,9 +4,8 @@ import pytest
 
 from repro.asr import ASRManager, AdaptiveDesigner, Decomposition, Extension
 from repro.asr.adaptive import WorkloadRecorder
-from repro.costmodel import ApplicationProfile
+from repro.costmodel import ApplicationProfile, MeasuredCosts
 from repro.query import BackwardQuery, Planner, QueryEvaluator
-from repro.telemetry import MeasuredCosts
 from repro.workload import ChainGenerator
 
 PROFILE = ApplicationProfile(

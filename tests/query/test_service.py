@@ -19,9 +19,9 @@ def service_world(company_world):
     db, path, objects = company_world
     registry = MetricsRegistry()
     manager = ASRManager(db)
-    asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
-    # The structural planner keeps the fast-path choice deterministic on
-    # this tiny world (the cost model may legitimately prefer traversal).
+    asr = manager.create(path, Extension.FULL, Decomposition.none(path.m))
+    # Undecomposed, the ASR answers with one lookup, which the price list
+    # ranks below the traversal (binary partitions would not be).
     service = QueryService(db, Planner(manager), cache_size=8, registry=registry)
     return db, manager, asr, service, registry, objects
 
@@ -97,7 +97,7 @@ class TestPlanCaching:
         registry = MetricsRegistry()
         injector = FaultInjector()
         manager = ASRManager(db, fault_injector=injector, auto_recover=False)
-        manager.create(path, Extension.FULL, Decomposition.binary(path.m))
+        manager.create(path, Extension.FULL, Decomposition.none(path.m))
         service = QueryService(db, Planner(manager), cache_size=8, registry=registry)
         healthy = service.execute(QUERY)
         # Tear one maintenance flush so the ASR quarantines.

@@ -12,7 +12,9 @@ def world(company_world, threshold=2):
     db, path, o = company_world
     context = ExecutionContext()
     manager = ASRManager(db, context=context)
-    asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
+    # Undecomposed: one lookup, which the price list ranks below the
+    # traversal, so a healthy breaker leaves the ASR chosen.
+    asr = manager.create(path, Extension.FULL, Decomposition.none(path.m))
     clock = FakeClock()
     board = BreakerBoard(threshold=threshold, cooldown_s=1.0, time_fn=clock)
     planner = Planner(manager, breakers=board)
@@ -74,7 +76,7 @@ class TestBreakerGating:
     def test_planner_without_breakers_is_unchanged(self, company_world):
         db, path, o = company_world
         manager = ASRManager(db)
-        asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
+        asr = manager.create(path, Extension.FULL, Decomposition.none(path.m))
         planner = Planner(manager)
         query = BackwardQuery(path, 0, path.n, target="Door")
         plan = planner.plan(query)

@@ -1,4 +1,4 @@
-"""Drift monitor: entry math, predictor dispatch, report, publication."""
+"""Drift monitor: entry math, the price list's dispatch, report, publication."""
 
 import math
 
@@ -8,17 +8,13 @@ from repro.asr.asr import AccessSupportRelation
 from repro.asr.decomposition import Decomposition
 from repro.asr.extensions import Extension
 from repro.asr.manager import ASRManager
+from repro.costmodel import MeasuredCosts, QueryCostModel, UpdateCostModel
 from repro.costmodel.parameters import ApplicationProfile
 from repro.gom import PathExpression
 from repro.query import BackwardQuery, ValueRangeQuery
-from repro.telemetry import (
-    CostModelPredictor,
-    DriftMonitor,
-    MeasuredCosts,
-    MetricsRegistry,
-)
+from repro.telemetry import DriftMonitor, MetricsRegistry
 from repro.telemetry.drift import UNSUPPORTED, DriftEntry
-from repro.workload.generator import ChainGenerator, measure_profile
+from repro.workload.generator import ChainGenerator
 from repro.workload.opstream import operation_stream
 from repro.workload.profiles import FIG14_MIX
 
@@ -89,9 +85,11 @@ class TestTypeDecomposition:
 
 
 class TestCostModelPredictor:
+    """The price list's predictions (:class:`MeasuredCosts`)."""
+
     def test_query_predictions_follow_the_plan(self, world):
         generated, manager = world
-        predictor = CostModelPredictor(measure_profile(generated))
+        predictor = MeasuredCosts(generated.db)
         asr = manager.asrs[0]
         query = next(
             op.query
@@ -107,17 +105,17 @@ class TestCostModelPredictor:
         assert supported < unsupported
 
     def test_unpriceable_shapes_return_none(self, world):
-        generated, _manager = world
+        generated, manager = world
 
         class RangeLike:
             kind = "range"
+            path = generated.path
 
-        assert CostModelPredictor(SMALL).predict_query(RangeLike(), None) is None
+        assert manager.costs.predict_query(RangeLike(), None) is None
 
     def test_update_prediction_is_positive(self, world):
         _generated, manager = world
-        predictor = CostModelPredictor(SMALL)
-        predicted = predictor.predict_update(1, manager.asrs[0])
+        predicted = manager.costs.predict_update(1, manager.asrs[0])
         assert predicted is not None and predicted > 0
 
     def test_value_range_is_priced_as_the_point_backward_query(self, world):
@@ -137,14 +135,17 @@ class TestCostModelPredictor:
                 assert price is not None
                 assert price == costs.predict_query(point, candidate)
 
-    def test_warm_cache_repeats_the_cold_predictions(self):
-        """Memoised results equal a fresh predictor's, ``None`` included,
+    def test_warm_cache_repeats_the_cold_predictions(self, monkeypatch):
+        """Memoised results equal a fresh price list's, ``None`` included,
         for every extension — and a repeat costs no model evaluation."""
+        generated = ChainGenerator(seed=3).generate(SMALL)
+
         class Q:
+            path = generated.path
+
             def __init__(self, i, j, kind):
                 self.i, self.j, self.kind = i, j, kind
 
-        generated = ChainGenerator(seed=3).generate(SMALL)
         path, n = generated.path, SMALL.n
         shapes = [
             AccessSupportRelation(path, extension, decomposition)
@@ -157,7 +158,7 @@ class TestCostModelPredictor:
             for j in range(i + 1, n + 2)  # j = n + 1: outside the profile
             for kind in ("fw", "bw", "range")
         ]
-        warm = CostModelPredictor(SMALL)
+        warm = MeasuredCosts(generated.db)
 
         def ask(predictor):
             answers = [
@@ -175,15 +176,17 @@ class TestCostModelPredictor:
         cold = ask(warm)
         assert any(answer is None for answer in cold)
         assert any(answer is not None and answer > 0 for answer in cold)
-        assert ask(CostModelPredictor(SMALL)) == cold
+        assert ask(MeasuredCosts(generated.db)) == cold
 
         reentered = []
         for model, names in (
-            (warm.query_model, ("qnas", "qsup")),
-            (warm.update_model, ("search", "aup")),
+            (QueryCostModel, ("qnas", "qsup")),
+            (UpdateCostModel, ("search", "aup")),
         ):
             for name in names:
-                setattr(model, name, lambda *args, **kwargs: reentered.append(args))
+                monkeypatch.setattr(
+                    model, name, lambda *args, **kwargs: reentered.append(args)
+                )
         assert ask(warm) == cold
         assert not reentered
 
@@ -241,8 +244,7 @@ class TestDriftMonitor:
 
     def test_observe_query_keys_on_the_executed_plan(self, world):
         generated, manager = world
-        predictor = CostModelPredictor(measure_profile(generated))
-        monitor = DriftMonitor(predictor)
+        monitor = DriftMonitor(manager.costs)
         asr = manager.asrs[0]
         query = next(
             op.query
@@ -257,7 +259,7 @@ class TestDriftMonitor:
 
     def test_observe_update_sums_per_asr_predictions(self, world):
         _generated, manager = world
-        predictor = CostModelPredictor(SMALL)
+        predictor = manager.costs
         monitor = DriftMonitor(predictor)
         asr = manager.asrs[0]
         single = predictor.predict_update(1, asr)
@@ -276,7 +278,7 @@ class TestDriftMonitor:
         manager.create(generated.path, Extension.LEFT)
         full, left = manager.asrs
         assert full.extension is not left.extension
-        predictor = CostModelPredictor(SMALL)
+        predictor = manager.costs
         monitor = DriftMonitor(predictor)
         predictions = {
             asr.extension.value: predictor.predict_update(1, asr)

@@ -20,6 +20,8 @@ class TestDemo:
         assert code == 0
         assert "R2D2" in text
         assert "asr-backward" in text
+        # The demo says why it took its plan: the ASR at its price.
+        assert "plan: " in text and "via ASR[can, dec=(0, 4)] (~2 pages)" in text
 
 
 class TestValidate:

@@ -1,22 +1,32 @@
-"""One measured cost model per world (DESIGN §10).
+"""One measured cost model per manager (DESIGN §10).
 
-The manager holds the world's one :class:`MeasuredCosts`; the drift
-monitor, both planners (replay and front door) and the daemon's
-adaptive designer price through it: one profile per path, measured with
-the world's object sizes, refreshed by the advisor sweep — so a price
-``/drift`` validates is the price a plan was ranked by, and the two
-planners choose alike.
+Every manager holds one :class:`MeasuredCosts` (``MeasuredCosts(db)``
+unless given one), measured on the first price asked, not when the
+manager is built; every planner over it ranks by it and an adaptive
+designer prices through it.  In a served world the drift monitor, both
+planners (replay and front door) and the daemon's advisor share it: one
+profile per path, measured with the world's object sizes, refreshed by
+the advisor sweep — so a price ``/drift`` validates is the price a plan
+was ranked by, and the two planners choose alike.
 """
 
 from itertools import combinations
 
 import pytest
 
+from repro.asr import (
+    AdaptiveDesigner,
+    ASRManager,
+    Decomposition,
+    Extension,
+    WorkloadRecorder,
+)
 from repro.bench.serve import ServeConfig, build_world, execute_operation
+from repro.costmodel import MeasuredCosts, profile_from_database
+from repro.gom import ObjectBase, PathExpression, Schema
 from repro.gom.types import NULL
-from repro.query import BackwardQuery, ForwardQuery, QueryEvaluator
+from repro.query import BackwardQuery, ForwardQuery, Planner, QueryEvaluator
 from repro.server import ServeDaemon, ServerConfig
-from repro.telemetry import MeasuredCosts
 
 
 @pytest.fixture()
@@ -44,7 +54,7 @@ def test_planner_and_drift_share_the_worlds_oracle(world):
     assert world.planner.manager.costs is costs
     assert world.queries.planner.manager.costs is costs
     # Sizes are the world's, not MeasuredCosts' default.
-    profile = costs.predictor_for(world.generated.path).profile
+    profile = costs.profile_for(world.generated.path)
     assert profile.size == world.generated.profile.size
 
 
@@ -109,19 +119,72 @@ def test_advisor_sweep_refreshes_the_shared_profile(tmp_path):
         assert world.drift.predictor is costs
         db, layer = world.generated.db, world.generated.layers[0]
         owner = next(oid for oid in layer if db.attr(oid, "A") is NULL)
-        before = costs.predictor_for(path).profile
+        before = costs.profile_for(path)
         member = world.generated.layers[1][0]
         with world.manager.exclusive():
             db.set_attr(owner, "A", db.new_set("SET_T1", [member]))
-        assert costs.predictor_for(path).profile is before  # nothing swept yet
+        assert costs.profile_for(path) is before  # nothing swept yet
         world.recorder.record_query(0, path.n, "bw", count=40)
         world.recorder.record_update(0)
         daemon.advisor.sweep(force=True)
-        after = costs.predictor_for(path).profile
+        after = costs.profile_for(path)
         assert after.d[0] == before.d[0] + 1
         # The planners and the drift monitor see the sweep's measurement.
         for planner in (world.planner, world.queries.planner):
-            assert planner.manager.costs.predictor_for(path).profile is after
-        assert world.drift.predictor.predictor_for(path).profile is after
+            assert planner.manager.costs.profile_for(path) is after
+        assert world.drift.predictor.profile_for(path) is after
     finally:
         daemon.shutdown()
+
+
+def test_every_manager_carries_a_price_list(small_chain):
+    manager = ASRManager(small_chain.db)
+    assert isinstance(manager.costs, MeasuredCosts)
+    assert manager.costs.db is small_chain.db
+
+
+def test_a_manager_measures_on_the_first_price_not_when_built():
+    schema = Schema()
+    schema.define_tuple("Part", {"Name": "STRING"})
+    schema.define_tuple("Product", {"Name": "STRING", "Part": "Part"})
+    schema.validate()
+    db = ObjectBase(schema)
+    manager = ASRManager(db)  # over an empty base
+    path = PathExpression.parse(schema, "Product.Part.Name")
+    for i in range(30):
+        db.new("Product", Name=f"P{i}", Part=db.new("Part", Name=f"N{i % 7}"))
+    query = BackwardQuery(path, 0, path.n, target="N3")
+    plan = Planner(manager).plan(query)
+    profile = manager.costs.profile_for(path)
+    assert profile.c == (30.0, 30.0, 7.0)
+    assert profile == profile_from_database(db, path)
+    assert plan.estimated_pages == MeasuredCosts(db).predict_query(query, None)
+
+
+def test_the_adaptive_designer_prices_through_the_managers_list(small_chain):
+    manager = ASRManager(small_chain.db)
+    asr = manager.create(small_chain.path, Extension.FULL)
+    designer = AdaptiveDesigner(manager, asr, WorkloadRecorder(small_chain.path))
+    assert designer.costs is manager.costs
+
+
+def test_planner_cost_is_the_price_list(small_chain):
+    """No second ranking: for every covering ASR and for the fallback,
+    the planner's price is the manager's."""
+    manager = ASRManager(small_chain.db)
+    path = small_chain.path
+    for extension in Extension:
+        for decomposition in (Decomposition.none(path.m), Decomposition.binary(path.m)):
+            manager.create(path, extension, decomposition)
+    planner, costs = Planner(manager), manager.costs
+    for i, j in combinations(range(path.n + 1), 2):
+        for query in (
+            BackwardQuery(path, i, j, target=small_chain.layers[j][0]),
+            ForwardQuery(path, i, j, start=small_chain.layers[i][0]),
+        ):
+            covering = planner.applicable(query)
+            assert len(covering) >= 2  # at least both full-extension ASRs
+            for candidate in [*covering, None]:
+                price = costs.predict_query(query, candidate)
+                assert price is not None
+                assert planner.cost(query, candidate) == price
