@@ -300,6 +300,10 @@ class AdaptiveDesigner:
                 best.extension,
                 Decomposition(column_borders),
             )
+            # Warm the by-cell index here, outside the lock, so the first
+            # update after the swap does not pay for it under the write
+            # lock (``Relation.containing`` would build it on first use).
+            replacement.extension_relation.index_cells()
             with self.manager.exclusive():
                 # Mutators need this lock, so no further events can
                 # interleave between catch-up and swap.

@@ -417,9 +417,6 @@ class AccessSupportRelation:
         any quarantine.
         """
         self.extension_relation = build_extension(db, self.path, self.extension)
-        # Warm the by-cell index here, in the build, so the first update
-        # after a rebuild or a swap does not pay for it under a write lock.
-        self.extension_relation.index_cells()
         rows = self.extension_relation.rows
         for partition in self.partitions:
             partition.load_from_extension(rows)
@@ -459,6 +456,16 @@ class AccessSupportRelation:
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
+
+    @cached_property
+    def design(self) -> str:
+        """``"<extension>:<decomposition>"``, the physical design's label.
+
+        Names the ASR that served a read (the measured row's ``asr``
+        note, ``EvaluationResult.strategy``); neither half changes after
+        construction.
+        """
+        return f"{self.extension.value}:{self.decomposition}"
 
     @cached_property
     def type_decomposition(self) -> Decomposition:

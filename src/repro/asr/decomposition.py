@@ -15,6 +15,7 @@ information and are dropped).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -106,6 +107,11 @@ class Decomposition:
             )
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # Built once: a metric label and a trace note on every read.
         return "(" + ", ".join(map(str, self.borders)) + ")"
 
     # ------------------------------------------------------------------

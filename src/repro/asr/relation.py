@@ -140,8 +140,10 @@ class Relation:
     def index_cells(self) -> None:
         """Build the by-cell index now (a no-op once it exists).
 
-        Builders call this so the one pass over the rows lands in the
-        build rather than in the first update after it.
+        :meth:`containing` builds it on first use; a builder that swaps
+        a relation in under a lock (the adaptive designer's retune)
+        calls this first, so the one pass over the rows lands in its
+        unlocked build rather than in the first update after the swap.
         """
         if self._by_cell is None:
             self._by_cell = {}

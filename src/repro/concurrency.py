@@ -47,6 +47,26 @@ from repro.telemetry.tracing import current_trace
 __all__ = ["RWLock", "ContextPool"]
 
 
+class _Hold:
+    """A stateless ``with`` block over one side of an :class:`RWLock`.
+
+    Holds no per-entry state (the lock counts per thread), so one
+    instance serves every thread and every nesting level; a class, not a
+    generator, because a query takes it once per operation.
+    """
+
+    __slots__ = ("_acquire", "_release")
+
+    def __init__(self, acquire, release) -> None:
+        self._acquire, self._release = acquire, release
+
+    def __enter__(self) -> None:
+        self._acquire()
+
+    def __exit__(self, *exc_info) -> None:
+        self._release()
+
+
 class RWLock:
     """A readers-writer lock with a reentrant writer and writer preference.
 
@@ -74,32 +94,29 @@ class RWLock:
     """
 
     def __init__(self, metrics=None) -> None:
-        self._cond = threading.Condition()
+        # A plain mutex under the condition: every hold below is a
+        # C-level ``with`` (nothing re-enters it).
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         self._readers: dict[int, int] = {}
         self._writer: int | None = None
         self._write_depth = 0
         self._writers_waiting = 0
         self.metrics = metrics
+        self._read = _Hold(self.acquire_read, self.release_read)
+        self._write = _Hold(self.acquire_write, self.release_write)
 
-    @contextmanager
-    def read(self) -> Iterator[None]:
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
+    def read(self) -> "_Hold":
+        """``with lock.read():`` — the read side for the block."""
+        return self._read
 
-    @contextmanager
-    def write(self) -> Iterator[None]:
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
+    def write(self) -> "_Hold":
+        """``with lock.write():`` — the write side for the block."""
+        return self._write
 
     def acquire_read(self) -> None:
         me = threading.get_ident()
-        with self._cond:
+        with self._mutex:
             if self._may_read(me):
                 # Uncontended fast path: no clock read, no trace lookup.
                 self._readers[me] = self._readers.get(me, 0) + 1
@@ -125,18 +142,21 @@ class RWLock:
 
     def release_read(self) -> None:
         me = threading.get_ident()
-        with self._cond:
+        with self._mutex:
             count = self._readers.get(me, 0)
-            if count <= 1:
-                self._readers.pop(me, None)
-            else:
+            if count > 1:
                 self._readers[me] = count - 1
-            self._cond.notify_all()
+                return
+            self._readers.pop(me, None)
+            # Only a queued writer waits on readers draining; a released
+            # read never admits a waiting reader (those wait on writers).
+            if not self._readers and self._writers_waiting:
+                self._cond.notify_all()
 
     def acquire_write(self) -> None:
         me = threading.get_ident()
         start = None
-        with self._cond:
+        with self._mutex:
             if self._writer == me:
                 self._write_depth += 1
                 return
@@ -154,8 +174,12 @@ class RWLock:
             try:
                 while self._writer is not None or self._readers:
                     self._cond.wait()
-            finally:
+            except BaseException:
+                # Readers held back for this writer must not wait on it.
                 self._writers_waiting -= 1
+                self._cond.notify_all()
+                raise
+            self._writers_waiting -= 1
             self._writer = me
             self._write_depth = 1
         waited_ms = 0.0 if start is None else (time.perf_counter() - start) * 1e3
@@ -166,7 +190,7 @@ class RWLock:
 
     def release_write(self) -> None:
         me = threading.get_ident()
-        with self._cond:
+        with self._mutex:
             if self._writer != me:
                 raise RuntimeError("release_write by a thread not holding the lock")
             self._write_depth -= 1
@@ -182,7 +206,7 @@ class RWLock:
     @property
     def writers_waiting(self) -> int:
         """Writers currently queued (blocking new reader admissions)."""
-        with self._cond:
+        with self._mutex:
             return self._writers_waiting
 
 

@@ -20,9 +20,13 @@ copy-pasted per caller).
 * it delimits **measured operations**: named, optionally nested
   intervals whose page-access delta is taken once, published as the
   ``span.pages`` histogram and — when a request trace is active on the
-  thread (:func:`~repro.telemetry.tracing.current_trace`) — written as
-  one row of that trace, seconds and pages side by side.  The context
-  itself retains no per-operation record.
+  thread (:func:`~repro.telemetry.tracing.current_trace`, read once per
+  operation) — written as one row of that trace, seconds and pages side
+  by side.  The context itself retains no per-operation record.  A
+  measured operation is a :class:`Measured` (a plain class with
+  ``__enter__`` / ``__exit__``, no generator frame), and its ``ops`` /
+  ``span.pages`` publications go through registry handles bound once per
+  operation name and context.
 
 Every storage / ASR / query entry point accepts either an
 ``ExecutionContext`` or a raw buffer scope through its ``context``
@@ -45,7 +49,7 @@ from repro.storage.stats import (
     WorkerScope,
     resolve_buffer,
 )
-from repro.telemetry.tracing import current_trace, maybe_span, record_pages
+from repro.telemetry.tracing import current_trace, record_pages
 
 __all__ = ["ExecutionContext", "Measured", "resolve_buffer"]
 
@@ -54,18 +58,51 @@ Buffer = BufferScope | NullBuffer | SharedBufferPool | WorkerScope
 
 
 class Measured:
-    """What :meth:`ExecutionContext.measure` yields.
+    """One measured operation: what :meth:`ExecutionContext.measure` returns.
 
+    A plain context manager (no generator frame): entering counts the
+    operation, opens its buffer and — when a request trace is active on
+    the thread — its trace row; leaving takes the page delta once.
     ``buffer`` is the scope to charge inside the block; ``delta`` is the
     interval's :class:`~repro.storage.stats.AccessStats` delta, set when
     the block closes.
     """
 
-    __slots__ = ("buffer", "delta")
+    __slots__ = (
+        "buffer", "delta", "_context", "_name", "_notes", "_before", "_span", "_row"
+    )
 
-    def __init__(self, buffer: Buffer) -> None:
-        self.buffer = buffer
+    def __init__(self, context: "ExecutionContext", name: str, notes: dict) -> None:
+        self._context = context
+        self._name = name
+        self._notes = notes
+        self.buffer: Buffer | None = None
         self.delta: AccessStats | None = None
+
+    def __enter__(self) -> "Measured":
+        context = self._context
+        context.count(self._name)
+        self.buffer = context.new_scope()
+        self._before = context.stats.snapshot()
+        context._buffer_stack.append(self.buffer)
+        trace = current_trace()
+        if trace is None:
+            self._span = self._row = None
+        else:
+            self._span = trace.span(self._name)
+            self._row = self._span.__enter__()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        context = self._context
+        if self._span is not None:
+            self._span.__exit__(*exc_info)
+        context._buffer_stack.pop()
+        delta = self.delta = context.stats.delta_since(self._before)
+        if self._row is not None:
+            record_pages(self._row, delta, **self._notes)
+        if context.metrics is not None:
+            context._publish_pages(self._name, delta.total)
 
 
 class ExecutionContext:
@@ -96,7 +133,10 @@ class ExecutionContext:
         delta into the ``span.pages`` histogram (labelled by operation
         name) and :meth:`count` mirrors operation counters into the
         ``ops`` counter family — the registry is how many contexts'
-        operations aggregate into one observable surface.
+        operations aggregate into one observable surface.  Each label
+        set is bound once per context
+        (:meth:`~repro.telemetry.registry.MetricsRegistry.bind_counter`),
+        so a repeated operation skips building the label key.
 
     Use as a context manager to get an explicit lifetime boundary::
 
@@ -125,6 +165,10 @@ class ExecutionContext:
         self._ambient: Buffer | None = buffer
         self._exit_hooks: list[Callable[[], None]] = []
         self._closed = False
+        #: ``ops{op}`` counters / ``span.pages{op}`` histograms of
+        #: ``metrics``, bound on first use.
+        self._ops: dict = {}
+        self._pages: dict = {}
 
     # ------------------------------------------------------------------
     # buffer management
@@ -154,32 +198,20 @@ class ExecutionContext:
     # measuring
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def measure(self, name: str, **notes) -> Iterator[Measured]:
-        """Delimit one measured operation; yields its :class:`Measured`.
+    def measure(self, name: str, **notes) -> Measured:
+        """Delimit one measured operation: ``with ctx.measure(name) as m``.
 
         The one place a page delta is taken: ``name`` is counted, the
-        operation's buffer is opened, and on exit the delta lands on the
-        yielded handle and in the ``span.pages`` histogram.  When a
-        request trace is active on this thread the interval is also one
-        row of it — seconds and pages together, plus ``notes`` — and
-        with none active no clock is read and nothing is retained.
-        Operations nest: a child's accesses are also part of its
-        parent's delta (the deltas are measured on the shared stats).
+        operation's buffer is opened, and on exit the delta lands on
+        ``m.delta`` and in the ``span.pages`` histogram.  When a request
+        trace is active on this thread (read once, on entry) the
+        interval is also one row of it — seconds and pages together,
+        plus ``notes`` — and with none active no clock is read and
+        nothing is retained.  Operations nest: a child's accesses are
+        also part of its parent's delta (the deltas are measured on the
+        shared stats).
         """
-        self.count(name)
-        measured = Measured(self.new_scope())
-        before = self.stats.snapshot()
-        self._buffer_stack.append(measured.buffer)
-        try:
-            with maybe_span(current_trace(), name) as row:
-                yield measured
-        finally:
-            self._buffer_stack.pop()
-            delta = measured.delta = self.stats.delta_since(before)
-            record_pages(row, delta, **notes)
-            if self.metrics is not None:
-                self.metrics.observe("span.pages", delta.total, op=name)
+        return Measured(self, name, notes)
 
     @contextmanager
     def operation(self, name: str) -> Iterator[Buffer]:
@@ -197,7 +229,19 @@ class ExecutionContext:
         """
         self.op_counts[name] = self.op_counts.get(name, 0) + n
         if self.metrics is not None:
-            self.metrics.inc("ops", n, op=name)
+            counter = self._ops.get(name)
+            if counter is None:
+                counter = self._ops[name] = self.metrics.bind_counter("ops", op=name)
+            counter.inc(n)
+
+    def _publish_pages(self, name: str, pages: int) -> None:
+        """Observe ``span.pages{op=name}`` (the label set bound once per context)."""
+        histogram = self._pages.get(name)
+        if histogram is None:
+            histogram = self._pages[name] = self.metrics.bind_histogram(
+                "span.pages", op=name
+            )
+        histogram.observe(pages)
 
     def snapshot_metrics(self, label: str | None = None) -> dict | None:
         """Interleave a registry snapshot with the active trace.

@@ -52,6 +52,10 @@ class MeasuredCosts:
         #: path -> (its update model, which holds the profile and the
         #: query model, and a memo of their prices).
         self._paths: dict[PathExpression, tuple[UpdateCostModel, dict]] = {}
+        #: Bumped by every :meth:`invalidate`: a price remembered under
+        #: one generation (a planner's plan decision) is stale under the
+        #: next.
+        self.generation = 0
 
     def _models(self, path: PathExpression) -> tuple[UpdateCostModel, dict]:
         entry = self._paths.get(path)
@@ -120,6 +124,7 @@ class MeasuredCosts:
 
     def invalidate(self, path: PathExpression | None = None) -> None:
         """Drop the profile and memo of ``path`` (of every path when ``None``)."""
+        self.generation += 1
         if path is None:
             self._paths.clear()
         else:

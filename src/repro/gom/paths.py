@@ -90,10 +90,16 @@ class PathExpression:
         self.schema = schema
         self.anchor_type = anchor_type
         self.attributes: tuple[str, ...] = tuple(attributes)
+        #: The path length (number of attributes).
+        self.n = len(self.attributes)
         self.steps: tuple[PathStep, ...] = tuple(
             self._resolve_steps(schema, anchor_type, self.attributes)
         )
         self.columns: tuple[PathColumn, ...] = tuple(self._build_columns())
+        #: ``column_of(i)`` for every type index ``i`` (asked per query).
+        self._type_columns: tuple[int, ...] = tuple(
+            c for c, column in enumerate(self.columns) if not column.is_collection
+        )
 
     @staticmethod
     def _resolve_steps(
@@ -166,11 +172,6 @@ class PathExpression:
     # ------------------------------------------------------------------
 
     @property
-    def n(self) -> int:
-        """The path length (number of attributes)."""
-        return len(self.attributes)
-
-    @property
     def k(self) -> int:
         """The number of set occurrences in the path."""
         return sum(1 for step in self.steps if step.is_set_occurrence)
@@ -210,10 +211,7 @@ class PathExpression:
         """
         if not 0 <= i <= self.n:
             raise PathError(f"type index {i} out of range 0..{self.n}")
-        if i == 0:
-            return 0
-        extra = sum(1 for step in self.steps[:i] if step.is_set_occurrence)
-        return i + extra
+        return self._type_columns[i]
 
     def type_index_of_column(self, column: int) -> int:
         """Inverse of :meth:`column_of` (collection columns map to their step)."""

@@ -95,6 +95,8 @@ class QueryEvaluator:
         self.store = store
         self.context = context if context is not None else ExecutionContext()
         self.stats = self.context.stats
+        #: ``"<extension>:<decomposition>"`` -> its bound ``asr.lookups``.
+        self._lookups: dict = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -136,13 +138,13 @@ class QueryEvaluator:
             delta.page_reads,
             delta.page_writes,
             "unsupported",
-            dict(delta.by_category),
+            delta.by_category,
         )
 
     def evaluate_supported(
         self, query: Query, asr: AccessSupportRelation
     ) -> EvaluationResult:
-        if asr.path != query.path:
+        if asr.path is not query.path and asr.path != query.path:
             raise QueryError("the ASR does not index this query's path")
         if not asr.supports_query(query.i, query.j):
             raise QueryError(
@@ -156,7 +158,7 @@ class QueryEvaluator:
             )
         # The measured row (no phase — the planner already books this
         # time under `execute`) names the ASR that served the lookup.
-        served = f"{asr.extension.value}:{asr.decomposition}"
+        served = asr.design
         with self.context.measure(
             f"query.supported.{query.kind}", asr=served
         ) as measured:
@@ -167,19 +169,23 @@ class QueryEvaluator:
             else:
                 raise QueryError(f"unknown query shape {query!r}")
         delta = measured.delta
-        if self.context.metrics is not None:
+        metrics = self.context.metrics
+        if metrics is not None:
             # Per-ASR lookup traffic: which physical design served reads.
-            self.context.metrics.inc(
-                "asr.lookups",
-                extension=asr.extension.value,
-                decomposition=str(asr.decomposition),
-            )
+            lookups = self._lookups.get(served)
+            if lookups is None:
+                lookups = self._lookups[served] = metrics.bind_counter(
+                    "asr.lookups",
+                    extension=asr.extension.value,
+                    decomposition=str(asr.decomposition),
+                )
+            lookups.inc()
         return EvaluationResult(
             cells,
             delta.page_reads,
             delta.page_writes,
             f"asr:{served}",
-            dict(delta.by_category),
+            delta.by_category,
         )
 
     # ------------------------------------------------------------------

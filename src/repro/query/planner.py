@@ -25,9 +25,18 @@ wins whenever it is priced cheaper — the paper's Figure 8: a query
 whose endpoint falls inside a partition degenerates to an exhaustive
 scan of that partition, which can cost more than no support at all.
 
+What does not change between decisions is priced once: per query shape
+``(path, i, j, kind)`` the planner remembers the fallback's price and
+every covering ASR with its price, valid for one ``manager.epoch`` and
+one generation of the price list (:meth:`Planner._priced`).  Restrictions
+are never remembered — each decision still asks every covering ASR once.
+
 :meth:`Planner.run` is the only place a plan is executed and its
-outcome reported (breaker board, drift monitor);
-:meth:`Planner.execute` is ``plan`` + ``run``.
+outcome reported (breaker board, drift monitor — the latter gets the
+plan's own price, ``Plan.estimated_pages``);
+:meth:`Planner.execute` is ``plan`` + ``run`` under one hold of the
+manager's read lock: all three share lock-free bodies (``_plan``,
+``_run``) that expect the caller to hold it.
 """
 
 from __future__ import annotations
@@ -42,7 +51,6 @@ from repro.query.evaluator import (
     access_restriction,
 )
 from repro.query.queries import Query
-from repro.telemetry.tracing import maybe_span
 
 
 @dataclass(frozen=True)
@@ -95,12 +103,13 @@ def mark_restriction(trace, restriction: str | None) -> None:
 class Planner:
     """Chooses among registered ASRs and the unsupported fallback, and runs it.
 
-    Ranks by ``manager.costs`` (:meth:`cost`), so every planner over one
-    manager prices alike.  Both other collaborators are optional and
-    duck-typed.  ``drift`` (a
+    Ranks by ``manager.costs`` (:meth:`cost`; anything with
+    ``predict_query`` and a ``generation`` that changes whenever its
+    prices may), so every planner over one manager prices alike.  Both
+    other collaborators are optional and duck-typed.  ``drift`` (a
     :class:`~repro.telemetry.drift.DriftMonitor`: ``observe_query``)
-    gets every run plan's measured pages against the cost model's
-    prediction.  ``breakers`` (a
+    gets every run plan's measured pages against the price it was
+    chosen at.  ``breakers`` (a
     :class:`~repro.resilience.breaker.BreakerBoard`: ``allow_query`` /
     ``record_success`` / ``record_failure``) vetoes candidates and is
     fed by every supported evaluation.
@@ -110,6 +119,9 @@ class Planner:
         self.manager = manager
         self.drift = drift
         self.breakers = breakers
+        #: ``(path, i, j, kind)`` -> ``(stamp, fallback price, ((asr,
+        #: price), ...))``; see :meth:`_priced`.
+        self._decisions: dict = {}
 
     # ------------------------------------------------------------------
     # candidates
@@ -122,6 +134,32 @@ class Planner:
             for asr in self.manager.asrs
             if asr.path == query.path and asr.supports_query(query.i, query.j)
         ]
+
+    def _priced(self, query: Query) -> tuple[float, tuple]:
+        """The fallback's price and every covering ASR with its price.
+
+        What a decision needs that does not change between decisions:
+        remembered per query shape ``(path, i, j, kind)`` for one
+        ``manager.epoch`` (every registration, replace, quarantine
+        transition and maintenance batch bumps it) and one generation of
+        ``manager.costs`` (:meth:`MeasuredCosts.invalidate
+        <repro.costmodel.measured.MeasuredCosts.invalidate>` bumps it
+        without touching the epoch).  Candidates stay in registration
+        order, so a tie goes to the first registered, as in a fresh
+        ranking.  The caller holds the read lock.
+        """
+        manager = self.manager
+        costs = manager.costs
+        stamp = (manager.epoch, costs, costs.generation)
+        key = (query.path, query.i, query.j, query.kind)
+        entry = self._decisions.get(key)
+        if entry is None or entry[0] != stamp:
+            entry = self._decisions[key] = (
+                stamp,
+                self.cost(query, None),
+                tuple((asr, self.cost(query, asr)) for asr in self._covering(query)),
+            )
+        return entry[1], entry[2]
 
     def applicable(self, query: Query) -> list[AccessSupportRelation]:
         """All registered ASRs that may answer ``query`` per Eq. 35.
@@ -161,18 +199,25 @@ class Planner:
         ``plan.degraded-fallback`` for a plan with a :attr:`Plan.restriction`.
         """
         with self.manager.lock.read():
-            best, best_cost = None, self.cost(query, None)
-            quarantined = vetoed = 0
-            for asr in self._covering(query):
-                restriction = access_restriction(asr, self.breakers)
-                if restriction == "quarantined":
-                    quarantined += 1
-                elif restriction == "breaker-open":
-                    vetoed += 1
-                else:
-                    cost = self.cost(query, asr)
-                    if cost < best_cost:
-                        best, best_cost = asr, cost
+            return self._plan(query, context)
+
+    def _plan(self, query: Query, context) -> Plan:
+        """:meth:`plan` under a read hold the caller already has.
+
+        Prices come from :meth:`_priced`; restrictions never do: every
+        covering ASR is asked once per decision, in registration order.
+        """
+        best_cost, candidates = self._priced(query)
+        best = None
+        quarantined = vetoed = 0
+        for asr, cost in candidates:
+            restriction = access_restriction(asr, self.breakers)
+            if restriction == "quarantined":
+                quarantined += 1
+            elif restriction == "breaker-open":
+                vetoed += 1
+            elif cost < best_cost:
+                best, best_cost = asr, cost
         restriction = None
         if best is None:
             if quarantined:
@@ -194,15 +239,21 @@ class Planner:
 
         For plans frozen earlier (the compiled-plan cache): a supported
         plan whose ASR has since been quarantined or breaker-vetoed
-        comes back unsupported with the restriction named.  Consults the
-        breaker once, like a fresh decision.
+        comes back unsupported, priced as the fallback, with the
+        restriction named.  Consults the breaker once, like a fresh
+        decision.
         """
         if plan.asr is None:
             return plan
         restriction = access_restriction(plan.asr, self.breakers)
         if restriction is None:
             return plan
-        return replace(plan, asr=None, restriction=restriction)
+        return replace(
+            plan,
+            asr=None,
+            estimated_pages=self.cost(plan.query, None),
+            restriction=restriction,
+        )
 
     def run(
         self, plan: Plan, evaluator: QueryEvaluator, trace=None
@@ -213,24 +264,44 @@ class Planner:
         concurrent flush or recovery can never mutate a tree mid-query
         (readers share; writers wait).  A supported evaluation blowing
         up is breaker evidence (a half-open probe failing re-opens), a
-        success closes a probing breaker.  ``trace`` books the
-        evaluation as the ``execute`` phase.
+        success closes a probing breaker.  The drift monitor gets the
+        measured pages against ``plan.estimated_pages``, the price the
+        plan was chosen at.  ``trace`` books the evaluation as the
+        ``execute`` phase.
         """
-        query, asr = plan.query, plan.asr
-        with self.manager.lock.read(), maybe_span(trace, "query.evaluate", "execute"):
-            if asr is None:
-                result = evaluator.evaluate_unsupported(query)
-            else:
-                try:
-                    result = evaluator.evaluate_supported(query, asr)
-                except Exception:
-                    if self.breakers is not None:
-                        self.breakers.record_failure(asr)
-                    raise
-                if self.breakers is not None:
-                    self.breakers.record_success(asr)
+        with self.manager.lock.read():
+            return self._run(plan, evaluator, trace)
+
+    def _run(self, plan: Plan, evaluator: QueryEvaluator, trace) -> EvaluationResult:
+        """:meth:`run` under a read hold the caller already has.
+
+        ``evaluator`` is reached only through ``evaluate_supported``,
+        ``evaluate_unsupported`` and ``context``, so a wrapper offering
+        those three stands in for it.
+        """
+        if trace is None:
+            result = self._evaluate(plan, evaluator)
+        else:
+            with trace.span("query.evaluate", "execute"):
+                result = self._evaluate(plan, evaluator)
         if self.drift is not None:
-            self.drift.observe_query(query, asr, result.total_pages)
+            self.drift.observe_query(
+                plan.query, plan.asr, result.total_pages, plan.estimated_pages
+            )
+        return result
+
+    def _evaluate(self, plan: Plan, evaluator: QueryEvaluator) -> EvaluationResult:
+        asr = plan.asr
+        if asr is None:
+            return evaluator.evaluate_unsupported(plan.query)
+        try:
+            result = evaluator.evaluate_supported(plan.query, asr)
+        except Exception:
+            if self.breakers is not None:
+                self.breakers.record_failure(asr)
+            raise
+        if self.breakers is not None:
+            self.breakers.record_success(asr)
         return result
 
     def execute(
@@ -243,7 +314,10 @@ class Planner:
         trace's outcome so tail capture retains it.
         """
         with self.manager.lock.read():
-            with maybe_span(trace, "query.plan", "plan"):
-                plan = self.plan(query, evaluator.context)
-            mark_restriction(trace, plan.restriction)
-            return self.run(plan, evaluator, trace)
+            if trace is None:
+                plan = self._plan(query, evaluator.context)
+            else:
+                with trace.span("query.plan", "plan"):
+                    plan = self._plan(query, evaluator.context)
+                mark_restriction(trace, plan.restriction)
+            return self._run(plan, evaluator, trace)

@@ -208,6 +208,9 @@ class BreakerBoard:
 
     def breaker_for(self, asr) -> CircuitBreaker:
         key = id(asr)
+        breaker = self._breakers.get(key)  # breakers are never removed
+        if breaker is not None:
+            return breaker
         with self._lock:
             breaker = self._breakers.get(key)
             if breaker is None:

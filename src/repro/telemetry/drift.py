@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 from repro.costmodel.measured import MeasuredCosts
 from repro.query.queries import Query
+from repro.telemetry.registry import BoundCounter
 
 __all__ = ["DriftMonitor"]
 
@@ -57,6 +58,9 @@ class DriftEntry:
     max_ratio: float = -math.inf
     #: Observations skipped from the geomean (a zero on either side).
     skipped: int = 0
+    #: This key's ``drift.observations`` counter, bound when the entry
+    #: is created under a registry.
+    observations: BoundCounter | None = None
 
     def record(self, predicted: float, observed: float) -> None:
         """Fold one (predicted, observed) page-access pair in."""
@@ -108,12 +112,15 @@ class DriftMonitor:
     predictor:
         Optional :class:`~repro.costmodel.measured.MeasuredCosts`, the
         manager's price list; required for the ``observe_query`` /
-        ``observe_update`` convenience entry points (``record`` always
-        works with caller-supplied predictions).
+        ``observe_update`` convenience entry points
+        (``record`` always works with caller-supplied predictions; a
+        plan carries the price it was chosen at, which is this
+        predictor's price when the planner ranks by the same list).
     registry:
         Optional :class:`~repro.telemetry.registry.MetricsRegistry` into
         which every recorded pair bumps the ``drift.observations``
-        counter; :meth:`publish` writes the ratio gauges.
+        counter (bound once per key); :meth:`publish` writes the ratio
+        gauges.
 
     Thread-safe: planner threads of a serve run share one monitor.
     """
@@ -142,21 +149,34 @@ class DriftMonitor:
             entry = self._entries.get(key)
             if entry is None:
                 entry = self._entries[key] = DriftEntry()
+                if self.registry is not None:
+                    entry.observations = self.registry.bind_counter(
+                        "drift.observations",
+                        extension=extension,
+                        decomposition=decomposition,
+                        op=op,
+                    )
             entry.record(predicted, observed)
-        if self.registry is not None:
-            self.registry.inc(
-                "drift.observations",
-                extension=extension,
-                decomposition=decomposition,
-                op=op,
-            )
+        if entry.observations is not None:
+            entry.observations.inc()
 
-    def observe_query(self, query: Query, asr, observed_pages: float) -> None:
-        """Record an executed query plan (``asr=None`` for unsupported)."""
+    def observe_query(
+        self, query: Query, asr, observed_pages: float, predicted: float | None = None
+    ) -> None:
+        """Record an executed query answered through ``asr`` (``None``:
+        unsupported).
+
+        ``predicted`` is the price the plan was chosen at (the planner
+        passes ``Plan.estimated_pages``, the predictor's price by
+        construction); omitted, the predictor prices the query here.  A
+        shape the model does not price (``None``, or a plan's ``inf``)
+        is not recorded.
+        """
         if self.predictor is None:
             return
-        predicted = self.predictor.predict_query(query, asr)
         if predicted is None:
+            predicted = self.predictor.predict_query(query, asr)
+        if predicted is None or predicted == math.inf:
             return
         if asr is None:
             extension, decomposition = UNSUPPORTED, "-"

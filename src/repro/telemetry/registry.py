@@ -14,13 +14,17 @@ exported, and compared across runs:
   hot path never pays for them;
 * **histograms** — value distributions over **fixed log-scale buckets**
   (base 2): bucket ``i`` covers ``(2^(i-1), 2^i]``, stored sparsely.
-  Observing costs one ``log2`` and a dict bump — no wall-clock reads,
+  Observing costs one ``frexp`` and a dict bump — no wall-clock reads,
   no allocation beyond the first hit of a bucket.
 
 All families support labels (keyword arguments), and every mutating
 entry point takes one internal lock, so concurrent workers of a
 :class:`~repro.concurrency.ContextPool` can publish without tearing a
-histogram mid-update.
+histogram mid-update.  A hot call site resolves its label set once —
+:meth:`MetricsRegistry.bind_counter` / :meth:`MetricsRegistry.bind_histogram`
+return a :class:`BoundCounter` / :class:`BoundHistogram` — and then
+publishes without building the label key again; the published name,
+labels and values are those of the unbound call.
 
 Exports: :meth:`MetricsRegistry.snapshot` is the JSON-able form embedded
 in ``BENCH_serve.json`` and read back by ``repro stats``;
@@ -37,6 +41,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 __all__ = [
+    "BoundCounter",
+    "BoundHistogram",
     "MetricsRegistry",
     "HistogramState",
     "estimate_quantile",
@@ -87,15 +93,21 @@ def bucket_index(value: float) -> int | None:
     """The fixed log-scale bucket holding ``value``.
 
     Bucket ``i`` has upper bound ``BUCKET_BASE ** i``; values at or
-    below zero fall into the dedicated zero bucket (``None``).
+    below zero fall into the dedicated zero bucket (``None``).  Exact:
+    ``frexp`` splits ``value`` into ``m * 2**e`` with ``0.5 <= m < 1``,
+    so ``value`` lies in ``(2^(e-1), 2^e)`` unless ``m`` is exactly 0.5,
+    when it *is* the bound ``2^(e-1)`` — no rounded logarithm decides.
     """
     if value <= 0.0:
         return None
-    index = math.ceil(math.log(value, BUCKET_BASE))
-    # A value landing exactly on a bound belongs to that bound's bucket.
-    if BUCKET_BASE ** (index - 1) >= value:
+    if value == math.inf:
+        return MAX_BUCKET_INDEX
+    mantissa, index = math.frexp(value)
+    if mantissa == 0.5:
         index -= 1
-    return max(MIN_BUCKET_INDEX, min(MAX_BUCKET_INDEX, index))
+    if index < MIN_BUCKET_INDEX:
+        return MIN_BUCKET_INDEX
+    return MAX_BUCKET_INDEX if index > MAX_BUCKET_INDEX else index
 
 
 @dataclass
@@ -191,6 +203,35 @@ def estimate_quantile(hist: dict, q: float) -> float:
     return hi_clamp
 
 
+class BoundCounter:
+    """One counter of one label set (:meth:`MetricsRegistry.bind_counter`).
+
+    ``inc`` takes the registry lock like :meth:`MetricsRegistry.inc` but
+    skips building the label key; nothing is published until it is
+    called, so binding alone leaves the snapshot unchanged.
+    """
+
+    __slots__ = ("_registry", "_name", "_key")
+
+    def __init__(self, registry: "MetricsRegistry", name: str, key: _LabelKey) -> None:
+        self._registry, self._name, self._key = registry, name, key
+
+    def inc(self, value: float = 1) -> None:
+        self._registry._add(self._name, self._key, value)
+
+
+class BoundHistogram:
+    """One histogram of one label set (:meth:`MetricsRegistry.bind_histogram`)."""
+
+    __slots__ = ("_registry", "_name", "_key")
+
+    def __init__(self, registry: "MetricsRegistry", name: str, key: _LabelKey) -> None:
+        self._registry, self._name, self._key = registry, name, key
+
+    def observe(self, value: float, exemplar: str | None = None) -> None:
+        self._registry._observe(self._name, self._key, value, exemplar)
+
+
 class MetricsRegistry:
     """The shared sink every layer publishes metrics into.
 
@@ -213,10 +254,20 @@ class MetricsRegistry:
 
     def inc(self, name: str, value: float = 1, **labels: str) -> None:
         """Add ``value`` to the counter ``name`` (per label set)."""
-        key = _label_key(labels)
+        self._add(name, _label_key(labels), value)
+
+    def _add(self, name: str, key: _LabelKey, value: float) -> None:
         with self._lock:
             family = self._counters.setdefault(name, {})
             family[key] = family.get(key, 0) + value
+
+    def bind_counter(self, name: str, **labels: str) -> BoundCounter:
+        """The counter ``name`` of one label set, for repeated ``inc``."""
+        return BoundCounter(self, name, _label_key(labels))
+
+    def bind_histogram(self, name: str, **labels: str) -> BoundHistogram:
+        """The histogram ``name`` of one label set, for repeated ``observe``."""
+        return BoundHistogram(self, name, _label_key(labels))
 
     def set_gauge(self, name: str, value: float, **labels: str) -> None:
         """Set the gauge ``name`` to ``value`` (per label set)."""
@@ -239,7 +290,11 @@ class MetricsRegistry:
         kwargs) attaches a trace ID exemplar to the observation, exposed
         on the matching ``_bucket`` line in OpenMetrics style.
         """
-        key = _label_key(labels)
+        self._observe(name, _label_key(labels), value, exemplar)
+
+    def _observe(
+        self, name: str, key: _LabelKey, value: float, exemplar: str | None
+    ) -> None:
         with self._lock:
             family = self._histograms.setdefault(name, {})
             state = family.get(key)

@@ -103,12 +103,18 @@ TAIL_OUTCOMES = frozenset({"shed", "degraded", "breaker-open", "error"})
 #: Structured slow-query log lines go here (one JSON object per line).
 slow_query_logger = logging.getLogger("repro.slowquery")
 
-_ACTIVE = threading.local()
+class _Active(threading.local):
+    #: The class default every thread sees until it activates a trace,
+    #: so reading it never raises (and catches) an ``AttributeError``.
+    trace: "Trace | None" = None
+
+
+_ACTIVE = _Active()
 
 
 def current_trace() -> "Trace | None":
     """The trace pinned to the calling thread, if any."""
-    return getattr(_ACTIVE, "trace", None)
+    return _ACTIVE.trace
 
 
 @contextmanager
@@ -118,7 +124,7 @@ def activate(trace: "Trace | None") -> Iterator[None]:
     ``None`` is accepted and costs one attribute write each way, so call
     sites need no guard of their own.
     """
-    previous = getattr(_ACTIVE, "trace", None)
+    previous = _ACTIVE.trace
     _ACTIVE.trace = trace
     try:
         yield

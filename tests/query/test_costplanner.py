@@ -100,6 +100,8 @@ class TestCostBasedChoice:
         manager.create(path, Extension.FULL, Decomposition.none(path.m))
 
         class ScanIsCheaper:
+            generation = 0  # never invalidated
+
             def predict_query(self, query, asr):
                 return 1.0 if asr is None else 1000.0
 

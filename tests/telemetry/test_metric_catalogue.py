@@ -15,8 +15,9 @@ from repro.server import _ROUTES
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
 
-#: Registry entry points whose first argument is a metric name.
-ENTRY_POINTS = ("inc", "observe", "set_gauge", "gauge_fn")
+#: Registry entry points whose first argument is a metric name (the
+#: ``bind_*`` pair hands out a handle that publishes under that name).
+ENTRY_POINTS = ("inc", "observe", "set_gauge", "gauge_fn", "bind_counter", "bind_histogram")
 #: Module-private wrappers that forward their first argument to one of
 #: them.  (``ASRManager._count`` is not one: its argument is an ``op``
 #: label of the ``ops`` family.)

@@ -1,10 +1,14 @@
 """MetricsRegistry: buckets, families, snapshots, exposition, threads."""
 
 import json
+import math
 import re
 import threading
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.registry import (
@@ -46,6 +50,39 @@ class TestBucketIndex:
             upper = BUCKET_BASE**index
             assert bucket_index(upper) == index
             assert bucket_index(upper * 1.0001) == index + 1
+
+    def test_the_float_just_above_a_bound_opens_the_next_bucket(self):
+        # A rounded logarithm filed this one bucket low (-20).
+        assert bucket_index(math.nextafter(2.0**-20, math.inf)) == -19
+
+    def test_every_bound_and_its_neighbours_match_exact_arithmetic(self):
+        for index in range(MIN_BUCKET_INDEX - 5, MAX_BUCKET_INDEX + 6):
+            bound = BUCKET_BASE**index
+            for value in (
+                math.nextafter(bound, 0.0),
+                bound,
+                math.nextafter(bound, math.inf),
+            ):
+                assert bucket_index(value) == reference_bucket(value), value
+
+    @given(
+        st.floats(
+            min_value=0.0,
+            exclude_min=True,
+            allow_nan=False,
+            allow_infinity=False,
+        )
+    )
+    def test_any_positive_float_matches_exact_arithmetic(self, value):
+        assert bucket_index(value) == reference_bucket(value)
+
+
+def reference_bucket(value: float) -> int:
+    """The least clamped ``i`` with ``value <= 2^i``, in exact rationals."""
+    exact, index = Fraction(value), MIN_BUCKET_INDEX
+    while index < MAX_BUCKET_INDEX and exact > Fraction(2) ** index:
+        index += 1
+    return index
 
 
 class TestHistogramState:

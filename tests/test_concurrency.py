@@ -12,6 +12,7 @@ The invariants these tests pin down:
 """
 
 import random
+import sys
 import threading
 import time
 
@@ -87,6 +88,47 @@ class TestRWLock:
         run_threads(4, worker)
         # While a writer held the lock nobody else was active.
         assert peaks and all(peak == 1 for peak in peaks)
+
+    def test_no_lost_wakeup_under_contention(self):
+        # A released read wakes waiters only when a queued writer can
+        # go.  With one writer among eight readers, a missed wakeup
+        # strands the writer (only the last reader's release can wake
+        # it) and every reader queued behind it: the join deadline.
+        lock = RWLock()
+        writes, overlaps = [0], []
+        writing = threading.Event()
+        readers, rounds = 8, 200
+
+        def worker(k):
+            for _ in range(rounds):
+                if k == 0:
+                    with lock.write():
+                        writing.set()
+                        time.sleep(0)
+                        writes[0] += 1
+                        writing.clear()
+                else:
+                    with lock.read():
+                        if writing.is_set():
+                            overlaps.append(k)
+                        time.sleep(0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [  # daemons: a hung one must not hang the run too
+                threading.Thread(target=worker, args=(k,), daemon=True)
+                for k in range(readers + 1)
+            ]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 20.0
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert writes[0] == rounds and not overlaps
 
     def test_write_is_reentrant(self):
         lock = RWLock()
