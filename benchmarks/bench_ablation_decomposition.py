@@ -42,8 +42,8 @@ def sweep(mix: OperationMix, p_up: float):
     return rows
 
 
-def test_ablation_decomposition_query_only(benchmark, record):
-    rows = benchmark(sweep, QUERY_ONLY, 0.0)
+def test_ablation_decomposition_query_only(record):
+    rows = sweep(QUERY_ONLY, 0.0)
     record(
         "ablation_dec_query_only",
         format_table(
@@ -59,8 +59,8 @@ def test_ablation_decomposition_query_only(benchmark, record):
         assert row[3] >= 1.0
 
 
-def test_ablation_decomposition_update_heavy(benchmark, record):
-    rows = benchmark(sweep, UPDATE_HEAVY, 0.8)
+def test_ablation_decomposition_update_heavy(record):
+    rows = sweep(UPDATE_HEAVY, 0.8)
     record(
         "ablation_dec_update_heavy",
         format_table(
@@ -75,7 +75,7 @@ def test_ablation_decomposition_update_heavy(benchmark, record):
     assert winners, winners
 
 
-def test_optimum_moves_with_mix(benchmark, record):
+def test_optimum_moves_with_mix(record):
     """The cheapest (extension, decomposition) differs across mixes."""
     model = MixCostModel(FIG11_PROFILE)
 
@@ -88,7 +88,7 @@ def test_optimum_moves_with_mix(benchmark, record):
                     best = (cost, extension, dec)
         return best
 
-    query_best = benchmark(best_design, QUERY_ONLY, 0.0)
+    query_best = best_design(QUERY_ONLY, 0.0)
     update_best = best_design(FIG14_MIX, 0.9)
     record(
         "ablation_optimum_moves",

@@ -12,13 +12,9 @@ from repro.costmodel import DesignAdvisor
 from repro.workload import FIG11_PROFILE, FIG14_MIX
 
 
-def test_advisor_ranking(benchmark, record):
+def test_advisor_ranking(record):
     advisor = DesignAdvisor(FIG11_PROFILE)
-
-    def enumerate_designs():
-        return advisor.enumerate(FIG14_MIX, p_up=0.2)
-
-    choices = benchmark(enumerate_designs)
+    choices = advisor.enumerate(FIG14_MIX, p_up=0.2)
     rows = [
         [
             choice.extension.value if choice.extension else "none",
@@ -43,14 +39,11 @@ def test_advisor_ranking(benchmark, record):
     assert best.normalized < 0.05
 
 
-def test_advisor_regimes(benchmark, record):
+def test_advisor_regimes(record):
     advisor = DesignAdvisor(FIG11_PROFILE)
-
-    def sweep():
-        return [(p_up, advisor.best(FIG14_MIX, p_up)) for p_up in (0.0, 0.2, 0.5, 0.9, 1.0)]
-
     rows = []
-    for p_up, best in benchmark(sweep):
+    for p_up in (0.0, 0.2, 0.5, 0.9, 1.0):
+        best = advisor.best(FIG14_MIX, p_up)
         rows.append(
             [
                 p_up,
@@ -72,13 +65,11 @@ def test_advisor_regimes(benchmark, record):
     assert rows[-1][1] == "none"
 
 
-def test_advisor_storage_budget(benchmark, record):
+def test_advisor_storage_budget():
     """A storage budget prunes the big full/right designs."""
     advisor = DesignAdvisor(FIG11_PROFILE)
     unbounded = advisor.enumerate(FIG14_MIX, p_up=0.2)
-    bounded = benchmark(
-        advisor.enumerate, FIG14_MIX, p_up=0.2, max_storage_bytes=512 * 1024
-    )
+    bounded = advisor.enumerate(FIG14_MIX, p_up=0.2, max_storage_bytes=512 * 1024)
     assert len(bounded) < len(unbounded)
     for choice in bounded:
         assert choice.storage_bytes <= 512 * 1024

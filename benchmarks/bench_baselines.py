@@ -41,7 +41,7 @@ def world():
     return generated, value_path
 
 
-def test_baseline_comparison(benchmark, world, record):
+def test_baseline_comparison(world, record):
     generated, value_path = world
     db = generated.db
     manager = ASRManager(db)
@@ -66,7 +66,7 @@ def test_baseline_comparison(benchmark, world, record):
         assert via_gemstone.cells == via_asr.cells == via_nested == unsupported.cells
         return unsupported, via_gemstone, via_asr, stats.page_reads
 
-    unsupported, via_gemstone, via_asr, nested_pages = benchmark(measure)
+    unsupported, via_gemstone, via_asr, nested_pages = measure()
     rows = [
         ["no support (scan)", unsupported.page_reads, "-", "any Q_{i,j}"],
         [
@@ -107,10 +107,9 @@ def test_baseline_comparison(benchmark, world, record):
     assert asr_full.supports_query(1, value_path.n)
 
 
-def test_gemstone_rejects_general_paths(benchmark, world, record):
+def test_gemstone_rejects_general_paths(world, record):
     generated, _value_path = world
     db = generated.db
-    benchmark(lambda: None)  # timing is irrelevant; keep --benchmark-only happy
     db.schema.define_set("SET_TX", "T3")
     db.schema.define_tuple("TX", {"Members": "SET_TX"})
     general = PathExpression.parse(db.schema, "TX.Members.Payload")

@@ -59,19 +59,13 @@ def scan_pages_with_capacity(generated, capacity: int | None) -> int:
     return stats.page_reads
 
 
-def test_buffer_capacity_sweep(benchmark, record):
+def test_buffer_capacity_sweep(record):
     generated = ChainGenerator(seed=73).generate(PROFILE)
-
-    def sweep():
-        rows = []
-        unbounded = scan_pages_with_capacity(generated, None)
-        for capacity in (64, 16, 8, 4, 2):
-            pages = scan_pages_with_capacity(generated, capacity)
-            rows.append([capacity, pages, round(pages / unbounded, 2)])
-        rows.insert(0, ["unbounded", unbounded, 1.0])
-        return rows
-
-    rows = benchmark(sweep)
+    unbounded = scan_pages_with_capacity(generated, None)
+    rows = [["unbounded", unbounded, 1.0]]
+    for capacity in (64, 16, 8, 4, 2):
+        pages = scan_pages_with_capacity(generated, capacity)
+        rows.append([capacity, pages, round(pages / unbounded, 2)])
     record(
         "buffer_ablation",
         format_table(

@@ -50,8 +50,8 @@ def measured_maintenance_pages(extension: Extension, updates: int = 30):
     return context.stats.total / updates, measure_profile(generated)
 
 
-def test_maintenance_pages_full_vs_right(benchmark, record):
-    full_pages, measured = benchmark(measured_maintenance_pages, Extension.FULL)
+def test_maintenance_pages_full_vs_right(record):
+    full_pages, measured = measured_maintenance_pages(Extension.FULL)
     right_pages, _ = measured_maintenance_pages(Extension.RIGHT)
     model = UpdateCostModel(measured)
     dec = Decomposition.binary(measured.n)

@@ -39,31 +39,21 @@ def build_catalog(parts_count=400, products_count=150, seed=67):
     return db, path, store, parts_count
 
 
-def test_range_selectivity_sweep(benchmark, record):
+def test_range_selectivity_sweep(record):
     db, path, store, parts_count = build_catalog()
     manager = ASRManager(db)
     asr = manager.create(path, Extension.FULL, Decomposition.none(path.m))
     evaluator = QueryEvaluator(db, store)
 
-    def sweep():
-        rows = []
-        for fraction in (0.01, 0.05, 0.2, 0.5, 1.0):
-            hi = fraction * parts_count
-            query = ValueRangeQuery(path, 0, path.n, lo=0.0, hi=hi)
-            supported = evaluator.evaluate_supported(query, asr)
-            unsupported = evaluator.evaluate_unsupported(query)
-            assert supported.cells == unsupported.cells
-            rows.append(
-                [
-                    fraction,
-                    len(supported.cells),
-                    supported.page_reads,
-                    unsupported.page_reads,
-                ]
-            )
-        return rows
-
-    rows = benchmark(sweep)
+    rows = []
+    for fraction in (0.01, 0.05, 0.2, 0.5, 1.0):
+        query = ValueRangeQuery(path, 0, path.n, lo=0.0, hi=fraction * parts_count)
+        supported = evaluator.evaluate_supported(query, asr)
+        unsupported = evaluator.evaluate_unsupported(query)
+        assert supported.cells == unsupported.cells
+        rows.append(
+            [fraction, len(supported.cells), supported.page_reads, unsupported.page_reads]
+        )
     record(
         "range_selectivity",
         format_table(
@@ -78,7 +68,7 @@ def test_range_selectivity_sweep(benchmark, record):
     assert rows[0][2] < rows[0][3] / 3
 
 
-def test_range_cost_model_curve(benchmark, record):
+def test_range_cost_model_curve(record):
     profile = ApplicationProfile(
         c=(150, 450, 400),
         d=(150, 450),
@@ -87,17 +77,14 @@ def test_range_cost_model_curve(benchmark, record):
     )
     model = QueryCostModel(profile)
 
-    def curve():
-        return [
-            (
-                s,
-                model.qsup_range(Extension.FULL, 0, s, Decomposition.none(2)),
-                model.qnas(0, 2, "bw"),
-            )
-            for s in (0.01, 0.05, 0.2, 0.5, 1.0)
-        ]
-
-    rows = benchmark(curve)
+    rows = [
+        (
+            s,
+            model.qsup_range(Extension.FULL, 0, s, Decomposition.none(2)),
+            model.qnas(0, 2, "bw"),
+        )
+        for s in (0.01, 0.05, 0.2, 0.5, 1.0)
+    ]
     record(
         "range_cost_curve",
         format_table(

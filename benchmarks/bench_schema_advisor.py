@@ -52,25 +52,19 @@ WORKLOADS = [
 BUDGETS_KIB = (0, 16, 64, 256, 1024, None)
 
 
-def test_schema_budget_frontier(benchmark, record):
+def test_schema_budget_frontier(record):
     advisor = SchemaDesignAdvisor(WORKLOADS)
-
-    def sweep():
-        rows = []
-        for budget_kib in BUDGETS_KIB:
-            budget = None if budget_kib is None else budget_kib * 1024
-            design = advisor.plan(budget)
-            rows.append(
-                [
-                    "unbounded" if budget_kib is None else budget_kib,
-                    round(design.total_bytes / 1024, 1),
-                    round(design.weighted_cost, 2),
-                    round(design.savings_factor, 1),
-                ]
-            )
-        return rows
-
-    rows = benchmark(sweep)
+    rows = []
+    for budget_kib in BUDGETS_KIB:
+        design = advisor.plan(None if budget_kib is None else budget_kib * 1024)
+        rows.append(
+            [
+                "unbounded" if budget_kib is None else budget_kib,
+                round(design.total_bytes / 1024, 1),
+                round(design.weighted_cost, 2),
+                round(design.savings_factor, 1),
+            ]
+        )
     record(
         "schema_budget_frontier",
         format_table(

@@ -44,13 +44,9 @@ def build_two_path_world(scale: int = 20):
     return db, path_a, path_b
 
 
-def test_shared_bundle_build_and_savings(benchmark, record):
+def test_shared_bundle_build_and_savings(record):
     db, path_a, path_b = build_two_path_world()
-
-    def build():
-        return SharedASRBundle.build(db, path_a, path_b, Extension.FULL)
-
-    bundle = benchmark(build)
+    bundle = SharedASRBundle.build(db, path_a, path_b, Extension.FULL)
     separate = bundle.shared_partition.byte_size * 2
     shared = bundle.shared_partition.byte_size
     record(
@@ -69,7 +65,7 @@ def test_shared_bundle_build_and_savings(benchmark, record):
     bundle.consistency_check(db)
 
 
-def test_adaptive_retune_throughput(benchmark, record):
+def test_adaptive_retune(record):
     profile = ApplicationProfile(
         c=(40, 80, 160, 320),
         d=(36, 64, 128),
@@ -80,19 +76,13 @@ def test_adaptive_retune_throughput(benchmark, record):
     sizes = {f"T{i}": int(profile.size[i]) for i in range(4)}
     manager = ASRManager(generated.db, costs=MeasuredCosts(generated.db, sizes))
 
-    def tune_once():
-        asr = manager.create(
-            generated.path, Extension.RIGHT, Decomposition.binary(generated.path.m)
-        )
-        recorder = WorkloadRecorder(generated.path)
-        recorder.record_query(0, 2, "bw", count=100)
-        recorder.record_update(0, count=5)
-        designer = AdaptiveDesigner(manager, asr, recorder)
-        decision = designer.retune()
-        manager.drop(designer.asr)
-        return decision
-
-    decision = benchmark(tune_once)
+    asr = manager.create(
+        generated.path, Extension.RIGHT, Decomposition.binary(generated.path.m)
+    )
+    recorder = WorkloadRecorder(generated.path)
+    recorder.record_query(0, 2, "bw", count=100)
+    recorder.record_update(0, count=5)
+    decision = AdaptiveDesigner(manager, asr, recorder).retune()
     record(
         "adaptive_decision",
         format_table(

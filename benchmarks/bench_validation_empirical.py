@@ -43,18 +43,13 @@ def world():
     return generated, asrs, measured
 
 
-def test_cardinality_model_vs_actual(benchmark, world, record):
+def test_cardinality_model_vs_actual(world, record):
     generated, _asrs, measured = world
-
-    def compute():
-        rows = []
-        for extension in Extension:
-            actual = len(build_extension(generated.db, generated.path, extension))
-            model = partition_cardinality(measured, extension, 0, measured.n)
-            rows.append([extension.value, actual, round(model, 1)])
-        return rows
-
-    rows = benchmark(compute)
+    rows = []
+    for extension in Extension:
+        actual = len(build_extension(generated.db, generated.path, extension))
+        model = partition_cardinality(measured, extension, 0, measured.n)
+        rows.append([extension.value, actual, round(model, 1)])
     record(
         "validation_cardinality",
         format_table(
@@ -68,17 +63,13 @@ def test_cardinality_model_vs_actual(benchmark, world, record):
         assert abs(model - actual) / actual < 0.35, (extension, actual, model)
 
 
-def test_backward_query_model_vs_measured(benchmark, world, record):
+def test_backward_query_model_vs_measured(world, record):
     generated, asrs, measured = world
     evaluator = QueryEvaluator(generated.db, generated.store)
     model = QueryCostModel(measured)
     target = generated.layers[generated.n][0]
     query = BackwardQuery(generated.path, 0, generated.n, target=target)
-
-    def run():
-        return evaluator.evaluate_unsupported(query)
-
-    unsupported = benchmark(run)
+    unsupported = evaluator.evaluate_unsupported(query)
     supported = evaluator.evaluate_supported(query, asrs["full/bi"])
     predicted_unsupported = model.qnas(0, measured.n, "bw")
     predicted_supported = model.q(
@@ -103,7 +94,7 @@ def test_backward_query_model_vs_measured(benchmark, world, record):
     assert predicted_supported < predicted_unsupported / 5
 
 
-def test_forward_query_model_vs_measured(benchmark, world, record):
+def test_forward_query_model_vs_measured(world, record):
     generated, asrs, measured = world
     evaluator = QueryEvaluator(generated.db, generated.store)
     model = QueryCostModel(measured)
@@ -115,15 +106,13 @@ def test_forward_query_model_vs_measured(benchmark, world, record):
         ).cells
     ][:10]
     assert starts, "no start object reaches t_n"
-
-    def run():
-        pages = []
-        for start in starts:
-            query = ForwardQuery(generated.path, 0, generated.n, start=start)
-            pages.append(evaluator.evaluate_unsupported(query).page_reads)
-        return sum(pages) / len(pages)
-
-    measured_pages = benchmark(run)
+    pages = [
+        evaluator.evaluate_unsupported(
+            ForwardQuery(generated.path, 0, generated.n, start=start)
+        ).page_reads
+        for start in starts
+    ]
+    measured_pages = sum(pages) / len(pages)
     predicted = model.qnas(0, measured.n, "fw")
     record(
         "validation_forward_query",
@@ -136,7 +125,7 @@ def test_forward_query_model_vs_measured(benchmark, world, record):
     assert 0.4 <= predicted / max(measured_pages, 1) <= 2.5
 
 
-def test_supported_results_match_oracle(benchmark, world):
+def test_supported_results_match_oracle(world):
     """Every (extension, decomposition) ASR answers queries identically."""
     generated, _asrs, _measured = world
     manager = ASRManager(generated.db)
@@ -150,9 +139,5 @@ def test_supported_results_match_oracle(benchmark, world):
     target = generated.layers[generated.n][1]
     query = BackwardQuery(path, 0, path.n, target=target)
     reference = evaluator.evaluate_unsupported(query).cells
-
-    def all_supported():
-        return [evaluator.evaluate_supported(query, asr).cells for asr in asrs]
-
-    for cells in benchmark(all_supported):
-        assert cells == reference
+    for asr in asrs:
+        assert evaluator.evaluate_supported(query, asr).cells == reference

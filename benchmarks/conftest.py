@@ -1,9 +1,12 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the measured experiments beyond the paper's figures.
 
-Each benchmark regenerates one figure of the paper, times the
-computation via pytest-benchmark, writes the rendered series to
-``benchmarks/results/<name>.txt``, and asserts the paper's qualitative
-claims about the figure.
+Each file under ``benchmarks/`` (the ladder aside) measures one
+extension — ablations, baselines, the advisors, measured maintenance,
+range queries — writes its rendered table to
+``benchmarks/results/<name>.txt``, and asserts its qualitative claims.
+The paper's own figures are rendered by ``repro figures`` into
+``benchmarks/results/figNN.txt``.  Run with
+``python -m pytest benchmarks --ignore=benchmarks/ladder``.
 """
 
 from __future__ import annotations

@@ -1,76 +1,18 @@
 """Regenerate every figure of the paper's evaluation as text tables.
 
 One table per figure (4–9, 11–17), computed with the analytical cost
-model over the paper's own parameter tables.  This is the human-browsable
-form of what the benchmark harness asserts; see EXPERIMENTS.md for the
-paper-vs-reproduction comparison.
+model over the paper's own parameter tables, rendered by the same table
+as ``repro figures`` and ``benchmarks/results/figNN.txt``; see
+EXPERIMENTS.md for the paper-vs-reproduction comparison.
 
 Run:  python examples/paper_figures.py
 """
 
 from repro.bench import figures
-from repro.bench.render import format_series, format_table
 
 
 def main() -> None:
-    print(format_table(
-        ["design", "KiB"], sorted(figures.fig04_sizes().items()),
-        "Figure 4 — access support relation sizes",
-    ))
-
-    xs, series = figures.fig05_varying_d()
-    print("\n" + format_series("d_i", xs, series,
-                               "Figure 5 — sizes under varying d_i (KiB, no dec)"))
-
-    print("\n" + format_table(
-        ["design", "pages"], sorted(figures.fig06_backward_query().items()),
-        "Figure 6 — Q_{0,4}(bw) query cost",
-    ))
-
-    xs, series = figures.fig07_object_size()
-    print("\n" + format_series("size_i", xs, series,
-                               "Figure 7 — Q_{0,4}(bw) under varying object size"))
-
-    xs, series = figures.fig08_partial_query()
-    print("\n" + format_series("d_i", xs, series,
-                               "Figure 8 — Q_{0,3}(bw): which extensions support it"))
-
-    xs, series = figures.fig09_fanout()
-    print("\n" + format_series("fan_i", xs, series,
-                               "Figure 9 — Q_{0,4}(bw) favouring canonical/left"))
-
-    print("\n" + format_table(
-        ["design", "pages"], sorted(figures.fig11_update_costs().items()),
-        "Figure 11 — ins_3 update cost",
-    ))
-
-    print("\n" + format_table(
-        ["design", "pages"], sorted(figures.fig12_update_costs().items()),
-        "Figure 12 — ins_3 update cost (fan = 2,1,1,4)",
-    ))
-
-    xs, series = figures.fig13_update_sizes()
-    print("\n" + format_series("size_i", xs, series,
-                               "Figure 13 — ins_1 update cost vs object size"))
-
-    xs, series = figures.fig14_opmix()
-    print("\n" + format_series("P_up", xs, series,
-                               "Figure 14 — normalized mix cost, binary dec"))
-    print("break-evens:", figures.fig14_break_evens())
-
-    xs, series = figures.fig15_opmix()
-    print("\n" + format_series("P_up", xs, series,
-                               "Figure 15 — normalized mix cost, dec (0,3,4)"))
-
-    xs, series = figures.fig16_left_vs_full()
-    print("\n" + format_series("P_up", xs, series,
-                               "Figure 16 — left vs full (n = 5)"))
-
-    xs, series = figures.fig17_right_vs_full()
-    print("\n" + format_series("P_up", xs, series,
-                               "Figure 17 — right vs full (n = 5)"))
-    print(f"Figure 17 break-even right/(0,3,5) vs full/(0,3,5): "
-          f"{figures.fig17_break_even():.4f} (paper: ~0.005)")
+    print("\n\n".join(figures.render(figure_id) for figure_id in figures.FIGURES))
 
 
 if __name__ == "__main__":

@@ -1,13 +1,13 @@
-"""Shared machinery for the benchmark harness.
+"""Figure rendering and the serving core.
 
 :mod:`repro.bench.figures` computes, for every figure of the paper's
 evaluation, the data series the figure plots (using the profiles of
-:mod:`repro.workload.profiles` and the cost model); the per-figure
-benchmark files under ``benchmarks/`` time these computations, render the
-series, and assert the paper's qualitative claims.
-
-:mod:`repro.bench.render` turns the series into fixed-width text tables
-so ``bench_output.txt`` doubles as the reproduction's figure data.
+:mod:`repro.workload.profiles` and the cost model) and renders each
+figure through one table (:func:`~repro.bench.figures.render`), which
+``repro figures`` and the committed ``benchmarks/results/figNN.txt``
+share.  :mod:`repro.bench.render` turns the series into fixed-width text
+tables.  :mod:`repro.bench.serve` is the serving core the ``repro
+serve`` daemon and the benchmark ladder drive.
 """
 
 from repro.bench.render import format_series, format_table

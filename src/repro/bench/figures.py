@@ -1,18 +1,24 @@
-"""Per-figure data-series computation.
+"""Per-figure data series and the one table that renders them.
 
 Each ``figNN_*`` function regenerates the series one figure of the paper
 plots, as ``(xs, {series name: values})`` or a flat mapping for the
-bar-style figures.  The benchmark files under ``benchmarks/`` wrap these
-in pytest-benchmark fixtures and assert the paper's qualitative claims
-(who wins, by what factor, where the break-evens fall).
+bar-style figures.  :data:`FIGURES` maps every figure id (``fig04`` …
+``fig17``) to the text it renders — every section of that figure,
+Fig. 11's ins₀ companion and the Fig. 14 / Fig. 17 break-evens
+included.  ``repro figures``, ``examples/paper_figures.py`` and the
+committed ``benchmarks/results/figNN.txt`` all go through
+:func:`render`; ``tests/integration/test_figures_shapes.py`` asserts the
+paper's qualitative claims (who wins, by what factor, where the
+break-evens fall).
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.asr.decomposition import Decomposition
 from repro.asr.extensions import Extension
+from repro.bench.render import format_series, format_table
 from repro.costmodel.opmix import MixCostModel, OperationMix
 from repro.costmodel.parameters import ApplicationProfile
 from repro.costmodel.querycost import QueryCostModel
@@ -298,3 +304,81 @@ def fig17_break_even() -> float | None:
     return model.break_even(
         (Extension.RIGHT, coarse), (Extension.FULL, coarse), paper.FIG17_MIX
     )
+
+
+# ----------------------------------------------------------------------
+# The one renderer: figure id -> its sections
+# ----------------------------------------------------------------------
+
+
+def _designs(data: Mapping[str, float], unit: str, title: str) -> str:
+    return format_table(["design", unit], sorted(data.items()), title)
+
+
+#: Every figure's sections, in order; each entry renders one text table.
+_SECTIONS: dict[str, tuple[Callable[[], str], ...]] = {
+    "fig04": (lambda: _designs(
+        fig04_sizes(), "KiB", "Figure 4 — access support relation sizes (KiB)"),),
+    "fig05": (lambda: format_series(
+        "d_i", *fig05_varying_d(),
+        title="Figure 5 — sizes (KiB) under varying d_i, no dec"),),
+    "fig06": (lambda: _designs(
+        fig06_backward_query(), "page accesses", "Figure 6 — Q_{0,4}(bw) cost"),),
+    "fig07": (lambda: format_series(
+        "size_i", *fig07_object_size(),
+        title="Figure 7 — Q_{0,4}(bw) cost under varying object size (binary dec)"),),
+    "fig08": (lambda: format_series(
+        "d_i", *fig08_partial_query(),
+        title="Figure 8 — Q_{0,3}(bw) cost under varying d_i"),),
+    "fig09": (lambda: format_series(
+        "fan_i", *fig09_fanout(),
+        title="Figure 9 — Q_{0,4}(bw) cost under varying fan-out (binary dec)"),),
+    "fig11": (
+        lambda: _designs(
+            fig11_update_costs(), "page accesses", "Figure 11 — ins_3 update cost"),
+        lambda: _designs(
+            fig11_update_costs(i=0), "page accesses",
+            "Figure 11 companion — ins_0 update cost"),
+    ),
+    "fig12": (lambda: _designs(
+        fig12_update_costs(), "page accesses",
+        "Figure 12 — ins_3 update cost (fan = 2,1,1,4)"),),
+    "fig13": (lambda: format_series(
+        "size_i", *fig13_update_sizes(),
+        title="Figure 13 — ins_1 update cost under varying object size (binary dec)"),),
+    "fig14": (
+        lambda: format_series(
+            "P_up", *fig14_opmix(),
+            title="Figure 14 — normalized mix cost vs P_up (binary dec)"),
+        lambda: format_table(
+            ["pair", "P_up*"], sorted(fig14_break_evens().items()),
+            "Figure 14 — break-even update probabilities "
+            "(paper: left/full ≈ 0.3, nosupport/full ≈ 0.998)"),
+    ),
+    "fig15": (lambda: format_series(
+        "P_up", *fig15_opmix(),
+        title="Figure 15 — normalized mix cost vs P_up, decomposition (0,3,4)"),),
+    "fig16": (lambda: format_series(
+        "P_up", *fig16_left_vs_full(),
+        title="Figure 16 — left vs full, dec (0,1,2,3,4,5) and (0,3,4,5)"),),
+    "fig17": (
+        lambda: format_series(
+            "P_up", *fig17_right_vs_full(),
+            title="Figure 17 — right vs full, dec (0,1,2,3,4,5) and (0,3,5)"),
+        lambda: format_table(
+            ["pair", "P_up*"],
+            [["right/(0,3,5) vs full/(0,3,5)", fig17_break_even()]],
+            "Figure 17 — break-even (paper: ≈ 0.005)"),
+    ),
+}
+
+#: The figure ids, in paper order.
+FIGURES = tuple(_SECTIONS)
+
+
+def render(figure_id: str) -> str:
+    """All of one figure's sections as text, blank-line separated.
+
+    Raises :class:`KeyError` for an id not in :data:`FIGURES`.
+    """
+    return "\n\n".join(section() for section in _SECTIONS[figure_id])

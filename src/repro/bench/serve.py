@@ -24,20 +24,20 @@ accounting on real threads) and then *awaits*
 device waits cost no thread at all, and in-flight operations are bounded
 by ``max_inflight`` instead of ``clients``.
 
-The headline report (``BENCH_serve.json``): throughput, peak in-flight
-operations, per-operation p50/p95/p99 latencies, the shared pool's hit
-rate, and the accounting invariant (shared totals == retired + Σ live
-per-worker totals).
-
-The benchmark and the long-lived daemon (:mod:`repro.server`) drive the
-same core: :func:`build_world` assembles the generated database, ASR
-manager, context pool, and drift monitor into one :class:`ServeWorld`;
-:func:`execute_operation` executes one bound operation's
-lock-disciplined core; :func:`drive_operation_async` adds the device
-charge and latency accounting; :class:`ServingCore` owns the queue, the
-worker tasks and the drain.  Only the *arrivals* differ: the benchmark
-feeds the finite stream once and waits at a full queue, the daemon
-replays it cyclically and sheds.
+The long-lived daemon (:mod:`repro.server`) and the benchmark ladder
+(``benchmarks/ladder/``) drive the same pieces: :func:`build_world`
+assembles the generated database, ASR manager, context pool, and drift
+monitor into one :class:`ServeWorld`; :func:`execute_operation`
+executes one bound operation's lock-disciplined core;
+:func:`drive_operation_async` adds the device charge and latency
+accounting; :class:`ServingCore` owns the queue, the worker tasks and
+the drain.  Only the *arrivals* differ: the daemon replays the stream
+cyclically and sheds at a full queue, a finite replay awaits
+``queue.put`` over its stream so that every operation runs.  The
+daemon's drain report (``BENCH_serve_daemon.json``, written by
+:func:`write_report`) carries per-operation p50/p95/p99 latencies
+(:func:`per_operation`), the shared pool's hit rate, and the accounting
+invariant (shared totals == retired + Σ live per-worker totals).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.asr.adaptive import WorkloadRecorder
 from repro.asr.extensions import Extension
@@ -83,7 +83,6 @@ __all__ = [
     "execute_operation",
     "drive_operation_async",
     "per_operation",
-    "run_serve",
     "SMALL_PROFILE",
     "SMALL_FIG16_PROFILE",
     "SERVE_PROFILES",
@@ -122,7 +121,7 @@ SERVE_PROFILES = {
 
 @dataclass
 class ServeConfig:
-    """Knobs of one serve run (all reachable from ``repro bench serve``)."""
+    """Knobs of one serve run (all reachable from ``repro serve``)."""
 
     #: CPU executor threads; 0 replays nothing (the daemon then serves
     #: only ``POST /query``).
@@ -469,8 +468,8 @@ class ExecutorWorkers:
 class ServingCore:
     """The one serving core: a bounded admission queue drained by worker tasks.
 
-    Both ``repro bench serve`` and the ``repro serve`` daemon instantiate
-    this class.  It owns the queue (capacity ``max_inflight``), the
+    The ``repro serve`` daemon instantiates this class (the ladder's
+    ``select-http`` workload through the daemon).  It owns the queue (capacity ``max_inflight``), the
     ``max_inflight`` worker tasks, the bounded executor (``clients``
     threads), the device model, the ``inflight`` / ``queue.depth``
     gauges, and the drain.  Each worker task is one in-flight operation
@@ -479,8 +478,8 @@ class ServingCore:
     loop, hand the sample to ``record``.
 
     *Arrivals stay with the caller*: :meth:`serve` runs a caller-supplied
-    coroutine that puts :meth:`entry` tuples on :attr:`queue` — the
-    benchmark awaits ``queue.put`` over its finite stream (waiting at
+    coroutine that puts :meth:`entry` tuples on :attr:`queue` — a
+    finite replay awaits ``queue.put`` over its stream (waiting at
     the bound, so every operation runs), the daemon replays cyclically
     with ``put_nowait`` and sheds on :class:`asyncio.QueueFull`, until
     stopped or :attr:`errors` is non-empty.
@@ -526,7 +525,7 @@ class ServingCore:
         """Serve on a fresh event loop until ``arrivals`` and the drain end.
 
         ``clients == 0`` starts no loop and replays nothing — in the
-        benchmark and in the daemon alike.
+        finite replay and in the daemon alike.
         """
         if self.world.config.clients > 0:
             asyncio.run(self.serve(arrivals))
@@ -616,64 +615,6 @@ def per_operation(samples: list[OpSample]) -> dict:
             "mean_ms": round(sum(latencies) / len(latencies) * 1e3, 3),
         }
     return report
-
-
-def run_serve(config: ServeConfig | None = None) -> dict:
-    """Run the serve benchmark; returns the JSON-able report.
-
-    One replay of the seeded stream through :class:`ServingCore`.  The
-    benchmark *waits* at the admission bound rather than shedding —
-    every stream operation must run for runs to be comparable; the
-    daemon's admission loop is where overload sheds.  The report embeds
-    the run's full metrics snapshot (``metrics``) and the cost-model
-    drift report (``drift``) — the data behind ``repro stats``.
-    """
-    config = config or ServeConfig()
-    profile, _mix = config.resolved_profile()
-    world = build_world(config)
-    stream = world.stream()
-    samples: list[OpSample] = []
-    core = ServingCore(world, record=lambda sample, _op: samples.append(sample))
-
-    async def arrivals() -> None:
-        for op in stream:
-            await core.queue.put(core.entry(op))
-
-    started = time.perf_counter()
-    try:
-        core.run(arrivals)
-        wall = time.perf_counter() - started
-    finally:
-        core.close()
-
-    world.manager.check_consistency()
-    world.pool.pool.check_invariants()
-    accounting = world.pool.check_accounting(world.registry)
-    world.drift.publish(world.registry)
-    pool_report = world.pool.describe()
-    world.manager.close()
-    return {
-        "benchmark": "serve",
-        "config": asdict(config),
-        "device": config.latency_model().describe(),
-        "profile": {
-            "c": list(profile.c),
-            "d": list(profile.d),
-            "fan": list(profile.fan),
-        },
-        "serve": {
-            "clients": config.clients,
-            "max_inflight": config.max_inflight,
-            "wall_seconds": round(wall, 4),
-            "throughput_ops_per_s": round(len(samples) / wall if wall else 0.0, 2),
-            "peak_inflight": core.peak_inflight,
-        },
-        "pool": pool_report,
-        "accounting": accounting,
-        "operations": per_operation(samples),
-        "metrics": world.registry.snapshot(),
-        "drift": world.drift.report(),
-    }
 
 
 def write_report(report: dict, path: str) -> None:

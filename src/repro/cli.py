@@ -40,52 +40,6 @@ Commands
     Load a saved database and print the measured Figure 3 parameters of
     a path over it.
 
-``bench serve [--clients N] [--ops K] [--seed S] [--io-micros U]
-[--io-dist D] [--max-inflight M] [--capacity C]
-[--profile fig14|fig16|queries] [--query-fraction F]
-[--query-cache-size Z] [--out BENCH_serve.json]``
-    Serve a seeded operation mix over one shared bounded buffer pool
-    and one ASR-managed chain database; report throughput, peak
-    in-flight operations, and per-operation p50/p95/p99 latency
-    (:mod:`repro.bench.serve`).  The stream runs once through the
-    serving core: an asyncio event loop with up to ``--max-inflight``
-    concurrent operations awaiting their simulated device charges
-    (:mod:`repro.device`, distribution picked by ``--io-dist``) while
-    CPU-bound plan evaluation is offloaded to ``N`` executor threads.
-    The ``queries`` profile replays *textual* selects through the
-    query-service pipeline (parse → validate → plan → execute, compiled
-    plans cached by epoch) instead of pre-bound query objects.  The
-    report embeds the run's metrics snapshot and cost-model drift
-    report, which ``repro stats`` renders.
-
-``bench chaos [--chaos-rate R] [--chaos-burst B]
-[--chaos-crash-points P1,P2:crash] [--op-deadline-ms D]
-[--soak-ops K] [--min-recoveries R] [--out BENCH_chaos.json]``
-    The SLO-gated chaos soak (:mod:`repro.bench.chaos`): one daemon
-    serves the seeded stream while a :class:`ChaosController` arms
-    fault points from the live op stream and the background
-    :class:`HealerLoop` races it.  Four phases — storm (until
-    ``--soak-ops`` served *and* ``--min-recoveries`` heals), settle
-    (chaos off, quarantine drains), healthz probe over real HTTP,
-    graceful drain.  ``BENCH_chaos.json`` records p50/p95/p99 latency,
-    strike/fault/recovery counts, MTTR, breaker transitions, and the
-    end state; exit 0 iff the end state is consistent, accounting
-    holds, and ``/healthz`` answered 200.
-
-``bench advisor [--advisor-interval SEC] [--advisor-threshold G]
-[--advisor-min-ops N] [--phase-seconds SEC] [--out BENCH_advisor.json]``
-    The SLO-gated self-tuning soak (:mod:`repro.bench.advisor`): one
-    daemon serves a query-heavy stream while the background
-    :class:`AdvisorLoop` re-costs the chain ASR's design against the
-    measured mix; mid-run the stream shifts update-heavy.  Gates — the
-    loop converges to the cost-model-preferred design in each phase
-    within two decisive sweeps, an injected build failure rolls back
-    without losing the ASR or bumping the epoch, each applied retune
-    bumps the epoch exactly once and the first post-retune ``POST
-    /query`` recompiles (no stale-epoch cache hit), ``/healthz`` stays
-    200 throughout, and the end state is consistent.  Exit 0 iff all
-    gates hold.
-
 ``serve [--port P] [--clients N] [--max-inflight M]
 [--io-dist D] [--profile fig14|fig16|queries] [--ops K]
 [--query-fraction F] [--query-cache-size Z] [--drift-interval SEC]
@@ -127,8 +81,8 @@ Commands
     the loop's verdict history and ``--advisor-dry-run`` decides
     without acting.
 
-``stats [--in BENCH_serve.json] [--json] [--prometheus]``
-    Render the telemetry embedded in a serve report: the accounting
+``stats [--in BENCH_serve_daemon.json] [--json] [--prometheus]``
+    Render the telemetry embedded in the daemon's drain report: the accounting
     invariant, the cost-model drift table (observed vs predicted page
     accesses per plan shape), and the metrics snapshot (counters,
     gauges, histograms).  ``--json`` emits the raw structures;
@@ -190,186 +144,6 @@ def _chaos_points_spec(spec: str) -> str:
     return spec
 
 
-def _add_resilience_options(parser) -> None:
-    """The resilience knobs ``bench chaos`` and ``serve`` share."""
-    parser.add_argument(
-        "--chaos-rate",
-        type=float,
-        default=0.0,
-        help="per-operation probability of arming a chaos fault point "
-        "(0 disables chaos; strikes are seeded and replayable)",
-    )
-    parser.add_argument(
-        "--chaos-burst",
-        type=int,
-        default=0,
-        help="strikes per burst storm (a strike may expand into this "
-        "many consecutive strikes; 0 disables storms)",
-    )
-    parser.add_argument(
-        "--chaos-crash-points",
-        type=_chaos_points_spec,
-        default="asr.apply.mid-delta,asr.recover.replay",
-        help="comma-separated fault points to strike; append ':crash' "
-        "for a non-retryable SimulatedCrash instead of a transient fault",
-    )
-    parser.add_argument(
-        "--op-deadline-ms",
-        type=float,
-        default=None,
-        help="shed queue entries older than this at dequeue "
-        "time, unexecuted (counted in deadline.shed, separately from "
-        "admission rejects)",
-    )
-    parser.add_argument(
-        "--shed-backoff-ms",
-        type=float,
-        default=1.0,
-        help="admission-pump backoff after shedding into a "
-        "full queue (jittered +-50%% from the run's seed)",
-    )
-    parser.add_argument(
-        "--healer-interval",
-        type=float,
-        default=0.25,
-        help="seconds between background healer sweeps of the "
-        "quarantine set",
-    )
-    parser.add_argument(
-        "--no-healer",
-        dest="healer",
-        action="store_false",
-        help="disable the background healer (quarantined ASRs then wait "
-        "for 'repro doctor --repair')",
-    )
-
-
-def _add_advisor_options(parser, *, threshold: float) -> None:
-    """The self-tuning knobs ``bench advisor`` and ``serve`` share.
-
-    ``threshold`` is the subcommand's own ``--advisor-threshold``
-    default: the soak's update-heavy phase's materialized winner is a
-    close call, a daemon wants more hysteresis.
-    """
-    parser.add_argument(
-        "--advisor-interval",
-        type=float,
-        default=0.0,
-        help="seconds between background advisor sweeps re-costing the "
-        "chain ASR's (extension, decomposition) against the measured op "
-        "mix (0 disables the advisor; bench advisor defaults to 0.25)",
-    )
-    parser.add_argument(
-        "--advisor-threshold",
-        type=float,
-        default=threshold,
-        help="hysteresis: predicted gain (current cost / best cost) a "
-        "retune must clear before the ASR is re-materialized "
-        f"(default: {threshold:g})",
-    )
-    parser.add_argument(
-        "--advisor-min-ops",
-        type=int,
-        default=32,
-        help="evidence floor: recorded operations a sweep needs before "
-        "the measured mix is trusted",
-    )
-    parser.add_argument(
-        "--advisor-dry-run",
-        action="store_true",
-        help="decide but never touch the physical design (what *would* "
-        "have been retuned shows up in GET /advisor)",
-    )
-
-
-def _add_serve_workload_options(parser, *, ops_help: str, out: str) -> None:
-    """The workload/device options the ``bench`` actions and ``serve`` share.
-
-    One definition for every subcommand, so a new knob (``--io-dist``,
-    ``--max-inflight``, …) cannot drift between them.  ``out`` is the
-    subcommand's own ``--out`` default: no two write the same report.
-    """
-    parser.add_argument(
-        "--clients",
-        type=int,
-        default=4,
-        help="CPU executor threads (0 replays nothing)",
-    )
-    parser.add_argument("--ops", type=int, default=200, help=ops_help)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--capacity", type=int, default=256, help="shared buffer pool pages"
-    )
-    parser.add_argument(
-        "--io-micros",
-        type=float,
-        default=150.0,
-        help="simulated device latency per charged page, microseconds "
-        "(the median for jittered distributions)",
-    )
-    parser.add_argument(
-        "--io-dist",
-        type=_io_dist_spec,
-        default="fixed",
-        help="device latency distribution: fixed (default), "
-        "lognormal[:SIGMA], or a device class (nvme, ssd, disk)",
-    )
-    parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=1024,
-        help="bound on concurrent in-flight operations "
-        "(the admission limit; the daemon sheds beyond it)",
-    )
-    parser.add_argument(
-        "--profile",
-        choices=["fig14", "fig16", "queries"],
-        default="fig14",
-        help="application shape to serve (Figure 14 mix, Figure 16 mix, "
-        "or textual selects through the query service)",
-    )
-    parser.add_argument(
-        "--query-fraction",
-        type=float,
-        default=0.8,
-        help="fraction of the stream that is queries (the rest are "
-        "FIG14-style updates); 1.0 keeps the object graph quiescent",
-    )
-    parser.add_argument(
-        "--query-cache-size",
-        type=int,
-        default=128,
-        help="compiled-plan cache capacity for POST /query "
-        "(0 disables caching)",
-    )
-    parser.add_argument(
-        "--trace-sample-rate",
-        type=float,
-        default=0.0,
-        help="fraction of requests whose traces are retained head-on "
-        "(seeded; 0 disables tracing unless --slow-trace-ms is set)",
-    )
-    parser.add_argument(
-        "--slow-trace-ms",
-        type=float,
-        default=None,
-        help="tail capture: always retain traces slower than this many "
-        "milliseconds (and all shed/degraded/breaker-open outcomes)",
-    )
-    parser.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=512,
-        help="ring-buffer capacity of the retained-trace store",
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path(out),
-        help=f"where the JSON report is written (default: {out})",
-    )
-
-
 def _serve_config_from(args) -> "object":
     """The :class:`~repro.bench.serve.ServeConfig` an argparse bundle names."""
     from repro.bench.serve import ServeConfig
@@ -385,8 +159,8 @@ def _serve_config_from(args) -> "object":
         query_fraction=args.query_fraction,
         max_inflight=args.max_inflight,
         query_cache_size=args.query_cache_size,
-        op_deadline_ms=getattr(args, "op_deadline_ms", None),
-        shed_backoff_ms=getattr(args, "shed_backoff_ms", 1.0),
+        op_deadline_ms=args.op_deadline_ms,
+        shed_backoff_ms=args.shed_backoff_ms,
         trace_sample_rate=args.trace_sample_rate,
         slow_trace_ms=args.slow_trace_ms,
         trace_capacity=args.trace_capacity,
@@ -460,54 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--path", required=True, help='path expression, e.g. "Division.Manufactures.Composition.Name"'
     )
 
-    bench = commands.add_parser(
-        "bench", help="runtime benchmarks (beyond the paper's page counts)"
-    )
-    actions = bench.add_subparsers(dest="action", required=True)
-    for action, summary in (
-        ("serve", "replay a seeded stream once through the serving core"),
-        ("chaos", "SLO-gated chaos soak: fault storm against the healer"),
-        ("advisor", "SLO-gated self-tuning soak: mix shift, rollback, epochs"),
-    ):
-        sub = actions.add_parser(action, help=summary)
-        _add_serve_workload_options(
-            sub,
-            ops_help="operations to replay (chaos: per client-loop pass)",
-            out=f"BENCH_{action}.json",
-        )
-        _add_resilience_options(sub)
-        _add_advisor_options(sub, threshold=1.05)
-        sub.add_argument(
-            "--phase-seconds",
-            type=float,
-            default=20.0,
-            help="bench advisor: wall-clock cap on each convergence phase",
-        )
-        sub.add_argument(
-            "--soak-ops",
-            type=int,
-            default=400,
-            help="bench chaos: operations the storm phase must serve",
-        )
-        sub.add_argument(
-            "--min-recoveries",
-            type=int,
-            default=1,
-            help="bench chaos: healer recoveries the storm phase waits for",
-        )
-        sub.add_argument(
-            "--soak-seconds",
-            type=float,
-            default=60.0,
-            help="bench chaos: wall-clock cap on the storm phase",
-        )
-        sub.add_argument(
-            "--settle-seconds",
-            type=float,
-            default=10.0,
-            help="bench chaos: wall-clock cap on the settle (heal) phase",
-        )
-
     serve = commands.add_parser(
         "serve", help="long-lived serving daemon with an HTTP metrics endpoint"
     )
@@ -515,10 +241,90 @@ def _build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8000, help="HTTP port (0 binds an ephemeral one)"
     )
     serve.add_argument("--host", default="127.0.0.1", help="HTTP bind address")
-    _add_serve_workload_options(
-        serve,
-        ops_help="length of the seeded stream replayed in a loop",
-        out="BENCH_serve_daemon.json",
+    serve.add_argument(
+        "--clients",
+        type=int,
+        default=4,
+        help="CPU executor threads (0 replays nothing)",
+    )
+    serve.add_argument(
+        "--ops",
+        type=int,
+        default=200,
+        help="length of the seeded stream replayed in a loop",
+    )
+    serve.add_argument("--seed", type=int, default=0)
+    serve.add_argument(
+        "--capacity", type=int, default=256, help="shared buffer pool pages"
+    )
+    serve.add_argument(
+        "--io-micros",
+        type=float,
+        default=150.0,
+        help="simulated device latency per charged page, microseconds "
+        "(the median for jittered distributions)",
+    )
+    serve.add_argument(
+        "--io-dist",
+        type=_io_dist_spec,
+        default="fixed",
+        help="device latency distribution: fixed (default), "
+        "lognormal[:SIGMA], or a device class (nvme, ssd, disk)",
+    )
+    serve.add_argument(
+        "--max-inflight",
+        type=int,
+        default=1024,
+        help="bound on concurrent in-flight operations "
+        "(the admission limit; the daemon sheds beyond it)",
+    )
+    serve.add_argument(
+        "--profile",
+        choices=["fig14", "fig16", "queries"],
+        default="fig14",
+        help="application shape to serve (Figure 14 mix, Figure 16 mix, "
+        "or textual selects through the query service)",
+    )
+    serve.add_argument(
+        "--query-fraction",
+        type=float,
+        default=0.8,
+        help="fraction of the stream that is queries (the rest are "
+        "FIG14-style updates); 1.0 keeps the object graph quiescent",
+    )
+    serve.add_argument(
+        "--query-cache-size",
+        type=int,
+        default=128,
+        help="compiled-plan cache capacity for POST /query "
+        "(0 disables caching)",
+    )
+    serve.add_argument(
+        "--trace-sample-rate",
+        type=float,
+        default=0.0,
+        help="fraction of requests whose traces are retained head-on "
+        "(seeded; 0 disables tracing unless --slow-trace-ms is set)",
+    )
+    serve.add_argument(
+        "--slow-trace-ms",
+        type=float,
+        default=None,
+        help="tail capture: always retain traces slower than this many "
+        "milliseconds (and all shed/degraded/breaker-open outcomes)",
+    )
+    serve.add_argument(
+        "--trace-capacity",
+        type=int,
+        default=512,
+        help="ring-buffer capacity of the retained-trace store",
+    )
+    serve.add_argument(
+        "--out",
+        type=Path,
+        default=Path("BENCH_serve_daemon.json"),
+        help="where the drain report is written "
+        "(default: BENCH_serve_daemon.json)",
     )
     serve.add_argument(
         "--drift-interval",
@@ -532,18 +338,95 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the bound host:port here once listening",
     )
-    _add_resilience_options(serve)
-    _add_advisor_options(serve, threshold=1.2)
+    serve.add_argument(
+        "--chaos-rate",
+        type=float,
+        default=0.0,
+        help="per-operation probability of arming a chaos fault point "
+        "(0 disables chaos; strikes are seeded and replayable)",
+    )
+    serve.add_argument(
+        "--chaos-burst",
+        type=int,
+        default=0,
+        help="strikes per burst storm (a strike may expand into this "
+        "many consecutive strikes; 0 disables storms)",
+    )
+    serve.add_argument(
+        "--chaos-crash-points",
+        type=_chaos_points_spec,
+        default="asr.apply.mid-delta,asr.recover.replay",
+        help="comma-separated fault points to strike; append ':crash' "
+        "for a non-retryable SimulatedCrash instead of a transient fault",
+    )
+    serve.add_argument(
+        "--op-deadline-ms",
+        type=float,
+        default=None,
+        help="shed queue entries older than this at dequeue "
+        "time, unexecuted (counted in deadline.shed, separately from "
+        "admission rejects)",
+    )
+    serve.add_argument(
+        "--shed-backoff-ms",
+        type=float,
+        default=1.0,
+        help="admission-pump backoff after shedding into a "
+        "full queue (jittered +-50%% from the run's seed)",
+    )
+    serve.add_argument(
+        "--healer-interval",
+        type=float,
+        default=0.25,
+        help="seconds between background healer sweeps of the "
+        "quarantine set",
+    )
+    serve.add_argument(
+        "--no-healer",
+        dest="healer",
+        action="store_false",
+        help="disable the background healer (quarantined ASRs then wait "
+        "for 'repro doctor --repair')",
+    )
+    serve.add_argument(
+        "--advisor-interval",
+        type=float,
+        default=0.0,
+        help="seconds between background advisor sweeps re-costing the "
+        "chain ASR's (extension, decomposition) against the measured op "
+        "mix (0 disables the advisor)",
+    )
+    serve.add_argument(
+        "--advisor-threshold",
+        type=float,
+        default=1.2,
+        help="hysteresis: predicted gain (current cost / best cost) a "
+        "retune must clear before the ASR is re-materialized "
+        "(default: 1.2)",
+    )
+    serve.add_argument(
+        "--advisor-min-ops",
+        type=int,
+        default=32,
+        help="evidence floor: recorded operations a sweep needs before "
+        "the measured mix is trusted",
+    )
+    serve.add_argument(
+        "--advisor-dry-run",
+        action="store_true",
+        help="decide but never touch the physical design (what *would* "
+        "have been retuned shows up in GET /advisor)",
+    )
 
     stats = commands.add_parser(
-        "stats", help="render the telemetry embedded in a serve report"
+        "stats", help="render the telemetry embedded in a daemon drain report"
     )
     stats.add_argument(
         "--in",
         dest="input",
         type=Path,
-        default=Path("BENCH_serve.json"),
-        help="serve report to read (default: BENCH_serve.json)",
+        default=Path("BENCH_serve_daemon.json"),
+        help="daemon drain report to read (default: BENCH_serve_daemon.json)",
     )
     stats.add_argument(
         "--json", action="store_true", help="emit the raw JSON structures"
@@ -576,60 +459,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_figures(args, out) -> int:
-    from repro.bench import figures as figure_module
-    from repro.bench.render import format_series, format_table
+    from repro.bench import figures
 
-    sections: list[tuple[str, callable]] = [
-        ("fig04", lambda: format_table(
-            ["design", "KiB"], sorted(figure_module.fig04_sizes().items()),
-            "Figure 4 — access support relation sizes (KiB)")),
-        ("fig05", lambda: format_series(
-            "d_i", *figure_module.fig05_varying_d(),
-            title="Figure 5 — sizes under varying d_i (KiB)")),
-        ("fig06", lambda: format_table(
-            ["design", "pages"], sorted(figure_module.fig06_backward_query().items()),
-            "Figure 6 — Q_{0,4}(bw) cost")),
-        ("fig07", lambda: format_series(
-            "size_i", *figure_module.fig07_object_size(),
-            title="Figure 7 — Q_{0,4}(bw) vs object size")),
-        ("fig08", lambda: format_series(
-            "d_i", *figure_module.fig08_partial_query(),
-            title="Figure 8 — Q_{0,3}(bw) support")),
-        ("fig09", lambda: format_series(
-            "fan_i", *figure_module.fig09_fanout(),
-            title="Figure 9 — Q_{0,4}(bw) vs fan-out")),
-        ("fig11", lambda: format_table(
-            ["design", "pages"], sorted(figure_module.fig11_update_costs().items()),
-            "Figure 11 — ins_3 update cost")),
-        ("fig12", lambda: format_table(
-            ["design", "pages"], sorted(figure_module.fig12_update_costs().items()),
-            "Figure 12 — ins_3 update cost (fan 2,1,1,4)")),
-        ("fig13", lambda: format_series(
-            "size_i", *figure_module.fig13_update_sizes(),
-            title="Figure 13 — ins_1 update cost vs object size")),
-        ("fig14", lambda: format_series(
-            "P_up", *figure_module.fig14_opmix(),
-            title="Figure 14 — normalized mix cost (binary dec)")),
-        ("fig15", lambda: format_series(
-            "P_up", *figure_module.fig15_opmix(),
-            title="Figure 15 — normalized mix cost (dec (0,3,4))")),
-        ("fig16", lambda: format_series(
-            "P_up", *figure_module.fig16_left_vs_full(),
-            title="Figure 16 — left vs full (n=5)")),
-        ("fig17", lambda: format_series(
-            "P_up", *figure_module.fig17_right_vs_full(),
-            title="Figure 17 — right vs full (n=5)")),
-    ]
-    wanted = dict(sections)
+    wanted = figures.FIGURES
     if args.only:
         if args.only not in wanted:
-            print(f"unknown figure {args.only!r}; known: {sorted(wanted)}", file=out)
+            print(f"unknown figure {args.only!r}; known: {list(wanted)}", file=out)
             return 2
-        sections = [(args.only, wanted[args.only])]
-    for index, (_name, render) in enumerate(sections):
-        if index:
-            print("", file=out)
-        print(render(), file=out)
+        wanted = (args.only,)
+    print("\n\n".join(figures.render(figure_id) for figure_id in wanted), file=out)
     return 0
 
 
@@ -895,190 +733,6 @@ def _cmd_doctor(args, out) -> int:
     return 0 if report["ok"] else 1
 
 
-def _cmd_bench_chaos(args, out) -> int:
-    from repro.bench.chaos import ChaosBenchConfig, run_chaos, write_report
-    from repro.resilience import ChaosConfig
-
-    # A soak with no chaos is pointless; default to a real storm.
-    chaos = _chaos_config_from(args) or ChaosConfig(rate=0.25, seed=args.seed)
-    config = ChaosBenchConfig(
-        serve=_serve_config_from(args),
-        chaos=chaos,
-        healer_interval=args.healer_interval,
-        soak_ops=args.soak_ops,
-        min_recoveries=args.min_recoveries,
-        soak_seconds=args.soak_seconds,
-        settle_seconds=args.settle_seconds,
-        out=str(args.out),
-    )
-    report = run_chaos(config)
-    write_report(report, str(args.out))
-    soak = report["soak"]
-    chaos_report = report["chaos"] or {}
-    healer = report["healer"] or {}
-    mttr = healer.get("mttr_ms", {})
-    breakers = report["breakers"]
-    latency = report["latency_ms"]
-    end = report["end_state"]
-    healthz = report["healthz"]
-    print(
-        f"chaos soak (rate {chaos.rate:g}): "
-        f"{soak['ops_served']} ops in {soak['storm_seconds']:.1f}s storm "
-        f"({soak['throughput_ops_per_s']:.0f} ops/s)",
-        file=out,
-    )
-    print(
-        f"chaos: {chaos_report.get('strikes', 0)} strike(s) "
-        f"({chaos_report.get('bursts', 0)} burst(s)), "
-        f"{chaos_report.get('faults_injected', 0)} fault(s) and "
-        f"{chaos_report.get('crashes_injected', 0)} crash(es) injected, "
-        f"{report['chaos_casualties']} client casualt(ies)",
-        file=out,
-    )
-    print(
-        f"healer: {healer.get('recoveries', 0)} recover(ies), "
-        f"{healer.get('failures', 0)} failed attempt(s), MTTR mean "
-        f"{mttr.get('mean_ms', 0.0):.1f}ms max {mttr.get('max_ms', 0.0):.1f}ms",
-        file=out,
-    )
-    print(
-        f"breakers: {breakers['total_transitions']} transition(s), "
-        f"open at drain: {', '.join(breakers['open']) or 'none'}",
-        file=out,
-    )
-    print(
-        f"latency: p50={latency['p50_ms']:.2f}ms p95={latency['p95_ms']:.2f}ms "
-        f"p99={latency['p99_ms']:.2f}ms over {latency['count']} sampled op(s); "
-        f"hit rate {report['hit_rate'] * 100:.1f}%; "
-        f"deadline sheds {report['deadline_shed']}, "
-        f"admission rejects {report['admission']['rejected']}",
-        file=out,
-    )
-    end_ok = bool(end["consistent"]) and bool(end["accounting_ok"])
-    print(
-        f"healthz {healthz['status']}; end state "
-        f"{'consistent' if end['consistent'] else 'QUARANTINED: ' + str(end['quarantined'])}; "
-        f"accounting {'consistent' if end['accounting_ok'] else 'INCONSISTENT'}",
-        file=out,
-    )
-    print(f"report -> {args.out}", file=out)
-    return 0 if end_ok and healthz["status"] == 200 else 1
-
-
-def _cmd_bench_advisor(args, out) -> int:
-    from repro.bench.advisor import AdvisorBenchConfig, run_advisor, write_report
-
-    config = AdvisorBenchConfig(
-        serve=_serve_config_from(args),
-        advisor_interval=(
-            args.advisor_interval if args.advisor_interval > 0 else 0.25
-        ),
-        advisor_threshold=args.advisor_threshold,
-        advisor_min_ops=args.advisor_min_ops,
-        phase_seconds=args.phase_seconds,
-        out=str(args.out),
-    )
-    report = run_advisor(config)
-    write_report(report, str(args.out))
-    advisor = report["advisor"]
-    for phase in report["phases"]:
-        line = (
-            f"phase {phase['name']}: "
-            f"{'converged' if phase['converged'] else 'DID NOT CONVERGE'} "
-            f"in {phase['seconds']:.1f}s"
-        )
-        if phase.get("design"):
-            design = phase["design"]
-            line += f" -> {design['extension']} dec={design['decomposition']}"
-        if "decisive_sweeps" in phase:
-            line += f" ({phase['decisive_sweeps']} decisive sweep(s))"
-        print(line, file=out)
-    rollback = report["rollback"]
-    print(
-        f"rollback: build failure "
-        f"{'left the old design serving' if rollback['ok'] else 'LOST THE ASR'} "
-        f"(asrs {rollback['asrs_before']} -> {rollback['asrs_after']}, "
-        f"epoch {rollback['epoch_before']} -> {rollback['epoch_after']})",
-        file=out,
-    )
-    epochs = report["epoch_proof"]
-    print(
-        f"epoch proof: retune bumped {epochs['before']} -> {epochs['after']}; "
-        f"post-retune plan {'recompiled' if epochs['post_retune_miss'] else 'SERVED STALE'} "
-        f"at epoch {epochs['post_retune_epoch']}",
-        file=out,
-    )
-    print(
-        f"advisor: {advisor['sweeps']} sweep(s), {advisor['retunes']} "
-        f"retune(s), rejected {advisor['rejected']}",
-        file=out,
-    )
-    healthz = report["healthz"]
-    end = report["end_state"]
-    print(
-        f"healthz: {healthz['probes']} probe(s), all 200: {healthz['all_ok']}; "
-        f"end state {'consistent' if end['consistent'] else 'QUARANTINED'}; "
-        f"accounting {'consistent' if end['accounting_ok'] else 'INCONSISTENT'}",
-        file=out,
-    )
-    print(f"report -> {args.out}", file=out)
-    return 0 if report["ok"] else 1
-
-
-def _cmd_bench(args, out) -> int:
-    if args.action == "chaos":
-        return _cmd_bench_chaos(args, out)
-    if args.action == "advisor":
-        return _cmd_bench_advisor(args, out)
-    if args.chaos_rate > 0.0:
-        print(
-            "error: chaos injection applies to 'bench chaos' and 'serve', "
-            "not 'bench serve'",
-            file=out,
-        )
-        return 2
-    if args.advisor_interval > 0.0:
-        print(
-            "error: the advisor loop applies to 'bench advisor' and 'serve', "
-            "not 'bench serve'",
-            file=out,
-        )
-        return 2
-    from repro.bench.serve import run_serve, write_report
-
-    config = _serve_config_from(args)
-    report = run_serve(config)
-    write_report(report, str(args.out))
-    serve = report["serve"]
-    print(
-        f"served {args.ops} ops ({args.profile}) with "
-        f"{serve['clients']} client(s): {serve['throughput_ops_per_s']:.0f} ops/s "
-        f"in {serve['wall_seconds']:.2f}s, peak inflight {serve['peak_inflight']}",
-        file=out,
-    )
-    print(
-        f"pool: {report['pool']['hit_rate'] * 100:.1f}% hit rate over "
-        f"{report['pool']['capacity']} pages; accounting "
-        f"{'consistent' if report['accounting']['ok'] else 'INCONSISTENT'}",
-        file=out,
-    )
-    overall = report["drift"]["overall"]
-    print(
-        f"cost-model drift: geometric-mean observed/predicted ratio "
-        f"{overall['geo_mean_ratio']:g} over {overall['count']} op(s) "
-        f"({'finite' if overall['finite'] else 'NOT FINITE'})",
-        file=out,
-    )
-    for name, entry in report["operations"].items():
-        print(
-            f"  {name:<10} n={entry['count']:<4} p50={entry['p50_ms']:.2f}ms "
-            f"p95={entry['p95_ms']:.2f}ms p99={entry['p99_ms']:.2f}ms",
-            file=out,
-        )
-    print(f"report -> {args.out}  (render with: repro stats --in {args.out})", file=out)
-    return 0 if report["accounting"]["ok"] else 1
-
-
 def _cmd_serve(args, out) -> int:
     from repro.server import ServeDaemon, ServerConfig
 
@@ -1114,7 +768,7 @@ def _cmd_stats(args, out) -> int:
     if metrics is None and drift is None and accounting is None:
         print(
             f"error: {args.input} holds no telemetry "
-            "(re-run 'repro bench serve' to produce one)",
+            "(drain a 'repro serve' daemon to produce one)",
             file=out,
         )
         return 1
@@ -1137,7 +791,6 @@ def _cmd_stats(args, out) -> int:
 
 _COMMANDS = {
     "figures": _cmd_figures,
-    "bench": _cmd_bench,
     "serve": _cmd_serve,
     "stats": _cmd_stats,
     "advise": _cmd_advise,

@@ -130,7 +130,7 @@ class AdvisorLoop:
         """One decision pass; returns True when a retune was applied.
 
         ``force`` skips the evidence floor and cooldown gates (used by
-        tests and the bench soak's convergence probe); the designer's
+        tests, the advisor soak's rollback and epoch proof among them); the designer's
         hysteresis threshold and the baseline refusal always stand.
         """
         with self._lock:

@@ -1,9 +1,7 @@
 """`repro serve` — a long-lived serving daemon with HTTP observability.
 
-Everything before this module runs and exits: the bench replays a
-stream once, writes ``BENCH_serve.json``, and the telemetry it gathered
-is only inspectable after the fact.  :class:`ServeDaemon` turns the same
-machinery (:func:`~repro.bench.serve.build_world` /
+:class:`ServeDaemon` turns the serving core
+(:func:`~repro.bench.serve.build_world` /
 :class:`~repro.bench.serve.ServingCore`, DESIGN §12) into a *service*:
 one asyncio event loop runs an *admission loop* replaying the seeded
 operation stream cyclically into the core's bounded queue (capacity
@@ -32,7 +30,7 @@ functions from a parsed request to ``(status, content_type, body)``:
     per-worker totals), quarantine state of every managed ASR, and a
     hit-rate sanity check, as JSON.  Any violation turns the response
     into a 503, so a liveness probe catches torn accounting the moment
-    it happens instead of at bench exit.
+    it happens instead of at drain time.
 ``GET /stats``
     The ``repro stats`` JSON payload (metrics snapshot + drift report +
     accounting), computed fresh per request.
@@ -99,9 +97,10 @@ drain: disarm chaos, stop admitting operations, quiesce the serving
 core (the admission loop stops and the queued operations finish before
 the event loop and executor wind down), run the healer's final forced
 sweep, flush the ASR manager's batched maintenance queues, retire every
-pool context, and write a final ``BENCH_serve.json``-shaped report — ``repro stats`` renders it like
-any bench report, and its ``resilience`` section records healer MTTR,
-chaos strikes, breaker transitions, and the end-state quarantine set.
+pool context, and write a final report (``BENCH_serve_daemon.json``) —
+``repro stats`` renders it, and its ``resilience`` section records
+healer MTTR, chaos strikes, breaker transitions, and the end-state
+quarantine set.
 """
 
 from __future__ import annotations
@@ -157,8 +156,8 @@ class ServerConfig:
     port: int = 8000
     #: Seconds between drift/accounting re-publications.
     drift_interval: float = 5.0
-    #: Where the final drain report is written (``bench serve`` owns
-    #: ``BENCH_serve.json``; no two subcommands share a default).
+    #: Where the final drain report is written (``repro stats`` reads
+    #: it by default).
     out: str = "BENCH_serve_daemon.json"
     #: Optional file the daemon writes ``host:port`` into once bound —
     #: how tests and the CI smoke job discover an ephemeral port.

@@ -27,7 +27,7 @@ publishes without building the label key again; the published name,
 labels and values are those of the unbound call.
 
 Exports: :meth:`MetricsRegistry.snapshot` is the JSON-able form embedded
-in ``BENCH_serve.json`` and read back by ``repro stats``;
+in the daemon's drain report and read back by ``repro stats``;
 :meth:`MetricsRegistry.render_prometheus` is the text exposition format
 scrape endpoints speak.
 """

@@ -1,7 +1,7 @@
 """Human-readable rendering of metrics snapshots and drift reports.
 
-The backend of ``repro stats``: takes the JSON-able structures a serve
-run embeds in ``BENCH_serve.json`` (a
+The backend of ``repro stats``: takes the JSON-able structures the
+daemon's drain report embeds in ``BENCH_serve_daemon.json`` (a
 :meth:`~repro.telemetry.registry.MetricsRegistry.snapshot` and a
 :meth:`~repro.telemetry.drift.DriftMonitor.report`) and formats them as
 aligned text tables.  Pure functions over plain dicts, so the CLI can

@@ -4,7 +4,8 @@ The scenario the resilience layer and the adaptive layer must survive
 *together*: eight serve workers replay a mixed stream, the chaos
 controller strikes the update path, the healer drains quarantine, and
 the advisor re-materializes the chain ASR online — all at once.  The
-gates mirror ``repro bench advisor``'s: ``/healthz`` never hard-down,
+gates mirror the advisor soak's (``test_bench_advisor.py``):
+``/healthz`` never hard-down,
 accounting and ASR consistency hold through a retune, and the epoch
 proof shows a pre-retune compiled plan can never be served afterwards.
 """

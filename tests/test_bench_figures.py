@@ -1,8 +1,13 @@
-"""Structural tests of the figure-series functions (small sweeps)."""
+"""Structural tests of the figure-series functions and the one renderer."""
+
+from pathlib import Path
 
 import pytest
 
 from repro.bench import figures
+from repro.cli import main
+
+RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
 
 class TestSeriesShapes:
@@ -76,3 +81,20 @@ class TestSeriesShapes:
         ):
             for name, values in series.items():
                 assert all(value >= 0 for value in values), name
+
+
+class TestOneRenderer:
+    @pytest.mark.parametrize("figure_id", figures.FIGURES)
+    def test_committed_results_equal_the_renderer(self, figure_id):
+        # Regenerate with: python -m repro figures --only figNN > benchmarks/results/figNN.txt
+        committed = (RESULTS / f"{figure_id}.txt").read_text(encoding="utf-8")
+        assert committed == figures.render(figure_id) + "\n"
+
+    def test_every_committed_figure_has_an_id(self):
+        assert sorted(path.stem for path in RESULTS.glob("fig*.txt")) == list(
+            figures.FIGURES
+        )
+
+    def test_cli_prints_the_renderer(self, capsys):
+        assert main(["figures", "--only", "fig14"]) == 0
+        assert capsys.readouterr().out == figures.render("fig14") + "\n"

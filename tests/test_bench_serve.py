@@ -1,4 +1,4 @@
-"""The multi-client serve benchmark and its operation stream."""
+"""The serving core replaying a finite stream, and its operation stream."""
 
 import json
 import math
@@ -9,8 +9,9 @@ from repro.bench.serve import (
     SERVE_PROFILES,
     ExecutorWorkers,
     ServeConfig,
+    ServingCore,
     build_world,
-    run_serve,
+    per_operation,
     write_report,
 )
 from repro.costmodel.parameters import ApplicationProfile
@@ -51,31 +52,59 @@ class TestOperationStream:
         assert {op.kind for op in only_queries} == {"query"}
 
 
+def replay(config: ServeConfig):
+    """Replay ``config``'s stream once through the serving core.
+
+    The arrivals await ``queue.put`` over the finite stream, so every
+    operation runs (waiting at the admission bound instead of shedding).
+    Returns the world, the core and the samples after the drain.
+    """
+    world = build_world(config)
+    samples = []
+    core = ServingCore(world, record=lambda sample, _op: samples.append(sample))
+
+    async def arrivals():
+        for op in world.stream():
+            await core.queue.put(core.entry(op))
+
+    try:
+        core.run(arrivals)
+    finally:
+        core.close()
+    world.manager.check_consistency()
+    world.pool.pool.check_invariants()
+    world.drift.publish(world.registry)
+    return world, core, samples
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    return replay(TINY)
+
+
 class TestServeBench:
-    def test_report_shape_and_accounting(self, tmp_path):
-        report = run_serve(TINY)
-        assert report["benchmark"] == "serve"
-        assert report["accounting"]["ok"] is True
-        assert report["serve"]["clients"] == 2
-        assert report["serve"]["throughput_ops_per_s"] > 0
-        assert sum(e["count"] for e in report["operations"].values()) == TINY.ops
-        assert report["operations"], "per-operation latency table missing"
-        for entry in report["operations"].values():
+    def test_report_shape_and_accounting(self, tiny, tmp_path):
+        world, _core, samples = tiny
+        assert world.pool.check_accounting()["ok"] is True
+        # Every stream operation ran exactly once.
+        table = per_operation(samples)
+        assert sum(entry["count"] for entry in table.values()) == TINY.ops
+        for entry in table.values():
             assert {"count", "p50_ms", "p95_ms", "p99_ms", "mean_ms"} <= set(entry)
             assert entry["p50_ms"] <= entry["p95_ms"] <= entry["p99_ms"]
-        out = tmp_path / "BENCH_serve.json"
-        write_report(report, out)
-        assert json.loads(out.read_text())["benchmark"] == "serve"
+        out = tmp_path / "operations.json"
+        write_report(table, out)
+        assert json.loads(out.read_text()) == table
 
-    def test_pool_counters_reported(self):
-        report = run_serve(TINY)
-        pool = report["pool"]
+    def test_pool_counters_reported(self, tiny):
+        pool = tiny[0].pool.describe()
         assert pool["capacity"] == 64
         assert pool["hits"] + pool["misses"] > 0
 
-    def test_metrics_snapshot_embedded_and_consistent(self):
-        report = run_serve(TINY)
-        metrics = report["metrics"]
+    def test_metrics_snapshot_embedded_and_consistent(self, tiny):
+        world = tiny[0]
+        world.pool.check_accounting(world.registry)
+        metrics = world.registry.snapshot()
         assert set(metrics) == {"counters", "gauges", "histograms"}
         gauges = {
             name: entries[0]["value"]
@@ -91,26 +120,24 @@ class TestServeBench:
         )
         assert latency_count == TINY.ops
 
-    def test_drift_report_embedded(self):
-        report = run_serve(TINY)
-        drift = report["drift"]
+    def test_drift_report_embedded(self, tiny):
+        drift = tiny[0].drift.report()
         assert drift["overall"]["count"] == TINY.ops
         assert drift["overall"]["finite"] is True
         for entry in drift["by_key"]:
             assert {"extension", "decomposition", "op", "geo_mean_ratio"} <= set(entry)
             assert math.isfinite(entry["geo_mean_ratio"])
-        # The acceptance criterion: a per-(extension, decomposition)
-        # predicted-vs-observed ratio is reported.
+        # A per-(extension, decomposition) predicted-vs-observed ratio
+        # is reported.
         assert any(
             entry["ratio"] is not None or entry["skipped"] == entry["count"]
             for entry in drift["by_key"]
         )
 
-    def test_stats_registry_round_trips_from_report(self):
+    def test_stats_registry_round_trips_from_report(self, tiny):
         from repro.telemetry import MetricsRegistry
 
-        report = run_serve(TINY)
-        restored = MetricsRegistry.from_snapshot(report["metrics"])
+        restored = MetricsRegistry.from_snapshot(tiny[0].registry.snapshot())
         text = restored.render_prometheus()
         assert "repro_pool_hit_rate" in text
         assert "repro_op_latency_ms_count" in text
@@ -128,37 +155,34 @@ class TestAsyncServeBench:
         max_inflight=16,
     )
 
-    def test_async_report_shape_and_accounting(self, tmp_path):
-        report = run_serve(self.TINY_ASYNC)
-        serve = report["serve"]
-        assert serve["max_inflight"] == report["config"]["max_inflight"] == 16
-        assert report["device"] == {"dist": "fixed", "io_micros": 2000.0}
+    @pytest.fixture(scope="class")
+    def slow(self):
+        return replay(self.TINY_ASYNC)
+
+    def test_async_report_shape_and_accounting(self, slow):
+        world, core, samples = slow
+        assert core.limit == 16
+        assert core.device.describe() == {"dist": "fixed", "io_micros": 2000.0}
         # One replay: every stream operation ran exactly once, and the
         # shared totals equal retired + Σ live per-worker totals.
-        counts = [e["count"] for e in report["operations"].values()]
-        assert sum(counts) == self.TINY_ASYNC.ops
-        assert report["accounting"]["ok"] is True
-        assert report["drift"]["overall"]["finite"] is True
-        out = tmp_path / "BENCH_serve.json"
-        write_report(report, out)
-        assert json.loads(out.read_text())["serve"] == serve
+        assert len(samples) == self.TINY_ASYNC.ops
+        assert world.pool.check_accounting()["ok"] is True
+        assert world.drift.report()["overall"]["finite"] is True
 
-    def test_async_overlaps_more_inflight_than_clients(self):
-        report = run_serve(self.TINY_ASYNC)
+    def test_async_overlaps_more_inflight_than_clients(self, slow):
         # The event loop holds more operations in flight than there
         # are executor threads (an operation awaiting its device charge
         # holds no thread), bounded by the admission limit.
-        serve = report["serve"]
-        assert self.TINY_ASYNC.clients < serve["peak_inflight"] <= 16
-        assert report["accounting"]["ok"] is True
+        _world, core, _samples = slow
+        assert self.TINY_ASYNC.clients < core.peak_inflight <= 16
 
     def test_zero_clients_replays_nothing(self):
-        report = run_serve(ServeConfig(clients=0, ops=8, seed=7, capacity=64))
-        assert report["operations"] == {}
-        assert report["serve"]["peak_inflight"] == 0
-        assert report["serve"]["throughput_ops_per_s"] == 0.0
-        assert "op.latency_ms" not in report["metrics"]["histograms"]
-        assert report["accounting"]["ok"] is True
+        world, core, samples = replay(
+            ServeConfig(clients=0, ops=8, seed=7, capacity=64)
+        )
+        assert samples == [] and core.peak_inflight == 0
+        assert "op.latency_ms" not in world.registry.snapshot()["histograms"]
+        assert world.pool.check_accounting()["ok"] is True
 
     def test_io_dist_flows_into_device_section(self):
         config = ServeConfig(
@@ -170,11 +194,11 @@ class TestAsyncServeBench:
             io_dist="lognormal:0.3",
             max_inflight=8,
         )
-        report = run_serve(config)
-        assert report["config"]["io_dist"] == "lognormal:0.3"
-        assert report["device"]["dist"] == "lognormal"
-        assert report["device"]["sigma"] == 0.3
-        assert report["accounting"]["ok"] is True
+        world, core, samples = replay(config)
+        device = core.device.describe()
+        assert device["dist"] == "lognormal" and device["sigma"] == 0.3
+        assert len(samples) == 12
+        assert world.pool.check_accounting()["ok"] is True
 
 
 class TestServeProfiles:
@@ -192,11 +216,11 @@ class TestServeProfiles:
         config = ServeConfig(
             clients=2, ops=16, seed=3, capacity=64, io_micros=20.0, profile="fig16"
         )
-        report = run_serve(config)
-        assert report["config"]["profile"] == "fig16"
-        assert len(report["profile"]["c"]) == 6
-        assert report["accounting"]["ok"] is True
-        assert report["drift"]["overall"]["finite"] is True
+        world, _core, samples = replay(config)
+        assert world.generated.n == 5
+        assert len(samples) == 16
+        assert world.pool.check_accounting()["ok"] is True
+        assert world.drift.report()["overall"]["finite"] is True
 
 
 class TestExecutorWorkers:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -204,121 +205,95 @@ class TestDoctor:
         assert "0 quarantined" in text
 
 
-class TestBenchServe:
-    def test_serve_writes_report_and_exits_zero(self, tmp_path):
-        target = tmp_path / "BENCH_serve.json"
-        code, text = run_cli(
-            "bench", "serve",
-            "--clients", "2", "--ops", "20", "--io-micros", "20",
-            "--capacity", "64", "--out", str(target),
+@pytest.fixture(scope="module")
+def daemon_report(tmp_path_factory):
+    """One in-process daemon's drain report: what ``repro stats`` reads."""
+    from repro.bench.serve import ServeConfig
+    from repro.server import ServeDaemon, ServerConfig
+
+    target = tmp_path_factory.mktemp("serve") / "BENCH_serve_daemon.json"
+    daemon = ServeDaemon(
+        ServerConfig(
+            serve=ServeConfig(clients=2, ops=16, io_micros=20.0, capacity=64),
+            port=0,
+            out=str(target),
         )
-        assert code == 0
-        assert "peak inflight" in text
-        assert "accounting consistent" in text
-        assert "cost-model drift" in text
-        assert "(finite)" in text
-        report = json.loads(target.read_text())
-        assert report["benchmark"] == "serve"
+    ).start()
+    deadline = time.monotonic() + 30.0
+    while daemon.ops_served < 16 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    daemon.shutdown()
+    return target
+
+
+class TestBenchServe:
+    def test_serve_writes_report_and_exits_zero(self, daemon_report):
+        # ``repro serve`` exits 0 iff accounting holds and the drain
+        # recorded no error; both are in the report it writes.
+        report = json.loads(daemon_report.read_text())
+        assert report["mode"] == "daemon"
         assert report["accounting"]["ok"] is True
+        assert report["drained"]["errors"] == []
+        assert report["ops_served"] >= 16
         assert all("p99_ms" in entry for entry in report["operations"].values())
         assert "metrics" in report and "drift" in report
 
-    def test_serve_async_flags(self, tmp_path):
-        target = tmp_path / "BENCH_serve.json"
-        code, text = run_cli(
-            "bench", "serve",
-            "--clients", "2", "--ops", "16", "--capacity", "16",
-            "--io-micros", "1000", "--io-dist", "lognormal:0.3",
-            "--max-inflight", "32", "--out", str(target),
+    def test_serve_async_flags(self):
+        from repro.cli import _build_parser, _serve_config_from
+
+        args = _build_parser().parse_args(
+            [
+                "serve", "--clients", "2", "--ops", "16", "--capacity", "16",
+                "--io-micros", "1000", "--io-dist", "lognormal:0.3",
+                "--max-inflight", "32", "--op-deadline-ms", "50",
+                "--shed-backoff-ms", "2", "--profile", "fig16",
+            ]
         )
-        assert code == 0
-        report = json.loads(target.read_text())
-        serve = report["serve"]
-        assert f"peak inflight {serve['peak_inflight']}" in text
-        assert report["config"]["max_inflight"] == 32
-        assert report["config"]["io_dist"] == "lognormal:0.3"
-        assert report["device"]["dist"] == "lognormal"
-        # Device waits hold no thread: more in flight than executor
-        # threads, never more than the admission limit.
-        assert 2 < serve["peak_inflight"] <= 32
-        assert sum(e["count"] for e in report["operations"].values()) == 16
-        assert report["accounting"]["ok"] is True
+        config = _serve_config_from(args)
+        assert (config.clients, config.ops, config.capacity) == (2, 16, 16)
+        assert (config.io_micros, config.io_dist) == (1000.0, "lognormal:0.3")
+        assert (config.max_inflight, config.profile) == (32, "fig16")
+        assert (config.op_deadline_ms, config.shed_backoff_ms) == (50.0, 2.0)
 
     def test_bad_io_dist_rejected_at_parse_time(self):
         with pytest.raises(SystemExit):
-            run_cli("bench", "serve", "--io-dist", "tape")
+            run_cli("serve", "--io-dist", "tape")
 
     def test_shared_out_default_redirected_off_the_baseline(self):
-        # Every subcommand sharing the --out option has its own default,
-        # so no run overwrites another's report unasked.
+        # ``repro stats`` reads by default what ``repro serve`` writes.
         from pathlib import Path
 
         from repro.cli import _build_parser
 
         parser = _build_parser()
-        defaults = {
-            argv: parser.parse_args(argv.split()).out
-            for argv in ("bench serve", "bench chaos", "bench advisor", "serve")
-        }
-        assert defaults == {
-            "bench serve": Path("BENCH_serve.json"),
-            "bench chaos": Path("BENCH_chaos.json"),
-            "bench advisor": Path("BENCH_advisor.json"),
-            "serve": Path("BENCH_serve_daemon.json"),
-        }
-        # ...and an explicit --out is honoured verbatim, whatever it names.
-        explicit = parser.parse_args(["bench", "chaos", "--out", "BENCH_serve.json"])
-        assert explicit.out == Path("BENCH_serve.json")
+        assert parser.parse_args(["serve"]).out == Path("BENCH_serve_daemon.json")
+        assert parser.parse_args(["stats"]).input == Path("BENCH_serve_daemon.json")
 
     def test_daemon_config_default_out_is_not_the_baseline(self):
         from repro.server import ServerConfig
 
         assert ServerConfig().out == "BENCH_serve_daemon.json"
 
-    def test_serve_fig16_profile(self, tmp_path):
-        target = tmp_path / "BENCH_serve.json"
-        code, text = run_cli(
-            "bench", "serve",
-            "--clients", "2", "--ops", "12", "--io-micros", "20",
-            "--capacity", "64", "--profile", "fig16", "--out", str(target),
-        )
-        assert code == 0
-        report = json.loads(target.read_text())
-        assert report["config"]["profile"] == "fig16"
-        assert report["accounting"]["ok"] is True
-
 
 class TestStats:
-    @pytest.fixture(scope="class")
-    def report_path(self, tmp_path_factory):
-        """One serve report shared by every stats rendering test."""
-        target = tmp_path_factory.mktemp("serve") / "BENCH_serve.json"
-        code, _ = run_cli(
-            "bench", "serve",
-            "--clients", "2", "--ops", "16", "--io-micros", "20",
-            "--capacity", "64", "--out", str(target),
-        )
-        assert code == 0
-        return target
-
-    def test_human_table(self, report_path):
-        code, text = run_cli("stats", "--in", str(report_path))
+    def test_human_table(self, daemon_report):
+        code, text = run_cli("stats", "--in", str(daemon_report))
         assert code == 0
         assert "accounting" in text
         assert "drift" in text.lower()
         assert "pool.hit_rate" in text
         assert "op.latency_ms" in text
 
-    def test_json_output(self, report_path):
-        code, text = run_cli("stats", "--in", str(report_path), "--json")
+    def test_json_output(self, daemon_report):
+        code, text = run_cli("stats", "--in", str(daemon_report), "--json")
         assert code == 0
         data = json.loads(text)
         assert set(data) == {"metrics", "drift", "accounting"}
         assert data["accounting"]["ok"] is True
         assert data["drift"]["overall"]["finite"] is True
 
-    def test_prometheus_output(self, report_path):
-        code, text = run_cli("stats", "--in", str(report_path), "--prometheus")
+    def test_prometheus_output(self, daemon_report):
+        code, text = run_cli("stats", "--in", str(daemon_report), "--prometheus")
         assert code == 0
         assert "# TYPE repro_pool_hit_rate gauge" in text
         assert "repro_op_latency_ms_count" in text
@@ -329,7 +304,7 @@ class TestStats:
 
     def test_report_without_telemetry_errors(self, tmp_path):
         stale = tmp_path / "old.json"
-        stale.write_text(json.dumps({"benchmark": "serve"}))
+        stale.write_text(json.dumps({"mode": "daemon"}))
         code, text = run_cli("stats", "--in", str(stale))
         assert code == 1
         assert "no telemetry" in text
