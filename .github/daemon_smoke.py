@@ -2,11 +2,14 @@
 
 Starts one ``repro serve`` (disk-class device, a 16-page pool, 8
 operations in flight over 2 executor threads, textual selects only,
-every trace retained) and checks, over real HTTP:
+every trace retained, a dry-run advisor sweeping every 0.5 s) and
+checks, over real HTTP:
 
 * two ``/metrics`` scrapes are monotone, ``repro_inflight`` exceeds the
-  executor threads, ``/healthz`` is 200, ``/stats`` and ``/advisor``
-  respond;
+  executor threads, ``/healthz`` is 200, ``/stats`` responds;
+* ``/advisor`` reports the advisor enabled, at least one sweep, no
+  retune and the design it started with — the ``--advisor-*`` flags
+  reach the loop;
 * a repeated ``POST /query`` comes back ``cached: true`` with the same
   rows, and a bad query gets a structured parse 400;
 * three requests share one keep-alive connection, and ``GARBAGE`` is
@@ -87,8 +90,23 @@ def check_scrapes(addr: str) -> None:
     health = json.loads(get(addr, "/healthz"))
     assert health["ok"] is True, health
     assert set(json.loads(get(addr, "/stats"))) == {"metrics", "drift", "accounting"}
-    assert json.loads(get(addr, "/advisor")) == {"enabled": False}
     print(f"scrapes ok: ops {first} -> {second}, peak inflight {peak}")
+
+
+def check_advisor(addr: str) -> None:
+    first = advisor = json.loads(get(addr, "/advisor"))
+    assert first["enabled"] is True and first["dry_run"] is True, first
+    assert first["interval_s"] == 0.5, first
+    deadline = time.monotonic() + 30.0
+    while advisor["sweeps"] < 1:
+        assert time.monotonic() < deadline, f"the advisor never swept: {advisor}"
+        time.sleep(0.1)
+        advisor = json.loads(get(addr, "/advisor"))
+    assert advisor["retunes"] == 0, advisor
+    assert first["design"]["extension"] == "full", first["design"]
+    assert advisor["design"] == first["design"], (first["design"], advisor["design"])
+    print(f"advisor ok: {advisor['sweeps']} dry-run sweep(s), "
+          f"rejected {advisor['rejected']}, design {advisor['design']}")
 
 
 def check_queries(addr: str) -> dict:
@@ -219,6 +237,7 @@ def main() -> int:
                 "--max-inflight", "8", "--profile", "queries",
                 "--query-fraction", "1.0", "--trace-sample-rate", "1.0",
                 "--slow-trace-ms", "0", "--drift-interval", "0.5",
+                "--advisor-interval", "0.5", "--advisor-dry-run",
                 "--addr-file", addr_file, "--out", report,
             ]
         )
@@ -232,6 +251,7 @@ def main() -> int:
                 addr = handle.read().strip()
             print(f"daemon at {addr}")
             check_scrapes(addr)
+            check_advisor(addr)
             # Fetch the trace first: the ring retains the newest 512 only.
             check_traces(addr, check_queries(addr))
             check_wire(addr)

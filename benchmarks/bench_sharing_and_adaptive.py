@@ -4,7 +4,7 @@ import random
 
 from repro.asr import (
     ASRManager,
-    AdaptiveDesigner,
+    AdvisorLoop,
     Decomposition,
     Extension,
     SharedASRBundle,
@@ -82,17 +82,19 @@ def test_adaptive_retune(record):
     recorder = WorkloadRecorder(generated.path)
     recorder.record_query(0, 2, "bw", count=100)
     recorder.record_update(0, count=5)
-    decision = AdaptiveDesigner(manager, asr, recorder).retune()
+    loop = AdvisorLoop(manager, asr, recorder)
+    current_cost, best = loop.recommend()
+    retuned = loop.sweep(force=True)
     record(
         "adaptive_decision",
         format_table(
             ["field", "value"],
             [
-                ["retuned", decision.retuned],
-                ["current pages/op", round(decision.current_cost, 2)],
-                ["best design", decision.best.describe()],
+                ["retuned", retuned],
+                ["current pages/op", round(current_cost, 2)],
+                ["best design", best.describe()],
             ],
             "Adaptive — one monitor→advise→re-materialize cycle",
         ),
     )
-    assert decision.retuned
+    assert retuned

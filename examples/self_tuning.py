@@ -8,7 +8,8 @@ contribution:
   (:class:`~repro.asr.sharing.SharedASRBundle`);
 * section 7 (future work) — a recorded usage pattern drives the cost
   model to (semi-)automatically re-tune an ASR's extension and
-  decomposition (:class:`~repro.asr.adaptive.AdaptiveDesigner`).
+  decomposition (:class:`~repro.asr.adaptive.AdvisorLoop`, one forced
+  sweep).
 
 Run:  python examples/self_tuning.py
 """
@@ -17,7 +18,7 @@ import random
 
 from repro.asr import (
     ASRManager,
-    AdaptiveDesigner,
+    AdvisorLoop,
     Decomposition,
     Extension,
     SharedASRBundle,
@@ -106,13 +107,10 @@ def adaptive_demo() -> None:
 
     mix, p_up = recorder.to_mix()
     print(f"recorded workload: {mix} at P_up={p_up:.3f}")
-    designer = AdaptiveDesigner(manager, asr, recorder)
-    decision = designer.retune()
-    print(f"decision: {decision.describe()}")
-    print(
-        f"new design: {designer.asr.extension.value}, "
-        f"dec={designer.asr.decomposition}"
-    )
+    loop = AdvisorLoop(manager, asr, recorder)
+    loop.sweep(force=True)
+    print(f"decision: {loop.describe()['last_decision']['decision']}")
+    print(f"new design: {loop.asr.extension.value}, dec={loop.asr.decomposition}")
     manager.check_consistency()
     print("index consistent after re-materialization")
 

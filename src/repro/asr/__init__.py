@@ -18,7 +18,10 @@ The subpackage provides:
 * :mod:`repro.asr.manager` — keeps a family of ASRs consistent with an
   object base by subscribing to its change events;
 * :mod:`repro.asr.sharing` — shared partitions between overlapping path
-  expressions (section 5.4).
+  expressions (section 5.4);
+* :mod:`repro.asr.adaptive` — the section 7 self-tuning loop: the
+  :class:`WorkloadRecorder` and the :class:`AdvisorLoop` that re-costs
+  and re-materializes one ASR (:meth:`ASRManager.rematerialize`).
 """
 
 from repro.asr.relation import Relation, JoinKind
@@ -29,7 +32,7 @@ from repro.asr.asr import AccessSupportRelation, StoredPartition
 from repro.asr.journal import ASRState, IntentJournal
 from repro.asr.manager import ASRManager
 from repro.asr.sharing import SharedASRBundle, SharedSegment, best_shared_design, shareable_segments
-from repro.asr.adaptive import AdaptiveDesigner, TuningDecision, WorkloadRecorder
+from repro.asr.adaptive import AdvisorLoop, WorkloadRecorder
 
 __all__ = [
     "Relation",
@@ -48,6 +51,5 @@ __all__ = [
     "shareable_segments",
     "best_shared_design",
     "WorkloadRecorder",
-    "AdaptiveDesigner",
-    "TuningDecision",
+    "AdvisorLoop",
 ]

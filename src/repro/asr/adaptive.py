@@ -6,55 +6,66 @@ design, or even to automate the task of physical database design.  Thus,
 for a recorded database usage pattern the system could
 (semi-)automatically adjust the physical database design."
 
-This module implements that loop:
+This module implements that loop in two pieces over the model layer
+(:class:`~repro.costmodel.advisor.DesignAdvisor`):
 
 1. :class:`WorkloadRecorder` counts the executed operations — forward and
    backward queries by range, ``ins_i``-style updates — either via
-   explicit ``record_*`` calls or by observing an
-   :class:`~repro.query.evaluator.QueryEvaluator` and the object base's
-   change events;
-2. :meth:`WorkloadRecorder.to_mix` turns the log into the cost model's
-   ``(OperationMix, P_up)``;
-3. :class:`AdaptiveDesigner` re-measures the live profile through its
-   :class:`~repro.costmodel.measured.MeasuredCosts` (the manager's
-   ``costs``, which its planners — and in a serving world the drift
-   monitor — price from, so a sweep refreshes their profile too), runs the
-   :class:`~repro.costmodel.advisor.DesignAdvisor`, and — when the best
-   design beats the current one by a configurable factor — re-materializes
-   the ASR under the new (extension, decomposition).
+   explicit ``record_*`` calls or by observing the object base's change
+   events; :meth:`WorkloadRecorder.to_mix` turns the log into the cost
+   model's ``(OperationMix, P_up)``;
+2. :class:`AdvisorLoop` re-measures the live profile through the
+   manager's :class:`~repro.costmodel.measured.MeasuredCosts` (which its
+   planners — and in a serving world the drift monitor — price from, so
+   a sweep refreshes their profile too), prices every design against the
+   recorded mix, and — past its gates — re-materializes the ASR online
+   through :meth:`~repro.asr.manager.ASRManager.rematerialize` (build
+   unlocked, catch up, one atomic swap, one epoch bump).  In the serve
+   daemon a thread sweeps every ``interval`` seconds; offline, one
+   ``sweep(force=True)`` is the one-shot retune.
 
-**Online re-materialization** (DESIGN §15): :meth:`AdaptiveDesigner.retune`
-is safe to run inside a live daemon.  The replacement ASR is bulk-built
-*without* the manager's lock so concurrent readers keep serving from the
-old design; a catch-up observer subscribed to the object base records the
-dirty regions of every update that lands mid-build (updaters hold the
-manager's write lock per the :meth:`~repro.asr.manager.ASRManager.exclusive`
-contract, so region capture is race-free); then one exclusive section
-applies the coalesced catch-up delta — the same recompute-derives-the-
-correct-post-state argument :meth:`~repro.asr.manager.ASRManager.recover`
-relies on — and swaps old for new via
-:meth:`~repro.asr.manager.ASRManager.replace`, a single atomic transition
-with exactly one epoch bump.  The old ASR is never dropped until the
-replacement is fully caught up, so any failure (including the armed crash
-points ``asr.retune.build`` / ``asr.retune.register``) rolls back to the
-old design still registered and consistent.
+Decision gates, each applied once per sweep, in order:
+
+* **evidence floor** — fewer than ``min_ops`` recorded operations since
+  the last retune (or none at all) rejects the sweep
+  (``insufficient-ops``): the recorder must see a representative mix
+  before it is trusted;
+* **advisor health** — pricing raised (``recommend-failed``); the loop
+  must outlive it;
+* **baseline** — the advisor may conclude *no ASR at all* is cheapest;
+  the loop refuses to de-materialize a serving index (``baseline``);
+* **improvement** — the best design must beat the current one by the
+  factor ``threshold`` and differ from it (``not-better``);
+* **cooldown** — at most one retune per two sweep intervals
+  (``cooldown``): a mix oscillating around the break-even point must
+  not thrash rebuilds;
+* **dry-run** — with ``dry_run=True`` the loop records what it *would*
+  have done (visible in :meth:`AdvisorLoop.describe`) without touching
+  the physical design (``dry-run``).
+
+A retune that fails mid-build rolls back by construction — the old ASR
+was never dropped — and counts as ``build-failed``; the loop keeps
+sweeping.  ``sweep(force=True)`` skips only the patience gates (the
+floor and the cooldown).  Metrics: ``advisor.sweeps`` /
+``advisor.retunes`` / ``advisor.rejected{reason}`` counters and the
+``advisor.predicted_gain`` gauge.  Each applied retune opens an
+``advisor.retune`` trace so the rebuild shows up in ``/trace/recent``
+next to the requests it briefly delayed.
 """
 
 from __future__ import annotations
 
+import math
 import threading
+import time
 from collections import Counter
-from dataclasses import dataclass
 
 from repro.asr.asr import AccessSupportRelation
 from repro.asr.decomposition import Decomposition
-from repro.asr.extensions import Extension
-from repro.asr.maintenance import analyze_event, merge_regions, neighbourhood_delta
 from repro.asr.manager import ASRManager
 from repro.costmodel.advisor import DesignAdvisor, DesignChoice
 from repro.costmodel.opmix import OperationMix, QuerySpec, UpdateSpec
 from repro.errors import CostModelError
-from repro.faults import reach
 from repro.gom.events import AttributeSet, Event, SetInserted, SetRemoved
 from repro.gom.paths import PathExpression
 
@@ -99,12 +110,17 @@ class WorkloadRecorder:
 
     def attach(self, db) -> None:
         """Count update events on the object base automatically."""
+        self._schema = db.schema
         db.subscribe(self._on_event)
 
     def _on_event(self, event: Event) -> None:
         for s, step in enumerate(self.path.steps, start=1):
             if isinstance(event, AttributeSet):
-                if step.attribute == event.attribute and event.type_name == step.domain_type:
+                # An instance of a subtype updates the step too, as
+                # maintenance sees it.
+                if step.attribute == event.attribute and self._schema.is_subtype(
+                    event.type_name, step.domain_type
+                ):
                     self.record_update(s - 1)
             elif isinstance(event, (SetInserted, SetRemoved)):
                 if step.collection_type == event.set_type:
@@ -156,191 +172,248 @@ class WorkloadRecorder:
             self.updates.clear()
 
 
-class _CatchUpObserver:
-    """Accumulates dirty regions while a replacement ASR builds unlocked.
+class AdvisorLoop:
+    """Re-evaluates one ASR's physical design against the recorded mix.
 
-    Subscribed to the object base for the duration of a retune's bulk
-    build.  Events are delivered synchronously on the mutator's thread —
-    which holds the manager's write lock per the ``exclusive()``
-    contract — so computing the region *at event time* (it reads
-    event-time graph state, exactly like the manager's ``_enqueue``) is
-    safe; the observer's own lock covers the merge against the retune
-    thread's final :meth:`take`.
+    ``threshold`` is the predicted gain (current cost / best cost) a
+    different design must clear before it is applied; applied retunes
+    are at least two sweep intervals apart (the cooldown).  The loop
+    follows its ASR across retunes (:attr:`asr` is the registered one).
     """
-
-    def __init__(self, db, path: PathExpression) -> None:
-        self._db = db
-        self._path = path
-        self._lock = threading.Lock()
-        self._region = None
-
-    def __call__(self, event: Event) -> None:
-        region = analyze_event(self._db, self._path, event)
-        if not region:
-            return
-        with self._lock:
-            if self._region is None:
-                self._region = region
-            else:
-                self._region = merge_regions(self._region, region)
-
-    def take(self):
-        with self._lock:
-            region, self._region = self._region, None
-            return region
-
-
-@dataclass
-class TuningDecision:
-    """What the adaptive designer decided and why."""
-
-    current_cost: float
-    best: DesignChoice
-    retuned: bool
-
-    def describe(self) -> str:
-        action = "switched to" if self.retuned else "kept current design over"
-        return (
-            f"current {self.current_cost:.1f} pages/op; {action} "
-            f"{self.best.describe()}"
-        )
-
-
-class AdaptiveDesigner:
-    """Closes the monitor → advise → re-materialize loop for one ASR."""
 
     def __init__(
         self,
         manager: ASRManager,
         asr: AccessSupportRelation,
         recorder: WorkloadRecorder,
-        improvement_threshold: float = 1.2,
+        threshold: float = 1.2,
+        interval: float = 5.0,
+        min_ops: int = 32,
+        dry_run: bool = False,
+        registry=None,
+        tracer=None,
+        time_fn=time.monotonic,
     ) -> None:
         if asr not in manager.asrs:
             raise CostModelError("the ASR must be registered with the manager")
-        if improvement_threshold < 1.0:
+        if threshold < 1.0:
             raise CostModelError("improvement threshold must be >= 1")
         self.manager = manager
         self.asr = asr
         self.recorder = recorder
-        #: Where the measured profile lives: the manager's price list,
-        #: which its planners (and a serving world's drift monitor)
-        #: price from.
-        self.costs = manager.costs
-        self.improvement_threshold = improvement_threshold
+        self.threshold = threshold
+        self.interval = max(0.005, interval)
+        self.cooldown = 2.0 * self.interval
+        self.min_ops = max(1, min_ops)
+        self.dry_run = dry_run
+        self.registry = registry
+        self.tracer = tracer
+        self._time = time_fn
+        self._stop = threading.Event()
+        self._thread: threading.Thread | None = None
+        self._lock = threading.Lock()
+        self.sweeps = 0
+        self.retunes = 0
+        self.rejected: dict[str, int] = {}
+        self._last_retune: float | None = None
+        self._last_decision: dict | None = None
+        self._history: list[dict] = []
 
-    # ------------------------------------------------------------------
+    # -- lifecycle -----------------------------------------------------
 
-    def recommend(self) -> TuningDecision:
-        """Advise on the recorded workload without changing anything.
+    def start(self) -> "AdvisorLoop":
+        if self._thread is not None:
+            raise RuntimeError("advisor already started")
+        self._thread = threading.Thread(
+            target=self._run, name="asr-advisor", daemon=True
+        )
+        self._thread.start()
+        return self
+
+    def _run(self) -> None:
+        while not self._stop.wait(self.interval):
+            try:
+                self.sweep()
+            except Exception:  # pragma: no cover - the loop must outlive
+                pass  # any single sweep; failures are counted in sweep()
+
+    def stop(self) -> None:
+        """Stop the loop.  No final sweep: a drain must not start a
+        rebuild it would then have to wait out."""
+        self._stop.set()
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+
+    @property
+    def running(self) -> bool:
+        return self._thread is not None and self._thread.is_alive()
+
+    # -- the sweep -----------------------------------------------------
+
+    def recommend(self) -> tuple[float, DesignChoice]:
+        """Price the recorded mix: ``(current design's cost, best design)``.
 
         Every call re-measures the path's profile — the one place a
         :class:`~repro.costmodel.measured.MeasuredCosts` profile is
-        refreshed, so whoever shares ``costs`` prices from this
-        measurement until the next call.
+        refreshed, so whoever shares ``manager.costs`` prices from this
+        measurement until the next call.  Raises
+        :class:`~repro.errors.CostModelError` when nothing is recorded.
         """
         mix, p_up = self.recorder.to_mix()
-        path = self.asr.path
+        costs, path = self.manager.costs, self.asr.path
         # Profiling walks the live object graph; hold the read side so a
         # concurrent update transaction cannot tear the measurement.
         with self.manager.shared():
-            self.costs.invalidate(path)
-            advisor = DesignAdvisor(self.costs.profile_for(path))
+            costs.invalidate(path)
+            advisor = DesignAdvisor(costs.profile_for(path))
             best = advisor.best(mix, p_up)
-            current_cost = advisor.model.mix_cost(
+            current = advisor.model.mix_cost(
                 self.asr.extension, self.asr.type_decomposition, mix, p_up
             )
-        should_switch = (
-            best.cost * self.improvement_threshold < current_cost
-            and not self._is_current(best)
+        return current, best
+
+    def sweep(self, force: bool = False) -> bool:
+        """One decision pass; returns True when a retune was applied.
+
+        ``force`` skips the evidence floor and cooldown gates (the
+        offline one-shot retune; tests and the advisor soak's rollback
+        and epoch proof); the threshold and the baseline refusal always
+        stand.
+        """
+        with self._lock:
+            self.sweeps += 1
+        self._inc("advisor.sweeps")
+        if not force and self.recorder.total_operations < self.min_ops:
+            return self._reject("insufficient-ops")
+        try:
+            current, best = self.recommend()
+        except CostModelError:
+            return self._reject("insufficient-ops")
+        except Exception:
+            return self._reject("recommend-failed")
+        gain = current / best.cost if best.cost > 0.0 else math.inf
+        better = best.cost * self.threshold < current and not self._is_current(best)
+        if self.registry is not None:
+            self.registry.set_gauge("advisor.predicted_gain", round(gain, 4))
+        action = "switched to" if better else "kept current design over"
+        summary = {
+            "decision": f"current {current:.1f} pages/op; {action} {best.describe()}",
+            "predicted_gain": round(gain, 4),
+            "at": self._time(),
+        }
+        with self._lock:
+            self._last_decision = summary
+        if best.extension is None:
+            # Cheapest is *no* ASR.  De-materializing a serving index is
+            # an operator decision, not a background one: refuse.
+            return self._reject("baseline")
+        if not better:
+            return self._reject("not-better")
+        if not force and self._in_cooldown():
+            return self._reject("cooldown")
+        if self.dry_run:
+            with self._lock:
+                self._history.append({**summary, "applied": False})
+                del self._history[:-8]
+            return self._reject("dry-run")
+        return self._apply(best, summary)
+
+    def _apply(self, best: DesignChoice, summary: dict) -> bool:
+        before = self._design()
+        trace = (
+            self.tracer.begin("advisor.retune", "advisor")
+            if self.tracer is not None
+            else None
         )
-        return TuningDecision(current_cost, best, should_switch)
-
-    def retune(self) -> TuningDecision:
-        """Recommend and, when clearly better, re-materialize the ASR.
-
-        Safe under concurrency: see the module docstring.  The old ASR
-        keeps serving readers throughout the bulk build and is only
-        replaced — atomically, with one epoch bump — once the
-        replacement has absorbed every update that landed mid-build.
-        Any failure along the way leaves the old ASR registered and
-        consistent (rollback by construction: nothing was dropped yet).
-        """
-        decision = self.recommend()
-        self.apply(decision)
-        return decision
-
-    def apply(self, decision: TuningDecision) -> bool:
-        """Re-materialize per an already-made decision; True when applied.
-
-        The :class:`~repro.resilience.advisor.AdvisorLoop` separates
-        deciding (its own hysteresis/cooldown gates on top of
-        :meth:`recommend`) from acting; this is the acting half.
-        """
-        if decision.retuned and decision.best.extension is not None:
-            self._rematerialize(decision.best)
-            return True
-        return False
-
-    def _rematerialize(self, best: DesignChoice) -> AccessSupportRelation:
+        if trace is not None:
+            trace.annotate(before=before, predicted_gain=summary["predicted_gain"])
         # The cost model's decomposition indices are type indices
         # (m = n); translate the borders to ASR column indices.
-        column_borders = tuple(
-            self.asr.path.column_of(border)
-            for border in best.decomposition.borders
+        path = self.asr.path
+        decomposition = Decomposition(
+            tuple(path.column_of(border) for border in best.decomposition.borders)
         )
-        injector = self.manager._injector()
-        observer = _CatchUpObserver(self.manager.db, self.asr.path)
-        self.manager.db.subscribe(observer)
         try:
-            reach(injector, "asr.retune.build")
-            replacement = AccessSupportRelation.build(
-                self.manager.db,
-                self.asr.path,
-                best.extension,
-                Decomposition(column_borders),
+            self.asr = self.manager.rematerialize(
+                self.asr, best.extension, decomposition
             )
-            # Warm the by-cell index here, outside the lock, so the first
-            # update after the swap does not pay for it under the write
-            # lock (``Relation.containing`` would build it on first use).
-            replacement.extension_relation.index_cells()
-            with self.manager.exclusive():
-                # Mutators need this lock, so no further events can
-                # interleave between catch-up and swap.
-                self.manager.db.unsubscribe(observer)
-                region = observer.take()
-                if region:
-                    added, removed = neighbourhood_delta(
-                        self.manager.db,
-                        self.asr.path,
-                        replacement.extension,
-                        replacement.extension_relation,
-                        region,
-                    )
-                    replacement.apply_delta(added, removed, None)
-                reach(injector, "asr.retune.register")
-                self.manager.replace(self.asr, replacement)
-        finally:
-            # On the success path the observer is already gone; on any
-            # failure this is the whole rollback — the old ASR was never
-            # dropped, so it is still registered, consistent, serving.
-            try:
-                self.manager.db.unsubscribe(observer)
-            except ValueError:
-                pass
-        self.asr = replacement
-        return replacement
+        except Exception as error:
+            # Rolled back by construction: the old ASR was never
+            # dropped, so it is still registered and serving.
+            if trace is not None:
+                trace.annotate(error=repr(error))
+                self.tracer.finish(trace, "error")
+            return self._reject("build-failed")
+        after = self._design()
+        if trace is not None:
+            trace.annotate(after=after)
+            self.tracer.finish(trace, "ok")
+        # The measured mix belonged to the old design's era; the new
+        # design earns its next verdict on fresh evidence.
+        self.recorder.reset()
+        with self._lock:
+            self.retunes += 1
+            self._last_retune = self._time()
+            self._history.append(
+                {**summary, "applied": True, "from": before, "to": after}
+            )
+            del self._history[:-8]
+        self._inc("advisor.retunes")
+        return True
 
-    # ------------------------------------------------------------------
+    # -- gates ---------------------------------------------------------
 
     def _is_current(self, choice: DesignChoice) -> bool:
-        if choice.extension is None:
-            return False
-        # Compare by value, not identity: advisors constructed per-sweep
-        # hand back fresh DesignChoice objects, and an identity compare
-        # would report "not current" forever — oscillating the designer
-        # into re-materializing the same design on every sweep.
+        # Compare by value, not identity: every sweep builds a fresh
+        # advisor handing back fresh DesignChoice objects, and an
+        # identity compare would report "not current" forever —
+        # re-materializing the same design on every sweep.
         return (
             choice.extension == self.asr.extension
             and choice.decomposition == self.asr.type_decomposition
         )
+
+    def _in_cooldown(self) -> bool:
+        with self._lock:
+            return (
+                self._last_retune is not None
+                and self._time() - self._last_retune < self.cooldown
+            )
+
+    def _reject(self, reason: str) -> bool:
+        with self._lock:
+            self.rejected[reason] = self.rejected.get(reason, 0) + 1
+        self._inc("advisor.rejected", reason=reason)
+        return False
+
+    def _inc(self, name: str, **labels: str) -> None:
+        if self.registry is not None:
+            self.registry.inc(name, 1, **labels)
+
+    def _design(self) -> dict:
+        return {
+            "extension": self.asr.extension.value,
+            "decomposition": str(self.asr.decomposition),
+        }
+
+    # -- inspection ----------------------------------------------------
+
+    def describe(self) -> dict:
+        """JSON-able state for ``GET /advisor`` and the drain report."""
+        with self._lock:
+            return {
+                "running": self.running,
+                "dry_run": self.dry_run,
+                "interval_s": self.interval,
+                "threshold": self.threshold,
+                "cooldown_s": self.cooldown,
+                "min_ops": self.min_ops,
+                "sweeps": self.sweeps,
+                "retunes": self.retunes,
+                "rejected": dict(self.rejected),
+                "design": self._design(),
+                "recorded_ops": self.recorder.total_operations,
+                "last_decision": self._last_decision,
+                "history": list(self._history),
+            }

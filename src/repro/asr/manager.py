@@ -66,6 +66,7 @@ from repro.asr.decomposition import Decomposition
 from repro.asr.extensions import Extension
 from repro.asr.journal import ASRState, IntentJournal
 from repro.asr.maintenance import (
+    EMPTY_REGION,
     DirtyRegion,
     analyze_event,
     merge_regions,
@@ -121,8 +122,8 @@ class ASRManager:
         ``MeasuredCosts(db)`` (default object sizes).  Every
         :class:`~repro.query.planner.Planner` over this manager ranks by
         it (``predict_query`` is all a planner asks), and an
-        :class:`~repro.asr.adaptive.AdaptiveDesigner` prices and
-        re-measures through it.  Profiles are measured on the first
+        :class:`~repro.asr.adaptive.AdvisorLoop` prices and re-measures
+        through it.  Profiles are measured on the first
         price asked for a path, not here.
     """
 
@@ -164,6 +165,9 @@ class ASRManager:
         self._pending: dict[int, tuple[AccessSupportRelation, DirtyRegion]] = {}
         #: Outstanding intent journals, one per APPLYING/QUARANTINED ASR.
         self._journals: dict[int, tuple[AccessSupportRelation, IntentJournal]] = {}
+        #: Dirty regions accumulated for replacements building unlocked
+        #: in :meth:`rematerialize`, keyed by the old ASR's identity.
+        self._catchup: dict[int, DirtyRegion] = {}
         self._epoch = 0
         self._closed = False
         #: Readers-writer lock: queries share, maintenance is exclusive.
@@ -279,6 +283,59 @@ class ASRManager:
             self._journals.pop(id(old), None)
             self._epoch += 1
 
+    def rematerialize(
+        self,
+        asr: AccessSupportRelation,
+        extension: Extension,
+        decomposition: Decomposition,
+    ) -> AccessSupportRelation:
+        """Re-build ``asr`` under a new design online; returns the replacement.
+
+        The replacement bulk-builds *without* the lock, so readers keep
+        serving from ``asr``.  Every update landing meanwhile widens a
+        catch-up region, computed by :meth:`_on_event` for ``asr`` under
+        the write lock the mutator holds — also while :meth:`suspended`.
+        One exclusive section then applies the catch-up delta (the
+        recompute derives the correct post-state, as in :meth:`recover`)
+        and swaps via :meth:`replace`: exactly one epoch bump.  ``asr``
+        is never dropped before that, so any failure — the crash points
+        ``asr.retune.build`` / ``asr.retune.register`` included — leaves
+        it registered, consistent and serving; :meth:`replace` raises
+        :class:`ObjectBaseError` when ``asr`` is not registered.
+        """
+        key = id(asr)
+        with self.lock.write():
+            if key in self._catchup:
+                # Two builds would share (and reset) one catch-up region.
+                raise ObjectBaseError("ASR is already being re-materialized")
+            self._catchup[key] = EMPTY_REGION
+        injector = self._injector()
+        try:
+            reach(injector, "asr.retune.build")
+            replacement = AccessSupportRelation.build(
+                self.db, asr.path, extension, decomposition
+            )
+            # Warm the by-cell index outside the lock, so the first
+            # update after the swap does not pay for it under the lock.
+            replacement.extension_relation.index_cells()
+            with self.lock.write():
+                region = self._catchup.pop(key)
+                if region:
+                    added, removed = neighbourhood_delta(
+                        self.db,
+                        asr.path,
+                        replacement.extension,
+                        replacement.extension_relation,
+                        region,
+                    )
+                    replacement.apply_delta(added, removed, None)
+                reach(injector, "asr.retune.register")
+                self.replace(asr, replacement)
+        finally:
+            with self.lock.write():
+                self._catchup.pop(key, None)
+        return replacement
+
     def find(
         self, path: PathExpression, extension: Extension | None = None
     ) -> list[AccessSupportRelation]:
@@ -389,32 +446,35 @@ class ASRManager:
         asr.state = ASRState.CONSISTENT
 
     def _on_event(self, event: Event) -> None:
-        if self._closed or self._suspended:
+        if self._closed or (self._suspended and not self._catchup):
             return
         with self.lock.write():
-            if self._batch_depth:
-                self._enqueue(event)
-                return
+            # The region must be computed *now*: it reads event-time
+            # graph state, e.g. the members of a collection being
+            # detached.
             items = []
             for asr in self.asrs:
                 region = analyze_event(self.db, asr.path, event)
-                if region:
-                    items.append((asr, region))
-            if items:
-                self._journaled_run(items, self.context, "asr.apply")
+                if not region:
+                    continue
+                key = id(asr)
+                if key in self._catchup:
+                    self._catchup[key] = merge_regions(self._catchup[key], region)
+                items.append((asr, region))
+            if not items or self._suspended:
+                return
+            if self._batch_depth:
+                self._enqueue(items)
+                return
+            self._journaled_run(items, self.context, "asr.apply")
 
-    def _enqueue(self, event: Event) -> None:
-        """Accumulate the event's dirty regions without touching trees.
+    def _enqueue(self, items) -> None:
+        """Accumulate ``(asr, region)`` items without touching trees.
 
-        The region must be computed *now* (it reads event-time graph
-        state, e.g. the members of a collection being detached), but the
-        expensive neighbourhood recomputation and all tree mutations are
-        deferred to :meth:`flush`.
+        The expensive neighbourhood recomputation and all tree mutations
+        are deferred to :meth:`flush`.
         """
-        for asr in self.asrs:
-            region = analyze_event(self.db, asr.path, event)
-            if not region:
-                continue
+        for asr, region in items:
             key = id(asr)
             if key in self._pending:
                 _, pending = self._pending[key]

@@ -141,7 +141,7 @@ class Relation:
         """Build the by-cell index now (a no-op once it exists).
 
         :meth:`containing` builds it on first use; a builder that swaps
-        a relation in under a lock (the adaptive designer's retune)
+        a relation in under a lock (``ASRManager.rematerialize``)
         calls this first, so the one pass over the rows lands in its
         unlocked build rather than in the first update after the swap.
         """

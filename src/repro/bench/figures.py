@@ -14,6 +14,7 @@ break-evens fall).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Mapping, Sequence
 
 from repro.asr.decomposition import Decomposition
@@ -376,9 +377,12 @@ _SECTIONS: dict[str, tuple[Callable[[], str], ...]] = {
 FIGURES = tuple(_SECTIONS)
 
 
+@functools.cache
 def render(figure_id: str) -> str:
     """All of one figure's sections as text, blank-line separated.
 
-    Raises :class:`KeyError` for an id not in :data:`FIGURES`.
+    Memoised: every section is a pure function of the paper's parameter
+    tables, so a figure is computed once per process.  Raises
+    :class:`KeyError` for an id not in :data:`FIGURES`.
     """
     return "\n\n".join(section() for section in _SECTIONS[figure_id])

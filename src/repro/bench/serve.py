@@ -226,9 +226,20 @@ class ServeWorld:
     tracer: Tracer
     #: The live op mix over the chain path, fed by every executed
     #: operation and by ``POST /query`` — what the
-    #: :class:`~repro.resilience.advisor.AdvisorLoop` re-costs designs
+    #: :class:`~repro.asr.adaptive.AdvisorLoop` re-costs designs
     #: against.  Thread-safe; recording is a couple of dict bumps.
     recorder: WorkloadRecorder
+
+    def select(self, text: str, context, trace=None):
+        """Run one select text through :attr:`queries`; record it.
+
+        The one place a textual select feeds :attr:`recorder`, replayed
+        or ``POST /query``: it resolves anchors from terminal values —
+        the chain-path shape of a full backward traversal.
+        """
+        outcome = self.queries.execute(text, context=context, trace=trace)
+        self.recorder.record_query(0, self.recorder.path.n, "bw")
+        return outcome
 
     def stream(self) -> list[Operation]:
         """The seeded operation stream this world's config describes."""
@@ -361,11 +372,7 @@ def execute_operation(
         world.recorder.record_query(op.query.i, op.query.j, op.query.kind)
         return result.total_pages
     if op.kind == "select":
-        outcome = world.queries.execute(op.text, context=context, trace=trace)
-        # A textual select resolves anchors from terminal values — the
-        # chain-path shape of a full backward traversal.
-        world.recorder.record_query(0, world.recorder.path.n, "bw")
-        return outcome.report.total_pages
+        return world.select(op.text, context, trace).report.total_pages
     with manager.exclusive():
         with maybe_span(trace, "asr.maintain", "execute") as row:
             before = manager.context.stats.snapshot()

@@ -75,11 +75,12 @@ Commands
     With ``--advisor-interval`` > 0 a background :class:`AdvisorLoop`
     re-costs the chain ASR's (extension, decomposition) against the
     live measured op mix every sweep and — past the hysteresis
-    ``--advisor-threshold``, an evidence floor and a cooldown —
-    re-materializes it online (one atomic swap, one epoch bump, the
-    compiled-plan cache invalidates itself); ``GET /advisor`` exposes
-    the loop's verdict history and ``--advisor-dry-run`` decides
-    without acting.
+    ``--advisor-threshold``, an evidence floor and a cooldown of two
+    intervals — re-materializes it online through
+    :meth:`~repro.asr.manager.ASRManager.rematerialize` (one atomic swap,
+    one epoch bump, the compiled-plan cache invalidates itself);
+    ``GET /advisor`` exposes the loop's verdict history and
+    ``--advisor-dry-run`` decides without acting.
 
 ``stats [--in BENCH_serve_daemon.json] [--json] [--prometheus]``
     Render the telemetry embedded in the daemon's drain report: the accounting

@@ -2,7 +2,7 @@
 
 Every manager holds one :class:`MeasuredCosts` as ``ASRManager.costs``:
 its planners rank plans by it, the drift monitor checks it against
-measured pages, and the adaptive designer re-measures through it, so one
+measured pages, and the advisor loop re-measures through it, so one
 question on one design has one price wherever it is asked.
 """
 

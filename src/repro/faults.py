@@ -38,8 +38,9 @@ The crash-point names currently instrumented:
                          journalled neighbourhood
 ``asr.recover.reload``   recovery is about to reload the partitions
                          from the healed logical relation
-``asr.retune.build``     the adaptive designer is about to bulk-build a
-                         replacement ASR (old one still serving)
+``asr.retune.build``     ``ASRManager.rematerialize`` is about to
+                         bulk-build a replacement ASR (old one still
+                         serving)
 ``asr.retune.register``  the replacement is built and caught up; the
                          atomic swap has not happened yet
 ======================  ================================================

@@ -18,13 +18,6 @@ SLOs while faults fire, heal, and fire again:
   existing :class:`~repro.faults.FaultInjector` to the live operation
   stream at seeded rates (including burst storms), so the healer is
   continuously exercised in production shape.
-* :class:`~repro.resilience.advisor.AdvisorLoop` — the paper's §7
-  self-tuning loop as a background task: re-costs each managed ASR's
-  (extension, decomposition) against the *measured* op mix via the
-  :class:`~repro.asr.adaptive.AdaptiveDesigner` and re-materializes it
-  online — behind hysteresis, cooldown, and dry-run gates — publishing
-  ``advisor.sweeps`` / ``advisor.retunes`` / ``advisor.rejected`` and
-  the ``advisor.predicted_gain`` gauge.
 * :class:`~repro.resilience.breaker.CircuitBreaker` /
   :class:`~repro.resilience.breaker.BreakerBoard` — a per-ASR breaker
   that opens after repeated faults and routes queries to the degraded
@@ -36,17 +29,16 @@ Import discipline: :mod:`repro.asr.manager` imports
 :mod:`repro.resilience.policy`, so nothing in this package may import
 from :mod:`repro.asr` at module level — the healer and the board treat
 managers and ASRs duck-typed (``manager.quarantined``,
-``asr.state.value``).
+``asr.state.value``).  The §7 self-tuning loop re-materializes ASRs, so
+it lives in the ASR layer: :class:`~repro.asr.adaptive.AdvisorLoop`.
 """
 
-from repro.resilience.advisor import AdvisorLoop
 from repro.resilience.breaker import BreakerBoard, CircuitBreaker
 from repro.resilience.chaos import ChaosConfig, ChaosController
 from repro.resilience.healer import HealerLoop
 from repro.resilience.policy import RecoveryPolicy
 
 __all__ = [
-    "AdvisorLoop",
     "BreakerBoard",
     "ChaosConfig",
     "ChaosController",

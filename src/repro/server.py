@@ -117,6 +117,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
+from repro.asr.adaptive import AdvisorLoop
 from repro.asr.journal import ASRState
 from repro.bench.serve import (
     OpSample,
@@ -130,9 +131,7 @@ from repro.bench.serve import (
 from repro.errors import ParseError, QueryError, RecoveryError
 from repro.faults import FaultInjector
 from repro.httpd import Listener, Request
-from repro.asr.adaptive import AdaptiveDesigner
 from repro.resilience import (
-    AdvisorLoop,
     ChaosConfig,
     ChaosController,
     HealerLoop,
@@ -177,15 +176,14 @@ class ServerConfig:
     #: enabled the manager's ``auto_recover`` is turned off so the
     #: healer — not the flush path — owns every recovery.
     chaos: ChaosConfig | None = None
-    #: Seconds between :class:`~repro.resilience.advisor.AdvisorLoop`
-    #: sweeps re-costing the chain ASR's (extension, decomposition)
-    #: against the measured op mix; 0 disables the loop entirely.
+    #: Seconds between :class:`~repro.asr.adaptive.AdvisorLoop` sweeps
+    #: re-costing the chain ASR's (extension, decomposition) against the
+    #: measured op mix; 0 disables the loop entirely.  Applied retunes
+    #: are at least two intervals apart.
     advisor_interval: float = 0.0
     #: Hysteresis: predicted gain (current cost / best cost) a candidate
     #: design must clear before a retune is applied.
     advisor_threshold: float = 1.2
-    #: Seconds between applied retunes (``None`` = two sweep intervals).
-    advisor_cooldown: float | None = None
     #: Recorded operations required before a sweep's mix is trusted.
     advisor_min_ops: int = 32
     #: Decide-but-don't-act mode: the loop records what it *would* have
@@ -317,16 +315,12 @@ class ServeDaemon:
             # It prices from the manager's price list, so each sweep's
             # re-measured profile is the planners' and the drift
             # monitor's too.
-            designer = AdaptiveDesigner(
+            self._advisor = AdvisorLoop(
                 manager,
                 chain_asr,
                 self.world.recorder,
-                improvement_threshold=config.advisor_threshold,
-            )
-            self._advisor = AdvisorLoop(
-                designer,
+                threshold=config.advisor_threshold,
                 interval=config.advisor_interval,
-                cooldown=config.advisor_cooldown,
                 min_ops=config.advisor_min_ops,
                 dry_run=config.advisor_dry_run,
                 registry=registry,
@@ -701,17 +695,13 @@ class ServeDaemon:
         world = self.world
         with activate(trace):
             with world.pool.context() as context:
-                outcome = world.queries.execute(text, context=context, trace=trace)
+                outcome = world.select(text, context, trace)
             pages = outcome.report.total_pages
             if pages:
                 self._core.device.charge(pages, trace=trace)
         world.registry.inc(
             "serve.queries", cached="true" if outcome.cached else "false"
         )
-        # The front door feeds the advisor's measured mix too: a textual
-        # select resolves anchors from terminal values — a full backward
-        # traversal in chain-path shape.
-        world.recorder.record_query(0, world.recorder.path.n, "bw")
         return outcome
 
     def advisor_payload(self) -> dict:

@@ -23,8 +23,8 @@ Eqs. 31–32 for unsupported plans, Eqs. 33–34 (over the ASR's
 decomposition in type indices,
 :attr:`~repro.asr.asr.AccessSupportRelation.type_decomposition`) for
 supported ones, and the section 6 ``search + aup`` maintenance terms for
-``ins_i`` updates.  Every planner over the manager and the adaptive
-designer price through the same object, so the prices ``/drift``
+``ins_i`` updates.  Every planner over the manager and the advisor
+loop price through the same object, so the prices ``/drift``
 validates are the prices plans were ranked by.
 """
 

@@ -1,4 +1,4 @@
-"""Self-adjusting physical design: recorder + adaptive designer."""
+"""Self-adjusting physical design: the recorder and the advisor loop."""
 
 import logging
 import threading
@@ -8,14 +8,15 @@ import pytest
 from repro.asr import (
     ASRManager,
     AccessSupportRelation,
-    AdaptiveDesigner,
+    AdvisorLoop,
     Decomposition,
     Extension,
     WorkloadRecorder,
 )
 from repro.costmodel import ApplicationProfile, MeasuredCosts
-from repro.errors import CostModelError, InjectedFault, SimulatedCrash
+from repro.errors import CostModelError, InjectedFault, ObjectBaseError, SimulatedCrash
 from repro.faults import FaultInjector
+from repro.gom import ObjectBase, PathExpression, Schema
 from repro.workload import ChainGenerator
 
 PROFILE = ApplicationProfile(
@@ -30,6 +31,11 @@ SIZES = {"T0": 400, "T1": 300, "T2": 200, "T3": 100}
 
 def measured(generated) -> MeasuredCosts:
     return MeasuredCosts(generated.db, SIZES)
+
+
+def record_poor_fit(recorder) -> None:
+    """A mix a RIGHT-complete ASR cannot serve: prefix queries (0, 2)."""
+    recorder.record_query(0, 2, "bw", count=50)
 
 
 @pytest.fixture()
@@ -88,6 +94,23 @@ class TestWorkloadRecorder:
             db.set_insert(collection, generated.layers[1][0])
             assert recorder.updates[0] >= 1
 
+    def test_attached_recorder_counts_subtype_updates(self):
+        """An ``AttributeSet`` on an instance of a subtype of a step's
+        domain updates that step — as maintenance sees it."""
+        schema = Schema()
+        schema.define_tuple("Maker", {"Name": "STRING"})
+        schema.define_tuple("Part", {"Name": "STRING", "MadeBy": "Maker"})
+        schema.define_tuple("Special", {"Grade": "INTEGER"}, supertypes=["Part"])
+        schema.validate()
+        db = ObjectBase(schema)
+        path = PathExpression.parse(schema, "Part.MadeBy.Name")
+        recorder = WorkloadRecorder(path)
+        recorder.attach(db)
+        special = db.new("Special", Name="Gear", Grade=1)
+        db.set_attr(special, "MadeBy", db.new("Maker", Name="Acme"))
+        db.set_attr(db.new("Part", Name="Door"), "MadeBy", db.new("Maker", Name="Zed"))
+        assert recorder.updates[0] == 2
+
     def test_reset(self, world):
         generated, _manager = world
         recorder = WorkloadRecorder(generated.path)
@@ -97,18 +120,20 @@ class TestWorkloadRecorder:
 
 
 class TestAdaptiveDesigner:
+    """The loop's decisions on a real manager (``sweep(force=True)`` is
+    the one-shot offline retune)."""
+
     def test_switches_away_from_poor_design(self, world):
         generated, manager = world
         path = generated.path
         asr = manager.create(path, Extension.RIGHT, Decomposition.binary(path.m))
         recorder = WorkloadRecorder(path)
-        for _ in range(50):
-            recorder.record_query(0, 2, "bw")  # RIGHT cannot serve (0,2)
+        record_poor_fit(recorder)  # RIGHT cannot serve (0,2)
         recorder.record_update(0, count=2)
-        designer = AdaptiveDesigner(manager, asr, recorder)
-        decision = designer.retune()
-        assert decision.retuned
-        assert designer.asr.extension in (Extension.FULL, Extension.LEFT)
+        loop = AdvisorLoop(manager, asr, recorder)
+        assert loop.sweep(force=True) is True
+        assert loop.asr.extension in (Extension.FULL, Extension.LEFT)
+        assert manager.asrs == [loop.asr]
         manager.check_consistency()
 
     def test_keeps_good_design(self, world):
@@ -117,10 +142,10 @@ class TestAdaptiveDesigner:
         asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
         recorder = WorkloadRecorder(path)
         recorder.record_query(1, 2, "fw", count=20)  # only full serves this
-        designer = AdaptiveDesigner(manager, asr, recorder, improvement_threshold=3.0)
-        decision = designer.retune()
-        assert designer.asr is asr  # not replaced
-        assert "pages/op" in decision.describe()
+        loop = AdvisorLoop(manager, asr, recorder, threshold=3.0)
+        assert loop.sweep(force=True) is False
+        assert loop.asr is asr  # not replaced
+        assert "pages/op" in loop.describe()["last_decision"]["decision"]
 
     def test_retuned_asr_stays_maintained(self, world):
         generated, manager = world
@@ -129,8 +154,7 @@ class TestAdaptiveDesigner:
         recorder = WorkloadRecorder(path)
         for _ in range(30):
             recorder.record_query(0, 1, "bw")
-        designer = AdaptiveDesigner(manager, asr, recorder)
-        designer.retune()
+        AdvisorLoop(manager, asr, recorder).sweep(force=True)
         owner = generated.layers[0][0]
         collection = db.attr(owner, "A")
         if collection:
@@ -138,56 +162,53 @@ class TestAdaptiveDesigner:
         manager.check_consistency()
 
     def test_unregistered_asr_rejected(self, world):
-        from repro.asr import AccessSupportRelation
-
         generated, manager = world
         orphan = AccessSupportRelation.build(
             generated.db, generated.path, Extension.FULL
         )
         recorder = WorkloadRecorder(generated.path)
         with pytest.raises(CostModelError):
-            AdaptiveDesigner(manager, orphan, recorder)
+            AdvisorLoop(manager, orphan, recorder)
 
     def test_threshold_validation(self, world):
         generated, manager = world
         asr = manager.create(generated.path, Extension.FULL)
         recorder = WorkloadRecorder(generated.path)
         with pytest.raises(CostModelError):
-            AdaptiveDesigner(manager, asr, recorder, improvement_threshold=0.5)
+            AdvisorLoop(manager, asr, recorder, threshold=0.5)
 
     def test_stable_workload_does_not_oscillate(self, world):
-        """Regression: two consecutive ``recommend()`` calls on a stable
-        workload must not keep requesting a switch.
+        """Regression: sweeps over a stable workload must not keep
+        requesting a switch.
 
-        ``_is_current`` used to compare the advisor's ``DesignChoice``
-        by identity; every sweep builds a fresh advisor, so the current
-        design never looked current and the designer re-materialized
-        the *same* design forever.
+        The current-design test used to compare the advisor's
+        ``DesignChoice`` by identity; every sweep builds a fresh advisor,
+        so the current design never looked current and the loop
+        re-materialized the *same* design forever.
         """
         generated, manager = world
         path = generated.path
         asr = manager.create(path, Extension.RIGHT, Decomposition.binary(path.m))
         recorder = WorkloadRecorder(path)
-        for _ in range(50):
-            recorder.record_query(0, 2, "bw")
+        record_poor_fit(recorder)
         recorder.record_update(0, count=2)
-        designer = AdaptiveDesigner(manager, asr, recorder)
-        assert designer.retune().retuned  # moves off the poor design once
-        first = designer.recommend()
-        second = designer.recommend()
-        assert not first.retuned
-        assert not second.retuned
+        loop = AdvisorLoop(manager, asr, recorder)
+        assert loop.sweep(force=True)  # moves off the poor design once
+        record_poor_fit(recorder)  # the applied retune reset the evidence
+        recorder.record_update(0, count=2)
+        assert not loop.sweep(force=True)
+        assert not loop.sweep(force=True)
+        assert loop.rejected == {"not-better": 2}
 
     def test_retune_bumps_epoch_exactly_once(self, world):
         generated, manager = world
         path = generated.path
         asr = manager.create(path, Extension.RIGHT, Decomposition.binary(path.m))
         recorder = WorkloadRecorder(path)
-        for _ in range(50):
-            recorder.record_query(0, 2, "bw")
-        designer = AdaptiveDesigner(manager, asr, recorder)
+        record_poor_fit(recorder)
+        loop = AdvisorLoop(manager, asr, recorder)
         epoch_before = manager.epoch
-        assert designer.retune().retuned
+        assert loop.sweep(force=True)
         assert manager.epoch == epoch_before + 1
         assert len(manager.asrs) == 1
 
@@ -204,41 +225,71 @@ class TestRetuneRollback:
         path = generated.path
         asr = manager.create(path, Extension.RIGHT, Decomposition.binary(path.m))
         recorder = WorkloadRecorder(path)
-        for _ in range(50):
-            recorder.record_query(0, 2, "bw")
-        designer = AdaptiveDesigner(manager, asr, recorder)
-        return generated, injector, manager, asr, designer
+        record_poor_fit(recorder)
+        loop = AdvisorLoop(manager, asr, recorder)
+        return generated, injector, manager, asr, loop
 
-    def assert_rolled_back(self, manager, asr, designer, epoch_before):
+    def assert_rolled_back(self, generated, manager, asr, loop, epoch_before):
         assert manager.asrs == [asr]  # never dropped, never replaced
-        assert designer.asr is asr
+        assert loop.asr is asr
         assert manager.epoch == epoch_before
         manager.check_consistency()
-        # The old design still maintains: the db event hook chain (the
-        # catch-up observer must be unsubscribed) is intact.
-        decision = designer.retune()
-        assert decision.retuned
+        # The old design still maintains, and a retune still catches up:
+        # the failed one left no catch-up region behind.
+        db = generated.db
+        collection = db.attr(generated.layers[0][0], "A")
+        if collection:
+            db.set_insert(collection, generated.layers[1][1])
+        manager.check_consistency()
+        assert loop.sweep(force=True) is True
         manager.check_consistency()
 
     def test_build_failure_rolls_back(self):
-        generated, injector, manager, asr, designer = self.scenario()
+        generated, injector, manager, asr, loop = self.scenario()
+        injector.fault_at("asr.retune.build", times=1)
+        epoch_before = manager.epoch
+        assert loop.sweep(force=True) is False
+        assert loop.rejected == {"build-failed": 1}
+        self.assert_rolled_back(generated, manager, asr, loop, epoch_before)
+
+    def test_register_crash_rolls_back(self):
+        generated, injector, manager, asr, loop = self.scenario()
+        injector.crash_at("asr.retune.register")
+        epoch_before = manager.epoch
+        assert loop.sweep(force=True) is False
+        assert loop.rejected == {"build-failed": 1}
+        # The manager primitive itself propagates the crash.
+        injector.crash_at("asr.retune.register")
+        with pytest.raises(SimulatedCrash):
+            manager.rematerialize(asr, Extension.FULL, asr.decomposition)
+        injector.disarm()
+        self.assert_rolled_back(generated, manager, asr, loop, epoch_before)
+
+    def test_build_fault_propagates_from_the_manager(self):
+        generated, injector, manager, asr, loop = self.scenario()
         injector.fault_at("asr.retune.build", times=1)
         epoch_before = manager.epoch
         with pytest.raises(InjectedFault):
-            designer.retune()
-        self.assert_rolled_back(manager, asr, designer, epoch_before)
-
-    def test_register_crash_rolls_back(self):
-        generated, injector, manager, asr, designer = self.scenario()
-        injector.crash_at("asr.retune.register")
-        epoch_before = manager.epoch
-        with pytest.raises(SimulatedCrash):
-            designer.retune()
-        injector.disarm()
-        self.assert_rolled_back(manager, asr, designer, epoch_before)
+            manager.rematerialize(asr, Extension.FULL, asr.decomposition)
+        self.assert_rolled_back(generated, manager, asr, loop, epoch_before)
 
 
 class TestOnlineRetune:
+    def mutate_mid_build(self, generated, monkeypatch, mutate):
+        """Run ``mutate()`` right after the replacement's bulk build."""
+        real_build = AccessSupportRelation.build.__func__
+
+        def build_then_mutate(cls, *args, **kwargs):
+            replacement = real_build(cls, *args, **kwargs)
+            # The replacement's rows are now frozen; this mutation is
+            # visible only to the catch-up region.
+            mutate()
+            return replacement
+
+        monkeypatch.setattr(
+            AccessSupportRelation, "build", classmethod(build_then_mutate)
+        )
+
     def test_update_landing_mid_build_is_caught_up(self, world, monkeypatch):
         """An update that lands after the replacement's bulk-build
         snapshot must be absorbed by the catch-up delta before the swap.
@@ -247,30 +298,57 @@ class TestOnlineRetune:
         db, path = generated.db, generated.path
         asr = manager.create(path, Extension.RIGHT, Decomposition.binary(path.m))
         recorder = WorkloadRecorder(path)
-        for _ in range(50):
-            recorder.record_query(0, 2, "bw")
-        designer = AdaptiveDesigner(manager, asr, recorder)
-
-        real_build = AccessSupportRelation.build.__func__
-        owner = generated.layers[0][0]
-        collection = db.attr(owner, "A")
+        record_poor_fit(recorder)
+        loop = AdvisorLoop(manager, asr, recorder)
+        collection = db.attr(generated.layers[0][0], "A")
         element = generated.layers[1][1]
-
-        def build_then_mutate(cls, *args, **kwargs):
-            replacement = real_build(cls, *args, **kwargs)
-            # The replacement's rows are now frozen; this mutation is
-            # visible only to the catch-up observer.
-            db.set_insert(collection, element)
-            return replacement
-
-        monkeypatch.setattr(
-            AccessSupportRelation, "build", classmethod(build_then_mutate)
+        self.mutate_mid_build(
+            generated, monkeypatch, lambda: db.set_insert(collection, element)
         )
-        decision = designer.retune()
+        assert loop.sweep(force=True)
         monkeypatch.undo()
-        assert decision.retuned
-        assert designer.asr is not asr
+        assert loop.asr is not asr
         manager.check_consistency()  # replacement matches a fresh rebuild
+
+    def test_one_rematerialization_per_asr_at_a_time(self, world, monkeypatch):
+        generated, manager = world
+        path = generated.path
+        asr = manager.create(path, Extension.RIGHT, Decomposition.binary(path.m))
+        design = (Extension.FULL, Decomposition.binary(path.m))
+
+        def second():
+            with pytest.raises(ObjectBaseError, match="already"):
+                manager.rematerialize(asr, *design)
+
+        self.mutate_mid_build(generated, monkeypatch, second)
+        replacement = manager.rematerialize(asr, *design)
+        monkeypatch.undo()
+        assert manager.asrs == [replacement]
+        with pytest.raises(ObjectBaseError, match="not registered"):
+            manager.rematerialize(asr, *design)  # the old one is gone
+        assert manager.asrs == [replacement]
+        manager.check_consistency()
+
+    def test_update_landing_while_suspended_is_caught_up(self, world, monkeypatch):
+        """``suspended()`` skips maintenance, not the catch-up: its exit
+        rebuilds only the registered (old) ASR."""
+        generated, manager = world
+        db, path = generated.db, generated.path
+        asr = manager.create(path, Extension.RIGHT, Decomposition.binary(path.m))
+        layers = generated.layers
+
+        def bulk_update():
+            with manager.suspended():
+                for owner in layers[0][:6]:
+                    db.set_attr(owner, "A", db.new_set("SET_T1", layers[1][:3]))
+
+        self.mutate_mid_build(generated, monkeypatch, bulk_update)
+        replacement = manager.rematerialize(
+            asr, Extension.FULL, Decomposition.binary(path.m)
+        )
+        monkeypatch.undo()
+        assert manager.asrs == [replacement]
+        manager.check_consistency()
 
 
 class TestTypeBorders:
@@ -283,12 +361,12 @@ class TestTypeBorders:
         asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
         recorder = WorkloadRecorder(path)
         recorder.record_query(0, 2, "bw", count=20)
-        designer = AdaptiveDesigner(manager, asr, recorder)
+        loop = AdvisorLoop(manager, asr, recorder)
         with caplog.at_level(logging.WARNING, logger="repro.asr"):
-            designer.recommend()
-            designer.recommend()
+            loop.recommend()
+            loop.recommend()
             for level in range(path.n):
-                assert designer.costs.predict_update(level, asr) is not None
+                assert manager.costs.predict_update(level, asr) is not None
         borders = asr.type_decomposition.borders
         assert len(borders) == len(set(borders)) < len(asr.decomposition.borders)
         # ...once per ASR, however often the design is re-costed or priced.

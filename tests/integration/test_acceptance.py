@@ -22,7 +22,7 @@ from repro import (
     SelectExecutor,
     build_extension,
 )
-from repro.asr import AdaptiveDesigner, WorkloadRecorder
+from repro.asr import AdvisorLoop, WorkloadRecorder
 from repro.costmodel import MeasuredCosts, OperationMix, QuerySpec, UpdateSpec
 from repro.gom.serialization import dump_object_base, load_object_base
 from repro.query import Planner
@@ -117,9 +117,8 @@ def test_full_story(tmp_path):
     recorder = WorkloadRecorder(path)
     recorder.record_query(0, 3, "bw", count=50)
     recorder.record_update(2, count=2)
-    designer = AdaptiveDesigner(manager, asr, recorder)
-    decision = designer.recommend()
-    assert decision.best.extension is not None
+    _current, best = AdvisorLoop(manager, asr, recorder).recommend()
+    assert best.extension is not None
     manager.check_consistency()
 
 

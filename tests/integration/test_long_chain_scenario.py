@@ -3,7 +3,7 @@
 Exercises everything at once: generation, all four extensions under
 several decompositions, every admissible query range, value-range
 queries, an update stream with deletions, persistence round-trip, and
-the adaptive designer — the kind of composite workload a downstream user
+the advisor loop — the kind of composite workload a downstream user
 would actually run.
 """
 
@@ -13,7 +13,7 @@ import pytest
 
 from repro.asr import (
     ASRManager,
-    AdaptiveDesigner,
+    AdvisorLoop,
     Decomposition,
     Extension,
     WorkloadRecorder,
@@ -137,10 +137,9 @@ class TestLongChain:
         recorder = WorkloadRecorder(generated.path)
         recorder.record_query(0, 3, "bw", count=40)  # canonical cannot serve
         recorder.record_update(4, count=1)
-        designer = AdaptiveDesigner(manager, asr, recorder)
-        decision = designer.retune()
-        assert decision.retuned
-        assert designer.asr.extension in (Extension.FULL, Extension.LEFT)
+        loop = AdvisorLoop(manager, asr, recorder)
+        assert loop.sweep(force=True)
+        assert loop.asr.extension in (Extension.FULL, Extension.LEFT)
         manager.check_consistency()
 
     def test_measured_profile_well_formed(self, world):

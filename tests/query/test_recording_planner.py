@@ -1,8 +1,8 @@
-"""Recorded query history feeds the adaptive designer."""
+"""Recorded query history feeds the advisor loop."""
 
 import pytest
 
-from repro.asr import ASRManager, AdaptiveDesigner, Decomposition, Extension
+from repro.asr import ASRManager, AdvisorLoop, Decomposition, Extension
 from repro.asr.adaptive import WorkloadRecorder
 from repro.costmodel import ApplicationProfile, MeasuredCosts
 from repro.query import BackwardQuery, Planner, QueryEvaluator
@@ -38,11 +38,9 @@ class TestRecording:
             query = BackwardQuery(path, 0, 2, target=generated.layers[2][0])
             planner.execute(query, evaluator)
             recorder.record_query(query.i, query.j, query.kind)
-        designer = AdaptiveDesigner(manager, asr, recorder)
-        assert designer.costs is manager.costs
+        loop = AdvisorLoop(manager, asr, recorder)
         # Make P_up well-defined even with zero recorded updates.
         recorder.record_update(0)
-        decision = designer.retune()
-        assert decision.retuned
-        assert designer.asr.extension in (Extension.FULL, Extension.LEFT)
+        assert loop.sweep(force=True)
+        assert loop.asr.extension in (Extension.FULL, Extension.LEFT)
         manager.check_consistency()

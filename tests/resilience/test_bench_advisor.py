@@ -1,7 +1,7 @@
 """The advisor soak: the physical design follows a shifting workload.
 
 One :class:`~repro.server.ServeDaemon` runs with the background
-:class:`~repro.resilience.advisor.AdvisorLoop` armed and is walked
+:class:`~repro.asr.adaptive.AdvisorLoop` armed and is walked
 through a seeded mix shift:
 
 1. **query-heavy** — the stream is almost all long backward queries;

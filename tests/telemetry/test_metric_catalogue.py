@@ -24,7 +24,7 @@ ENTRY_POINTS = ("inc", "observe", "set_gauge", "gauge_fn", "bind_counter", "bind
 WRAPPERS = {
     "asr/manager.py": "_metric_inc",
     "query/cache.py": "_count",
-    "resilience/advisor.py": "_inc",
+    "asr/adaptive.py": "_inc",
 }
 
 

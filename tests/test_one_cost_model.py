@@ -2,8 +2,8 @@
 
 Every manager holds one :class:`MeasuredCosts` (``MeasuredCosts(db)``
 unless given one), measured on the first price asked, not when the
-manager is built; every planner over it ranks by it and an adaptive
-designer prices through it.  In a served world the drift monitor, both
+manager is built; every planner over it ranks by it and the advisor
+loop re-measures through it.  In a served world the drift monitor, both
 planners (replay and front door) and the daemon's advisor share it: one
 profile per path, measured with the world's object sizes, refreshed by
 the advisor sweep — so a price ``/drift`` validates is the price a plan
@@ -15,8 +15,8 @@ from itertools import combinations
 import pytest
 
 from repro.asr import (
-    AdaptiveDesigner,
     ASRManager,
+    AdvisorLoop,
     Decomposition,
     Extension,
     WorkloadRecorder,
@@ -115,7 +115,7 @@ def test_advisor_sweep_refreshes_the_shared_profile(tmp_path):
     try:
         world = daemon.world
         costs, path = world.manager.costs, world.generated.path
-        assert daemon.advisor.designer.costs is costs
+        assert daemon.advisor.manager.costs is costs
         assert world.drift.predictor is costs
         db, layer = world.generated.db, world.generated.layers[0]
         owner = next(oid for oid in layer if db.attr(oid, "A") is NULL)
@@ -162,10 +162,18 @@ def test_a_manager_measures_on_the_first_price_not_when_built():
 
 
 def test_the_adaptive_designer_prices_through_the_managers_list(small_chain):
+    """The advisor loop has no price list of its own: its recommend()
+    re-measures the manager's."""
     manager = ASRManager(small_chain.db)
     asr = manager.create(small_chain.path, Extension.FULL)
-    designer = AdaptiveDesigner(manager, asr, WorkloadRecorder(small_chain.path))
-    assert designer.costs is manager.costs
+    recorder = WorkloadRecorder(small_chain.path)
+    recorder.record_query(0, small_chain.path.n, "bw", count=4)
+    loop = AdvisorLoop(manager, asr, recorder)
+    before = manager.costs.profile_for(small_chain.path)
+    generation = manager.costs.generation
+    loop.recommend()
+    assert manager.costs.generation > generation
+    assert manager.costs.profile_for(small_chain.path) is not before
 
 
 def test_planner_cost_is_the_price_list(small_chain):
