@@ -17,8 +17,9 @@ The subpackage provides:
   intent journals;
 * :mod:`repro.asr.manager` — keeps a family of ASRs consistent with an
   object base by subscribing to its change events;
-* :mod:`repro.asr.sharing` — shared partitions between overlapping path
-  expressions (section 5.4);
+* :mod:`repro.asr.sharing` — the section 5.4 analysis of overlapping
+  path expressions: shareable segments, the extensions under which
+  sharing is legal, and the induced decompositions;
 * :mod:`repro.asr.adaptive` — the section 7 self-tuning loop: the
   :class:`WorkloadRecorder` and the :class:`AdvisorLoop` that re-costs
   and re-materializes one ASR (:meth:`ASRManager.rematerialize`).
@@ -31,7 +32,7 @@ from repro.asr.decomposition import Decomposition
 from repro.asr.asr import AccessSupportRelation, StoredPartition
 from repro.asr.journal import ASRState, IntentJournal
 from repro.asr.manager import ASRManager
-from repro.asr.sharing import SharedASRBundle, SharedSegment, best_shared_design, shareable_segments
+from repro.asr.sharing import SharedSegment, best_shared_design, shareable_segments
 from repro.asr.adaptive import AdvisorLoop, WorkloadRecorder
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "IntentJournal",
     "ASRManager",
     "SharedSegment",
-    "SharedASRBundle",
     "shareable_segments",
     "best_shared_design",
     "WorkloadRecorder",

@@ -182,10 +182,6 @@ class StoredPartition:
         self._counts: Counter[tuple[Cell, ...]] = Counter()
         self.forward_tree = BPlusTree(self.tuples_per_page, self._fanout)
         self.backward_tree = BPlusTree(self.tuples_per_page, self._fanout)
-        #: True when this partition is physically shared between several
-        #: access support relations (section 5.4); reference counts then
-        #: aggregate witnesses from *all* sharers.
-        self.shared = False
 
     # ------------------------------------------------------------------
     # geometry / statistics
@@ -556,17 +552,6 @@ class AccessSupportRelation:
                 projected = partition.project(row)
                 if projected is not None:
                     expected_counts[projected] += 1
-            if partition.shared:
-                # Shared partitions aggregate witnesses from all sharers:
-                # this ASR's projections must be present, with at least
-                # this ASR's witness counts.
-                for row, count in expected_counts.items():
-                    assert partition._counts.get(row, 0) >= count, (
-                        "shared partition lost rows of this ASR"
-                    )
-                stored = {value for _, value in partition.forward_tree.items()}
-                assert set(expected_counts) <= stored, "shared forward tree drifted"
-                continue
             assert expected_counts == partition._counts, (
                 f"partition ({partition.first_column},{partition.last_column}) "
                 "reference counts drifted"

@@ -58,7 +58,6 @@ from __future__ import annotations
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Callable, Iterator
 
 from repro.asr.asr import AccessSupportRelation
@@ -127,11 +126,6 @@ class ASRManager:
         price asked for a path, not here.
     """
 
-    #: Bounded-retry default seeding the manager's
-    #: :class:`~repro.resilience.policy.RecoveryPolicy` (kept as a class
-    #: constant for callers that size their own retry ladders off it).
-    DEFAULT_MAX_RETRIES = 3
-
     def __init__(
         self,
         db: ObjectBase,
@@ -147,7 +141,7 @@ class ASRManager:
         #: The retry/backoff contract every recovery path follows —
         #: shared verbatim with ``repro doctor --repair`` and the
         #: :class:`~repro.resilience.healer.HealerLoop`.
-        self.policy = policy or RecoveryPolicy(max_retries=self.DEFAULT_MAX_RETRIES)
+        self.policy = policy or RecoveryPolicy()
         #: Seeded jitter source for the policy's backoff ladder.
         self._backoff_rng = random.Random(0)
         #: ``fn(asr, "quarantined"|"consistent")`` callbacks fired on
@@ -192,15 +186,6 @@ class ASRManager:
         it consistently with a planning decision.
         """
         return self._epoch
-
-    @property
-    def retry_backoff(self) -> float:
-        """Back-compat alias for ``policy.backoff_s`` (read and write)."""
-        return self.policy.backoff_s
-
-    @retry_backoff.setter
-    def retry_backoff(self, value: float) -> None:
-        self.policy = replace(self.policy, backoff_s=float(value))
 
     def add_state_listener(self, listener: Callable) -> None:
         """Subscribe to quarantine transitions of the managed ASRs.
@@ -759,17 +744,6 @@ class ASRManager:
         # Duck-typed registrants (e.g. the nested-index baseline) have no
         # partitions to reload selectively; they recover via rebuild().
         partitions = getattr(asr, "partitions", None)
-        with self.lock.write():
-            if partitions is not None and any(p.shared for p in partitions):
-                # A shared partition aggregates witnesses from *other*
-                # ASRs: reloading it wholesale from this ASR's extension
-                # would drop theirs.  Sharing is set up by
-                # repro.asr.sharing after the manager is out of the
-                # picture, so refuse loudly.
-                raise RecoveryError(
-                    f"cannot recover {asr.path} [{asr.extension.value}]: it "
-                    "has shared partitions; rebuild the sharing group instead"
-                )
         last_fault: InjectedFault | None = None
         for attempt in range(max(1, max_retries)):
             self._count("asr.recover.attempt")
@@ -943,11 +917,9 @@ class ASRManager:
             return "no access support relations registered"
         lines = [f"{len(self.asrs)} access support relation(s):"]
         for asr in self.asrs:
-            shared = sum(1 for p in asr.partitions if p.shared)
-            suffix = f", {shared} shared partition(s)" if shared else ""
             lines.append(
                 f"  {asr.path} [{asr.extension.value}, dec={asr.decomposition}]: "
                 f"{asr.tuple_count} tuples, {asr.total_pages} data pages, "
-                f"{asr.total_bytes} bytes{suffix}"
+                f"{asr.total_bytes} bytes"
             )
         return "\n".join(lines)

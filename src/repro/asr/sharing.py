@@ -16,7 +16,10 @@ surrounding path prefix/suffix exists.  Exceptions (also per the paper):
   sharing is also legal for **right**-complete extensions.
 
 This module detects maximal shareable overlaps and proposes the induced
-decompositions ``(0, i, i+j, n)`` / ``(0, i', i'+j, n')``.
+decompositions ``(0, i, i+j, n)`` / ``(0, i', i'+j, n')``.  It is
+analysis only: every materialized ASR stores and maintains its own
+partitions, and what sharing would save is the segment partition's
+Eq. 15 size (``StoredPartition.byte_size``).
 """
 
 from __future__ import annotations
@@ -35,7 +38,11 @@ class SharedSegment:
     The segment covers attributes ``A_{start_a+1} … A_{start_a+length}``
     of ``path_a`` and the analogous range of ``path_b``; the partitions
     over columns ``column_of(start) … column_of(start+length)`` of the two
-    ASRs are identical relations and can be stored once.
+    ASRs agree on every row carrying a hop of the segment.  Under the
+    full extension a border object that no segment hop touches still
+    enters a partition as a one-cell row (``(t, NULL, …, NULL)``) when
+    that path's own prefix or suffix reaches it, so those rows belong to
+    one path; the LEFT/RIGHT exceptions keep no such rows.
     """
 
     path_a: PathExpression
@@ -88,8 +95,8 @@ def shareable_segments(
 
     A sub-chain matches when the attribute hops agree exactly (same domain
     type, attribute name, range type, and set-occurrence shape), which
-    guarantees the auxiliary relations — and hence the partitions — are
-    the same relations.
+    guarantees the auxiliary relations are the same relations (and the
+    partitions agree as :class:`SharedSegment` states).
     """
     hops_a, hops_b = _hops(path_a), _hops(path_b)
     segments: list[SharedSegment] = []
@@ -120,144 +127,3 @@ def best_shared_design(
     if not segments:
         return None
     return max(segments, key=lambda segment: segment.length)
-
-
-# ----------------------------------------------------------------------
-# physical sharing: one stored partition, several access support relations
-# ----------------------------------------------------------------------
-
-
-class SharedASRBundle:
-    """Two ASRs physically sharing the partition over a common sub-chain.
-
-    Section 5.4's observation made executable: when two path expressions
-    traverse the same attribute hops, the partitions over the common
-    segment are the *same relation* (for the extensions
-    :meth:`SharedSegment.legal_extensions` allows), so one copy — one
-    pair of B+ trees — can serve both ASRs.
-
-    The shared :class:`~repro.asr.asr.StoredPartition` aggregates witness
-    reference counts from both extensions; each ASR's
-    :meth:`~repro.asr.asr.AccessSupportRelation.apply_delta` keeps it
-    maintained, and rows physically disappear only when *neither*
-    extension retains a witness.  Register both ASRs with one
-    :class:`~repro.asr.manager.ASRManager` to get automatic maintenance.
-    """
-
-    def __init__(self, asr_a, asr_b, segment: SharedSegment, view_a, view_b):
-        self.asr_a = asr_a
-        self.asr_b = asr_b
-        self.segment = segment
-        #: The two coordinate views over the one physical store; they
-        #: alias the same reference counts and B+ trees.
-        self.view_a = view_a
-        self.view_b = view_b
-
-    @property
-    def shared_partition(self):
-        """The physical store (path A's coordinate view of it)."""
-        return self.view_a
-
-    @classmethod
-    def build(
-        cls,
-        db,
-        path_a: PathExpression,
-        path_b: PathExpression,
-        extension: Extension = Extension.FULL,
-        segment: SharedSegment | None = None,
-        manager=None,
-    ) -> "SharedASRBundle":
-        """Materialize both ASRs with the common partition stored once.
-
-        When a :class:`~repro.asr.manager.ASRManager` is passed via
-        ``manager``, both ASRs are registered with it immediately, so
-        they participate in its (eager or batched) maintenance — the
-        shared partition's witness counts then aggregate deltas from
-        both sharers under whatever
-        :class:`~repro.context.ExecutionContext` the manager charges.
-        """
-        from collections import Counter
-
-        from repro.asr.asr import AccessSupportRelation
-        from repro.errors import DecompositionError
-
-        segment = segment or best_shared_design(path_a, path_b)
-        if segment is None:
-            raise DecompositionError("the two paths share no attribute sub-chain")
-        if extension not in segment.legal_extensions():
-            raise DecompositionError(
-                f"extension {extension.value!r} cannot share this segment "
-                f"(legal: {sorted(e.value for e in segment.legal_extensions())})"
-            )
-        asr_a = AccessSupportRelation.build(
-            db, path_a, extension, segment.decomposition_a()
-        )
-        asr_b = AccessSupportRelation.build(
-            db, path_b, extension, segment.decomposition_b()
-        )
-        column_a = path_a.column_of(segment.start_a)
-        column_b = path_b.column_of(segment.start_b)
-        partition_a = asr_a.partition_at(column_a)
-        partition_b = asr_b.partition_at(column_b)
-        rows_a = set(partition_a.rows())
-        rows_b = set(partition_b.rows())
-        assert rows_a == rows_b, (
-            "shared-segment projections differ; the segment is not shareable"
-        )
-        # One physical store: merge witness counts, load the trees once,
-        # then alias both partitions' storage to it.  Each partition keeps
-        # its own column coordinates (the same hops sit at different
-        # offsets in the two paths), so projection stays per-path while
-        # the counts and B+ trees are shared objects.
-        merged: Counter = Counter()
-        merged.update(partition_a._counts)
-        merged.update(partition_b._counts)
-        partition_a.bulk_load(list(merged.keys()))
-        partition_a._counts = merged
-        partition_b._counts = merged
-        partition_b.forward_tree = partition_a.forward_tree
-        partition_b.backward_tree = partition_a.backward_tree
-        partition_a.shared = True
-        partition_b.shared = True
-        bundle = cls(asr_a, asr_b, segment, partition_a, partition_b)
-        if manager is not None:
-            manager.register(asr_a)
-            manager.register(asr_b)
-        return bundle
-
-    # ------------------------------------------------------------------
-
-    @property
-    def bytes_saved(self) -> int:
-        """Storage avoided by keeping one copy instead of two."""
-        return self.shared_partition.byte_size
-
-    def consistency_check(self, db) -> None:
-        """Both extensions correct; shared counts = sum of both witness sets."""
-        from collections import Counter
-
-        from repro.asr.extensions import build_extension
-
-        self.asr_a.consistency_check(db)
-        self.asr_b.consistency_check(db)
-        expected: Counter = Counter()
-        for asr, view in ((self.asr_a, self.view_a), (self.asr_b, self.view_b)):
-            relation = build_extension(db, asr.path, asr.extension)
-            for row in relation.rows:
-                projected = view.project(row)
-                if projected is not None:
-                    expected[projected] += 1
-        assert expected == self.shared_partition._counts, (
-            "shared partition witness counts drifted"
-        )
-        stored = {v for _, v in self.shared_partition.forward_tree.items()}
-        assert stored == set(expected), "shared partition trees drifted"
-
-    def describe(self) -> str:
-        return (
-            f"paths {self.asr_a.path} and {self.asr_b.path} share "
-            f"{self.segment.length} hop(s); one partition of "
-            f"{self.shared_partition.tuple_count} tuples stored once "
-            f"({self.bytes_saved} bytes saved)"
-        )

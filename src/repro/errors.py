@@ -86,10 +86,8 @@ class RecoveryError(ReproError):
     """Crash recovery of an access support relation failed.
 
     Raised when :meth:`~repro.asr.manager.ASRManager.recover` exhausts
-    its bounded retries and the scoped-rebuild fallback also cannot
-    restore consistency — e.g. for a quarantined ASR whose partitions
-    are physically shared with other ASRs (the shared bundle must be
-    rebuilt as a whole instead).
+    its bounded retries and the rebuild fallback is disabled by the
+    policy or also faults.
     """
 
 

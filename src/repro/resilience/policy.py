@@ -1,12 +1,9 @@
 """The one retry/backoff contract every recovery path shares.
 
-Before this module, each healing path carried its own inline constants:
-``ASRManager.recover`` had ``DEFAULT_MAX_RETRIES``/``retry_backoff``
-class attributes, ``repro doctor --repair`` reused them implicitly, and
-a background healer would have grown a third copy.  A single frozen
-:class:`RecoveryPolicy` value is threaded through all three instead, so
-"how hard do we try before declaring an ASR dead" is one decision, made
-once, visible in one place.
+``ASRManager.recover``, ``repro doctor --repair`` and the background
+healer all follow a single frozen :class:`RecoveryPolicy` value
+(``ASRManager.policy``), so "how hard do we try before declaring an ASR
+dead" is one decision, made once, visible in one place.
 """
 
 from __future__ import annotations

@@ -193,6 +193,21 @@ class TestAccessSupportRelation:
         with pytest.raises(AssertionError, match="keys"):
             asr.consistency_check(db)
 
+    def test_consistency_check_catches_a_stale_row_in_any_partition(
+        self, company_world
+    ):
+        db, path, _o = company_world
+        for index in range(path.m):
+            asr = AccessSupportRelation.build(
+                db, path, Extension.FULL, Decomposition.binary(path.m)
+            )
+            partition = asr.partitions[index]
+            # A row no object derives: every partition is held to exact
+            # reference counts, so a superset of the true rows is caught.
+            partition.add_projection((OID(10**6), OID(10**6 + 1)))
+            with pytest.raises(AssertionError, match="reference counts drifted"):
+                asr.consistency_check(db)
+
     def test_total_bytes_and_pages(self, company_world):
         db, path, _o = company_world
         asr = AccessSupportRelation.build(

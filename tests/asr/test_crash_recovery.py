@@ -10,6 +10,7 @@ with a crash armed at every flush boundary, for all four extensions.
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.asr import ASRManager, ASRState, Decomposition, Extension
 from repro.context import ExecutionContext
-from repro.errors import InjectedFault, RecoveryError, SimulatedCrash
+from repro.errors import InjectedFault, SimulatedCrash
 from repro.faults import FaultInjector
 
 from tests.asr.test_batched_maintenance import apply_op, make_world, operations
@@ -193,28 +194,10 @@ class TestTransientFaults:
         injector.fault_at("asr.apply.mid-delta", times=1)
         db.set_insert(sets[0], parts[5])
         # Every replay attempt faults; the rebuild last resort heals.
-        injector.fault_at("asr.recover.replay", times=ASRManager.DEFAULT_MAX_RETRIES)
+        injector.fault_at("asr.recover.replay", times=manager.policy.max_retries)
         manager.recover()
         assert asr.state is ASRState.CONSISTENT
         assert manager.context.op_counts.get("asr.recover.rebuilt") == 1
-        manager.check_consistency()
-
-    def test_shared_partitions_refuse_recovery(self):
-        db, path, parts, sets, prods, injector, manager = managed_world()
-        asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
-        seed_rows(db, parts, sets, prods)
-        asr.partitions[0].shared = True
-        injector.fault_at("asr.apply.mid-delta", times=1)
-        # Auto-recovery sees the shared partition and refuses; the event
-        # completes with the ASR quarantined (degraded, not torn).
-        db.set_insert(sets[0], parts[5])
-        assert asr.quarantined
-        with pytest.raises(RecoveryError, match="shared partition"):
-            manager.recover(asr)
-        assert asr.quarantined
-        # Unshare: scoped recovery becomes possible again.
-        asr.partitions[0].shared = False
-        manager.recover(asr)
         manager.check_consistency()
 
     def test_probabilistic_write_faults_quarantine_not_tear(self):
@@ -259,7 +242,7 @@ class TestBackoffLockDiscipline:
         # Two transient replay faults force two backoff sleeps (0.25s,
         # then 0.5s) before the third attempt heals the ASR.
         injector.fault_at("asr.recover.replay", times=2)
-        manager.retry_backoff = 0.25
+        manager.policy = replace(manager.policy, backoff_s=0.25)
         worker = threading.Thread(target=manager.recover)
         worker.start()
         try:

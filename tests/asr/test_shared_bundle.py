@@ -1,11 +1,24 @@
-"""Physical sharing of partitions between ASRs (section 5.4 runtime)."""
+"""Section 5.4 over two private ASRs on the induced decompositions.
+
+Sharing is analysis only: each path keeps its own ASR, decomposed so
+the common sub-chain is one partition.  These tests check what a shared
+store would rely on — the two segment partitions hold the same rows, at
+build time and after every maintained update (under FULL, up to one-cell
+rows a path's own prefix contributes) — and what it would save (that
+partition's Eq. 15 size).
+"""
 
 import random
 
 import pytest
 
-from repro.asr import ASRManager, Extension, SharedASRBundle
-from repro.errors import DecompositionError
+from repro.asr import (
+    AccessSupportRelation,
+    ASRManager,
+    Extension,
+    best_shared_design,
+    shareable_segments,
+)
 from repro.gom import NULL, ObjectBase, PathExpression, Schema
 from repro.query import BackwardQuery, QueryEvaluator
 
@@ -43,67 +56,95 @@ def world():
     return db, path_a, path_b, makers, tools, arms
 
 
-class TestBuild:
-    def test_builds_with_shared_store(self, world):
-        db, path_a, path_b, *_ = world
-        bundle = SharedASRBundle.build(db, path_a, path_b, Extension.FULL)
-        assert bundle.view_a.forward_tree is bundle.view_b.forward_tree
-        assert bundle.view_a.backward_tree is bundle.view_b.backward_tree
-        assert bundle.view_a._counts is bundle.view_b._counts
-        assert bundle.view_a.shared and bundle.view_b.shared
-        # Views keep their own coordinates.
-        assert bundle.view_a.first_column == 2
-        assert bundle.view_b.first_column == 1
+def private_pair(db, path_a, path_b, extension=Extension.FULL):
+    """Both ASRs on the induced decompositions, plus their segment partitions."""
+    segment = best_shared_design(path_a, path_b)
+    asr_a = AccessSupportRelation.build(db, path_a, extension, segment.decomposition_a())
+    asr_b = AccessSupportRelation.build(db, path_b, extension, segment.decomposition_b())
+    return asr_a, asr_b, segment_partitions(segment, asr_a, asr_b)
 
+
+def segment_partitions(segment, asr_a, asr_b):
+    return (
+        asr_a.partition_at(asr_a.path.column_of(segment.start_a)),
+        asr_b.partition_at(asr_b.path.column_of(segment.start_b)),
+    )
+
+
+def same_relation(partition_a, partition_b) -> bool:
+    return set(partition_a.rows()) == set(partition_b.rows())
+
+
+class TestBuild:
     def test_bytes_saved_positive(self, world):
         db, path_a, path_b, *_ = world
-        bundle = SharedASRBundle.build(db, path_a, path_b)
-        assert bundle.bytes_saved > 0
-        assert "stored once" in bundle.describe()
+        _asr_a, _asr_b, (partition_a, partition_b) = private_pair(db, path_a, path_b)
+        assert same_relation(partition_a, partition_b)
+        # What one shared store would save: one copy's Eq. 15 size.
+        assert partition_a.byte_size == partition_b.byte_size > 0
 
     def test_illegal_extension_rejected(self, world):
         db, path_a, path_b, *_ = world
-        with pytest.raises(DecompositionError):
-            SharedASRBundle.build(db, path_a, path_b, Extension.CANONICAL)
-        with pytest.raises(DecompositionError):
-            SharedASRBundle.build(db, path_a, path_b, Extension.LEFT)
+        segment = best_shared_design(path_a, path_b)
+        assert Extension.CANONICAL not in segment.legal_extensions()
+        assert Extension.LEFT not in segment.legal_extensions()
+        # Why: a canonical partition holds only the hops of complete
+        # paths, and the two paths complete from different origins.
+        _asr_a, _asr_b, (partition_a, partition_b) = private_pair(
+            db, path_a, path_b, Extension.CANONICAL
+        )
+        assert not same_relation(partition_a, partition_b)
 
     def test_right_legal_for_common_suffix(self, world):
         db, path_a, path_b, *_ = world
-        bundle = SharedASRBundle.build(db, path_a, path_b, Extension.RIGHT)
-        bundle.consistency_check(db)
+        segment = best_shared_design(path_a, path_b)
+        assert Extension.RIGHT in segment.legal_extensions()
+        asr_a, asr_b, (partition_a, partition_b) = private_pair(
+            db, path_a, path_b, Extension.RIGHT
+        )
+        assert same_relation(partition_a, partition_b)
+        asr_a.consistency_check(db)
+        asr_b.consistency_check(db)
 
     def test_disjoint_paths_rejected(self, world):
         db, path_a, _path_b, *_ = world
         other = PathExpression.parse(db.schema, "ROBOT.Name")
-        with pytest.raises(DecompositionError):
-            SharedASRBundle.build(db, path_a, other)
+        assert shareable_segments(path_a, other) == []
+        assert best_shared_design(path_a, other) is None
 
 
 class TestQueriesAndMaintenance:
     def test_queries_through_both_views(self, world):
         db, path_a, path_b, *_ = world
-        bundle = SharedASRBundle.build(db, path_a, path_b)
+        asr_a, asr_b, _partitions = private_pair(db, path_a, path_b)
         evaluator = QueryEvaluator(db)
-        query_a = BackwardQuery(path_a, 0, path_a.n, target="Utopia")
-        query_b = BackwardQuery(path_b, 0, path_b.n, target="Utopia")
-        assert (
-            evaluator.evaluate_supported(query_a, bundle.asr_a).cells
-            == evaluator.evaluate_unsupported(query_a).cells
-        )
-        assert (
-            evaluator.evaluate_supported(query_b, bundle.asr_b).cells
-            == evaluator.evaluate_unsupported(query_b).cells
-        )
+        for path, asr in ((path_a, asr_a), (path_b, asr_b)):
+            for target in ("Utopia", "Sirius"):
+                query = BackwardQuery(path, 0, path.n, target=target)
+                assert (
+                    evaluator.evaluate_supported(query, asr).cells
+                    == evaluator.evaluate_unsupported(query).cells
+                )
 
     def test_maintained_under_update_stream(self, world):
         db, path_a, path_b, makers, tools, arms = world
-        bundle = SharedASRBundle.build(db, path_a, path_b)
+        segment = best_shared_design(path_a, path_b)
         manager = ASRManager(db)
-        manager.register(bundle.asr_a)
-        manager.register(bundle.asr_b)
+        full_a, full_b, _partitions = private_pair(db, path_a, path_b)
+        right_a, right_b, _partitions = private_pair(
+            db, path_a, path_b, Extension.RIGHT
+        )
+        for asr in (full_a, full_b, right_a, right_b):
+            manager.register(asr)
         rng = random.Random(9)
-        for _ in range(80):
+        per_path_rows = set()
+        for step in range(80):
+            if step == 40:
+                # The swap a retune goes through leaves the other path's
+                # partitions alone: each ASR owns its own.
+                full_a = manager.rematerialize(
+                    full_a, Extension.FULL, segment.decomposition_a()
+                )
             roll = rng.random()
             if roll < 0.35:
                 db.set_attr(rng.choice(tools), "ManufacturedBy", rng.choice(makers))
@@ -115,27 +156,25 @@ class TestQueriesAndMaintenance:
                 )
             else:
                 db.set_attr(rng.choice(arms), "MountedTool", rng.choice(tools))
-            bundle.consistency_check(db)
-
-    def test_shared_row_survives_while_either_side_needs_it(self, world):
-        db, path_a, path_b, makers, tools, arms = world
-        bundle = SharedASRBundle.build(db, path_a, path_b)
-        manager = ASRManager(db)
-        manager.register(bundle.asr_a)
-        manager.register(bundle.asr_b)
-        # Detach every arm from tools[0]; if any workcell still spares it,
-        # the (tool, maker, location) row must remain in the shared store.
-        spare_holders = [
-            cell
-            for cell in db.extent("WORKCELL")
-            if db.attr(cell, "SpareTool") == tools[0]
-        ]
-        for arm in arms:
-            if db.attr(arm, "MountedTool") == tools[0]:
-                db.set_attr(arm, "MountedTool", tools[1])
-        rows_with_tool0 = [
-            row for row in bundle.shared_partition.rows() if row[0] == tools[0]
-        ]
-        if spare_holders:
-            assert rows_with_tool0
-        bundle.consistency_check(db)
+            manager.check_consistency()
+            # Section 5.4's premise, under maintenance.  RIGHT keeps only
+            # rows reaching t_n, so the suffix partitions stay one relation.
+            assert same_relation(*segment_partitions(segment, right_a, right_b))
+            # FULL agrees on every row carrying a segment hop.  A tool
+            # whose ManufacturedBy is NULL still enters a path's segment
+            # partition as the one-cell row (tool, NULL, NULL) when that
+            # path's own prefix reaches it, so those rows are per path.
+            partition_a, partition_b = segment_partitions(segment, full_a, full_b)
+            for row in set(partition_a.rows()) ^ set(partition_b.rows()):
+                assert row[0] is not NULL
+                assert all(cell is NULL for cell in row[1:])
+                per_path_rows.add(row)
+        # The stream does reach that case: FULL is not exactly one relation.
+        assert per_path_rows
+        evaluator = QueryEvaluator(db)
+        for path, asr in ((path_a, full_a), (path_b, full_b)):
+            query = BackwardQuery(path, 0, path.n, target="Sirius")
+            assert (
+                evaluator.evaluate_supported(query, asr).cells
+                == evaluator.evaluate_unsupported(query).cells
+            )
