@@ -13,8 +13,8 @@ The subpackage provides:
 * :mod:`repro.asr.asr` — the stored form: partitions in two redundant
   B+ trees (section 5.2);
 * :mod:`repro.asr.maintenance` — incremental updates (section 6);
-* :mod:`repro.asr.journal` — crash-consistency states and write-ahead
-  intent journals;
+* :mod:`repro.asr.journal` — crash-consistency states (consistent,
+  applying, quarantined);
 * :mod:`repro.asr.manager` — keeps a family of ASRs consistent with an
   object base by subscribing to its change events;
 * :mod:`repro.asr.sharing` — the section 5.4 analysis of overlapping
@@ -30,7 +30,7 @@ from repro.asr.auxiliary import auxiliary_relations
 from repro.asr.extensions import Extension, build_extension
 from repro.asr.decomposition import Decomposition
 from repro.asr.asr import AccessSupportRelation, StoredPartition
-from repro.asr.journal import ASRState, IntentJournal
+from repro.asr.journal import ASRState
 from repro.asr.manager import ASRManager
 from repro.asr.sharing import SharedSegment, best_shared_design, shareable_segments
 from repro.asr.adaptive import AdvisorLoop, WorkloadRecorder
@@ -45,7 +45,6 @@ __all__ = [
     "AccessSupportRelation",
     "StoredPartition",
     "ASRState",
-    "IntentJournal",
     "ASRManager",
     "SharedSegment",
     "shareable_segments",

@@ -412,11 +412,15 @@ class AccessSupportRelation:
         A rebuild restores consistency unconditionally, so it also lifts
         any quarantine.
         """
-        self.extension_relation = build_extension(db, self.path, self.extension)
-        rows = self.extension_relation.rows
+        self.reload(build_extension(db, self.path, self.extension))
+        self.state = ASRState.CONSISTENT
+
+    def reload(self, relation: Relation) -> None:
+        """Adopt ``relation`` as the extension and reload every partition."""
+        self.extension_relation = relation
+        rows = relation.rows
         for partition in self.partitions:
             partition.load_from_extension(rows)
-        self.state = ASRState.CONSISTENT
 
     # ------------------------------------------------------------------
     # delta application (used by repro.asr.maintenance)

@@ -1,85 +1,41 @@
-"""Crash-consistency state machine and intent journals for stored ASRs.
+"""Crash-consistency states of stored ASRs.
 
-The batched flush pipeline (:mod:`repro.asr.manager`) applies one
-coalesced multi-page delta per ASR.  A failure mid-delta must never
-leave an ASR *silently* torn — a torn ASR returns wrong query results —
-so every delta application follows a write-ahead intent protocol:
+A failure mid-delta must never leave an ASR *silently* torn — a torn ASR
+returns wrong query results — so every delta application (eager or
+batched, :mod:`repro.asr.manager`) drives its ASR through a small state
+machine:
 
-1. the manager records an :class:`IntentJournal` (the coalesced dirty
-   region, the flush epoch, and the computed row delta) and marks the
-   ASR :attr:`ASRState.APPLYING`;
+1. the manager computes the row delta and marks the ASR
+   :attr:`ASRState.APPLYING` before any tree is touched;
 2. the delta is applied to the logical relation and the partition trees;
-3. the journal is deleted and the ASR returns to
-   :attr:`ASRState.CONSISTENT`.
+3. the ASR returns to :attr:`ASRState.CONSISTENT`.
 
 A crash or storage fault between 1 and 3 leaves the ASR
-:attr:`ASRState.QUARANTINED` with its journal intact: queries refuse to
-read it (the planner falls back to another decomposition or to
-unsupported evaluation) and :meth:`~repro.asr.manager.ASRManager.recover`
-replays the journal by recomputing the neighbourhood delta against the
-*current* object graph — idempotent by construction, because the
-recomputation derives the correct post-state rather than redoing
-possibly half-applied operations.
-
-Updates arriving while an ASR is quarantined are absorbed into its
-journal's dirty region (:meth:`IntentJournal.absorb`), so one recovery
-pass heals both the torn flush and everything that happened since.
+:attr:`ASRState.QUARANTINED`: queries refuse to read it (the planner
+falls back to another decomposition or to unsupported evaluation) and
+:meth:`~repro.asr.manager.ASRManager.recover` derives it again from the
+object base.  Nothing about the interrupted delta needs to be kept: an
+ASR is a function of the object base (Defs. 3.4-3.8), so the repair
+reads only the live graph, and updates arriving while an ASR is
+quarantined leave it alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.asr.maintenance import DirtyRegion, merge_regions
-from repro.gom.objects import Cell
-
-__all__ = ["ASRState", "IntentJournal"]
+__all__ = ["ASRState"]
 
 
 class ASRState(Enum):
     """Maintenance state of one access support relation."""
 
     #: The stored state equals what a from-scratch rebuild would produce
-    #: (up to pending-but-journalled work); queries may read it.
+    #: (up to pending batched work); queries may read it.
     CONSISTENT = "consistent"
-    #: A journalled delta is being applied right now.  Transient within
-    #: one flush; never observed by queries in single-threaded use.
+    #: A delta is being applied right now.  Transient within one flush;
+    #: never observed by queries in single-threaded use.
     APPLYING = "applying"
     #: A crash or fault interrupted a delta: the trees may be torn.
     #: Queries must not read the ASR until it is recovered or rebuilt.
     QUARANTINED = "quarantined"
-
-
-@dataclass(frozen=True)
-class IntentJournal:
-    """The write-ahead intent of one delta application.
-
-    ``region`` is sufficient for recovery (the neighbourhood recompute
-    re-derives the correct rows from the live graph); ``added`` and
-    ``removed`` record what the interrupted flush *intended* so that
-    diagnostics (``repro doctor``) can show the blast radius.
-    """
-
-    region: DirtyRegion
-    epoch: int
-    added: frozenset[tuple[Cell, ...]] = field(default_factory=frozenset)
-    removed: frozenset[tuple[Cell, ...]] = field(default_factory=frozenset)
-
-    def absorb(self, region: DirtyRegion) -> "IntentJournal":
-        """This journal widened to also cover ``region``.
-
-        Used while the ASR is quarantined: later updates merge their
-        dirty regions here instead of touching the torn trees, so
-        recovery replays everything at once.
-        """
-        return IntentJournal(
-            merge_regions(self.region, region), self.epoch, self.added, self.removed
-        )
-
-    def describe(self) -> str:
-        return (
-            f"epoch {self.epoch}: {len(self.region.anchors)} anchor(s), "
-            f"{len(self.region.dead)} dead OID(s), intent "
-            f"+{len(self.added)}/-{len(self.removed)} row(s)"
-        )

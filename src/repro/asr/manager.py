@@ -43,27 +43,26 @@ concurrent readers.  ``batch()`` blocks themselves are per-thread
 (open/close a batch from one thread at a time).
 
 **Crash consistency** (see :mod:`repro.asr.journal`): every delta —
-eager or batched — is applied under a write-ahead intent journal and
-drives the ASR through ``CONSISTENT → APPLYING → CONSISTENT``.  A
-:class:`~repro.errors.SimulatedCrash` or
+eager or batched — drives its ASR through ``CONSISTENT → APPLYING →
+CONSISTENT``.  A :class:`~repro.errors.SimulatedCrash` or
 :class:`~repro.errors.InjectedFault` mid-delta quarantines the ASR
-instead of leaving it silently torn; :meth:`recover` replays the journal
-by recomputing the neighbourhood against the current object graph (with
-bounded retry/backoff on transient faults, and a full rebuild as last
-resort), and :meth:`verify` is the ``repro doctor`` backend.
+instead of leaving it silently torn.  An ASR is a function of the
+object base (Defs. 3.4-3.8), so there is one repair: :meth:`recover`
+derives the extension again and reloads every partition, one attempt
+per call.  Retrying belongs to the callers (the
+:class:`~repro.resilience.healer.HealerLoop`, ``auto_recover``,
+:meth:`verify` — the ``repro doctor`` backend).
 """
 
 from __future__ import annotations
 
-import random
-import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterator
 
 from repro.asr.asr import AccessSupportRelation
 from repro.asr.decomposition import Decomposition
-from repro.asr.extensions import Extension
-from repro.asr.journal import ASRState, IntentJournal
+from repro.asr.extensions import Extension, build_extension
+from repro.asr.journal import ASRState
 from repro.asr.maintenance import (
     EMPTY_REGION,
     DirtyRegion,
@@ -84,7 +83,6 @@ from repro.faults import reach
 from repro.gom.database import ObjectBase
 from repro.gom.events import Event
 from repro.gom.paths import PathExpression
-from repro.resilience.policy import RecoveryPolicy
 
 
 class ASRManager:
@@ -103,10 +101,11 @@ class ASRManager:
         context's injector when a context is given.
     auto_recover:
         When True (default), a *transient* :class:`InjectedFault` during
-        a flush triggers an immediate in-place :meth:`recover` of the
-        affected ASR; when that also fails the ASR stays quarantined and
-        the flush continues degraded.  A :class:`SimulatedCrash` always
-        propagates — a dead process cannot self-heal.
+        a flush triggers one immediate in-place recovery attempt on the
+        affected ASR; when that also fails the ASR stays quarantined
+        (for the healer) and the flush continues degraded.  A
+        :class:`SimulatedCrash` always propagates — a dead process
+        cannot self-heal.
     metrics:
         Optional :class:`~repro.telemetry.registry.MetricsRegistry`.
         Defaults to the context's registry when a context is given.
@@ -133,17 +132,10 @@ class ASRManager:
         fault_injector=None,
         auto_recover: bool = True,
         metrics=None,
-        policy: RecoveryPolicy | None = None,
         costs: MeasuredCosts | None = None,
     ) -> None:
         self.db = db
         self.costs = costs if costs is not None else MeasuredCosts(db)
-        #: The retry/backoff contract every recovery path follows —
-        #: shared verbatim with ``repro doctor --repair`` and the
-        #: :class:`~repro.resilience.healer.HealerLoop`.
-        self.policy = policy or RecoveryPolicy()
-        #: Seeded jitter source for the policy's backoff ladder.
-        self._backoff_rng = random.Random(0)
         #: ``fn(asr, "quarantined"|"consistent")`` callbacks fired on
         #: every quarantine transition (see :meth:`add_state_listener`).
         self._state_listeners: list[Callable] = []
@@ -157,8 +149,6 @@ class ASRManager:
         #: Coalesced pending dirty regions, one per batched ASR
         #: (keyed by identity — ASRs are not hashable by value).
         self._pending: dict[int, tuple[AccessSupportRelation, DirtyRegion]] = {}
-        #: Outstanding intent journals, one per APPLYING/QUARANTINED ASR.
-        self._journals: dict[int, tuple[AccessSupportRelation, IntentJournal]] = {}
         #: Dirty regions accumulated for replacements building unlocked
         #: in :meth:`rematerialize`, keyed by the old ASR's identity.
         self._catchup: dict[int, DirtyRegion] = {}
@@ -177,8 +167,8 @@ class ASRManager:
     def epoch(self) -> int:
         """Monotone version number of the queryable ASR configuration.
 
-        Bumped by every journaled maintenance batch, real quarantine
-        transition, recovery rebuild, bulk-load rebuild, and ASR
+        Bumped by every maintenance batch, real quarantine transition
+        (recovery included), bulk-load rebuild, and ASR
         (de)registration — anything that can change which plan the
         planner would pick or which partitions a chosen plan may touch.
         Compiled-plan caches key on this value so a bump invalidates
@@ -237,7 +227,6 @@ class ASRManager:
                     "ASR is not registered with this manager"
                 ) from None
             self._pending.pop(id(asr), None)
-            self._journals.pop(id(asr), None)
             self._epoch += 1
 
     def replace(
@@ -250,7 +239,7 @@ class ASRManager:
         ever observe the gap where neither ASR is registered, and the
         configuration version moves by exactly **one** epoch bump — so
         compiled-plan caches invalidate once, not twice.  ``old``'s
-        pending regions and outstanding journal die with it; ``new`` is
+        pending regions die with it; ``new`` is
         adopted as consistent.  Raises :class:`ObjectBaseError` (and
         changes nothing) when ``old`` is not registered, which makes the
         caller's rollback trivial: build failures before this call leave
@@ -265,7 +254,6 @@ class ASRManager:
                 ) from None
             self.asrs[index] = new
             self._pending.pop(id(old), None)
-            self._journals.pop(id(old), None)
             self._epoch += 1
 
     def rematerialize(
@@ -281,7 +269,7 @@ class ASRManager:
         catch-up region, computed by :meth:`_on_event` for ``asr`` under
         the write lock the mutator holds — also while :meth:`suspended`.
         One exclusive section then applies the catch-up delta (the
-        recompute derives the correct post-state, as in :meth:`recover`)
+        recompute derives the correct post-state from the live graph)
         and swaps via :meth:`replace`: exactly one epoch bump.  ``asr``
         is never dropped before that, so any failure — the crash points
         ``asr.retune.build`` / ``asr.retune.register`` included — leaves
@@ -347,8 +335,8 @@ class ASRManager:
         open ``batch()`` block is applied (not dropped) and the batch's
         own exit then flushes nothing.  The manager is marked closed and
         unsubscribed even when the flush itself fails (e.g. an injected
-        crash) — the quarantine/journal state survives for
-        :meth:`recover`, but no further events are observed.
+        crash) — the quarantine survives for :meth:`recover`, but no
+        further events are observed.
         """
         if self._closed:
             return
@@ -436,22 +424,28 @@ class ASRManager:
         with self.lock.write():
             # The region must be computed *now*: it reads event-time
             # graph state, e.g. the members of a collection being
-            # detached.
+            # detached.  A quarantined ASR needs none (recovery derives
+            # it again from the object base) unless a catch-up for
+            # :meth:`rematerialize` is open.
             items = []
             for asr in self.asrs:
+                key = id(asr)
+                healthy = asr.state is ASRState.CONSISTENT
+                if not healthy and key not in self._catchup:
+                    continue
                 region = analyze_event(self.db, asr.path, event)
                 if not region:
                     continue
-                key = id(asr)
                 if key in self._catchup:
                     self._catchup[key] = merge_regions(self._catchup[key], region)
-                items.append((asr, region))
+                if healthy:
+                    items.append((asr, region))
             if not items or self._suspended:
                 return
             if self._batch_depth:
                 self._enqueue(items)
                 return
-            self._journaled_run(items, self.context, "asr.apply")
+            self._apply_regions(items, self.context, "asr.apply")
 
     def _enqueue(self, items) -> None:
         """Accumulate ``(asr, region)`` items without touching trees.
@@ -486,8 +480,8 @@ class ASRManager:
         applying tree deltas during unwind would race the very failure
         being propagated.  Instead each pending region is re-validated
         against the live graph — regions whose net delta is empty are
-        discarded, the rest quarantine their ASR with the region
-        journalled, to be healed by :meth:`recover`.
+        discarded, the rest quarantine their ASR, to be healed by
+        :meth:`recover`.
         """
         self._batch_depth += 1
         try:
@@ -533,7 +527,6 @@ class ASRManager:
         pending, self._pending = self._pending, {}
         for asr, region in pending.values():
             if asr.state is not ASRState.CONSISTENT:
-                self._absorb(asr, region)
                 continue
             try:
                 added, removed = neighbourhood_delta(
@@ -543,7 +536,7 @@ class ASRManager:
             except Exception:  # conservative: assume the region matters
                 stale = True
             if stale:
-                self._quarantine(asr, region)
+                self._mark_quarantined(asr)
                 self._count("asr.batch.aborted")
 
     def flush(self, context=None) -> int:
@@ -561,107 +554,87 @@ class ASRManager:
             target = context if context is not None else self.context
             if isinstance(target, ExecutionContext):
                 with target.operation("asr.flush") as scope:
-                    return self._journaled_run(pending.values(), scope, "asr.flush")
+                    return self._apply_regions(pending.values(), scope, "asr.flush")
             # A raw buffer scope (or None) is already a single scope.
-            return self._journaled_run(pending.values(), target, "asr.flush")
+            return self._apply_regions(pending.values(), target, "asr.flush")
 
     # ------------------------------------------------------------------
     # crash-consistent delta application
     # ------------------------------------------------------------------
 
-    def _journaled_run(self, items, scope, stage: str) -> int:
-        """Apply ``(asr, region)`` items under write-ahead intent journals.
+    def _apply_regions(self, items, scope, stage: str) -> int:
+        """Apply ``(asr, region)`` items, fencing each ASR while it is torn.
 
-        Phase 1 journals every intent before any tree is touched (so a
-        crash can never lose a region silently); phase 2 applies the
-        deltas, committing each journal on success.  Crash points
-        ``{stage}.journal`` / ``{stage}.mid-delta`` / ``{stage}.post-delta``
-        are consulted along the way.
+        Phase 1 computes every delta and marks its ASR APPLYING before
+        any tree is touched (so a crash can never leave one silently
+        torn); phase 2 applies the deltas, returning each ASR to
+        CONSISTENT on success.  Crash points ``{stage}.journal`` /
+        ``{stage}.mid-delta`` / ``{stage}.post-delta`` are consulted
+        along the way.
         """
         injector = self._injector()
         self._epoch += 1
-        journaled: list[tuple[AccessSupportRelation, IntentJournal]] = []
+        deltas = []
         for asr, region in items:
             if asr.state is not ASRState.CONSISTENT:
-                # Already quarantined: widen its journal for recover().
-                self._absorb(asr, region)
-                continue
+                continue  # quarantined: recovery derives it again
             added, removed = neighbourhood_delta(
                 self.db, asr.path, asr.extension, asr.extension_relation, region
             )
             if not added and not removed:
                 continue
-            journal = IntentJournal(
-                region, self._epoch, frozenset(added), frozenset(removed)
-            )
-            self._journals[id(asr)] = (asr, journal)
             asr.state = ASRState.APPLYING
-            journaled.append((asr, journal))
-        if not journaled:
+            # The trees take the rows in frozenset iteration order, which
+            # the pinned page counts depend on.
+            deltas.append((asr, frozenset(added), frozenset(removed)))
+        if not deltas:
             return 0
         try:
             reach(injector, f"{stage}.journal")
-            return self._apply_journaled(journaled, scope, injector, stage)
+            return self._apply_deltas(deltas, scope, injector, stage)
         except SimulatedCrash:
-            # The "process" died mid-flush: every intent not yet
-            # committed stays journalled and the ASR quarantined.
-            for asr, _journal in journaled:
+            # The "process" died mid-flush: every ASR not yet back to
+            # CONSISTENT is quarantined.
+            for asr, _added, _removed in deltas:
                 if asr.state is ASRState.APPLYING:
                     self._mark_quarantined(asr)
             raise
 
-    def _apply_journaled(self, journaled, scope, injector, stage: str) -> int:
+    def _apply_deltas(self, deltas, scope, injector, stage: str) -> int:
         changed = 0
-        for asr, journal in journaled:
+        for asr, added, removed in deltas:
             try:
-                asr.apply_delta((), journal.removed, scope)
+                asr.apply_delta((), removed, scope)
                 reach(injector, f"{stage}.mid-delta")
-                asr.apply_delta(journal.added, (), scope)
+                asr.apply_delta(added, (), scope)
                 reach(injector, f"{stage}.post-delta")
             except SimulatedCrash:
-                raise  # quarantined by _journaled_run
+                raise  # quarantined by _apply_regions
             except InjectedFault:
                 self._mark_quarantined(asr)
                 self._count(f"{stage}.fault")
-                if self.auto_recover:
-                    try:
-                        self._recover_one(asr, scope, injector, self.policy.max_retries)
-                    except (InjectedFault, RecoveryError):
-                        self._count(f"{stage}.quarantined")
-                    else:
-                        changed += len(journal.added) + len(journal.removed)
-                        self._note_rows(asr, journal, stage)
-                else:
+                if not self.auto_recover:
                     self._count(f"{stage}.quarantined")
+                    continue
+                try:
+                    self._recover_one(asr, injector)
+                except RecoveryError:
+                    self._count(f"{stage}.quarantined")
+                    continue
             else:
-                self._journals.pop(id(asr), None)
                 self._mark_consistent(asr)
-                changed += len(journal.added) + len(journal.removed)
-                self._note_rows(asr, journal, stage)
+            changed += len(added) + len(removed)
+            self._note_rows(asr, len(added) + len(removed), stage)
         return changed
 
-    def _note_rows(self, asr, journal, stage: str) -> None:
+    def _note_rows(self, asr, rows: int, stage: str) -> None:
         """Publish one applied delta's row count as a maintenance metric."""
         self._metric_inc(
             "asr.maintenance.rows",
-            len(journal.added) + len(journal.removed),
+            rows,
             extension=getattr(asr.extension, "value", str(asr.extension)),
             stage=stage,
         )
-
-    def _quarantine(self, asr: AccessSupportRelation, region: DirtyRegion) -> None:
-        """Quarantine ``asr`` with ``region`` journalled for recovery."""
-        key = id(asr)
-        if key in self._journals:
-            _, journal = self._journals[key]
-            self._journals[key] = (asr, journal.absorb(region))
-        else:
-            self._journals[key] = (asr, IntentJournal(region, self._epoch))
-        self._mark_quarantined(asr)
-
-    def _absorb(self, asr: AccessSupportRelation, region: DirtyRegion) -> None:
-        """Merge a quarantined ASR's new dirty region into its journal."""
-        self._quarantine(asr, region)
 
     # ------------------------------------------------------------------
     # recovery
@@ -672,169 +645,65 @@ class ASRManager:
         """The managed ASRs currently awaiting recovery."""
         return [asr for asr in self.asrs if asr.state is not ASRState.CONSISTENT]
 
-    def journal_for(self, asr: AccessSupportRelation) -> IntentJournal | None:
-        """The outstanding intent journal of ``asr``, if any."""
-        entry = self._journals.get(id(asr))
-        return entry[1] if entry is not None else None
+    def recover(self, asr: AccessSupportRelation | None = None, context=None) -> int:
+        """Heal quarantined ASRs, one attempt each; returns how many.
 
-    def recover(
-        self,
-        asr: AccessSupportRelation | None = None,
-        context=None,
-        max_retries: int | None = None,
-    ) -> int:
-        """Heal quarantined ASRs; returns how many were recovered.
-
-        For each quarantined ASR the journal is replayed by *recomputing*
-        the neighbourhood delta of the journalled dirty region against
-        the current object graph and healing the logical extension
-        relation, then reloading every partition wholesale from it — safe
-        for arbitrarily torn trees, and idempotent because the recompute
-        derives the correct post-state instead of redoing half-applied
-        operations.  Transient :class:`InjectedFault`\\ s are retried up
-        to ``max_retries`` times (default: the manager's
-        :class:`~repro.resilience.policy.RecoveryPolicy`), with the
-        policy's exponential backoff + seeded jitter between attempts.
-        When retries are exhausted a full
-        :meth:`~AccessSupportRelation.rebuild` is the last resort
-        (unless ``policy.rebuild_fallback`` is off); if even that
-        faults, :class:`RecoveryError` is raised and the ASR stays
-        quarantined.
+        An ASR is a function of the object base, so the one repair is to
+        derive it again: the extension is recomputed from the live graph
+        and every partition reloaded from it — safe for arbitrarily torn
+        trees, and idempotent.  Each attempt runs under one write hold
+        and reaches ``asr.recover.replay`` before the rows are derived
+        and ``asr.recover.reload`` before the partitions reload.  An
+        :class:`InjectedFault` raises :class:`RecoveryError` with the ASR
+        still quarantined; a :class:`SimulatedCrash` propagates as is.
+        Nothing here retries or sleeps: the
+        :class:`~repro.resilience.healer.HealerLoop` paces the retries.
 
         ``asr`` restricts recovery to one relation (it need not be
         quarantined — recovering a consistent ASR is a no-op).
-
-        **Lock discipline**: each retry *attempt* runs under the write
-        lock, but the backoff sleeps between attempts happen with the
-        lock released — readers keep making progress through the retry
-        ladder (planners route around the still-quarantined ASR), and a
-        saturating read stream cannot be stalled for the whole
-        exponential backoff total.  When recovery runs nested inside a
-        frame that already holds the write side (the auto-recover path
-        inside a flush, or ``verify(repair=True)``), the reentrant lock
-        stays held across the sleeps by the *outer* frames; that ladder
-        is capped at ``max_retries`` sleeps of ``policy.delay(k)``
-        seconds.
         """
         with self.lock.write():
-            targets = (
-                [asr]
-                if asr is not None
-                else [a for a in self.asrs if a.state is not ASRState.CONSISTENT]
-            )
+            targets = [asr] if asr is not None else self.asrs
             targets = [a for a in targets if a.state is not ASRState.CONSISTENT]
-        if not targets:
-            return 0
-        retries = self.policy.max_retries if max_retries is None else max_retries
-        injector = self._injector()
-        target = context if context is not None else self.context
-        recovered = 0
-        if isinstance(target, ExecutionContext):
-            with target.operation("asr.recover") as scope:
+            if not targets:
+                return 0
+            injector = self._injector()
+            target = context if context is not None else self.context
+            with (
+                target.operation("asr.recover")
+                if isinstance(target, ExecutionContext)
+                else nullcontext()
+            ):
                 for one in targets:
-                    self._recover_one(one, scope, injector, retries)
-                    recovered += 1
-        else:
-            for one in targets:
-                self._recover_one(one, target, injector, retries)
-                recovered += 1
-        return recovered
+                    self._recover_one(one, injector)
+            return len(targets)
 
-    def _recover_one(self, asr, scope, injector, max_retries: int) -> None:
-        # Duck-typed registrants (e.g. the nested-index baseline) have no
-        # partitions to reload selectively; they recover via rebuild().
-        partitions = getattr(asr, "partitions", None)
-        last_fault: InjectedFault | None = None
-        for attempt in range(max(1, max_retries)):
-            self._count("asr.recover.attempt")
-            delay = self.policy.delay(attempt, self._backoff_rng)
-            if delay:
-                # Backoff with the write lock released (unless an outer
-                # frame holds it reentrantly — see :meth:`recover`): the
-                # ASR stays quarantined while we sleep, so concurrent
-                # readers proceed and planners route around it.
-                time.sleep(delay)
-            with self.lock.write():
-                if asr.state is ASRState.CONSISTENT:
-                    # Another thread healed it during our backoff.
-                    self._count("asr.recover.ok")
-                    return
-                # Re-fetch per attempt: updates absorbed while the lock
-                # was released widen the journal we must replay.
-                journal = self.journal_for(asr)
-                try:
-                    reach(injector, "asr.recover.replay")
-                    if journal is not None and partitions is not None:
-                        added, removed = neighbourhood_delta(
-                            self.db,
-                            asr.path,
-                            asr.extension,
-                            asr.extension_relation,
-                            journal.region,
-                        )
-                        # Heal the logical relation only; the (possibly
-                        # torn) trees are replaced wholesale below.
-                        for row in removed:
-                            asr.extension_relation.discard(row)
-                        for row in added:
-                            asr.extension_relation.add(row)
-                    reach(injector, "asr.recover.reload")
-                    if partitions is None:
-                        asr.rebuild(self.db)
-                    else:
-                        rows = asr.extension_relation.rows
-                        for partition in partitions:
-                            partition.load_from_extension(rows)
-                except SimulatedCrash:
-                    self._mark_quarantined(asr)
-                    raise
-                except InjectedFault as fault:
-                    last_fault = fault
-                    self._mark_quarantined(asr)
-                    continue
-                else:
-                    self._journals.pop(id(asr), None)
-                    self._mark_consistent(asr)
-                    self._count("asr.recover.ok")
-                    return
-        # Retries exhausted: a from-scratch rebuild is the last resort.
-        if not self.policy.rebuild_fallback:
+    def _recover_one(self, asr, injector) -> None:
+        """One attempt: derive ``asr`` again from the object base."""
+        self._count("asr.recover.attempt")
+        try:
+            reach(injector, "asr.recover.replay")
+            relation = build_extension(self.db, asr.path, asr.extension)
+            reach(injector, "asr.recover.reload")
+            asr.reload(relation)
+        except SimulatedCrash:
+            self._mark_quarantined(asr)
+            raise
+        except InjectedFault as fault:
+            self._mark_quarantined(asr)
             raise RecoveryError(
-                f"recovery of {asr.path} [{asr.extension.value}] failed after "
-                f"{max_retries} replay attempt(s); rebuild fallback disabled "
-                "by policy"
-            ) from last_fault
-        with self.lock.write():
-            was_quarantined = asr.state is ASRState.QUARANTINED
-            try:
-                asr.rebuild(self.db)
-            except (InjectedFault, SimulatedCrash) as err:
-                self._mark_quarantined(asr)
-                raise RecoveryError(
-                    f"recovery of {asr.path} [{asr.extension.value}] failed "
-                    f"after {max_retries} replay attempt(s) and a rebuild "
-                    "attempt"
-                ) from err
-            self._epoch += 1
-            if was_quarantined:
-                # rebuild() reset the state itself; count the exit here.
-                self._metric_inc(
-                    "asr.quarantine.exited",
-                    extension=getattr(asr.extension, "value", str(asr.extension)),
-                )
-                self._notify_state(asr, "consistent")
-            self._journals.pop(id(asr), None)
-            self._count("asr.recover.rebuilt")
-            if last_fault is not None:
-                self._count("asr.recover.retries-exhausted")
+                f"recovery of {asr.path} [{asr.extension.value}] failed: {fault}"
+            ) from fault
+        self._mark_consistent(asr)
+        self._count("asr.recover.ok")
 
     def verify(self, repair: bool = False) -> dict:
         """Inspect (and optionally repair) every managed ASR.
 
         The backend of ``repro doctor``: returns a JSON-able report with
-        one entry per ASR (path, extension, state, outstanding journal)
-        plus headline counts.  With ``repair=True``, quarantined ASRs are
-        recovered in place and the report records the outcome per ASR.
+        one entry per ASR (path, extension, state) plus headline counts.
+        With ``repair=True``, each quarantined ASR gets one recovery
+        attempt in place and the report records the outcome per ASR.
         """
         guard = self.lock.write() if repair else self.lock.read()
         with guard:
@@ -846,15 +715,10 @@ class ASRManager:
                     "extension": asr.extension.value,
                     "state": asr.state.value,
                 }
-                journal = self.journal_for(asr)
-                if journal is not None:
-                    entry["journal"] = journal.describe()
                 if repair and asr.state is not ASRState.CONSISTENT:
                     try:
-                        self._recover_one(
-                            asr, None, self._injector(), self.policy.max_retries
-                        )
-                    except (RecoveryError, InjectedFault) as err:
+                        self._recover_one(asr, self._injector())
+                    except RecoveryError as err:
                         entry["repair"] = f"failed: {err}"
                         failed += 1
                     else:
@@ -897,9 +761,6 @@ class ASRManager:
                     self._epoch += 1
                     for asr in self.asrs:
                         asr.rebuild(self.db)
-                        # A rebuild restores consistency unconditionally, so
-                        # any outstanding journal is moot.
-                        self._journals.pop(id(asr), None)
 
     # ------------------------------------------------------------------
     # verification / inspection

@@ -45,7 +45,7 @@ class NestedAttributeIndex:
     Register with an :class:`~repro.asr.manager.ASRManager` to keep it
     maintained under updates; it deliberately mimics the ASR interface
     the manager relies on (``path``, ``extension``, ``extension_relation``,
-    ``apply_delta``, ``consistency_check``).
+    ``apply_delta``, ``reload``, ``consistency_check``).
     """
 
     def __init__(
@@ -71,9 +71,7 @@ class NestedAttributeIndex:
         self._counts: Counter[tuple[Cell, Cell]] = Counter()
         self.tree = BPlusTree(self.pairs_per_page, self._fanout)
         #: Crash-consistency state, mirrored from the ASR interface so
-        #: the manager's journal/quarantine machinery drives this index
-        #: too (recovery falls back to :meth:`rebuild` — there are no
-        #: partitions to reload selectively).
+        #: the manager's quarantine and recovery drive this index too.
         self.state = ASRState.CONSISTENT
 
     # ------------------------------------------------------------------
@@ -88,8 +86,13 @@ class NestedAttributeIndex:
 
     def rebuild(self, db: ObjectBase) -> None:
         """Recompute from scratch (initial load)."""
-        self.extension_relation = build_extension(db, self.path, Extension.CANONICAL)
-        self.extension_relation.index_cells()
+        self.reload(build_extension(db, self.path, Extension.CANONICAL))
+        self.state = ASRState.CONSISTENT
+
+    def reload(self, relation) -> None:
+        """Adopt ``relation`` as the canonical extension; rebuild the pairs."""
+        self.extension_relation = relation
+        relation.index_cells()
         counts: Counter[tuple[Cell, Cell]] = Counter()
         for row in self.extension_relation.rows:
             counts[(row[-1], row[0])] += 1
@@ -99,7 +102,6 @@ class NestedAttributeIndex:
             for value, anchor in counts
         )
         self.tree = BPlusTree.bulk_load(entries, self.pairs_per_page, self._fanout)
-        self.state = ASRState.CONSISTENT
 
     @property
     def quarantined(self) -> bool:

@@ -495,7 +495,7 @@ class ServingCore:
     :class:`~repro.resilience.ChaosController`) is struck once per
     dequeued operation; an operation its fault kills is a counted
     casualty (``chaos.casualties``), not an error — the ASR is
-    quarantined behind its journal and the healer picks it up.
+    quarantined and the healer picks it up.
     """
 
     def __init__(self, world: ServeWorld, record, chaos=None) -> None:

@@ -721,8 +721,6 @@ def _cmd_doctor(args, out) -> int:
     report = manager.verify(repair=args.repair)
     for entry in report["asrs"]:
         line = f"  {entry['path']} [{entry['extension']}]: {entry['state']}"
-        if "journal" in entry:
-            line += f" ({entry['journal']})"
         if "repair" in entry:
             line += f" -> {entry['repair']}"
         print(line, file=out)

@@ -1,7 +1,7 @@
 """Concurrency primitives: a readers-writer lock and a context pool.
 
 Everything built in the earlier layers — buffer scopes, execution
-contexts, the ASR manager's batch/journal pipeline — was single-threaded.
+contexts, the ASR manager's batch/delta pipeline — was single-threaded.
 This module supplies the two pieces that make the hot path safely
 concurrent:
 

@@ -65,8 +65,8 @@ class InjectedFault(StorageError):
     write (probabilistically, under a deterministic seed) or from a named
     fault point armed with :meth:`~repro.faults.FaultInjector.fault_at`.
     Transient by definition: retrying the operation may succeed, which is
-    what the bounded retry/backoff in
-    :meth:`~repro.asr.manager.ASRManager.recover` exercises.
+    what the paced retries of :class:`~repro.resilience.healer.HealerLoop`
+    exercise.
     """
 
 
@@ -76,8 +76,8 @@ class SimulatedCrash(ReproError):
     Unlike :class:`InjectedFault` this is *not* retryable: it models the
     process dying mid-operation, so it deliberately does not derive from
     :class:`StorageError` and must never be swallowed by retry loops.
-    Structures protected by an intent journal (the ASR flush pipeline)
-    are left quarantined and recoverable; the test harness catches the
+    Structures behind the ASR delta pipeline's APPLYING fence are left
+    quarantined and recoverable; the test harness catches the
     crash where a real system would restart.
     """
 
@@ -85,9 +85,9 @@ class SimulatedCrash(ReproError):
 class RecoveryError(ReproError):
     """Crash recovery of an access support relation failed.
 
-    Raised when :meth:`~repro.asr.manager.ASRManager.recover` exhausts
-    its bounded retries and the rebuild fallback is disabled by the
-    policy or also faults.
+    Raised when the one attempt of
+    :meth:`~repro.asr.manager.ASRManager.recover` faults; the ASR stays
+    quarantined, and retrying is the caller's business (the healer's).
     """
 
 

@@ -26,18 +26,18 @@ buffer scope it creates, or passed directly to an
 The crash-point names currently instrumented:
 
 ======================  ================================================
-``asr.flush.journal``    all intent journals of a flush are written,
-                         no tree has been touched yet
+``asr.flush.journal``    every delta of a flush is computed and its ASR
+                         marked APPLYING, no tree has been touched yet
 ``asr.flush.mid-delta``  one ASR's removed rows are applied, its added
                          rows are not — the canonical torn state
-``asr.flush.post-delta`` one ASR's delta is fully applied but its
-                         journal is not yet committed
+``asr.flush.post-delta`` one ASR's delta is fully applied but the ASR
+                         is not yet back to CONSISTENT
 ``asr.apply.*``          the same three stages on the eager (per-event)
                          maintenance path
-``asr.recover.replay``   a recovery attempt is about to recompute the
-                         journalled neighbourhood
-``asr.recover.reload``   recovery is about to reload the partitions
-                         from the healed logical relation
+``asr.recover.replay``   a recovery attempt is about to re-derive the
+                         extension from the object base
+``asr.recover.reload``   the extension is re-derived; recovery is about
+                         to reload every partition from it
 ``asr.retune.build``     ``ASRManager.rematerialize`` is about to
                          bulk-build a replacement ASR (old one still
                          serving)

@@ -10,8 +10,8 @@ production shape, still replayable from the seed.
 Strikes arm *named points* (``fault_at``/``crash_at``) rather than
 probabilistic page-fault rates on purpose: page-rate faults escape from
 arbitrary query evaluation and would kill client loops outright, whereas
-named maintenance/recovery points quarantine the ASR through the
-journalled pipeline — the failure mode this layer is built to heal.
+named maintenance points quarantine the ASR through the fenced delta
+pipeline — the failure mode this layer is built to heal.
 A struck point stays armed until some operation actually reaches it
 (e.g. an update driving ``asr.apply.mid-delta``), which is exactly how
 a latent storage fault behaves: armed now, observed at next touch.
@@ -32,13 +32,12 @@ from repro.faults import KNOWN_CRASH_POINTS, FaultInjector
 
 __all__ = ["ChaosConfig", "ChaosController", "parse_chaos_points"]
 
-#: Default strike targets: tear an apply mid-delta (quarantines the
-#: ASR) and trip the first replay of the recovery that follows (makes
-#: the healer's retry ladder do real work).
-DEFAULT_CHAOS_POINTS = (
-    ("asr.apply.mid-delta", "fault"),
-    ("asr.recover.replay", "fault"),
-)
+#: Default strike target: tear an apply mid-delta (quarantines the
+#: ASR for the healer).  A recovery-point strike costs a real healer
+#: attempt, and a storm re-arms faster than the healer sweeps, so one
+#: would exhaust its episode in well under a second: recovery storms
+#: are opt-in through ``--chaos-crash-points``.
+DEFAULT_CHAOS_POINTS = (("asr.apply.mid-delta", "fault"),)
 
 
 def parse_chaos_points(spec: str) -> tuple[tuple[str, str], ...]:

@@ -4,15 +4,15 @@ Before this module, a quarantined ASR waited for a human to run ``repro
 doctor --repair``.  :class:`HealerLoop` is that human, automated: a
 daemon thread sweeps the manager's quarantine set every ``interval``
 seconds and drives :meth:`~repro.asr.manager.ASRManager.recover` per
-ASR under the shared :class:`~repro.resilience.policy.RecoveryPolicy`.
+ASR under its :class:`~repro.resilience.policy.RecoveryPolicy`.
 It is a thread of its own because recovery is lock-bound CPU work that
 must not run on the serving core's event loop.
 
-Lock discipline is inherited from ``recover()`` itself: each replay
-attempt takes the manager's write lock, backoff sleeps happen with the
-lock released, and the healer's own episode pacing (the waits *between*
-``recover()`` invocations) runs entirely outside any lock — the healer
-never holds the write lock across a sleep.
+It is the only retry ladder: ``recover()`` makes exactly one attempt
+(re-derive the ASR from the object base) under one write hold and never
+sleeps, and the healer's episode pacing (the waits *between*
+``recover()`` invocations) runs entirely outside any lock — the write
+lock is never held across a sleep.
 
 Per quarantine *episode* (first observation of an ASR in quarantine
 until it leaves), the healer makes up to ``policy.episode_attempts``
@@ -75,7 +75,7 @@ class HealerLoop:
         time_fn=time.monotonic,
     ) -> None:
         self.manager = manager
-        self.policy = policy or getattr(manager, "policy", None) or RecoveryPolicy()
+        self.policy = policy or RecoveryPolicy()
         self.interval = max(0.005, interval)
         self.registry = registry
         self.breakers = breakers
@@ -114,8 +114,8 @@ class HealerLoop:
 
         The final sweep ignores episode pacing and give-up marks — at
         drain time (chaos already disarmed) every quarantined ASR gets
-        one more unthrottled chance, including the rebuild fallback, so
-        the daemon exits consistent whenever consistency is reachable.
+        one more unthrottled attempt, so the daemon exits consistent
+        whenever consistency is reachable.
         """
         self._stop.set()
         if self._thread is not None:
@@ -135,8 +135,8 @@ class HealerLoop:
 
         ``force`` ignores backoff pacing and give-up marks (the drain
         path).  Safe to call concurrently with the loop — episode state
-        is under the healer's own lock, and ``recover()`` brings its
-        own write-lock discipline.
+        is under the healer's own lock, and each ``recover()`` attempt
+        takes the manager's write lock for itself.
         """
         quarantined = list(self.manager.quarantined)
         now = self._time()

@@ -1,9 +1,10 @@
-"""The one retry/backoff contract every recovery path shares.
+"""The healer's pacing: how often, and how long, it retries a recovery.
 
-``ASRManager.recover``, ``repro doctor --repair`` and the background
-healer all follow a single frozen :class:`RecoveryPolicy` value
-(``ASRManager.policy``), so "how hard do we try before declaring an ASR
-dead" is one decision, made once, visible in one place.
+``ASRManager.recover`` makes one attempt per call and never sleeps, so
+the :class:`~repro.resilience.healer.HealerLoop` is the only retry
+ladder, and this frozen value is its whole configuration: "how hard do
+we try before declaring an ASR dead" is one decision, made once,
+visible in one place.
 """
 
 from __future__ import annotations
@@ -16,20 +17,15 @@ __all__ = ["RecoveryPolicy"]
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
-    """How persistently (and how politely) recovery retries.
+    """How persistently (and how politely) the healer retries.
 
-    Two nested retry ladders share this value.  *Inside* one
-    ``recover()`` call, :attr:`max_retries` journal replays run with
-    :meth:`delay` sleeps between them, then a full rebuild is the last
-    resort (:attr:`rebuild_fallback`).  *Above* that, the
-    :class:`~repro.resilience.healer.HealerLoop` re-invokes ``recover()``
-    up to :attr:`episode_attempts` times per quarantine episode, spacing
-    the invocations by the same :meth:`delay` ladder, before it gives
-    up and leaves the ASR for ``/healthz`` to report as hard-down.
+    The :class:`~repro.resilience.healer.HealerLoop` invokes
+    ``recover()`` (one attempt each) up to :attr:`episode_attempts`
+    times per quarantine episode, spacing the invocations by the
+    :meth:`delay` ladder, before it gives up and leaves the ASR for
+    ``/healthz`` to report as hard-down.
     """
 
-    #: Journal-replay attempts inside one ``recover()`` call.
-    max_retries: int = 3
     #: Base of the exponential backoff ladder, in seconds.  Zero keeps
     #: the simulator (and the test suite) fast while still counting
     #: attempts.
@@ -43,15 +39,11 @@ class RecoveryPolicy:
     jitter: float = 0.0
     #: Upper bound on any single delay, in seconds.
     max_delay_s: float = 30.0
-    #: Healer-level ``recover()`` invocations per quarantine episode
-    #: before the healer gives up on that ASR.
+    #: ``recover()`` attempts per quarantine episode before the healer
+    #: gives up on that ASR.
     episode_attempts: int = 5
-    #: Whether exhausted replays fall back to a from-scratch rebuild.
-    rebuild_fallback: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
         if self.backoff_s < 0.0:
             raise ValueError("backoff_s must be >= 0")
         if self.multiplier < 1.0:

@@ -83,7 +83,7 @@ saturating read stream can no longer park ``/healthz`` forever.
 
 The daemon carries the self-healing resilience layer of DESIGN §13
 (:mod:`repro.resilience`): a background :class:`HealerLoop` recovers
-quarantined ASRs under the shared :class:`RecoveryPolicy`, an optional
+quarantined ASRs paced by its :class:`RecoveryPolicy`, an optional
 :class:`ChaosController` (``--chaos-rate``) strikes the fault injector
 from the live op stream so that healing is continuously exercised,
 per-ASR circuit breakers route queries to the degraded GOM-traversal
@@ -164,8 +164,7 @@ class ServerConfig:
     #: Newest operation samples kept for the final latency table (the
     #: registry histograms cover *every* operation regardless).
     max_samples: int = 10_000
-    #: The retry/backoff contract applied to the world's ASR manager
-    #: and the healer (see :mod:`repro.resilience.policy`).
+    #: The healer's retry pacing (see :mod:`repro.resilience.policy`).
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     #: Run a background :class:`~repro.resilience.healer.HealerLoop`
     #: that recovers quarantined ASRs without an operator.
@@ -280,11 +279,10 @@ class ServeDaemon:
         return self
 
     def _wire_resilience(self) -> None:
-        """Apply the recovery policy; arm chaos; launch the healer."""
+        """Arm chaos; launch the healer under the recovery policy."""
         config = self.config
         manager = self.world.manager
         registry = self.world.registry
-        manager.policy = config.recovery
         if config.chaos is not None and config.chaos.enabled:
             # Chaos arms *named* maintenance/recovery points on a
             # dedicated injector — not page-level fault rates, which
@@ -363,14 +361,14 @@ class ServeDaemon:
         → stop admitting ops → quiesce the serving core (the admission
         loop stops, every already-queued operation completes, the loop
         and executor wind down, and the executor threads' contexts
-        retire) → stop the
-        healer with one final forced sweep (chaos is gone, so every
-        reachable recovery succeeds — rebuild fallback included) → join
-        the publisher → flush the manager's batched maintenance queues →
-        verify consistency (skipped, and recorded as a drain error, for
-        any ASR still quarantined) → close the manager and retire every
-        pool context → final drift publication and accounting check →
-        write the report → stop the HTTP endpoint.  Idempotent.
+        retire) → stop the healer with one final forced sweep (chaos
+        is gone, so one attempt per quarantined ASR re-derives it from
+        the object base) → join the publisher → flush the manager's
+        batched maintenance queues → verify consistency (skipped, and
+        recorded as a drain error, for any ASR still quarantined) →
+        close the manager and retire every pool context → final drift
+        publication and accounting check → write the report → stop the
+        HTTP endpoint.  Idempotent.
         """
         if self._report is not None:
             return self._report

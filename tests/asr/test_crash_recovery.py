@@ -10,7 +10,6 @@ with a crash armed at every flush boundary, for all four extensions.
 
 import threading
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +17,9 @@ from hypothesis import strategies as st
 
 from repro.asr import ASRManager, ASRState, Decomposition, Extension
 from repro.context import ExecutionContext
-from repro.errors import InjectedFault, SimulatedCrash
+from repro.errors import InjectedFault, RecoveryError, SimulatedCrash
 from repro.faults import FaultInjector
+from repro.resilience import HealerLoop, RecoveryPolicy
 
 from tests.asr.test_batched_maintenance import apply_op, make_world, operations
 from tests.asr.test_maintenance import assert_index_matches_scan
@@ -53,11 +53,9 @@ class TestCrashPoints:
             with manager.batch():
                 db.set_insert(sets[0], parts[5])
                 db.set_remove(sets[1], parts[1])
-        assert asr.quarantined
-        assert manager.journal_for(asr) is not None
+        assert asr.state is ASRState.QUARANTINED
         assert manager.recover() == 1
         assert asr.state is ASRState.CONSISTENT
-        assert manager.journal_for(asr) is None
         manager.check_consistency()
 
     @pytest.mark.parametrize("point", APPLY_POINTS)
@@ -91,8 +89,8 @@ class TestCrashPoints:
 
     @pytest.mark.parametrize("point", ("asr.flush.journal", "asr.flush.mid-delta"))
     def test_recovery_heals_the_by_cell_index(self, point):
-        # recover() heals the logical relation row by row (add/discard)
-        # before it reloads the partitions: the index must follow.
+        # recover() swaps in a freshly derived logical relation: its
+        # by-cell index must describe the new rows, not the torn ones.
         db, path, parts, sets, prods, injector, manager = managed_world()
         asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
         seed_rows(db, parts, sets, prods)
@@ -101,7 +99,7 @@ class TestCrashPoints:
             with manager.batch():
                 db.set_insert(sets[0], parts[5])
                 db.set_remove(sets[1], parts[1])
-        db.set_attr(prods[2], "Parts", sets[0])  # absorbed while quarantined
+        db.set_attr(prods[2], "Parts", sets[0])  # lands while quarantined
         before = asr.extension_relation.rows
         assert manager.recover() == 1
         assert asr.extension_relation.rows != before
@@ -128,15 +126,14 @@ class TestCrashPoints:
         injector.crash_at("asr.apply.mid-delta")
         with pytest.raises(SimulatedCrash):
             db.set_insert(sets[0], parts[5])
-        journal_before = manager.journal_for(asr)
-        # Keep updating while quarantined: regions widen the journal
-        # instead of touching the torn trees.
+        torn = set(asr.extension_relation.rows)
+        # Keep updating while quarantined: the torn ASR is left alone
+        # (no region is computed, no delta applied) ...
         db.set_insert(sets[1], parts[4])
         db.set_remove(sets[2], parts[2])
-        assert asr.quarantined
-        journal_after = manager.journal_for(asr)
-        assert journal_after.region.anchors >= journal_before.region.anchors
-        manager.recover()  # one pass heals the tear and everything since
+        assert asr.state is ASRState.QUARANTINED
+        assert set(asr.extension_relation.rows) == torn
+        manager.recover()  # ... and one pass heals the tear and everything since
         manager.check_consistency()
 
 
@@ -177,8 +174,13 @@ class TestTransientFaults:
         injector.fault_at("asr.apply.mid-delta", times=1)
         db.set_insert(sets[0], parts[5])
         assert asr.quarantined
-        # Two transient faults, three attempts allowed: the third wins.
+        # Two transient faults: each recover() is one attempt, so the
+        # first two raise and the third heals.
         injector.fault_at("asr.recover.replay", times=2)
+        for _ in range(2):
+            with pytest.raises(RecoveryError):
+                manager.recover()
+            assert asr.state is ASRState.QUARANTINED
         assert manager.recover() == 1
         assert asr.state is ASRState.CONSISTENT
         assert manager.context.op_counts["asr.recover.attempt"] == 3
@@ -193,12 +195,37 @@ class TestTransientFaults:
         seed_rows(db, parts, sets, prods)
         injector.fault_at("asr.apply.mid-delta", times=1)
         db.set_insert(sets[0], parts[5])
-        # Every replay attempt faults; the rebuild last resort heals.
-        injector.fault_at("asr.recover.replay", times=manager.policy.max_retries)
-        manager.recover()
+        # While every attempt faults there is no second repair to fall
+        # back to: the ASR stays quarantined, attempt after attempt.
+        injector.fault_at("asr.recover.replay", times=3)
+        for _ in range(3):
+            with pytest.raises(RecoveryError):
+                manager.recover()
+            assert asr.state is ASRState.QUARANTINED
+        assert "asr.recover.ok" not in manager.context.op_counts
+        # Once the fault clears, the one repair (derive it again) heals.
+        assert manager.recover() == 1
         assert asr.state is ASRState.CONSISTENT
-        assert manager.context.op_counts.get("asr.recover.rebuilt") == 1
+        assert manager.context.op_counts["asr.recover.attempt"] == 4
+        assert manager.context.op_counts["asr.recover.ok"] == 1
         manager.check_consistency()
+
+    def test_reload_fault_raises_after_one_attempt(self):
+        db, path, parts, sets, prods, injector, manager = managed_world(
+            auto_recover=False
+        )
+        manager.context = ExecutionContext()
+        asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
+        seed_rows(db, parts, sets, prods)
+        injector.fault_at("asr.apply.mid-delta", times=1)
+        db.set_insert(sets[0], parts[5])
+        assert asr.quarantined
+        injector.fault_at("asr.recover.reload", times=1000)
+        with pytest.raises(RecoveryError):
+            manager.recover()
+        assert manager.context.op_counts["asr.recover.attempt"] == 1
+        assert injector.hits["asr.recover.reload"] == 1
+        assert asr.state is ASRState.QUARANTINED
 
     def test_probabilistic_write_faults_quarantine_not_tear(self):
         db, path, parts, sets, prods, injector, manager = managed_world(
@@ -222,13 +249,12 @@ class TestTransientFaults:
 
 class TestBackoffLockDiscipline:
     def test_reader_progresses_during_recovery_backoff(self):
-        """The retry ladder's sleeps release the write lock for readers.
+        """The healer's backoff between attempts holds no lock.
 
-        Regression test: ``_recover_one`` used to sleep its exponential
-        backoff *inside* the manager's exclusive lock, stalling every
-        reader for the whole ladder.  Now each attempt takes the lock
-        individually and the sleeps run unlocked, so a concurrent reader
-        acquires the read side promptly while recovery is backing off.
+        ``recover()`` is one attempt under one write hold; the waits
+        between attempts belong to the healer and run unlocked.  So
+        while the healer paces a failing ASR, a concurrent reader
+        acquires the read side promptly.
         """
         db, path, parts, sets, prods, injector, manager = managed_world(
             auto_recover=False
@@ -239,25 +265,23 @@ class TestBackoffLockDiscipline:
         injector.fault_at("asr.apply.mid-delta", times=1)
         db.set_insert(sets[0], parts[5])
         assert asr.quarantined
-        # Two transient replay faults force two backoff sleeps (0.25s,
-        # then 0.5s) before the third attempt heals the ASR.
+        # Two transient replay faults: the healer waits 0.25s, then
+        # 0.5s, before its third attempt heals the ASR.
         injector.fault_at("asr.recover.replay", times=2)
-        manager.policy = replace(manager.policy, backoff_s=0.25)
-        worker = threading.Thread(target=manager.recover)
-        worker.start()
+        healer = HealerLoop(
+            manager, policy=RecoveryPolicy(backoff_s=0.25), interval=0.01
+        ).start()
         try:
             deadline = time.monotonic() + 5.0
             while injector.hits.get("asr.recover.replay", 0) < 1:
                 if time.monotonic() > deadline:
                     pytest.fail("recovery never reached its first attempt")
                 time.sleep(0.005)
-            # From here the recovery thread is in its backoff ladder
-            # (~0.75s of sleeping total).  Readers must get through far
-            # faster than any single backoff step: with the old
-            # hold-the-lock-while-sleeping behaviour this acquisition
-            # blocked for the remainder of the whole ladder.
+            # From here the healer is pacing (~0.75s of waiting in
+            # total).  Readers must get through far faster than any
+            # single backoff step.
             acquisitions = 0
-            while worker.is_alive() and acquisitions < 3:
+            while asr.quarantined and acquisitions < 3:
                 t0 = time.monotonic()
                 with manager.lock.read():
                     acquired_in = time.monotonic() - t0
@@ -267,10 +291,14 @@ class TestBackoffLockDiscipline:
                 acquisitions += 1
                 time.sleep(0.01)
             assert acquisitions >= 1
+            while asr.quarantined:
+                if time.monotonic() > deadline:
+                    pytest.fail("the healer never healed the ASR")
+                time.sleep(0.005)
         finally:
-            worker.join(timeout=10.0)
-        assert not worker.is_alive()
+            healer.stop(final_sweep=False)
         assert asr.state is ASRState.CONSISTENT
+        assert healer.failures == 2
         assert manager.context.op_counts["asr.recover.attempt"] == 3
         manager.check_consistency()
 

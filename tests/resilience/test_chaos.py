@@ -117,8 +117,5 @@ class TestController:
         chaos.on_operation()
         description = chaos.describe()
         assert description["strikes"] == 1
-        assert description["points"] == [
-            "asr.apply.mid-delta:fault",
-            "asr.recover.replay:fault",
-        ]
+        assert description["points"] == ["asr.apply.mid-delta:fault"]
         assert isinstance(description["armed_now"], list)

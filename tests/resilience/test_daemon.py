@@ -132,13 +132,11 @@ class TestHealthzTiers:
         assert wait_until(lambda: bool(manager.quarantined), timeout=20.0)
 
     def test_healing_quarantine_keeps_200_with_detail(self, tmp_path):
-        # The healer is retrying but cannot win (replay faults forever,
-        # no rebuild): actively-healing quarantine is 200, with detail.
+        # The healer is retrying but cannot win (every attempt faults):
+        # actively-healing quarantine is 200, with detail.
         config = tiny_config(
             tmp_path,
-            recovery=RecoveryPolicy(
-                episode_attempts=10_000, rebuild_fallback=False
-            ),
+            recovery=RecoveryPolicy(episode_attempts=10_000),
             healer_interval=0.01,
         )
         daemon = ServeDaemon(config).start()
@@ -152,7 +150,6 @@ class TestHealthzTiers:
             assert payload["healer"]["retrying"] == payload["healing"]
         finally:
             daemon.world.manager.fault_injector.disarm()
-            daemon.world.manager.policy = RecoveryPolicy()
             daemon.shutdown()
 
     def test_hard_down_quarantine_is_503(self, tmp_path):

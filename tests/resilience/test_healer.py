@@ -34,6 +34,23 @@ class TestSweep:
         assert healer.failures == 0
         manager.check_consistency()
 
+    def test_a_recovery_fault_costs_one_healer_attempt(self):
+        # recover() makes one attempt: a fault it hits is the healer's
+        # failure to count and retry, not something absorbed inside.
+        db, path, parts, sets, prods, injector, manager = managed_world()
+        manager.create(path, Extension.FULL, Decomposition.binary(path.m))
+        seed_rows(db, parts, sets, prods)
+        asr = quarantine(db, parts, sets, injector, manager)
+        injector.fault_at("asr.recover.replay", times=1)
+        healer = HealerLoop(manager)
+        assert healer.sweep() == 0
+        assert healer.failures == 1
+        assert asr.state is ASRState.QUARANTINED
+        assert healer.sweep() == 1
+        assert asr.state is ASRState.CONSISTENT
+        assert healer.failures == 1
+        manager.check_consistency()
+
     def test_sweep_with_nothing_quarantined_is_a_noop(self):
         db, path, parts, sets, prods, injector, manager = managed_world()
         manager.create(path, Extension.FULL)
@@ -44,13 +61,10 @@ class TestSweep:
         manager.create(path, Extension.FULL)
         seed_rows(db, parts, sets, prods)
         asr = quarantine(db, parts, sets, injector, manager)
-        # Every replay retry inside recover() hits the armed fault, and
-        # without the rebuild fallback recover() raises — so each sweep
-        # is one failed episode attempt.
-        policy = RecoveryPolicy(episode_attempts=2, rebuild_fallback=False)
-        manager.policy = policy  # recover() itself must not rebuild
+        # Every recover() attempt hits the armed fault: each sweep is
+        # one failed episode attempt.
         injector.fault_at("asr.recover.replay", times=1000)
-        healer = HealerLoop(manager, policy=policy)
+        healer = HealerLoop(manager, policy=RecoveryPolicy(episode_attempts=2))
         assert healer.sweep() == 0
         assert healer.failures == 1
         assert healer.describe()["retrying"] == [str(asr.path)]
@@ -61,20 +75,16 @@ class TestSweep:
 
     def test_forced_sweep_ignores_give_up_and_heals(self):
         # The drain path: chaos is disarmed, so the final forced sweep
-        # (rebuild fallback included) reaches consistency.
+        # reaches consistency.
         db, path, parts, sets, prods, injector, manager = managed_world()
         manager.create(path, Extension.FULL)
         seed_rows(db, parts, sets, prods)
         asr = quarantine(db, parts, sets, injector, manager)
-        policy = RecoveryPolicy(episode_attempts=1, rebuild_fallback=False)
-        manager.policy = policy
         injector.fault_at("asr.recover.replay", times=1000)
-        healer = HealerLoop(manager, policy=policy)
+        healer = HealerLoop(manager, policy=RecoveryPolicy(episode_attempts=1))
         healer.sweep()
         assert healer.describe()["gave_up"]
         injector.disarm()
-        healer.policy = RecoveryPolicy()  # drain runs under the real policy
-        manager.policy = RecoveryPolicy()
         assert healer.sweep(force=True) == 1
         assert asr.state is ASRState.CONSISTENT
 
@@ -84,13 +94,7 @@ class TestSweep:
         seed_rows(db, parts, sets, prods)
         quarantine(db, parts, sets, injector, manager)
         injector.fault_at("asr.recover.replay", times=1000)
-        policy = RecoveryPolicy(
-            backoff_s=30.0, episode_attempts=5, rebuild_fallback=False
-        )
-        # Pacing lives in the healer; failing recoveries need the
-        # manager to share the no-rebuild policy — but zero backoff
-        # there, or recover()'s internal retries sleep for minutes.
-        manager.policy = RecoveryPolicy(rebuild_fallback=False)
+        policy = RecoveryPolicy(backoff_s=30.0, episode_attempts=5)
         healer = HealerLoop(manager, policy=policy)
         healer.sweep()
         assert healer.failures == 1
@@ -104,12 +108,7 @@ class TestSweep:
         asr = quarantine(db, parts, sets, injector, manager)
         board = BreakerBoard(threshold=10)
         injector.fault_at("asr.recover.replay", times=1000)
-        manager.policy = RecoveryPolicy(rebuild_fallback=False)
-        healer = HealerLoop(
-            manager,
-            policy=RecoveryPolicy(rebuild_fallback=False),
-            breakers=board,
-        )
+        healer = HealerLoop(manager, breakers=board)
         healer.sweep()
         assert board.breaker_for(asr).failures == 1
 

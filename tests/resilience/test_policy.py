@@ -59,7 +59,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_retries": 0},
+            {"multiplier": 0.0},
             {"backoff_s": -0.1},
             {"multiplier": 0.5},
             {"jitter": 1.0},
@@ -75,4 +75,4 @@ class TestValidation:
     def test_frozen(self):
         policy = RecoveryPolicy()
         with pytest.raises(AttributeError):
-            policy.max_retries = 9
+            policy.episode_attempts = 9
