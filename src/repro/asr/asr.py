@@ -16,6 +16,10 @@ incremental maintenance (:mod:`repro.asr.maintenance`) exact.
 Each tree entry is keyed ``(prefix, tie-break)`` (:func:`tree_keys`):
 the clustering cell's :func:`cell_key`, then the whole row's flat
 :func:`row_key` — one tuple per row, shared by its two keys.
+
+A supported query reads the partitions along an :class:`AccessPath`:
+the Eq. 33/34 steps of its shape ``(i, j, direction)``, decided once per
+ASR (:meth:`AccessSupportRelation.access_path`) and run as one loop.
 """
 
 from __future__ import annotations
@@ -24,14 +28,14 @@ import logging
 from collections import Counter
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.asr.decomposition import Decomposition
 from repro.asr.extensions import Extension, build_extension
 from repro.asr.journal import ASRState
 from repro.asr.relation import Relation
 from repro.context import resolve_buffer
-from repro.errors import RelationError, StorageError
+from repro.errors import QueryError, RelationError, StorageError
 from repro.gom.database import ObjectBase
 from repro.gom.objects import OID, Cell
 from repro.gom.paths import PathExpression
@@ -151,6 +155,12 @@ def _concatenated(slices) -> list:
     for _keys, values in slices:
         rows += values
     return rows
+
+
+def _prefix_scan(tree: BPlusTree, cell: Cell, buffer) -> list[tuple[Cell, ...]]:
+    """The rows ``tree`` clusters under ``cell`` (one descent, its leaves)."""
+    lo, hi = prefix_bounds(cell)
+    return _concatenated(tree.leaf_slices(lo, hi, buffer))
 
 
 class StoredPartition:
@@ -292,11 +302,11 @@ class StoredPartition:
 
     def lookup_forward(self, cell: Cell, context=None) -> list[tuple[Cell, ...]]:
         """All rows whose first column equals ``cell`` (forward clustering)."""
-        return self._prefix_scan(self.forward_tree, cell, resolve_buffer(context))
+        return _prefix_scan(self.forward_tree, cell, resolve_buffer(context))
 
     def lookup_backward(self, cell: Cell, context=None) -> list[tuple[Cell, ...]]:
         """All rows whose last column equals ``cell`` (backward clustering)."""
-        return self._prefix_scan(self.backward_tree, cell, resolve_buffer(context))
+        return _prefix_scan(self.backward_tree, cell, resolve_buffer(context))
 
     def lookup_backward_range(self, lo: Cell, hi: Cell, context=None) -> list[tuple[Cell, ...]]:
         """Rows whose last column lies in ``[lo, hi)`` (value clustering).
@@ -316,11 +326,6 @@ class StoredPartition:
             )
         )
 
-    @staticmethod
-    def _prefix_scan(tree: BPlusTree, cell: Cell, buffer) -> list[tuple[Cell, ...]]:
-        lo, hi = prefix_bounds(cell)
-        return _concatenated(tree.leaf_slices(lo, hi, buffer))
-
     def scan(self, context=None) -> list[tuple[Cell, ...]]:
         """Read every row, charging all data pages (exhaustive inspection)."""
         return _concatenated(
@@ -337,16 +342,81 @@ class StoredPartition:
         and charged exactly as :meth:`scan` charges it (the second sum
         of Eqs. 33/34).  Membership is decided a page at a time, by one
         set test of ``cells`` against the leaf's cached column set
-        (:meth:`BPlusTree.column_slices`) — rows are only looked at on
+        (:meth:`BPlusTree.column_probe`) — rows are only looked at on
         the pages that hold a match.
         """
-        rows: list = []
-        for values, column in self.forward_tree.column_slices(
-            offset, resolve_buffer(context)
-        ):
-            if not cells.isdisjoint(column):
-                rows += [row for row in values if row[offset] in cells]
-        return rows
+        return self.forward_tree.column_probe(offset, cells, context)
+
+
+#: How an :class:`AccessStep` enters its partition (Eqs. 33/34): prefix
+#: lookups of the frontier in one clustering, one probe of every page
+#: when the query's endpoint lies strictly inside the partition, or —
+#: the terminal partition of a value-range query — one range scan of
+#: the value clustering.
+FORWARD_LOOKUP = "forward-lookup"
+BACKWARD_LOOKUP = "backward-lookup"
+COLUMN_PROBE = "column-probe"
+VALUE_RANGE = "value-range"
+
+
+class AccessStep(NamedTuple):
+    """One partition of an access path and how it is read.
+
+    ``offset`` is the probed column (a :data:`COLUMN_PROBE`'s, else 0)
+    and ``advance`` the column whose non-NULL cells are the next
+    frontier, both relative to the partition's first column.
+    """
+
+    partition: StoredPartition
+    probe: str
+    offset: int
+    advance: int
+
+
+class AccessPath:
+    """The Eq. 33/34 steps answering one query shape ``Q_{i,j}``.
+
+    Built once per ``(i, j, query type)`` by
+    :meth:`AccessSupportRelation.access_path` and run as one loop.  It
+    holds partitions and column offsets, never trees: a reload swaps a
+    partition's trees, and every run reads the ones in place.
+    ``direction`` is ``"fw"`` (Eq. 33, left to right from the query's
+    ``start``) or ``"bw"`` (Eq. 34, right to left from its ``target``,
+    or from its ``lo``/``hi`` range).
+    """
+
+    __slots__ = ("steps", "direction", "entry")
+
+    def __init__(self, steps: tuple[AccessStep, ...], direction: str, entry) -> None:
+        self.steps = steps
+        self.direction = direction
+        #: The query attribute holding the first frontier's one cell;
+        #: ``None`` when the first step is a :data:`VALUE_RANGE`.
+        self.entry = entry
+
+    def run(self, query, context=None) -> set[Cell]:
+        """The cells ``query`` reaches, charging every page to ``context``."""
+        buffer = resolve_buffer(context)
+        entry = self.entry
+        frontier = None if entry is None else {getattr(query, entry)}
+        for partition, probe, offset, advance in self.steps:
+            if probe == COLUMN_PROBE:
+                rows = partition.forward_tree.column_probe(offset, frontier, buffer)
+            elif probe == VALUE_RANGE:
+                rows = partition.lookup_backward_range(query.lo, query.hi, buffer)
+            else:
+                tree = (
+                    partition.forward_tree
+                    if probe == FORWARD_LOOKUP
+                    else partition.backward_tree
+                )
+                rows = []
+                for cell in frontier:
+                    rows += _prefix_scan(tree, cell, buffer)
+            frontier = {row[advance] for row in rows if row[advance] is not NULL}
+            if not frontier:
+                break
+        return frontier
 
 
 class AccessSupportRelation:
@@ -386,6 +456,8 @@ class AccessSupportRelation:
             StoredPartition(i, j, labels[i : j + 1], page_size, oid_size)
             for i, j in self.decomposition.partitions
         ]
+        #: ``(i, j, query type)`` -> its :class:`AccessPath`.
+        self._access_paths: dict[tuple, AccessPath] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -468,6 +540,15 @@ class AccessSupportRelation:
         return f"{self.extension.value}:{self.decomposition}"
 
     @cached_property
+    def drift_label(self) -> str:
+        """:attr:`type_decomposition` as text, the drift monitor's label.
+
+        Keys this design's drift aggregates (the cost model prices the
+        type-level view); formatted once, since it never changes.
+        """
+        return str(self.type_decomposition)
+
+    @cached_property
     def type_decomposition(self) -> Decomposition:
         """The decomposition expressed over type indices (``m == n``).
 
@@ -531,6 +612,74 @@ class AccessSupportRelation:
     def supports_query(self, i: int, j: int) -> bool:
         """Eq. 35: can this ASR evaluate ``Q_{i,j}`` at all?"""
         return self.extension.supports_query(i, j, self.path.n)
+
+    def access_path(self, query) -> AccessPath:
+        """The :class:`AccessPath` answering ``query``'s shape.
+
+        Decided once per ``(i, j, query type)`` — a query with a
+        ``start`` runs forward, one with a ``target`` or a ``lo``/``hi``
+        range backward — and remembered for the relation's lifetime:
+        path, extension, decomposition and partitions never change after
+        construction.  Raises :class:`~repro.errors.QueryError` when the
+        extension cannot answer ``Q_{i,j}`` (Eq. 35), checked when the
+        shape is first asked for.  The query's path is the caller's to
+        check.
+        """
+        key = (query.i, query.j, type(query))
+        access = self._access_paths.get(key)
+        if access is None:
+            access = self._access_paths[key] = self._compile(query)
+        return access
+
+    def _compile(self, query) -> AccessPath:
+        """The Eq. 33/34 case split over the partitions, for one shape.
+
+        A partition whose left (forward) or right (backward) border
+        matches the query's endpoint is entered by lookups in the
+        matching clustering (the first and third sums); one with the
+        endpoint strictly inside has every page probed (the second sum).
+        """
+        i, j = query.i, query.j
+        if not self.supports_query(i, j):
+            raise QueryError(
+                f"extension {self.extension.value!r} cannot evaluate "
+                f"Q{i},{j} (Eq. 35)"
+            )
+        first_column = self.path.column_of(i)
+        last_column = self.path.column_of(j)
+        steps: list[AccessStep] = []
+        if hasattr(query, "start"):  # Eq. 33: left to right
+            for partition in self.partitions:
+                a, b = partition.first_column, partition.last_column
+                if b <= first_column:
+                    continue
+                if a >= last_column:
+                    break
+                if a < first_column:
+                    probe, offset = COLUMN_PROBE, first_column - a
+                else:
+                    probe, offset = FORWARD_LOOKUP, 0
+                advance = min(b, last_column) - a
+                steps.append(AccessStep(partition, probe, offset, advance))
+            return AccessPath(tuple(steps), "fw", "start")
+        ranged = hasattr(query, "lo")
+        if not ranged and not hasattr(query, "target"):
+            raise QueryError(f"unknown query shape {query!r}")
+        for partition in reversed(self.partitions):  # Eq. 34: right to left
+            a, b = partition.first_column, partition.last_column
+            if a >= last_column:
+                continue
+            if b <= first_column:
+                break
+            if ranged and not steps:
+                probe, offset = VALUE_RANGE, 0
+            elif b > last_column:
+                probe, offset = COLUMN_PROBE, last_column - a
+            else:
+                probe, offset = BACKWARD_LOOKUP, 0
+            advance = max(a, first_column) - a
+            steps.append(AccessStep(partition, probe, offset, advance))
+        return AccessPath(tuple(steps), "bw", None if ranged else "target")
 
     def consistency_check(self, db: ObjectBase) -> None:
         """Assert the stored state matches a from-scratch rebuild (tests)."""

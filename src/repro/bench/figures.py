@@ -15,6 +15,7 @@ break-evens fall).
 from __future__ import annotations
 
 import functools
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from repro.asr.decomposition import Decomposition
@@ -29,7 +30,7 @@ from repro.workload import profiles as paper
 
 EXTENSIONS = tuple(Extension)
 
-SeriesData = tuple[Sequence[object], Mapping[str, list[float]]]
+SeriesData = tuple[Sequence[object], Mapping[str, Sequence[float]]]
 
 
 def _decs(n: int) -> dict[str, Decomposition]:
@@ -283,10 +284,17 @@ def fig16_left_vs_full(p_ups: Sequence[float] = _P_UPS) -> SeriesData:
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def fig17_right_vs_full(
     p_ups: Sequence[float] = (0.001, 0.0025, 0.005, 0.0075, 0.01, 0.05, 0.1, 0.5, 0.9)
 ) -> SeriesData:
-    """Figure 17 series: right vs full under two decompositions (n = 5)."""
+    """Figure 17 series: right vs full under two decompositions (n = 5).
+
+    The slowest series by far (~1.7 s), so it is memoised per ``p_ups``
+    (a tuple) and shared by :func:`render` and every other caller; the
+    shared result is read-only — each series a tuple in a read-only
+    mapping.
+    """
     binary = Decomposition.binary(5)
     coarse = Decomposition.of(0, 3, 5)
     designs = {
@@ -295,7 +303,9 @@ def fig17_right_vs_full(
         "right/(0,3,5)": (Extension.RIGHT, coarse),
         "full/(0,3,5)": (Extension.FULL, coarse),
     }
-    return _mix_series(paper.FIG17_PROFILE, paper.FIG17_MIX, designs, p_ups)
+    xs, series = _mix_series(paper.FIG17_PROFILE, paper.FIG17_MIX, designs, p_ups)
+    frozen = {name: tuple(values) for name, values in series.items()}
+    return xs, MappingProxyType(frozen)
 
 
 def fig17_break_even() -> float | None:

@@ -100,6 +100,8 @@ class PathExpression:
         self._type_columns: tuple[int, ...] = tuple(
             c for c, column in enumerate(self.columns) if not column.is_collection
         )
+        #: Paths key the per-shape memos asked per query: hash once.
+        self._hash = hash((self.anchor_type, self.attributes))
 
     @staticmethod
     def _resolve_steps(
@@ -252,4 +254,4 @@ class PathExpression:
         )
 
     def __hash__(self) -> int:
-        return hash((self.anchor_type, self.attributes))
+        return self._hash

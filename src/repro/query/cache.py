@@ -15,10 +15,19 @@ literals), so it can never conflate two semantically different texts.
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import OrderedDict
 
 from repro.query.executor import CompiledSelect
+
+
+#: One word of a query text: a maximal run of characters that are not
+#: whitespace outside a double-quoted string literal.  A literal is kept
+#: whole — a backslash escapes the next character, and an unterminated
+#: literal runs to the end of the text.  No alternative can fail once
+#: it has started, so the scan never backtracks.
+_WORD = re.compile(r'(?:[^\s"]+|"(?:[^"\\]+|\\[\s\S])*(?:"|\\?\Z))+')
 
 
 def normalize_query(text: str) -> str:
@@ -28,33 +37,10 @@ def normalize_query(text: str) -> str:
     space; leading/trailing whitespace is dropped.  String literals are
     preserved byte-for-byte (``\\"`` escapes honoured), so normalization
     never changes what a query means — at worst two equivalent texts
-    normalize differently and plan twice.
+    normalize differently and plan twice.  One regex pass finds the
+    words; one space joins them.
     """
-    out: list[str] = []
-    in_string = False
-    escaped = False
-    pending_space = False
-    for ch in text:
-        if in_string:
-            out.append(ch)
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch.isspace():
-            pending_space = True
-            continue
-        if pending_space:
-            if out:
-                out.append(" ")
-            pending_space = False
-        out.append(ch)
-        if ch == '"':
-            in_string = True
-    return "".join(out)
+    return " ".join(_WORD.findall(text))
 
 
 class CompiledPlanCache:

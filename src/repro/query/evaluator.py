@@ -14,7 +14,8 @@ at the intermediate levels).
 support relation: a lookup per frontier value in partitions whose border
 matches the query endpoint, and an exhaustive partition scan when the
 endpoint falls strictly inside a partition — the same case split as the
-three sums of Eq. 33/34.
+three sums of Eq. 33/34, decided once per query shape as the ASR's
+:class:`~repro.asr.asr.AccessPath` and run as one loop.
 
 Both strategies return the *same* result sets (property-tested); only
 their page-access profiles differ.
@@ -32,6 +33,9 @@ from repro.gom.objects import OID, Cell
 from repro.gom.types import NULL
 from repro.query.queries import BackwardQuery, ForwardQuery, Query, ValueRangeQuery
 from repro.storage.objectstore import ClusteredObjectStore
+
+#: The measured operation of a supported evaluation, by direction.
+_SUPPORTED = {"fw": "query.supported.fw", "bw": "query.supported.bw"}
 
 
 def access_restriction(asr: AccessSupportRelation, breakers=None) -> str | None:
@@ -144,14 +148,17 @@ class QueryEvaluator:
     def evaluate_supported(
         self, query: Query, asr: AccessSupportRelation
     ) -> EvaluationResult:
+        """Answer ``query`` through ``asr``'s access path for its shape.
+
+        The Eq. 33/34 steps come from :meth:`AccessSupportRelation.access_path
+        <repro.asr.asr.AccessSupportRelation.access_path>`, decided once
+        per shape (Eq. 35 included); per call this checks the path and
+        the quarantine, then runs the steps as one measured operation.
+        """
         if asr.path is not query.path and asr.path != query.path:
             raise QueryError("the ASR does not index this query's path")
-        if not asr.supports_query(query.i, query.j):
-            raise QueryError(
-                f"extension {asr.extension.value!r} cannot evaluate "
-                f"Q{query.i},{query.j} (Eq. 35)"
-            )
-        if access_restriction(asr) is not None:
+        access = asr.access_path(query)
+        if asr.quarantined:
             raise QueryError(
                 f"ASR {asr.path} [{asr.extension.value}] is quarantined after "
                 "a crash/fault; recover it or use evaluate() to fall back"
@@ -160,14 +167,9 @@ class QueryEvaluator:
         # time under `execute`) names the ASR that served the lookup.
         served = asr.design
         with self.context.measure(
-            f"query.supported.{query.kind}", asr=served
+            _SUPPORTED[access.direction], asr=served
         ) as measured:
-            if isinstance(query, ForwardQuery):
-                cells = self._supported_forward(query, asr, measured.buffer)
-            elif isinstance(query, (BackwardQuery, ValueRangeQuery)):
-                cells = self._supported_backward(query, asr, measured.buffer)
-            else:
-                raise QueryError(f"unknown query shape {query!r}")
+            cells = access.run(query, measured.buffer)
         delta = measured.delta
         metrics = self.context.metrics
         if metrics is not None:
@@ -265,76 +267,3 @@ class QueryEvaluator:
             if not frontier:
                 break
         return frontier
-
-    # ------------------------------------------------------------------
-    # supported strategies
-    # ------------------------------------------------------------------
-
-    def _supported_forward(
-        self, query: ForwardQuery, asr: AccessSupportRelation, buffer
-    ) -> set[Cell]:
-        path = asr.path
-        first_column = path.column_of(query.i)
-        last_column = path.column_of(query.j)
-        frontier: set[Cell] = {query.start}
-        for partition in asr.partitions:
-            a, b = partition.first_column, partition.last_column
-            if b <= first_column:
-                continue
-            if a >= last_column:
-                break
-            if a < first_column:
-                # The query's origin lies strictly inside this partition:
-                # every page must be inspected (second sum of Eq. 33).
-                rows = partition.select(first_column - a, frontier, buffer)
-            else:
-                rows = [
-                    row
-                    for cell in frontier
-                    for row in partition.lookup_forward(cell, buffer)
-                ]
-            advance = min(b, last_column) - a
-            frontier = {row[advance] for row in rows if row[advance] is not NULL}
-            if not frontier:
-                break
-        return frontier
-
-    def _supported_backward(
-        self, query: BackwardQuery | ValueRangeQuery, asr: AccessSupportRelation, buffer
-    ) -> set[Cell]:
-        """Stitch partitions right to left from the target (Eq. 34).
-
-        A value-range query differs only in how the terminal partition
-        is entered: one index range scan over its value clustering
-        instead of a lookup of the single target.
-        """
-        path = asr.path
-        first_column = path.column_of(query.i)
-        last_column = path.column_of(query.j)
-        frontier: set[Cell] | None = (
-            None if isinstance(query, ValueRangeQuery) else {query.target}
-        )
-        for partition in reversed(asr.partitions):
-            a, b = partition.first_column, partition.last_column
-            if a >= last_column:
-                continue
-            if b <= first_column:
-                break
-            if frontier is None:
-                # The terminal partition of a range query: one scan
-                # over the value clustering.
-                rows = partition.lookup_backward_range(query.lo, query.hi, buffer)
-            elif b > last_column:
-                # The query's target lies strictly inside this partition.
-                rows = partition.select(last_column - a, frontier, buffer)
-            else:
-                rows = [
-                    row
-                    for cell in frontier
-                    for row in partition.lookup_backward(cell, buffer)
-                ]
-            advance = max(a, first_column) - a
-            frontier = {row[advance] for row in rows if row[advance] is not NULL}
-            if not frontier:
-                break
-        return frontier or set()

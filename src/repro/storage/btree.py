@@ -20,17 +20,20 @@ Passing ``context=None`` performs the operation without accounting (the
 logical layer uses that).
 
 The leaf page is also the unit scans *hand out*: :meth:`BPlusTree.leaf_slices`
-is the one leaf-chain walker, yielding each visited leaf's keys and values
-as lists, and :meth:`BPlusTree.range` is written on it — so a consumer
-that can decide per page (concatenate, filter a column with a set
-operation) never pays an interpreter step per row.
+is the one walker of a bounded key interval, yielding each visited leaf's
+keys and values as lists, and :meth:`BPlusTree.range` is written on it —
+so a consumer that can decide per page (concatenate, filter a column
+with a set operation) never pays an interpreter step per row.
 
 Leaves also answer column probes.  When the values are rows,
-:meth:`BPlusTree.column_slices` hands out each leaf's values beside the
-set of their ``offset``-th cells, so "does this page hold any of these
-cells?" is one set test.  A leaf builds such a set the first time a
+:meth:`BPlusTree.column_probe` walks the whole leaf chain in one loop
+and decides each leaf by one set test — "does this page hold any of
+these cells?" — against the set of its values' ``offset``-th cells,
+returning the matching rows.  A leaf builds such a set the first time a
 probe asks for it and keeps it until its lists change: every insert,
 delete, split, borrow and merge that touches a leaf drops its sets.
+The probe is the one read that is not lazy: it binds its buffer's
+``touch`` once, when called, and charges every page before it returns.
 """
 
 from __future__ import annotations
@@ -177,10 +180,10 @@ class BPlusTree:
     ) -> Iterator[tuple[list[Any], list[Any]]]:
         """Yield ``(keys, values)`` per visited leaf for ``lo <= key < hi``.
 
-        The one leaf-chain walker: a leaf lying inside the bounds hands
-        out its own two lists (read them, never mutate them), a leaf the
-        bounds cut hands out slices found by ``bisect``, an empty cut
-        nothing.  ``None`` bounds are open.
+        The one walker of a key interval: a leaf lying inside the bounds
+        hands out its own two lists (read them, never mutate them), a
+        leaf the bounds cut hands out slices found by ``bisect``, an
+        empty cut nothing.  ``None`` bounds are open.
 
         Pages are charged as the walk touches them: interior pages on
         the one descent, then each leaf as the consumer reaches it —
@@ -221,39 +224,45 @@ class BPlusTree:
             leaf = leaf.next
             start = 0
 
-    def column_slices(
-        self, offset: int, context=None
-    ) -> Iterator[tuple[list[Any], frozenset]]:
-        """Yield ``(values, column)`` per leaf of a whole-tree walk.
+    def column_probe(self, offset: int, cells, context=None) -> list[Any]:
+        """The values (rows) whose ``offset``-th cell is in ``cells``.
 
-        ``column`` is the frozenset of ``value[offset]`` over the leaf's
-        values (which must be rows), cached on the leaf until its lists
-        next change; ``values`` is the leaf's own list (read it, never
-        mutate it).  Pages are charged exactly as ``leaf_slices()`` with
-        open bounds charges them — the leftmost descent, then every leaf
-        in chain order, consumption-time resolved — and an empty root
-        leaf is touched but yields nothing.
+        A whole-tree walk in one loop: the leftmost descent, then every
+        leaf in chain order, each decided by one set test of ``cells``
+        against the frozenset of ``value[offset]`` over the leaf's
+        values — built on the leaf the first time a probe asks for it
+        and cached until its lists next change.  Rows are only looked
+        at on the leaves that hold a match, and come back in key order.
+
+        Pages are charged exactly as ``leaf_slices()`` with open bounds
+        charges them, and the charge target is resolved once, when the
+        probe is called: unlike :meth:`leaf_slices`, the probe is not
+        lazy.
         """
-        return self._column_slices(offset, _charge_target(context))
-
-    def _column_slices(
-        self, offset: int, buffer
-    ) -> Iterator[tuple[list[Any], frozenset]]:
-        leaf: _Leaf | None = self._leftmost_leaf(buffer)
+        buffer = resolve_buffer(context)
+        touch = _no_touch if buffer is None else buffer.touch
+        node = self._root
+        while not node.is_leaf:
+            touch(id(node), _INTERIOR_CATEGORY)
+            node = node.children[0]
+        category = _LEAF_CATEGORY
+        isdisjoint = cells.isdisjoint
+        rows: list[Any] = []
+        leaf: _Leaf | None = node
         while leaf is not None:
-            _touch(buffer, leaf, _LEAF_CATEGORY)
-            values = leaf.values
-            if values:
-                columns = leaf.columns
-                if columns is None:
-                    columns = leaf.columns = {}
-                column = columns.get(offset)
-                if column is None:
-                    column = columns[offset] = frozenset(
-                        [value[offset] for value in values]
-                    )
-                yield values, column
+            touch(id(leaf), category)
+            try:
+                column = leaf.columns[offset]
+            except (KeyError, TypeError):  # no set yet, or none at all (None)
+                if leaf.columns is None:
+                    leaf.columns = {}
+                column = leaf.columns[offset] = frozenset(
+                    [value[offset] for value in leaf.values]
+                )
+            if not isdisjoint(column):
+                rows += [value for value in leaf.values if value[offset] in cells]
             leaf = leaf.next
+        return rows
 
     def range(
         self,
@@ -611,6 +620,10 @@ def _charge_target(context):
     if hasattr(context, "current_buffer"):
         return _DeferredContextBuffer(context)
     return resolve_buffer(context)
+
+
+def _no_touch(page_id, category: str) -> None:
+    """The touch of a walk charged to no buffer."""
 
 
 def _touch(buffer, node, category: str) -> None:

@@ -182,7 +182,7 @@ class DriftMonitor:
             extension, decomposition = UNSUPPORTED, "-"
         else:
             extension = asr.extension.value
-            decomposition = str(asr.type_decomposition)
+            decomposition = asr.drift_label
         self.record(extension, decomposition, query.kind, predicted, observed_pages)
 
     def observe_update(self, level: int, asrs, observed_pages: float) -> None:
@@ -209,7 +209,7 @@ class DriftMonitor:
                 share = observed_pages / len(asrs)
             self.record(
                 asr.extension.value,
-                str(asr.type_decomposition),
+                asr.drift_label,
                 f"ins_{level}",
                 predicted,
                 share,

@@ -1,5 +1,8 @@
 """Query-text normalization and the epoch-keyed compiled-plan LRU."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.query.cache import CompiledPlanCache, normalize_query
 from repro.query.executor import CompiledSelect
 from repro.query.parser import parse_select
@@ -89,3 +92,50 @@ class TestCompiledPlanCache:
         cache.put(PLAN_A, 1, compiled(PLAN_A))
         cache.put(PLAN_B, 3, compiled(PLAN_B))
         assert cache.describe() == {"capacity": 8, "entries": 2, "epochs": [1, 3]}
+
+
+def reference_normalize(text: str) -> str:
+    """The character-at-a-time loop ``normalize_query`` replaced."""
+    out: list[str] = []
+    in_string = False
+    escaped = False
+    pending_space = False
+    for ch in text:
+        if in_string:
+            out.append(ch)
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+            continue
+        if ch.isspace():
+            pending_space = True
+            continue
+        if pending_space:
+            if out:
+                out.append(" ")
+            pending_space = False
+        out.append(ch)
+        if ch == '"':
+            in_string = True
+    return "".join(out)
+
+
+#: Quotes, backslashes, ASCII and Unicode whitespace, and query text.
+QUERY_CHARACTERS = st.sampled_from(
+    list('"\\ \t\n\r\x0b\x0c\x1c\x85\xa0 　') + list("ax.=(5)") + ["select "]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(QUERY_CHARACTERS, max_size=40).map("".join))
+def test_normalize_matches_the_character_loop(text):
+    assert normalize_query(text) == reference_normalize(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(max_size=60))
+def test_normalize_matches_the_character_loop_on_any_text(text):
+    assert normalize_query(text) == reference_normalize(text)

@@ -4,7 +4,8 @@ One :class:`~repro.server.ServeDaemon` serves with chaos armed (a
 :class:`~repro.resilience.ChaosController` striking named fault points
 from the live op stream) while the background healer races it: a storm
 until enough operations are served *and* the healer has recovered an
-ASR, a settle (chaos off, the quarantine set drains), ``/healthz`` over
+ASR, a settle (chaos off, the quarantine set drains and every circuit
+breaker closes again), ``/healthz`` over
 real HTTP, then the drain.  The gates read the daemon's own state and
 drain report.  Latency is the benchmark ladder's business, not this
 soak's.
@@ -59,6 +60,14 @@ class TestRunChaos:
             # Settle: no new faults; the healer drains the quarantine set.
             daemon.chaos.stop()
             assert wait_until(lambda: not daemon.world.manager.quarantined, 10.0)
+            # ... and every breaker closes again: an open one waits out
+            # its cooldown, then a half-open probe from the replayed
+            # stream closes it.  A probe admitted to a decision whose
+            # cheapest plan is the fallback is spent without evidence and
+            # the next comes a cooldown later, so this can take several
+            # cooldowns (2-12 s when forced open after the storm).
+            breakers = daemon.world.breakers
+            assert wait_until(lambda: breakers.describe()["open"] == [], 30.0)
             # The probe's view: urlopen raises on a 503.
             host, port = daemon.address
             with urllib.request.urlopen(
