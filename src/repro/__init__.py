@@ -8,7 +8,9 @@ with and without access support, and the paper's full analytical cost
 model with a physical-design advisor.
 
 Most applications need only the re-exports below; see README.md for a
-quickstart and DESIGN.md for the architecture.
+quickstart and DESIGN.md for the architecture.  The serving daemon's
+parts (device model, breakers, healer, chaos, metrics, drift) are
+imported from their subpackages.
 """
 
 from repro.errors import (
@@ -27,13 +29,7 @@ from repro.errors import (
     StorageError,
     TypingError,
 )
-from repro.concurrency import ContextPool, RWLock
-from repro.device import (
-    DeviceModel,
-    FixedLatency,
-    LognormalLatency,
-    parse_io_dist,
-)
+from repro.concurrency import ContextPool
 from repro.context import ExecutionContext
 from repro.errors import ExitHookError
 from repro.faults import FaultInjector
@@ -47,11 +43,9 @@ from repro.gom import (
 from repro.asr import (
     AccessSupportRelation,
     ASRManager,
-    ASRState,
     Decomposition,
     Extension,
     Relation,
-    auxiliary_relations,
     build_extension,
 )
 from repro.query import (
@@ -75,15 +69,6 @@ from repro.costmodel import (
     UpdateCostModel,
     UpdateSpec,
 )
-from repro.resilience import (
-    BreakerBoard,
-    ChaosConfig,
-    ChaosController,
-    CircuitBreaker,
-    HealerLoop,
-    RecoveryPolicy,
-)
-from repro.telemetry import DriftMonitor, MetricsRegistry
 
 __version__ = "1.0.0"
 
@@ -109,12 +94,6 @@ __all__ = [
     "ExecutionContext",
     "FaultInjector",
     "ContextPool",
-    "RWLock",
-    # simulated device
-    "DeviceModel",
-    "FixedLatency",
-    "LognormalLatency",
-    "parse_io_dist",
     # object model
     "NULL",
     "OID",
@@ -123,13 +102,11 @@ __all__ = [
     "PathExpression",
     # access support relations
     "Relation",
-    "auxiliary_relations",
     "Extension",
     "build_extension",
     "Decomposition",
     "AccessSupportRelation",
     "ASRManager",
-    "ASRState",
     # queries
     "ForwardQuery",
     "BackwardQuery",
@@ -149,14 +126,4 @@ __all__ = [
     "UpdateSpec",
     "MixCostModel",
     "DesignAdvisor",
-    # telemetry
-    "MetricsRegistry",
-    "DriftMonitor",
-    # resilience
-    "RecoveryPolicy",
-    "CircuitBreaker",
-    "BreakerBoard",
-    "ChaosConfig",
-    "ChaosController",
-    "HealerLoop",
 ]

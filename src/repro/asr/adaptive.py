@@ -131,16 +131,6 @@ class WorkloadRecorder:
     # ------------------------------------------------------------------
 
     @property
-    def total_queries(self) -> int:
-        with self._lock:
-            return sum(self.queries.values())
-
-    @property
-    def total_updates(self) -> int:
-        with self._lock:
-            return sum(self.updates.values())
-
-    @property
     def total_operations(self) -> int:
         with self._lock:
             return sum(self.queries.values()) + sum(self.updates.values())

@@ -219,9 +219,6 @@ class StoredPartition:
     def rows(self) -> Iterator[tuple[Cell, ...]]:
         return iter(self._counts)
 
-    def as_relation(self) -> Relation:
-        return Relation(self.labels, self._counts.keys())
-
     # ------------------------------------------------------------------
     # loading and delta application
     # ------------------------------------------------------------------
@@ -325,27 +322,6 @@ class StoredPartition:
                 resolve_buffer(context),
             )
         )
-
-    def scan(self, context=None) -> list[tuple[Cell, ...]]:
-        """Read every row, charging all data pages (exhaustive inspection)."""
-        return _concatenated(
-            self.forward_tree.leaf_slices(context=resolve_buffer(context))
-        )
-
-    def select(
-        self, offset: int, cells: set[Cell], context=None
-    ) -> list[tuple[Cell, ...]]:
-        """Rows whose column ``offset`` is in the set ``cells``.
-
-        The access path of a query endpoint strictly inside the
-        partition: no clustering helps, so every data page is inspected
-        and charged exactly as :meth:`scan` charges it (the second sum
-        of Eqs. 33/34).  Membership is decided a page at a time, by one
-        set test of ``cells`` against the leaf's cached column set
-        (:meth:`BPlusTree.column_probe`) — rows are only looked at on
-        the pages that hold a match.
-        """
-        return self.forward_tree.column_probe(offset, cells, context)
 
 
 #: How an :class:`AccessStep` enters its partition (Eqs. 33/34): prefix
@@ -603,11 +579,6 @@ class AccessSupportRelation:
             if partition.first_column == first_column:
                 return partition
         raise StorageError(f"no partition starts at column {first_column}")
-
-    def partition_covering(self, column: int) -> StoredPartition:
-        """The partition containing ``column`` (leftmost when on a border)."""
-        i, _ = self.decomposition.partition_containing(column)
-        return self.partition_at(i)
 
     def supports_query(self, i: int, j: int) -> bool:
         """Eq. 35: can this ASR evaluate ``Q_{i,j}`` at all?"""

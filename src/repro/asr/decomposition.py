@@ -81,23 +81,6 @@ class Decomposition:
         """The ``(i, j)`` column ranges of the partitions, in order."""
         return tuple(zip(self.borders, self.borders[1:]))
 
-    @property
-    def is_binary(self) -> bool:
-        return all(j - i == 1 for i, j in self.partitions)
-
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.borders) == 2
-
-    def partition_containing(self, column: int) -> tuple[int, int]:
-        """The partition ``(i, j)`` with ``i <= column <= j`` (leftmost if on a border)."""
-        if not 0 <= column <= self.m:
-            raise DecompositionError(f"column {column} outside 0..{self.m}")
-        for i, j in self.partitions:
-            if i <= column <= j:
-                return (i, j)
-        raise AssertionError("unreachable: borders cover 0..m")
-
     def validate_for(self, m: int) -> None:
         """Check this decomposition fits an ``(m+1)``-column relation."""
         if self.m != m:

@@ -40,16 +40,6 @@ class Extension(str, Enum):
     def join_kind(self) -> JoinKind:
         return _JOIN_OF_EXTENSION[self]
 
-    @property
-    def keeps_left_partials(self) -> bool:
-        """Does the extension contain paths that stop before ``t_n``?"""
-        return self in (Extension.FULL, Extension.LEFT)
-
-    @property
-    def keeps_right_partials(self) -> bool:
-        """Does the extension contain paths that do not start at ``t_0``?"""
-        return self in (Extension.FULL, Extension.RIGHT)
-
     def supports_query(self, i: int, j: int, n: int) -> bool:
         """Eq. 35 applicability: can ``Q_{i,j}`` use this extension?
 

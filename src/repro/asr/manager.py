@@ -737,11 +737,6 @@ class ASRManager:
                 "ok": quarantined == 0,
             }
 
-    @property
-    def pending_regions(self) -> int:
-        """How many ASRs have un-flushed dirty regions queued."""
-        return len(self._pending)
-
     @contextmanager
     def suspended(self) -> Iterator[None]:
         """Skip maintenance inside the block, then rebuild every ASR.
@@ -771,16 +766,3 @@ class ASRManager:
         with self.lock.read():
             for asr in self.asrs:
                 asr.consistency_check(self.db)
-
-    def report(self) -> str:
-        """A catalog-style summary of every managed ASR."""
-        if not self.asrs:
-            return "no access support relations registered"
-        lines = [f"{len(self.asrs)} access support relation(s):"]
-        for asr in self.asrs:
-            lines.append(
-                f"  {asr.path} [{asr.extension.value}, dec={asr.decomposition}]: "
-                f"{asr.tuple_count} tuples, {asr.total_pages} data pages, "
-                f"{asr.total_bytes} bytes"
-            )
-        return "\n".join(lines)

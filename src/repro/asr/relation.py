@@ -185,11 +185,6 @@ class Relation:
             f"by-cell index holds {entries} entries for {pairs} (row, cell) pairs"
         )
 
-    def copy(self) -> "Relation":
-        clone = Relation(self.columns)
-        clone._rows = set(self._rows)
-        return clone
-
     # ------------------------------------------------------------------
     # algebra
     # ------------------------------------------------------------------
@@ -253,12 +248,6 @@ class Relation:
         """Project onto the contiguous column range ``first..last`` inclusive."""
         return self.project(range(first, last + 1), drop_all_null)
 
-    def select(self, column: int, value: Cell) -> "Relation":
-        """Rows whose ``column`` equals ``value``."""
-        result = Relation(self.columns)
-        result._rows = {row for row in self._rows if row[column] == value}
-        return result
-
     def where(self, predicate: Callable[[tuple[Cell, ...]], bool]) -> "Relation":
         result = Relation(self.columns)
         result._rows = {row for row in self._rows if predicate(row)}
@@ -269,20 +258,6 @@ class Relation:
             raise RelationError("rename must preserve arity")
         result = Relation(columns)
         result._rows = set(self._rows)
-        return result
-
-    def union(self, other: "Relation") -> "Relation":
-        if other.arity != self.arity:
-            raise RelationError("union operands must have equal arity")
-        result = Relation(self.columns)
-        result._rows = self._rows | other._rows
-        return result
-
-    def difference(self, other: "Relation") -> "Relation":
-        if other.arity != self.arity:
-            raise RelationError("difference operands must have equal arity")
-        result = Relation(self.columns)
-        result._rows = self._rows - other._rows
         return result
 
     # ------------------------------------------------------------------

@@ -157,10 +157,6 @@ class NestedAttributeIndex:
         lo, hi = prefix_bounds(value)
         return self._anchors(lo, hi, context)
 
-    def lookup_range(self, lo: Cell, hi: Cell, context=None) -> set[OID]:
-        """Anchors reaching any value in ``[lo, hi)`` (value clustering)."""
-        return self._anchors((cell_key(lo), ()), (cell_key(hi), ()), context)
-
     def _anchors(self, lo: tuple, hi: tuple, context) -> set[OID]:
         """The anchors of the pairs keyed in ``[lo, hi)``, a leaf at a time."""
         anchors: set[OID] = set()

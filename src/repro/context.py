@@ -36,7 +36,6 @@ the API boundary.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
@@ -143,7 +142,7 @@ class ExecutionContext:
         with ExecutionContext() as ctx:
             evaluator = QueryEvaluator(db, store, context=ctx)
             ...
-        print(ctx.to_json())
+        print(ctx.to_dict())
 
     Exit hooks (:meth:`add_exit_hook`) run at that boundary — the
     :class:`~repro.asr.manager.ASRManager` uses this to flush batched
@@ -329,9 +328,6 @@ class ExecutionContext:
         if self.metric_snapshots:
             out["metric_snapshots"] = list(self.metric_snapshots)
         return out
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def __repr__(self) -> str:
         return (

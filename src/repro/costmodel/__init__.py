@@ -36,7 +36,6 @@ from repro.costmodel.opmix import OperationMix, QuerySpec, UpdateSpec, MixCostMo
 from repro.costmodel.advisor import DesignAdvisor, DesignChoice
 from repro.costmodel.profiling import profile_from_database
 from repro.costmodel.measured import MeasuredCosts
-from repro.costmodel.schema_advisor import PathWorkload, SchemaDesign, SchemaDesignAdvisor
 
 __all__ = [
     "ApplicationProfile",
@@ -56,7 +55,4 @@ __all__ = [
     "DesignChoice",
     "profile_from_database",
     "MeasuredCosts",
-    "PathWorkload",
-    "SchemaDesign",
-    "SchemaDesignAdvisor",
 ]

@@ -18,7 +18,6 @@ Derived quantities (also Figure 3):
 
 * ``e[i] = d_{i-1}·fan_{i-1} / shar_{i-1}`` — objects of ``t_i`` referenced
   from ``t_{i-1}`` (clamped to ``c_i``; the closed forms assume ``e ≤ c``);
-* ``spread[i] = d_i / e_{i+1}``;
 * ``ref[i] = d_i · fan_i`` — the number of ``A_{i+1}`` references.
 
 The profile is an immutable value object (hashable) so that the derived
@@ -27,8 +26,7 @@ probabilistic quantities can be memoized per profile.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import CostModelError
 from repro.storage.pages import (
@@ -175,13 +173,6 @@ class ApplicationProfile:
         if shar == 0:
             return 0.0
         return min(self.d[i - 1] * self.fan[i - 1] / shar, self.c[i])
-
-    def spread_(self, i: int) -> float:
-        """``spread_i = d_i / e_{i+1}``."""
-        e_next = self.e_(i + 1)
-        if e_next == 0:
-            return math.inf if self.d_(i) > 0 else 0.0
-        return self.d_(i) / e_next
 
     def ref_(self, i: int) -> float:
         """``ref_i = d_i · fan_i``."""

@@ -71,10 +71,6 @@ class StorageModel:
         self._check_dec(dec)
         return sum(self.as_bytes(extension, a, b) for a, b in dec.partitions)
 
-    def relation_pages(self, extension: Extension, dec: Decomposition) -> float:
-        self._check_dec(dec)
-        return sum(self.ap(extension, a, b) for a, b in dec.partitions)
-
     def _check_dec(self, dec: Decomposition) -> None:
         if dec.m != self.profile.n:
             raise CostModelError(

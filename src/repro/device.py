@@ -221,7 +221,3 @@ class DeviceModel:
                 await asyncio.sleep(seconds)
             self._observe(pages, seconds)
         return seconds
-
-    def describe(self) -> dict:
-        """JSON-able description (embedded in benchmark reports)."""
-        return self.latency.describe()

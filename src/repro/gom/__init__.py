@@ -35,7 +35,6 @@ from repro.gom.events import (
 )
 from repro.gom.database import ObjectBase
 from repro.gom.paths import PathExpression
-from repro.gom.behavior import MethodRegistry, Receiver
 from repro.gom.serialization import save, load
 
 __all__ = [
@@ -57,8 +56,6 @@ __all__ = [
     "ObjectInstance",
     "ObjectBase",
     "PathExpression",
-    "MethodRegistry",
-    "Receiver",
     "save",
     "load",
     "ObjectCreated",

@@ -140,12 +140,6 @@ class ObjectBase:
         if not isinstance(value, dict):
             raise ObjectBaseError(f"{oid!r} is not tuple-structured")
         if attribute not in value:
-            # The slot may have been added by schema evolution after this
-            # object was created (Schema.add_attribute): materialize it
-            # lazily as NULL.
-            if attribute in self.schema.attributes_of(instance.type_name):
-                value[attribute] = NULL
-                return NULL
             raise ObjectBaseError(
                 f"{instance.type_name!r} object {oid!r} has no attribute "
                 f"{attribute!r}"
@@ -379,69 +373,6 @@ class ObjectBase:
     # iteration
     # ------------------------------------------------------------------
 
-    def verify_integrity(self) -> list[str]:
-        """Check structural invariants; returns a list of problems.
-
-        Verified: every stored cell conforms to its declared type, extents
-        match the stored objects, no reference dangles, and the
-        reverse-reference index agrees with a recomputation.  An empty
-        list means the object base is consistent (the test suite asserts
-        this after randomized update streams).
-        """
-        problems: list[str] = []
-        recomputed: dict[OID, set[OID]] = {}
-        for instance in self._objects.values():
-            oid, type_name, value = instance.oid, instance.type_name, instance.value
-            if oid not in self._extents.get(type_name, set()):
-                problems.append(f"{oid!r} missing from extent of {type_name!r}")
-            if isinstance(value, dict):
-                declared = self.schema.attributes_of(type_name)
-                for attr, cell in value.items():
-                    if attr not in declared:
-                        problems.append(f"{oid!r} stores undeclared {attr!r}")
-                        continue
-                    if isinstance(cell, OID) and cell not in self._objects:
-                        problems.append(f"{oid!r}.{attr} dangles to {cell!r}")
-                        continue
-                    try:
-                        self._check_conforms(cell, declared[attr], f"{oid!r}.{attr}")
-                    except TypingError as error:
-                        problems.append(str(error))
-                    if isinstance(cell, OID):
-                        recomputed.setdefault(cell, set()).add(oid)
-            else:
-                collection_type = self.schema.lookup(type_name)
-                element_type = collection_type.element_type  # type: ignore[union-attr]
-                for cell in value:
-                    if isinstance(cell, OID) and cell not in self._objects:
-                        problems.append(f"{oid!r} member {cell!r} dangles")
-                        continue
-                    try:
-                        self._check_conforms(cell, element_type, f"member of {oid!r}")
-                    except TypingError as error:
-                        problems.append(str(error))
-                    if isinstance(cell, OID):
-                        recomputed.setdefault(cell, set()).add(oid)
-        for type_name, extent in self._extents.items():
-            for oid in extent:
-                if oid not in self._objects:
-                    problems.append(f"extent of {type_name!r} lists dead {oid!r}")
-                elif self._objects[oid].type_name != type_name:
-                    problems.append(f"{oid!r} filed under wrong extent {type_name!r}")
-        stored = {oid: holders for oid, holders in self._referrers.items() if holders}
-        if stored != recomputed:
-            for oid in set(stored) | set(recomputed):
-                if stored.get(oid, set()) != recomputed.get(oid, set()):
-                    problems.append(
-                        f"referrer index drift at {oid!r}: stored "
-                        f"{sorted(stored.get(oid, set()), key=lambda o: o.value)} vs "
-                        f"actual {sorted(recomputed.get(oid, set()), key=lambda o: o.value)}"
-                    )
-        return problems
-
     def objects(self) -> Iterator[ObjectInstance]:
         """Iterate over all stored instances (order unspecified)."""
         return iter(self._objects.values())
-
-    def oids(self) -> Iterator[OID]:
-        return iter(self._objects.keys())

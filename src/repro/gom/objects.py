@@ -58,13 +58,3 @@ class ObjectInstance:
 
     def __repr__(self) -> str:
         return f"ObjectInstance({self.oid}, {self.type_name}, {self.value!r})"
-
-
-def is_oid(cell: Cell) -> bool:
-    """True when ``cell`` is an object identifier (not NULL, not atomic)."""
-    return isinstance(cell, OID)
-
-
-def is_defined(cell: Cell) -> bool:
-    """True when ``cell`` is not the NULL value."""
-    return cell is not NULL

@@ -57,11 +57,6 @@ class PathColumn:
     step_index: int
     is_collection: bool = False
 
-    @property
-    def label(self) -> str:
-        prefix = "OID"
-        return f"{prefix}_{self.type_name}"
-
 
 class PathExpression:
     """A validated path expression over a schema.
@@ -163,12 +158,6 @@ class PathExpression:
             )
         return cls(schema, parts[0], parts[1:])
 
-    def subpath(self, i: int, j: int) -> "PathExpression":
-        """The path ``t_i.A_{i+1}.….A_j`` (used by partial-range queries)."""
-        if not 0 <= i < j <= self.n:
-            raise PathError(f"invalid subpath bounds ({i}, {j}) for n={self.n}")
-        return PathExpression(self.schema, self.types[i], self.attributes[i:j])
-
     # ------------------------------------------------------------------
     # derived properties
     # ------------------------------------------------------------------
@@ -197,12 +186,6 @@ class PathExpression:
     def types(self) -> tuple[str, ...]:
         """The type names ``t_0, …, t_n`` along the path."""
         return (self.anchor_type,) + tuple(step.range_type for step in self.steps)
-
-    def set_occurrences_before(self, i: int) -> int:
-        """``k(i)``: the number of set occurrences at ``A_j`` for ``j < i``."""
-        if not 0 <= i <= self.n:
-            raise PathError(f"attribute index {i} out of range 0..{self.n}")
-        return sum(1 for step in self.steps[: max(i - 1, 0)] if step.is_set_occurrence)
 
     def column_of(self, i: int) -> int:
         """The ASR column index holding OIDs of type ``t_i``.

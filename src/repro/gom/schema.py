@@ -127,37 +127,6 @@ class Schema:
                 "permitted in paths, paper footnote 2)"
             )
 
-    def add_attribute(self, type_name: str, attribute: str, attr_type: str) -> None:
-        """Extend a tuple type with a new attribute (type extensibility).
-
-        The paper's introduction credits object models with "type
-        extensibility"; this is the schema-evolution half: the attribute
-        becomes visible on ``type_name`` and all its subtypes, and
-        existing instances read it as NULL until assigned
-        (:class:`~repro.gom.database.ObjectBase` materializes the slot
-        lazily).
-        """
-        t = self.tuple_type(type_name)
-        if attr_type not in self._types:
-            raise SchemaError(f"unknown attribute type {attr_type!r}")
-        existing = self.attributes_of(type_name)
-        if attribute in existing:
-            raise SchemaError(
-                f"type {type_name!r} already has attribute {attribute!r}"
-            )
-        for sub in self.subtypes_of(type_name):
-            declared = self.tuple_type(sub).attributes
-            if attribute in declared and declared[attribute] != attr_type:
-                raise SchemaError(
-                    f"subtype {sub!r} already declares {attribute!r} with "
-                    f"type {declared[attribute]!r}"
-                )
-        attributes = dict(t.attributes)
-        attributes[attribute] = attr_type
-        self._types[type_name] = TupleType(
-            type_name, attributes, t.supertypes, t.byte_size
-        )
-
     def validate(self) -> None:
         """Check that every referenced type name is defined.
 
@@ -202,12 +171,6 @@ class Schema:
         t = self.lookup(name)
         if not isinstance(t, TupleType):
             raise SchemaError(f"type {name!r} is not tuple-structured")
-        return t
-
-    def atomic_type(self, name: str) -> AtomicType:
-        t = self.lookup(name)
-        if not isinstance(t, AtomicType):
-            raise SchemaError(f"type {name!r} is not atomic")
         return t
 
     def collection_type(self, name: str) -> SetType | ListType:

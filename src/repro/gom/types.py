@@ -19,8 +19,8 @@ attribute of a freshly instantiated tuple object holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 from repro.errors import SchemaError
 
@@ -76,12 +76,6 @@ class GomType:
     """
 
     name: str
-
-    def is_atomic(self) -> bool:
-        return isinstance(self, AtomicType)
-
-    def is_tuple(self) -> bool:
-        return isinstance(self, TupleType)
 
     def is_set(self) -> bool:
         return isinstance(self, SetType)
@@ -207,8 +201,3 @@ class ListType(GomType):
 
     def __repr__(self) -> str:
         return f"ListType({self.name} = <{self.element_type}>)"
-
-
-def type_names(types: Sequence[GomType]) -> list[str]:
-    """Return the names of ``types`` in order (convenience helper)."""
-    return [t.name for t in types]

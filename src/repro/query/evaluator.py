@@ -45,8 +45,10 @@ def access_restriction(asr: AccessSupportRelation, breakers=None) -> str | None:
     or one whose circuit breaker refuses the query is an *access
     restriction* in the sense of Benedikt et al. — Eq. 35 then treats
     the relation as absent and the query is answered under whatever is
-    left.  ``breakers.allow_query`` is stateful (a half-open breaker
-    admits exactly one probe), so ask once per ASR per decision.
+    left.  Without ``breakers`` this is a pure read of the quarantine.
+    ``breakers.allow_query`` is stateful (a half-open breaker admits
+    exactly one probe), so pass ``breakers`` only for an ASR the
+    decision would use, and at most once per decision.
     """
     if asr.quarantined:
         return "quarantined"

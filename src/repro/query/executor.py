@@ -76,11 +76,6 @@ class CompiledSelect:
     residual: tuple[Predicate, ...]
     epoch: int | None = None
 
-    @property
-    def supported(self) -> bool:
-        """Whether any predicate will be answered through an ASR."""
-        return any(action.plan.supported for action in self.actions)
-
 
 #: Strategy strings for the two ways a supported predicate degrades.
 _DEGRADED_STRATEGIES = {

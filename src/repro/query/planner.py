@@ -12,10 +12,13 @@ circuit breaker on the attached
 restriction* (:func:`~repro.query.evaluator.access_restriction`, the one
 predicate): the relation counts as absent and the plan degrades to
 another covering decomposition or to the unsupported evaluation —
-results stay correct, only the page profile suffers.  ``allow_query`` is
-stateful (a half-open breaker admits exactly one probe), so
-:meth:`Planner.plan` asks once per covering ASR per decision and
-:meth:`Planner.recheck` once more for a plan frozen earlier.
+results stay correct, only the page profile suffers.  Quarantine is a
+pure read and is checked for every covering ASR.  ``allow_query`` is
+stateful (a half-open breaker admits exactly one probe), so the breaker
+restricts only the plans that would use its ASR: :meth:`Planner.plan`
+asks it only of a candidate priced below the best plan so far, in price
+order, and :meth:`Planner.recheck` once more for a plan frozen earlier.
+A probe is therefore spent only on a decision its ASR wins.
 
 Among the usable ASRs and the fallback the cheapest wins, priced by the
 manager's one price list (``ASRManager.costs``, a
@@ -29,7 +32,7 @@ What does not change between decisions is priced once: per query shape
 ``(path, i, j, kind)`` the planner remembers the fallback's price and
 every covering ASR with its price, valid for one ``manager.epoch`` and
 one generation of the price list (:meth:`Planner._priced`).  Restrictions
-are never remembered — each decision still asks every covering ASR once.
+are never remembered — each decision asks afresh.
 
 :meth:`Planner.run` is the only place a plan is executed and its
 outcome reported (breaker board, drift monitor — the latter gets the
@@ -67,10 +70,6 @@ class Plan:
     #: but restrictions left none usable (a *degraded* plan); ``None``
     #: otherwise, including the deliberate Figure 8 fallback.
     restriction: str | None = None
-
-    @property
-    def supported(self) -> bool:
-        return self.asr is not None
 
     def describe(self) -> str:
         """One line; a plan without an ASR says why it has none.
@@ -144,9 +143,9 @@ class Planner:
         transition and maintenance batch bumps it) and one generation of
         ``manager.costs`` (:meth:`MeasuredCosts.invalidate
         <repro.costmodel.measured.MeasuredCosts.invalidate>` bumps it
-        without touching the epoch).  Candidates stay in registration
-        order, so a tie goes to the first registered, as in a fresh
-        ranking.  The caller holds the read lock.
+        without touching the epoch).  Candidates are in price order,
+        and a tie keeps registration order, so the first registered
+        wins it.  The caller holds the read lock.
         """
         manager = self.manager
         costs = manager.costs
@@ -157,7 +156,12 @@ class Planner:
             entry = self._decisions[key] = (
                 stamp,
                 self.cost(query, None),
-                tuple((asr, self.cost(query, asr)) for asr in self._covering(query)),
+                tuple(
+                    sorted(
+                        ((asr, self.cost(query, asr)) for asr in self._covering(query)),
+                        key=lambda candidate: candidate[1],
+                    )
+                ),
             )
         return entry[1], entry[2]
 
@@ -204,14 +208,17 @@ class Planner:
     def _plan(self, query: Query, context) -> Plan:
         """:meth:`plan` under a read hold the caller already has.
 
-        Prices come from :meth:`_priced`; restrictions never do: every
-        covering ASR is asked once per decision, in registration order.
+        Prices come from :meth:`_priced`; restrictions never do.  Every
+        candidate's quarantine is read, but its breaker is asked only
+        when the candidate would beat the best plan so far, so a
+        half-open breaker's one probe goes to a decision its ASR wins.
         """
         best_cost, candidates = self._priced(query)
         best = None
         quarantined = vetoed = 0
         for asr, cost in candidates:
-            restriction = access_restriction(asr, self.breakers)
+            breakers = self.breakers if cost < best_cost else None
+            restriction = access_restriction(asr, breakers)
             if restriction == "quarantined":
                 quarantined += 1
             elif restriction == "breaker-open":

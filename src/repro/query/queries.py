@@ -28,10 +28,6 @@ class Query:
                 f"length {self.path.n}"
             )
 
-    @property
-    def spans_whole_path(self) -> bool:
-        return self.i == 0 and self.j == self.path.n
-
 
 @dataclass(frozen=True)
 class ForwardQuery(Query):

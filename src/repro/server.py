@@ -525,19 +525,6 @@ class ServeDaemon:
             stream = self._stream
         return stream[index % len(stream)]
 
-    def set_stream(self, stream: list[Operation]) -> None:
-        """Swap the replayed stream mid-run (the advisor soak's mix shift).
-
-        The admission loop picks up the new stream on its next
-        ``_next_op``; an operation already admitted finishes against the
-        old mix, which is exactly the boundary a live workload shift has.
-        """
-        if not stream:
-            raise ValueError("replacement stream must be non-empty")
-        with self._index_lock:
-            self._stream = list(stream)
-            self._op_index = 0
-
     def _record(self, sample: OpSample, op: Operation) -> None:
         with self._samples_lock:
             self._samples.append(sample)

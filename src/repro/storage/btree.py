@@ -126,11 +126,6 @@ class BPlusTree:
             node = node.children[0]
         return levels
 
-    @property
-    def interior_height(self) -> int:
-        """Levels excluding the leaves — the cost model's ``ht`` (Eq. 19)."""
-        return self.height - 1
-
     def leaf_count(self) -> int:
         return self._leaves
 

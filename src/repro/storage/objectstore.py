@@ -15,8 +15,6 @@ accesses; the object *contents* stay in the object base.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.errors import StorageError
 from repro.storage.stats import resolve_buffer
 from repro.gom.database import ObjectBase
@@ -135,9 +133,3 @@ class ClusteredObjectStore:
             return
         for page in range(self.pages_of_type(type_name)):
             buffer.touch(("obj", type_name, page), "object")
-
-    def access_all(self, oids: Iterable[OID], type_name: str, context=None) -> None:
-        """Charge reads for a set of same-typed objects (distinct pages once)."""
-        buffer = resolve_buffer(context)
-        for oid in oids:
-            self.access(oid, type_name, buffer)

@@ -54,11 +54,6 @@ class AccessStats:
         """Total page accesses (reads + writes) — the paper's cost measure."""
         return self.page_reads + self.page_writes
 
-    def reset(self) -> None:
-        self.page_reads = 0
-        self.page_writes = 0
-        self.by_category.clear()
-
     def snapshot(self) -> "AccessStats":
         clone = AccessStats(self.page_reads, self.page_writes, dict(self.by_category))
         return clone
@@ -220,10 +215,6 @@ class ThreadSafeAccessStats(AccessStats):
     def write(self, pages: int = 1, category: str = "page") -> None:
         with self._lock:
             super().write(pages, category)
-
-    def reset(self) -> None:
-        with self._lock:
-            super().reset()
 
     def snapshot(self) -> AccessStats:
         with self._lock:

@@ -311,15 +311,6 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name, {}).get(_label_key(labels), 0)
 
-    def gauge_value(self, name: str, **labels: str) -> float | None:
-        """The current value of one gauge (callable gauges evaluated)."""
-        key = _label_key(labels)
-        with self._lock:
-            fn = self._gauge_fns.get(name, {}).get(key)
-            if fn is None:
-                return self._gauges.get(name, {}).get(key)
-        return float(fn())
-
     def histogram(self, name: str, **labels: str) -> HistogramState | None:
         """The histogram state of one label set, if observed."""
         with self._lock:

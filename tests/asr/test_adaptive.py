@@ -52,8 +52,8 @@ class TestWorkloadRecorder:
         recorder.record_query(0, 3, "bw", count=3)
         recorder.record_query(0, 1, "fw")
         recorder.record_update(1, count=2)
-        assert recorder.total_queries == 4
-        assert recorder.total_updates == 2
+        assert sum(recorder.queries.values()) == 4
+        assert sum(recorder.updates.values()) == 2
         assert recorder.total_operations == 6
 
     def test_to_mix_weights(self, world):
@@ -396,5 +396,5 @@ class TestRecorderThreadSafety:
         for worker in workers:
             worker.join()
         assert recorder.total_operations == threads * per_thread
-        assert recorder.total_queries == (threads // 2) * per_thread
-        assert recorder.total_updates == (threads // 2) * per_thread
+        assert sum(recorder.queries.values()) == (threads // 2) * per_thread
+        assert sum(recorder.updates.values()) == (threads // 2) * per_thread

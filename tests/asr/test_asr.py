@@ -101,7 +101,7 @@ class TestStoredPartition:
         partition.bulk_load([(OID(i), OID(i)) for i in range(1000)])
         stats = AccessStats()
         with BufferScope(stats) as buffer:
-            rows = partition.scan(buffer)
+            rows = list(partition.forward_tree.range(context=buffer))
         assert len(rows) == 1000
         assert stats.page_reads >= partition.page_count
 
@@ -126,7 +126,7 @@ class TestAccessSupportRelation:
     def test_default_decomposition_is_trivial(self, company_world):
         db, path, _o = company_world
         asr = AccessSupportRelation.build(db, path, Extension.CANONICAL)
-        assert asr.decomposition.is_trivial
+        assert asr.decomposition == Decomposition.none(path.m)
 
     def test_wrong_decomposition_span_rejected(self, company_world):
         db, path, _o = company_world
@@ -139,7 +139,6 @@ class TestAccessSupportRelation:
             db, path, Extension.FULL, Decomposition.of(0, 2, 5)
         )
         assert asr.partition_at(0).first_column == 0
-        assert asr.partition_covering(3).first_column == 2
         with pytest.raises(StorageError):
             asr.partition_at(1)
 

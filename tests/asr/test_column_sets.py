@@ -1,11 +1,12 @@
 """Leaf column sets stay equal to their leaves under every tree change.
 
-``StoredPartition.select`` decides each page by one set test against a
+A partition's mid-partition read, ``BPlusTree.column_probe`` on its
+forward tree, decides each page by one set test against a
 frozenset cached on the leaf.  On 96-byte pages (4 rows per leaf, 8
 children per interior node) random ``add_projection`` /
 ``remove_projection`` sequences split, borrow from either side, merge
-and collapse the root; after every step ``select`` must return the rows,
-and touch the pages, of a filter over ``scan()``, a leaf whose rows did
+and collapse the root; after every step the probe must return the rows,
+and touch the pages, of a filter over a full scan, a leaf whose rows did
 not change must hand out the very set it built before, and a leaf whose
 rows changed must have dropped its sets.
 """
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from repro.asr.asr import StoredPartition
 from repro.gom import NULL, OID
 from repro.storage.btree import BPlusTree
+from tests.asr.test_partition_reads import scan
 from tests.storage.reference_walker import RecordingBuffer
 
 PAGE_SIZE, OID_SIZE = 96, 8
@@ -44,14 +46,14 @@ def leaves(tree: BPlusTree) -> list:
 
 
 def probe_sets(partition: StoredPartition) -> None:
-    """Every offset: ``select`` equals the scan filter, rows and pages."""
-    everything = partition.scan()
+    """Every offset: the column probe equals the scan filter, rows and pages."""
+    everything = scan(partition)
     for offset in range(partition.arity):
         present = sorted({row[offset] for row in everything}, key=repr)
         for cells in (set(), {NULL, ABSENT}, set(present[::2]), set(present)):
             select_buffer, scan_buffer = RecordingBuffer(), RecordingBuffer()
-            assert partition.select(offset, cells, select_buffer) == [
-                row for row in partition.scan(scan_buffer) if row[offset] in cells
+            assert partition.forward_tree.column_probe(offset, cells, select_buffer) == [
+                row for row in scan(partition, scan_buffer) if row[offset] in cells
             ]
             assert select_buffer.touched == scan_buffer.touched
 
@@ -181,7 +183,7 @@ def test_concurrent_readers_building_sets_agree_with_the_scan_filter():
         local = random.Random(seed)
         for _ in range(150):
             offset, cells = local.choice(list(expected))
-            if partition.select(offset, set(cells)) != expected[offset, cells]:
+            if partition.forward_tree.column_probe(offset, set(cells)) != expected[offset, cells]:
                 wrong.append((offset, cells))
 
     interval = sys.getswitchinterval()
@@ -192,7 +194,7 @@ def test_concurrent_readers_building_sets_agree_with_the_scan_filter():
                 row = tuple(rng.choice(domain) for _ in range(3))
                 if any(c is not NULL for c in row):
                     partition.add_projection(row)
-            everything = partition.scan()
+            everything = scan(partition)
             probes = [
                 (offset, frozenset(rng.sample(domain, 3)))
                 for offset in range(3)

@@ -32,9 +32,7 @@ class TestValidation:
 
     def test_binary_and_none(self):
         assert Decomposition.binary(4).borders == (0, 1, 2, 3, 4)
-        assert Decomposition.binary(4).is_binary
         assert Decomposition.none(4).borders == (0, 4)
-        assert Decomposition.none(4).is_trivial
 
     def test_all_for_counts(self):
         # 2^(m-1) decompositions of an (m+1)-column relation.
@@ -46,14 +44,6 @@ class TestValidation:
         assert len({d.borders for d in decs}) == len(decs)
         for dec in decs:
             dec.validate_for(4)
-
-    def test_partition_containing(self):
-        dec = Decomposition.of(0, 2, 5)
-        assert dec.partition_containing(0) == (0, 2)
-        assert dec.partition_containing(2) == (0, 2)  # leftmost on border
-        assert dec.partition_containing(3) == (2, 5)
-        with pytest.raises(DecompositionError):
-            dec.partition_containing(6)
 
     def test_validate_for_mismatch(self):
         with pytest.raises(DecompositionError):

@@ -84,15 +84,6 @@ class TestApplicability:
     def test_supports_query(self, extension, i, j, expected):
         assert extension.supports_query(i, j, 4) is expected
 
-    def test_partials_flags(self):
-        assert Extension.FULL.keeps_left_partials
-        assert Extension.FULL.keeps_right_partials
-        assert Extension.LEFT.keeps_left_partials
-        assert not Extension.LEFT.keeps_right_partials
-        assert Extension.RIGHT.keeps_right_partials
-        assert not Extension.RIGHT.keeps_left_partials
-        assert not Extension.CANONICAL.keeps_left_partials
-
 
 # ----------------------------------------------------------------------
 # random-world oracle cross-validation

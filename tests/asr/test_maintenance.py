@@ -173,7 +173,7 @@ class TestAnalyzeEvent:
 
     def test_creation_is_empty(self, company_world):
         db, path, _o = company_world
-        assert not analyze_event(db, path, ObjectCreated(next(db.oids()), "Division"))
+        assert not analyze_event(db, path, ObjectCreated(next(db.objects()).oid, "Division"))
 
     def test_name_change_anchors(self, company_world):
         db, path, o = company_world

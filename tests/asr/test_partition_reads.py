@@ -34,6 +34,11 @@ def make_partition(rows) -> StoredPartition:
     return partition
 
 
+def scan(partition, buffer=None) -> list:
+    """Every row of ``partition`` in forward-tree order, charging each leaf."""
+    return [row for _key, row in partition.forward_tree.range(context=buffer)]
+
+
 def duplicate_heavy_rows() -> list[tuple]:
     """Few distinct border cells, many rows each; NULLs on both borders."""
     rows = {
@@ -83,10 +88,10 @@ def column_cells(partition, offset) -> list:
 
 
 def check_every_read(partition: StoredPartition) -> None:
-    everything = partition.scan()
+    everything = scan(partition)
     assert sorted(everything, key=repr) == sorted(partition.rows(), key=repr)
     assert_same_read(
-        partition.scan,
+        lambda buffer: scan(partition, buffer),
         lambda buffer: [
             value for _, value in reference_range(partition.forward_tree, None, None, buffer)
         ],
@@ -123,9 +128,9 @@ def check_every_read(partition: StoredPartition) -> None:
             set(present),
         ):
             assert_same_read(
-                lambda buffer: partition.select(offset, cells, buffer),
+                lambda buffer: partition.forward_tree.column_probe(offset, cells, buffer),
                 lambda buffer: [
-                    row for row in partition.scan(buffer) if row[offset] in cells
+                    row for row in scan(partition, buffer) if row[offset] in cells
                 ],
             )
     # The column sets those selects cached equal fresh ones.
@@ -160,7 +165,7 @@ class TestDuplicatesAcrossLeafBoundaries:
         partition = make_partition(duplicate_heavy_rows())
         for cells in (set(), {ABSENT}, {OID(1)}):
             buffer = RecordingBuffer()
-            partition.select(1, cells, buffer)
+            partition.forward_tree.column_probe(1, cells, buffer)
             leaves = [page for page, category in buffer.touched if category == "btree_leaf"]
             assert len(leaves) == len(set(leaves)) == partition.page_count
 

@@ -106,11 +106,6 @@ class TestDerived:
         assert empty.e_(1) == 0
         assert empty.ref_(0) == 0
 
-    def test_spread(self, profile):
-        assert profile.spread_(0) == pytest.approx(
-            profile.d_(0) / profile.e_(1)
-        )
-
 
 class TestTransforms:
     def test_with_d(self, profile):

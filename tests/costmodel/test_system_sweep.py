@@ -40,7 +40,7 @@ class TestGeometrySweep:
         for extension in Extension:
             for dec in (BI, NODEC):
                 assert storage.relation_bytes(extension, dec) > 0
-                assert storage.relation_pages(extension, dec) >= 1
+                assert sum(storage.ap(extension, a, b) for a, b in dec.partitions) >= 1
             for i, j in [(0, 4), (1, 3)]:
                 assert storage.ht(extension, i, j) >= 0
                 assert storage.nlp(extension, i, j) >= 1

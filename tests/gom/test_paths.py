@@ -45,10 +45,6 @@ class TestGeneralPaths:
         # Division=0, (ProdSET=1), Product=2, (BasePartSET=3), BasePart=4, Name=5
         assert [path.column_of(i) for i in range(4)] == [0, 2, 4, 5]
 
-    def test_set_occurrences_before(self, company_world):
-        _db, path, _objects = company_world
-        assert [path.set_occurrences_before(i) for i in range(4)] == [0, 0, 1, 2]
-
     def test_type_index_of_column(self, company_world):
         _db, path, _objects = company_world
         assert [path.type_index_of_column(c) for c in range(6)] == [0, 1, 1, 2, 2, 3]
@@ -63,13 +59,6 @@ class TestGeneralPaths:
             "OID_BasePart",
             "VALUE_STRING",
         ]
-
-    def test_subpath(self, company_world):
-        _db, path, _objects = company_world
-        sub = path.subpath(1, 3)
-        assert sub.anchor_type == "Product"
-        assert sub.attributes == ("Composition", "Name")
-        assert sub.k == 1
 
 
 class TestValidation:
@@ -94,13 +83,6 @@ class TestValidation:
             PathExpression.parse(schema, "Division")
         with pytest.raises(PathError):
             PathExpression.parse(schema, "Division..Name")
-
-    def test_invalid_subpath_bounds(self, company_world):
-        _db, path, _objects = company_world
-        with pytest.raises(PathError):
-            path.subpath(2, 2)
-        with pytest.raises(PathError):
-            path.subpath(0, 99)
 
     def test_equality_and_hash(self, schema):
         a = PathExpression(schema, "Division", ["Name"])

@@ -35,11 +35,8 @@ class TestRegistration:
         schema.define_set("S", "T")
         assert schema.tuple_type("T").name == "T"
         assert schema.collection_type("S").name == "S"
-        assert schema.atomic_type("STRING").name == "STRING"
         with pytest.raises(SchemaError):
             schema.tuple_type("S")
-        with pytest.raises(SchemaError):
-            schema.atomic_type("T")
         with pytest.raises(SchemaError):
             schema.collection_type("T")
 

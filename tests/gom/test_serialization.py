@@ -66,8 +66,8 @@ class TestObjectBaseRoundTrip:
         save(db, tmp_path / "db.json")
         loaded, _ = load(tmp_path / "db.json")
         fresh = loaded.new("BasePart", Name="Bolt")
-        assert fresh not in db.oids() or fresh.value >= len(db)
-        assert fresh.value not in {oid.value for oid in db.oids()}
+        assert fresh not in db or fresh.value >= len(db)
+        assert fresh.value not in {instance.oid.value for instance in db.objects()}
 
     def test_lists_round_trip(self, tmp_path):
         from repro.gom import ObjectBase, Schema

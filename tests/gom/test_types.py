@@ -95,8 +95,6 @@ class TestAtomicTypes:
         assert not DECIMAL.accepts(True)
 
     def test_kind_predicates(self):
-        assert STRING.is_atomic()
-        assert not STRING.is_tuple()
         assert not STRING.is_collection()
 
 

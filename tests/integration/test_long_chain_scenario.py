@@ -123,12 +123,6 @@ class TestLongChain:
                 restored.extension_relation.rows == original.extension_relation.rows
             )
 
-    def test_manager_report(self, world):
-        _generated, manager, _asrs = world
-        report = manager.report()
-        assert "access support relation" in report
-        assert report.count("T0.A.A.A.A.A") == len(manager.asrs)
-
     def test_adaptive_on_long_chain(self, world):
         generated, manager, _asrs = world
         asr = manager.create(

@@ -27,7 +27,7 @@ def supported_forward(query: ForwardQuery, asr, buffer) -> set:
         if a < first_column:
             # The query's origin lies strictly inside this partition:
             # every page must be inspected (second sum of Eq. 33).
-            rows = partition.select(first_column - a, frontier, buffer)
+            rows = partition.forward_tree.column_probe(first_column - a, frontier, buffer)
         else:
             rows = [
                 row
@@ -64,7 +64,7 @@ def supported_backward(query, asr, buffer) -> set:
             rows = partition.lookup_backward_range(query.lo, query.hi, buffer)
         elif b > last_column:
             # The query's target lies strictly inside this partition.
-            rows = partition.select(last_column - a, frontier, buffer)
+            rows = partition.forward_tree.column_probe(last_column - a, frontier, buffer)
         else:
             rows = [
                 row

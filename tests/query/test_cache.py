@@ -7,6 +7,7 @@ from repro.query.cache import CompiledPlanCache, normalize_query
 from repro.query.executor import CompiledSelect
 from repro.query.parser import parse_select
 from repro.telemetry import MetricsRegistry
+from tests.telemetry.test_registry import gauge
 
 
 def compiled(text: str) -> CompiledSelect:
@@ -85,7 +86,7 @@ class TestCompiledPlanCache:
         assert registry.counter_value("query.cache.misses") == 1
         assert registry.counter_value("query.cache.hits") == 1
         assert registry.counter_value("query.cache.evictions") == 1
-        assert registry.gauge_value("query.cache.size") == 1.0
+        assert gauge(registry, "query.cache.size") == 1.0
 
     def test_describe_snapshot(self):
         cache = CompiledPlanCache(capacity=8)

@@ -40,7 +40,7 @@ class TestCostBasedChoice:
         manager.create(path, Extension.FULL, Decomposition.binary(path.m))
         query = BackwardQuery(path, 0, path.n, target=generated.layers[-1][0])
         plan = planner.plan(query)
-        assert plan.supported
+        assert plan.asr is not None
         result = planner.execute(query, evaluator)
         assert result.cells == evaluator.evaluate_unsupported(query).cells
 
@@ -56,7 +56,7 @@ class TestCostBasedChoice:
         query = ForwardQuery(path, 0, 1, start=generated.layers[0][0])
         assert planner.cost(query, None) < planner.cost(query, manager.asrs[0])
         plan = planner.plan(query)
-        assert not plan.supported
+        assert plan.asr is None
         result = planner.execute(query, evaluator)
         assert result.strategy == "unsupported"
 

@@ -77,7 +77,7 @@ class TestPlanDescribe:
             generated.path, 0, generated.path.n, target=generated.layers[-1][0]
         )
         plan = planner.plan(query)
-        assert plan.supported
+        assert plan.asr is not None
         text = plan.describe()
         assert "full" in text and "pages" in text
 
@@ -111,5 +111,5 @@ class TestPlanDataclass:
         generated, _manager, _planner = setup
         query = ForwardQuery(generated.path, 0, 1, start=generated.layers[0][0])
         plan = Plan(query, None, 12.5)
-        assert not plan.supported
+        assert plan.asr is None
         assert plan.estimated_pages == 12.5

@@ -21,7 +21,7 @@ class TestApplicability:
             generated.path, 0, generated.path.n, target=generated.layers[-1][0]
         )
         plan = planner.plan(query)
-        assert not plan.supported
+        assert plan.asr is None
         assert "unsupported" in plan.describe()
 
     def test_applicable_filtering(self, setup):

@@ -178,7 +178,7 @@ def test_configuration_product(ranking, route, state):
     compiled = None
     if route == "text":
         compiled = world.executor.compile(world.text)
-        assert compiled.supported
+        assert any(action.plan.asr is not None for action in compiled.actions)
     world.enter(state)
     asked_before = world.board.asked.get(id(world.asr), 0)
     restriction, transitions, asks = BY_STATE[state]
@@ -213,10 +213,12 @@ def test_each_breaker_is_asked_once_per_decision(ranking):
     other = world.manager.create(
         world.path, Extension.FULL, Decomposition.none(world.path.m)
     )
+    cheap = min((world.asr, other), key=lambda asr: world.planner.cost(world.query, asr))
+    # Only the candidate the decision uses is asked, once per decision.
     world.planner.plan(world.query)
-    assert world.board.asked == {id(world.asr): 1, id(other): 1}
+    assert world.board.asked == {id(cheap): 1}
     world.planner.execute(world.query, world.evaluator)
-    assert world.board.asked == {id(world.asr): 2, id(other): 2}
+    assert world.board.asked == {id(cheap): 2}
 
 
 def test_cost_ranking_prices_a_shape_once(monkeypatch):

@@ -14,6 +14,7 @@ from repro.asr import AdvisorLoop, ASRManager, Decomposition, Extension, Workloa
 from repro.costmodel.advisor import DesignChoice
 from repro.errors import CostModelError
 from repro.telemetry import MetricsRegistry
+from tests.telemetry.test_registry import gauge
 
 #: The scripted winner's type borders (the world's path has n = 3).
 BORDERS = (0, 1, 3)
@@ -170,7 +171,7 @@ class TestApply:
         assert manager.asrs == [loop.asr] and loop.asr is not asr
         assert registry.counter_value("advisor.retunes") == 1
         assert registry.counter_value("advisor.sweeps") == 1
-        assert registry.gauge_value("advisor.predicted_gain") == pytest.approx(2.0)
+        assert gauge(registry, "advisor.predicted_gain") == pytest.approx(2.0)
         entry = loop.describe()["history"][-1]
         assert entry["applied"] is True
         assert entry["from"]["extension"] == "full"

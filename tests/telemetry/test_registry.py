@@ -22,6 +22,14 @@ from repro.telemetry.registry import (
 )
 
 
+def gauge(registry: MetricsRegistry, name: str, **labels: str) -> float | None:
+    """One gauge's value as :meth:`MetricsRegistry.snapshot` reports it."""
+    for entry in registry.snapshot()["gauges"].get(name, ()):
+        if entry["labels"] == labels:
+            return entry["value"]
+    return None
+
+
 class TestBucketIndex:
     def test_zero_and_negative_fall_into_none_bucket(self):
         assert bucket_index(0.0) is None
@@ -124,8 +132,8 @@ class TestFamilies:
         registry = MetricsRegistry()
         registry.set_gauge("pool.hit_rate", 0.25)
         registry.set_gauge("pool.hit_rate", 0.75)
-        assert registry.gauge_value("pool.hit_rate") == 0.75
-        assert registry.gauge_value("absent") is None
+        assert gauge(registry, "pool.hit_rate") == 0.75
+        assert gauge(registry, "absent") is None
 
     def test_callable_gauges_are_lazy(self):
         registry = MetricsRegistry()
@@ -137,7 +145,7 @@ class TestFamilies:
 
         registry.gauge_fn("pool.occupancy", occupancy)
         assert not calls  # registration alone never evaluates
-        assert registry.gauge_value("pool.occupancy") == 7.0
+        assert gauge(registry, "pool.occupancy") == 7.0
         snap = registry.snapshot()
         assert snap["gauges"]["pool.occupancy"][0]["value"] == 7.0
         assert len(calls) == 2
@@ -392,7 +400,7 @@ class TestConcurrentPublishers:
             state = registry.histogram("lat", worker=str(k))
             assert state.count == rounds
             assert sum(state.buckets.values()) == rounds
-            assert registry.gauge_value("last", worker=str(k)) == rounds - 1
+            assert gauge(registry, "last", worker=str(k)) == rounds - 1
 
     def test_snapshot_during_publishing_never_tears(self):
         registry = MetricsRegistry()

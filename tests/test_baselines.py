@@ -14,7 +14,7 @@ class TestGemStoneIndexPath:
         db, path, o = robot_world
         index = gemstone_index_path(db, path)
         assert index.extension is Extension.CANONICAL
-        assert index.decomposition.is_binary
+        assert index.decomposition == Decomposition.binary(path.m)
         assert index.tuple_count == 3  # the three complete robot paths
 
     def test_rejects_collection_valued_paths(self, company_world):
@@ -103,17 +103,6 @@ class TestNestedAttributeIndex:
                 db, value_path, payload
             )
 
-    def test_range_lookup(self, small_chain):
-        db = small_chain.db
-        value_path = PathExpression(db.schema, "T0", ("A", "A", "A", "Payload"))
-        for index_t3, oid in enumerate(small_chain.layers[3]):
-            db.set_attr(oid, "Payload", index_t3)
-        index = NestedAttributeIndex.build(db, value_path)
-        expected = set()
-        for payload in range(10, 20):
-            expected |= index.lookup(payload)
-        assert index.lookup_range(10, 20) == expected
-
     def test_index_scans_read_what_the_row_at_a_time_loops_read(self, small_chain):
         from repro.asr.asr import cell_key
         from tests.storage.reference_walker import RecordingBuffer, reference_range
@@ -143,12 +132,6 @@ class TestNestedAttributeIndex:
                 (prefix, ()), None, theirs, prefix
             )
             assert ours.touched == theirs.touched
-        for lo, hi in ((0, 5), (1, 3), (2, 2), (3, 1), (-4, 9)):
-            ours, theirs = RecordingBuffer(), RecordingBuffer()
-            assert index.lookup_range(lo, hi, ours) == reference(
-                (cell_key(lo), ()), (cell_key(hi), ()), theirs
-            )
-            assert ours.touched == theirs.touched
 
     def test_storage_statistics(self, company_world):
         db, path, _o = company_world
@@ -163,15 +146,6 @@ class TestNestedAttributeIndex:
 
 
 class TestManagerIntegration:
-    def test_report_includes_nested_index(self, company_world):
-        db, path, _o = company_world
-        manager = ASRManager(db)
-        manager.create(path, Extension.FULL)
-        manager.register(NestedAttributeIndex.build(db, path))
-        report = manager.report()
-        assert report.count(str(path)) == 2
-        assert "dec=None" in report
-
     def test_find_matches_nested_index(self, company_world):
         db, path, _o = company_world
         manager = ASRManager(db)

@@ -162,7 +162,7 @@ class TestAsyncServeBench:
     def test_async_report_shape_and_accounting(self, slow):
         world, core, samples = slow
         assert core.limit == 16
-        assert core.device.describe() == {"dist": "fixed", "io_micros": 2000.0}
+        assert core.device.latency.describe() == {"dist": "fixed", "io_micros": 2000.0}
         # One replay: every stream operation ran exactly once, and the
         # shared totals equal retired + Σ live per-worker totals.
         assert len(samples) == self.TINY_ASYNC.ops
@@ -195,7 +195,7 @@ class TestAsyncServeBench:
             max_inflight=8,
         )
         world, core, samples = replay(config)
-        device = core.device.describe()
+        device = core.device.latency.describe()
         assert device["dist"] == "lognormal" and device["sigma"] == 0.3
         assert len(samples) == 12
         assert world.pool.check_accounting()["ok"] is True

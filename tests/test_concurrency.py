@@ -31,6 +31,7 @@ from repro.telemetry import MetricsRegistry
 from repro.workload.generator import ChainGenerator
 from repro.workload.opstream import apply_update, operation_stream
 from repro.workload.profiles import FIG14_MIX
+from tests.telemetry.test_registry import gauge
 
 SMALL = ApplicationProfile(
     c=(20, 40, 60, 120, 240),
@@ -334,10 +335,10 @@ class TestContextPool:
         registry = MetricsRegistry()
         accounting = pool.check_accounting(registry)
         assert accounting["ok"] is True
-        assert registry.gauge_value("accounting.ok") == 1.0
+        assert gauge(registry, "accounting.ok") == 1.0
         shared = pool.stats.snapshot()
-        assert registry.gauge_value("accounting.shared_reads") == shared.page_reads
-        assert registry.gauge_value("accounting.worker_reads") == shared.page_reads
+        assert gauge(registry, "accounting.shared_reads") == shared.page_reads
+        assert gauge(registry, "accounting.worker_reads") == shared.page_reads
         assert pool.pool.hits + pool.pool.misses == clients * touches
         assert pool.pool.distinct_pages <= 32
 
@@ -360,11 +361,11 @@ class TestContextPool:
     def test_occupancy_gauge_tracks_live_contexts(self):
         registry = MetricsRegistry()
         pool = ContextPool(8, metrics=registry)
-        assert registry.gauge_value("pool.occupancy") == 0
+        assert gauge(registry, "pool.occupancy") == 0
         with pool.context():
-            assert registry.gauge_value("pool.occupancy") == 1
-        assert registry.gauge_value("pool.occupancy") == 0
-        assert registry.gauge_value("pool.recycled") == 1
+            assert gauge(registry, "pool.occupancy") == 1
+        assert gauge(registry, "pool.occupancy") == 0
+        assert gauge(registry, "pool.recycled") == 1
 
     def test_describe_is_json_able(self):
         import json
@@ -398,7 +399,7 @@ class TestContextPool:
                         buffer.touch(f"page-{rng.randrange(120)}")
                         if rng.random() < 0.3:
                             buffer.touch_write(f"page-{rng.randrange(120)}")
-                traces[k] = {**json.loads(context.to_json()), **trace.as_dict()}
+                traces[k] = {**json.loads(json.dumps(context.to_dict())), **trace.as_dict()}
 
         run_threads(clients, worker)
         for k, trace in traces.items():
@@ -414,7 +415,7 @@ class TestContextPool:
             )
         accounting = pool.check_accounting(registry)
         assert accounting["ok"] is True
-        assert registry.gauge_value("accounting.ok") == 1.0
+        assert gauge(registry, "accounting.ok") == 1.0
         # The registry's span histograms saw every operation.
         total_spans = sum(
             registry.histogram("span.pages", op=f"op-{k}").count
@@ -460,7 +461,7 @@ class TestConcurrentServing:
         registry = MetricsRegistry()
         accounting = pool.check_accounting(registry)
         assert accounting["ok"] is True
-        assert registry.gauge_value("accounting.ok") == 1.0
+        assert gauge(registry, "accounting.ok") == 1.0
         totals = pool.worker_totals()
         shared = pool.stats.snapshot()
         assert shared.page_reads == totals.page_reads

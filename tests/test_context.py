@@ -234,7 +234,7 @@ class TestExport:
         context = ExecutionContext()
         with context.operation("q") as buffer:
             buffer.touch("p1", "btree_leaf")
-        data = json.loads(context.to_json())
+        data = json.loads(json.dumps(context.to_dict()))
         assert "policy" not in data
         assert data["capacity"] is None  # per-operation scopes are unbounded
         assert data["page_reads"] == 1

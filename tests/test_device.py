@@ -115,7 +115,7 @@ class TestDeviceModel:
     def test_defaults_to_fixed_latency(self):
         device = DeviceModel()
         assert isinstance(device.latency, FixedLatency)
-        assert device.describe()["dist"] == "fixed"
+        assert device.latency.describe()["dist"] == "fixed"
 
     def test_zero_pages_cost_nothing(self):
         device = DeviceModel(FixedLatency(1e9))

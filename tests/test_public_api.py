@@ -13,6 +13,32 @@ class TestExports:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
+    def test_exported_set_is_pinned(self):
+        # A new top-level name is a deliberate API change: add it here.
+        assert set(repro.__all__) == {
+            "__version__",
+            # errors
+            "ReproError", "SchemaError", "TypingError", "PathError",
+            "ObjectBaseError", "RelationError", "DecompositionError",
+            "StorageError", "QueryError", "ParseError", "CostModelError",
+            "InjectedFault", "SimulatedCrash", "RecoveryError", "ExitHookError",
+            # execution context / fault injection / concurrency
+            "ExecutionContext", "FaultInjector", "ContextPool",
+            # object model
+            "NULL", "OID", "Schema", "ObjectBase", "PathExpression",
+            # access support relations
+            "Relation", "Extension", "build_extension", "Decomposition",
+            "AccessSupportRelation", "ASRManager",
+            # queries
+            "ForwardQuery", "BackwardQuery", "ValueRangeQuery",
+            "QueryEvaluator", "Planner", "SelectExecutor", "parse_select",
+            # cost model
+            "ApplicationProfile", "SystemParameters", "StorageModel",
+            "QueryCostModel", "UpdateCostModel", "OperationMix", "QuerySpec",
+            "UpdateSpec", "MixCostModel", "DesignAdvisor",
+        }
+        assert len(repro.__all__) == len(set(repro.__all__))
+
     def test_version(self):
         assert repro.__version__.count(".") == 2
 

@@ -1,0 +1,84 @@
+"""Every ``src/repro`` name is used outside its own definition, or says why not.
+
+A function or class whose name appears nowhere in ``src/``,
+``benchmarks/``, ``examples/`` or ``.github/`` except where it is
+defined is reached by nothing but tests.  Such code is deleted, or it
+stays in :data:`KEEP` with the reason it exists: the paper result it
+implements, the test oracle or test setup it is, or the route or safety
+path it serves.  Dunders are left out: the data model calls them.
+"""
+
+import ast
+import pathlib
+import re
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "repro"
+USERS = ("src", "benchmarks", "examples", ".github")
+
+#: Qualified name -> why it stays although only tests reach it.
+KEEP = {
+    "repro.asr.decomposition.Decomposition.recompose": (
+        "Thm. 3.9: a decomposition's partitions join back to the extension"
+    ),
+    "repro.concurrency.RWLock.write_held": (
+        "test oracle: the write side's re-entrancy in tests/test_concurrency.py"
+    ),
+    "repro.concurrency.RWLock.writers_waiting": (
+        "test setup: the writer-preference tests wait for a queued writer"
+    ),
+    "repro.gom.database.ObjectBase.new_list": (
+        "§2: instantiates GOM's list type constructor (list-valued paths)"
+    ),
+    "repro.gom.traversal.origins_reaching": (
+        "test oracle: naive GOM traversal that backward answers must equal"
+    ),
+    "repro.gom.traversal.reachable_terminals": (
+        "test oracle: naive GOM traversal that forward answers must equal"
+    ),
+}
+
+
+def definitions():
+    """``(qualified name, bare name)`` of every function and class."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+        if module.endswith(".__init__"):
+            module = module[: -len(".__init__")]
+        stack = [(ast.parse(path.read_text()), module)]
+        while stack:
+            node, prefix = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    qualified = f"{prefix}.{child.name}"
+                    yield qualified, child.name
+                    stack.append((child, qualified))
+                else:
+                    stack.append((child, prefix))
+
+
+def word_counts() -> Counter:
+    words: Counter = Counter()
+    for top in USERS:
+        for path in (ROOT / top).rglob("*"):
+            if path.suffix in (".py", ".yml") and path.is_file():
+                words.update(re.findall(r"\w+", path.read_text()))
+    return words
+
+
+def test_only_tests_reach_nothing_but_the_keep_table():
+    words = word_counts()
+    unreached = {
+        qualified
+        for qualified, name in definitions()
+        if not (name.startswith("__") and name.endswith("__")) and words[name] <= 1
+    }
+    assert unreached - KEEP.keys() == set(), (
+        "only tests use these: delete them or add them to KEEP with a reason"
+    )
+    assert KEEP.keys() - unreached == set(), (
+        "these KEEP entries are used outside tests now (or gone): drop them"
+    )
