@@ -11,7 +11,8 @@ checks, over real HTTP:
   retune and the design it started with — the ``--advisor-*`` flags
   reach the loop;
 * a repeated ``POST /query`` comes back ``cached: true`` with the same
-  rows, and a bad query gets a structured parse 400;
+  rows, so does the same shape with a literal never sent before, and a
+  bad query gets a structured parse 400;
 * three requests share one keep-alive connection, and ``GARBAGE`` is
   refused at the wire with a 400;
 * ``/trace/<id>`` phases cover >= 90% of the request and its measured
@@ -39,10 +40,10 @@ import time
 import urllib.error
 import urllib.request
 
-#: The paper's Query 1 analogue over the served chain.  The negative
-#: literal never appears in the replayed stream, so the replay cannot
-#: pre-warm this text.
-QUERY = "select x from x in extent(T0) where x.A.A.A.A.Payload >= -5"
+#: The paper's Query 1 analogue over the served chain.  The replayed
+#: stream puts its literals on the right, so the replay cannot pre-warm
+#: this shape's plan.
+QUERY = "select x from x in extent(T0) where -5 <= x.A.A.A.A.Payload"
 
 
 def get(addr: str, path: str) -> str:
@@ -116,6 +117,9 @@ def check_queries(addr: str) -> dict:
     status, second = post_query(addr, QUERY)
     assert status == 200 and second["cached"] is True, (status, second)
     assert second["rows"] == first["rows"], "the cache changed the answer"
+    # Plans are cached per shape: a literal never sent before binds into it.
+    status, unseen = post_query(addr, QUERY.replace("-5", "-9"))
+    assert status == 200 and unseen["cached"] is True, (status, unseen)
     status, error = post_query(
         addr, 'select x from x in extent(T0) where x.Payload = "oops'
     )

@@ -154,7 +154,7 @@ class ServeConfig:
     #: Seconds an open breaker waits before half-open probing.
     breaker_cooldown_s: float = 2.0
     #: Entries in the query service's compiled-plan cache (LRU, keyed by
-    #: normalized text + ASR epoch); 0 disables caching.
+    #: query shape + ASR epoch); 0 disables caching.
     query_cache_size: int = 128
     #: Head-sampling probability for request traces (seeded RNG); 0.0
     #: with no ``slow_trace_ms`` disables tracing entirely — the serve

@@ -59,7 +59,8 @@ Commands
     ``POST /query`` (a JSON ``{"query": "select …"}`` body executed
     through the query service — parsed, schema-validated, cost-planned
     and run over the shared pool, with compiled plans cached per
-    ``(text, epoch)`` up to ``--query-cache-size`` entries; parse and
+    ``(query shape, epoch)`` — the text with its literals abstracted —
+    up to ``--query-cache-size`` entries; parse and
     validation errors come back as structured HTTP 400 bodies).  Drift
     ratios are re-published every ``--drift-interval`` seconds.
     ``--port 0`` binds an ephemeral port (written to ``--addr-file``);

@@ -164,6 +164,13 @@ class ObjectBase:
                 result |= self._extents.get(sub, set())
         return result
 
+    def in_extent(self, type_name: str, cell: Cell) -> bool:
+        """Whether ``cell`` is in ``extent(type_name)``, without building it."""
+        instance = self._objects.get(cell) if isinstance(cell, OID) else None
+        return instance is not None and self.schema.is_subtype(
+            instance.type_name, type_name
+        )
+
     def _is_tuple(self, type_name: str) -> bool:
         return isinstance(self.schema.lookup(type_name), TupleType)
 

@@ -15,10 +15,11 @@ binding by binding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Sequence
 
+from repro.asr.asr import BOTTOM, TOP
 from repro.errors import QueryError
 from repro.gom.database import ObjectBase
 from repro.gom.objects import OID, Cell
@@ -33,7 +34,7 @@ from repro.query.parser import (
     parse_select,
 )
 from repro.query.planner import Plan, Planner
-from repro.query.queries import BackwardQuery, Query
+from repro.query.queries import BackwardQuery, Query, ValueRangeQuery
 from repro.query.evaluator import QueryEvaluator
 
 
@@ -75,6 +76,69 @@ class CompiledSelect:
     #: not rooted at the first range variable): the nested-loop filter.
     residual: tuple[Predicate, ...]
     epoch: int | None = None
+
+    def bind(self, values: Sequence[Cell]) -> CompiledSelect:
+        """This plan with ``values`` for its literals, in token order.
+
+        Each value replaces its literal wherever the plan holds it: in
+        the statement's predicates and the residual, and in each
+        action's predicate, query (``BackwardQuery.target``,
+        ``ValueRangeQuery.lo`` / ``hi``) and ``Plan.query``.  The
+        decisions are reused as they are: the planner prices a query per
+        ``(path, i, j, kind)``, whatever its anchor; validation checks a
+        literal only by its type, which a caller binding values of the
+        template's kinds keeps; lowering reads only the operator and the
+        path.  Access restrictions are not part of a plan's reuse:
+        :meth:`SelectExecutor.run_compiled` rechecks them on every run.
+        """
+        literals = len(self.statement.literals())
+        if len(values) != literals:
+            raise ValueError(f"{literals} literals, {len(values)} values")
+        fill = iter(values)
+        predicates: list[Predicate] = []
+        actions: list[PredicateAction] = []
+        residual: list[Predicate] = []
+        pending = iter(self.actions)
+        action = next(pending, None)
+        for predicate in self.statement.predicates:
+            left, right, bound = predicate.left, predicate.right, None
+            if isinstance(left, Literal):
+                bound = left = Literal(next(fill))
+            if isinstance(right, Literal):
+                bound = right = Literal(next(fill))
+            rebound = predicate
+            if bound is not None:
+                rebound = Predicate(left, predicate.op, right)
+            predicates.append(rebound)
+            # ``compile`` splits the predicates, in order, into actions
+            # and the residual; an action's predicate holds one literal.
+            if action is not None and action.predicate is predicate:
+                query = _rebind_query(action.query, bound.value)
+                plan = replace(action.plan, query=query)
+                actions.append(PredicateAction(rebound, query, plan))
+                action = next(pending, None)
+            else:
+                residual.append(rebound)
+        # Built field by field: ``dataclasses.replace`` costs twice as
+        # much, and this runs on every cache hit.
+        statement = self.statement
+        return CompiledSelect(
+            SelectStatement(statement.targets, statement.ranges, tuple(predicates)),
+            tuple(actions),
+            tuple(residual),
+            self.epoch,
+        )
+
+
+def _rebind_query(query: Query, value: Cell) -> Query:
+    """``query``, the lowering of a rooted-literal predicate, anchored at ``value``."""
+    if isinstance(query, BackwardQuery):
+        return replace(query, target=value)
+    # A one-sided range (``_indexable_query``): the literal is the
+    # bound that is not open.
+    if query.lo is BOTTOM:
+        return replace(query, hi=value)
+    return replace(query, lo=value)
 
 
 #: Strategy strings for the two ways a supported predicate degrades.
@@ -212,7 +276,7 @@ class SelectExecutor:
         strategy = "nested-loop traversal"
         reads = writes = 0
         first = statement.ranges[0]
-        candidates = set(self._range_members(first, {}))
+        candidates: set[Cell] | None = None
         restriction = None
         for action in compiled.actions:
             plan = action.plan if fresh else self.planner.recheck(action.plan)
@@ -223,9 +287,14 @@ class SelectExecutor:
                 strategy = _DEGRADED_STRATEGIES[plan.restriction]
                 self.evaluator.context.count("query.degraded-fallback")
             result = self.planner.run(plan, self.evaluator)
-            candidates &= result.cells
+            if candidates is None:
+                candidates = self._in_range(first, result.cells)
+            else:
+                candidates &= result.cells
             reads += result.page_reads
             writes += result.page_writes
+        if candidates is None:
+            candidates = set(self._range_members(first, {}))
         bindings_list: list[dict[str, Cell]] = []
         for candidate in sorted(candidates, key=repr):
             self._extend_bindings(
@@ -274,6 +343,17 @@ class SelectExecutor:
         root = self.db.get_var(decl.source.variable)
         cells = self._follow({root}, decl.source.attributes)
         return self._flatten_collections(cells)
+
+    def _in_range(self, decl, cells: Iterable[Cell]) -> set[Cell]:
+        """The ``cells`` that are members of the unbound range ``decl``.
+
+        An extent is tested cell by cell, never built: a lowered
+        predicate answers a handful of cells out of the whole extent.
+        """
+        if decl.is_extent:
+            type_name, in_extent = decl.source.variable, self.db.in_extent
+            return {cell for cell in cells if in_extent(type_name, cell)}
+        return set(self._range_members(decl, {})).intersection(cells)
 
     def _flatten_collections(self, cells: Iterable[Cell]) -> set[Cell]:
         result: set[Cell] = set()
@@ -383,9 +463,6 @@ class SelectExecutor:
     @staticmethod
     def _indexable_query(path, literal: Literal, op: str):
         """The backward/range query answering ``path op literal``."""
-        from repro.asr.asr import BOTTOM, TOP
-        from repro.query.queries import ValueRangeQuery
-
         if op in ("=", "in"):
             return BackwardQuery(path, 0, path.n, target=literal.value)
         if not path.terminal_is_atomic:

@@ -40,10 +40,15 @@ from typing import Union
 
 from repro.errors import ParseError
 
+#: The two literal tokens, shared with the plan cache's shape key
+#: (:func:`repro.query.cache.query_shape`) so both read literals alike.
+STRING_PATTERN = r'"(?:[^"\\]|\\.)*"'
+NUMBER_PATTERN = r"-?\d+(?:\.\d+)?"
+
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<number>-?\d+(?:\.\d+)?)
+    rf"""
+    (?P<string>{STRING_PATTERN})
+  | (?P<number>{NUMBER_PATTERN})
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<punct><=|>=|[(),.=<>])
   | (?P<ws>\s+)
@@ -56,6 +61,25 @@ _ESCAPE_RE = re.compile(r"\\(.)")
 
 def _unescape_string(body: str) -> str:
     return _ESCAPE_RE.sub(r"\1", body)
+
+
+def literal_value(token: str) -> Union[str, int, float]:
+    """The value of one string or number token, as the parser reads it.
+
+    Raises :class:`ParseError` for an integer longer than the
+    interpreter converts (``sys.get_int_max_str_digits()``), never the
+    bare ``ValueError``.
+    """
+    if token[0] == '"':
+        return _unescape_string(token[1:-1])
+    if "." in token:
+        return float(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(
+            f"integer literal of {len(token.lstrip('-'))} digits is too long"
+        ) from None
 
 
 def _escape_string(value: str) -> str:
@@ -118,6 +142,15 @@ class SelectStatement:
     targets: tuple[DottedPath, ...]
     ranges: tuple[RangeDecl, ...]
     predicates: tuple[Predicate, ...] = ()
+
+    def literals(self) -> list[Literal]:
+        """The literal operands, in token order (only predicates hold them)."""
+        return [
+            operand
+            for predicate in self.predicates
+            for operand in (predicate.left, predicate.right)
+            if isinstance(operand, Literal)
+        ]
 
     def __str__(self) -> str:
         parts = ["select " + ", ".join(map(str, self.targets))]
@@ -237,13 +270,9 @@ def _parse_operand(tokens: _Tokens) -> Operand:
     token = tokens.peek()
     if token is None:
         raise ParseError("expected operand")
-    kind, text = token
-    if kind == "string":
+    if token[0] in ("string", "number"):
         tokens.next()
-        return Literal(_unescape_string(text[1:-1]))
-    if kind == "number":
-        tokens.next()
-        return Literal(float(text) if "." in text else int(text))
+        return Literal(literal_value(token[1]))
     return _parse_dotted(tokens)
 
 

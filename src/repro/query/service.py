@@ -1,22 +1,30 @@
-"""The query service: text in, rows out, plans cached by epoch.
+"""The query service: text in, rows out, plans cached per shape and epoch.
 
 One :class:`QueryService` per daemon wires the whole front-door
 pipeline together::
 
-    text ─ normalize ─ (cache hit? ───────────────┐
-             │                                    │
-             └ parse_select → validate_select →   │
-               SelectExecutor.compile → cache ────┤
-                                                  ▼
-                               SelectExecutor.run_compiled
+    text ─ normalize ─ shape ─ (cache hit? ─ bind literals ─┐
+                         │                                  │
+                         └ parse_select → validate_select → │
+                           SelectExecutor.compile → cache ──┤
+                                                            ▼
+                                         SelectExecutor.run_compiled
 
-Everything from the epoch read to the last tree probe happens under one
-hold of the ASR manager's read lock, so the ``(text, epoch)`` cache key
-can never pair a plan with trees from a different epoch.  Parse and
-validation failures raise :class:`~repro.errors.ParseError` /
+The cache key is ``(query shape, epoch)``: the normalized text with its
+literals abstracted to their kinds (:func:`~repro.query.cache.query_shape`),
+so a hit on a constant never sent before binds it into the shape's
+template (:meth:`~repro.query.executor.CompiledSelect.bind`) and skips
+parse, validation and planning.  Two templates are not cached: one
+whose shape keeps a literal in its text (the shape could not prove it
+a token, so a hit could not bind every literal), and one whose plan an
+access restriction degraded (a restriction is a fact about now, not
+about the shape).  Everything from the epoch read to the last tree
+probe happens under one hold of the ASR manager's read lock, so the
+key can never pair a plan with trees from a different epoch.  Parse
+and validation failures raise :class:`~repro.errors.ParseError` /
 :class:`~repro.errors.QueryError` (counted as ``query.errors`` by
-kind); callers map them to HTTP 400 with the exception text as the
-payload.
+kind) — the same error for a text whatever is cached; callers map them
+to HTTP 400 with the exception text as the payload.
 """
 
 from __future__ import annotations
@@ -28,10 +36,10 @@ from repro.errors import ParseError, QueryError
 from repro.gom.database import ObjectBase
 from repro.gom.objects import OID
 from repro.gom.types import NULL
-from repro.query.cache import CompiledPlanCache, normalize_query
+from repro.query.cache import CompiledPlanCache, normalize_query, query_shape
 from repro.query.evaluator import QueryEvaluator
 from repro.query.executor import ExecutionReport, SelectExecutor
-from repro.query.parser import SelectStatement, parse_select
+from repro.query.parser import SelectStatement, literal_value, parse_select
 from repro.query.planner import Planner, mark_restriction
 from repro.query.validate import validate_select
 from repro.telemetry.tracing import maybe_span
@@ -107,16 +115,19 @@ class QueryService:
         """Run ``text`` end to end; raises ParseError/QueryError on bad input.
 
         ``trace`` (a :class:`~repro.telemetry.tracing.Trace`) receives
-        the phase decomposition: the cache probe as ``cache-hit``,
-        parse + validate + compile as ``plan``, and the compiled run as
-        ``execute`` — disjoint segments, so they sum toward the reported
-        latency (the read-lock wait is attributed separately by the
-        :class:`~repro.concurrency.RWLock` hook).
+        the phase decomposition: the cache probe and the binding of a
+        hit's literals as ``cache-hit``, parse + validate + compile as
+        ``plan``, and the compiled run as ``execute`` — disjoint
+        segments, so they sum toward the reported latency (the read-lock
+        wait is attributed separately by the
+        :class:`~repro.concurrency.RWLock` hook).  The trace is
+        annotated with the normalized text, literals included.
         """
         started = time.perf_counter()
         normalized = normalize_query(text)
         if trace is not None:
             trace.annotate(query=normalized)
+        shape, literals = query_shape(normalized)
         evaluator = QueryEvaluator(self.db, self.store, context=context)
         executor = SelectExecutor(self.db, self.planner, evaluator=evaluator)
         manager = self.manager
@@ -126,7 +137,16 @@ class QueryService:
         with manager.lock.read():
             epoch = manager.epoch
             with maybe_span(trace, "query.cache.probe", "cache-hit"):
-                compiled = self.cache.get(normalized, epoch)
+                compiled = self.cache.get(shape, epoch)
+                if compiled is not None:
+                    try:
+                        # In token order, so the first literal the parser
+                        # would refuse is the one refused here.
+                        values = [literal_value(token) for token in literals]
+                    except ParseError:
+                        self._count_error("parse")
+                        raise
+                    compiled = compiled.bind(values)
             cached = compiled is not None
             if compiled is None:
                 with maybe_span(trace, "query.compile", "plan"):
@@ -141,7 +161,10 @@ class QueryService:
                         self._count_error("validate")
                         raise
                     compiled = replace(executor.compile(statement), epoch=epoch)
-                    self.cache.put(normalized, epoch, compiled)
+                    if len(literals) == len(statement.literals()) and not any(
+                        action.plan.restriction for action in compiled.actions
+                    ):
+                        self.cache.put(shape, epoch, compiled)
             try:
                 with maybe_span(trace, "query.run_compiled", "execute"):
                     report = executor.run_compiled(compiled, fresh=not cached)

@@ -38,9 +38,10 @@ functions from a parsed request to ``(status, content_type, body)``:
     The query front door: a JSON body ``{"query": "select …"}`` runs
     parse → schema validation → cost-based planning → execution over
     the shared pool and returns rows, the chosen strategy, and the
-    page-access cost.  Compiled plans are cached per ``(normalized
-    text, ASR epoch)`` (:mod:`repro.query.cache`), so hot texts skip
-    planning until maintenance or recovery bumps the epoch.  Parse and
+    page-access cost.  Compiled plans are cached per ``(query shape,
+    ASR epoch)`` (:mod:`repro.query.cache`), so a text whose shape —
+    the text with its literals abstracted — was seen skips planning
+    until maintenance or recovery bumps the epoch.  Parse and
     validation failures return a structured 400
     (``{"error": {"kind": …, "message": …}}``).
 ``GET /advisor``

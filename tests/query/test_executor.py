@@ -177,3 +177,41 @@ class TestExecutionReportPages:
         )
         assert report.page_reads == context.stats.page_reads
         assert any(row["name"].startswith("query.supported") for row in trace.spans)
+
+
+class TestBind:
+    """``CompiledSelect.bind``: new constants, the decisions reused."""
+
+    TEXT = (
+        "select p.Name from p in extent(BasePart) "
+        'where p.Price >= 1 and "Door" = p.Name and 2 < p.Price and p.Price < 3'
+    )
+
+    def test_every_place_a_literal_lives_is_rebound(self, company_executor):
+        _db, _objects, executor = company_executor
+        template = executor.compile(self.TEXT)
+        values = [0.5, "Pepper", 7, 2000]
+        bound = template.bind(values)
+        cold = executor.compile(
+            self.TEXT.replace("1 and", "0.5 and")
+            .replace('"Door"', '"Pepper"')
+            .replace("2 <", "7 <")
+            .replace("< 3", "< 2000")
+        )
+        assert bound.statement == cold.statement
+        assert bound.residual == cold.residual  # ``2 < p.Price`` is ``>``
+        assert [a.query for a in bound.actions] == [a.query for a in cold.actions]
+        for action, fresh, old in zip(bound.actions, cold.actions, template.actions):
+            assert action.predicate == fresh.predicate
+            assert action.plan.query is action.query
+            # The decision itself is the template's, not re-planned.
+            assert (action.plan.asr, action.plan.estimated_pages) == (
+                old.plan.asr,
+                old.plan.estimated_pages,
+            )
+        assert executor.run_compiled(bound).rows == executor.run_compiled(cold).rows
+
+    def test_a_value_per_literal(self, company_executor):
+        _db, _objects, executor = company_executor
+        with pytest.raises(ValueError, match="4 literals, 2 values"):
+            executor.compile(self.TEXT).bind(["Pepper", 5])

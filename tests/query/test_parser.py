@@ -214,3 +214,14 @@ class TestErrors:
     def test_unexpected_character(self):
         with pytest.raises(ParseError, match="unexpected character"):
             parse_select("select a from a in B where a.X = #")
+
+    def test_an_integer_past_the_conversion_limit_is_a_parse_error(self):
+        # int() refuses more than sys.get_int_max_str_digits() digits with
+        # a bare ValueError, which the front door would answer with a 500.
+        digits = "9" * 5000
+        with pytest.raises(ParseError, match="integer literal of 5000 digits"):
+            parse_select(f"select a from a in B where a.X = {digits}")
+        with pytest.raises(ParseError, match="integer literal of 5000 digits"):
+            parse_select(f"select a from a in B where a.X = -{digits}")
+        statement = parse_select(f"select a from a in B where a.X = {digits}.5")
+        assert statement.predicates[0].right == Literal(float(f"{digits}.5"))

@@ -19,9 +19,10 @@ import pytest
 from repro.bench.serve import ServeConfig
 from repro.server import ServeDaemon, ServerConfig
 
-#: Never emitted by the replay stream (its literals are real Payload
-#: values, all non-negative), so the replay cannot pre-warm this entry.
-QUERY = "select x from x in extent(T0) where x.A.A.A.A.Payload >= -5"
+#: ``x.… >= -5`` with the literal on the left: the replay stream's
+#: selects put it on the right, so the replay cannot pre-warm this
+#: shape's plan.
+QUERY = "select x from x in extent(T0) where -5 <= x.A.A.A.A.Payload"
 
 
 def queries_config(tmp_path, **serve_overrides) -> ServerConfig:
@@ -176,6 +177,51 @@ class TestQueryEndpoint:
         assert payload["rows"] == first["rows"]
         assert registry.counter_value("query.cache.misses") == misses + 1
         assert planned(registry) > plans
+
+
+class TestShapeKeyedCache:
+    """Plans are cached per shape: the text with its literals abstracted."""
+
+    def test_a_literal_never_sent_is_a_hit_with_the_cold_rows(self, quiet_daemon):
+        manager = quiet_daemon.world.manager
+        _status, first = post_query(quiet_daemon, QUERY)
+        assert first["cached"] is False
+        unseen = QUERY.replace("-5", "123456")
+        status, hit = post_query(quiet_daemon, unseen)
+        assert status == 200 and hit["cached"] is True
+        with manager.suspended():  # a new epoch: the next POST runs cold
+            pass
+        status, fresh = post_query(quiet_daemon, unseen)
+        assert status == 200 and fresh["cached"] is False
+        # (Pages are the shared pool's misses: the rebuild left it cold.)
+        assert (hit["rows"], hit["strategy"]) == (fresh["rows"], fresh["strategy"])
+
+    def test_a_literal_is_bound_only_into_a_plan_of_its_kind(self, quiet_daemon):
+        text = "select x from x in extent(T0) where {} = x.A.A.A.A.Payload"
+        status, error = post_query(quiet_daemon, text.format('"5"'))
+        assert status == 400 and error["error"]["kind"] == "validate", error
+        status, payload = post_query(quiet_daemon, text.format("5"))
+        assert status == 200 and payload["cached"] is False
+        status, payload = post_query(quiet_daemon, text.format("6"))
+        assert status == 200 and payload["cached"] is True
+        # The string and the float are shapes of their own, and INTEGER
+        # accepts neither: no int plan answers them.
+        for literal in ('"6"', "5.0"):
+            status, error = post_query(quiet_daemon, text.format(literal))
+            assert status == 400 and error["error"]["kind"] == "validate", error
+            assert "is not a INTEGER" in error["error"]["message"]
+
+    def test_an_integer_past_the_conversion_limit_is_a_parse_400(self, quiet_daemon):
+        registry = quiet_daemon.world.registry
+        overlong = QUERY.replace("-5", "9" * 5000)
+        # Cold, then with its shape's plan cached: the same 400 both times.
+        for _ in range(2):
+            status, payload = post_query(quiet_daemon, overlong)
+            assert status == 400, payload
+            assert payload["error"]["kind"] == "parse"
+            assert "5000 digits" in payload["error"]["message"]
+            post_query(quiet_daemon, QUERY)
+        assert registry.counter_value("query.errors", kind="parse") == 2
 
 
 class TestQueryErrors:

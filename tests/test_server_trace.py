@@ -9,6 +9,7 @@ included.
 """
 
 import json
+import re
 import time
 import urllib.error
 import urllib.request
@@ -21,7 +22,14 @@ from repro.telemetry.tracing import PHASES
 
 from tests.telemetry.test_one_span_model import LAYER_PREFIXES, measured_pages
 
-QUERY = "select x from x in extent(T0) where x.A.A.A.A.Payload >= -5"
+#: A shape the replay stream never sends (its literals are on the
+#: right), so the first POST of a test is a plan-cache miss.
+QUERY = "select x from x in extent(T0) where -5 <= x.A.A.A.A.Payload"
+
+
+def renamed(text: str, variable: str) -> str:
+    """``text`` over range variable ``variable``: same rows, a shape of its own."""
+    return re.sub(r"\bx\b", variable, text)
 
 
 def traced_config(tmp_path, **overrides) -> ServerConfig:
@@ -114,8 +122,8 @@ class TestQueryTraceAcceptance:
         # the reported end-to-end latency.  A single sample is at the
         # mercy of scheduler preemption between clock reads on a loaded
         # machine, so take the best of a few attempts — a systematic
-        # attribution hole fails all of them.  Each attempt varies the
-        # literal so every plan is a cache miss (the bar covers the
+        # attribution hole fails all of them.  Each attempt renames the
+        # range variable so every plan is a cache miss (the bar covers the
         # full parse/validate/compile pipeline, not a cache probe), and
         # runs against a cold pool: the relative bar presumes the
         # disk-class device phase ``traced_config`` promises, and after
@@ -128,7 +136,7 @@ class TestQueryTraceAcceptance:
         for attempt in range(5):
             traced_daemon.world.pool.pool.evict_all()
             status, payload = post_query(
-                traced_daemon, QUERY.replace(">= -5", f">= -{5 + attempt}")
+                traced_daemon, renamed(QUERY, f"x{attempt}")
             )
             assert status == 200
             trace_id = payload["trace_id"]
