@@ -31,7 +31,9 @@ copy-pasted per caller).
 Every storage / ASR / query entry point accepts either an
 ``ExecutionContext`` or a raw buffer scope through its ``context``
 parameter; :func:`resolve_buffer` performs the normalization once at
-the API boundary.
+the API boundary, and hands back a buffer that speaks ``touch`` /
+``touch_many`` / ``touch_write``: a whole run of pages (a column probe's
+leaf chain, an extent scan) is one ``touch_many``, one pool hold.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ from repro.telemetry.tracing import current_trace, record_pages
 
 __all__ = ["ExecutionContext", "Measured", "resolve_buffer"]
 
-#: What a context charges: anything with ``touch`` / ``touch_write`` / ``stats``.
+#: What a context charges: anything with ``stats`` and the buffer protocol
+#: ``touch`` / ``touch_many`` / ``touch_write`` (a run is one pool hold).
 Buffer = BufferScope | NullBuffer | SharedBufferPool | WorkerScope
 
 
@@ -113,8 +116,9 @@ class ExecutionContext:
         ``None`` (default): each measured operation gets a fresh
         :class:`BufferScope` — the per-operation distinct-page counting
         the analytical model assumes (section 5.6).  Otherwise the
-        externally owned scope (anything with ``touch`` / ``touch_write``
-        / ``stats``: a :class:`~repro.storage.stats.WorkerScope` over a
+        externally owned scope (anything with ``touch`` /
+        ``touch_many`` / ``touch_write`` / ``stats``: a
+        :class:`~repro.storage.stats.WorkerScope` over a
         :class:`~repro.storage.stats.SharedBufferPool`, the pool itself,
         a :class:`~repro.storage.stats.NullBuffer`) that *is* the buffer
         of every operation and of the ambient scope — residency survives

@@ -32,8 +32,10 @@ these cells?" — against the set of its values' ``offset``-th cells,
 returning the matching rows.  A leaf builds such a set the first time a
 probe asks for it and keeps it until its lists change: every insert,
 delete, split, borrow and merge that touches a leaf drops its sets.
-The probe is the one read that is not lazy: it binds its buffer's
-``touch`` once, when called, and charges every page before it returns.
+The probe is the one read that is not lazy: it resolves its buffer
+once, when called, and charges every page before it looks at a row —
+the leftmost descent as one ``touch_many`` run, the leaf chain as
+another, so a pool decides each run under one hold of its lock.
 """
 
 from __future__ import annotations
@@ -230,22 +232,30 @@ class BPlusTree:
         at on the leaves that hold a match, and come back in key order.
 
         Pages are charged exactly as ``leaf_slices()`` with open bounds
-        charges them, and the charge target is resolved once, when the
+        charges them — same pages, same order — but in two
+        ``touch_many`` runs, the descent and then the chain, before any
+        leaf is read.  The charge target is resolved once, when the
         probe is called: unlike :meth:`leaf_slices`, the probe is not
         lazy.
         """
         buffer = resolve_buffer(context)
-        touch = _no_touch if buffer is None else buffer.touch
         node = self._root
+        descent = []
         while not node.is_leaf:
-            touch(id(node), _INTERIOR_CATEGORY)
+            descent.append(id(node))
             node = node.children[0]
-        category = _LEAF_CATEGORY
-        isdisjoint = cells.isdisjoint
-        rows: list[Any] = []
+        leaves = []
         leaf: _Leaf | None = node
         while leaf is not None:
-            touch(id(leaf), category)
+            leaves.append(leaf)
+            leaf = leaf.next
+        if buffer is not None:
+            if descent:
+                buffer.touch_many(descent, _INTERIOR_CATEGORY)
+            buffer.touch_many(map(id, leaves), _LEAF_CATEGORY)
+        isdisjoint = cells.isdisjoint
+        rows: list[Any] = []
+        for leaf in leaves:
             try:
                 column = leaf.columns[offset]
             except (KeyError, TypeError):  # no set yet, or none at all (None)
@@ -256,7 +266,6 @@ class BPlusTree:
                 )
             if not isdisjoint(column):
                 rows += [value for value in leaf.values if value[offset] in cells]
-            leaf = leaf.next
         return rows
 
     def range(
@@ -606,6 +615,9 @@ class _DeferredContextBuffer:
     def touch(self, page_id, category: str = "page") -> bool:
         return self.context.current_buffer.touch(page_id, category)
 
+    def touch_many(self, page_ids, category: str = "page") -> int:
+        return self.context.current_buffer.touch_many(page_ids, category)
+
     def touch_write(self, page_id, category: str = "page") -> bool:
         return self.context.current_buffer.touch_write(page_id, category)
 
@@ -615,10 +627,6 @@ def _charge_target(context):
     if hasattr(context, "current_buffer"):
         return _DeferredContextBuffer(context)
     return resolve_buffer(context)
-
-
-def _no_touch(page_id, category: str) -> None:
-    """The touch of a walk charged to no buffer."""
 
 
 def _touch(buffer, node, category: str) -> None:

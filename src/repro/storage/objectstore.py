@@ -127,9 +127,14 @@ class ClusteredObjectStore:
             buffer.touch_write(("obj",) + self.page_of(oid, type_name), "object")
 
     def scan_type(self, type_name: str, context=None) -> None:
-        """Charge a full extent scan of ``type_name`` (``op_i`` page reads)."""
+        """Charge a full extent scan of ``type_name`` (``op_i`` page reads).
+
+        The pages are charged in page order as one ``touch_many`` run.
+        """
         buffer = resolve_buffer(context)
         if buffer is None:
             return
-        for page in range(self.pages_of_type(type_name)):
-            buffer.touch(("obj", type_name, page), "object")
+        buffer.touch_many(
+            [("obj", type_name, page) for page in range(self.pages_of_type(type_name))],
+            "object",
+        )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, Iterable
 
 
 @dataclass
@@ -90,8 +90,10 @@ class BufferScope:
 
     Storage structures call :meth:`touch` with a hashable page identity;
     the first touch within the scope charges one read to ``stats``,
-    subsequent touches are free.  Writes are charged through
-    :meth:`touch_write` (a page is written back at most once per scope).
+    subsequent touches are free.  :meth:`touch_many` touches a run of
+    pages in order, exactly as that many :meth:`touch` calls would.
+    Writes are charged through :meth:`touch_write` (a page is written
+    back at most once per scope).
 
     Use as a context manager around one logical operation::
 
@@ -128,6 +130,28 @@ class BufferScope:
         self.stats.read(1, category)
         return True
 
+    def touch_many(self, page_ids: Iterable[Hashable], category: str = "page") -> int:
+        """Read each of ``page_ids`` in order; returns the reads charged.
+
+        The reads are charged to ``stats`` once, also when a fault ends
+        the run early (then only the pages before the faulted one).
+        """
+        resident = self._resident
+        injector = self.injector
+        charged = 0
+        try:
+            for page_id in page_ids:
+                if page_id in resident:
+                    continue
+                if injector is not None:
+                    injector.on_read(page_id, category)
+                resident.add(page_id)
+                charged += 1
+        finally:
+            if charged:
+                self.stats.read(charged, category)
+        return charged
+
     def touch_write(self, page_id: Hashable, category: str = "page") -> bool:
         """Mark ``page_id`` dirty; returns True on the first write charge."""
         if page_id in self._dirty:
@@ -158,9 +182,9 @@ def resolve_buffer(context=None):
     * an :class:`~repro.context.ExecutionContext` — charge its current
       buffer (recognized by its ``current_buffer`` attribute, so this
       module needs no import of the higher layer);
-    * a raw buffer scope (anything with ``touch``/``touch_write``) —
-      charge it directly, which is how pre-context code passed buffers
-      positionally and remains supported.
+    * a raw buffer scope (anything with ``touch`` / ``touch_many`` /
+      ``touch_write``) — charge it directly, which is how pre-context
+      code passed buffers positionally and remains supported.
     """
     if context is None:
         return None
@@ -186,6 +210,19 @@ class NullBuffer:
             self.injector.on_read(page_id, category)
         self.stats.read(1, category)
         return True
+
+    def touch_many(self, page_ids: Iterable[Hashable], category: str = "page") -> int:
+        injector = self.injector
+        charged = 0
+        try:
+            for page_id in page_ids:
+                if injector is not None:
+                    injector.on_read(page_id, category)
+                charged += 1
+        finally:
+            if charged:
+                self.stats.read(charged, category)
+        return charged
 
     def touch_write(self, page_id: Hashable, category: str = "page") -> bool:
         if self.injector is not None:
@@ -222,6 +259,10 @@ class ThreadSafeAccessStats(AccessStats):
                 self.page_reads, self.page_writes, dict(self.by_category)
             )
 
+    def delta_since(self, before: AccessStats) -> AccessStats:
+        with self._lock:
+            return super().delta_since(before)
+
 
 class SharedBufferPool:
     """The bounded LIRS pool: finite capacity, thread-safe, shared.
@@ -252,10 +293,15 @@ class SharedBufferPool:
     One lock covers the residency decision, the LIRS bookkeeping, the
     fault consultation, the stats charge and the hit/miss counters, so
     concurrent touches can never tear the stack or double-charge a
-    resident page.  The injector is consulted *before* anything
-    mutates: a faulted touch leaves ``S``, the HIR queue, the stats and
-    the counters as they were.  :attr:`hit_rate` is the headline number
-    the serve benchmark reports.
+    resident page.  The protocol is :meth:`touch` / :meth:`touch_many`
+    / :meth:`touch_write`, and a run is one hold: :meth:`touch_many`
+    decides a whole run of pages (a column probe's leaf chain, an
+    extent scan) under one acquire of the lock, with exactly the
+    per-page moves and charges of that many :meth:`touch` calls.  The
+    injector is consulted *before* anything mutates: a faulted touch
+    leaves ``S``, the HIR queue, the stats and the counters as they
+    were, and a faulted run keeps what the pages before it did.
+    :attr:`hit_rate` is the headline number the serve benchmark reports.
 
     Workers reach the pool through :class:`WorkerScope` views (usually
     via :class:`~repro.concurrency.ContextPool`), which mirror each
@@ -374,6 +420,48 @@ class SharedBufferPool:
             self._admit(page_id, False)
             return True
 
+    def touch_many(self, page_ids: Iterable[Hashable], category: str = "page") -> int:
+        """Read each of ``page_ids`` in order under one hold of the lock.
+
+        Every page gets :meth:`touch`'s moves, fault check and charge;
+        returns the number of reads charged.
+        """
+        return self._read_run(page_ids, category, None)
+
+    def _read_run(self, page_ids, category: str, mirror) -> int:
+        """:meth:`touch_many`, also charging the run's reads to ``mirror``.
+
+        ``hits`` and the stats are folded once, when the run ends —
+        also when a fault ends it early, so the pages charged before
+        the fault stay charged, in ``mirror`` too.
+        """
+        lir, hir, stack = self._lir, self._hir, self._stack
+        injector = self.injector
+        hits = charged = 0
+        with self._lock:
+            try:
+                for page_id in page_ids:
+                    if page_id in lir:
+                        stack.move_to_end(page_id)
+                        if page_id == self._bottom:
+                            self._prune()
+                        hits += 1
+                    elif page_id in hir:
+                        self._hit(page_id)
+                        hits += 1
+                    else:
+                        if injector is not None:
+                            injector.on_read(page_id, category)
+                        charged += 1
+                        self._admit(page_id, False)
+            finally:
+                self.hits += hits
+                if charged:
+                    self.stats.read(charged, category)
+                    if mirror is not None:
+                        mirror.read(charged, category)
+        return charged
+
     def touch_write(self, page_id: Hashable, category: str = "page") -> bool:
         """Mark ``page_id`` dirty; returns True when the write is charged."""
         with self._lock:
@@ -453,10 +541,11 @@ class WorkerScope:
 
     Residency and replacement are decided by the shared pool (which
     charges the shared stats); every charge is *mirrored* onto the
-    worker's private ``stats`` so operation spans measured on a single
-    worker stay accurate even while other workers charge the pool
-    concurrently.  The private stats are only ever touched by the
-    owning thread, so they need no lock.
+    worker's private ``stats`` — a :meth:`touch_many` run's reads
+    once, also when a fault ends the run — so operation spans measured
+    on a single worker stay accurate even while other workers charge
+    the pool concurrently.  The private stats are only ever touched by
+    the owning thread, so they need no lock.
     """
 
     def __init__(self, pool: SharedBufferPool, stats: AccessStats) -> None:
@@ -472,6 +561,9 @@ class WorkerScope:
         if charged:
             self.stats.read(1, category)
         return charged
+
+    def touch_many(self, page_ids: Iterable[Hashable], category: str = "page") -> int:
+        return self.pool._read_run(page_ids, category, self.stats)
 
     def touch_write(self, page_id: Hashable, category: str = "page") -> bool:
         charged = self.pool.touch_write(page_id, category)

@@ -20,6 +20,11 @@ class RecordingBuffer:
         self.touched.append((page_id, category))
         return True
 
+    def touch_many(self, page_ids, category: str = "page") -> int:
+        run = [(page_id, category) for page_id in page_ids]
+        self.touched += run
+        return len(run)
+
     def touch_write(self, page_id, category: str = "page") -> bool:
         raise AssertionError("a read path dirtied a page")
 

@@ -50,6 +50,11 @@ class RecordingBuffer:
         self.touched.append((page_id, False))
         return self.inner.touch(page_id, category)
 
+    def touch_many(self, page_ids, category: str = "page") -> int:
+        page_ids = list(page_ids)
+        self.touched += [(page_id, False) for page_id in page_ids]
+        return self.inner.touch_many(page_ids, category)
+
     def touch_write(self, page_id, category: str = "page") -> bool:
         self.touched.append((page_id, True))
         return self.inner.touch_write(page_id, category)

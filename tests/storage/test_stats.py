@@ -303,6 +303,27 @@ class TestThreadSafeAccessStats:
             stop.set()
             thread.join()
 
+    def test_delta_since_reads_under_the_lock(self):
+        stats = ThreadSafeAccessStats()
+        before = stats.snapshot()
+        stats.read(2, "object")
+        started, returned = threading.Event(), threading.Event()
+        deltas = []
+
+        def take_delta():
+            started.set()
+            deltas.append(stats.delta_since(before))
+            returned.set()
+
+        thread = threading.Thread(target=take_delta)
+        with stats._lock:
+            thread.start()
+            started.wait()
+            # Held here, the lock must keep delta_since from reading.
+            assert not returned.wait(0.1)
+        thread.join()
+        assert deltas[0].by_category == {"object": 2}
+
     def test_snapshot_is_a_plain_stats(self):
         stats = ThreadSafeAccessStats()
         stats.read()
