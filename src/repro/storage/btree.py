@@ -25,22 +25,25 @@ keys and values as lists, and :meth:`BPlusTree.range` is written on it —
 so a consumer that can decide per page (concatenate, filter a column
 with a set operation) never pays an interpreter step per row.
 
-Leaves also answer column probes.  When the values are rows,
-:meth:`BPlusTree.column_probe` walks the whole leaf chain in one loop
-and decides each leaf by one set test — "does this page hold any of
-these cells?" — against the set of its values' ``offset``-th cells,
-returning the matching rows.  A leaf builds such a set the first time a
-probe asks for it and keeps it until its lists change: every insert,
-delete, split, borrow and merge that touches a leaf drops its sets.
-The probe is the one read that is not lazy: it resolves its buffer
-once, when called, and charges every page before it looks at a row —
+The tree also answers column probes.  When the values are rows,
+:meth:`BPlusTree.column_probe` returns the rows whose ``offset``-th cell
+is in a set of cells, from a *column directory*: one dict per probed
+offset mapping each cell to that cell's ``(key, row)`` pairs in key
+order.  A directory is built on the first probe of its offset and kept
+up to date by the tree-level :meth:`~BPlusTree.insert` and
+:meth:`~BPlusTree.delete`; since it does not depend on leaves, splits,
+borrows, merges and root changes never touch it.  The probe is the one
+read that is not lazy: it resolves its buffer once, when called, and
+charges every page a whole-tree scan charges before it reads a row —
 the leftmost descent as one ``touch_many`` run, the leaf chain as
-another, so a pool decides each run under one hold of its lock.
+another, so a pool decides each run under one hold of its lock.  Those
+page ids are a cached *charge list*, dropped by every change of the
+tree's shape (a split, a merge, a new or collapsed root).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from math import ceil
 from typing import Any, Iterator, Sequence
 
@@ -52,16 +55,12 @@ _LEAF_CATEGORY = "btree_leaf"
 
 
 class _Leaf:
-    __slots__ = ("keys", "values", "next", "prev", "columns")
+    __slots__ = ("keys", "values", "next")
 
     def __init__(self) -> None:
         self.keys: list[Any] = []
         self.values: list[Any] = []
         self.next: _Leaf | None = None
-        self.prev: _Leaf | None = None
-        # offset -> frozenset of the values' offset-th cells, built on the
-        # first probe; None whenever the lists have changed since.
-        self.columns: dict[int, frozenset] | None = None
 
     is_leaf = True
 
@@ -107,6 +106,14 @@ class BPlusTree:
         # Leaf pages; only ``_split_leaf``, a leaf ``_merge`` and
         # ``bulk_load`` change it.
         self._leaves = 1
+        # offset -> column directory (cell -> its (key, value) pairs in
+        # key order), built on the first probe of the offset.
+        self._columns: dict[int, dict[Any, list[tuple[Any, Any]]]] = {}
+        # The pages a column probe charges, (descent ids, leaf chain ids);
+        # None after any change of the tree's shape.  Only ``_split_leaf``
+        # and ``_merge`` drop it: an interior split or a new root follows
+        # a leaf split, and a root collapse follows a merge.
+        self._charges: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     # ------------------------------------------------------------------
     # basic queries
@@ -224,21 +231,40 @@ class BPlusTree:
     def column_probe(self, offset: int, cells, context=None) -> list[Any]:
         """The values (rows) whose ``offset``-th cell is in ``cells``.
 
-        A whole-tree walk in one loop: the leftmost descent, then every
-        leaf in chain order, each decided by one set test of ``cells``
-        against the frozenset of ``value[offset]`` over the leaf's
-        values — built on the leaf the first time a probe asks for it
-        and cached until its lists next change.  Rows are only looked
-        at on the leaves that hold a match, and come back in key order.
-
         Pages are charged exactly as ``leaf_slices()`` with open bounds
         charges them — same pages, same order — but in two
-        ``touch_many`` runs, the descent and then the chain, before any
-        leaf is read.  The charge target is resolved once, when the
-        probe is called: unlike :meth:`leaf_slices`, the probe is not
-        lazy.
+        ``touch_many`` runs, the leftmost descent and then the leaf
+        chain, from the cached charge list and before any row is read.
+        The charge target is resolved once, when the probe is called:
+        unlike :meth:`leaf_slices`, the probe is not lazy.
+
+        The rows then come from the offset's column directory, one hash
+        lookup per cell of ``cells``, and are returned in key order.
+        The first probe of an offset builds its directory uncharged.
+        Both caches are built into a local and published by one
+        assignment, so readers sharing a read lock may race on a build
+        and never see half of one.
         """
         buffer = resolve_buffer(context)
+        charges = self._charges
+        if charges is None:
+            charges = self._charges = self._charge_list()
+        if buffer is not None:
+            descent, leaves = charges
+            if descent:
+                buffer.touch_many(descent, _INTERIOR_CATEGORY)
+            buffer.touch_many(leaves, _LEAF_CATEGORY)
+        directory = self._columns.get(offset)
+        if directory is None:
+            directory = self._columns[offset] = self._directory(offset)
+        hits = [pairs for pairs in map(directory.get, cells) if pairs is not None]
+        if len(hits) > 1:
+            merged = sorted([pair for pairs in hits for pair in pairs])
+            return [value for _, value in merged]
+        return [value for _, value in hits[0]] if hits else []
+
+    def _charge_list(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The ids of the leftmost descent's nodes and of the leaf chain."""
         node = self._root
         descent = []
         while not node.is_leaf:
@@ -247,26 +273,17 @@ class BPlusTree:
         leaves = []
         leaf: _Leaf | None = node
         while leaf is not None:
-            leaves.append(leaf)
+            leaves.append(id(leaf))
             leaf = leaf.next
-        if buffer is not None:
-            if descent:
-                buffer.touch_many(descent, _INTERIOR_CATEGORY)
-            buffer.touch_many(map(id, leaves), _LEAF_CATEGORY)
-        isdisjoint = cells.isdisjoint
-        rows: list[Any] = []
-        for leaf in leaves:
-            try:
-                column = leaf.columns[offset]
-            except (KeyError, TypeError):  # no set yet, or none at all (None)
-                if leaf.columns is None:
-                    leaf.columns = {}
-                column = leaf.columns[offset] = frozenset(
-                    [value[offset] for value in leaf.values]
-                )
-            if not isdisjoint(column):
-                rows += [value for value in leaf.values if value[offset] in cells]
-        return rows
+        return tuple(descent), tuple(leaves)
+
+    def _directory(self, offset: int) -> dict[Any, list[tuple[Any, Any]]]:
+        """Cell -> the ``(key, value)`` pairs holding it at ``offset``."""
+        directory: dict[Any, list[tuple[Any, Any]]] = {}
+        for keys, values in self._leaf_slices(None, None, None):
+            for key, value in zip(keys, values):
+                directory.setdefault(value[offset], []).append((key, value))
+        return directory
 
     def range(
         self,
@@ -304,6 +321,12 @@ class BPlusTree:
             self._root = new_root
             _touch_write(buffer, new_root, _INTERIOR_CATEGORY)
         self._size += 1
+        for offset, directory in self._columns.items():
+            pairs = directory.get(value[offset])
+            if pairs is None:
+                directory[value[offset]] = [(key, value)]
+            else:
+                insort(pairs, (key, value))
 
     def _insert(self, node, key, value, buffer):
         if node.is_leaf:
@@ -312,7 +335,6 @@ class BPlusTree:
                 raise StorageError(f"duplicate key {key!r}")
             node.keys.insert(index, key)
             node.values.insert(index, value)
-            node.columns = None
             _touch_write(buffer, node, _LEAF_CATEGORY)
             if len(node.keys) > self.leaf_capacity:
                 return self._split_leaf(node, buffer)
@@ -336,13 +358,10 @@ class BPlusTree:
         right.values = leaf.values[middle:]
         del leaf.keys[middle:]
         del leaf.values[middle:]
-        leaf.columns = None
         right.next = leaf.next
-        if right.next is not None:
-            right.next.prev = right
-        right.prev = leaf
         leaf.next = right
         self._leaves += 1
+        self._charges = None
         _touch_write(buffer, right, _LEAF_CATEGORY)
         return right.keys[0], right
 
@@ -364,12 +383,19 @@ class BPlusTree:
     def delete(self, key: Any, context=None) -> bool:
         """Remove ``key``; returns False when it was not present."""
         buffer = resolve_buffer(context)
-        removed = self._delete(self._root, key, buffer)
-        if removed:
-            self._size -= 1
-            if not self._root.is_leaf and len(self._root.children) == 1:
-                self._root = self._root.children[0]
-        return removed
+        value = self._delete(self._root, key, buffer)
+        if value is _MISSING:
+            return False
+        self._size -= 1
+        if not self._root.is_leaf and len(self._root.children) == 1:
+            self._root = self._root.children[0]
+        for offset, directory in self._columns.items():
+            pairs = directory[value[offset]]
+            if len(pairs) == 1:
+                del directory[value[offset]]
+            else:
+                del pairs[bisect_left(pairs, (key,))]
+        return True
 
     def _min_leaf_fill(self) -> int:
         return ceil(self.leaf_capacity / 2)
@@ -377,20 +403,20 @@ class BPlusTree:
     def _min_interior_fill(self) -> int:
         return ceil(self.interior_capacity / 2)
 
-    def _delete(self, node, key, buffer) -> bool:
+    def _delete(self, node, key, buffer) -> Any:
+        """The value removed under ``key``, or ``MISSING``."""
         if node.is_leaf:
             index = bisect_left(node.keys, key)
             if index >= len(node.keys) or node.keys[index] != key:
-                return False
+                return _MISSING
             del node.keys[index]
-            del node.values[index]
-            node.columns = None
+            value = node.values.pop(index)
             _touch_write(buffer, node, _LEAF_CATEGORY)
-            return True
+            return value
         child_index = bisect_right(node.keys, key)
         child = node.children[child_index]
         removed = self._delete(child, key, buffer)
-        if removed and self._is_underfull(child):
+        if removed is not _MISSING and self._is_underfull(child):
             self._rebalance(node, child_index, buffer)
             _touch_write(buffer, node, _INTERIOR_CATEGORY)
         return removed
@@ -424,7 +450,6 @@ class BPlusTree:
         if child.is_leaf:
             child.keys.insert(0, left.keys.pop())
             child.values.insert(0, left.values.pop())
-            child.columns = left.columns = None
             parent.keys[index - 1] = child.keys[0]
         else:
             child.keys.insert(0, parent.keys[index - 1])
@@ -439,7 +464,6 @@ class BPlusTree:
         if child.is_leaf:
             child.keys.append(right.keys.pop(0))
             child.values.append(right.values.pop(0))
-            child.columns = right.columns = None
             parent.keys[index] = right.keys[0]
         else:
             child.keys.append(parent.keys[index])
@@ -455,10 +479,7 @@ class BPlusTree:
         if left.is_leaf:
             left.keys.extend(right.keys)
             left.values.extend(right.values)
-            left.columns = None
             left.next = right.next
-            if right.next is not None:
-                right.next.prev = left
             self._leaves -= 1
         else:
             left.keys.append(parent.keys[left_index])
@@ -466,6 +487,7 @@ class BPlusTree:
             left.children.extend(right.children)
         del parent.keys[left_index]
         del parent.children[left_index + 1]
+        self._charges = None
         _touch_write(buffer, left, _category(left))
 
     # ------------------------------------------------------------------
@@ -500,7 +522,6 @@ class BPlusTree:
             leaf.values = [value for _, value in chunk]
             if leaves:
                 leaves[-1].next = leaf
-                leaf.prev = leaves[-1]
             leaves.append(leaf)
         # Avoid an underfull final leaf (rebalance with its predecessor).
         if len(leaves) > 1 and len(leaves[-1].keys) < ceil(leaf_capacity / 2):
@@ -554,6 +575,11 @@ class BPlusTree:
             chain += 1
             leaf = leaf.next
         assert chain == self._leaves, "leaf counter out of sync"
+        for offset, directory in self._columns.items():
+            assert directory == self._directory(offset), (
+                f"stale column directory at offset {offset}"
+            )
+        assert self._charges in (None, self._charge_list()), "stale charge list"
 
     def _check_node(self, node, lo, hi, is_root=False) -> int:
         if node.is_leaf:
@@ -564,10 +590,6 @@ class BPlusTree:
                 assert lo is None or not key < lo
                 assert hi is None or key < hi
             assert node.keys == sorted(node.keys)
-            for offset, column in (node.columns or {}).items():
-                assert column == frozenset(value[offset] for value in node.values), (
-                    f"stale column set at offset {offset}"
-                )
             return 1
         assert len(node.children) == len(node.keys) + 1
         if not is_root:

@@ -1,14 +1,15 @@
-"""Leaf column sets stay equal to their leaves under every tree change.
+"""Column directories stay equal to their trees under every tree change.
 
 A partition's mid-partition read, ``BPlusTree.column_probe`` on its
-forward tree, decides each page by one set test against a
-frozenset cached on the leaf.  On 96-byte pages (4 rows per leaf, 8
-children per interior node) random ``add_projection`` /
-``remove_projection`` sequences split, borrow from either side, merge
-and collapse the root; after every step the probe must return the rows,
-and touch the pages, of a filter over a full scan, a leaf whose rows did
-not change must hand out the very set it built before, and a leaf whose
-rows changed must have dropped its sets.
+forward tree, charges the pages of a cached charge list and answers
+from a column directory per probed offset (cell -> its rows).  On
+96-byte pages (4 rows per leaf, 8 children per interior node) random
+``add_projection`` / ``remove_projection`` sequences split, borrow from
+either side, merge and collapse the root; after every step the probe
+must return the rows, and touch the pages, of a filter over a full
+scan, every directory must be the very one built before (kept up to
+date by insert and delete, never rebuilt), and a charge list must have
+been dropped by any change of the tree's shape.
 """
 
 import random
@@ -58,36 +59,41 @@ def probe_sets(partition: StoredPartition) -> None:
             assert select_buffer.touched == scan_buffer.touched
 
 
-def probed_columns(tree: BPlusTree, offset: int) -> list:
-    """The sets of the non-empty leaves, read after one ``column_probe``."""
-    tree.column_probe(offset, set())
-    return [leaf.columns[offset] for leaf in leaves(tree) if leaf.values]
+def nodes(tree: BPlusTree) -> list:
+    """Every node of the tree; holding them keeps their ids unique."""
+    found, level = [], [tree._root]
+    while level:
+        found += level
+        level = [child for node in level if not node.is_leaf for child in node.children]
+    return found
 
 
-def snapshot(tree: BPlusTree) -> dict:
-    """Leaf -> (its rows, its cached sets); holding the leaves keeps ids unique."""
-    return {leaf: (list(leaf.values), dict(leaf.columns or {})) for leaf in leaves(tree)}
+def snapshot(tree: BPlusTree) -> tuple:
+    """The tree's directories and charge list, and the nodes the list names."""
+    return dict(tree._columns), tree._charges, nodes(tree)
 
 
-def check_step(partition: StoredPartition, before: dict) -> None:
+def check_step(partition: StoredPartition, before: tuple) -> None:
     tree = partition.forward_tree
-    for leaf in leaves(tree):
-        rows, columns = before.get(leaf, (None, None))
-        if leaf.values == rows:
-            kept = leaf.columns or {}
-            assert kept.keys() == columns.keys(), "unchanged leaf dropped its sets"
-            for offset, column in columns.items():
-                assert kept[offset] is column, "unchanged leaf rebuilt its set"
-        else:
-            assert leaf.columns is None, "changed leaf kept its sets"
+    directories, charges, _ = before
+    assert tree._columns.keys() == directories.keys(), "a change dropped a directory"
+    for offset, directory in directories.items():
+        assert tree._columns[offset] is directory, "a change rebuilt a directory"
+    if charges is not None:
+        # Dropped exactly when the leftmost descent or the leaf chain moved.
+        assert (tree._charges is charges) == (tree._charge_list() == charges), (
+            "charge list kept across a new shape, or dropped without one"
+        )
     partition.forward_tree.check_invariants()
     partition.backward_tree.check_invariants()
     probe_sets(partition)
     for offset in range(partition.arity):
-        first = probed_columns(tree, offset)
-        again = probed_columns(tree, offset)
-        assert len(first) == len(again)
-        assert all(a is b for a, b in zip(first, again)), "a repeated probe rebuilt a set"
+        first = tree._columns[offset]
+        tree.column_probe(offset, set())
+        assert tree._columns[offset] is first, "a repeated probe rebuilt a directory"
+    charges = tree._charges
+    tree.column_probe(0, set())
+    assert tree._charges is charges, "a repeated probe rebuilt the charge list"
 
 
 def run(partition: StoredPartition, rows: list, ops) -> Counter:
@@ -156,23 +162,44 @@ class TestEveryRebalancingCase:
         assert events["collapse", True] > 0, events
 
 
-def test_check_invariants_catches_a_stale_set():
+def small_tree() -> BPlusTree:
     tree = BPlusTree.bulk_load([(n, (OID(n), OID(n % 3))) for n in range(12)], 4, 4)
-    assert probed_columns(tree, 1)[0] == {OID(0), OID(1), OID(2)}
+    assert tree.column_probe(1, {OID(1)}) == [(OID(n), OID(1)) for n in (1, 4, 7, 10)]
     tree.check_invariants()
-    # A leaf changed behind the tree's back keeps its set: caught.
-    leaf = tree._leftmost_leaf()
-    leaf.values[0] = (OID(0), OID(7))
-    with pytest.raises(AssertionError, match="stale column set"):
+    return tree
+
+
+def test_check_invariants_catches_a_stale_set():
+    # A leaf changed behind the tree's back leaves its directory stale: caught.
+    tree = small_tree()
+    tree._leftmost_leaf().values[0] = (OID(0), OID(7))
+    with pytest.raises(AssertionError, match="stale column directory at offset 1"):
+        tree.check_invariants()
+    # So is a directory edited behind the tree's back.
+    tree = small_tree()
+    tree._columns[1][OID(2)].pop()
+    with pytest.raises(AssertionError, match="stale column directory at offset 1"):
+        tree.check_invariants()
+
+
+def test_check_invariants_catches_a_charge_list_kept_across_a_split():
+    tree = small_tree()
+    kept = tree._charges
+    tree.insert(2.5, (OID(99), OID(0)))  # the first leaf is full: it splits
+    assert tree._charges is None and tree.leaf_count() == 4
+    tree.check_invariants()
+    tree._charges = kept
+    with pytest.raises(AssertionError, match="stale charge list"):
         tree.check_invariants()
 
 
 def test_concurrent_readers_building_sets_agree_with_the_scan_filter():
-    """Readers share a read lock, so two may build one leaf's set at once.
+    """Readers share a read lock, so two may build one directory at once.
 
-    Whichever build lands, every probe must answer as the scan filter
-    does; writers (here: between rounds) run alone, as under the
-    manager's write lock.
+    Each round starts with no directory and no charge list, so its
+    readers race on both builds.  Whichever build lands, every probe
+    must answer as the scan filter does; writers (here: between rounds)
+    run alone, as under the manager's write lock.
     """
     rng = random.Random(3)
     domain = [NULL, *map(OID, range(12))]
@@ -204,6 +231,8 @@ def test_concurrent_readers_building_sets_agree_with_the_scan_filter():
                 (offset, cells): [row for row in everything if row[offset] in cells]
                 for offset, cells in probes
             }
+            partition.forward_tree._columns.clear()
+            partition.forward_tree._charges = None
             threads = [
                 threading.Thread(target=reader, args=(round_ * 8 + n, expected))
                 for n in range(8)
