@@ -5,9 +5,10 @@ the per-update cost section 6 prices.  The batched regime
 (:meth:`~repro.asr.manager.ASRManager.batch`) only *accumulates* dirty
 regions during a transaction and applies one coalesced delta per ASR at
 the flush boundary, under a single buffer scope.  When a transaction's
-events cluster on few anchors (the common case: several inserts into
-the same collection), the coalesced flush charges the shared search and
-tree pages once instead of once per event.
+events cluster on one owner (the common case: several inserts into the
+same collection, each an edge from that owner), the coalesced flush
+charges the shared search and tree pages once instead of once per
+event.
 
 Both regimes are driven through an :class:`~repro.context.ExecutionContext`
 so the totals come straight out of the context's stats, and both must
@@ -30,7 +31,7 @@ PROFILE = ApplicationProfile(
 )
 
 #: Events per transaction; every transaction's inserts hit one owner's
-#: collection, so its dirty regions coalesce into a single anchor set.
+#: collection, so its dirty regions coalesce into one owner's edges.
 TXN_SIZE = 6
 TRANSACTIONS = 8
 

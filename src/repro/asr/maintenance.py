@@ -1,34 +1,53 @@
 """Incremental maintenance of access support relations (section 6).
 
 The paper analyzes the cost of keeping ASRs consistent under object-base
-updates; this module supplies the *algorithm*: translate every change
-event into a set of **dirty anchors** — ``(type index, cell)`` pairs whose
-surrounding paths may have changed — then
+updates; this module supplies the *algorithm*.  Every change event is
+translated into a :class:`DirtyRegion` — a set of row predicates that
+every extension row the event adds or removes satisfies:
 
-1. select, **by key**, the currently stored extension rows passing
-   through any anchor (or containing a deleted OID) — the *old*
-   neighbourhood.  The logical extension relation keeps a by-cell index
+* an **anchor** ``(i, cell)`` selects the rows holding ``cell`` at the
+  column of type index ``i`` (attribute assignments and deletions);
+* a **dead** OID selects every row holding it (deletions);
+* an **edge** ``(s, owner, collection, element)`` is one set
+  insertion or removal at step ``s``, seen through one owner.  With
+  ``c = column_of(s - 1)`` it selects the rows with ``owner`` at ``c``,
+  ``collection`` at ``c + 1`` and ``element`` or NULL at ``c + 2``
+  (**P**), and the rows starting at ``element`` in column ``c + 2``
+  with every column left of it NULL (**L**).
+
+Then, per region,
+
+1. the *old* neighbourhood is selected **by key** from the stored
+   extension: the rows that satisfy some predicate.  The logical
+   extension relation keeps a by-cell index
    (:meth:`~repro.asr.relation.Relation.containing`), so this costs
-   ``O(rows through the anchors)`` whatever ``#E_X`` is: the in-memory
-   analogue of the keyed search Eq. 36 prices, and as uncharged as the
-   logical relation it reads;
-2. recompute, from the post-update object graph, all extension rows
-   passing through each live anchor (``rows_through``: backward-maximal ×
-   forward-maximal path segments, filtered by the extension's rules) —
-   the *new* neighbourhood;
-3. apply ``added = new − old`` and ``removed = old − new``.
+   ``O(rows through the keyed cells)`` whatever ``#E_X`` is: the
+   in-memory analogue of the keyed search Eq. 36 prices, and as
+   uncharged as the logical relation it reads;
+2. the *new* neighbourhood is recomputed from the post-update object
+   graph: per anchor every row through its cell (``rows_through``:
+   backward-maximal × forward-maximal path segments); per edge §6.1's
+   ``I_l × I_r`` (``edge_rows``: the backward paths into ``owner`` ×
+   ``collection`` × the forward paths out of ``element``), plus the
+   row ending in NULL after ``collection`` when it is now empty or a
+   list holding NULL, and the left stubs of ``element`` when it has no
+   step-``s`` predecessor left.  Both are
+   filtered by the extension's rules;
+3. ``added = new − old`` and ``removed = old − new``.
 
-Because the new neighbourhood is recomputed from the real graph rather
-than composed from deltas, the procedure is exact for every extension,
-including the paper's tricky cases: empty-set stub rows appearing and
-disappearing, partial paths becoming complete, shared sets, and even
-paths in which the same ``(type, attribute)`` occurs at several positions
-(which the paper's section 6 explicitly assumes away).  Exactness is
-property-tested against full rebuilds.
+The predicates never read graph state, so the old and the new
+neighbourhood are enumerated over the same rows, and a row changed by
+any event of a batch satisfies a predicate of the merged region: the
+procedure is exact for every extension and under coalescing, including
+the paper's tricky cases — empty-set stub rows appearing and
+disappearing, partial paths becoming complete, shared sets, lists with
+duplicate elements, and even paths in which the same
+``(type, attribute)`` occurs at several positions (which the paper's
+section 6 explicitly assumes away).  Exactness is property-tested
+against full rebuilds.
 
 The *cost* of maintenance is a separate concern, modelled analytically in
-:mod:`repro.costmodel.updatecost`; here the object-graph searches mirror
-the ``I_l`` / ``I_r`` materialization of section 6.1.
+:mod:`repro.costmodel.updatecost`.
 """
 
 from __future__ import annotations
@@ -48,7 +67,7 @@ from repro.gom.events import (
 )
 from repro.gom.objects import OID, Cell
 from repro.gom.paths import PathExpression
-from repro.gom.traversal import backward_rows, forward_rows
+from repro.gom.traversal import backward_rows, forward_rows, has_predecessor
 from repro.gom.types import NULL
 
 
@@ -56,39 +75,44 @@ from repro.gom.types import NULL
 class DirtyRegion:
     """What an event touched, relative to one path expression.
 
-    ``anchors`` are ``(type index, cell)`` pairs: every extension row that
-    changed passes through at least one anchor (at the column of that type
-    index) or contains one of ``dead`` (OIDs that ceased to exist).
+    ``anchors`` are ``(type index, cell)`` pairs, ``dead`` OIDs that
+    ceased to exist and ``edges`` ``(step, owner, collection, element)``
+    set insertions or removals: every extension row that changed passes
+    through an anchor (at the column of that type index), contains a dead
+    OID, or satisfies an edge's P or L predicate (module docstring).
     """
 
     anchors: frozenset[tuple[int, Cell]]
     dead: frozenset[OID] = frozenset()
+    edges: frozenset[tuple[int, OID, OID, Cell]] = frozenset()
 
     def __bool__(self) -> bool:
-        return bool(self.anchors) or bool(self.dead)
+        return bool(self.anchors) or bool(self.dead) or bool(self.edges)
 
 
 EMPTY_REGION = DirtyRegion(frozenset())
 
 
 def merge_regions(*regions: DirtyRegion) -> DirtyRegion:
-    """Coalesce dirty regions: the union of anchors and dead OIDs.
+    """Coalesce dirty regions: the union of anchors, dead OIDs and edges.
 
     This is what makes batched maintenance cheap *and* exact: every row
-    changed by any of the underlying events passes through at least one
-    anchor of (or contains a dead OID of) the merged region, so one
+    changed by any of the underlying events satisfies at least one
+    predicate of the merged region, so one
     :func:`neighbourhood_delta` against the final object graph replaces
     one delta per event — overlapping neighbourhoods are recomputed and
     their tree pages touched once instead of once per event.
     """
     anchors: frozenset[tuple[int, Cell]] = frozenset()
     dead: frozenset[OID] = frozenset()
+    edges: frozenset[tuple[int, OID, OID, Cell]] = frozenset()
     for region in regions:
         anchors |= region.anchors
         dead |= region.dead
-    if not anchors and not dead:
+        edges |= region.edges
+    if not anchors and not dead and not edges:
         return EMPTY_REGION
-    return DirtyRegion(anchors, dead)
+    return DirtyRegion(anchors, dead, edges)
 
 
 def analyze_event(db: ObjectBase, path: PathExpression, event: Event) -> DirtyRegion:
@@ -143,14 +167,22 @@ def _analyze_membership(
     db: ObjectBase, path: PathExpression, event: SetInserted | SetRemoved
 ) -> DirtyRegion:
     anchors: set[tuple[int, Cell]] = set()
+    edges: set[tuple[int, OID, OID, Cell]] = set()
+    element = event.element
     for s, step in enumerate(path.steps, start=1):
         if step.collection_type != event.set_type:
             continue
-        if event.element is not NULL:
-            anchors.add((s, event.element))
+        # A collection no owner holds lies on no path: no edge.
         for owner in _owners_via(db, step.domain_type, step.attribute, event.set_oid):
-            anchors.add((s - 1, owner))
-    return DirtyRegion(frozenset(anchors))
+            if element is NULL:
+                # A list may hold NULL, which is no path node: the rows
+                # through the owner cover it.
+                anchors.add((s - 1, owner))
+            else:
+                edges.add((s, owner, event.set_oid, element))
+    if not anchors and not edges:
+        return EMPTY_REGION
+    return DirtyRegion(frozenset(anchors), edges=frozenset(edges))
 
 
 def _owners_via(
@@ -226,24 +258,82 @@ def rows_through(
         return set()
     backs = backward_rows(db, path, i, cell)
     fores = forward_rows(db, path, i, cell)
-    rows = {back + fore[1:] for back in backs for fore in fores}
+    return _extension_rows(
+        {back + fore[1:] for back in backs for fore in fores}, extension
+    )
+
+
+def edge_rows(
+    db: ObjectBase,
+    path: PathExpression,
+    edge: tuple[int, OID, OID, Cell],
+    extension: Extension,
+) -> set[tuple[Cell, ...]]:
+    """All extension rows satisfying ``edge``'s P or L predicate.
+
+    §6.1's ``I_l × I_r``: while ``owner`` still holds ``collection`` and
+    ``element`` is a member, the backward paths into ``owner`` ×
+    ``collection`` × the forward paths out of ``element``; while
+    ``collection`` is empty or a list holding NULL, the rows ending in
+    NULL after it; and while ``element`` has no step-``s`` predecessor,
+    the rows starting at it.
+    """
+    s, owner, collection, element = edge
+    step = path.steps[s - 1]
+    c = path.column_of(s - 1)
+    alive = not isinstance(element, OID) or element in db
+    fores = forward_rows(db, path, s, element) if alive else []
+    rows: set[tuple[Cell, ...]] = set()
+    if (
+        owner in db
+        and collection in db
+        and db.attr(owner, step.attribute) == collection
+    ):
+        members = db.members(collection)
+        # The empty-set stub and a list's NULL member both end the row
+        # at ``c + 2`` with NULL.
+        tails = [(NULL,) * (path.m - c - 1)] if not members or NULL in members else []
+        if element in members:
+            tails += fores
+        if tails:
+            for back in backward_rows(db, path, s - 1, owner):
+                head = back + (collection,)
+                rows.update(head + tail for tail in tails)
+    if _left_open(extension):
+        # A row starting at ``element`` embeds an edge only if its forward
+        # part does; probe for a predecessor only then.
+        stubs = [fore for fore in fores if len(fore) > 1 and fore[1] is not NULL]
+        if stubs and not has_predecessor(db, path, s, element):
+            pad = (NULL,) * (c + 2)
+            rows.update(pad + fore for fore in stubs)
+    return _extension_rows(rows, extension)
+
+
+def _extension_rows(
+    rows: set[tuple[Cell, ...]], extension: Extension
+) -> set[tuple[Cell, ...]]:
     # Every extension row embeds at least one auxiliary-relation tuple
     # (an edge, or an owner/empty-set pair), i.e. at least two non-NULL
     # cells; an isolated cell — e.g. an atomic value no object carries
     # any more — is not a path segment.
-    rows = {
+    return {
         row
         for row in rows
         if sum(1 for value in row if value is not NULL) >= 2
+        and _admissible(row, extension)
     }
-    return {row for row in rows if _admissible(row, extension)}
+
+
+def _left_open(extension: Extension) -> bool:
+    """Whether ``extension`` keeps rows that start with NULL (left stubs)."""
+    return extension is Extension.FULL or extension is Extension.RIGHT
 
 
 def _admissible(row: tuple[Cell, ...], extension: Extension) -> bool:
+    if row[0] is NULL and not _left_open(extension):
+        return False
     if extension is Extension.CANONICAL:
         return all(cell is not NULL for cell in row)
-    if extension is Extension.LEFT:
-        return row[0] is not NULL
     if extension is Extension.RIGHT:
         return row[-1] is not NULL
     return True
@@ -261,10 +351,12 @@ def neighbourhood_delta(
     The old neighbourhood is selected by key from ``relation``'s
     by-cell index (:meth:`~repro.asr.relation.Relation.containing`): per
     anchor the rows holding its cell at the anchor's column, per dead OID
-    every row holding it.  The cost is ``O(rows through the anchors)``,
-    independent of ``#E_X``; the relation is never iterated.  A NULL
-    anchor selects nothing — NULL is no path node, and
-    :func:`rows_through` recomputes nothing for it either.
+    every row holding it, per edge the rows through its owner that
+    satisfy P and the rows through its element that satisfy L.  The cost
+    is ``O(rows through the keyed cells)``, independent of ``#E_X``; the
+    relation is never iterated.  A NULL anchor selects nothing — NULL is
+    no path node, and :func:`rows_through` recomputes nothing for it
+    either.
     """
     if not region:
         return set(), set()
@@ -276,6 +368,23 @@ def neighbourhood_delta(
         column = path.column_of(i)
         old_rows.update(row for row in containing(cell) if row[column] == cell)
         new_rows |= rows_through(db, path, i, cell, extension)
+    stubs = _left_open(extension)
+    for edge in region.edges:
+        s, owner, collection, element = edge
+        c = path.column_of(s - 1)
+        e = c + 2
+        for row in containing(owner):
+            if (
+                row[c] == owner
+                and row[c + 1] == collection
+                and (row[e] is NULL or row[e] == element)
+            ):
+                old_rows.add(row)
+        if stubs:
+            for row in containing(element):
+                if row[e] == element and all(cell is NULL for cell in row[:e]):
+                    old_rows.add(row)
+        new_rows |= edge_rows(db, path, edge, extension)
     for oid in dead:
         old_rows.update(containing(oid))
     # A recomputed row may still contain a dead OID at a *different*

@@ -19,9 +19,10 @@ Two maintenance regimes exist:
   event per ASR, the regime section 6 prices;
 * **batched** (:meth:`batch` / :meth:`flush`): events only *accumulate*
   their dirty regions in a per-ASR queue; the regions are coalesced
-  (set-union of anchors and dead OIDs) and, at the flush boundary, one
-  ``neighbourhood_delta`` per ASR is computed against the final object
-  graph and applied under a single buffer scope.  Overlapping events
+  (set-union of anchors, dead OIDs and set-membership edges) and, at
+  the flush boundary, one ``neighbourhood_delta`` per ASR is computed
+  against the final object graph and applied under a single buffer
+  scope.  Overlapping events
   therefore charge their shared pages once, and intermediate states
   that a later event undoes never touch the trees at all.
 

@@ -87,7 +87,8 @@ def _null_pad_left(path: PathExpression, j: int) -> tuple[Cell, ...]:
 
 
 def _cell_sort_key(cell: Cell):
-    return (cell.value,) if isinstance(cell, OID) else (repr(cell),)
+    # OIDs before any other cell, so a list holding NULL and objects sorts.
+    return (0, cell.value) if isinstance(cell, OID) else (1, repr(cell))
 
 
 def backward_rows(
@@ -130,49 +131,66 @@ def _predecessor_pairs(
     Returns ``(owner, collection_oid)`` pairs; ``collection_oid`` is None
     for single-valued steps.
     """
+    return sorted(
+        _iter_predecessor_pairs(db, path, j, cell),
+        key=lambda p: (_cell_sort_key(p[0]), _cell_sort_key(p[1] or p[0])),
+    )
+
+
+def has_predecessor(db: ObjectBase, path: PathExpression, j: int, cell: Cell) -> bool:
+    """Whether some object of type ``t_{j-1}`` reaches ``cell`` via ``A_j``.
+
+    The early-exit form of :func:`_predecessor_pairs`: ``cell`` starts
+    left-maximal paths at column ``column_of(j)`` exactly when this is
+    False.
+    """
+    return next(_iter_predecessor_pairs(db, path, j, cell), None) is not None
+
+
+def _iter_predecessor_pairs(
+    db: ObjectBase, path: PathExpression, j: int, cell: Cell
+) -> Iterator[tuple[OID, OID | None]]:
     step = path.steps[j - 1]
-    pairs: list[tuple[OID, OID | None]] = []
     if step.is_set_occurrence:
         if not isinstance(cell, OID):
             # Atomic set elements: scan collections of the right type.
-            collections = [
+            collections = (
                 coll
                 for coll in db.extent(step.collection_type or "", False)
                 if cell in db.members(coll)
-            ]
+            )
         else:
-            collections = [
+            collections = (
                 coll
                 for coll in db.referrers(cell)
                 if db.type_of(coll) == step.collection_type
-            ]
+            )
         for coll in collections:
             for owner in _attribute_holders(db, step.domain_type, step.attribute, coll):
-                pairs.append((owner, coll))
+                yield owner, coll
     else:
         for owner in _attribute_holders(db, step.domain_type, step.attribute, cell):
-            pairs.append((owner, None))
-    return sorted(pairs, key=lambda p: (_cell_sort_key(p[0]), _cell_sort_key(p[1] or p[0])))
+            yield owner, None
 
 
 def _attribute_holders(
     db: ObjectBase, domain_type: str, attribute: str, target: Cell
-) -> list[OID]:
+) -> Iterator[OID]:
     """Objects in the extent of ``domain_type`` with ``attribute == target``."""
     if isinstance(target, OID):
-        candidates = [
+        candidates = (
             source
             for source in db.referrers(target)
             if db.schema.is_subtype(db.type_of(source), domain_type)
-        ]
+        )
     else:
-        candidates = list(db.extent(domain_type))
-    return [
+        candidates = db.extent(domain_type)
+    return (
         oid
         for oid in candidates
         if attribute in db.schema.attributes_of(db.type_of(oid))
         and db.attr(oid, attribute) == target
-    ]
+    )
 
 
 def reachable_terminals(

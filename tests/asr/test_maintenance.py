@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asr import AccessSupportRelation, ASRManager, Decomposition, Extension
+from repro.asr.extensions import build_extension
 from repro.asr.maintenance import (
     DirtyRegion,
     analyze_event,
@@ -34,34 +35,44 @@ def assert_index_matches_scan(relation):
 
 
 def scan_delta(db, path, extension, current_rows, region):
-    """The reference ``neighbourhood_delta``: the old neighbourhood found
-    by a pass over the whole relation, as it was before the by-cell index."""
+    """The reference ``neighbourhood_delta``: the region's row predicates
+    applied by a pass over the whole relation (the old neighbourhood) and
+    over a from-scratch rebuild (the new one)."""
     if not region:
         return set(), set()
     anchor_columns = [(path.column_of(i), cell) for i, cell in region.anchors]
+    edge_columns = [
+        (path.column_of(s - 1), owner, collection, element)
+        for s, owner, collection, element in region.edges
+    ]
     dead = region.dead
+
+    def satisfies_edge(row, c, owner, collection, element):
+        e = c + 2
+        p = (
+            row[c] == owner
+            and row[c + 1] == collection
+            and (row[e] is NULL or row[e] == element)
+        )
+        left = row[e] == element and all(cell is NULL for cell in row[:e])
+        return p or left
 
     def touches(row):
         if dead and any(cell in dead for cell in row if isinstance(cell, OID)):
             return True
-        return any(row[column] == cell for column, cell in anchor_columns)
+        if any(row[column] == cell for column, cell in anchor_columns):
+            return True
+        return any(satisfies_edge(row, *edge) for edge in edge_columns)
 
     old_rows = {row for row in current_rows if touches(row)}
-    new_rows = set()
-    for i, cell in region.anchors:
-        new_rows |= rows_through(db, path, i, cell, extension)
-    if dead:
-        new_rows = {
-            row
-            for row in new_rows
-            if not any(cell in dead for cell in row if isinstance(cell, OID))
-        }
+    new_rows = {row for row in build_extension(db, path, extension) if touches(row)}
     return new_rows - old_rows, old_rows - new_rows
 
 
 class Shadow:
     """An unmanaged ASR kept current by hand: on every event the keyed
-    delta must equal the scanned one, and the index the brute force."""
+    delta must equal the scanned one and the full-rebuild difference,
+    and the index the brute force."""
 
     def __init__(self, db, path, extension):
         self.db, self.path = db, path
@@ -74,6 +85,9 @@ class Shadow:
         region = analyze_event(self.db, self.path, event)
         delta = neighbourhood_delta(self.db, self.path, asr.extension, relation, region)
         assert delta == scan_delta(self.db, self.path, asr.extension, relation, region)
+        before = relation.rows
+        after = build_extension(self.db, self.path, asr.extension).rows
+        assert delta == (after - before, before - after)
         asr.apply_delta(*delta)
         assert_index_matches_scan(relation)
         self.events.append((event, region, delta))
