@@ -64,7 +64,7 @@ def main() -> None:
     manager = ASRManager(db)
     asr = manager.create(path, Extension.CANONICAL, Decomposition.none(path.m))
     print(f"\naccess support relation ({asr.extension.value}, dec={asr.decomposition}):")
-    print(asr.extension_relation.pretty())
+    print(asr.recompose().pretty())
 
     # 1) The paper's Query 1, through the SQL-like surface syntax.
     evaluator = QueryEvaluator(db, store)

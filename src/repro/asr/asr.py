@@ -163,6 +163,52 @@ def _prefix_scan(tree: BPlusTree, cell: Cell, buffer) -> list[tuple[Cell, ...]]:
     return _concatenated(tree.leaf_slices(lo, hi, buffer))
 
 
+def _equal_cells(cell: Cell) -> tuple[Cell, ...]:
+    """``cell`` and the cell ``==`` to it that :func:`cell_key` ranks apart
+    (``True`` and ``1``, ``False`` and ``0``)."""
+    if isinstance(cell, (bool, int, float)) and cell in (0, 1):
+        return (cell, int(cell)) if isinstance(cell, bool) else (cell, bool(cell))
+    return (cell,)
+
+
+def _kept(rows: list, where: dict, first: int, columns: range) -> list:
+    """The ``rows`` (their first cell at column ``first``) holding one of
+    ``where[c]`` at every ``where`` column ``c`` in ``columns``."""
+    for c, cells in where.items():
+        if c in columns:
+            rows = [row for row in rows if row[c - first] in cells]
+    return rows
+
+
+def _joined(
+    rows: list[tuple[Cell, ...]], partition: "StoredPartition", side: int, where: dict
+) -> list[tuple[Cell, ...]]:
+    """``rows`` joined on their border cell ``row[side]`` with the adjacent
+    ``partition``: the left one's rows ending with it (``side`` 0) or the
+    right one's starting with it (``-1``), each cell looked up once.  A
+    NULL border, or one without a match, is padded with NULL.  The
+    partition's rows (or the padding) are held to ``where`` before they
+    are joined.
+    """
+    first, last = partition.first_column, partition.last_column
+    columns = range(first + 1, last + 1) if side else range(first, last)
+    lookup = partition.lookup_forward if side else partition.lookup_backward
+    blank = ((NULL,) * partition.arity,)
+    found: dict[Cell, list[tuple[Cell, ...]]] = {}
+    joined: list[tuple[Cell, ...]] = []
+    for row in rows:
+        border = row[side]
+        matches = found.get(border)
+        if matches is None:
+            stored = None if border is NULL else lookup(border)
+            matches = found[border] = _kept(stored or blank, where, first, columns)
+        if side:
+            joined += [row + match[1:] for match in matches]
+        else:
+            joined += [match[:-1] + row for match in matches]
+    return joined
+
+
 class StoredPartition:
     """One partition ``E^{i,j}_X`` with its two clustered B+ trees.
 
@@ -403,9 +449,10 @@ class AccessSupportRelation:
         asr = AccessSupportRelation.build(
             db, path, Extension.FULL, Decomposition.binary(path.m))
 
-    The undecomposed extension is kept as the logical source of truth
-    (``self.extension_relation``); each partition stores its projection
-    with reference counts, in two clustered B+ trees.
+    The partitions are the only stored copy of the extension: each holds
+    its projection with reference counts, in two clustered B+ trees.
+    The undecomposed extension is derived from them — all of it by
+    :meth:`recompose`, the rows through one cell by :meth:`rows_at`.
     """
 
     def __init__(
@@ -427,7 +474,8 @@ class AccessSupportRelation:
         #: transitions, query layers only read it.
         self.state = ASRState.CONSISTENT
         labels = path.column_labels()
-        self.extension_relation = Relation(labels)
+        #: Rows of the undecomposed extension, kept by load and deltas.
+        self.tuple_count = 0
         self.partitions: list[StoredPartition] = [
             StoredPartition(i, j, labels[i : j + 1], page_size, oid_size)
             for i, j in self.decomposition.partitions
@@ -464,11 +512,10 @@ class AccessSupportRelation:
         self.state = ASRState.CONSISTENT
 
     def reload(self, relation: Relation) -> None:
-        """Adopt ``relation`` as the extension and reload every partition."""
-        self.extension_relation = relation
-        rows = relation.rows
+        """Reload every partition from the extension ``relation``'s rows."""
         for partition in self.partitions:
-            partition.load_from_extension(rows)
+            partition.load_from_extension(relation)
+        self.tuple_count = len(relation)
 
     # ------------------------------------------------------------------
     # delta application (used by repro.asr.maintenance)
@@ -480,26 +527,80 @@ class AccessSupportRelation:
         removed: Iterable[tuple[Cell, ...]],
         context=None,
     ) -> None:
-        """Apply extension-level row deltas to the logical relation and trees."""
+        """Apply exact extension-level row deltas to the partitions: a
+        removed row must be stored, an added one must not (a removed row
+        with no stored projection raises :class:`RelationError`)."""
         buffer = resolve_buffer(context)
+        partitions = self.partitions
         for row in removed:
-            row = tuple(row)
-            if row not in self.extension_relation:
-                continue
-            self.extension_relation.discard(row)
-            for partition in self.partitions:
+            for partition in partitions:
                 projected = partition.project(row)
                 if projected is not None:
                     partition.remove_projection(projected, buffer)
+            self.tuple_count -= 1
         for row in added:
-            row = tuple(row)
-            if row in self.extension_relation:
-                continue
-            self.extension_relation.add(row)
-            for partition in self.partitions:
+            for partition in partitions:
                 projected = partition.project(row)
                 if projected is not None:
                     partition.add_projection(projected, buffer)
+            self.tuple_count += 1
+
+    # ------------------------------------------------------------------
+    # reading the extension back (Def. 3.8, Thm. 3.9)
+    # ------------------------------------------------------------------
+
+    def rows_at(
+        self, column: int, cell: Cell, where: dict | None = None
+    ) -> list[tuple[Cell, ...]]:
+        """The stored extension rows holding ``cell`` at ``column`` (uncharged).
+
+        A forward lookup enters the partition starting at ``column``, a
+        column probe one holding it inside, a backward lookup the last
+        partition at the path's last column; border lookups then extend
+        each row across the other partitions (:func:`_joined`): Thm.
+        3.9's recomposition restricted to the rows through one cell.
+        Cells match by ``==``, as a delta's row sets do: at the last
+        column, the only one holding atomic values, ``1``, ``1.0`` and
+        ``True`` are one cell.  ``where`` maps columns to the cells
+        allowed there; each partition's rows are held to it before they
+        are joined, so a row failing it is never extended.
+        """
+        if cell is NULL:
+            return []
+        partitions = self.partitions
+        k = len(partitions) - 1
+        if column == partitions[k].last_column:
+            rows = []
+            for equal in _equal_cells(cell):
+                rows += partitions[k].lookup_backward(equal)
+        else:
+            k = next(k for k, p in enumerate(partitions) if column < p.last_column)
+            offset = column - partitions[k].first_column
+            if offset:
+                rows = partitions[k].forward_tree.column_probe(offset, (cell,))
+            else:
+                rows = partitions[k].lookup_forward(cell)
+        where = where or {}
+        entry = partitions[k]
+        columns = range(entry.first_column, entry.last_column + 1)
+        rows = _kept(rows, where, entry.first_column, columns)
+        for left in reversed(partitions[:k]):
+            rows = _joined(rows, left, 0, where)
+        for right in partitions[k + 1 :]:
+            rows = _joined(rows, right, -1, where)
+        return rows
+
+    def recompose(self) -> Relation:
+        """The extension rejoined from the partitions' rows (Def. 3.8,
+        Thm. 3.9; uncharged)."""
+        labels = self.path.column_labels()
+        return self.decomposition.recompose(
+            [
+                Relation(labels[p.first_column : p.last_column + 1], p.rows())
+                for p in self.partitions
+            ],
+            self.extension,
+        )
 
     # ------------------------------------------------------------------
     # inspection
@@ -557,11 +658,6 @@ class AccessSupportRelation:
         """True while crash recovery is pending: trees may be torn and
         queries must fall back instead of reading them."""
         return self.state is ASRState.QUARANTINED
-
-    @property
-    def tuple_count(self) -> int:
-        """Rows of the undecomposed extension."""
-        return len(self.extension_relation)
 
     @property
     def total_bytes(self) -> int:
@@ -653,16 +749,10 @@ class AccessSupportRelation:
         return AccessPath(tuple(steps), "bw", None if ranged else "target")
 
     def consistency_check(self, db: ObjectBase) -> None:
-        """Assert the stored state matches a from-scratch rebuild (tests)."""
+        """Assert the stored state matches a from-scratch rebuild (tests):
+        exact reference counts and tree keys per partition, then the
+        recomposed extension."""
         expected = build_extension(db, self.path, self.extension)
-        actual = self.extension_relation
-        missing = expected.rows - actual.rows
-        spurious = actual.rows - expected.rows
-        assert not missing and not spurious, (
-            f"ASR drifted from object base: missing={sorted(missing, key=row_key)[:5]} "
-            f"spurious={sorted(spurious, key=row_key)[:5]}"
-        )
-        actual.check_cell_index()
         for partition in self.partitions:
             trees = (partition.forward_tree, partition.backward_tree)
             for side, tree in enumerate(trees):
@@ -672,7 +762,7 @@ class AccessSupportRelation:
                         f"keys {row!r} under {key!r}"
                     )
             expected_counts: Counter = Counter()
-            for row in expected.rows:
+            for row in expected:
                 projected = partition.project(row)
                 if projected is not None:
                     expected_counts[projected] += 1
@@ -684,6 +774,16 @@ class AccessSupportRelation:
             assert tree_rows == set(expected_counts), "forward tree drifted"
             tree_rows = {value for _, value in partition.backward_tree.items()}
             assert tree_rows == set(expected_counts), "backward tree drifted"
+        actual = self.recompose()
+        missing = expected.rows - actual.rows
+        spurious = actual.rows - expected.rows
+        assert not missing and not spurious, (
+            f"ASR drifted from object base: missing={sorted(missing, key=row_key)[:5]} "
+            f"spurious={sorted(spurious, key=row_key)[:5]}"
+        )
+        assert self.tuple_count == len(expected), (
+            f"ASR counts {self.tuple_count} rows for {len(expected)}"
+        )
 
     def __repr__(self) -> str:
         flag = "" if self.state is ASRState.CONSISTENT else f", {self.state.value}"

@@ -7,7 +7,7 @@ machine:
 
 1. the manager computes the row delta and marks the ASR
    :attr:`ASRState.APPLYING` before any tree is touched;
-2. the delta is applied to the logical relation and the partition trees;
+2. the delta is applied to the partitions and their trees;
 3. the ASR returns to :attr:`ASRState.CONSISTENT`.
 
 A crash or storage fault between 1 and 3 leaves the ASR

@@ -7,7 +7,8 @@ every extension row the event adds or removes satisfies:
 
 * an **anchor** ``(i, cell)`` selects the rows holding ``cell`` at the
   column of type index ``i`` (attribute assignments and deletions);
-* a **dead** OID selects every row holding it (deletions);
+* a **dead** ``(column, oid)`` selects the rows holding ``oid`` at
+  ``column``, one of the columns its type can occupy (deletions);
 * an **edge** ``(s, owner, collection, element)`` is one set
   insertion or removal at step ``s``, seen through one owner.  With
   ``c = column_of(s - 1)`` it selects the rows with ``owner`` at ``c``,
@@ -17,13 +18,15 @@ every extension row the event adds or removes satisfies:
 
 Then, per region,
 
-1. the *old* neighbourhood is selected **by key** from the stored
-   extension: the rows that satisfy some predicate.  The logical
-   extension relation keeps a by-cell index
-   (:meth:`~repro.asr.relation.Relation.containing`), so this costs
-   ``O(rows through the keyed cells)`` whatever ``#E_X`` is: the
-   in-memory analogue of the keyed search Eq. 36 prices, and as
-   uncharged as the logical relation it reads;
+1. the *old* neighbourhood is read from the partitions, the ASR's only
+   stored copy: :meth:`~repro.asr.asr.AccessSupportRelation.rows_at`
+   enters the partition holding a predicate's keyed column by a lookup
+   (forward, backward, or a column probe) and rejoins each row found
+   with the adjacent partitions by border lookups — Thm. 3.9's
+   recomposition, restricted to the rows through one cell.  These are
+   the lookups Eq. 36's ``search`` prices; they are not charged yet
+   (the charged pages are the partitions'
+   ``add_projection``/``remove_projection``);
 2. the *new* neighbourhood is recomputed from the post-update object
    graph: per anchor every row through its cell (``rows_through``:
    backward-maximal × forward-maximal path segments); per edge §6.1's
@@ -55,7 +58,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.asr.extensions import Extension
-from repro.asr.relation import Relation
 from repro.gom.database import ObjectBase
 from repro.gom.events import (
     AttributeSet,
@@ -75,15 +77,17 @@ from repro.gom.types import NULL
 class DirtyRegion:
     """What an event touched, relative to one path expression.
 
-    ``anchors`` are ``(type index, cell)`` pairs, ``dead`` OIDs that
-    ceased to exist and ``edges`` ``(step, owner, collection, element)``
-    set insertions or removals: every extension row that changed passes
-    through an anchor (at the column of that type index), contains a dead
-    OID, or satisfies an edge's P or L predicate (module docstring).
+    ``anchors`` are ``(type index, cell)`` pairs, ``dead`` ``(column,
+    OID)`` pairs of an object that ceased to exist and a column its type
+    can occupy, and ``edges`` ``(step, owner, collection, element)`` set
+    insertions or removals: every extension row that changed passes
+    through an anchor (at the column of that type index), holds a dead
+    OID at one of its columns, or satisfies an edge's P or L predicate
+    (module docstring).
     """
 
     anchors: frozenset[tuple[int, Cell]]
-    dead: frozenset[OID] = frozenset()
+    dead: frozenset[tuple[int, OID]] = frozenset()
     edges: frozenset[tuple[int, OID, OID, Cell]] = frozenset()
 
     def __bool__(self) -> bool:
@@ -104,7 +108,7 @@ def merge_regions(*regions: DirtyRegion) -> DirtyRegion:
     their tree pages touched once instead of once per event.
     """
     anchors: frozenset[tuple[int, Cell]] = frozenset()
-    dead: frozenset[OID] = frozenset()
+    dead: frozenset[tuple[int, OID]] = frozenset()
     edges: frozenset[tuple[int, OID, OID, Cell]] = frozenset()
     for region in regions:
         anchors |= region.anchors
@@ -201,15 +205,19 @@ def _analyze_deletion(
     db: ObjectBase, path: PathExpression, event: ObjectDeleted
 ) -> DirtyRegion:
     anchors: set[tuple[int, Cell]] = set()
-    dead: set[OID] = set()
-    for i, type_name in enumerate(path.types):
-        if db.schema.is_subtype(event.type_name, type_name):
-            dead.add(event.oid)
+    # The columns the deleted object can occupy: those of its type and,
+    # for a collection, the extra column its set occurrences insert.
+    dead = {
+        (c, event.oid)
+        for c, column in enumerate(path.columns)
+        if (
+            event.type_name == column.type_name
+            if column.is_collection
+            else db.schema.is_subtype(event.type_name, column.type_name)
+        )
+    }
     for s, step in enumerate(path.steps, start=1):
-        # Collection OIDs occupy their own column: a deleted collection
-        # must be purged too.
         if step.collection_type is not None and event.type_name == step.collection_type:
-            dead.add(event.oid)
             if isinstance(event.old_value, (set, frozenset, list, tuple)):
                 for member in event.old_value:
                     if member is not NULL:
@@ -340,57 +348,47 @@ def _admissible(row: tuple[Cell, ...], extension: Extension) -> bool:
 
 
 def neighbourhood_delta(
-    db: ObjectBase,
-    path: PathExpression,
-    extension: Extension,
-    relation: Relation,
-    region: DirtyRegion,
+    db: ObjectBase, asr, region: DirtyRegion
 ) -> tuple[set[tuple[Cell, ...]], set[tuple[Cell, ...]]]:
-    """The ``(added, removed)`` extension rows induced by ``region``.
+    """The ``(added, removed)`` extension rows ``region`` induces on ``asr``.
 
-    The old neighbourhood is selected by key from ``relation``'s
-    by-cell index (:meth:`~repro.asr.relation.Relation.containing`): per
-    anchor the rows holding its cell at the anchor's column, per dead OID
-    every row holding it, per edge the rows through its owner that
-    satisfy P and the rows through its element that satisfy L.  The cost
-    is ``O(rows through the keyed cells)``, independent of ``#E_X``; the
-    relation is never iterated.  A NULL anchor selects nothing — NULL is
-    no path node, and :func:`rows_through` recomputes nothing for it
-    either.
+    ``asr`` is the stored structure (an
+    :class:`~repro.asr.asr.AccessSupportRelation`, or anything with its
+    ``path``, ``extension`` and ``rows_at``).  The old neighbourhood is
+    read through ``asr.rows_at(column, cell)``, the partitions' own
+    lookups: per anchor the rows holding its cell at the anchor's
+    column; per dead ``(column, oid)`` the rows holding the OID there;
+    per edge the rows holding its owner at ``c`` that satisfy P and the
+    rows holding its element at ``c + 2`` that satisfy L.  The cost is
+    that of the lookups through the keyed cells, independent of
+    ``#E_X``; the extension is never rebuilt.  A NULL anchor selects
+    nothing — NULL is no path node, and :func:`rows_through` recomputes
+    nothing for it either.
     """
     if not region:
         return set(), set()
-    dead = region.dead
-    containing = relation.containing
+    path, extension, rows_at = asr.path, asr.extension, asr.rows_at
     old_rows: set[tuple[Cell, ...]] = set()
     new_rows: set[tuple[Cell, ...]] = set()
     for i, cell in region.anchors:
-        column = path.column_of(i)
-        old_rows.update(row for row in containing(cell) if row[column] == cell)
+        old_rows.update(rows_at(path.column_of(i), cell))
         new_rows |= rows_through(db, path, i, cell, extension)
     stubs = _left_open(extension)
     for edge in region.edges:
         s, owner, collection, element = edge
         c = path.column_of(s - 1)
         e = c + 2
-        for row in containing(owner):
-            if (
-                row[c] == owner
-                and row[c + 1] == collection
-                and (row[e] is NULL or row[e] == element)
-            ):
-                old_rows.add(row)
+        old_rows.update(rows_at(c, owner, {c + 1: (collection,), e: (NULL, element)}))
         if stubs:
-            for row in containing(element):
-                if row[e] == element and all(cell is NULL for cell in row[:e]):
-                    old_rows.add(row)
+            old_rows.update(rows_at(e, element, dict.fromkeys(range(e), (NULL,))))
         new_rows |= edge_rows(db, path, edge, extension)
-    for oid in dead:
-        old_rows.update(containing(oid))
+    for column, oid in region.dead:
+        old_rows.update(rows_at(column, oid))
     # A recomputed row may still contain a dead OID at a *different*
     # column only if the object base itself were inconsistent; guard
     # anyway so deletions can never resurrect rows.
-    if dead:
+    if region.dead:
+        dead = {oid for _column, oid in region.dead}
         new_rows = {
             row
             for row in new_rows

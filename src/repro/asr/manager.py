@@ -60,7 +60,7 @@ from __future__ import annotations
 from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterator
 
-from repro.asr.asr import AccessSupportRelation
+from repro.asr.asr import AccessSupportRelation, row_key
 from repro.asr.decomposition import Decomposition
 from repro.asr.extensions import Extension, build_extension
 from repro.asr.journal import ASRState
@@ -289,19 +289,10 @@ class ASRManager:
             replacement = AccessSupportRelation.build(
                 self.db, asr.path, extension, decomposition
             )
-            # Warm the by-cell index outside the lock, so the first
-            # update after the swap does not pay for it under the lock.
-            replacement.extension_relation.index_cells()
             with self.lock.write():
                 region = self._catchup.pop(key)
                 if region:
-                    added, removed = neighbourhood_delta(
-                        self.db,
-                        asr.path,
-                        replacement.extension,
-                        replacement.extension_relation,
-                        region,
-                    )
+                    added, removed = neighbourhood_delta(self.db, replacement, region)
                     replacement.apply_delta(added, removed, None)
                 reach(injector, "asr.retune.register")
                 self.replace(asr, replacement)
@@ -530,9 +521,7 @@ class ASRManager:
             if asr.state is not ASRState.CONSISTENT:
                 continue
             try:
-                added, removed = neighbourhood_delta(
-                    self.db, asr.path, asr.extension, asr.extension_relation, region
-                )
+                added, removed = neighbourhood_delta(self.db, asr, region)
                 stale = bool(added or removed)
             except Exception:  # conservative: assume the region matters
                 stale = True
@@ -579,15 +568,15 @@ class ASRManager:
         for asr, region in items:
             if asr.state is not ASRState.CONSISTENT:
                 continue  # quarantined: recovery derives it again
-            added, removed = neighbourhood_delta(
-                self.db, asr.path, asr.extension, asr.extension_relation, region
-            )
+            added, removed = neighbourhood_delta(self.db, asr, region)
             if not added and not removed:
                 continue
             asr.state = ASRState.APPLYING
-            # The trees take the rows in frozenset iteration order, which
-            # the pinned page counts depend on.
-            deltas.append((asr, frozenset(added), frozenset(removed)))
+            # In row order, so the trees' splits and merges (and so the
+            # page counts) depend on the rows alone.
+            deltas.append(
+                (asr, sorted(added, key=row_key), sorted(removed, key=row_key))
+            )
         if not deltas:
             return 0
         try:

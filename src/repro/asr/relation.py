@@ -36,30 +36,23 @@ class Relation:
     """An unordered, duplicate-free relation over ``Cell`` tuples.
 
     ``columns`` are display labels only; positions identify columns.
-    Instances are mutable (rows can be added/removed — index maintenance
-    needs that) but all algebra operators return fresh relations.
-
-    Beside the rows sits a **by-cell index** (``cell → rows holding it``,
-    non-NULL cells only): the stored relation is the row set, "the rows
-    through cell ``c``" is the derived one every update asks for
-    (:func:`repro.asr.maintenance.neighbourhood_delta`), and recomputing
-    it by a pass over the rows made each update cost ``O(#rows)``.
-    :meth:`containing` builds the index on first use and :meth:`add` /
-    :meth:`discard` keep it from then on, so it is correct whoever
-    constructed the relation; algebra results start without one.
-    Buckets are plain lists (a cell sits on a handful of paths; sets
-    would triple the footprint), so discarding a row is linear in the
-    buckets of its cells.
+    Rows can be added, but all algebra operators return fresh relations.
+    A relation holds its rows and nothing else: the stored form of an
+    access support relation is its partitions
+    (:class:`~repro.asr.asr.AccessSupportRelation`), and a ``Relation``
+    is the algebra that builds an extension
+    (:func:`~repro.asr.extensions.build_extension`) and rejoins one
+    (:meth:`~repro.asr.decomposition.Decomposition.recompose`) — the
+    oracle the tests compare the stored form with.
     """
 
-    __slots__ = ("columns", "_rows", "_by_cell")
+    __slots__ = ("columns", "_rows")
 
     def __init__(
         self, columns: Sequence[str], rows: Iterable[tuple[Cell, ...]] = ()
     ) -> None:
         self.columns: tuple[str, ...] = tuple(columns)
         self._rows: set[tuple[Cell, ...]] = set()
-        self._by_cell: dict[Cell, list[tuple[Cell, ...]]] | None = None
         for row in rows:
             self.add(row)
 
@@ -103,87 +96,7 @@ class Relation:
                 f"row arity {len(row)} does not match relation arity "
                 f"{len(self.columns)}"
             )
-        row = tuple(row)
-        if self._by_cell is not None and row not in self._rows:
-            self._index(row)
-        self._rows.add(row)
-
-    def discard(self, row: tuple[Cell, ...]) -> None:
-        row = tuple(row)
-        if self._by_cell is not None and row in self._rows:
-            by_cell = self._by_cell
-            for cell in set(row):
-                if cell is not NULL:
-                    bucket = by_cell[cell]
-                    bucket.remove(row)
-                    if not bucket:
-                        del by_cell[cell]
-        self._rows.discard(row)
-
-    # ------------------------------------------------------------------
-    # by-cell index
-    # ------------------------------------------------------------------
-
-    def _index(self, row: tuple[Cell, ...]) -> None:
-        """Enter a row not yet indexed under each of its non-NULL cells."""
-        by_cell = self._by_cell
-        for cell in row:
-            if cell is not NULL:
-                bucket = by_cell.get(cell)
-                if bucket is None:
-                    by_cell[cell] = [row]
-                elif bucket[-1] is not row:
-                    # ``is``: a cell repeated within this row (a cyclic
-                    # path) found the entry its first column just made.
-                    bucket.append(row)
-
-    def index_cells(self) -> None:
-        """Build the by-cell index now (a no-op once it exists).
-
-        :meth:`containing` builds it on first use; a builder that swaps
-        a relation in under a lock (``ASRManager.rematerialize``)
-        calls this first, so the one pass over the rows lands in its
-        unlocked build rather than in the first update after the swap.
-        """
-        if self._by_cell is None:
-            self._by_cell = {}
-            for row in self._rows:
-                self._index(row)
-
-    def containing(self, cell: Cell) -> tuple[tuple[Cell, ...], ...]:
-        """The rows holding ``cell`` at any column (none for NULL).
-
-        A keyed lookup, independent of the relation's size.  Cells match
-        as dictionary keys do, which for the values a cell can take is
-        how ``==`` matches them (``1``, ``1.0`` and ``True`` are one key).
-        """
-        if cell is NULL:
-            return ()
-        self.index_cells()
-        return tuple(self._by_cell.get(cell, ()))
-
-    def check_cell_index(self) -> None:
-        """Assert the by-cell index equals a pass over the rows (tests).
-
-        By counting, so the check holds no second index in memory: every
-        entry is a distinct stored row holding its cell, and there are as
-        many entries as (row, distinct non-NULL cell) pairs.
-        """
-        self.index_cells()
-        entries = 0
-        for cell, bucket in self._by_cell.items():
-            assert bucket and len(set(bucket)) == len(bucket), (
-                f"by-cell index: empty or repeating bucket at {cell!r}"
-            )
-            for row in bucket:
-                assert row in self._rows and cell in row, (
-                    f"by-cell index: {row!r} filed under {cell!r}"
-                )
-            entries += len(bucket)
-        pairs = sum(len(set(row) - {NULL}) for row in self._rows)
-        assert entries == pairs, (
-            f"by-cell index holds {entries} entries for {pairs} (row, cell) pairs"
-        )
+        self._rows.add(tuple(row))
 
     # ------------------------------------------------------------------
     # algebra

@@ -7,11 +7,15 @@ whole-path backward query in one lookup and nothing else — no forward
 queries, no partial ranges — which is precisely the limitation access
 support relations remove.
 
-The implementation reuses this library's maintenance machinery: the
-index keeps the canonical extension as its logical source of truth
-(so :class:`~repro.asr.manager.ASRManager` can drive it through
-``apply_delta`` exactly like an ASR) and stores the reference-counted
-``(value, anchor)`` pairs in one B+ tree clustered on the values.
+The implementation reuses this library's maintenance machinery.  No
+extension row can be rebuilt from a ``(value, anchor)`` pair, so the
+index keeps the canonical extension beside its pairs, as an unregistered
+and undecomposed canonical
+:class:`~repro.asr.asr.AccessSupportRelation` maintained uncharged; its
+``rows_at`` is the index's, so :class:`~repro.asr.manager.ASRManager`
+drives the index through ``neighbourhood_delta`` and ``apply_delta``
+exactly like an ASR.  The reference-counted pairs live in one B+ tree
+clustered on the values.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from collections import Counter
 from operator import itemgetter
 from typing import Iterable
 
-from repro.asr.asr import cell_key, prefix_bounds
+from repro.asr.asr import AccessSupportRelation, cell_key, prefix_bounds
 from repro.asr.extensions import Extension, build_extension
 from repro.asr.journal import ASRState
 from repro.context import resolve_buffer
@@ -44,7 +48,7 @@ class NestedAttributeIndex:
 
     Register with an :class:`~repro.asr.manager.ASRManager` to keep it
     maintained under updates; it deliberately mimics the ASR interface
-    the manager relies on (``path``, ``extension``, ``extension_relation``,
+    the manager relies on (``path``, ``extension``, ``rows_at``,
     ``apply_delta``, ``reload``, ``consistency_check``).
     """
 
@@ -65,9 +69,8 @@ class NestedAttributeIndex:
         # (value, anchor) pairs: ~2 cells per entry.
         self.pairs_per_page = page_size // (2 * oid_size)
         self._fanout = btree_fanout(page_size=page_size, oid_size=oid_size)
-        from repro.asr.relation import Relation
-
-        self.extension_relation = Relation(path.column_labels())
+        #: The canonical extension, read by :meth:`rows_at`; never charged.
+        self.canonical = AccessSupportRelation(path, Extension.CANONICAL)
         self._counts: Counter[tuple[Cell, Cell]] = Counter()
         self.tree = BPlusTree(self.pairs_per_page, self._fanout)
         #: Crash-consistency state, mirrored from the ASR interface so
@@ -90,11 +93,10 @@ class NestedAttributeIndex:
         self.state = ASRState.CONSISTENT
 
     def reload(self, relation) -> None:
-        """Adopt ``relation`` as the canonical extension; rebuild the pairs."""
-        self.extension_relation = relation
-        relation.index_cells()
+        """Load the canonical extension ``relation``; rebuild the pairs."""
+        self.canonical.reload(relation)
         counts: Counter[tuple[Cell, Cell]] = Counter()
-        for row in self.extension_relation.rows:
+        for row in relation:
             counts[(row[-1], row[0])] += 1
         self._counts = counts
         entries = sorted(
@@ -118,13 +120,10 @@ class NestedAttributeIndex:
         removed: Iterable[tuple[Cell, ...]],
         context=None,
     ) -> None:
-        """Apply canonical-extension row deltas to the pair store."""
+        """Apply exact canonical-extension row deltas to the pair store."""
         buffer = resolve_buffer(context)
+        self.canonical.apply_delta(added, removed)
         for row in removed:
-            row = tuple(row)
-            if row not in self.extension_relation:
-                continue
-            self.extension_relation.discard(row)
             pair = (row[-1], row[0])
             remaining = self._counts[pair] - 1
             if remaining:
@@ -133,16 +132,16 @@ class NestedAttributeIndex:
                 del self._counts[pair]
                 self.tree.delete((cell_key(pair[0]), cell_key(pair[1])), buffer)
         for row in added:
-            row = tuple(row)
-            if row in self.extension_relation:
-                continue
-            self.extension_relation.add(row)
             pair = (row[-1], row[0])
             self._counts[pair] += 1
             if self._counts[pair] == 1:
                 self.tree.insert(
                     (cell_key(pair[0]), cell_key(pair[1])), pair, buffer
                 )
+
+    def rows_at(self, column: int, cell: Cell, where=None) -> list[tuple[Cell, ...]]:
+        """The canonical extension's rows holding ``cell`` at ``column``."""
+        return self.canonical.rows_at(column, cell, where)
 
     # ------------------------------------------------------------------
     # the one supported query
@@ -194,15 +193,11 @@ class NestedAttributeIndex:
         return None
 
     def consistency_check(self, db: ObjectBase) -> None:
-        """Assert the stored pairs match a from-scratch recomputation."""
-        expected_rows = build_extension(db, self.path, Extension.CANONICAL).rows
-        assert expected_rows == self.extension_relation.rows, (
-            "nested index's canonical extension drifted"
-        )
-        self.extension_relation.check_cell_index()
-        expected_pairs: Counter = Counter()
-        for row in expected_rows:
-            expected_pairs[(row[-1], row[0])] += 1
+        """Assert the canonical extension matches a from-scratch rebuild,
+        and the stored pairs match that extension."""
+        self.canonical.consistency_check(db)
+        rows = self.canonical.recompose()
+        expected_pairs = Counter((row[-1], row[0]) for row in rows)
         assert expected_pairs == self._counts, "nested index pair counts drifted"
         stored = {pair for _key, pair in self.tree.items()}
         assert stored == set(expected_pairs), "nested index tree drifted"

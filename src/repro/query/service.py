@@ -115,8 +115,9 @@ class QueryService:
         """Run ``text`` end to end; raises ParseError/QueryError on bad input.
 
         ``trace`` (a :class:`~repro.telemetry.tracing.Trace`) receives
-        the phase decomposition: the cache probe and the binding of a
-        hit's literals as ``cache-hit``, parse + validate + compile as
+        the phase decomposition: the cache probe (its key, the query's
+        shape, included) and the binding of a hit's literals as
+        ``cache-hit``, parse + validate + compile as
         ``plan``, and the compiled run as ``execute`` — disjoint
         segments, so they sum toward the reported latency (the read-lock
         wait is attributed separately by the
@@ -124,10 +125,6 @@ class QueryService:
         annotated with the normalized text, literals included.
         """
         started = time.perf_counter()
-        normalized = normalize_query(text)
-        if trace is not None:
-            trace.annotate(query=normalized)
-        shape, literals = query_shape(normalized)
         evaluator = QueryEvaluator(self.db, self.store, context=context)
         executor = SelectExecutor(self.db, self.planner, evaluator=evaluator)
         manager = self.manager
@@ -137,6 +134,10 @@ class QueryService:
         with manager.lock.read():
             epoch = manager.epoch
             with maybe_span(trace, "query.cache.probe", "cache-hit"):
+                normalized = normalize_query(text)
+                if trace is not None:
+                    trace.annotate(query=normalized)
+                shape, literals = query_shape(normalized)
                 compiled = self.cache.get(shape, epoch)
                 if compiled is not None:
                     try:

@@ -236,7 +236,8 @@ class BPlusTree:
         ``touch_many`` runs, the leftmost descent and then the leaf
         chain, from the cached charge list and before any row is read.
         The charge target is resolved once, when the probe is called:
-        unlike :meth:`leaf_slices`, the probe is not lazy.
+        unlike :meth:`leaf_slices`, the probe is not lazy.  An uncharged
+        probe neither builds nor reads the charge list.
 
         The rows then come from the offset's column directory, one hash
         lookup per cell of ``cells``, and are returned in key order.
@@ -246,10 +247,10 @@ class BPlusTree:
         and never see half of one.
         """
         buffer = resolve_buffer(context)
-        charges = self._charges
-        if charges is None:
-            charges = self._charges = self._charge_list()
         if buffer is not None:
+            charges = self._charges
+            if charges is None:
+                charges = self._charges = self._charge_list()
             descent, leaves = charges
             if descent:
                 buffer.touch_many(descent, _INTERIOR_CATEGORY)

@@ -55,8 +55,7 @@ import random
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Iterator
+from contextlib import nullcontext
 
 __all__ = [
     "LAYERS",
@@ -117,19 +116,24 @@ def current_trace() -> "Trace | None":
     return _ACTIVE.trace
 
 
-@contextmanager
-def activate(trace: "Trace | None") -> Iterator[None]:
+class activate:
     """Pin ``trace`` to the calling thread for the duration of the block.
 
     ``None`` is accepted and costs one attribute write each way, so call
     sites need no guard of their own.
     """
-    previous = _ACTIVE.trace
-    _ACTIVE.trace = trace
-    try:
-        yield
-    finally:
-        _ACTIVE.trace = previous
+
+    __slots__ = ("trace", "previous")
+
+    def __init__(self, trace: "Trace | None") -> None:
+        self.trace = trace
+
+    def __enter__(self) -> None:
+        self.previous = _ACTIVE.trace
+        _ACTIVE.trace = self.trace
+
+    def __exit__(self, *exc_info) -> None:
+        _ACTIVE.trace = self.previous
 
 
 class Trace:
@@ -205,35 +209,18 @@ class Trace:
         )
         self.phases[phase] = self.phases.get(phase, 0.0) + duration_ms
 
-    @contextmanager
-    def span(self, name: str, phase: str | None = None) -> Iterator[dict]:
+    def span(self, name: str, phase: str | None = None) -> "_Span":
         """Record a timed span; attribute it to ``phase`` when given.
 
         Spans nest: a span opened inside another becomes its child in
         the exported tree.  Only spans with a ``phase`` contribute to
         the rollup, so a measured row nested inside a phase row
         (``query.supported.bw`` inside ``query.evaluate``) never
-        double-counts.  Yields the row, so the caller that measured the
-        interval's pages can put them on it (:func:`record_pages`).
+        double-counts.  ``with trace.span(...) as row`` yields the row,
+        so the caller that measured the interval's pages can put them
+        on it (:func:`record_pages`).
         """
-        start = time.perf_counter()
-        row = {
-            "name": name,
-            "phase": phase,
-            "start_ms": round((start - self.started) * 1e3, 4),
-            "duration_ms": None,
-            "parent": self._stack[-1] if self._stack else None,
-        }
-        self._stack.append(len(self.spans))
-        self.spans.append(row)
-        try:
-            yield row
-        finally:
-            self._stack.pop()
-            duration_ms = (time.perf_counter() - start) * 1e3
-            row["duration_ms"] = round(duration_ms, 4)
-            if phase is not None:
-                self.phases[phase] = self.phases.get(phase, 0.0) + duration_ms
+        return _Span(self, name, phase)
 
     def annotate(self, **fields) -> None:
         """Attach request metadata (query text, strategy, pages, …)."""
@@ -284,16 +271,57 @@ class Trace:
         return payload
 
 
-@contextmanager
+class _Span:
+    """The context manager :meth:`Trace.span` returns.
+
+    A plain class, not a generator: a span's own bookkeeping is glue no
+    row can cover, so the clock is read first thing on entry and on
+    exit, and nothing but the row's upkeep runs outside the interval.
+    """
+
+    __slots__ = ("trace", "name", "phase", "row", "start")
+
+    def __init__(self, trace: Trace, name: str, phase: str | None) -> None:
+        self.trace = trace
+        self.name = name
+        self.phase = phase
+
+    def __enter__(self) -> dict:
+        start = self.start = time.perf_counter()
+        trace = self.trace
+        stack = trace._stack
+        row = self.row = {
+            "name": self.name,
+            "phase": self.phase,
+            "start_ms": round((start - trace.started) * 1e3, 4),
+            "duration_ms": None,
+            "parent": stack[-1] if stack else None,
+        }
+        stack.append(len(trace.spans))
+        trace.spans.append(row)
+        return row
+
+    def __exit__(self, *exc_info) -> None:
+        duration_ms = (time.perf_counter() - self.start) * 1e3
+        trace = self.trace
+        trace._stack.pop()
+        self.row["duration_ms"] = round(duration_ms, 4)
+        phase = self.phase
+        if phase is not None:
+            trace.phases[phase] = trace.phases.get(phase, 0.0) + duration_ms
+
+
+#: What :func:`maybe_span` returns with tracing off: enters to ``None``.
+_NO_SPAN = nullcontext()
+
+
 def maybe_span(
     trace: "Trace | None", name: str, phase: str | None = None
-) -> Iterator[dict | None]:
+) -> "_Span | nullcontext":
     """``trace.span(...)`` that degrades to a no-op when tracing is off."""
     if trace is None:
-        yield None
-    else:
-        with trace.span(name, phase) as row:
-            yield row
+        return _NO_SPAN
+    return _Span(trace, name, phase)
 
 
 def record_pages(row: dict | None, delta, **notes) -> None:

@@ -148,19 +148,25 @@ class TestAccessSupportRelation:
             db, path, Extension.FULL, Decomposition.binary(path.m)
         )
         row = (o["auto"], o["prods_auto"], o["sec"], o["parts_sec"], o["door"], "Door")
+        rows = asr.tuple_count
         asr.apply_delta([], [row])
-        assert row not in asr.extension_relation
+        assert row not in asr.recompose()
+        assert asr.tuple_count == rows - 1
         asr.apply_delta([row], [])
-        assert row in asr.extension_relation
+        assert row in asr.recompose()
+        assert asr.tuple_count == rows
         asr.consistency_check(db)
 
-    def test_apply_delta_ignores_duplicates(self, company_world):
+    def test_apply_delta_rejects_a_removed_row_not_stored(self, company_world):
+        """Deltas are exact: a removed row must be stored.  One whose
+        projection no partition holds raises."""
         db, path, o = company_world
         asr = AccessSupportRelation.build(
-            db, path, Extension.FULL, Decomposition.binary(path.m)
+            db, path, Extension.FULL, Decomposition.none(path.m)
         )
-        row = (o["auto"], o["prods_auto"], o["sec"], o["parts_sec"], o["door"], "Door")
-        asr.apply_delta([row], [])  # already present: no-op
+        row = (o["auto"], o["prods_auto"], o["sec"], o["parts_sec"], o["door"], "Gate")
+        with pytest.raises(RelationError):
+            asr.apply_delta([], [row])
         asr.consistency_check(db)
 
     def test_rebuild_after_manual_damage(self, company_world):
@@ -168,8 +174,8 @@ class TestAccessSupportRelation:
         asr = AccessSupportRelation.build(
             db, path, Extension.LEFT, Decomposition.binary(path.m)
         )
-        damaged = next(iter(asr.extension_relation.rows))
-        asr.extension_relation.discard(damaged)
+        partition = asr.partitions[-1]
+        partition.remove_projection(next(partition.rows()))
         with pytest.raises(AssertionError):
             asr.consistency_check(db)
         asr.rebuild(db)

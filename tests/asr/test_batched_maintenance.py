@@ -69,7 +69,7 @@ def test_batched_streams_match_eager_and_rebuild(ops, txn_size, extension):
         # Transaction boundary: the coalesced flush has run; both
         # regimes must now equal a from-scratch rebuild.
         assert (
-            asr_batched.extension_relation.rows == asr_eager.extension_relation.rows
+            asr_batched.recompose().rows == asr_eager.recompose().rows
         )
         eager.check_consistency()
         batched.check_consistency()

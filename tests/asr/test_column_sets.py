@@ -92,7 +92,7 @@ def check_step(partition: StoredPartition, before: tuple) -> None:
         tree.column_probe(offset, set())
         assert tree._columns[offset] is first, "a repeated probe rebuilt a directory"
     charges = tree._charges
-    tree.column_probe(0, set())
+    tree.column_probe(0, set(), RecordingBuffer())
     assert tree._charges is charges, "a repeated probe rebuilt the charge list"
 
 
@@ -164,7 +164,8 @@ class TestEveryRebalancingCase:
 
 def small_tree() -> BPlusTree:
     tree = BPlusTree.bulk_load([(n, (OID(n), OID(n % 3))) for n in range(12)], 4, 4)
-    assert tree.column_probe(1, {OID(1)}) == [(OID(n), OID(1)) for n in (1, 4, 7, 10)]
+    rows = tree.column_probe(1, {OID(1)}, RecordingBuffer())  # builds both caches
+    assert rows == [(OID(n), OID(1)) for n in (1, 4, 7, 10)]
     tree.check_invariants()
     return tree
 
@@ -193,6 +194,16 @@ def test_check_invariants_catches_a_charge_list_kept_across_a_split():
         tree.check_invariants()
 
 
+def test_an_uncharged_probe_leaves_the_charge_list_alone():
+    # Maintenance probes uncharged; only a charged probe needs the list.
+    tree = small_tree()
+    tree.insert(2.5, (OID(99), OID(0)))  # a split drops the list
+    assert tree.column_probe(1, {OID(0)})[0] == (OID(0), OID(0))
+    assert tree._charges is None
+    tree.column_probe(1, {OID(0)}, RecordingBuffer())
+    assert tree._charges == tree._charge_list()
+
+
 def test_concurrent_readers_building_sets_agree_with_the_scan_filter():
     """Readers share a read lock, so two may build one directory at once.
 
@@ -210,7 +221,10 @@ def test_concurrent_readers_building_sets_agree_with_the_scan_filter():
         local = random.Random(seed)
         for _ in range(150):
             offset, cells = local.choice(list(expected))
-            if partition.forward_tree.column_probe(offset, set(cells)) != expected[offset, cells]:
+            probed = partition.forward_tree.column_probe(
+                offset, set(cells), RecordingBuffer()
+            )
+            if probed != expected[offset, cells]:
                 wrong.append((offset, cells))
 
     interval = sys.getswitchinterval()

@@ -112,7 +112,7 @@ def assert_rebuilt(db, manager):
     for asr in manager.asrs:
         if asr.extension not in rebuilt:
             rebuilt[asr.extension] = build_extension(db, asr.path, asr.extension).rows
-        assert asr.extension_relation.rows == rebuilt[asr.extension]
+        assert asr.recompose().rows == rebuilt[asr.extension]
     manager.check_consistency()
 
 
@@ -155,7 +155,7 @@ def test_edge_deltas_match_rebuild(mode, ops, txn_size):
         # would have changed, and recovery derives them again.
         for asr in manager.asrs:
             rebuilt = build_extension(db, asr.path, asr.extension).rows
-            stale = asr.extension_relation.rows != rebuilt
+            stale = asr.recompose().rows != rebuilt
             assert (asr.state is ASRState.QUARANTINED) == stale
         manager.recover()
         assert_rebuilt(db, manager)

@@ -18,20 +18,23 @@ from repro.asr.maintenance import (
     neighbourhood_delta,
     rows_through,
 )
+from repro.asr.asr import StoredPartition
 from repro.asr.relation import Relation
 from repro.gom import NULL, OID, ObjectBase, PathExpression, Schema
 from repro.gom.events import AttributeSet, ObjectCreated, ObjectDeleted
+from repro.storage.btree import BPlusTree
 
 
-def assert_index_matches_scan(relation):
-    """``containing(cell)`` == the brute-force ``{row : cell in row}``."""
-    cells = {cell for row in relation for cell in row if cell is not NULL}
-    for cell in cells:
-        hits = relation.containing(cell)
-        assert len(hits) == len(set(hits)), f"{cell!r} lists a row twice"
-        assert set(hits) == {row for row in relation if cell in row}
-    assert relation.containing(NULL) == ()
-    relation.check_cell_index()  # and no entry survives for a cell that left
+def assert_rows_at_matches_scan(asr):
+    """``rows_at(column, cell)`` == the brute-force ``{row : row[column] == cell}``
+    over the recomposed extension, for every column and cell it holds."""
+    extension = asr.recompose()
+    for column in range(asr.path.m + 1):
+        for cell in {row[column] for row in extension} - {NULL}:
+            hits = asr.rows_at(column, cell)
+            assert len(hits) == len(set(hits)), f"{cell!r} lists a row twice"
+            assert set(hits) == {row for row in extension if row[column] == cell}
+        assert asr.rows_at(column, NULL) == []
 
 
 def scan_delta(db, path, extension, current_rows, region):
@@ -45,7 +48,7 @@ def scan_delta(db, path, extension, current_rows, region):
         (path.column_of(s - 1), owner, collection, element)
         for s, owner, collection, element in region.edges
     ]
-    dead = region.dead
+    dead = {oid for _column, oid in region.dead}
 
     def satisfies_edge(row, c, owner, collection, element):
         e = c + 2
@@ -72,24 +75,24 @@ def scan_delta(db, path, extension, current_rows, region):
 class Shadow:
     """An unmanaged ASR kept current by hand: on every event the keyed
     delta must equal the scanned one and the full-rebuild difference,
-    and the index the brute force."""
+    and every ``rows_at`` the brute force."""
 
-    def __init__(self, db, path, extension):
+    def __init__(self, db, path, extension, decomposition=None):
         self.db, self.path = db, path
-        self.asr = AccessSupportRelation.build(db, path, extension)
+        self.asr = AccessSupportRelation.build(db, path, extension, decomposition)
         self.events = []
         db.subscribe(self)
 
     def __call__(self, event):
-        asr, relation = self.asr, self.asr.extension_relation
+        asr = self.asr
+        before = asr.recompose()
         region = analyze_event(self.db, self.path, event)
-        delta = neighbourhood_delta(self.db, self.path, asr.extension, relation, region)
-        assert delta == scan_delta(self.db, self.path, asr.extension, relation, region)
-        before = relation.rows
+        delta = neighbourhood_delta(self.db, asr, region)
+        assert delta == scan_delta(self.db, self.path, asr.extension, before, region)
         after = build_extension(self.db, self.path, asr.extension).rows
-        assert delta == (after - before, before - after)
+        assert delta == (after - before.rows, before.rows - after)
         asr.apply_delta(*delta)
-        assert_index_matches_scan(relation)
+        assert_rows_at_matches_scan(asr)
         self.events.append((event, region, delta))
 
 
@@ -241,57 +244,68 @@ class TestRepeatedTypesAlongPath:
 
     def test_one_cell_at_two_columns_of_a_row(self):
         """A cycle shorter than the path puts one OID at two columns of
-        one row; the index lists such a row once, through add → discard
-        → add."""
+        one row; ``rows_at`` lists such a row once per column it holds
+        the OID at, through add → discard → add."""
         db, path, nodes = self.make_cyclic_world()
-        shadows = [Shadow(db, path, extension) for extension in Extension]
+        shadows = [
+            Shadow(db, path, extension, decomposition)
+            for extension in Extension
+            for decomposition in (None, Decomposition.binary(path.m))
+        ]
         n0, n1, n2 = nodes[:3]
         db.set_attr(nodes[5], "Next", n0)  # closes the six-cycle
         looped = (n0, n1, n2, n0)
         for _ in range(2):
             db.set_attr(n2, "Next", n0)  # add: 0 → 1 → 2 → 0
             for shadow in shadows:
-                relation = shadow.asr.extension_relation
-                assert looped in relation
-                assert relation.containing(n0).count(looped) == 1
+                asr = shadow.asr
+                assert looped in asr.recompose()
+                assert asr.rows_at(0, n0).count(looped) == 1
+                assert asr.rows_at(3, n0).count(looped) == 1
+                assert looped not in asr.rows_at(1, n0)
             db.set_attr(n2, "Next", NULL)  # discard
             for shadow in shadows:
-                relation = shadow.asr.extension_relation
-                assert looped not in relation.containing(n0)
+                assert looped not in shadow.asr.rows_at(0, n0)
+                assert looped not in shadow.asr.rows_at(3, n0)
         db.set_attr(n0, "Next", n0)  # one OID at all four columns
         for shadow in shadows:
-            relation = shadow.asr.extension_relation
-            assert relation.containing(n0).count((n0, n0, n0, n0)) == 1
-            shadow.asr.consistency_check(db)
+            asr = shadow.asr
+            for column in range(path.m + 1):
+                assert asr.rows_at(column, n0).count((n0, n0, n0, n0)) == 1
+            asr.consistency_check(db)
 
 
 class TestOldNeighbourhoodByKey:
     """``neighbourhood_delta`` finds the old neighbourhood through the
-    relation's by-cell index, never by a pass over the relation."""
+    partitions' lookups, never by a pass over the stored rows."""
 
-    def test_relation_is_never_iterated(self, company_world):
-        class Unscannable(Relation):
-            __slots__ = ()
-
-            def __iter__(self):
-                raise AssertionError("neighbourhood_delta scanned the relation")
-
+    def test_relation_is_never_iterated(self, company_world, monkeypatch):
         db, path, o = company_world
-        rows = AccessSupportRelation.build(db, path, Extension.FULL).extension_relation
-        expected = Relation(rows.columns, rows)
-        guarded = Unscannable(rows.columns, rows)
+        asr = AccessSupportRelation.build(
+            db, path, Extension.FULL, Decomposition.binary(path.m)
+        )
+        expected = asr.recompose()
+
+        def scanned(*_args):
+            raise AssertionError("neighbourhood_delta scanned the stored rows")
+
+        monkeypatch.setattr(AccessSupportRelation, "recompose", scanned)
+        monkeypatch.setattr(StoredPartition, "rows", scanned)
+        monkeypatch.setattr(BPlusTree, "items", scanned)
+        monkeypatch.setattr(BPlusTree, "_directory", scanned)
         old_name = db.attr(o["door"], "Name")
         db.set_attr(o["door"], "Name", "Gate")
         region = analyze_event(
             db, path, AttributeSet(o["door"], "BasePart", "Name", old_name, "Gate")
         )
-        delta = neighbourhood_delta(db, path, Extension.FULL, guarded, region)
+        delta = neighbourhood_delta(db, asr, region)
         assert delta == scan_delta(db, path, Extension.FULL, expected, region)
         assert delta[0] and delta[1]
 
     def test_numeric_cells_match_as_equality_did(self, company_world):
-        """``1``, ``1.0`` and ``True`` are one key, as ``==`` made them
-        one anchor; ``2`` and the string ``"1"`` stay apart."""
+        """``1``, ``1.0`` and ``True`` are one cell, as ``==`` made them
+        one anchor, although ``cell_key`` ranks ``True`` apart; ``2``
+        and the string ``"1"`` stay apart."""
         db, path, o = company_world
         labels = path.column_labels()
         pad = (NULL,) * (len(labels) - 2)
@@ -302,22 +316,21 @@ class TestOldNeighbourhoodByKey:
             (o["sec"],) + pad + (2,),
             (o["trak"],) + pad + ("1",),
         ]
-        relation = Relation(labels, rows)
+        asr = AccessSupportRelation(path, Extension.FULL)
+        asr.reload(Relation(labels, rows))
         for anchor in (1, 1.0, True):
-            assert set(relation.containing(anchor)) == set(rows[:3])
+            assert set(asr.rows_at(path.m, anchor)) == set(rows[:3])
             region = DirtyRegion(frozenset({(path.n, anchor)}))
-            delta = neighbourhood_delta(db, path, Extension.FULL, relation, region)
-            assert delta == scan_delta(db, path, Extension.FULL, relation, region)
+            delta = neighbourhood_delta(db, asr, region)
+            stored = asr.recompose()
+            assert delta == scan_delta(db, path, Extension.FULL, stored, region)
             assert delta[1] == set(rows[:3])
-        assert relation.containing(2) == (rows[3],)
-        assert relation.containing("1") == (rows[4],)
+        assert asr.rows_at(path.m, 2) == [rows[3]]
+        assert asr.rows_at(path.m, "1") == [rows[4]]
         # An anchor matches at its own column only.
         region = DirtyRegion(frozenset({(0, 1)}))
-        assert neighbourhood_delta(db, path, Extension.FULL, relation, region) == (
-            set(),
-            set(),
-        )
-        assert_index_matches_scan(relation)
+        assert neighbourhood_delta(db, asr, region) == (set(), set())
+        assert_rows_at_matches_scan(asr)
 
     def test_decimal_terminal_update(self):
         schema = Schema()
@@ -342,23 +355,24 @@ class TestOldNeighbourhoodByKey:
         """A collection OID sits at a non-type column no anchor names;
         the stale relation of a batch gives it up through ``dead``."""
         db, path, o = company_world
-        relation = AccessSupportRelation.build(db, path, Extension.FULL).extension_relation
+        asr = AccessSupportRelation.build(db, path, Extension.FULL)
         victim = o["prods_truck"]
         column = next(
             c for c, spec in enumerate(path.columns) if spec.type_name == "ProdSET"
         )
         assert column not in {path.column_of(i) for i in range(path.n + 1)}
-        held = set(relation.containing(victim))
+        stored = asr.recompose()
+        held = {row for row in stored if victim in row}
         assert held and all(row[column] == victim for row in held)
         events = []
         db.subscribe(events.append)
         db.delete(victim)
         assert isinstance(events[-1], ObjectDeleted)
         region = analyze_event(db, path, events[-1])
-        assert region.dead == {victim}
+        assert region.dead == {(column, victim)}
         only_dead = DirtyRegion(frozenset(), region.dead)
-        delta = neighbourhood_delta(db, path, Extension.FULL, relation, only_dead)
-        assert delta == scan_delta(db, path, Extension.FULL, relation, only_dead)
+        delta = neighbourhood_delta(db, asr, only_dead)
+        assert delta == scan_delta(db, path, Extension.FULL, stored, only_dead)
         assert delta == (set(), held)
 
 
@@ -409,5 +423,5 @@ def test_random_streams_match_rebuild(ops, extension):
             db.delete(victim)
         manager.check_consistency()
         for asr in manager.asrs:
-            assert_index_matches_scan(asr.extension_relation)
-        assert shadow.asr.extension_relation == manager.asrs[0].extension_relation
+            assert_rows_at_matches_scan(asr)
+        assert shadow.asr.recompose() == manager.asrs[0].recompose()

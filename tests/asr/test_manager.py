@@ -59,9 +59,9 @@ class TestEventRouting:
         db.schema.define_tuple("Unrelated", {"X": "STRING"})
         manager = ASRManager(db)
         asr = manager.create(path, Extension.FULL)
-        rows_before = set(asr.extension_relation.rows)
+        rows_before = set(asr.recompose().rows)
         db.new("Unrelated", X="hi")
-        assert set(asr.extension_relation.rows) == rows_before
+        assert set(asr.recompose().rows) == rows_before
 
 
 class TestLifecycle:
@@ -71,10 +71,10 @@ class TestLifecycle:
         asr = manager.create(path, Extension.FULL)
         manager.close()
         assert manager.closed
-        rows_before = set(asr.extension_relation.rows)
+        rows_before = set(asr.recompose().rows)
         db.set_insert(o["parts_sec"], o["pepper"])
         # The subscription is gone: the ASR goes stale instead of following.
-        assert set(asr.extension_relation.rows) == rows_before
+        assert set(asr.recompose().rows) == rows_before
 
     def test_close_is_idempotent(self, company_world):
         db, path, _o = company_world
@@ -91,9 +91,9 @@ class TestLifecycle:
             db.set_insert(o["parts_sec"], o["pepper"])
             manager.check_consistency()
         assert manager.closed
-        rows_after_close = set(asr.extension_relation.rows)
+        rows_after_close = set(asr.recompose().rows)
         db.set_remove(o["parts_sec"], o["pepper"])
-        assert set(asr.extension_relation.rows) == rows_after_close
+        assert set(asr.recompose().rows) == rows_after_close
 
     def test_close_flushes_pending_batch(self, company_world):
         db, path, o = company_world
@@ -111,23 +111,23 @@ class TestBatching:
         db, path, o = company_world
         manager = ASRManager(db)
         asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
-        rows_before = set(asr.extension_relation.rows)
+        rows_before = set(asr.recompose().rows)
         with manager.batch():
             db.set_insert(o["parts_sec"], o["pepper"])
-            assert set(asr.extension_relation.rows) == rows_before
-        assert set(asr.extension_relation.rows) != rows_before
+            assert set(asr.recompose().rows) == rows_before
+        assert set(asr.recompose().rows) != rows_before
         manager.check_consistency()
 
     def test_nested_batches_flush_once_at_outermost(self, company_world):
         db, path, o = company_world
         manager = ASRManager(db)
         asr = manager.create(path, Extension.FULL)
-        rows_before = set(asr.extension_relation.rows)
+        rows_before = set(asr.recompose().rows)
         with manager.batch():
             with manager.batch():
                 db.set_insert(o["parts_sec"], o["pepper"])
             # Inner exit must not flush.
-            assert set(asr.extension_relation.rows) == rows_before
+            assert set(asr.recompose().rows) == rows_before
             db.set_attr(o["trak"], "Composition", o["parts_sausage"])
         manager.check_consistency()
 
@@ -159,11 +159,11 @@ class TestBatching:
         with ExecutionContext() as context:
             manager = ASRManager(db, context=context)
             asr = manager.create(path, Extension.FULL)
-            rows_before = set(asr.extension_relation.rows)
+            rows_before = set(asr.recompose().rows)
             manager._batch_depth += 1
             db.set_insert(o["parts_sec"], o["pepper"])
             manager._batch_depth -= 1
-            assert set(asr.extension_relation.rows) == rows_before
+            assert set(asr.recompose().rows) == rows_before
         # Context close ran the manager's flush hook.
         manager.check_consistency()
         assert "asr.flush" in context.op_counts

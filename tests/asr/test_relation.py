@@ -122,24 +122,6 @@ class TestProjectionsAndSelections:
         with pytest.raises(RelationError):
             r.rename(["x", "y"])
 
-    def test_containing_follows_add_and_discard(self):
-        r = rel(["a", "b"], [(A, B), (A, NULL)])
-        assert set(r.containing(A)) == {(A, B), (A, NULL)}  # built on demand
-        assert r.containing(NULL) == () and r.containing(C) == ()
-        r.add((C, A))
-        r.add((C, A))  # a row already held is not listed again
-        assert sorted(r.containing(A), key=str) == sorted(
-            [(A, B), (A, NULL), (C, A)], key=str
-        )
-        r.discard((A, B))
-        r.discard((A, B))  # nor is an absent row discarded twice
-        assert r.containing(B) == ()
-        assert set(r.containing(A)) == {(A, NULL), (C, A)}
-        clone = Relation(r.columns, r.rows)
-        clone.discard((C, A))
-        assert r.containing(C) == ((C, A),) and clone.containing(C) == ()
-        r.check_cell_index()
-
     def test_pretty_contains_rows(self):
         text = rel(["a", "b"], [(A, B)]).pretty()
         assert "a | b" in text

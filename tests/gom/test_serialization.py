@@ -112,7 +112,7 @@ class TestASRConfigurations:
         restored = asrs[0]
         assert restored.extension is Extension.FULL
         assert restored.decomposition.borders == original.decomposition.borders
-        assert restored.extension_relation.rows == original.extension_relation.rows
+        assert restored.recompose().rows == original.recompose().rows
         restored.consistency_check(loaded)
 
 

@@ -111,7 +111,7 @@ def test_full_story(tmp_path):
     data = dump_object_base(db, [asr])
     loaded_db, loaded_asrs = load_object_base(data)
     assert len(loaded_db) == len(db)
-    assert loaded_asrs[0].extension_relation.rows == asr.extension_relation.rows
+    assert loaded_asrs[0].recompose().rows == asr.recompose().rows
 
     # 7. Self-tuning (section 7): a recorded workload re-designs the index.
     recorder = WorkloadRecorder(path)

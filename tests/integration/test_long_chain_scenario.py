@@ -120,7 +120,7 @@ class TestLongChain:
         for original, restored in zip(manager.asrs[:2], loaded_asrs):
             assert restored.extension is original.extension
             assert (
-                restored.extension_relation.rows == original.extension_relation.rows
+                restored.recompose().rows == original.recompose().rows
             )
 
     def test_adaptive_on_long_chain(self, world):

@@ -80,7 +80,7 @@ def queries(generated, path, asr) -> list:
     db, layers, n = generated.db, generated.layers, path.n
     rng = random.Random(5)
     values = sorted(db.attr(oid, "Payload") for oid in layers[-1])
-    rows = sorted(asr.extension_relation.rows, key=repr)
+    rows = sorted(asr.recompose().rows, key=repr)
 
     def stored(type_index: int) -> list:
         """Two non-NULL cells of ``t_i``'s column, then one anywhere."""

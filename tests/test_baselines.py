@@ -139,7 +139,7 @@ class TestNestedAttributeIndex:
         # Two divisions reach "Door": two (value, anchor) pairs.
         assert index.pair_count == 2
         assert index.pair_count == len(
-            {(row[-1], row[0]) for row in index.extension_relation.rows}
+            {(row[-1], row[0]) for row in index.canonical.recompose().rows}
         )
         assert index.total_bytes == index.pair_count * 16
         assert index.total_pages >= 1

@@ -19,9 +19,6 @@ USERS = ("src", "benchmarks", "examples", ".github")
 
 #: Qualified name -> why it stays although only tests reach it.
 KEEP = {
-    "repro.asr.decomposition.Decomposition.recompose": (
-        "Thm. 3.9: a decomposition's partitions join back to the extension"
-    ),
     "repro.concurrency.RWLock.write_held": (
         "test oracle: the write side's re-entrancy in tests/test_concurrency.py"
     ),
