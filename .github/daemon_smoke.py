@@ -13,6 +13,10 @@ checks, over real HTTP:
 * a repeated ``POST /query`` comes back ``cached: true`` with the same
   rows, so does the same shape with a literal never sent before, and a
   bad query gets a structured parse 400;
+* the first, cache-missing ``POST /query`` shows on the next scrape: its
+  ``plan.*`` count, its ``span.pages`` observation and its
+  ``asr.lookups`` (or ``plan.unsupported``) count were published to the
+  request's pool context and folded into the registry at its release;
 * three requests share one keep-alive connection, and ``GARBAGE`` is
   refused at the wire with a 400;
 * ``/trace/<id>`` phases cover >= 90% of the request and its measured
@@ -110,10 +114,41 @@ def check_advisor(addr: str) -> None:
           f"rejected {advisor['rejected']}, design {advisor['design']}")
 
 
+def plan_counts(exposition: str) -> dict[str, float]:
+    """``op -> value`` of every ``repro_ops_total{op="plan.…"}`` sample."""
+    return {
+        line.split('"')[1]: float(line.rsplit(" ", 1)[1])
+        for line in exposition.splitlines()
+        if line.startswith('repro_ops_total{op="plan.')
+    }
+
+
+def check_folded(before: str, after: str, response: dict) -> None:
+    """What one cache-missing query published is on the next scrape.
+
+    The replay compiles its plans once, so only the miss counts a
+    ``plan.*`` decision; the query's context was a per-request pool
+    context, released before the response, so its counts were folded.
+    """
+    plans_before, plans_after = plan_counts(before), plan_counts(after)
+    assert sum(plans_after.values()) > sum(plans_before.values()), (
+        plans_before, plans_after)
+    pages = "repro_span_pages_count"
+    assert scrape(after, pages) > scrape(before, pages), pages
+    if response["strategy"].startswith("asr"):
+        lookups = "repro_asr_lookups_total"
+        assert scrape(after, lookups) > scrape(before, lookups), lookups
+    else:
+        unsupported = "plan.unsupported"
+        assert plans_after.get(unsupported, 0) > plans_before.get(unsupported, 0)
+
+
 def check_queries(addr: str) -> dict:
+    before = get(addr, "/metrics")
     status, first = post_query(addr, QUERY)
     assert status == 200 and first["cached"] is False, (status, first)
     assert first["row_count"] > 0, first
+    check_folded(before, get(addr, "/metrics"), first)
     status, second = post_query(addr, QUERY)
     assert status == 200 and second["cached"] is True, (status, second)
     assert second["rows"] == first["rows"], "the cache changed the answer"

@@ -276,19 +276,8 @@ class StoredPartition:
             return None
         return projected
 
-    def bulk_load(self, rows: Iterable[tuple[Cell, ...]]) -> None:
-        """Replace the contents with ``rows`` (each counted once)."""
-        counts: Counter[tuple[Cell, ...]] = Counter()
-        for row in rows:
-            if len(row) != self.arity:
-                raise RelationError(
-                    f"partition row arity {len(row)} != {self.arity}"
-                )
-            counts[tuple(row)] += 1
-        self._load(counts)
-
     def load_from_extension(self, extension_rows: Iterable[tuple[Cell, ...]]) -> None:
-        """Project and reference-count full extension rows, then bulk load."""
+        """Project and reference-count full extension rows, then load both trees."""
         counts: Counter[tuple[Cell, ...]] = Counter()
         for extension_row in extension_rows:
             projected = self.project(extension_row)

@@ -24,9 +24,12 @@ copy-pasted per caller).
   operation) — written as one row of that trace, seconds and pages side
   by side.  The context itself retains no per-operation record.  A
   measured operation is a :class:`Measured` (a plain class with
-  ``__enter__`` / ``__exit__``, no generator frame), and its ``ops`` /
-  ``span.pages`` publications go through registry handles bound once per
-  operation name and context.
+  ``__enter__`` / ``__exit__``, no generator frame);
+* it is the one thing a query publishes to: its :class:`Tally` holds
+  ``ops{op}`` (the :attr:`~ExecutionContext.op_counts` dict itself),
+  ``span.pages{op}`` and labelled counts, written without a lock by the
+  owning thread.  The attached registry reads the tally on demand and
+  folds it in once, when the context closes.
 
 Every storage / ASR / query entry point accepts either an
 ``ExecutionContext`` or a raw buffer scope through its ``context``
@@ -50,13 +53,53 @@ from repro.storage.stats import (
     WorkerScope,
     resolve_buffer,
 )
+from repro.telemetry.registry import HistogramState
 from repro.telemetry.tracing import current_trace, record_pages
 
-__all__ = ["ExecutionContext", "Measured", "resolve_buffer"]
+__all__ = ["ExecutionContext", "Measured", "Tally", "resolve_buffer"]
 
 #: What a context charges: anything with ``stats`` and the buffer protocol
 #: ``touch`` / ``touch_many`` / ``touch_write`` (a run is one pool hold).
 Buffer = BufferScope | NullBuffer | SharedBufferPool | WorkerScope
+
+
+class Tally:
+    """One context's publications, read by its registry on demand.
+
+    Thread-confined, like the context's ``op_counts`` (which *is*
+    :attr:`counts`): only the thread running the context writes it, with
+    plain dict bumps and no lock.  The registry reads it from any thread
+    through :meth:`counters` / :meth:`histograms`, which copy each dict
+    (one C-level copy, atomic under the GIL for str and tuple keys) and
+    each histogram (:meth:`~repro.telemetry.registry.HistogramState.copy`).
+    """
+
+    __slots__ = ("counts", "pages", "labelled")
+
+    def __init__(self, counts: dict[str, int]) -> None:
+        #: ``op -> n``: read as ``ops{op}``.
+        self.counts = counts
+        #: ``op -> histogram``: read as ``span.pages{op}``.
+        self.pages: dict[str, HistogramState] = {}
+        #: ``series -> n`` (:meth:`MetricsRegistry.series` keys).
+        self.labelled: dict[tuple, int] = {}
+
+    def counters(self) -> list:
+        """``(series, value)`` of every counter, copied.
+
+        ``("ops", (("op", op),))`` is ``MetricsRegistry.series("ops",
+        op=op)``, spelled out: a one-label key needs no sorting.
+        """
+        pairs = [(("ops", (("op", op),)), n) for op, n in self.counts.copy().items()]
+        pairs.extend(self.labelled.copy().items())
+        return pairs
+
+    def histograms(self) -> list:
+        """``(series, state)`` of every histogram, copied."""
+        return [
+            (("span.pages", (("op", op),)), state.copy())
+            for op, state in self.pages.copy().items()
+        ]
 
 
 class Measured:
@@ -131,15 +174,16 @@ class ExecutionContext:
         recovery pipeline) consult its named crash points — so one
         policy object makes a whole execution's failures reproducible.
     metrics:
-        Optional :class:`~repro.telemetry.registry.MetricsRegistry`.
-        When attached, every completed operation publishes its page
-        delta into the ``span.pages`` histogram (labelled by operation
-        name) and :meth:`count` mirrors operation counters into the
-        ``ops`` counter family — the registry is how many contexts'
-        operations aggregate into one observable surface.  Each label
-        set is bound once per context
-        (:meth:`~repro.telemetry.registry.MetricsRegistry.bind_counter`),
-        so a repeated operation skips building the label key.
+        Optional :class:`~repro.telemetry.registry.MetricsRegistry`, the
+        surface many contexts' operations aggregate into.  The context
+        attaches its :class:`Tally` to it on construction: every
+        completed operation's page delta lands in the tally's
+        ``span.pages{op}`` histogram, :meth:`count` in ``op_counts``
+        (read as ``ops{op}``) and :meth:`count_series` in its labelled
+        counts, all without a registry call.  The registry reads the
+        tally when it is read, and :meth:`close` folds it in once (after
+        the exit hooks, so their counts are included) and detaches it; a
+        publication after that goes to the registry directly.
 
     Use as a context manager to get an explicit lifetime boundary::
 
@@ -168,10 +212,13 @@ class ExecutionContext:
         self._ambient: Buffer | None = buffer
         self._exit_hooks: list[Callable[[], None]] = []
         self._closed = False
-        #: ``ops{op}`` counters / ``span.pages{op}`` histograms of
-        #: ``metrics``, bound on first use.
-        self._ops: dict = {}
-        self._pages: dict = {}
+        #: What this context publishes while it is open (with a registry).
+        self._tally: Tally | None = None
+        #: True once :meth:`close` folded the tally: publish directly.
+        self._folded = False
+        if metrics is not None:
+            self._tally = Tally(self.op_counts)
+            metrics.attach(self._tally)
 
     # ------------------------------------------------------------------
     # buffer management
@@ -225,26 +272,38 @@ class ExecutionContext:
     def count(self, name: str, n: int = 1) -> None:
         """Bump the ``name`` operation counter by ``n``.
 
-        The single entry point for event counting: updates the local
-        :attr:`op_counts` dict and mirrors into the attached metrics
-        registry's ``ops`` counter family (labelled by operation name),
-        so per-context counts and fleet-wide aggregates stay one call.
+        The single entry point for event counting: one bump of the local
+        :attr:`op_counts` dict, which the attached registry reads as its
+        ``ops{op=name}`` counter — per-context counts and fleet-wide
+        aggregates stay one number.
         """
-        self.op_counts[name] = self.op_counts.get(name, 0) + n
-        if self.metrics is not None:
-            counter = self._ops.get(name)
-            if counter is None:
-                counter = self._ops[name] = self.metrics.bind_counter("ops", op=name)
-            counter.inc(n)
+        counts = self.op_counts
+        counts[name] = counts.get(name, 0) + n
+        if self._folded:
+            self.metrics.inc("ops", n, op=name)
+
+    def count_series(self, series: tuple, n: int = 1) -> None:
+        """Add ``n`` to one labelled counter of the attached registry.
+
+        ``series`` is a :meth:`MetricsRegistry.series` key, built once by
+        the caller; without a registry this is a no-op.
+        """
+        if self._folded:
+            self.metrics.add(series, n)
+        elif self._tally is not None:
+            labelled = self._tally.labelled
+            labelled[series] = labelled.get(series, 0) + n
 
     def _publish_pages(self, name: str, pages: int) -> None:
-        """Observe ``span.pages{op=name}`` (the label set bound once per context)."""
-        histogram = self._pages.get(name)
-        if histogram is None:
-            histogram = self._pages[name] = self.metrics.bind_histogram(
-                "span.pages", op=name
-            )
-        histogram.observe(pages)
+        """Observe ``span.pages{op=name}`` (the caller checked ``metrics``)."""
+        if self._folded:
+            self.metrics.observe("span.pages", pages, op=name)
+            return
+        histograms = self._tally.pages
+        state = histograms.get(name)
+        if state is None:
+            state = histograms[name] = HistogramState()
+        state.observe(pages)
 
     def snapshot_metrics(self, label: str | None = None) -> dict | None:
         """Interleave a registry snapshot with the active trace.
@@ -275,13 +334,15 @@ class ExecutionContext:
         self._exit_hooks.append(hook)
 
     def close(self) -> None:
-        """Run every exit hook (LIFO); further closes are no-ops.
+        """Run every exit hook (LIFO), then fold the tally; further closes
+        are no-ops.
 
         A hook that raises does not prevent the remaining hooks from
         running — a failing trace exporter must not drop another
-        manager's pending flush.  A single failure is re-raised as
-        itself once all hooks ran; several are aggregated into an
-        :class:`~repro.errors.ExitHookError`.
+        manager's pending flush.  The tally is folded into the registry
+        after the last hook, whatever the hooks did.  A single failure
+        is re-raised as itself once all hooks ran; several are
+        aggregated into an :class:`~repro.errors.ExitHookError`.
         """
         if self._closed:
             return
@@ -293,6 +354,10 @@ class ExecutionContext:
                 hook()
             except BaseException as error:
                 errors.append(error)
+        if self._tally is not None:
+            self.metrics.fold(self._tally)
+            self._tally = None
+            self._folded = True
         if len(errors) == 1:
             raise errors[0]
         if errors:

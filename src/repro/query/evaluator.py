@@ -101,7 +101,7 @@ class QueryEvaluator:
         self.store = store
         self.context = context if context is not None else ExecutionContext()
         self.stats = self.context.stats
-        #: ``"<extension>:<decomposition>"`` -> its bound ``asr.lookups``.
+        #: ``"<extension>:<decomposition>"`` -> its ``asr.lookups`` series.
         self._lookups: dict = {}
 
     # ------------------------------------------------------------------
@@ -173,17 +173,17 @@ class QueryEvaluator:
         ) as measured:
             cells = access.run(query, measured.buffer)
         delta = measured.delta
-        metrics = self.context.metrics
-        if metrics is not None:
+        context = self.context
+        if context.metrics is not None:
             # Per-ASR lookup traffic: which physical design served reads.
             lookups = self._lookups.get(served)
             if lookups is None:
-                lookups = self._lookups[served] = metrics.bind_counter(
+                lookups = self._lookups[served] = context.metrics.series(
                     "asr.lookups",
                     extension=asr.extension.value,
                     decomposition=str(asr.decomposition),
                 )
-            lookups.inc()
+            context.count_series(lookups)
         return EvaluationResult(
             cells,
             delta.page_reads,

@@ -140,7 +140,12 @@ class CircuitBreaker:
         Half-open: one probe at a time; an unresolved probe expires
         after another ``cooldown_s`` so a crashed prober cannot wedge
         the breaker half-open forever.
+
+        A closed breaker answers without the lock: a transition racing
+        that read is indistinguishable from one landing just after it.
         """
+        if self.state == CLOSED:
+            return True
         with self._lock:
             if self.state == CLOSED:
                 return True

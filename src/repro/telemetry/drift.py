@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from repro.costmodel.measured import MeasuredCosts
 from repro.query.queries import Query
-from repro.telemetry.registry import BoundCounter
+from repro.telemetry.registry import MetricsRegistry
 
 __all__ = ["DriftMonitor"]
 
@@ -58,9 +58,6 @@ class DriftEntry:
     max_ratio: float = -math.inf
     #: Observations skipped from the geomean (a zero on either side).
     skipped: int = 0
-    #: This key's ``drift.observations`` counter, bound when the entry
-    #: is created under a registry.
-    observations: BoundCounter | None = None
 
     def record(self, predicted: float, observed: float) -> None:
         """Fold one (predicted, observed) page-access pair in."""
@@ -117,10 +114,11 @@ class DriftMonitor:
         plan carries the price it was chosen at, which is this
         predictor's price when the planner ranks by the same list).
     registry:
-        Optional :class:`~repro.telemetry.registry.MetricsRegistry` into
-        which every recorded pair bumps the ``drift.observations``
-        counter (bound once per key); :meth:`publish` writes the ratio
-        gauges.
+        Optional :class:`~repro.telemetry.registry.MetricsRegistry`.  Its
+        ``drift.observations{extension, decomposition, op}`` counters are
+        the entries' counts, which the registry reads when it is read
+        (a counter source): recording a pair makes no registry call.
+        :meth:`publish` writes the ratio gauges.
 
     Thread-safe: planner threads of a serve run share one monitor.
     """
@@ -130,6 +128,8 @@ class DriftMonitor:
         self.registry = registry
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str, str], DriftEntry] = {}
+        if registry is not None:
+            registry.counter_source(self._observations)
 
     # ------------------------------------------------------------------
     # recording
@@ -149,16 +149,24 @@ class DriftMonitor:
             entry = self._entries.get(key)
             if entry is None:
                 entry = self._entries[key] = DriftEntry()
-                if self.registry is not None:
-                    entry.observations = self.registry.bind_counter(
-                        "drift.observations",
-                        extension=extension,
-                        decomposition=decomposition,
-                        op=op,
-                    )
             entry.record(predicted, observed)
-        if entry.observations is not None:
-            entry.observations.inc()
+
+    def _observations(self) -> list:
+        """``drift.observations``: one ``(series, count)`` per key."""
+        with self._lock:
+            counts = [(key, entry.count) for key, entry in self._entries.items()]
+        return [
+            (
+                MetricsRegistry.series(
+                    "drift.observations",
+                    extension=extension,
+                    decomposition=decomposition,
+                    op=op,
+                ),
+                count,
+            )
+            for (extension, decomposition, op), count in counts
+        ]
 
     def observe_query(
         self, query: Query, asr, observed_pages: float, predicted: float | None = None

@@ -20,11 +20,22 @@ exported, and compared across runs:
 All families support labels (keyword arguments), and every mutating
 entry point takes one internal lock, so concurrent workers of a
 :class:`~repro.concurrency.ContextPool` can publish without tearing a
-histogram mid-update.  A hot call site resolves its label set once —
-:meth:`MetricsRegistry.bind_counter` / :meth:`MetricsRegistry.bind_histogram`
-return a :class:`BoundCounter` / :class:`BoundHistogram` — and then
-publishes without building the label key again; the published name,
-labels and values are those of the unbound call.
+histogram mid-update.
+
+The hottest series are not pushed at all.  A query publishes only to
+its worker's :class:`~repro.context.ExecutionContext`, whose
+thread-confined :class:`~repro.context.Tally` is the stored relation
+(``ops{op}``, ``span.pages{op}``, labelled counts such as
+``asr.lookups``); the registry's series are inherited from it when they
+are read.  A context :meth:`MetricsRegistry.attach`-es its tally when it
+is created and :meth:`MetricsRegistry.fold`-s it in once when it closes;
+every read (:meth:`MetricsRegistry.counter_value`,
+:meth:`MetricsRegistry.histogram`, :meth:`MetricsRegistry.snapshot`)
+adds the live tallies to what was folded and pushed, under the lock, and
+then the *counter sources* (:meth:`MetricsRegistry.counter_source`, the
+drift monitor's per-key counts), outside it.  At a quiescent point a read
+equals what pushing every publication would have built; between them
+every series only grows.
 
 Exports: :meth:`MetricsRegistry.snapshot` is the JSON-able form embedded
 in the daemon's drain report and read back by ``repro stats``;
@@ -41,8 +52,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 __all__ = [
-    "BoundCounter",
-    "BoundHistogram",
     "MetricsRegistry",
     "HistogramState",
     "estimate_quantile",
@@ -125,18 +134,44 @@ class HistogramState:
     exemplar: dict | None = None
 
     def observe(self, value: float, exemplar: str | None = None) -> None:
-        """Record one observation (caller holds the registry lock)."""
-        self.count += 1
+        """Record one observation (by the registry under its lock, or by
+        the one thread owning a context's tally).
+
+        The summaries are written before ``count`` and the bucket after
+        it, so :meth:`copy` — buckets first, then ``count`` — never sees
+        more bucketed observations than counted ones, nor a count its
+        ``min`` / ``max`` do not cover.
+        """
         self.total += value
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
+        self.count += 1
         index = bucket_index(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
         if exemplar is not None:
             le = 0.0 if index is None else BUCKET_BASE**index
             self.exemplar = {"trace_id": exemplar, "value": value, "le": le}
+
+    def copy(self) -> "HistogramState":
+        """A copy, safe to take while the owner observes (see :meth:`observe`)."""
+        buckets = self.buckets.copy()
+        return HistogramState(
+            self.count, self.total, self.min, self.max, buckets, self.exemplar
+        )
+
+    def merge(self, other: "HistogramState") -> None:
+        """Add ``other``'s observations (its exemplar is not taken)."""
+        self.count += other.count
+        self.total += other.total
+        if other.min < self.min:
+            self.min = other.min
+        if other.max > self.max:
+            self.max = other.max
+        buckets = self.buckets
+        for index, count in other.buckets.items():
+            buckets[index] = buckets.get(index, 0) + count
 
     @property
     def mean(self) -> float:
@@ -203,33 +238,23 @@ def estimate_quantile(hist: dict, q: float) -> float:
     return hi_clamp
 
 
-class BoundCounter:
-    """One counter of one label set (:meth:`MetricsRegistry.bind_counter`).
-
-    ``inc`` takes the registry lock like :meth:`MetricsRegistry.inc` but
-    skips building the label key; nothing is published until it is
-    called, so binding alone leaves the snapshot unchanged.
-    """
-
-    __slots__ = ("_registry", "_name", "_key")
-
-    def __init__(self, registry: "MetricsRegistry", name: str, key: _LabelKey) -> None:
-        self._registry, self._name, self._key = registry, name, key
-
-    def inc(self, value: float = 1) -> None:
-        self._registry._add(self._name, self._key, value)
+def _merge_counters(counters: dict, pairs) -> None:
+    """Add ``(series, value)`` pairs into ``name -> {key: value}``."""
+    for (name, key), value in pairs:
+        family = counters.setdefault(name, {})
+        family[key] = family.get(key, 0) + value
 
 
-class BoundHistogram:
-    """One histogram of one label set (:meth:`MetricsRegistry.bind_histogram`)."""
-
-    __slots__ = ("_registry", "_name", "_key")
-
-    def __init__(self, registry: "MetricsRegistry", name: str, key: _LabelKey) -> None:
-        self._registry, self._name, self._key = registry, name, key
-
-    def observe(self, value: float, exemplar: str | None = None) -> None:
-        self._registry._observe(self._name, self._key, value, exemplar)
+def _merge_tally(counters: dict, histograms: dict, tally) -> None:
+    """Add one tally's counters and histograms (copies) into the maps."""
+    _merge_counters(counters, tally.counters())
+    for (name, key), state in tally.histograms():
+        family = histograms.setdefault(name, {})
+        mine = family.get(key)
+        if mine is None:
+            family[key] = state
+        else:
+            mine.merge(state)
 
 
 class MetricsRegistry:
@@ -239,6 +264,12 @@ class MetricsRegistry:
     are safe to call from any thread; callable gauges registered with
     :meth:`gauge_fn` are evaluated only inside :meth:`snapshot` /
     :meth:`render_prometheus`, keeping them off the hot path.
+
+    A read is the pushed and folded series, plus the attached tallies
+    (under the lock), plus the counter sources (outside it, so no path
+    holds this lock and a source's own at once).  The registry holds a
+    tally, never its context; a context never closed keeps its tally
+    attached, so nothing it counted is lost.
     """
 
     def __init__(self) -> None:
@@ -247,6 +278,17 @@ class MetricsRegistry:
         self._gauges: dict[str, dict[_LabelKey, float]] = {}
         self._gauge_fns: dict[str, dict[_LabelKey, Callable[[], float]]] = {}
         self._histograms: dict[str, dict[_LabelKey, HistogramState]] = {}
+        #: Tallies of live contexts (:meth:`attach` / :meth:`fold`).
+        self._tallies: set = set()
+        #: Callables returning ``[(series, value), ...]`` of counters.
+        self._sources: list[Callable[[], list]] = []
+
+    @staticmethod
+    def series(name: str, **labels: str) -> tuple[str, _LabelKey]:
+        """The ``(name, label key)`` of one series, built once by a hot
+        publisher (the context's :meth:`~repro.context.ExecutionContext.count_series`
+        takes it as is)."""
+        return name, _label_key(labels)
 
     # ------------------------------------------------------------------
     # publishing
@@ -256,18 +298,14 @@ class MetricsRegistry:
         """Add ``value`` to the counter ``name`` (per label set)."""
         self._add(name, _label_key(labels), value)
 
+    def add(self, series: tuple[str, _LabelKey], value: float = 1) -> None:
+        """:meth:`inc` of a :meth:`series` built earlier."""
+        self._add(series[0], series[1], value)
+
     def _add(self, name: str, key: _LabelKey, value: float) -> None:
         with self._lock:
             family = self._counters.setdefault(name, {})
             family[key] = family.get(key, 0) + value
-
-    def bind_counter(self, name: str, **labels: str) -> BoundCounter:
-        """The counter ``name`` of one label set, for repeated ``inc``."""
-        return BoundCounter(self, name, _label_key(labels))
-
-    def bind_histogram(self, name: str, **labels: str) -> BoundHistogram:
-        """The histogram ``name`` of one label set, for repeated ``observe``."""
-        return BoundHistogram(self, name, _label_key(labels))
 
     def set_gauge(self, name: str, value: float, **labels: str) -> None:
         """Set the gauge ``name`` to ``value`` (per label set)."""
@@ -303,47 +341,74 @@ class MetricsRegistry:
             state.observe(value, exemplar=exemplar)
 
     # ------------------------------------------------------------------
+    # tallies and counter sources
+    # ------------------------------------------------------------------
+
+    def attach(self, tally) -> None:
+        """Read ``tally`` (a :class:`~repro.context.Tally`) into every read
+        until :meth:`fold`."""
+        with self._lock:
+            self._tallies.add(tally)
+
+    def fold(self, tally) -> None:
+        """Add an attached ``tally`` to the stored series once and let go of it."""
+        with self._lock:
+            if tally in self._tallies:
+                self._tallies.remove(tally)
+                _merge_tally(self._counters, self._histograms, tally)
+
+    def counter_source(self, fn: Callable[[], list]) -> None:
+        """Register ``fn() -> [(series, value), ...]``: counters that are
+        derived from another object's state on every read, outside the
+        registry lock."""
+        with self._lock:
+            self._sources.append(fn)
+
+    # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
 
+    def _read(self) -> tuple[dict, dict]:
+        """``(counters, histograms)`` as a read sees them, as copies.
+
+        Pushed and folded series plus every attached tally, under the
+        lock; then the counter sources, outside it.
+        """
+        with self._lock:
+            counters = {name: dict(family) for name, family in self._counters.items()}
+            histograms = {
+                name: {key: state.copy() for key, state in family.items()}
+                for name, family in self._histograms.items()
+            }
+            for tally in self._tallies:
+                _merge_tally(counters, histograms, tally)
+            sources = list(self._sources)
+        _merge_counters(counters, (pair for fn in sources for pair in fn()))
+        return counters, histograms
+
     def counter_value(self, name: str, **labels: str) -> float:
         """The current value of one counter (0 when never incremented)."""
-        with self._lock:
-            return self._counters.get(name, {}).get(_label_key(labels), 0)
+        return self._read()[0].get(name, {}).get(_label_key(labels), 0)
 
     def histogram(self, name: str, **labels: str) -> HistogramState | None:
-        """The histogram state of one label set, if observed."""
-        with self._lock:
-            return self._histograms.get(name, {}).get(_label_key(labels))
+        """A copy of the histogram state of one label set, if observed."""
+        return self._read()[1].get(name, {}).get(_label_key(labels))
 
     def snapshot(self) -> dict:
         """The whole registry as a JSON-able dict.
 
-        Callable gauges are evaluated here (outside the registry lock,
-        so a gauge reading a lock-protected pool cannot deadlock a
-        concurrent publisher).
+        Callable gauges and counter sources are evaluated here, outside
+        the registry lock, so a gauge reading a lock-protected pool
+        cannot deadlock a concurrent publisher.
         """
+        counters, histograms = self._read()
         with self._lock:
-            counters = {
-                name: [
-                    {"labels": dict(key), "value": value}
-                    for key, value in sorted(family.items())
-                ]
-                for name, family in sorted(self._counters.items())
-            }
             gauges = {
                 name: [
                     {"labels": dict(key), "value": value}
                     for key, value in sorted(family.items())
                 ]
                 for name, family in sorted(self._gauges.items())
-            }
-            histograms = {
-                name: [
-                    {"labels": dict(key), **state.as_dict()}
-                    for key, state in sorted(family.items())
-                ]
-                for name, family in sorted(self._histograms.items())
             }
             gauge_fns = [
                 (name, key, fn)
@@ -354,7 +419,23 @@ class MetricsRegistry:
             gauges.setdefault(name, []).append(
                 {"labels": dict(key), "value": float(fn())}
             )
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+        return {
+            "counters": {
+                name: [
+                    {"labels": dict(key), "value": value}
+                    for key, value in sorted(family.items())
+                ]
+                for name, family in sorted(counters.items())
+            },
+            "gauges": gauges,
+            "histograms": {
+                name: [
+                    {"labels": dict(key), **state.as_dict()}
+                    for key, state in sorted(family.items())
+                ]
+                for name, family in sorted(histograms.items())
+            },
+        }
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "MetricsRegistry":

@@ -8,6 +8,7 @@ from repro.errors import RelationError, StorageError
 from repro.gom import NULL
 from repro.gom.objects import OID
 from repro.storage.stats import AccessStats, BufferScope
+from tests.asr.loading import bulk_load
 
 
 class TestCellKeys:
@@ -42,7 +43,7 @@ class TestStoredPartition:
         partition = self.make()
         rows = [(OID(i), OID(i + 10)) for i in range(50)]
         rows.append((OID(0), OID(99)))
-        partition.bulk_load(rows)
+        bulk_load(partition, rows)
         assert partition.tuple_count == 51
         hits = partition.lookup_forward(OID(0))
         assert sorted(hits) == [(OID(0), OID(10)), (OID(0), OID(99))]
@@ -52,9 +53,9 @@ class TestStoredPartition:
     def test_both_loaders_build_the_trees_incremental_inserts_build(self):
         rows = [(OID(i % 7), OID(i)) for i in range(40)] + [(NULL, OID(3))]
         bulk, projected, grown = self.make(), self.make(), self.make()
-        bulk.bulk_load(rows)
+        bulk_load(bulk, rows)
         projected.load_from_extension(rows + rows[:5] + [(NULL, NULL)])
-        grown.bulk_load([])
+        bulk_load(grown, [])
         for row in rows:
             grown.add_projection(row)
         for loaded in (bulk, projected):
@@ -74,7 +75,7 @@ class TestStoredPartition:
 
     def test_refcounted_projection_deltas(self):
         partition = self.make()
-        partition.bulk_load([])
+        bulk_load(partition, [])
         row = (OID(1), OID(2))
         partition.add_projection(row)
         partition.add_projection(row)  # second witness
@@ -98,7 +99,7 @@ class TestStoredPartition:
 
     def test_scan_charges_pages(self):
         partition = StoredPartition(0, 1, ["a", "b"])
-        partition.bulk_load([(OID(i), OID(i)) for i in range(1000)])
+        bulk_load(partition, [(OID(i), OID(i)) for i in range(1000)])
         stats = AccessStats()
         with BufferScope(stats) as buffer:
             rows = list(partition.forward_tree.range(context=buffer))
@@ -107,7 +108,7 @@ class TestStoredPartition:
 
     def test_byte_size(self):
         partition = self.make()
-        partition.bulk_load([(OID(1), OID(2))])
+        bulk_load(partition, [(OID(1), OID(2))])
         assert partition.byte_size == 16
 
 

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.asr.asr import StoredPartition
 from repro.gom import NULL, OID
 from repro.storage.btree import BPlusTree
+from tests.asr.loading import bulk_load
 from tests.asr.test_partition_reads import scan
 from tests.storage.reference_walker import RecordingBuffer
 
@@ -34,7 +35,7 @@ ABSENT = OID(999)
 def make_partition() -> StoredPartition:
     partition = StoredPartition(0, 2, ("a", "b", "c"), PAGE_SIZE, OID_SIZE)
     assert partition.tuples_per_page == 4
-    partition.bulk_load([])
+    bulk_load(partition, [])
     return partition
 
 

@@ -15,6 +15,7 @@ import tracemalloc
 
 from repro.asr.asr import StoredPartition
 from repro.gom.objects import OID
+from tests.asr.loading import bulk_load
 
 ROWS = 20_000
 MAX_BYTES_PER_ROW = 430
@@ -29,7 +30,7 @@ def test_bulk_loaded_partition_bytes_per_row():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        partition.bulk_load(rows)
+        bulk_load(partition, rows)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -19,6 +19,7 @@ from repro.asr.asr import (
     row_key,
 )
 from repro.gom import NULL, OID
+from tests.asr.loading import bulk_load
 from tests.storage.reference_walker import RecordingBuffer, reference_range
 
 #: 3 columns x 8 bytes on 96-byte pages: 4 rows per leaf, so eleven rows
@@ -30,7 +31,7 @@ ABSENT = OID(999)
 def make_partition(rows) -> StoredPartition:
     partition = StoredPartition(0, 2, ("a", "b", "c"), PAGE_SIZE, OID_SIZE)
     assert partition.tuples_per_page == 4
-    partition.bulk_load(rows)
+    bulk_load(partition, rows)
     return partition
 
 

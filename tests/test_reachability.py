@@ -6,6 +6,13 @@ defined is reached by nothing but tests.  Such code is deleted, or it
 stays in :data:`KEEP` with the reason it exists: the paper result it
 implements, the test oracle or test setup it is, or the route or safety
 path it serves.  Dunders are left out: the data model calls them.
+
+The census counts bare names, not qualified ones, so it is blind where
+names collide: a test-only method survives while any other ``src/``
+definition or call shares its name (``StoredPartition.bulk_load`` did,
+behind ``BPlusTree.bulk_load``, until it moved to
+``tests/asr/loading.py``).  A collision is a reason to look, not proof
+of use.
 """
 
 import ast
