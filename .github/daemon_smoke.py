@@ -17,6 +17,9 @@ checks, over real HTTP:
   ``plan.*`` count, its ``span.pages`` observation and its
   ``asr.lookups`` (or ``plan.unsupported``) count were published to the
   request's pool context and folded into the registry at its release;
+  that scrape, with no wait, also reads ``repro_accounting_ok 1`` and
+  the drift monitor's overall ratio (no background thread writes them:
+  a scrape checks and computes them itself);
 * three requests share one keep-alive connection, and ``GARBAGE`` is
   refused at the wire with a 400;
 * ``/trace/<id>`` phases cover >= 90% of the request and its measured
@@ -79,9 +82,9 @@ def scrape(exposition: str, name: str) -> float:
 
 
 def check_scrapes(addr: str) -> None:
-    first = scrape(get(addr, "/metrics"), "repro_serve_ops_total")
+    first = scrape(get(addr, "/metrics"), "repro_op_latency_ms_count")
     time.sleep(1.0)
-    second = scrape(get(addr, "/metrics"), "repro_serve_ops_total")
+    second = scrape(get(addr, "/metrics"), "repro_op_latency_ms_count")
     assert second > first > 0, f"counters not monotone: {first} -> {second}"
     # An operation awaiting its device charge holds no thread, so more
     # operations are in flight than there are executor threads.
@@ -148,7 +151,13 @@ def check_queries(addr: str) -> dict:
     status, first = post_query(addr, QUERY)
     assert status == 200 and first["cached"] is False, (status, first)
     assert first["row_count"] > 0, first
-    check_folded(before, get(addr, "/metrics"), first)
+    after = get(addr, "/metrics")
+    check_folded(before, after, first)
+    assert scrape(after, "repro_accounting_ok") == 1, "accounting not read"
+    assert any(
+        line.startswith("repro_drift_overall_geo_mean_ratio ")
+        for line in after.splitlines()
+    ), "no drift ratio on the scrape"
     status, second = post_query(addr, QUERY)
     assert status == 200 and second["cached"] is True, (status, second)
     assert second["rows"] == first["rows"], "the cache changed the answer"
@@ -275,7 +284,7 @@ def main() -> int:
                 "--clients", "2", "--capacity", "16", "--io-dist", "disk",
                 "--max-inflight", "8", "--profile", "queries",
                 "--query-fraction", "1.0", "--trace-sample-rate", "1.0",
-                "--slow-trace-ms", "0", "--drift-interval", "0.5",
+                "--slow-trace-ms", "0",
                 "--advisor-interval", "0.5", "--advisor-dry-run",
                 "--addr-file", addr_file, "--out", report,
             ]

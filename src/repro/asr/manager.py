@@ -141,7 +141,6 @@ class ASRManager:
         #: every quarantine transition (see :meth:`add_state_listener`).
         self._state_listeners: list[Callable] = []
         self.asrs: list[AccessSupportRelation] = []
-        self._suspended = 0
         self.context = context
         self.fault_injector = fault_injector
         self.auto_recover = auto_recover
@@ -219,27 +218,15 @@ class ASRManager:
             self.asrs.append(asr)
             self._epoch += 1
 
-    def drop(self, asr: AccessSupportRelation) -> None:
-        with self.lock.write():
-            try:
-                self.asrs.remove(asr)
-            except ValueError:
-                raise ObjectBaseError(
-                    "ASR is not registered with this manager"
-                ) from None
-            self._pending.pop(id(asr), None)
-            self._epoch += 1
-
     def replace(
         self, old: AccessSupportRelation, new: AccessSupportRelation
     ) -> None:
         """Atomically swap ``old`` for ``new`` in one exclusive section.
 
-        The re-materialization primitive: unlike a ``drop`` followed by a
-        ``register`` (two separate exclusive sections), no reader can
-        ever observe the gap where neither ASR is registered, and the
-        configuration version moves by exactly **one** epoch bump — so
-        compiled-plan caches invalidate once, not twice.  ``old``'s
+        The re-materialization primitive: no reader can ever observe a
+        gap where neither ASR is registered, and the configuration
+        version moves by exactly **one** epoch bump — so compiled-plan
+        caches invalidate once, not twice.  ``old``'s
         pending regions die with it; ``new`` is
         adopted as consistent.  Raises :class:`ObjectBaseError` (and
         changes nothing) when ``old`` is not registered, which makes the
@@ -268,7 +255,7 @@ class ASRManager:
         The replacement bulk-builds *without* the lock, so readers keep
         serving from ``asr``.  Every update landing meanwhile widens a
         catch-up region, computed by :meth:`_on_event` for ``asr`` under
-        the write lock the mutator holds — also while :meth:`suspended`.
+        the write lock the mutator holds.
         One exclusive section then applies the catch-up delta (the
         recompute derives the correct post-state from the live graph)
         and swaps via :meth:`replace`: exactly one epoch bump.  ``asr``
@@ -411,7 +398,7 @@ class ASRManager:
         asr.state = ASRState.CONSISTENT
 
     def _on_event(self, event: Event) -> None:
-        if self._closed or (self._suspended and not self._catchup):
+        if self._closed:
             return
         with self.lock.write():
             # The region must be computed *now*: it reads event-time
@@ -432,7 +419,7 @@ class ASRManager:
                     self._catchup[key] = merge_regions(self._catchup[key], region)
                 if healthy:
                     items.append((asr, region))
-            if not items or self._suspended:
+            if not items:
                 return
             if self._batch_depth:
                 self._enqueue(items)
@@ -457,9 +444,8 @@ class ASRManager:
     def batch(self) -> Iterator["ASRManager"]:
         """Defer maintenance inside the block; flush once on exit.
 
-        Unlike :meth:`suspended`, this does **not** fall back to full
-        rebuilds: the coalesced dirty regions are maintained exactly,
-        just with one tree round-trip per ASR instead of one per event::
+        The coalesced dirty regions are maintained exactly, just with
+        one tree round-trip per ASR instead of one per event::
 
             with manager.batch():
                 db.set_insert(parts, bolt)
@@ -726,26 +712,6 @@ class ASRManager:
                 "failed": failed,
                 "ok": quarantined == 0,
             }
-
-    @contextmanager
-    def suspended(self) -> Iterator[None]:
-        """Skip maintenance inside the block, then rebuild every ASR.
-
-        Use around bulk loads where incremental upkeep would be wasteful::
-
-            with manager.suspended():
-                generator.populate(db)
-        """
-        self._suspended += 1
-        try:
-            yield
-        finally:
-            self._suspended -= 1
-            if not self._suspended:
-                with self.lock.write():
-                    self._epoch += 1
-                    for asr in self.asrs:
-                        asr.rebuild(self.db)
 
     # ------------------------------------------------------------------
     # verification / inspection

@@ -36,15 +36,15 @@ cyclically and sheds at a full queue, a finite replay awaits
 ``queue.put`` over its stream so that every operation runs.  The
 daemon's drain report (``BENCH_serve_daemon.json``, written by
 :func:`write_report`) carries per-operation p50/p95/p99 latencies
-(:func:`per_operation`), the shared pool's hit rate, and the accounting
-invariant (shared totals == retired + Σ live per-worker totals).
+(:func:`operations_table`, read from the ``op.latency_ms`` histograms),
+the shared pool's hit rate, and the accounting invariant (shared totals
+== retired + Σ live per-worker totals).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -62,7 +62,7 @@ from repro.query.evaluator import QueryEvaluator
 from repro.query.planner import Planner
 from repro.query.service import QueryService
 from repro.resilience import BreakerBoard
-from repro.telemetry import DriftMonitor, MetricsRegistry, Tracer
+from repro.telemetry import DriftMonitor, MetricsRegistry, Tracer, estimate_quantile
 from repro.telemetry.tracing import activate, maybe_span, record_pages
 from repro.workload.generator import ChainGenerator, GeneratedDatabase
 from repro.workload.opstream import (
@@ -76,13 +76,12 @@ from repro.workload.profiles import FIG14_MIX, FIG16_MIX
 __all__ = [
     "ServeConfig",
     "ServeWorld",
-    "OpSample",
     "ExecutorWorkers",
     "ServingCore",
     "build_world",
     "execute_operation",
     "drive_operation_async",
-    "per_operation",
+    "operations_table",
     "SMALL_PROFILE",
     "SMALL_FIG16_PROFILE",
     "SERVE_PROFILES",
@@ -148,11 +147,6 @@ class ServeConfig:
     #: Daemon: admission-pump backoff after shedding into a full queue,
     #: in milliseconds (jittered ±50% from the run's seed).
     shed_backoff_ms: float = 1.0
-    #: Per-ASR circuit breaker: consecutive fault evidence before the
-    #: breaker opens (see :mod:`repro.resilience.breaker`).
-    breaker_threshold: int = 3
-    #: Seconds an open breaker waits before half-open probing.
-    breaker_cooldown_s: float = 2.0
     #: Entries in the query service's compiled-plan cache (LRU, keyed by
     #: query shape + ASR epoch); 0 disables caching.
     query_cache_size: int = 128
@@ -185,23 +179,6 @@ class ServeConfig:
     def device(self, registry: MetricsRegistry | None = None) -> DeviceModel:
         """A fresh :class:`~repro.device.DeviceModel` for one run."""
         return DeviceModel(self.latency_model(), registry)
-
-
-@dataclass
-class OpSample:
-    """One executed operation: what ran, how long, how many pages."""
-
-    name: str
-    kind: str
-    latency_s: float
-    pages: int
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = max(0, math.ceil(q * len(sorted_values)) - 1)
-    return sorted_values[index]
 
 
 @dataclass
@@ -297,11 +274,8 @@ def build_world(
     drift = DriftMonitor(costs, registry)
     # Per-ASR circuit breakers, fed by the manager's quarantine
     # transitions; the planners below filter candidates through them.
-    breakers = BreakerBoard(
-        threshold=config.breaker_threshold,
-        cooldown_s=config.breaker_cooldown_s,
-        registry=registry,
-    )
+    # Three consecutive faults open one; it probes half-open after 2 s.
+    breakers = BreakerBoard(threshold=3, cooldown_s=2.0, registry=registry)
     manager.add_state_listener(breakers.on_asr_state)
     # The two planners a world needs, both breaker-gated and both ranked
     # by the manager's price list, so they choose alike.  Replay feeds
@@ -391,14 +365,15 @@ async def drive_operation_async(
     op: Operation,
     device: DeviceModel,
     trace=None,
-) -> OpSample:
+) -> None:
     """Drive one operation: executor offload, then an awaited charge.
 
     The CPU-bound core runs on ``workers``' bounded executor (where the
     RWLock/ContextPool accounting stays on real threads); the simulated
     device latency is awaited on the event loop, outside all locks, so
     an operation in its I/O phase holds no thread.  The end-to-end
-    latency lands in the registry's ``op.latency_ms`` histogram.
+    latency of an operation that completes lands in the registry's
+    ``op.latency_ms{op, kind}`` histogram, its one record.
 
     ``trace`` is begun at admission by :meth:`ServingCore.entry` (so the
     queue wait is inside the trace); a caller without a queue may pass
@@ -420,16 +395,14 @@ async def drive_operation_async(
     except BaseException:
         world.tracer.finish(trace, "error")
         raise
-    latency = time.perf_counter() - start
     world.registry.observe(
         "op.latency_ms",
-        latency * 1e3,
+        (time.perf_counter() - start) * 1e3,
         exemplar=None if trace is None else trace.trace_id,
         op=op.name,
         kind=op.kind,
     )
     world.tracer.finish(trace)
-    return OpSample(op.name, op.kind, latency, pages)
 
 
 class ExecutorWorkers:
@@ -482,7 +455,7 @@ class ServingCore:
     gauges, and the drain.  Each worker task is one in-flight operation
     slot: dequeue, shed if the entry's deadline already passed, offload
     the CPU-bound core to the executor, await the device charge on the
-    loop, hand the sample to ``record``.
+    loop, count the completion in :attr:`completed`.
 
     *Arrivals stay with the caller*: :meth:`serve` runs a caller-supplied
     coroutine that puts :meth:`entry` tuples on :attr:`queue` — a
@@ -498,11 +471,9 @@ class ServingCore:
     quarantined and the healer picks it up.
     """
 
-    def __init__(self, world: ServeWorld, record, chaos=None) -> None:
+    def __init__(self, world: ServeWorld, chaos=None) -> None:
         config = world.config
         self.world = world
-        #: ``record(sample, op)`` receives every completed operation.
-        self.record = record
         self.chaos = chaos
         self.workers = ExecutorWorkers(world, config.clients)
         self.device = config.device(world.registry)
@@ -512,6 +483,9 @@ class ServingCore:
         #: thread; read by gauge scrapes — a plain int is safe).
         self.inflight = 0
         self.peak_inflight = 0
+        #: Operations completed: exactly those observed in
+        #: ``op.latency_ms`` (no casualty, no deadline shed).
+        self.completed = 0
         #: Failures of individual operations; :meth:`serve` raises the
         #: first once the drain completes.
         self.errors: list[Exception] = []
@@ -557,7 +531,7 @@ class ServingCore:
             raise self.errors[0]
 
     async def _worker(self) -> None:
-        """One in-flight operation slot: dequeue, execute, charge, record.
+        """One in-flight operation slot: dequeue, execute, charge, count.
 
         With ``op_deadline_ms`` set, an entry whose queue wait already
         exceeds the deadline is shed *unexecuted* (``deadline.shed``) —
@@ -585,7 +559,7 @@ class ServingCore:
                 self.inflight += 1
                 self.peak_inflight = max(self.peak_inflight, self.inflight)
                 try:
-                    sample = await drive_operation_async(
+                    await drive_operation_async(
                         world, self.workers, op, self.device, trace=trace
                     )
                 except (InjectedFault, SimulatedCrash):
@@ -595,7 +569,7 @@ class ServingCore:
                     continue
                 finally:
                     self.inflight -= 1
-                self.record(sample, op)
+                self.completed += 1
             except Exception as error:  # noqa: BLE001 - raised after the drain
                 self.errors.append(error)
             finally:
@@ -606,22 +580,26 @@ class ServingCore:
         self.workers.close()
 
 
-def per_operation(samples: list[OpSample]) -> dict:
-    """Per-operation latency table: count and p50/p95/p99/mean in ms."""
-    by_name: dict[str, list[float]] = {}
-    for sample in samples:
-        by_name.setdefault(sample.name, []).append(sample.latency_s)
-    report = {}
-    for name, latencies in sorted(by_name.items()):
-        latencies.sort()
-        report[name] = {
-            "count": len(latencies),
-            "p50_ms": round(_percentile(latencies, 0.50) * 1e3, 3),
-            "p95_ms": round(_percentile(latencies, 0.95) * 1e3, 3),
-            "p99_ms": round(_percentile(latencies, 0.99) * 1e3, 3),
-            "mean_ms": round(sum(latencies) / len(latencies) * 1e3, 3),
+def operations_table(metrics: dict) -> dict:
+    """Per-operation latency table of a registry snapshot, in ms.
+
+    One row per ``op.latency_ms`` histogram (an operation's name fixes
+    its kind): its count and mean, and p50/p95/p99 estimated from its
+    log-scale buckets (:func:`~repro.telemetry.registry.estimate_quantile`).
+    """
+    return {
+        entry["labels"]["op"]: {
+            "count": entry["count"],
+            "p50_ms": round(estimate_quantile(entry, 0.50), 3),
+            "p95_ms": round(estimate_quantile(entry, 0.95), 3),
+            "p99_ms": round(estimate_quantile(entry, 0.99), 3),
+            "mean_ms": round(entry["mean"], 3),
         }
-    return report
+        for entry in sorted(
+            metrics["histograms"].get("op.latency_ms", ()),
+            key=lambda entry: entry["labels"]["op"],
+        )
+    }
 
 
 def write_report(report: dict, path: str) -> None:

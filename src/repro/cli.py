@@ -42,7 +42,7 @@ Commands
 
 ``serve [--port P] [--clients N] [--max-inflight M]
 [--io-dist D] [--profile fig14|fig16|queries] [--ops K]
-[--query-fraction F] [--query-cache-size Z] [--drift-interval SEC]
+[--query-fraction F] [--query-cache-size Z]
 [--chaos-rate R] [--op-deadline-ms D] [--shed-backoff-ms B]
 [--healer-interval SEC] [--no-healer]
 [--advisor-interval SEC] [--advisor-threshold G] [--advisor-dry-run]
@@ -61,8 +61,9 @@ Commands
     and run over the shared pool, with compiled plans cached per
     ``(query shape, epoch)`` — the text with its literals abstracted —
     up to ``--query-cache-size`` entries; parse and
-    validation errors come back as structured HTTP 400 bodies).  Drift
-    ratios are re-published every ``--drift-interval`` seconds.
+    validation errors come back as structured HTTP 400 bodies).  Every
+    scrape reads its values when it asks: accounting is checked for it
+    and the drift ratios are computed from the monitor's entries.
     ``--port 0`` binds an ephemeral port (written to ``--addr-file``);
     SIGINT/SIGTERM drain gracefully and write a final report to
     ``--out``.  A background healer retries quarantined ASRs with
@@ -119,6 +120,7 @@ from repro.costmodel import (
 )
 from repro.errors import ReproError
 from repro.query import BackwardQuery, QueryEvaluator
+from repro.resilience.chaos import DEFAULT_CHAOS_POINTS
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.tracing import Trace, activate
 from repro.workload import ChainGenerator, FIG14_MIX, measure_profile
@@ -329,12 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: BENCH_serve_daemon.json)",
     )
     serve.add_argument(
-        "--drift-interval",
-        type=float,
-        default=5.0,
-        help="seconds between drift/accounting re-publications",
-    )
-    serve.add_argument(
         "--addr-file",
         type=Path,
         default=None,
@@ -357,9 +353,13 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--chaos-crash-points",
         type=_chaos_points_spec,
-        default="asr.apply.mid-delta,asr.recover.replay",
+        default=",".join(
+            name if kind == "fault" else f"{name}:{kind}"
+            for name, kind in DEFAULT_CHAOS_POINTS
+        ),
         help="comma-separated fault points to strike; append ':crash' "
-        "for a non-retryable SimulatedCrash instead of a transient fault",
+        "for a non-retryable SimulatedCrash instead of a transient fault "
+        "(default: %(default)s)",
     )
     serve.add_argument(
         "--op-deadline-ms",
@@ -740,7 +740,6 @@ def _cmd_serve(args, out) -> int:
         serve=_serve_config_from(args),
         host=args.host,
         port=args.port,
-        drift_interval=args.drift_interval,
         out=str(args.out),
         addr_file=str(args.addr_file) if args.addr_file is not None else None,
         healer=args.healer,

@@ -157,10 +157,6 @@ class ChaosController:
             self._burst_left = 0
             self.injector.disarm()
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
     def describe(self) -> dict:
         """JSON-able summary for reports and ``/healthz``."""
         with self._lock:

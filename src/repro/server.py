@@ -25,6 +25,9 @@ functions from a parsed request to ``(status, content_type, body)``:
 ``GET /metrics``
     The Prometheus text exposition of the live
     :class:`~repro.telemetry.registry.MetricsRegistry` — scrape it.
+    Every value is read when the scrape asks: the accounting gauges
+    are checked for it, and the drift gauges are computed from the
+    :class:`~repro.telemetry.drift.DriftMonitor`'s entries.
 ``GET /healthz``
     The accounting invariant (shared totals == retired + Σ live
     per-worker totals), quarantine state of every managed ASR, and a
@@ -71,14 +74,10 @@ requests the wire refused (400 / 413 / 431 / 501 / 505) are
 connections, so ``http.requests / http.connections`` is the keep-alive
 reuse ratio.
 
-A background publisher re-snapshots the
-:class:`~repro.telemetry.drift.DriftMonitor` (and the accounting gauges)
-every ``drift_interval`` seconds, so the predicted-vs-observed ratios a
-scrape sees are at most one interval old rather than frozen at startup.
-
-Health checks and the publisher compute accounting under the manager's
-*write* lock — the only quiescent point for the shared-vs-Σ-workers
-comparison while clients are mid-flight.  That is exactly the writer
+``/metrics``, ``/healthz`` and ``/stats`` check accounting
+(:meth:`ServeDaemon.check_accounting`) under the manager's *write*
+lock — the only quiescent point for the shared-vs-Σ-workers comparison
+while clients are mid-flight.  That is exactly the writer
 that the :class:`~repro.concurrency.RWLock` starvation fix protects: a
 saturating read stream can no longer park ``/healthz`` forever.
 
@@ -113,7 +112,6 @@ import signal
 import sys
 import threading
 import time
-from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -121,12 +119,11 @@ from typing import Callable, NamedTuple
 from repro.asr.adaptive import AdvisorLoop
 from repro.asr.journal import ASRState
 from repro.bench.serve import (
-    OpSample,
     ServeConfig,
     ServeWorld,
     ServingCore,
     build_world,
-    per_operation,
+    operations_table,
     write_report,
 )
 from repro.errors import ParseError, QueryError, RecoveryError
@@ -154,17 +151,12 @@ class ServerConfig:
     host: str = "127.0.0.1"
     #: TCP port for the endpoint; 0 binds an ephemeral one.
     port: int = 8000
-    #: Seconds between drift/accounting re-publications.
-    drift_interval: float = 5.0
     #: Where the final drain report is written (``repro stats`` reads
     #: it by default).
     out: str = "BENCH_serve_daemon.json"
     #: Optional file the daemon writes ``host:port`` into once bound —
     #: how tests and the CI smoke job discover an ephemeral port.
     addr_file: str | None = None
-    #: Newest operation samples kept for the final latency table (the
-    #: registry histograms cover *every* operation regardless).
-    max_samples: int = 10_000
     #: The healer's retry pacing (see :mod:`repro.resilience.policy`).
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     #: Run a background :class:`~repro.resilience.healer.HealerLoop`
@@ -195,7 +187,7 @@ class ServeDaemon:
     """The long-lived serving process behind ``repro serve``.
 
     Lifecycle: :meth:`start` builds the world and launches the serving
-    core's loop thread plus the publisher and HTTP threads;
+    core's loop thread and the HTTP threads;
     :meth:`shutdown` drains and writes the final report; :meth:`run` is
     the blocking CLI entry point that wires SIGINT/SIGTERM between the
     two.  Tests drive start/shutdown directly.
@@ -206,14 +198,10 @@ class ServeDaemon:
         self.world: ServeWorld | None = None
         self._core: ServingCore | None = None
         self._stop = threading.Event()
-        self._samples: deque[OpSample] = deque(maxlen=self.config.max_samples)
-        self._samples_lock = threading.Lock()
-        self._ops_served = 0
         self._op_index = 0
         self._index_lock = threading.Lock()
         self._stream: list[Operation] = []
         self._loop_thread: threading.Thread | None = None
-        self._publisher: threading.Thread | None = None
         self._httpd: Listener | None = None
         self._started_at: float | None = None
         self._errors: list[BaseException] = []
@@ -244,7 +232,7 @@ class ServeDaemon:
                 f"by clients={config.serve.clients}; clients=0 serves HTTP only"
             )
         self._wire_resilience()
-        self._core = ServingCore(self.world, self._record, chaos=self._chaos)
+        self._core = ServingCore(self.world, chaos=self._chaos)
         self._started_at = time.perf_counter()
         registry = self.world.registry
         registry.gauge_fn(
@@ -273,10 +261,6 @@ class ServeDaemon:
             target=self._loop_main, name="serve-loop", daemon=True
         )
         self._loop_thread.start()
-        self._publisher = threading.Thread(
-            target=self._publisher_loop, name="serve-publisher", daemon=True
-        )
-        self._publisher.start()
         return self
 
     def _wire_resilience(self) -> None:
@@ -348,8 +332,7 @@ class ServeDaemon:
     @property
     def ops_served(self) -> int:
         """Operations completed so far."""
-        with self._samples_lock:
-            return self._ops_served
+        return self._core.completed
 
     def request_stop(self) -> None:
         """Stop admitting operations (signal handlers land here)."""
@@ -364,12 +347,11 @@ class ServeDaemon:
         and executor wind down, and the executor threads' contexts
         retire) → stop the healer with one final forced sweep (chaos
         is gone, so one attempt per quarantined ASR re-derives it from
-        the object base) → join the publisher → flush the manager's
-        batched maintenance queues → verify consistency (skipped, and
-        recorded as a drain error, for any ASR still quarantined) →
-        close the manager and retire every pool context → final drift
-        publication and accounting check → write the report → stop the
-        HTTP endpoint.  Idempotent.
+        the object base) → flush the manager's batched maintenance
+        queues → verify consistency (skipped, and recorded as a drain
+        error, for any ASR still quarantined) → close the manager and
+        retire every pool context → final accounting check → write the
+        report → stop the HTTP endpoint.  Idempotent.
         """
         if self._report is not None:
             return self._report
@@ -386,8 +368,6 @@ class ServeDaemon:
         self._core.close()
         if self._healer is not None:
             self._healer.stop(final_sweep=True)
-        if self._publisher is not None:
-            self._publisher.join()
         world = self.world
         flushed_rows = world.manager.flush()
         end_quarantined = [str(asr.path) for asr in world.manager.quarantined]
@@ -401,12 +381,10 @@ class ServeDaemon:
             world.manager.check_consistency()
         world.manager.close()
         world.pool.close()
-        world.drift.publish(world.registry)
         accounting = world.pool.check_accounting(world.registry)
         uptime = time.perf_counter() - self._started_at
-        with self._samples_lock:
-            samples = list(self._samples)
-            ops_served = self._ops_served
+        ops_served = self.ops_served
+        metrics = world.registry.snapshot()
         host, port = self.address
         config = self.config
         self._report = {
@@ -416,7 +394,6 @@ class ServeDaemon:
                 **asdict(config.serve),
                 "host": host,
                 "port": port,
-                "drift_interval": config.drift_interval,
                 "advisor_interval": config.advisor_interval,
                 "advisor_threshold": config.advisor_threshold,
                 "advisor_dry_run": config.advisor_dry_run,
@@ -428,8 +405,7 @@ class ServeDaemon:
             "uptime_seconds": round(uptime, 3),
             "ops_served": ops_served,
             "throughput_ops_per_s": round(ops_served / uptime, 2) if uptime else 0.0,
-            "operations": per_operation(samples),
-            "sampled_operations": len(samples),
+            "operations": operations_table(metrics),
             "drained": {
                 "flushed_rows": flushed_rows,
                 "errors": [repr(error) for error in self._errors],
@@ -461,7 +437,7 @@ class ServeDaemon:
                     "consistent": not end_quarantined,
                 },
             },
-            "metrics": world.registry.snapshot(),
+            "metrics": metrics,
             "drift": world.drift.report(),
         }
         write_report(self._report, self.config.out)
@@ -476,8 +452,7 @@ class ServeDaemon:
         print(
             f"serving on http://{host}:{port}  "
             f"(GET /metrics /healthz /stats /trace/recent, POST /query; "
-            f"drift republished "
-            f"every {self.config.drift_interval:g}s; SIGTERM drains)",
+            f"SIGTERM drains)",
             file=out,
             flush=True,
         )
@@ -526,12 +501,6 @@ class ServeDaemon:
             stream = self._stream
         return stream[index % len(stream)]
 
-    def _record(self, sample: OpSample, op: Operation) -> None:
-        with self._samples_lock:
-            self._samples.append(sample)
-            self._ops_served += 1
-        self.world.registry.inc("serve.ops", op=op.name, kind=op.kind)
-
     def _loop_main(self) -> None:
         """Thread target: run the serving core until the drain completes."""
         try:
@@ -576,22 +545,17 @@ class ServeDaemon:
                 # queue before any operation starts.
                 await asyncio.sleep(0)
 
-    def _publisher_loop(self) -> None:
-        interval = max(self.config.drift_interval, 0.05)
-        while not self._stop.wait(interval):
-            self.republish()
-
-    def republish(self) -> None:
-        """One drift + accounting re-publication (the scrape freshener)."""
-        world = self.world
-        with world.manager.exclusive():
-            world.pool.check_accounting(world.registry)
-        world.drift.publish(world.registry)
-        world.registry.inc("serve.drift_republished")
-
     # ------------------------------------------------------------------
     # endpoint payloads
     # ------------------------------------------------------------------
+
+    def check_accounting(self) -> dict:
+        """The accounting invariant now, also written to the ``accounting.*``
+        gauges: checked under the manager's write lock, the quiescent
+        point at which it is exact."""
+        world = self.world
+        with world.manager.exclusive():
+            return world.pool.check_accounting(world.registry)
 
     def health(self) -> tuple[bool, dict]:
         """The ``/healthz`` verdict and payload.
@@ -608,7 +572,7 @@ class ServeDaemon:
         """
         world = self.world
         with world.manager.exclusive():
-            accounting = world.pool.check_accounting(world.registry)
+            accounting = self.check_accounting()
             asrs = [
                 {
                     "path": str(asr.path),
@@ -699,8 +663,7 @@ class ServeDaemon:
     def stats_payload(self) -> dict:
         """The ``/stats`` payload — the ``repro stats --json`` triple."""
         world = self.world
-        with world.manager.exclusive():
-            accounting = world.pool.check_accounting(world.registry)
+        accounting = self.check_accounting()
         return {
             "metrics": world.registry.snapshot(),
             "drift": world.drift.report(),
@@ -724,6 +687,7 @@ def _json(status: int, payload: dict) -> Reply:
 
 
 def _get_metrics(daemon: ServeDaemon, _request: Request) -> Reply:
+    daemon.check_accounting()
     return (
         200,
         "text/plain; version=0.0.4; charset=utf-8",

@@ -115,21 +115,23 @@ class DriftMonitor:
         predictor's price when the planner ranks by the same list).
     registry:
         Optional :class:`~repro.telemetry.registry.MetricsRegistry`.  Its
-        ``drift.observations{extension, decomposition, op}`` counters are
-        the entries' counts, which the registry reads when it is read
-        (a counter source): recording a pair makes no registry call.
-        :meth:`publish` writes the ratio gauges.
+        ``drift.observations{extension, decomposition, op}`` counters and
+        its ``drift.ratio`` / ``drift.geo_mean_ratio`` (same labels) and
+        ``drift.overall_geo_mean_ratio`` gauges are read from
+        :meth:`report` whenever the registry is read (a
+        :meth:`~repro.telemetry.registry.MetricsRegistry.source`):
+        recording a pair makes no registry call, and a read sees every
+        pair recorded before it.
 
     Thread-safe: planner threads of a serve run share one monitor.
     """
 
     def __init__(self, predictor: MeasuredCosts | None = None, registry=None):
         self.predictor = predictor
-        self.registry = registry
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str, str], DriftEntry] = {}
         if registry is not None:
-            registry.counter_source(self._observations)
+            registry.source(self._series)
 
     # ------------------------------------------------------------------
     # recording
@@ -150,23 +152,6 @@ class DriftMonitor:
             if entry is None:
                 entry = self._entries[key] = DriftEntry()
             entry.record(predicted, observed)
-
-    def _observations(self) -> list:
-        """``drift.observations``: one ``(series, count)`` per key."""
-        with self._lock:
-            counts = [(key, entry.count) for key, entry in self._entries.items()]
-        return [
-            (
-                MetricsRegistry.series(
-                    "drift.observations",
-                    extension=extension,
-                    decomposition=decomposition,
-                    op=op,
-                ),
-                count,
-            )
-            for (extension, decomposition, op), count in counts
-        ]
 
     def observe_query(
         self, query: Query, asr, observed_pages: float, predicted: float | None = None
@@ -252,23 +237,45 @@ class DriftMonitor:
         overall["finite"] = math.isfinite(overall["geo_mean_ratio"])
         return {"by_key": entries, "overall": overall}
 
-    def publish(self, registry=None) -> None:
-        """Write the current ratios into a registry as gauges."""
-        registry = registry if registry is not None else self.registry
-        if registry is None:
-            return
+    def _series(self) -> tuple[list, list]:
+        """The registry's drift series, ``(counters, gauges)``, from
+        :meth:`report`: one ``drift.observations`` count and its ratio
+        gauges per key (no ``drift.ratio`` while it is infinite), and the
+        overall geometric mean."""
         report = self.report()
+        counters, gauges = [], []
         for entry in report["by_key"]:
-            labels = {
-                "extension": entry["extension"],
-                "decomposition": entry["decomposition"],
-                "op": entry["op"],
-            }
-            if entry["ratio"] is not None:
-                registry.set_gauge("drift.ratio", entry["ratio"], **labels)
-            registry.set_gauge(
-                "drift.geo_mean_ratio", entry["geo_mean_ratio"], **labels
+            extension, decomposition, op = (
+                entry["extension"],
+                entry["decomposition"],
+                entry["op"],
             )
-        registry.set_gauge(
-            "drift.overall_geo_mean_ratio", report["overall"]["geo_mean_ratio"]
+            counters.append(
+                (
+                    MetricsRegistry.series(
+                        "drift.observations",
+                        extension=extension,
+                        decomposition=decomposition,
+                        op=op,
+                    ),
+                    entry["count"],
+                )
+            )
+            labels = {"extension": extension, "decomposition": decomposition, "op": op}
+            if entry["ratio"] is not None:
+                gauges.append(
+                    (MetricsRegistry.series("drift.ratio", **labels), entry["ratio"])
+                )
+            gauges.append(
+                (
+                    MetricsRegistry.series("drift.geo_mean_ratio", **labels),
+                    entry["geo_mean_ratio"],
+                )
+            )
+        gauges.append(
+            (
+                MetricsRegistry.series("drift.overall_geo_mean_ratio"),
+                report["overall"]["geo_mean_ratio"],
+            )
         )
+        return counters, gauges

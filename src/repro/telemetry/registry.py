@@ -9,9 +9,9 @@ exported, and compared across runs:
 
 * **counters** — monotonically increasing event counts (operations
   executed, maintenance rows applied, quarantine transitions);
-* **gauges** — last-written point-in-time values, or *callable* gauges
-  evaluated lazily at snapshot time (pool occupancy, residency) so the
-  hot path never pays for them;
+* **gauges** — last-written point-in-time values, or values computed
+  when read (*callable* gauges: pool occupancy, residency; a source's:
+  the drift ratios) so the hot path never pays for them;
 * **histograms** — value distributions over **fixed log-scale buckets**
   (base 2): bucket ``i`` covers ``(2^(i-1), 2^i]``, stored sparsely.
   Observing costs one ``frexp`` and a dict bump — no wall-clock reads,
@@ -32,10 +32,10 @@ is created and :meth:`MetricsRegistry.fold`-s it in once when it closes;
 every read (:meth:`MetricsRegistry.counter_value`,
 :meth:`MetricsRegistry.histogram`, :meth:`MetricsRegistry.snapshot`)
 adds the live tallies to what was folded and pushed, under the lock, and
-then the *counter sources* (:meth:`MetricsRegistry.counter_source`, the
-drift monitor's per-key counts), outside it.  At a quiescent point a read
-equals what pushing every publication would have built; between them
-every series only grows.
+then the *sources* (:meth:`MetricsRegistry.source`: the drift monitor's
+per-key counts and ratio gauges), outside it.  At a quiescent point a
+read equals what pushing every publication would have built; between
+them every counter only grows.
 
 Exports: :meth:`MetricsRegistry.snapshot` is the JSON-able form embedded
 in the daemon's drain report and read back by ``repro stats``;
@@ -266,8 +266,8 @@ class MetricsRegistry:
     :meth:`render_prometheus`, keeping them off the hot path.
 
     A read is the pushed and folded series, plus the attached tallies
-    (under the lock), plus the counter sources (outside it, so no path
-    holds this lock and a source's own at once).  The registry holds a
+    (under the lock), plus the sources (outside it, so no path holds
+    this lock and a source's own at once).  The registry holds a
     tally, never its context; a context never closed keeps its tally
     attached, so nothing it counted is lost.
     """
@@ -280,8 +280,9 @@ class MetricsRegistry:
         self._histograms: dict[str, dict[_LabelKey, HistogramState]] = {}
         #: Tallies of live contexts (:meth:`attach` / :meth:`fold`).
         self._tallies: set = set()
-        #: Callables returning ``[(series, value), ...]`` of counters.
-        self._sources: list[Callable[[], list]] = []
+        #: Callables returning ``(counters, gauges)``, each a list of
+        #: ``(series, value)`` (:meth:`source`).
+        self._sources: list[Callable[[], tuple[list, list]]] = []
 
     @staticmethod
     def series(name: str, **labels: str) -> tuple[str, _LabelKey]:
@@ -341,7 +342,7 @@ class MetricsRegistry:
             state.observe(value, exemplar=exemplar)
 
     # ------------------------------------------------------------------
-    # tallies and counter sources
+    # tallies and sources
     # ------------------------------------------------------------------
 
     def attach(self, tally) -> None:
@@ -357,10 +358,11 @@ class MetricsRegistry:
                 self._tallies.remove(tally)
                 _merge_tally(self._counters, self._histograms, tally)
 
-    def counter_source(self, fn: Callable[[], list]) -> None:
-        """Register ``fn() -> [(series, value), ...]``: counters that are
-        derived from another object's state on every read, outside the
-        registry lock."""
+    def source(self, fn: Callable[[], tuple[list, list]]) -> None:
+        """Register ``fn() -> (counters, gauges)``, each ``[(series, value),
+        ...]``: series derived from another object's state on every read,
+        outside the registry lock.  A source's counters add to the stored
+        ones; its gauges are what it says they are now."""
         with self._lock:
             self._sources.append(fn)
 
@@ -368,14 +370,16 @@ class MetricsRegistry:
     # reading
     # ------------------------------------------------------------------
 
-    def _read(self) -> tuple[dict, dict]:
-        """``(counters, histograms)`` as a read sees them, as copies.
+    def _read(self) -> tuple[dict, dict, dict]:
+        """``(counters, gauges, histograms)`` as a read sees them, as copies.
 
         Pushed and folded series plus every attached tally, under the
-        lock; then the counter sources, outside it.
+        lock; then the sources, outside it.  Callable gauges are left to
+        :meth:`snapshot`.
         """
         with self._lock:
             counters = {name: dict(family) for name, family in self._counters.items()}
+            gauges = {name: dict(family) for name, family in self._gauges.items()}
             histograms = {
                 name: {key: state.copy() for key, state in family.items()}
                 for name, family in self._histograms.items()
@@ -383,8 +387,12 @@ class MetricsRegistry:
             for tally in self._tallies:
                 _merge_tally(counters, histograms, tally)
             sources = list(self._sources)
-        _merge_counters(counters, (pair for fn in sources for pair in fn()))
-        return counters, histograms
+        for fn in sources:
+            source_counters, source_gauges = fn()
+            _merge_counters(counters, source_counters)
+            for (name, key), value in source_gauges:
+                gauges.setdefault(name, {})[key] = value
+        return counters, gauges, histograms
 
     def counter_value(self, name: str, **labels: str) -> float:
         """The current value of one counter (0 when never incremented)."""
@@ -392,33 +400,24 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels: str) -> HistogramState | None:
         """A copy of the histogram state of one label set, if observed."""
-        return self._read()[1].get(name, {}).get(_label_key(labels))
+        return self._read()[2].get(name, {}).get(_label_key(labels))
 
     def snapshot(self) -> dict:
         """The whole registry as a JSON-able dict.
 
-        Callable gauges and counter sources are evaluated here, outside
-        the registry lock, so a gauge reading a lock-protected pool
-        cannot deadlock a concurrent publisher.
+        Callable gauges are evaluated here, outside the registry lock,
+        so a gauge reading a lock-protected pool cannot deadlock a
+        concurrent publisher.
         """
-        counters, histograms = self._read()
+        counters, gauges, histograms = self._read()
         with self._lock:
-            gauges = {
-                name: [
-                    {"labels": dict(key), "value": value}
-                    for key, value in sorted(family.items())
-                ]
-                for name, family in sorted(self._gauges.items())
-            }
             gauge_fns = [
                 (name, key, fn)
-                for name, family in sorted(self._gauge_fns.items())
-                for key, fn in sorted(family.items())
+                for name, family in self._gauge_fns.items()
+                for key, fn in family.items()
             ]
         for name, key, fn in gauge_fns:
-            gauges.setdefault(name, []).append(
-                {"labels": dict(key), "value": float(fn())}
-            )
+            gauges.setdefault(name, {})[key] = float(fn())
         return {
             "counters": {
                 name: [
@@ -427,7 +426,13 @@ class MetricsRegistry:
                 ]
                 for name, family in sorted(counters.items())
             },
-            "gauges": gauges,
+            "gauges": {
+                name: [
+                    {"labels": dict(key), "value": value}
+                    for key, value in sorted(family.items())
+                ]
+                for name, family in sorted(gauges.items())
+            },
             "histograms": {
                 name: [
                     {"labels": dict(key), **state.as_dict()}

@@ -329,16 +329,16 @@ class TestOnlineRetune:
         assert manager.asrs == [replacement]
         manager.check_consistency()
 
-    def test_update_landing_while_suspended_is_caught_up(self, world, monkeypatch):
-        """``suspended()`` skips maintenance, not the catch-up: its exit
-        rebuilds only the registered (old) ASR."""
+    def test_update_landing_in_a_batch_is_caught_up(self, world, monkeypatch):
+        """``batch()`` defers maintenance, not the catch-up: its flush
+        maintains only the registered (old) ASR."""
         generated, manager = world
         db, path = generated.db, generated.path
         asr = manager.create(path, Extension.RIGHT, Decomposition.binary(path.m))
         layers = generated.layers
 
         def bulk_update():
-            with manager.suspended():
+            with manager.batch():
                 for owner in layers[0][:6]:
                     db.set_attr(owner, "A", db.new_set("SET_T1", layers[1][:3]))
 

@@ -1,10 +1,7 @@
-"""ASRManager: registration, event routing, suspension, lifecycle, batching."""
-
-import pytest
+"""ASRManager: registration, event routing, lifecycle, batching."""
 
 from repro.asr import ASRManager, Decomposition, Extension
 from repro.context import ExecutionContext
-from repro.errors import ObjectBaseError
 
 
 class TestRegistration:
@@ -16,15 +13,6 @@ class TestRegistration:
         assert manager.find(path) == [asr]
         assert manager.find(path, Extension.FULL) == [asr]
         assert manager.find(path, Extension.LEFT) == []
-
-    def test_drop(self, company_world):
-        db, path, _o = company_world
-        manager = ASRManager(db)
-        asr = manager.create(path, Extension.FULL)
-        manager.drop(asr)
-        assert manager.asrs == []
-        with pytest.raises(ObjectBaseError):
-            manager.drop(asr)
 
     def test_register_external(self, company_world):
         from repro.asr import AccessSupportRelation
@@ -178,27 +166,3 @@ class TestBatching:
         assert context.stats.total > 0
         (flush,) = [row for row in trace.spans if row["name"] == "asr.flush"]
         assert flush["page_reads"] + flush["page_writes"] == context.stats.total
-
-
-class TestSuspension:
-    def test_suspended_bulk_load(self, company_world):
-        db, path, o = company_world
-        manager = ASRManager(db)
-        asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
-        with manager.suspended():
-            # Bulk changes without incremental upkeep.
-            for _ in range(3):
-                part = db.new("BasePart", Name="Bolt")
-                db.set_insert(o["parts_sec"], part)
-        # Rebuilt on exit.
-        manager.check_consistency()
-
-    def test_nested_suspension(self, company_world):
-        db, path, o = company_world
-        manager = ASRManager(db)
-        manager.create(path, Extension.LEFT)
-        with manager.suspended():
-            with manager.suspended():
-                db.set_attr(o["space"], "Manufactures", o["prods_auto"])
-            # Still suspended here; no consistency guarantee yet.
-        manager.check_consistency()

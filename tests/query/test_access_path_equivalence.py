@@ -199,12 +199,16 @@ class Served:
 
 def test_rebuild_reloads_what_the_compiled_paths_read():
     served = Served()
-    before = served.answers(served.asr)
-    with served.manager.suspended():
-        served.link()  # not maintained; the rebuild on exit swaps every tree
+    # Built outside the manager, so nothing maintains it.
+    stale = AccessSupportRelation.build(
+        served.db, served.path, Extension.FULL, served.asr.decomposition
+    )
+    before = served.answers(stale)
+    served.link()
     after = served.truth()
     assert after != before
-    assert served.answers(served.asr) == after
+    stale.rebuild(served.db)  # swaps every tree the compiled paths read
+    assert served.answers(stale) == after
     assert served.answers() == after
 
 

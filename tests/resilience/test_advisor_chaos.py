@@ -46,7 +46,6 @@ def _config() -> ServerConfig:
             max_inflight=32,
         ),
         port=0,
-        drift_interval=0.5,
         recovery=RecoveryPolicy(backoff_s=0.001, jitter=0.25),
         healer=True,
         healer_interval=0.01,

@@ -69,7 +69,6 @@ class TestRunAdvisor:
                 seed=7, io_micros=20.0, query_fraction=0.95, max_inflight=16
             ),
             port=0,
-            drift_interval=0.5,
             out=str(tmp_path / "BENCH_serve_daemon.json"),
             advisor_interval=0.25,
             advisor_threshold=1.05,

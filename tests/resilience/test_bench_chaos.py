@@ -29,7 +29,6 @@ SOAK = ServerConfig(
         max_inflight=16, op_deadline_ms=500.0,
     ),
     port=0,
-    drift_interval=0.5,
     recovery=RecoveryPolicy(backoff_s=0.001, jitter=0.25),
     healer_interval=0.01,
     chaos=ChaosConfig(rate=0.5, burst=2, seed=7),

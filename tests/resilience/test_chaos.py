@@ -104,7 +104,7 @@ class TestController:
         chaos = controller(rate=1.0)
         chaos.on_operation()
         chaos.stop()
-        assert chaos.stopped
+        assert chaos.describe()["stopped"] is True
         assert not chaos.injector.armed_points
         assert not chaos.on_operation()
 

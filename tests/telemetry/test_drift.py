@@ -230,10 +230,11 @@ class TestDriftMonitor:
         )
 
     def test_publish_writes_ratio_gauges(self):
+        """The registry's ratio gauges are read from the entries: the
+        first read after a record already carries it."""
         registry = MetricsRegistry()
-        monitor = DriftMonitor()
+        monitor = DriftMonitor(registry=registry)
         monitor.record("full", "(0, 4)", "fw", predicted=10.0, observed=5.0)
-        monitor.publish(registry)
         labels = {"extension": "full", "decomposition": "(0, 4)", "op": "fw"}
         assert gauge(registry, "drift.ratio", **labels) == pytest.approx(0.5)
         assert gauge(registry, "drift.geo_mean_ratio", **labels) == pytest.approx(

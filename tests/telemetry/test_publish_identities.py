@@ -1,8 +1,9 @@
-"""Publishing through bound handles loses nothing: exact registry identities.
+"""Reading the hot series from their records loses nothing: exact identities.
 
-The hot query path publishes ``ops{op}``, ``span.pages{op}``,
-``asr.lookups`` and ``drift.observations`` through handles bound once
-per label set.  After a fixed block on a generated world — every query
+The hot query path publishes ``ops{op}``, ``span.pages{op}`` and
+``asr.lookups`` to its context's tally, and ``drift.observations`` to
+the drift monitor's entries; the registry reads those records when it
+is read.  After a fixed block on a generated world — every query
 shape of the ladder's chain ASR, plus one quarantined and one
 breaker-open decision — the registry must say exactly what happened:
 one ``plan.*`` count per decision, one lookup per supported evaluation,

@@ -11,7 +11,7 @@ from repro.bench.serve import (
     ServeConfig,
     ServingCore,
     build_world,
-    per_operation,
+    operations_table,
     write_report,
 )
 from repro.costmodel.parameters import ApplicationProfile
@@ -57,11 +57,10 @@ def replay(config: ServeConfig):
 
     The arrivals await ``queue.put`` over the finite stream, so every
     operation runs (waiting at the admission bound instead of shedding).
-    Returns the world, the core and the samples after the drain.
+    Returns the world and the core after the drain.
     """
     world = build_world(config)
-    samples = []
-    core = ServingCore(world, record=lambda sample, _op: samples.append(sample))
+    core = ServingCore(world)
 
     async def arrivals():
         for op in world.stream():
@@ -73,8 +72,7 @@ def replay(config: ServeConfig):
         core.close()
     world.manager.check_consistency()
     world.pool.pool.check_invariants()
-    world.drift.publish(world.registry)
-    return world, core, samples
+    return world, core
 
 
 @pytest.fixture(scope="module")
@@ -84,11 +82,13 @@ def tiny():
 
 class TestServeBench:
     def test_report_shape_and_accounting(self, tiny, tmp_path):
-        world, _core, samples = tiny
+        world, core = tiny
         assert world.pool.check_accounting()["ok"] is True
-        # Every stream operation ran exactly once.
-        table = per_operation(samples)
+        # Every stream operation ran exactly once, and the latency table
+        # is read from the histograms that counted it.
+        table = operations_table(world.registry.snapshot())
         assert sum(entry["count"] for entry in table.values()) == TINY.ops
+        assert core.completed == TINY.ops
         for entry in table.values():
             assert {"count", "p50_ms", "p95_ms", "p99_ms", "mean_ms"} <= set(entry)
             assert entry["p50_ms"] <= entry["p95_ms"] <= entry["p99_ms"]
@@ -160,12 +160,12 @@ class TestAsyncServeBench:
         return replay(self.TINY_ASYNC)
 
     def test_async_report_shape_and_accounting(self, slow):
-        world, core, samples = slow
+        world, core = slow
         assert core.limit == 16
         assert core.device.latency.describe() == {"dist": "fixed", "io_micros": 2000.0}
         # One replay: every stream operation ran exactly once, and the
         # shared totals equal retired + Σ live per-worker totals.
-        assert len(samples) == self.TINY_ASYNC.ops
+        assert core.completed == self.TINY_ASYNC.ops
         assert world.pool.check_accounting()["ok"] is True
         assert world.drift.report()["overall"]["finite"] is True
 
@@ -173,14 +173,12 @@ class TestAsyncServeBench:
         # The event loop holds more operations in flight than there
         # are executor threads (an operation awaiting its device charge
         # holds no thread), bounded by the admission limit.
-        _world, core, _samples = slow
+        _world, core = slow
         assert self.TINY_ASYNC.clients < core.peak_inflight <= 16
 
     def test_zero_clients_replays_nothing(self):
-        world, core, samples = replay(
-            ServeConfig(clients=0, ops=8, seed=7, capacity=64)
-        )
-        assert samples == [] and core.peak_inflight == 0
+        world, core = replay(ServeConfig(clients=0, ops=8, seed=7, capacity=64))
+        assert core.completed == 0 and core.peak_inflight == 0
         assert "op.latency_ms" not in world.registry.snapshot()["histograms"]
         assert world.pool.check_accounting()["ok"] is True
 
@@ -194,10 +192,10 @@ class TestAsyncServeBench:
             io_dist="lognormal:0.3",
             max_inflight=8,
         )
-        world, core, samples = replay(config)
+        world, core = replay(config)
         device = core.device.latency.describe()
         assert device["dist"] == "lognormal" and device["sigma"] == 0.3
-        assert len(samples) == 12
+        assert core.completed == 12
         assert world.pool.check_accounting()["ok"] is True
 
 
@@ -216,9 +214,9 @@ class TestServeProfiles:
         config = ServeConfig(
             clients=2, ops=16, seed=3, capacity=64, io_micros=20.0, profile="fig16"
         )
-        world, _core, samples = replay(config)
+        world, core = replay(config)
         assert world.generated.n == 5
-        assert len(samples) == 16
+        assert core.completed == 16
         assert world.pool.check_accounting()["ok"] is True
         assert world.drift.report()["overall"]["finite"] is True
 

@@ -255,6 +255,15 @@ class TestBenchServe:
         assert (config.max_inflight, config.profile) == (32, "fig16")
         assert (config.op_deadline_ms, config.shed_backoff_ms) == (50.0, 2.0)
 
+    def test_chaos_rate_alone_strikes_the_default_points(self):
+        # Recovery-point storms are opt-in: ``--chaos-rate`` without
+        # ``--chaos-crash-points`` arms what ChaosConfig arms by default.
+        from repro.cli import _build_parser, _chaos_config_from
+        from repro.resilience import ChaosConfig
+
+        args = _build_parser().parse_args(["serve", "--chaos-rate", "0.1"])
+        assert _chaos_config_from(args).points == ChaosConfig().points
+
     def test_bad_io_dist_rejected_at_parse_time(self):
         with pytest.raises(SystemExit):
             run_cli("serve", "--io-dist", "tape")

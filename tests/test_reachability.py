@@ -1,23 +1,26 @@
 """Every ``src/repro`` name is used outside its own definition, or says why not.
 
-A function or class whose name appears nowhere in ``src/``,
-``benchmarks/``, ``examples/`` or ``.github/`` except where it is
-defined is reached by nothing but tests.  Such code is deleted, or it
-stays in :data:`KEEP` with the reason it exists: the paper result it
-implements, the test oracle or test setup it is, or the route or safety
-path it serves.  Dunders are left out: the data model calls them.
+A function or class whose name is referenced nowhere in the code under
+``src/``, ``benchmarks/``, ``examples/`` or ``.github/`` is reached by
+nothing but tests.  Such code is deleted, or it stays in :data:`KEEP`
+with the reason it exists: the paper result it implements, the test
+oracle or test setup it is, or the route or safety path it serves.
+Dunders are left out: the data model calls them.
+
+A reference is code, not text: a loaded ``ast.Name``, a loaded
+``ast.Attribute``, or an imported name.  A docstring's
+``:meth:`suspended``` or an ``__all__`` string keeps nothing alive.
 
 The census counts bare names, not qualified ones, so it is blind where
 names collide: a test-only method survives while any other ``src/``
-definition or call shares its name (``StoredPartition.bulk_load`` did,
-behind ``BPlusTree.bulk_load``, until it moved to
+code uses an attribute of the same name (``StoredPartition.bulk_load``
+did, behind ``BPlusTree.bulk_load``, until it moved to
 ``tests/asr/loading.py``).  A collision is a reason to look, not proof
 of use.
 """
 
 import ast
 import pathlib
-import re
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -26,6 +29,10 @@ USERS = ("src", "benchmarks", "examples", ".github")
 
 #: Qualified name -> why it stays although only tests reach it.
 KEEP = {
+    "repro.asr.relation.Relation.rename": (
+        "relational algebra: renames a relation's columns beside its "
+        "join / project / slice / where"
+    ),
     "repro.concurrency.RWLock.write_held": (
         "test oracle: the write side's re-entrancy in tests/test_concurrency.py"
     ),
@@ -40,6 +47,14 @@ KEEP = {
     ),
     "repro.gom.traversal.reachable_terminals": (
         "test oracle: naive GOM traversal that forward answers must equal"
+    ),
+    "repro.query.planner.Planner.applicable": (
+        "test oracle: the Eq. 35 candidates a decision may use (quarantined "
+        "ASRs excluded), which the planner and degraded-mode tests pin"
+    ),
+    "repro.telemetry.registry.MetricsRegistry.histogram": (
+        "test oracle: one histogram series as a read sees it, stored plus "
+        "live tallies"
     ),
 }
 
@@ -64,21 +79,29 @@ def definitions():
                     stack.append((child, prefix))
 
 
-def word_counts() -> Counter:
-    words: Counter = Counter()
+def references() -> Counter:
+    """Bare name -> how often code under :data:`USERS` refers to it."""
+    counts: Counter = Counter()
     for top in USERS:
-        for path in (ROOT / top).rglob("*"):
-            if path.suffix in (".py", ".yml") and path.is_file():
-                words.update(re.findall(r"\w+", path.read_text()))
-    return words
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    counts[node.id] += 1
+                elif isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load
+                ):
+                    counts[node.attr] += 1
+                elif isinstance(node, ast.alias):
+                    counts[node.name.rpartition(".")[2]] += 1
+    return counts
 
 
 def test_only_tests_reach_nothing_but_the_keep_table():
-    words = word_counts()
+    counts = references()
     unreached = {
         qualified
         for qualified, name in definitions()
-        if not (name.startswith("__") and name.endswith("__")) and words[name] <= 1
+        if not (name.startswith("__") and name.endswith("__")) and not counts[name]
     }
     assert unreached - KEEP.keys() == set(), (
         "only tests use these: delete them or add them to KEEP with a reason"

@@ -2,9 +2,11 @@
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -14,8 +16,8 @@ import pytest
 
 from repro.bench.serve import ServeConfig
 from repro.server import ServeDaemon, ServerConfig
+from repro.telemetry import estimate_quantile
 from repro.workload.opstream import apply_update, operation_stream
-from tests.telemetry.test_registry import gauge
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,7 +30,6 @@ def tiny_config(tmp_path, **overrides) -> ServerConfig:
             max_inflight=8,
         ),
         port=0,
-        drift_interval=0.1,
         out=str(tmp_path / "BENCH_serve.json"),
     )
     defaults.update(overrides)
@@ -64,11 +65,23 @@ def daemon(tmp_path):
 
 
 def serve_ops_total(exposition: str) -> float:
+    """Operations completed, as the ``op.latency_ms`` counts say."""
     return sum(
         float(line.rsplit(" ", 1)[1])
         for line in exposition.splitlines()
-        if line.startswith("repro_serve_ops_total")
+        if line.startswith("repro_op_latency_ms_count")
     )
+
+
+def prom_samples(exposition: str, name: str) -> dict[frozenset, float]:
+    """Every sample of ``name`` in an exposition, keyed by its label set."""
+    samples = {}
+    for line in exposition.splitlines():
+        match = re.fullmatch(rf"{name}(?:\{{(.*)\}})? (\S+)", line)
+        if match:
+            labels = re.findall(r'(\w+)="([^"]*)"', match.group(1) or "")
+            samples[frozenset(labels)] = float(match.group(2))
+    return samples
 
 
 def prom_value(exposition: str, name: str):
@@ -160,16 +173,40 @@ class TestEndpoints:
         assert status == 404
         assert "/metrics" in json.loads(body)["endpoints"]
 
-    def test_drift_republished_on_interval(self, daemon):
-        registry = daemon.world.registry
-
-        def republished():
-            return registry.counter_value("serve.drift_republished")
-
-        first = republished()
-        assert wait_until(lambda: republished() > first, timeout=10)
-        # The re-publication refreshes the ratio gauges, not just a counter.
-        assert gauge(registry, "drift.overall_geo_mean_ratio") is not None
+    def test_scrape_reads_drift_and_accounting_as_of_itself(self, daemon):
+        # No background thread republishes anything.
+        assert "serve-publisher" not in {t.name for t in threading.enumerate()}
+        daemon.request_stop()
+        assert wait_until(lambda: not daemon._loop_thread.is_alive())
+        world = daemon.world
+        before = world.drift.report()["overall"]["count"]
+        for op in world.stream()[:8]:
+            daemon._core.workers.execute(op)
+        report = world.drift.report()
+        assert report["overall"]["count"] > before
+        # The first scrape after the new observations, with no wait.
+        _, _, exposition = get(daemon, "/metrics")
+        assert prom_value(exposition, "repro_accounting_ok") == 1.0
+        assert prom_samples(exposition, "repro_drift_overall_geo_mean_ratio") == {
+            frozenset(): report["overall"]["geo_mean_ratio"]
+        }
+        by_key = {
+            frozenset(
+                (label, entry[label]) for label in ("extension", "decomposition", "op")
+            ): entry
+            for entry in report["by_key"]
+        }
+        assert prom_samples(exposition, "repro_drift_observations_total") == {
+            key: entry["count"] for key, entry in by_key.items()
+        }
+        assert prom_samples(exposition, "repro_drift_geo_mean_ratio") == {
+            key: entry["geo_mean_ratio"] for key, entry in by_key.items()
+        }
+        assert prom_samples(exposition, "repro_drift_ratio") == {
+            key: entry["ratio"]
+            for key, entry in by_key.items()
+            if entry["ratio"] is not None
+        }
 
 
 class TestGracefulDrain:
@@ -206,7 +243,21 @@ class TestGracefulDrain:
         assert written["benchmark"] == "serve"
         assert written["mode"] == "daemon"
         assert written["ops_served"] > 0
-        assert written["operations"], "per-operation latency table missing"
+        # The latency table is read from the report's own histograms.
+        histograms = written["metrics"]["histograms"]["op.latency_ms"]
+        assert written["operations"] == {
+            entry["labels"]["op"]: {
+                "count": entry["count"],
+                "p50_ms": round(estimate_quantile(entry, 0.50), 3),
+                "p95_ms": round(estimate_quantile(entry, 0.95), 3),
+                "p99_ms": round(estimate_quantile(entry, 0.99), 3),
+                "mean_ms": round(entry["mean"], 3),
+            }
+            for entry in histograms
+        }
+        assert sum(row["count"] for row in written["operations"].values()) == (
+            written["ops_served"]
+        )
         batch.__exit__(None, None, None)
 
     def test_shutdown_is_idempotent(self, tmp_path):
@@ -325,7 +376,7 @@ class TestServeCLI:
             [
                 sys.executable, "-m", "repro", "serve",
                 "--port", "0", "--clients", "2", "--ops", "24",
-                "--io-micros", "20", "--drift-interval", "0.2",
+                "--io-micros", "20",
                 "--addr-file", str(addr_file), "--out", str(out),
             ],
             cwd=tmp_path,
@@ -344,9 +395,9 @@ class TestServeCLI:
                 with urllib.request.urlopen(
                     f"http://{addr}/metrics", timeout=10
                 ) as resp:
-                    return b"repro_serve_ops_total" in resp.read()
+                    return b"repro_op_latency_ms_count" in resp.read()
 
-            # The counter appears once the first replayed op completes.
+            # The latency count appears once the first replayed op completes.
             assert wait_until(_serve_counter_published, timeout=30)
             process.send_signal(signal.SIGTERM)
             stdout, _ = process.communicate(timeout=30)

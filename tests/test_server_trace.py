@@ -51,7 +51,6 @@ def traced_config(tmp_path, **overrides) -> ServerConfig:
     return ServerConfig(
         serve=ServeConfig(**serve_kwargs),
         port=0,
-        drift_interval=0.5,
         out=str(tmp_path / "BENCH_serve.json"),
     )
 
