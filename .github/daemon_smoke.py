@@ -20,8 +20,10 @@ checks, over real HTTP:
   that scrape, with no wait, also reads ``repro_accounting_ok 1`` and
   the drift monitor's overall ratio (no background thread writes them:
   a scrape checks and computes them itself);
-* three requests share one keep-alive connection, and ``GARBAGE`` is
-  refused at the wire with a 400;
+* three requests share one keep-alive connection (the
+  ``http.latency_ms`` count, summed over endpoints, rises by 3 and
+  ``http.connections`` by 1), and ``GARBAGE`` is refused at the wire
+  with a 400 that ``http.rejected`` counts;
 * ``/trace/<id>`` phases cover >= 90% of the request and its measured
   rows sum to ``total_pages``; ``/trace/recent`` has a queue phase;
 * SIGTERM exits 0 with a clean drain report, which ``repro stats --in``
@@ -188,22 +190,26 @@ def check_wire(addr: str) -> None:
     client.request("GET", "/metrics")
     after = client.getresponse().read().decode()
     client.close()
+    # The latency histogram's count is the request count, per endpoint.
     rose = {
         name: scrape(after, name) - scrape(before, name)
-        for name in ("repro_http_requests_total", "repro_http_connections_total")
+        for name in ("repro_http_latency_ms_count", "repro_http_connections_total")
     }
     assert rose == {
-        "repro_http_requests_total": 3,
+        "repro_http_latency_ms_count": 3,
         "repro_http_connections_total": 1,
     }, rose
     # Refused at the wire: a status, then the connection is closed.
+    rejected = scrape(after, "repro_http_rejected_total")
     with socket.create_connection((host, int(port)), timeout=10) as raw:
         raw.sendall(b"GARBAGE\r\n\r\n")
         reply = b""
         while chunk := raw.recv(65536):
             reply += chunk
     assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
-    print("wire ok: 3 requests on 1 connection, GARBAGE -> 400")
+    refused = scrape(get(addr, "/metrics"), "repro_http_rejected_total") - rejected
+    assert refused == 1, f"http.rejected rose by {refused}, not 1"
+    print("wire ok: 3 requests on 1 connection, GARBAGE -> 400 (counted)")
 
 
 def check_traces(addr: str, response: dict) -> None:

@@ -50,9 +50,10 @@ CONSISTENT``.  A :class:`~repro.errors.SimulatedCrash` or
 instead of leaving it silently torn.  An ASR is a function of the
 object base (Defs. 3.4-3.8), so there is one repair: :meth:`recover`
 derives the extension again and reloads every partition, one attempt
-per call.  Retrying belongs to the callers (the
-:class:`~repro.resilience.healer.HealerLoop`, ``auto_recover``,
-:meth:`verify` — the ``repro doctor`` backend).
+per call.  A fault quarantines the ASR and the flush goes on; retrying
+belongs to the callers (the :class:`~repro.resilience.healer.HealerLoop`,
+an explicit :meth:`recover`, :meth:`verify` — the ``repro doctor``
+backend).
 """
 
 from __future__ import annotations
@@ -100,13 +101,6 @@ class ASRManager:
         Optional :class:`~repro.faults.FaultInjector` whose named crash
         points the flush/recovery pipeline consults; defaults to the
         context's injector when a context is given.
-    auto_recover:
-        When True (default), a *transient* :class:`InjectedFault` during
-        a flush triggers one immediate in-place recovery attempt on the
-        affected ASR; when that also fails the ASR stays quarantined
-        (for the healer) and the flush continues degraded.  A
-        :class:`SimulatedCrash` always propagates — a dead process
-        cannot self-heal.
     metrics:
         Optional :class:`~repro.telemetry.registry.MetricsRegistry`.
         Defaults to the context's registry when a context is given.
@@ -131,7 +125,6 @@ class ASRManager:
         db: ObjectBase,
         context: ExecutionContext | None = None,
         fault_injector=None,
-        auto_recover: bool = True,
         metrics=None,
         costs: MeasuredCosts | None = None,
     ) -> None:
@@ -143,7 +136,6 @@ class ASRManager:
         self.asrs: list[AccessSupportRelation] = []
         self.context = context
         self.fault_injector = fault_injector
-        self.auto_recover = auto_recover
         self.metrics = metrics
         self._batch_depth = 0
         #: Coalesced pending dirty regions, one per batched ASR
@@ -587,18 +579,12 @@ class ASRManager:
             except SimulatedCrash:
                 raise  # quarantined by _apply_regions
             except InjectedFault:
+                # Quarantined until the healer or recover() derives it
+                # again; the flush goes on with the other ASRs.
                 self._mark_quarantined(asr)
                 self._count(f"{stage}.fault")
-                if not self.auto_recover:
-                    self._count(f"{stage}.quarantined")
-                    continue
-                try:
-                    self._recover_one(asr, injector)
-                except RecoveryError:
-                    self._count(f"{stage}.quarantined")
-                    continue
-            else:
-                self._mark_consistent(asr)
+                continue
+            self._mark_consistent(asr)
             changed += len(added) + len(removed)
             self._note_rows(asr, len(added) + len(removed), stage)
         return changed

@@ -136,14 +136,12 @@ class Relation:
                     result._rows.add(left_pad + right_row)
         return result
 
-    def project(
-        self, columns: Sequence[int], drop_all_null: bool = True
-    ) -> "Relation":
+    def project(self, columns: Sequence[int]) -> "Relation":
         """Project onto column positions, eliminating duplicates.
 
-        ``drop_all_null`` removes rows whose projected cells are all NULL —
-        such rows carry no path information and the paper's partition
-        cardinality formulas do not count them.
+        Rows whose projected cells are all NULL are dropped — such rows
+        carry no path information and the paper's partition cardinality
+        formulas do not count them.
         """
         for column in columns:
             if not 0 <= column < self.arity:
@@ -152,25 +150,18 @@ class Relation:
         result = Relation(labels)
         for row in self._rows:
             projected = tuple(row[c] for c in columns)
-            if drop_all_null and all(cell is NULL for cell in projected):
+            if all(cell is NULL for cell in projected):
                 continue
             result._rows.add(projected)
         return result
 
-    def slice(self, first: int, last: int, drop_all_null: bool = True) -> "Relation":
+    def slice(self, first: int, last: int) -> "Relation":
         """Project onto the contiguous column range ``first..last`` inclusive."""
-        return self.project(range(first, last + 1), drop_all_null)
+        return self.project(range(first, last + 1))
 
     def where(self, predicate: Callable[[tuple[Cell, ...]], bool]) -> "Relation":
         result = Relation(self.columns)
         result._rows = {row for row in self._rows if predicate(row)}
-        return result
-
-    def rename(self, columns: Sequence[str]) -> "Relation":
-        if len(columns) != self.arity:
-            raise RelationError("rename must preserve arity")
-        result = Relation(columns)
-        result._rows = set(self._rows)
         return result
 
     # ------------------------------------------------------------------

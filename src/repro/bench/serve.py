@@ -71,7 +71,7 @@ from repro.workload.opstream import (
     operation_stream,
     select_stream,
 )
-from repro.workload.profiles import FIG14_MIX, FIG16_MIX
+from repro.workload.profiles import FIG14_MIX
 
 __all__ = [
     "ServeConfig",
@@ -83,7 +83,6 @@ __all__ = [
     "drive_operation_async",
     "operations_table",
     "SMALL_PROFILE",
-    "SMALL_FIG16_PROFILE",
     "SERVE_PROFILES",
     "write_report",
 ]
@@ -97,23 +96,12 @@ SMALL_PROFILE = ApplicationProfile(
     size=(120,) * 5,
 )
 
-#: The Figure 16 application shape (n = 5, growing extents, the
-#: left-complete-vs-full study), scaled to the same build budget as
-#: :data:`SMALL_PROFILE`.
-SMALL_FIG16_PROFILE = ApplicationProfile(
-    c=(20, 20, 40, 80, 320, 480),
-    d=(12, 20, 32, 64, 320),
-    fan=(2, 2, 2, 2, 2),
-    size=(120,) * 6,
-)
-
 #: ``--profile`` choices: name -> (generator profile, operation mix).
 #: ``queries`` serves *textual* selects through the query service (the
 #: ``POST /query`` pipeline: parse → validate → plan cache → execute)
 #: over the Fig. 14 shape, mixed with FIG14 updates.
 SERVE_PROFILES = {
     "fig14": (SMALL_PROFILE, FIG14_MIX),
-    "fig16": (SMALL_FIG16_PROFILE, FIG16_MIX),
     "queries": (SMALL_PROFILE, FIG14_MIX),
 }
 
@@ -144,12 +132,6 @@ class ServeConfig:
     #: are shed unexecuted (``deadline.shed``, counted separately from
     #: admission rejects).  ``None`` disables deadlines.
     op_deadline_ms: float | None = None
-    #: Daemon: admission-pump backoff after shedding into a full queue,
-    #: in milliseconds (jittered ±50% from the run's seed).
-    shed_backoff_ms: float = 1.0
-    #: Entries in the query service's compiled-plan cache (LRU, keyed by
-    #: query shape + ASR epoch); 0 disables caching.
-    query_cache_size: int = 128
     #: Head-sampling probability for request traces (seeded RNG); 0.0
     #: with no ``slow_trace_ms`` disables tracing entirely — the serve
     #: hot paths then pay nothing for it.
@@ -159,8 +141,6 @@ class ServeConfig:
     #: outcomes while tracing is enabled.  ``None`` leaves only head
     #: sampling (when its rate is non-zero).
     slow_trace_ms: float | None = None
-    #: Ring capacity of the retained-trace store (``GET /trace/recent``).
-    trace_capacity: int = 512
 
     def resolved_profile(self) -> tuple[ApplicationProfile, object]:
         """The (generator profile, operation mix) pair of :attr:`profile`."""
@@ -288,14 +268,12 @@ def build_world(
         generated.db,
         Planner(manager, breakers=breakers),
         store=generated.store,
-        cache_size=config.query_cache_size,
         registry=registry,
     )
     tracer = Tracer(
         registry,
         sample_rate=config.trace_sample_rate,
         slow_trace_ms=config.slow_trace_ms,
-        capacity=config.trace_capacity,
         seed=config.seed,
     )
     recorder = WorkloadRecorder(generated.path)

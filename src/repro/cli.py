@@ -41,12 +41,11 @@ Commands
     a path over it.
 
 ``serve [--port P] [--clients N] [--max-inflight M]
-[--io-dist D] [--profile fig14|fig16|queries] [--ops K]
-[--query-fraction F] [--query-cache-size Z]
-[--chaos-rate R] [--op-deadline-ms D] [--shed-backoff-ms B]
+[--io-dist D] [--profile fig14|queries] [--ops K]
+[--query-fraction F] [--chaos-rate R] [--op-deadline-ms D]
 [--healer-interval SEC] [--no-healer]
 [--advisor-interval SEC] [--advisor-threshold G] [--advisor-dry-run]
-[--trace-sample-rate R] [--slow-trace-ms MS] [--trace-capacity N]
+[--trace-sample-rate R] [--slow-trace-ms MS]
 [--out BENCH_serve_daemon.json] [--addr-file F]``
     Run the long-lived serving daemon (:mod:`repro.server`): the seeded
     operation stream replays in a loop — on an event loop behind a
@@ -60,17 +59,17 @@ Commands
     through the query service — parsed, schema-validated, cost-planned
     and run over the shared pool, with compiled plans cached per
     ``(query shape, epoch)`` — the text with its literals abstracted —
-    up to ``--query-cache-size`` entries; parse and
-    validation errors come back as structured HTTP 400 bodies).  Every
-    scrape reads its values when it asks: accounting is checked for it
-    and the drift ratios are computed from the monitor's entries.
+    up to 128 entries; parse and validation errors come back as
+    structured HTTP 400 bodies).  Every scrape reads its values when it
+    asks: accounting is checked for it and the drift ratios are computed
+    from the monitor's entries.
     ``--port 0`` binds an ephemeral port (written to ``--addr-file``);
     SIGINT/SIGTERM drain gracefully and write a final report to
     ``--out``.  A background healer retries quarantined ASRs with
     exponential backoff (``--no-healer`` disables it); ``--chaos-rate``
     arms seeded fault injection against the live stream;
     ``--op-deadline-ms`` sheds queue entries whose deadline passed
-    before execution and ``--shed-backoff-ms`` paces the admission pump
+    before execution, and the admission pump pauses ~1 ms (jittered)
     after a full-queue shed.  Per-ASR circuit breakers open after
     repeated faults and route queries to the degraded GOM traversal
     until a half-open probe heals them (:mod:`repro.resilience`).
@@ -121,7 +120,7 @@ from repro.costmodel import (
 from repro.errors import ReproError
 from repro.query import BackwardQuery, QueryEvaluator
 from repro.resilience.chaos import DEFAULT_CHAOS_POINTS
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, render_prometheus
 from repro.telemetry.tracing import Trace, activate
 from repro.workload import ChainGenerator, FIG14_MIX, measure_profile
 
@@ -162,12 +161,9 @@ def _serve_config_from(args) -> "object":
         profile=args.profile,
         query_fraction=args.query_fraction,
         max_inflight=args.max_inflight,
-        query_cache_size=args.query_cache_size,
         op_deadline_ms=args.op_deadline_ms,
-        shed_backoff_ms=args.shed_backoff_ms,
         trace_sample_rate=args.trace_sample_rate,
         slow_trace_ms=args.slow_trace_ms,
-        trace_capacity=args.trace_capacity,
     )
 
 
@@ -284,9 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--profile",
-        choices=["fig14", "fig16", "queries"],
+        choices=["fig14", "queries"],
         default="fig14",
-        help="application shape to serve (Figure 14 mix, Figure 16 mix, "
+        help="application shape to serve (Figure 14 mix, "
         "or textual selects through the query service)",
     )
     serve.add_argument(
@@ -295,13 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.8,
         help="fraction of the stream that is queries (the rest are "
         "FIG14-style updates); 1.0 keeps the object graph quiescent",
-    )
-    serve.add_argument(
-        "--query-cache-size",
-        type=int,
-        default=128,
-        help="compiled-plan cache capacity for POST /query "
-        "(0 disables caching)",
     )
     serve.add_argument(
         "--trace-sample-rate",
@@ -316,12 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="tail capture: always retain traces slower than this many "
         "milliseconds (and all shed/degraded/breaker-open outcomes)",
-    )
-    serve.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=512,
-        help="ring-buffer capacity of the retained-trace store",
     )
     serve.add_argument(
         "--out",
@@ -368,13 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="shed queue entries older than this at dequeue "
         "time, unexecuted (counted in deadline.shed, separately from "
         "admission rejects)",
-    )
-    serve.add_argument(
-        "--shed-backoff-ms",
-        type=float,
-        default=1.0,
-        help="admission-pump backoff after shedding into a "
-        "full queue (jittered +-50%% from the run's seed)",
     )
     serve.add_argument(
         "--healer-interval",
@@ -772,8 +748,7 @@ def _cmd_stats(args, out) -> int:
         )
         return 1
     if args.prometheus:
-        registry = MetricsRegistry.from_snapshot(metrics or {})
-        print(registry.render_prometheus(), end="", file=out)
+        print(render_prometheus(metrics or {}), end="", file=out)
         return 0
     if args.json:
         print(

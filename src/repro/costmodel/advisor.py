@@ -65,18 +65,18 @@ class DesignAdvisor:
         self,
         mix: OperationMix,
         p_up: float,
-        include_baseline: bool = True,
         max_storage_bytes: float | None = None,
     ) -> list[DesignChoice]:
         """All designs ranked by expected cost (cheapest first).
+
+        The no-support baseline (``extension`` / ``decomposition`` both
+        ``None``, relative cost 1.0) is always among them.
 
         ``max_storage_bytes`` optionally drops designs whose ASR exceeds a
         storage budget — the knob a database designer actually has.
         """
         baseline = self.model.nosupport_cost(mix, p_up)
-        choices: list[DesignChoice] = []
-        if include_baseline:
-            choices.append(DesignChoice(None, None, baseline, 1.0, 0.0))
+        choices = [DesignChoice(None, None, baseline, 1.0, 0.0)]
         for dec in Decomposition.all_for(self.profile.n):
             for extension in Extension:
                 storage_bytes = self.model.storage.relation_bytes(extension, dec)
@@ -99,7 +99,7 @@ class DesignAdvisor:
         max_storage_bytes: float | None = None,
     ) -> DesignChoice:
         """The cheapest design for the mix (possibly the baseline)."""
-        return self.enumerate(mix, p_up, True, max_storage_bytes)[0]
+        return self.enumerate(mix, p_up, max_storage_bytes)[0]
 
     def report(self, mix: OperationMix, p_up: float, top: int = 10) -> str:
         """A human-readable ranking, for the examples and benches."""

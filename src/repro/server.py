@@ -65,13 +65,14 @@ functions from a parsed request to ``(status, content_type, body)``:
     measured ones carrying ``page_reads`` / ``page_writes`` (404 once
     evicted or never retained).
 
-Every HTTP request, scrape included, also self-reports:
-``http.requests{endpoint}`` counts and ``http.latency_ms{endpoint}``
-times ``/metrics``, ``/healthz``, ``/stats``, ``/query``, and the
-``/trace/*`` family (``/trace/:id`` is one label); unrouted paths and
-requests the wire refused (400 / 413 / 431 / 501 / 505) are
-``endpoint="other"``.  ``http.connections`` counts accepted
-connections, so ``http.requests / http.connections`` is the keep-alive
+Every routed HTTP request, scrape included, also self-reports:
+``http.latency_ms{endpoint}`` times (and, through its count, counts)
+``/metrics``, ``/healthz``, ``/stats``, ``/query``, and the
+``/trace/*`` family (``/trace/:id`` is one label); unrouted paths are
+``endpoint="other"``.  Requests the wire refused (400 / 413 / 431 /
+501 / 505) never reach a route and are counted in ``http.rejected``.
+``http.connections`` counts accepted connections, so the
+``http.latency_ms`` count over ``http.connections`` is the keep-alive
 reuse ratio.
 
 ``/metrics``, ``/healthz`` and ``/stats`` check accounting
@@ -140,6 +141,10 @@ from repro.workload.opstream import Operation
 
 __all__ = ["ServerConfig", "ServeDaemon"]
 
+#: The admission pump's pause after a shed, in seconds; each pause is
+#: drawn uniformly from 50-150% of it (the seeded ``_shed_rng`` jitter).
+SHED_BACKOFF_S = 1e-3
+
 
 @dataclass
 class ServerConfig:
@@ -164,9 +169,7 @@ class ServerConfig:
     healer: bool = True
     #: Seconds between healer sweeps of the quarantine set.
     healer_interval: float = 0.25
-    #: Live chaos injection regime (``None`` or rate 0 disables).  When
-    #: enabled the manager's ``auto_recover`` is turned off so the
-    #: healer — not the flush path — owns every recovery.
+    #: Live chaos injection regime (``None`` or rate 0 disables).
     chaos: ChaosConfig | None = None
     #: Seconds between :class:`~repro.asr.adaptive.AdvisorLoop` sweeps
     #: re-costing the chain ASR's (extension, decomposition) against the
@@ -251,7 +254,7 @@ class ServeDaemon:
             partial(_serve, self),
             on_connect=lambda: registry.inc("http.connections"),
             # Refused at the wire, so no route ever saw it.
-            on_reject=lambda: registry.inc("http.requests", endpoint="other"),
+            on_reject=lambda: registry.inc("http.rejected"),
         ).start()
         if config.addr_file:
             host, port = self.address
@@ -275,10 +278,6 @@ class ServeDaemon:
             # client loops instead of quarantining ASRs.
             injector = FaultInjector(seed=config.chaos.seed)
             manager.fault_injector = injector
-            # The healer, not the flush path, owns recovery under
-            # chaos — otherwise every fault heals in-place before the
-            # resilience layer ever sees it.
-            manager.auto_recover = False
             self._chaos = ChaosController(injector, config.chaos, registry)
         if config.healer:
             self._healer = HealerLoop(
@@ -430,7 +429,6 @@ class ServeDaemon:
                         world.registry.counter_value("admission.rejected")
                     ),
                     "max_shed_streak": self._max_shed_streak,
-                    "shed_backoff_ms": config.serve.shed_backoff_ms,
                 },
                 "end_state": {
                     "quarantined": end_quarantined,
@@ -515,13 +513,12 @@ class ServeDaemon:
         The core's admission queue is the overload boundary: a full
         queue sheds the arrival with a counted rejection instead of
         queueing unboundedly.  The post-shed backoff is
-        ``--shed-backoff-ms`` with ±50% seeded jitter, so a saturated
+        :data:`SHED_BACKOFF_S` with ±50% seeded jitter, so a saturated
         pump neither spins (zero backoff) nor beats in lockstep with the
         drain rate (fixed backoff).
         """
         core = self._core
         registry = self.world.registry
-        backoff = max(0.0, self.config.serve.shed_backoff_ms) / 1e3
         while not core.errors:
             op = self._next_op()
             if op is None:
@@ -536,7 +533,7 @@ class ServeDaemon:
                 if self._shed_streak > self._max_shed_streak:
                     self._max_shed_streak = self._shed_streak
                 await asyncio.sleep(
-                    backoff * (0.5 + self._shed_rng.random()) if backoff else 0
+                    SHED_BACKOFF_S * (0.5 + self._shed_rng.random())
                 )
             else:
                 self._shed_streak = 0
@@ -649,9 +646,6 @@ class ServeDaemon:
             pages = outcome.report.total_pages
             if pages:
                 self._core.device.charge(pages, trace=trace)
-        world.registry.inc(
-            "serve.queries", cached="true" if outcome.cached else "false"
-        )
         return outcome
 
     def advisor_payload(self) -> dict:
@@ -814,9 +808,9 @@ def _serve(daemon: ServeDaemon, request: Request) -> Reply:
 
     Route and ``endpoint`` label come from the same query-stripped path,
     whatever the method.  Every endpoint — scrapes included — lands in
-    ``http.requests{endpoint}`` / ``http.latency_ms{endpoint}``, so the
-    observability plane observes itself; a handler's exception passes
-    through (counted) to the wire's 500.
+    ``http.latency_ms{endpoint}`` (its count is the request count), so
+    the observability plane observes itself; a handler's exception
+    passes through (counted) to the wire's 500.
     """
     registry = daemon.world.registry
     route = _route(request.path)
@@ -830,7 +824,6 @@ def _serve(daemon: ServeDaemon, request: Request) -> Reply:
             )
         return route.handler(daemon, request)
     finally:
-        registry.inc("http.requests", endpoint=endpoint)
         registry.observe(
             "http.latency_ms",
             (time.perf_counter() - started) * 1e3,

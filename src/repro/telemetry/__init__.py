@@ -25,6 +25,7 @@ from repro.telemetry.registry import (
     MetricsRegistry,
     QUANTILE_POINTS,
     estimate_quantile,
+    render_prometheus,
 )
 from repro.telemetry.tracing import (
     Trace,
@@ -63,6 +64,7 @@ __all__ = [
     "MetricsRegistry",
     "HistogramState",
     "estimate_quantile",
+    "render_prometheus",
     "QUANTILE_POINTS",
     "Tracer",
     "Trace",

@@ -55,6 +55,7 @@ __all__ = [
     "MetricsRegistry",
     "HistogramState",
     "estimate_quantile",
+    "render_prometheus",
     "QUANTILE_POINTS",
 ]
 
@@ -442,114 +443,16 @@ class MetricsRegistry:
             },
         }
 
-    @classmethod
-    def from_snapshot(cls, data: dict) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`snapshot` output.
-
-        Callable gauges come back as plain gauges (their last snapshot
-        value); histograms keep their buckets, so the Prometheus
-        exposition of a restored registry matches the original.
-        """
-        registry = cls()
-        for name, entries in data.get("counters", {}).items():
-            for entry in entries:
-                registry.inc(name, entry["value"], **entry.get("labels", {}))
-        for name, entries in data.get("gauges", {}).items():
-            for entry in entries:
-                registry.set_gauge(name, entry["value"], **entry.get("labels", {}))
-        for name, entries in data.get("histograms", {}).items():
-            family = registry._histograms.setdefault(name, {})
-            for entry in entries:
-                state = HistogramState(
-                    count=entry["count"],
-                    total=entry["sum"],
-                    min=entry["min"] if entry["count"] else math.inf,
-                    max=entry["max"] if entry["count"] else -math.inf,
-                )
-                for bucket in entry.get("buckets", ()):
-                    le = bucket["le"]
-                    index = None if le <= 0 else round(math.log(le, BUCKET_BASE))
-                    state.buckets[index] = bucket["count"]
-                if entry.get("exemplar") is not None:
-                    state.exemplar = dict(entry["exemplar"])
-                family[_label_key(entry.get("labels", {}))] = state
-        return registry
-
     # ------------------------------------------------------------------
     # exposition
     # ------------------------------------------------------------------
 
     def render_prometheus(self, prefix: str = "repro") -> str:
-        """The registry in the Prometheus text exposition format.
+        """The live registry in the Prometheus text exposition format.
 
-        Counter families render as ``<prefix>_<name>_total``, gauges as
-        ``<prefix>_<name>``, histograms as the conventional
-        ``_bucket``/``_sum``/``_count`` triplet with cumulative ``le``
-        bounds (the fixed powers of :data:`BUCKET_BASE`).
+        Exactly :func:`render_prometheus` of :meth:`snapshot`.
         """
-        snap = self.snapshot()
-        lines: list[str] = []
-
-        def fmt_labels(labels: dict, extra: dict | None = None) -> str:
-            merged = dict(labels)
-            if extra:
-                merged.update(extra)
-            if not merged:
-                return ""
-            inner = ",".join(
-                f'{_sanitize(k)}="{_escape_label_value(v)}"'
-                for k, v in sorted(merged.items())
-            )
-            return "{" + inner + "}"
-
-        for name, entries in snap["counters"].items():
-            metric = f"{prefix}_{_sanitize(name)}_total"
-            lines.append(f"# TYPE {metric} counter")
-            for entry in entries:
-                lines.append(f"{metric}{fmt_labels(entry['labels'])} {entry['value']}")
-        for name, entries in snap["gauges"].items():
-            metric = f"{prefix}_{_sanitize(name)}"
-            lines.append(f"# TYPE {metric} gauge")
-            for entry in entries:
-                lines.append(f"{metric}{fmt_labels(entry['labels'])} {entry['value']}")
-        for name, entries in snap["histograms"].items():
-            metric = f"{prefix}_{_sanitize(name)}"
-            lines.append(f"# TYPE {metric} histogram")
-            for entry in entries:
-                exemplar = entry.get("exemplar")
-                cumulative = 0
-                for bucket in entry["buckets"]:
-                    cumulative += bucket["count"]
-                    line = (
-                        f"{metric}_bucket"
-                        f"{fmt_labels(entry['labels'], {'le': bucket['le']})}"
-                        f" {cumulative}"
-                    )
-                    if exemplar is not None and exemplar.get("le") == bucket["le"]:
-                        # OpenMetrics exemplar: `# {trace_id="…"} value`.
-                        line += (
-                            " # {trace_id="
-                            f'"{_escape_label_value(exemplar["trace_id"])}"'
-                            f"}} {exemplar['value']}"
-                        )
-                    lines.append(line)
-                lines.append(
-                    f"{metric}_bucket{fmt_labels(entry['labels'], {'le': '+Inf'})}"
-                    f" {entry['count']}"
-                )
-                lines.append(f"{metric}_sum{fmt_labels(entry['labels'])} {entry['sum']}")
-                lines.append(
-                    f"{metric}_count{fmt_labels(entry['labels'])} {entry['count']}"
-                )
-            lines.append(f"# TYPE {metric}_quantile gauge")
-            for entry in entries:
-                for q in QUANTILE_POINTS:
-                    lines.append(
-                        f"{metric}_quantile"
-                        f"{fmt_labels(entry['labels'], {'quantile': q})}"
-                        f" {estimate_quantile(entry, q)}"
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
+        return render_prometheus(self.snapshot(), prefix)
 
     def __repr__(self) -> str:
         with self._lock:
@@ -558,3 +461,77 @@ class MetricsRegistry:
                 f"gauges={len(self._gauges) + len(self._gauge_fns)}, "
                 f"histograms={len(self._histograms)})"
             )
+
+
+def render_prometheus(snapshot: dict, prefix: str = "repro") -> str:
+    """A :meth:`MetricsRegistry.snapshot` in the Prometheus text format.
+
+    Counter families render as ``<prefix>_<name>_total``, gauges as
+    ``<prefix>_<name>``, histograms as the conventional
+    ``_bucket``/``_sum``/``_count`` triplet with cumulative ``le``
+    bounds (the fixed powers of :data:`BUCKET_BASE`).  The live
+    ``GET /metrics`` scrape and ``repro stats --prometheus`` over a
+    saved drain report both render through here.
+    """
+    lines: list[str] = []
+
+    def fmt_labels(labels: dict, extra: dict | None = None) -> str:
+        merged = dict(labels)
+        if extra:
+            merged.update(extra)
+        if not merged:
+            return ""
+        inner = ",".join(
+            f'{_sanitize(k)}="{_escape_label_value(v)}"'
+            for k, v in sorted(merged.items())
+        )
+        return "{" + inner + "}"
+
+    for name, entries in snapshot.get("counters", {}).items():
+        metric = f"{prefix}_{_sanitize(name)}_total"
+        lines.append(f"# TYPE {metric} counter")
+        for entry in entries:
+            lines.append(f"{metric}{fmt_labels(entry['labels'])} {entry['value']}")
+    for name, entries in snapshot.get("gauges", {}).items():
+        metric = f"{prefix}_{_sanitize(name)}"
+        lines.append(f"# TYPE {metric} gauge")
+        for entry in entries:
+            lines.append(f"{metric}{fmt_labels(entry['labels'])} {entry['value']}")
+    for name, entries in snapshot.get("histograms", {}).items():
+        metric = f"{prefix}_{_sanitize(name)}"
+        lines.append(f"# TYPE {metric} histogram")
+        for entry in entries:
+            exemplar = entry.get("exemplar")
+            cumulative = 0
+            for bucket in entry["buckets"]:
+                cumulative += bucket["count"]
+                line = (
+                    f"{metric}_bucket"
+                    f"{fmt_labels(entry['labels'], {'le': bucket['le']})}"
+                    f" {cumulative}"
+                )
+                if exemplar is not None and exemplar.get("le") == bucket["le"]:
+                    # OpenMetrics exemplar: `# {trace_id="…"} value`.
+                    line += (
+                        " # {trace_id="
+                        f'"{_escape_label_value(exemplar["trace_id"])}"'
+                        f"}} {exemplar['value']}"
+                    )
+                lines.append(line)
+            lines.append(
+                f"{metric}_bucket{fmt_labels(entry['labels'], {'le': '+Inf'})}"
+                f" {entry['count']}"
+            )
+            lines.append(f"{metric}_sum{fmt_labels(entry['labels'])} {entry['sum']}")
+            lines.append(
+                f"{metric}_count{fmt_labels(entry['labels'])} {entry['count']}"
+            )
+        lines.append(f"# TYPE {metric}_quantile gauge")
+        for entry in entries:
+            for q in QUANTILE_POINTS:
+                lines.append(
+                    f"{metric}_quantile"
+                    f"{fmt_labels(entry['labels'], {'quantile': q})}"
+                    f" {estimate_quantile(entry, q)}"
+                )
+    return "\n".join(lines) + ("\n" if lines else "")

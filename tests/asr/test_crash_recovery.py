@@ -27,10 +27,10 @@ FLUSH_POINTS = ("asr.flush.journal", "asr.flush.mid-delta", "asr.flush.post-delt
 APPLY_POINTS = ("asr.apply.journal", "asr.apply.mid-delta", "asr.apply.post-delta")
 
 
-def managed_world(**manager_kwargs):
+def managed_world():
     db, path, parts, sets, prods = make_world()
     injector = FaultInjector(seed=0)
-    manager = ASRManager(db, fault_injector=injector, **manager_kwargs)
+    manager = ASRManager(db, fault_injector=injector)
     return db, path, parts, sets, prods, injector, manager
 
 
@@ -136,23 +136,8 @@ class TestCrashPoints:
 
 
 class TestTransientFaults:
-    def test_flush_fault_auto_recovers_in_place(self):
-        db, path, parts, sets, prods, injector, manager = managed_world()
-        manager.context = ExecutionContext()
-        asr = manager.create(path, Extension.FULL)
-        seed_rows(db, parts, sets, prods)
-        injector.fault_at("asr.flush.mid-delta", times=1)
-        with manager.batch():  # no exception escapes: transient + retried
-            db.set_insert(sets[0], parts[5])
-        assert asr.state is ASRState.CONSISTENT
-        assert manager.context.op_counts.get("asr.flush.fault") == 1
-        assert manager.context.op_counts.get("asr.recover.ok") == 1
-        manager.check_consistency()
-
     def test_without_auto_recover_flush_continues_degraded(self):
-        db, path, parts, sets, prods, injector, manager = managed_world(
-            auto_recover=False
-        )
+        db, path, parts, sets, prods, injector, manager = managed_world()
         asr = manager.create(path, Extension.FULL)
         seed_rows(db, parts, sets, prods)
         injector.fault_at("asr.flush.mid-delta", times=1)
@@ -163,9 +148,7 @@ class TestTransientFaults:
         manager.check_consistency()
 
     def test_recovery_retries_through_transient_faults(self):
-        db, path, parts, sets, prods, injector, manager = managed_world(
-            auto_recover=False
-        )
+        db, path, parts, sets, prods, injector, manager = managed_world()
         manager.context = ExecutionContext()
         asr = manager.create(path, Extension.RIGHT)
         seed_rows(db, parts, sets, prods)
@@ -185,9 +168,7 @@ class TestTransientFaults:
         manager.check_consistency()
 
     def test_exhausted_retries_fall_back_to_rebuild(self):
-        db, path, parts, sets, prods, injector, manager = managed_world(
-            auto_recover=False
-        )
+        db, path, parts, sets, prods, injector, manager = managed_world()
         manager.context = ExecutionContext()
         asr = manager.create(path, Extension.LEFT)
         seed_rows(db, parts, sets, prods)
@@ -209,9 +190,7 @@ class TestTransientFaults:
         manager.check_consistency()
 
     def test_reload_fault_raises_after_one_attempt(self):
-        db, path, parts, sets, prods, injector, manager = managed_world(
-            auto_recover=False
-        )
+        db, path, parts, sets, prods, injector, manager = managed_world()
         manager.context = ExecutionContext()
         asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
         seed_rows(db, parts, sets, prods)
@@ -226,9 +205,7 @@ class TestTransientFaults:
         assert asr.state is ASRState.QUARANTINED
 
     def test_probabilistic_write_faults_quarantine_not_tear(self):
-        db, path, parts, sets, prods, injector, manager = managed_world(
-            auto_recover=False
-        )
+        db, path, parts, sets, prods, injector, manager = managed_world()
         manager.context = ExecutionContext(fault_injector=injector)
         asr = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
         seed_rows(db, parts, sets, prods)
@@ -254,9 +231,7 @@ class TestBackoffLockDiscipline:
         while the healer paces a failing ASR, a concurrent reader
         acquires the read side promptly.
         """
-        db, path, parts, sets, prods, injector, manager = managed_world(
-            auto_recover=False
-        )
+        db, path, parts, sets, prods, injector, manager = managed_world()
         manager.context = ExecutionContext()
         asr = manager.create(path, Extension.FULL)
         seed_rows(db, parts, sets, prods)

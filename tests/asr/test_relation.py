@@ -92,7 +92,6 @@ class TestProjectionsAndSelections:
     def test_project_drops_all_null(self):
         r = rel(["a", "b"], [(NULL, B), (NULL, NULL)])
         assert r.project([0]).rows == set()
-        assert r.project([0], drop_all_null=False).rows == {(NULL,)}
 
     def test_slice(self):
         r = rel(["a", "b", "c"], [(A, B, C)])
@@ -115,12 +114,6 @@ class TestProjectionsAndSelections:
     def test_complete_rows(self):
         r = rel(["a", "b"], [(A, B), (A, NULL)])
         assert r.complete_rows().rows == {(A, B)}
-
-    def test_rename(self):
-        r = rel(["a"], [(A,)])
-        assert r.rename(["z"]).columns == ("z",)
-        with pytest.raises(RelationError):
-            r.rename(["x", "y"])
 
     def test_pretty_contains_rows(self):
         text = rel(["a", "b"], [(A, B)]).pretty()

@@ -41,10 +41,6 @@ class TestEnumeration:
         costs = [choice.cost for choice in choices]
         assert costs == sorted(costs)
 
-    def test_baseline_can_be_excluded(self, advisor):
-        choices = advisor.enumerate(MIX, p_up=0.2, include_baseline=False)
-        assert all(choice.extension is not None for choice in choices)
-
     def test_cost_matches_mix_model(self, advisor):
         model = MixCostModel(PROFILE)
         for choice in advisor.enumerate(MIX, p_up=0.3)[:5]:

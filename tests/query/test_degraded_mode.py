@@ -54,7 +54,7 @@ class TestPlannerSkipsQuarantined:
     def test_planner_prefers_surviving_decomposition(self, company_world):
         db, path, o = company_world
         injector = FaultInjector()
-        manager = ASRManager(db, fault_injector=injector, auto_recover=False)
+        manager = ASRManager(db, fault_injector=injector)
         torn = manager.create(path, Extension.FULL, Decomposition.binary(path.m))
         survivor = manager.create(path, Extension.FULL, Decomposition.none(path.m))
         planner = Planner(manager)

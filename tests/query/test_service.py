@@ -107,7 +107,7 @@ class TestPlanCaching:
         db, path, objects = company_world
         registry = MetricsRegistry()
         injector = FaultInjector()
-        manager = ASRManager(db, fault_injector=injector, auto_recover=False)
+        manager = ASRManager(db, fault_injector=injector)
         manager.create(path, Extension.FULL, Decomposition.none(path.m))
         service = QueryService(db, Planner(manager), cache_size=8, registry=registry)
         healthy = service.execute(QUERY)
@@ -239,7 +239,7 @@ class TestShapeCaching:
 
     def test_a_degraded_plan_is_not_cached(self, company_world):
         db, path, _objects = company_world
-        manager = ASRManager(db, auto_recover=False)
+        manager = ASRManager(db)
         asr = manager.create(path, Extension.FULL, Decomposition.none(path.m))
         service = QueryService(db, Planner(manager), cache_size=8)
         with manager.lock.write():

@@ -13,7 +13,6 @@ from tests.asr.test_crash_recovery import managed_world, seed_rows
 
 def quarantine(db, parts, sets, injector, manager, *, times=1):
     """Tear an eager apply so the first ASR lands in quarantine."""
-    manager.auto_recover = False
     injector.fault_at("asr.apply.mid-delta", times=times)
     db.set_insert(sets[0], parts[5])
     (asr,) = manager.asrs
@@ -179,7 +178,6 @@ class TestHealerRacesAStorm:
         db, path, parts, sets, prods, injector, manager = managed_world()
         manager.create(path, Extension.FULL, Decomposition.binary(path.m))
         seed_rows(db, parts, sets, prods)
-        manager.auto_recover = False
         (asr,) = manager.asrs
         healer = HealerLoop(manager, interval=0.001).start()
         stop = threading.Event()

@@ -6,7 +6,7 @@ registry — directly, through the thin per-module wrappers below, or as
 the ``MetricsRegistry.series`` a context's tally publishes under — and
 against the daemon's one route table.  Labels are checked for the four
 series a query publishes to its context (:data:`TALLIED`) and for
-``http.requests{endpoint}``; other labels and flags are not covered yet.
+``http.latency_ms{endpoint}``; other labels and flags are not covered yet.
 """
 
 import ast
@@ -112,9 +112,9 @@ def test_documented_endpoints_are_exactly_the_route_table():
     text = (ROOT / "docs" / "observability.md").read_text()
     documented = set(re.findall(r"^\| `((?:GET|POST) /[^`]*)` \|", text, re.MULTILINE))
     assert documented == {route.documented for route in _ROUTES}
-    # The `endpoint` label values of `http.requests` are the same table.
+    # The `endpoint` label values of `http.latency_ms` are the same table.
     row = next(
-        line for line in text.splitlines() if line.startswith("| `http.requests`")
+        line for line in text.splitlines() if line.startswith("| `http.latency_ms`")
     )
     labels = set(re.findall(r"`(/[^`]*|other)`", row.split("|")[3]))
     assert labels == {route.label for route in _ROUTES} | {"other"}

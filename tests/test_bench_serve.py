@@ -135,10 +135,12 @@ class TestServeBench:
         )
 
     def test_stats_registry_round_trips_from_report(self, tiny):
-        from repro.telemetry import MetricsRegistry
+        from repro.telemetry import render_prometheus
 
-        restored = MetricsRegistry.from_snapshot(tiny[0].registry.snapshot())
-        text = restored.render_prometheus()
+        registry = tiny[0].registry
+        saved = json.loads(json.dumps(registry.snapshot()))
+        text = render_prometheus(saved)
+        assert text == registry.render_prometheus()
         assert "repro_pool_hit_rate" in text
         assert "repro_op_latency_ms_count" in text
 
@@ -203,22 +205,11 @@ class TestServeProfiles:
     def test_known_profiles_resolve(self):
         profile, mix = ServeConfig(profile="fig14").resolved_profile()
         assert profile is SERVE_PROFILES["fig14"][0]
-        profile16, _ = ServeConfig(profile="fig16").resolved_profile()
-        assert len(profile16.c) == 6  # the n = 5 Figure 16 chain
+        assert sorted(SERVE_PROFILES) == ["fig14", "queries"]
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError, match="unknown serve profile"):
             ServeConfig(profile="fig99").resolved_profile()
-
-    def test_fig16_serves_end_to_end(self):
-        config = ServeConfig(
-            clients=2, ops=16, seed=3, capacity=64, io_micros=20.0, profile="fig16"
-        )
-        world, core = replay(config)
-        assert world.generated.n == 5
-        assert core.completed == 16
-        assert world.pool.check_accounting()["ok"] is True
-        assert world.drift.report()["overall"]["finite"] is True
 
 
 class TestExecutorWorkers:

@@ -246,14 +246,14 @@ class TestBenchServe:
                 "serve", "--clients", "2", "--ops", "16", "--capacity", "16",
                 "--io-micros", "1000", "--io-dist", "lognormal:0.3",
                 "--max-inflight", "32", "--op-deadline-ms", "50",
-                "--shed-backoff-ms", "2", "--profile", "fig16",
+                "--profile", "queries",
             ]
         )
         config = _serve_config_from(args)
         assert (config.clients, config.ops, config.capacity) == (2, 16, 16)
         assert (config.io_micros, config.io_dist) == (1000.0, "lognormal:0.3")
-        assert (config.max_inflight, config.profile) == (32, "fig16")
-        assert (config.op_deadline_ms, config.shed_backoff_ms) == (50.0, 2.0)
+        assert (config.max_inflight, config.profile) == (32, "queries")
+        assert config.op_deadline_ms == 50.0
 
     def test_chaos_rate_alone_strikes_the_default_points(self):
         # Recovery-point storms are opt-in: ``--chaos-rate`` without

@@ -29,10 +29,6 @@ USERS = ("src", "benchmarks", "examples", ".github")
 
 #: Qualified name -> why it stays although only tests reach it.
 KEEP = {
-    "repro.asr.relation.Relation.rename": (
-        "relational algebra: renames a relation's columns beside its "
-        "join / project / slice / where"
-    ),
     "repro.concurrency.RWLock.write_held": (
         "test oracle: the write side's re-entrancy in tests/test_concurrency.py"
     ),

@@ -106,6 +106,12 @@ def planned(registry) -> float:
     )
 
 
+def routed(registry, endpoint: str) -> int:
+    """Requests routed to ``endpoint``: its ``http.latency_ms`` count."""
+    state = registry.histogram("http.latency_ms", endpoint=endpoint)
+    return 0 if state is None else state.count
+
+
 class TestQueryEndpoint:
     def test_rows_strategy_and_cost_returned(self, quiet_daemon):
         status, payload = post_query(quiet_daemon, QUERY)
@@ -139,7 +145,6 @@ class TestQueryEndpoint:
         assert first_status == 200 and first["cached"] is False
         hits = registry.counter_value("query.cache.hits")
         plans = planned(registry)
-        served_cached = registry.counter_value("serve.queries", cached="true")
         second_status, second = post_query(quiet_daemon, QUERY)
         assert second_status == 200 and second["cached"] is True
         assert second["rows"] == first["rows"]
@@ -147,10 +152,6 @@ class TestQueryEndpoint:
         assert registry.counter_value("query.cache.hits") == hits + 1
         # The acceptance bar: a hit does no planning work at all.
         assert planned(registry) == plans
-        assert (
-            registry.counter_value("serve.queries", cached="true")
-            == served_cached + 1
-        )
 
     def test_whitespace_variant_shares_the_cached_plan(self, quiet_daemon):
         post_query(quiet_daemon, QUERY)
@@ -290,14 +291,14 @@ class TestQueryErrors:
         # One split of the target serves both: a query string neither
         # hides the route nor mislabels the 404.
         registry = quiet_daemon.world.registry
-        before = registry.counter_value("http.requests", endpoint=label)
+        before = routed(registry, label)
         status, payload = post(
             quiet_daemon, target, json.dumps({"query": QUERY}).encode()
         )
         assert status == expected_status
         if status == 404:
             assert payload["error"] == f"unknown path {target!r}"
-        assert registry.counter_value("http.requests", endpoint=label) == before + 1
+        assert routed(registry, label) == before + 1
 
 
 class TestWire:
@@ -305,9 +306,9 @@ class TestWire:
 
     def test_one_kept_alive_connection_carries_three_requests(self, quiet_daemon):
         registry = quiet_daemon.world.registry
-        def requests_total() -> float:
-            family = registry.snapshot()["counters"].get("http.requests", [])
-            return sum(entry["value"] for entry in family)
+        def requests_total() -> int:
+            family = registry.snapshot()["histograms"].get("http.latency_ms", [])
+            return sum(entry["count"] for entry in family)
 
         connections = registry.counter_value("http.connections")
         requests = requests_total()
@@ -328,16 +329,18 @@ class TestWire:
         assert registry.counter_value("http.connections") == connections + 1
         assert requests_total() == requests + 3
 
-    def test_refused_at_the_wire_is_counted_as_other(self, quiet_daemon):
+    def test_refused_at_the_wire_is_counted_as_rejected(self, quiet_daemon):
         registry = quiet_daemon.world.registry
-        before = registry.counter_value("http.requests", endpoint="other")
+        before = registry.counter_value("http.rejected")
+        other = routed(registry, "other")
         with socket.create_connection(quiet_daemon.address, timeout=10) as conn:
             conn.sendall(b"GARBAGE\r\n\r\n")
             reply = b""
             while chunk := conn.recv(65536):
                 reply += chunk
         assert reply.startswith(b"HTTP/1.1 400 ")
-        assert registry.counter_value("http.requests", endpoint="other") == before + 1
+        assert registry.counter_value("http.rejected") == before + 1
+        assert routed(registry, "other") == other  # no route saw it
 
     def test_shutdown_does_not_wait_out_a_parked_connection(self, quiet_daemon):
         client = http.client.HTTPConnection(*quiet_daemon.address, timeout=10)
@@ -359,7 +362,7 @@ class TestWire:
 
         monkeypatch.setattr(quiet_daemon, "execute_query", broken)
         registry = quiet_daemon.world.registry
-        before = registry.counter_value("http.requests", endpoint="/query")
+        before = routed(registry, "/query")
         host, port = quiet_daemon.address
         request = urllib.request.Request(
             f"http://{host}:{port}/query",
@@ -372,7 +375,7 @@ class TestWire:
         assert caught.value.read() == json.dumps(
             {"error": repr(RuntimeError("kaboom"))}, indent=2
         ).encode()
-        assert registry.counter_value("http.requests", endpoint="/query") == before + 1
+        assert routed(registry, "/query") == before + 1
 
 
 class TestDegradedFallback:

@@ -21,6 +21,7 @@ from repro.server import ServeDaemon, ServerConfig
 from repro.telemetry.tracing import PHASES
 
 from tests.telemetry.test_one_span_model import LAYER_PREFIXES, measured_pages
+from tests.test_server_query import routed
 
 #: A shape the replay stream never sends (its literals are on the
 #: right), so the first POST of a test is a plan-cache miss.
@@ -274,32 +275,24 @@ class TestHttpSelfMetrics:
         ):
             # Self-metrics land in a finally after the response bytes
             # are on the wire, so allow the handler thread to catch up.
-            assert wait_until(
-                lambda: registry.counter_value("http.requests", endpoint=endpoint)
-                >= 1
-            ), f"uncounted endpoint {endpoint!r}"
-            hist = registry.histogram("http.latency_ms", endpoint=endpoint)
-            assert hist is not None and hist.count >= 1
+            assert wait_until(lambda: routed(registry, endpoint) >= 1), (
+                f"uncounted endpoint {endpoint!r}"
+            )
 
     def test_unknown_paths_collapse_into_one_label(self, traced_daemon):
         http_get(traced_daemon, "/nope")
         http_get(traced_daemon, "/also/nope")
         registry = traced_daemon.world.registry
-        assert wait_until(
-            lambda: registry.counter_value("http.requests", endpoint="other") >= 2
-        )
+        assert wait_until(lambda: routed(registry, "other") >= 2)
 
     def test_self_metrics_appear_in_the_exposition(self, traced_daemon):
         registry = traced_daemon.world.registry
         http_get(traced_daemon, "/metrics")
         # The self-metric lands in a finally *after* the response bytes
         # are on the wire, so wait for it before the next scrape.
-        assert wait_until(
-            lambda: registry.counter_value("http.requests", endpoint="/metrics")
-            >= 1
-        )
+        assert wait_until(lambda: routed(registry, "/metrics") >= 1)
         _status, text = http_get(traced_daemon, "/metrics")
-        assert 'repro_http_requests_total{endpoint="/metrics"}' in text
+        assert 'repro_http_latency_ms_count{endpoint="/metrics"}' in text
         assert "repro_http_latency_ms_bucket" in text
         # Derived quantiles ride along on every histogram family.
         assert 'repro_http_latency_ms_quantile{' in text
@@ -348,7 +341,6 @@ class TestTraceIntegrityUnderConcurrency:
                 io_dist="fixed",
                 io_micros=50.0,
                 query_fraction=0.8,
-                trace_capacity=2048,
             )
         )
         daemon.start()
