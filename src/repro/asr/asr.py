@@ -149,18 +149,15 @@ def prefix_bounds(cell: Cell) -> tuple[tuple, tuple]:
     return (prefix, ()), (prefix + (0,),)
 
 
-def _concatenated(slices) -> list:
-    """The values of a :meth:`BPlusTree.leaf_slices` walk, leaf after leaf."""
-    rows: list = []
-    for _keys, values in slices:
-        rows += values
-    return rows
-
-
 def _prefix_scan(tree: BPlusTree, cell: Cell, buffer) -> list[tuple[Cell, ...]]:
-    """The rows ``tree`` clusters under ``cell`` (one descent, its leaves)."""
+    """The rows ``tree`` clusters under ``cell`` (one descent, its leaves).
+
+    Read through the tree's walk memo (:meth:`BPlusTree.walk`): charged
+    when called, as two page runs, and walked once per version of the
+    tree; an uncharged read that misses stores nothing.
+    """
     lo, hi = prefix_bounds(cell)
-    return _concatenated(tree.leaf_slices(lo, hi, buffer))
+    return tree.walk(lo, hi, buffer)
 
 
 def _equal_cells(cell: Cell) -> tuple[Cell, ...]:
@@ -350,13 +347,12 @@ class StoredPartition:
         never returned, however low ``lo`` is: a NULL terminal satisfies
         no comparison.
         """
-        return _concatenated(
-            self.backward_tree.leaf_slices(
-                (max(cell_key(lo), _ABOVE_NULL), ()),
-                (cell_key(hi), ()),
-                resolve_buffer(context),
-            )
-        )
+        rows: list[tuple[Cell, ...]] = []
+        for _keys, values in self.backward_tree.leaf_slices(
+            (max(cell_key(lo), _ABOVE_NULL), ()), (cell_key(hi), ()), resolve_buffer(context)
+        ):
+            rows += values
+        return rows
 
 
 #: How an :class:`AccessStep` enters its partition (Eqs. 33/34): prefix
@@ -763,12 +759,12 @@ class AccessSupportRelation:
             assert tree_rows == set(expected_counts), "forward tree drifted"
             tree_rows = {value for _, value in partition.backward_tree.items()}
             assert tree_rows == set(expected_counts), "backward tree drifted"
+        del expected_counts, tree_rows  # not held through the recomposition
         actual = self.recompose()
-        missing = expected.rows - actual.rows
-        spurious = actual.rows - expected.rows
-        assert not missing and not spurious, (
-            f"ASR drifted from object base: missing={sorted(missing, key=row_key)[:5]} "
-            f"spurious={sorted(spurious, key=row_key)[:5]}"
+        assert actual == expected, (
+            "ASR drifted from object base: "
+            f"missing={sorted(expected.rows - actual.rows, key=row_key)[:5]} "
+            f"spurious={sorted(actual.rows - expected.rows, key=row_key)[:5]}"
         )
         assert self.tuple_count == len(expected), (
             f"ASR counts {self.tuple_count} rows for {len(expected)}"

@@ -39,6 +39,13 @@ the leftmost descent as one ``touch_many`` run, the leaf chain as
 another, so a pool decides each run under one hold of its lock.  Those
 page ids are a cached *charge list*, dropped by every change of the
 tree's shape (a split, a merge, a new or collapsed root).
+
+The third cache is the *walk memo* behind :meth:`BPlusTree.walk`, the
+eager read of one key interval that partition lookups use: per interval,
+the page ids its walk touches and the values it found, recorded from one
+:meth:`leaf_slices` walk.  A repeat read charges those ids as two
+``touch_many`` runs and copies the values, with no descent and no
+bisect.  Every insert and delete empties it.
 """
 
 from __future__ import annotations
@@ -106,14 +113,19 @@ class BPlusTree:
         # Leaf pages; only ``_split_leaf``, a leaf ``_merge`` and
         # ``bulk_load`` change it.
         self._leaves = 1
-        # offset -> column directory (cell -> its (key, value) pairs in
-        # key order), built on the first probe of the offset.
+        # Three caches.  offset -> column directory (cell -> its (key,
+        # value) pairs in key order), built on the first probe of the
+        # offset; never dropped, ``insert`` and ``delete`` keep it.
         self._columns: dict[int, dict[Any, list[tuple[Any, Any]]]] = {}
         # The pages a column probe charges, (descent ids, leaf chain ids);
         # None after any change of the tree's shape.  Only ``_split_leaf``
         # and ``_merge`` drop it: an interior split or a new root follows
         # a leaf split, and a root collapse follows a merge.
         self._charges: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        # The walk memo: (lo, hi) -> (descent ids, leaf ids, values) of a
+        # charged ``walk``.  Every ``insert`` and ``delete`` empties it:
+        # a walk reads the keys just past its interval too.
+        self._walks: dict[tuple[Any, Any], tuple[tuple, tuple, list]] = {}
 
     # ------------------------------------------------------------------
     # basic queries
@@ -228,6 +240,54 @@ class BPlusTree:
             leaf = leaf.next
             start = 0
 
+    def walk(self, lo: Any, hi: Any, context=None) -> list[Any]:
+        """The values under ``lo <= key < hi``, charged when called.
+
+        Pages are charged as :meth:`leaf_slices` charges them — same
+        pages, same categories, same order, including the leaf on which
+        the scan finds out it is over — but in two ``touch_many`` runs,
+        the descent and then the leaves, to the buffer resolved at the
+        call: unlike :meth:`leaf_slices`, the read is not lazy.
+
+        A charged read of an interval not in the walk memo records one
+        :meth:`leaf_slices` walk (a recording buffer collects its page
+        ids) and stores it while the memo holds fewer entries than the
+        tree has keys, so reads of absent keys cannot grow it past the
+        tree.  A repeat read charges the stored ids and copies the
+        stored values.  An uncharged read that misses walks with no
+        buffer and stores nothing.  Readers sharing a read lock may fill
+        the memo concurrently (so racing readers may each store one walk
+        past the bound); one dict assignment publishes an entry, and
+        writers (``insert``, ``delete``) empty it under the write lock.
+        """
+        buffer = resolve_buffer(context)
+        memo = self._walks.get((lo, hi))
+        if memo is None:
+            if buffer is None:
+                return self._values(lo, hi, None)
+            memo = self._record(lo, hi)
+            if len(self._walks) < self._size:
+                self._walks[(lo, hi)] = memo
+        descent, leaves, values = memo
+        if buffer is not None:
+            if descent:
+                buffer.touch_many(descent, _INTERIOR_CATEGORY)
+            buffer.touch_many(leaves, _LEAF_CATEGORY)
+        return values.copy()
+
+    def _values(self, lo: Any, hi: Any, buffer) -> list[Any]:
+        """The values of one ``_leaf_slices`` walk, leaf after leaf."""
+        values: list[Any] = []
+        for _keys, found in self._leaf_slices(lo, hi, buffer):
+            values += found
+        return values
+
+    def _record(self, lo: Any, hi: Any) -> tuple[tuple, tuple, list]:
+        """One walk's descent ids, leaf ids and values (uncharged)."""
+        recorder = _WalkRecorder()
+        values = self._values(lo, hi, recorder)
+        return tuple(recorder.descent), tuple(recorder.leaves), values
+
     def column_probe(self, offset: int, cells, context=None) -> list[Any]:
         """The values (rows) whose ``offset``-th cell is in ``cells``.
 
@@ -313,6 +373,7 @@ class BPlusTree:
     def insert(self, key: Any, value: Any, context=None) -> None:
         """Insert a new entry; raises :class:`StorageError` on duplicate key."""
         buffer = resolve_buffer(context)
+        self._walks.clear()
         split = self._insert(self._root, key, value, buffer)
         if split is not None:
             separator, right = split
@@ -384,6 +445,7 @@ class BPlusTree:
     def delete(self, key: Any, context=None) -> bool:
         """Remove ``key``; returns False when it was not present."""
         buffer = resolve_buffer(context)
+        self._walks.clear()
         value = self._delete(self._root, key, buffer)
         if value is _MISSING:
             return False
@@ -581,6 +643,8 @@ class BPlusTree:
                 f"stale column directory at offset {offset}"
             )
         assert self._charges in (None, self._charge_list()), "stale charge list"
+        for (lo, hi), memo in self._walks.items():
+            assert memo == self._record(lo, hi), f"stale walk of [{lo!r}, {hi!r})"
 
     def _check_node(self, node, lo, hi, is_root=False) -> int:
         if node.is_leaf:
@@ -643,6 +707,24 @@ class _DeferredContextBuffer:
 
     def touch_write(self, page_id, category: str = "page") -> bool:
         return self.context.current_buffer.touch_write(page_id, category)
+
+
+class _WalkRecorder:
+    """A charge target that keeps a walk's page ids, interior and leaf
+    apart, and charges nothing (:meth:`BPlusTree.walk` charges them)."""
+
+    __slots__ = ("descent", "leaves")
+
+    def __init__(self) -> None:
+        self.descent: list[int] = []
+        self.leaves: list[int] = []
+
+    def touch(self, page_id, category: str = "page") -> bool:
+        if category == _LEAF_CATEGORY:
+            self.leaves.append(page_id)
+        else:
+            self.descent.append(page_id)
+        return True
 
 
 def _charge_target(context):
