@@ -17,8 +17,9 @@ checks, over real HTTP:
   ``plan.*`` count, its ``span.pages`` observation and its
   ``asr.lookups`` (or ``plan.unsupported``) count were published to the
   request's pool context and folded into the registry at its release;
-  that scrape, with no wait, also reads ``repro_accounting_ok 1`` and
-  the drift monitor's overall ratio (no background thread writes them:
+  that scrape, with no wait, also reads ``repro_accounting_ok 1``, pool
+  misses equal to the recorded reads + writes, and the drift monitor's
+  overall ratio (no background thread writes them:
   a scrape checks and computes them itself);
 * three requests share one keep-alive connection (the
   ``http.latency_ms`` count, summed over endpoints, rises by 3 and
@@ -156,6 +157,11 @@ def check_queries(addr: str) -> dict:
     after = get(addr, "/metrics")
     check_folded(before, after, first)
     assert scrape(after, "repro_accounting_ok") == 1, "accounting not read"
+    misses = scrape(after, "repro_accounting_pool_misses")
+    recorded = scrape(after, "repro_accounting_recorded_reads") + scrape(
+        after, "repro_accounting_recorded_writes"
+    )
+    assert misses == recorded > 0, f"{misses} pool misses, {recorded} recorded"
     assert any(
         line.startswith("repro_drift_overall_geo_mean_ratio ")
         for line in after.splitlines()

@@ -79,9 +79,7 @@ class WorkloadRecorder:
 
     Recording is thread-safe: the serving core's executor threads (and
     the ``POST /query`` handler) call ``record_*`` concurrently, so every
-    mutation and every aggregate read takes the recorder's own lock —
-    the same single-lock discipline as
-    :class:`~repro.concurrency.ThreadSafeAccessStats`.
+    mutation and every aggregate read takes the recorder's own lock.
     """
 
     def __init__(self, path: PathExpression) -> None:

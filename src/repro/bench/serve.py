@@ -37,8 +37,8 @@ cyclically and sheds at a full queue, a finite replay awaits
 daemon's drain report (``BENCH_serve_daemon.json``, written by
 :func:`write_report`) carries per-operation p50/p95/p99 latencies
 (:func:`operations_table`, read from the ``op.latency_ms`` histograms),
-the shared pool's hit rate, and the accounting invariant (shared totals
-== retired + Σ live per-worker totals).
+the shared pool's hit rate, and the accounting invariant (pool misses
+== the reads + writes recorded by retired + live contexts).
 """
 
 from __future__ import annotations

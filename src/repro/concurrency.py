@@ -14,16 +14,14 @@ concurrent:
 * :class:`ContextPool` — the per-connection-context idiom: each worker
   thread acquires its *own* :class:`~repro.context.ExecutionContext`
   (private per-operation accounting) while all of them share one
-  :class:`~repro.storage.stats.SharedBufferPool` of bounded capacity
-  and one lock-protected
-  :class:`~repro.storage.stats.ThreadSafeAccessStats` aggregate.
+  :class:`~repro.storage.stats.SharedBufferPool` of bounded capacity.
 
 The invariant that makes the accounting trustworthy under contention:
-every page charge goes to the shared stats (via the pool) *and* is
-mirrored onto the charging worker's private stats (via its
+the pool decides every charge and records it once, in the record of
+the worker that caused it (through its
 :class:`~repro.storage.stats.WorkerScope`), so
 
-    shared totals  ==  Σ over workers of private totals
+    pool misses  ==  Σ over workers of recorded reads + writes
 
 which the concurrency stress suite asserts after mixed traffic.
 """
@@ -36,12 +34,7 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.context import ExecutionContext
-from repro.storage.stats import (
-    AccessStats,
-    SharedBufferPool,
-    ThreadSafeAccessStats,
-    WorkerScope,
-)
+from repro.storage.stats import AccessStats, SharedBufferPool, WorkerScope
 from repro.telemetry.tracing import current_trace
 
 __all__ = ["RWLock", "ContextPool"]
@@ -242,17 +235,16 @@ class ContextPool:
     Every context created by :meth:`acquire` has a *private*
     :class:`~repro.storage.stats.AccessStats` (so its operations measure
     only its own thread's accesses) and charges the shared pool through a
-    :class:`~repro.storage.stats.WorkerScope`; the pool charges the
-    shared :attr:`stats`, whose totals therefore equal the sum of the
-    per-worker totals at any quiescent point.
+    :class:`~repro.storage.stats.WorkerScope`; each miss the pool counts
+    is recorded in exactly one of those records.
 
     **Recycling.**  :meth:`release` (and the :meth:`context` manager)
     retires a finished context: its exit hooks run and its private stats
     fold into the pool's :attr:`retired` accumulator.  :attr:`contexts`
-    therefore lists only *live* contexts, and the accounting invariant
-    becomes
+    therefore lists only *live* contexts, :attr:`stats` is retired plus
+    every live record, and the accounting invariant is
 
-        shared totals  ==  retired totals + Σ live per-worker totals
+        pool misses  ==  (retired + Σ live per-worker totals).total
 
     which :meth:`check_accounting` evaluates (and publishes).
     """
@@ -261,11 +253,11 @@ class ContextPool:
         if capacity < 1:
             raise ValueError("pool capacity must be at least one page")
         self.capacity = capacity
-        #: The shared aggregate every worker's charge lands in.
-        self.stats = ThreadSafeAccessStats()
         self.fault_injector = fault_injector
         self.metrics = metrics
-        self.pool = SharedBufferPool(self.stats, capacity, fault_injector)
+        # The pool's own record takes only touches that bypass every
+        # context, which :meth:`check_accounting` then reports.
+        self.pool = SharedBufferPool(AccessStats(), capacity, fault_injector)
         #: Accumulated private stats of every retired (released) context.
         self.retired = AccessStats()
         #: Contexts retired through :meth:`release` so far.
@@ -329,8 +321,9 @@ class ContextPool:
         with self._lock:
             return list(self._contexts)
 
-    def worker_totals(self) -> AccessStats:
-        """Σ of per-worker private stats: retired plus every live context."""
+    @property
+    def stats(self) -> AccessStats:
+        """Every recorded charge: retired plus every live context's stats."""
         totals = AccessStats()
         with self._lock:
             totals.merge(self.retired)
@@ -339,7 +332,7 @@ class ContextPool:
         return totals
 
     def check_accounting(self, registry=None) -> dict:
-        """Evaluate (and publish) the shared-vs-Σ-workers invariant.
+        """Evaluate (and publish) the misses-vs-records invariant.
 
         Returns a JSON-able dict with both sides and an ``ok`` flag;
         when a registry is attached (or passed), the same numbers are
@@ -347,24 +340,18 @@ class ContextPool:
         assertable *through the registry*.  Only meaningful at a
         quiescent point (no worker mid-charge).
         """
-        shared = self.stats.snapshot()
-        workers = self.worker_totals()
+        recorded = self.stats
         result = {
-            "shared_reads": shared.page_reads,
-            "shared_writes": shared.page_writes,
-            "worker_reads": workers.page_reads,
-            "worker_writes": workers.page_writes,
-            "ok": (
-                shared.page_reads == workers.page_reads
-                and shared.page_writes == workers.page_writes
-            ),
+            "pool_misses": self.pool.misses,
+            "recorded_reads": recorded.page_reads,
+            "recorded_writes": recorded.page_writes,
+            "ok": recorded.total == self.pool.misses,
         }
         registry = registry if registry is not None else self.metrics
         if registry is not None:
-            registry.set_gauge("accounting.shared_reads", result["shared_reads"])
-            registry.set_gauge("accounting.shared_writes", result["shared_writes"])
-            registry.set_gauge("accounting.worker_reads", result["worker_reads"])
-            registry.set_gauge("accounting.worker_writes", result["worker_writes"])
+            registry.set_gauge("accounting.pool_misses", result["pool_misses"])
+            registry.set_gauge("accounting.recorded_reads", result["recorded_reads"])
+            registry.set_gauge("accounting.recorded_writes", result["recorded_writes"])
             registry.set_gauge("accounting.ok", 1.0 if result["ok"] else 0.0)
         return result
 
@@ -375,6 +362,13 @@ class ContextPool:
 
     def describe(self) -> dict:
         """Headline pool counters, JSON-able (for benchmark reports)."""
+        with self._lock:
+            # The records' ints only: live workers may be charging their
+            # ``by_category`` dicts.
+            records = [self.retired, *(context.stats for context in self._contexts)]
+            page_reads = sum(record.page_reads for record in records)
+            page_writes = sum(record.page_writes for record in records)
+            contexts, recycled = len(self._contexts), self.recycled
         return {
             "capacity": self.capacity,
             "resident_pages": self.pool.distinct_pages,
@@ -382,8 +376,8 @@ class ContextPool:
             "misses": self.pool.misses,
             "hit_rate": round(self.pool.hit_rate, 4),
             "evictions": self.pool.evictions,
-            "page_reads": self.stats.page_reads,
-            "page_writes": self.stats.page_writes,
-            "contexts": len(self.contexts),
-            "recycled": self.recycled,
+            "page_reads": page_reads,
+            "page_writes": page_writes,
+            "contexts": contexts,
+            "recycled": recycled,
         }

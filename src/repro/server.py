@@ -29,8 +29,8 @@ functions from a parsed request to ``(status, content_type, body)``:
     are checked for it, and the drift gauges are computed from the
     :class:`~repro.telemetry.drift.DriftMonitor`'s entries.
 ``GET /healthz``
-    The accounting invariant (shared totals == retired + Σ live
-    per-worker totals), quarantine state of every managed ASR, and a
+    The accounting invariant (pool misses == the reads + writes
+    recorded by retired + live contexts), quarantine state of every managed ASR, and a
     hit-rate sanity check, as JSON.  Any violation turns the response
     into a 503, so a liveness probe catches torn accounting the moment
     it happens instead of at drain time.
@@ -77,7 +77,7 @@ reuse ratio.
 
 ``/metrics``, ``/healthz`` and ``/stats`` check accounting
 (:meth:`ServeDaemon.check_accounting`) under the manager's *write*
-lock — the only quiescent point for the shared-vs-Σ-workers comparison
+lock — the only quiescent point for the misses-vs-records comparison
 while clients are mid-flight.  That is exactly the writer
 that the :class:`~repro.concurrency.RWLock` starvation fix protects: a
 saturating read stream can no longer park ``/healthz`` forever.

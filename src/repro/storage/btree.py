@@ -207,15 +207,14 @@ class BPlusTree:
         that runs to the end of a leaf moves on and touches the next one
         before it can see its first key).
 
-        The walk is lazy, and so is its accounting: when called with an
-        :class:`~repro.context.ExecutionContext`, the charge target is
-        resolved each time a page is touched — i.e. at *consumption*
-        time — not when the walker is created.  A scan created in one
-        operation span but iterated in another therefore charges the
-        span that actually does the reading, and a scan that is never
-        consumed charges nothing.
+        The walk is lazy: a page is charged when the consumer reaches
+        it, so a walk that is never consumed charges nothing.  The
+        charge target is the buffer ``context`` resolves to when this
+        is called; :meth:`range`, a generator, calls it at its first
+        consumption, so a scan created in one operation span but
+        iterated in another charges the span that does the reading.
         """
-        return self._leaf_slices(lo, hi, _charge_target(context))
+        return self._leaf_slices(lo, hi, resolve_buffer(context))
 
     def _leaf_slices(
         self, lo: Any, hi: Any, buffer
@@ -355,7 +354,7 @@ class BPlusTree:
         """Yield ``(key, value)`` for ``lo <= key < hi`` in key order.
 
         :meth:`leaf_slices` flattened: same bounds, same pages, same
-        laziness and consumption-time charging.
+        laziness, and the buffer resolved at the first consumption.
         """
         for keys, values in self.leaf_slices(lo, hi, context):
             yield from zip(keys, values)
@@ -685,30 +684,6 @@ _MISSING = _Missing()
 MISSING = _MISSING
 
 
-class _DeferredContextBuffer:
-    """A charge target that re-resolves the context's buffer per touch.
-
-    Generators hand this to their page touches so that lazily consumed
-    scans charge whatever buffer scope is current *when the page is
-    actually read* (the consuming operation's span), not the scope that
-    happened to be current when the generator was created.
-    """
-
-    __slots__ = ("context",)
-
-    def __init__(self, context) -> None:
-        self.context = context
-
-    def touch(self, page_id, category: str = "page") -> bool:
-        return self.context.current_buffer.touch(page_id, category)
-
-    def touch_many(self, page_ids, category: str = "page") -> int:
-        return self.context.current_buffer.touch_many(page_ids, category)
-
-    def touch_write(self, page_id, category: str = "page") -> bool:
-        return self.context.current_buffer.touch_write(page_id, category)
-
-
 class _WalkRecorder:
     """A charge target that keeps a walk's page ids, interior and leaf
     apart, and charges nothing (:meth:`BPlusTree.walk` charges them)."""
@@ -725,13 +700,6 @@ class _WalkRecorder:
         else:
             self.descent.append(page_id)
         return True
-
-
-def _charge_target(context):
-    """Where a lazy walk charges: per touch for a context, else the buffer."""
-    if hasattr(context, "current_buffer"):
-        return _DeferredContextBuffer(context)
-    return resolve_buffer(context)
 
 
 def _touch(buffer, node, category: str) -> None:

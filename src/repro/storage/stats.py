@@ -62,9 +62,9 @@ class AccessStats:
         """Fold ``other``'s counters into this one.
 
         Used by :class:`~repro.concurrency.ContextPool` to accumulate a
-        retired context's per-worker stats into the pool's running
-        ``retired`` total, so the shared-vs-Σ-workers accounting
-        invariant survives context recycling.
+        retired context's record into the pool's running ``retired``
+        total, so the misses-vs-records accounting invariant survives
+        context recycling.
         """
         self.page_reads += other.page_reads
         self.page_writes += other.page_writes
@@ -188,14 +188,14 @@ def resolve_buffer(context=None):
     """
     if context is None:
         return None
-    current = getattr(context, "current_buffer", None)
-    if current is not None:
-        return current
     if hasattr(context, "touch"):
         return context
-    raise TypeError(
-        f"expected an ExecutionContext or buffer scope, got {type(context).__name__}"
-    )
+    try:
+        return context.current_buffer
+    except AttributeError:
+        raise TypeError(
+            f"expected an ExecutionContext or buffer scope, got {type(context).__name__}"
+        ) from None
 
 
 class NullBuffer:
@@ -231,37 +231,11 @@ class NullBuffer:
         return True
 
 
-class ThreadSafeAccessStats(AccessStats):
-    """An :class:`AccessStats` whose accumulation is lock-protected.
-
-    Charged concurrently by every worker of a
-    :class:`~repro.concurrency.ContextPool`; ``snapshot`` and
-    ``delta_since`` take the same lock so a reader never observes a
-    half-applied increment (``page_reads`` bumped, ``by_category`` not
-    yet).
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._lock = threading.Lock()
-
-    def read(self, pages: int = 1, category: str = "page") -> None:
-        with self._lock:
-            super().read(pages, category)
-
-    def write(self, pages: int = 1, category: str = "page") -> None:
-        with self._lock:
-            super().write(pages, category)
-
-    def snapshot(self) -> AccessStats:
-        with self._lock:
-            return AccessStats(
-                self.page_reads, self.page_writes, dict(self.by_category)
-            )
-
-    def delta_since(self, before: AccessStats) -> AccessStats:
-        with self._lock:
-            return super().delta_since(before)
+# Each context owns its record, charged under the pool's lock, so no
+# record needs a lock of its own.  The alias stays only because
+# ``benchmarks/ladder/adapter.py`` and ``benchmarks/ladder/layers.py``
+# still bind the name.
+ThreadSafeAccessStats = AccessStats
 
 
 class SharedBufferPool:
@@ -291,7 +265,7 @@ class SharedBufferPool:
     carries no dirty flag).
 
     One lock covers the residency decision, the LIRS bookkeeping, the
-    fault consultation, the stats charge and the hit/miss counters, so
+    fault consultation, the charge and the hit/miss counters, so
     concurrent touches can never tear the stack or double-charge a
     resident page.  The protocol is :meth:`touch` / :meth:`touch_many`
     / :meth:`touch_write`, and a run is one hold: :meth:`touch_many`
@@ -299,16 +273,16 @@ class SharedBufferPool:
     extent scan) under one acquire of the lock, with exactly the
     per-page moves and charges of that many :meth:`touch` calls.  The
     injector is consulted *before* anything mutates: a faulted touch
-    leaves ``S``, the HIR queue, the stats and the counters as they
+    leaves ``S``, the HIR queue, the record and the counters as they
     were, and a faulted run keeps what the pages before it did.
     :attr:`hit_rate` is the headline number the serve benchmark reports.
 
-    Workers reach the pool through :class:`WorkerScope` views (usually
-    via :class:`~repro.concurrency.ContextPool`), which mirror each
-    worker's charges onto a thread-private :class:`AccessStats` — the
-    shared totals then provably equal the per-worker sums.  A
-    single-threaded caller (the buffer-size ablation) touches it
-    directly.
+    Every charge is one miss recorded in exactly one place.  A caller
+    that touches the pool directly (the buffer-size ablation) is charged
+    to its ``stats``; workers reach the pool through :class:`WorkerScope`
+    views (usually via :class:`~repro.concurrency.ContextPool`), whose
+    touches charge the worker's own record instead, so the misses equal
+    the sum of the records that were charged.
     """
 
     def __init__(self, stats: AccessStats, capacity: int, injector=None) -> None:
@@ -401,6 +375,22 @@ class SharedBufferPool:
 
     def touch(self, page_id: Hashable, category: str = "page") -> bool:
         """Read ``page_id``; returns True when it caused a physical read."""
+        return self._touch(page_id, category, self.stats)
+
+    def touch_many(self, page_ids: Iterable[Hashable], category: str = "page") -> int:
+        """Read each of ``page_ids`` in order under one hold of the lock.
+
+        Every page gets :meth:`touch`'s moves, fault check and charge;
+        returns the number of reads charged.
+        """
+        return self._read_run(page_ids, category, self.stats)
+
+    def touch_write(self, page_id: Hashable, category: str = "page") -> bool:
+        """Mark ``page_id`` dirty; returns True when the write is charged."""
+        return self._touch_write(page_id, category, self.stats)
+
+    def _touch(self, page_id: Hashable, category: str, stats: AccessStats) -> bool:
+        """:meth:`touch`, charging a miss to ``stats``."""
         with self._lock:
             if page_id in self._lir:
                 # The common hit, inlined: one move, and a prune only
@@ -416,24 +406,16 @@ class SharedBufferPool:
                 return False
             if self.injector is not None:
                 self.injector.on_read(page_id, category)
-            self.stats.read(1, category)
+            stats.read(1, category)
             self._admit(page_id, False)
             return True
 
-    def touch_many(self, page_ids: Iterable[Hashable], category: str = "page") -> int:
-        """Read each of ``page_ids`` in order under one hold of the lock.
+    def _read_run(self, page_ids, category: str, stats: AccessStats) -> int:
+        """:meth:`touch_many`, charging the run's reads to ``stats``.
 
-        Every page gets :meth:`touch`'s moves, fault check and charge;
-        returns the number of reads charged.
-        """
-        return self._read_run(page_ids, category, None)
-
-    def _read_run(self, page_ids, category: str, mirror) -> int:
-        """:meth:`touch_many`, also charging the run's reads to ``mirror``.
-
-        ``hits`` and the stats are folded once, when the run ends —
+        ``hits`` and the record are folded once, when the run ends —
         also when a fault ends it early, so the pages charged before
-        the fault stay charged, in ``mirror`` too.
+        the fault stay charged.
         """
         lir, hir, stack = self._lir, self._hir, self._stack
         injector = self.injector
@@ -457,13 +439,11 @@ class SharedBufferPool:
             finally:
                 self.hits += hits
                 if charged:
-                    self.stats.read(charged, category)
-                    if mirror is not None:
-                        mirror.read(charged, category)
+                    stats.read(charged, category)
         return charged
 
-    def touch_write(self, page_id: Hashable, category: str = "page") -> bool:
-        """Mark ``page_id`` dirty; returns True when the write is charged."""
+    def _touch_write(self, page_id: Hashable, category: str, stats: AccessStats) -> bool:
+        """:meth:`touch_write`, charging the write to ``stats``."""
         with self._lock:
             dirty = self._lir.get(page_id)
             if dirty is None:
@@ -474,7 +454,7 @@ class SharedBufferPool:
                 return False
             if self.injector is not None:
                 self.injector.on_write(page_id, category)
-            self.stats.write(1, category)
+            stats.write(1, category)
             if dirty is None:
                 self._admit(page_id, True)
                 return True
@@ -539,13 +519,12 @@ class SharedBufferPool:
 class WorkerScope:
     """One worker's view of a :class:`SharedBufferPool`.
 
-    Residency and replacement are decided by the shared pool (which
-    charges the shared stats); every charge is *mirrored* onto the
-    worker's private ``stats`` — a :meth:`touch_many` run's reads
-    once, also when a fault ends the run — so operation spans measured
-    on a single worker stay accurate even while other workers charge
-    the pool concurrently.  The private stats are only ever touched by
-    the owning thread, so they need no lock.
+    Residency and replacement are decided by the shared pool; every
+    charge lands in the worker's own ``stats`` and nowhere else — a
+    :meth:`touch_many` run's reads once, also when a fault ends the run
+    — so operation spans measured on a single worker stay accurate even
+    while other workers charge the pool concurrently.  The record is
+    charged under the pool's lock, so it needs no lock of its own.
     """
 
     def __init__(self, pool: SharedBufferPool, stats: AccessStats) -> None:
@@ -557,19 +536,13 @@ class WorkerScope:
         return self.pool.capacity
 
     def touch(self, page_id: Hashable, category: str = "page") -> bool:
-        charged = self.pool.touch(page_id, category)
-        if charged:
-            self.stats.read(1, category)
-        return charged
+        return self.pool._touch(page_id, category, self.stats)
 
     def touch_many(self, page_ids: Iterable[Hashable], category: str = "page") -> int:
         return self.pool._read_run(page_ids, category, self.stats)
 
     def touch_write(self, page_id: Hashable, category: str = "page") -> bool:
-        charged = self.pool.touch_write(page_id, category)
-        if charged:
-            self.stats.write(1, category)
-        return charged
+        return self.pool._touch_write(page_id, category, self.stats)
 
     @property
     def distinct_pages(self) -> int:

@@ -142,12 +142,11 @@ def format_stats(metrics: dict | None, drift: dict | None, accounting: dict | No
     if accounting:
         ok = "consistent" if accounting.get("ok") else "INCONSISTENT"
         sections.append(
-            "accounting (shared totals == Σ per-worker totals): "
+            "accounting (pool misses == Σ recorded reads + writes): "
             f"{ok} "
-            f"[shared {accounting.get('shared_reads', '?')}r/"
-            f"{accounting.get('shared_writes', '?')}w vs workers "
-            f"{accounting.get('worker_reads', '?')}r/"
-            f"{accounting.get('worker_writes', '?')}w]"
+            f"[{accounting.get('pool_misses', '?')} misses vs recorded "
+            f"{accounting.get('recorded_reads', '?')}r/"
+            f"{accounting.get('recorded_writes', '?')}w]"
         )
     if drift:
         sections.append(format_drift(drift))

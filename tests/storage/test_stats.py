@@ -1,7 +1,6 @@
 """Page-access accounting: counters, buffers, deltas."""
 
 import random
-import threading
 
 import pytest
 
@@ -10,7 +9,6 @@ from repro.storage.stats import (
     BufferScope,
     NullBuffer,
     SharedBufferPool,
-    ThreadSafeAccessStats,
 )
 
 
@@ -261,72 +259,3 @@ class TestMerge:
         assert total.page_reads == 3
         assert total.page_writes == 3
         assert total.by_category == {"object": 3, "btree_leaf:write": 3}
-
-
-class TestThreadSafeAccessStats:
-    def test_concurrent_charges_are_exact(self):
-        stats = ThreadSafeAccessStats()
-        workers, rounds = 8, 1000
-
-        def charge(k):
-            for _ in range(rounds):
-                stats.read(1, f"cat{k % 2}")
-                stats.write(1, f"cat{k % 2}")
-
-        threads = [threading.Thread(target=charge, args=(k,)) for k in range(workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert stats.page_reads == workers * rounds
-        assert stats.page_writes == workers * rounds
-        # Per-category counts survive the interleaving too.
-        assert stats.by_category["cat0"] + stats.by_category["cat1"] == workers * rounds
-
-    def test_snapshot_never_observes_a_torn_increment(self):
-        stats = ThreadSafeAccessStats()
-        stop = threading.Event()
-
-        def charge():
-            while not stop.is_set():
-                stats.read(1, "object")
-
-        thread = threading.Thread(target=charge)
-        thread.start()
-        try:
-            for _ in range(200):
-                snap = stats.snapshot()
-                # read() bumps page_reads and by_category under one lock:
-                # a snapshot must always see them equal.
-                assert snap.page_reads == snap.by_category.get("object", 0)
-        finally:
-            stop.set()
-            thread.join()
-
-    def test_delta_since_reads_under_the_lock(self):
-        stats = ThreadSafeAccessStats()
-        before = stats.snapshot()
-        stats.read(2, "object")
-        started, returned = threading.Event(), threading.Event()
-        deltas = []
-
-        def take_delta():
-            started.set()
-            deltas.append(stats.delta_since(before))
-            returned.set()
-
-        thread = threading.Thread(target=take_delta)
-        with stats._lock:
-            thread.start()
-            started.wait()
-            # Held here, the lock must keep delta_since from reading.
-            assert not returned.wait(0.1)
-        thread.join()
-        assert deltas[0].by_category == {"object": 2}
-
-    def test_snapshot_is_a_plain_stats(self):
-        stats = ThreadSafeAccessStats()
-        stats.read()
-        snap = stats.snapshot()
-        assert type(snap) is AccessStats
-        assert snap.page_reads == 1

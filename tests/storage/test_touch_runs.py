@@ -2,7 +2,7 @@
 
 ``touch_many(page_ids, category)`` is the buffer protocol's run: the
 shared pool decides every page of it under one acquire of its lock,
-and a worker scope mirrors the run's reads onto its private stats once.
+and a worker scope charges the run's reads to its own record once.
 None of that may show in what the pool ends up holding: for any
 interleaving of ``touch``, ``touch_write`` and runs — repeats inside a
 run, runs longer than the pool — the LIRS state, the counters and the

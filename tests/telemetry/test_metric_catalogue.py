@@ -101,7 +101,7 @@ def documented_labels(name: str) -> frozenset:
 
 def test_every_emitted_metric_is_documented_and_vice_versa():
     emitted, documented = emitted_names(), documented_names()
-    assert len(emitted) > 60, "the scan lost the emitters"
+    assert len(emitted) > 59, "the scan lost the emitters"
     undocumented = sorted(emitted - documented)
     assert not undocumented, f"emitted but not in docs/observability.md: {undocumented}"
     stale = sorted(documented - emitted)

@@ -288,7 +288,14 @@ class TestStats:
     def test_human_table(self, daemon_report):
         code, text = run_cli("stats", "--in", str(daemon_report))
         assert code == 0
-        assert "accounting" in text
+        accounting = json.loads(daemon_report.read_text())["accounting"]
+        misses = accounting["pool_misses"]
+        assert misses == accounting["recorded_reads"] + accounting["recorded_writes"] > 0
+        assert text.splitlines()[0] == (
+            "accounting (pool misses == Σ recorded reads + writes): consistent "
+            f"[{misses} misses vs recorded {accounting['recorded_reads']}r/"
+            f"{accounting['recorded_writes']}w]"
+        )
         assert "drift" in text.lower()
         assert "pool.hit_rate" in text
         assert "op.latency_ms" in text

@@ -4,7 +4,8 @@ The invariants these tests pin down:
 
 * the shared LIRS pool is never torn (bounded residency and ghosts, a
   LIR stack bottom, sane flags);
-* shared stats totals equal the sum of the per-worker private totals;
+* every pool miss is recorded once, in the record of the worker that
+  caused it: the misses equal the sum of the per-worker totals;
 * readers share the ASR manager's lock, writers are exclusive, and the
   answers under contention equal the single-threaded oracle;
 * a quarantined ASR degrades queries (correctly) even while other
@@ -56,6 +57,19 @@ def run_threads(n, target):
         thread.join()
     if errors:
         raise errors[0]
+
+
+def assert_misses_recorded(pool, registry) -> dict:
+    """The misses equal the recorded reads + writes, read through the registry."""
+    accounting = pool.check_accounting(registry)
+    assert accounting["ok"] is True
+    assert gauge(registry, "accounting.ok") == 1.0
+    misses = gauge(registry, "accounting.pool_misses")
+    assert misses == pool.pool.misses > 0
+    assert misses == gauge(registry, "accounting.recorded_reads") + gauge(
+        registry, "accounting.recorded_writes"
+    )
+    return accounting
 
 
 class TestRWLock:
@@ -333,12 +347,10 @@ class TestContextPool:
         # Released contexts are retired; the invariant is asserted through
         # the accounting check (and published into the metrics registry).
         registry = MetricsRegistry()
-        accounting = pool.check_accounting(registry)
-        assert accounting["ok"] is True
-        assert gauge(registry, "accounting.ok") == 1.0
-        shared = pool.stats.snapshot()
-        assert gauge(registry, "accounting.shared_reads") == shared.page_reads
-        assert gauge(registry, "accounting.worker_reads") == shared.page_reads
+        assert_misses_recorded(pool, registry)
+        recorded = pool.stats
+        assert gauge(registry, "accounting.recorded_reads") == recorded.page_reads
+        assert gauge(registry, "accounting.recorded_writes") == recorded.page_writes
         assert pool.pool.hits + pool.pool.misses == clients * touches
         assert pool.pool.distinct_pages <= 32
 
@@ -354,9 +366,23 @@ class TestContextPool:
             context.current_buffer.touch("page-B")
         assert pool.recycled == 2
         # Retired totals still cover both generations' charges.
-        totals = pool.worker_totals()
-        assert totals.page_reads == pool.stats.snapshot().page_reads == 2
+        assert pool.stats.page_reads == 2
+        assert assert_misses_recorded(pool, MetricsRegistry())["pool_misses"] == 2
+
+    def test_a_touch_that_bypasses_every_context_breaks_accounting(self):
+        pool = ContextPool(16)
+        with pool.context() as context:
+            context.current_buffer.touch("page-A")
         assert pool.check_accounting()["ok"] is True
+        # Charged to the pool's own record, which no context holds.
+        assert pool.pool.touch("page-B") is True
+        accounting = pool.check_accounting()
+        assert accounting == {
+            "pool_misses": 2,
+            "recorded_reads": 1,
+            "recorded_writes": 0,
+            "ok": False,
+        }
 
     def test_occupancy_gauge_tracks_live_contexts(self):
         registry = MetricsRegistry()
@@ -457,15 +483,12 @@ class TestConcurrentServing:
         manager.check_consistency()
         pool.pool.check_invariants()
         # Client contexts are retired on release; the manager's context is
-        # still live.  Either way: shared totals == retired + Σ live.
+        # still live.  Either way: pool misses == retired + Σ live.
         registry = MetricsRegistry()
-        accounting = pool.check_accounting(registry)
-        assert accounting["ok"] is True
-        assert gauge(registry, "accounting.ok") == 1.0
-        totals = pool.worker_totals()
-        shared = pool.stats.snapshot()
-        assert shared.page_reads == totals.page_reads
-        assert shared.page_writes == totals.page_writes
+        assert_misses_recorded(pool, registry)
+        recorded = pool.stats
+        assert gauge(registry, "accounting.recorded_reads") == recorded.page_reads
+        assert gauge(registry, "accounting.recorded_writes") == recorded.page_writes
         # Every query answer matches the (post-run) single-threaded oracle
         # for queries the updates could not have affected: re-ask them all
         # now that the graph is quiescent and supported == unsupported.
