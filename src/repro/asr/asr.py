@@ -28,6 +28,7 @@ import logging
 from collections import Counter
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.asr.decomposition import Decomposition
@@ -109,6 +110,13 @@ def row_key(row: Sequence[Cell]) -> tuple:
     rows exactly as the tuple of per-cell keys would, in one tuple.
     """
     return tuple(chain.from_iterable(map(cell_key, row)))
+
+
+def _keyed(rows: Iterable[Sequence[Cell]]) -> list[tuple[tuple, tuple[Cell, ...]]]:
+    """``(row_key(row), row)`` for each of ``rows`` (as a tuple), in key order."""
+    return sorted(
+        ((row_key(row), row) for row in map(tuple, rows)), key=itemgetter(0)
+    )
 
 
 def tree_keys(
@@ -269,7 +277,7 @@ class StoredPartition:
     def project(self, extension_row: tuple[Cell, ...]) -> tuple[Cell, ...] | None:
         """This partition's slice of an extension row (None if all NULL)."""
         projected = extension_row[self.first_column : self.last_column + 1]
-        if all(cell is NULL for cell in projected):
+        if projected.count(NULL) == len(projected):
             return None
         return projected
 
@@ -302,26 +310,31 @@ class StoredPartition:
 
     def add_projection(self, row: tuple[Cell, ...], context=None) -> None:
         """Reference one witness of ``row``; insert trees on 0→1."""
-        buffer = resolve_buffer(context)
         row = tuple(row)
-        self._counts[row] += 1
-        if self._counts[row] == 1:
-            forward, backward = tree_keys(row)
-            self.forward_tree.insert(forward, row, buffer)
-            self.backward_tree.insert(backward, row, buffer)
+        self._add(row, row_key(row), resolve_buffer(context))
 
     def remove_projection(self, row: tuple[Cell, ...], context=None) -> None:
         """Drop one witness of ``row``; delete from trees on 1→0."""
-        buffer = resolve_buffer(context)
         row = tuple(row)
+        self._remove(row, row_key(row), resolve_buffer(context))
+
+    def _add(self, row: tuple[Cell, ...], key: tuple, buffer) -> None:
+        """:meth:`add_projection` of ``row`` whose :func:`row_key` is ``key``."""
+        counts = self._counts
+        count = counts[row] = counts.get(row, 0) + 1
+        if count == 1:
+            self.forward_tree.insert((key[:2], key), row, buffer)
+            self.backward_tree.insert((key[-2:], key), row, buffer)
+
+    def _remove(self, row: tuple[Cell, ...], key: tuple, buffer) -> None:
+        """:meth:`remove_projection` of ``row`` whose :func:`row_key` is ``key``."""
         count = self._counts.get(row, 0)
         if count == 0:
             raise RelationError(f"row {row!r} not present in partition")
         if count == 1:
             del self._counts[row]
-            forward, backward = tree_keys(row)
-            self.forward_tree.delete(forward, buffer)
-            self.backward_tree.delete(backward, buffer)
+            self.forward_tree.delete((key[:2], key), buffer)
+            self.backward_tree.delete((key[-2:], key), buffer)
         else:
             self._counts[row] = count - 1
 
@@ -465,6 +478,12 @@ class AccessSupportRelation:
             StoredPartition(i, j, labels[i : j + 1], page_size, oid_size)
             for i, j in self.decomposition.partitions
         ]
+        #: ``(partition, start, stop)``: the slice of an extension row's
+        #: :func:`row_key` that is the partition's projection's key.
+        self._key_spans = tuple(
+            (partition, 2 * partition.first_column, 2 * partition.last_column + 2)
+            for partition in self.partitions
+        )
         #: ``(i, j, query type)`` -> its :class:`AccessPath`.
         self._access_paths: dict[tuple, AccessPath] = {}
 
@@ -514,21 +533,31 @@ class AccessSupportRelation:
     ) -> None:
         """Apply exact extension-level row deltas to the partitions: a
         removed row must be stored, an added one must not (a removed row
-        with no stored projection raises :class:`RelationError`)."""
+        with no stored projection raises :class:`RelationError`).
+
+        The removed rows are applied, then the added ones, each side in
+        :func:`row_key` order whatever order it comes in, so the trees'
+        splits and merges (and so the page counts) depend on the rows
+        alone.  Each row is keyed once: every :func:`cell_key` is a pair,
+        so a partition's slice of the row key is its projection's
+        :func:`row_key`, and its tree keys are cut from that.
+        """
         buffer = resolve_buffer(context)
-        partitions = self.partitions
-        for row in removed:
-            for partition in partitions:
-                projected = partition.project(row)
-                if projected is not None:
-                    partition.remove_projection(projected, buffer)
-            self.tuple_count -= 1
-        for row in added:
-            for partition in partitions:
-                projected = partition.project(row)
-                if projected is not None:
-                    partition.add_projection(projected, buffer)
-            self.tuple_count += 1
+        spans = self._key_spans
+        if removed:
+            for key, row in _keyed(removed):
+                for partition, start, stop in spans:
+                    projected = partition.project(row)
+                    if projected is not None:
+                        partition._remove(projected, key[start:stop], buffer)
+                self.tuple_count -= 1
+        if added:
+            for key, row in _keyed(added):
+                for partition, start, stop in spans:
+                    projected = partition.project(row)
+                    if projected is not None:
+                        partition._add(projected, key[start:stop], buffer)
+                self.tuple_count += 1
 
     # ------------------------------------------------------------------
     # reading the extension back (Def. 3.8, Thm. 3.9)

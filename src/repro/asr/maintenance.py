@@ -25,8 +25,8 @@ Then, per region,
    with the adjacent partitions by border lookups — Thm. 3.9's
    recomposition, restricted to the rows through one cell.  These are
    the lookups Eq. 36's ``search`` prices; they are not charged yet
-   (the charged pages are the partitions'
-   ``add_projection``/``remove_projection``);
+   (the charged pages are the partitions' tree writes in
+   :meth:`~repro.asr.asr.AccessSupportRelation.apply_delta`);
 2. the *new* neighbourhood is recomputed from the post-update object
    graph: per anchor every row through its cell (``rows_through``:
    backward-maximal × forward-maximal path segments); per edge §6.1's
@@ -327,7 +327,7 @@ def _extension_rows(
     return {
         row
         for row in rows
-        if sum(1 for value in row if value is not NULL) >= 2
+        if len(row) - row.count(NULL) >= 2
         and _admissible(row, extension)
     }
 

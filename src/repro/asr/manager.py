@@ -58,10 +58,10 @@ backend).
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from typing import Callable, Iterator
 
-from repro.asr.asr import AccessSupportRelation, row_key
+from repro.asr.asr import AccessSupportRelation
 from repro.asr.decomposition import Decomposition
 from repro.asr.extensions import Extension, build_extension
 from repro.asr.journal import ASRState
@@ -85,6 +85,7 @@ from repro.faults import reach
 from repro.gom.database import ObjectBase
 from repro.gom.events import Event
 from repro.gom.paths import PathExpression
+from repro.telemetry.registry import MetricsRegistry
 
 
 class ASRManager:
@@ -145,6 +146,8 @@ class ASRManager:
         #: in :meth:`rematerialize`, keyed by the old ASR's identity.
         self._catchup: dict[int, DirtyRegion] = {}
         self._epoch = 0
+        #: ``(extension, stage)`` -> its ``asr.maintenance.rows`` series.
+        self._row_series: dict[tuple, tuple] = {}
         self._closed = False
         #: Readers-writer lock: queries share, maintenance is exclusive.
         #: Writer-preferring, so a saturating read stream cannot starve
@@ -159,13 +162,18 @@ class ASRManager:
     def epoch(self) -> int:
         """Monotone version number of the queryable ASR configuration.
 
-        Bumped by every maintenance batch, real quarantine transition
-        (recovery included), bulk-load rebuild, and ASR
-        (de)registration — anything that can change which plan the
-        planner would pick or which partitions a chosen plan may touch.
-        Compiled-plan caches key on this value so a bump invalidates
-        them wholesale.  Read it under the manager's read lock to pair
-        it consistently with a planning decision.
+        Bumped by every ASR (de)registration and ``replace``, and by
+        every real quarantine transition (recovery included) — anything
+        that can change which plan the planner would pick or which
+        partitions a chosen plan may touch.  Maintenance does not bump
+        it: a plan holds ASRs, partitions and prices, never rows, and
+        the prices are a function of a profile measured once per
+        :meth:`MeasuredCosts.invalidate
+        <repro.costmodel.measured.MeasuredCosts.invalidate>`, so an
+        applied delta changes no decision.  Compiled-plan caches key on
+        this value so a bump invalidates them wholesale.  Read it under
+        the manager's read lock to pair it consistently with a planning
+        decision.
         """
         return self._epoch
 
@@ -467,8 +475,7 @@ class ASRManager:
             if not self._batch_depth:
                 self.flush()
 
-    @contextmanager
-    def exclusive(self) -> Iterator["ASRManager"]:
+    def exclusive(self) -> AbstractContextManager[None]:
         """Hold the write side across a multi-step update transaction.
 
         Concurrent writers mutating the object base should wrap each
@@ -481,16 +488,14 @@ class ASRManager:
                 db.set_attr(bolt, "weight", 7)
 
         Reentrant: the eager ``_on_event`` path re-acquires the same
-        write side without deadlocking.
+        write side without deadlocking.  The block binds nothing (``as``
+        gets ``None``).
         """
-        with self.lock.write():
-            yield self
+        return self.lock.write()
 
-    @contextmanager
-    def shared(self) -> Iterator["ASRManager"]:
+    def shared(self) -> AbstractContextManager[None]:
         """Hold the read side — what the planner and executor do per query."""
-        with self.lock.read():
-            yield self
+        return self.lock.read()
 
     def _abort_pending(self) -> None:
         """Discard-or-quarantine pending regions after an aborted batch."""
@@ -541,7 +546,6 @@ class ASRManager:
         along the way.
         """
         injector = self._injector()
-        self._epoch += 1
         deltas = []
         for asr, region in items:
             if asr.state is not ASRState.CONSISTENT:
@@ -550,11 +554,7 @@ class ASRManager:
             if not added and not removed:
                 continue
             asr.state = ASRState.APPLYING
-            # In row order, so the trees' splits and merges (and so the
-            # page counts) depend on the rows alone.
-            deltas.append(
-                (asr, sorted(added, key=row_key), sorted(removed, key=row_key))
-            )
+            deltas.append((asr, added, removed))
         if not deltas:
             return 0
         try:
@@ -590,13 +590,30 @@ class ASRManager:
         return changed
 
     def _note_rows(self, asr, rows: int, stage: str) -> None:
-        """Publish one applied delta's row count as a maintenance metric."""
-        self._metric_inc(
-            "asr.maintenance.rows",
-            rows,
-            extension=getattr(asr.extension, "value", str(asr.extension)),
-            stage=stage,
-        )
+        """Publish one applied delta's row count as ``asr.maintenance.rows``.
+
+        Counted into the context's tally through a series bound once per
+        ``(extension, stage)``; an explicit ``metrics`` registry, which
+        overrides the context's, gets it directly.  Called under the
+        write lock, which is what keeps the tally's writes apart.
+        """
+        if self.metrics is not None:
+            self.metrics.inc(
+                "asr.maintenance.rows",
+                rows,
+                extension=getattr(asr.extension, "value", str(asr.extension)),
+                stage=stage,
+            )
+        elif self.context is not None:
+            key = (asr.extension, stage)
+            series = self._row_series.get(key)
+            if series is None:
+                series = self._row_series[key] = MetricsRegistry.series(
+                    "asr.maintenance.rows",
+                    extension=getattr(asr.extension, "value", str(asr.extension)),
+                    stage=stage,
+                )
+            self.context.count_series(series, rows)
 
     # ------------------------------------------------------------------
     # recovery

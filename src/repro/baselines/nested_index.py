@@ -24,7 +24,7 @@ from collections import Counter
 from operator import itemgetter
 from typing import Iterable
 
-from repro.asr.asr import AccessSupportRelation, cell_key, prefix_bounds
+from repro.asr.asr import AccessSupportRelation, cell_key, prefix_bounds, row_key
 from repro.asr.extensions import Extension, build_extension
 from repro.asr.journal import ASRState
 from repro.context import resolve_buffer
@@ -120,8 +120,12 @@ class NestedAttributeIndex:
         removed: Iterable[tuple[Cell, ...]],
         context=None,
     ) -> None:
-        """Apply exact canonical-extension row deltas to the pair store."""
+        """Apply exact canonical-extension row deltas to the pair store,
+        each side in :func:`~repro.asr.asr.row_key` order whatever order
+        it comes in, so the tree's page counts depend on the rows alone."""
         buffer = resolve_buffer(context)
+        added = sorted(added, key=row_key)
+        removed = sorted(removed, key=row_key)
         self.canonical.apply_delta(added, removed)
         for row in removed:
             pair = (row[-1], row[0])

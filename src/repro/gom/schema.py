@@ -45,6 +45,8 @@ class Schema:
 
     def __init__(self) -> None:
         self._types: dict[str, GomType] = {t.name: t for t in BUILTIN_ATOMIC_TYPES}
+        #: ``attributes_of`` per tuple type name; :meth:`define` clears it.
+        self._attributes: dict[str, dict[str, str]] = {}
 
     # ------------------------------------------------------------------
     # registration
@@ -62,6 +64,7 @@ class Schema:
         elif not isinstance(gom_type, AtomicType):
             raise SchemaError(f"unknown kind of type object: {gom_type!r}")
         self._types[name] = gom_type
+        self._attributes.clear()
         return gom_type
 
     def define_tuple(
@@ -222,8 +225,15 @@ class Schema:
         return False
 
     def attributes_of(self, name: str) -> dict[str, str]:
-        """The full attribute map of tuple type ``name`` incl. inherited ones."""
-        return self._attributes_of_name(name)
+        """The full attribute map of tuple type ``name`` incl. inherited ones.
+
+        Merged once per type name and shared by every caller, which
+        must not mutate it; :meth:`define` drops the merged maps.
+        """
+        attributes = self._attributes.get(name)
+        if attributes is None:
+            attributes = self._attributes[name] = self._attributes_of_name(name)
+        return attributes
 
     def _attributes_of_name(self, name: str) -> dict[str, str]:
         t = self.tuple_type(name)

@@ -14,11 +14,13 @@ validates or plans.  ``= 5`` and ``= 7`` share a plan, ``= 5.0`` and
 selectivity (ROADMAP, model item (f)), a range shape must carry its
 selectivity bucket in the key.
 
-Keying on the epoch makes invalidation automatic — any maintenance
-batch, quarantine transition, recovery rebuild, or ASR
-(de)registration bumps ``ASRManager.epoch``, so every cached plan from
-before the change simply stops being found.  Stale epochs are evicted
-by the LRU bound; no explicit flush is ever needed.
+Keying on the epoch makes invalidation automatic — any quarantine
+transition, recovery, re-materialization, or ASR (de)registration bumps
+``ASRManager.epoch``, so every cached plan from before the change
+simply stops being found.  Maintenance does not bump it: a plan holds
+ASRs and prices, never rows, so a cached plan stays right across
+updates and its run reads the maintained trees.  Stale epochs are
+evicted by the LRU bound; no explicit flush is ever needed.
 
 Normalization is purely lexical (whitespace collapsing outside string
 literals), so it can never conflate two semantically different texts;

@@ -31,8 +31,9 @@ scan of that partition, which can cost more than no support at all.
 What does not change between decisions is priced once: per query shape
 ``(path, i, j, kind)`` the planner remembers the fallback's price and
 every covering ASR with its price, valid for one ``manager.epoch`` and
-one generation of the price list (:meth:`Planner._priced`).  Restrictions
-are never remembered — each decision asks afresh.
+one generation of the price list (:meth:`Planner._priced`), so it
+survives updates: maintenance moves neither.  Restrictions are never
+remembered — each decision asks afresh.
 
 :meth:`Planner.run` is the only place a plan is executed and its
 outcome reported (breaker board, drift monitor — the latter gets the
@@ -139,9 +140,10 @@ class Planner:
 
         What a decision needs that does not change between decisions:
         remembered per query shape ``(path, i, j, kind)`` for one
-        ``manager.epoch`` (every registration, replace, quarantine
-        transition and maintenance batch bumps it) and one generation of
-        ``manager.costs`` (:meth:`MeasuredCosts.invalidate
+        ``manager.epoch`` (every registration, replace and quarantine
+        transition bumps it; maintenance does not, since it changes no
+        ASR and no price) and one generation of ``manager.costs``
+        (:meth:`MeasuredCosts.invalidate
         <repro.costmodel.measured.MeasuredCosts.invalidate>` bumps it
         without touching the epoch).  Candidates are in price order,
         and a tie keeps registration order, so the first registered

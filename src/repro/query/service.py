@@ -129,8 +129,9 @@ class QueryService:
         executor = SelectExecutor(self.db, self.planner, evaluator=evaluator)
         manager = self.manager
         # One read hold across epoch read, cache probe, (re)compile, and
-        # execution: a maintenance write cannot slip a new epoch between
-        # the key we cache under and the trees we probe.
+        # execution: a registration, replace or quarantine cannot slip a
+        # new epoch between the key we cache under and the trees we
+        # probe, nor maintenance a half-applied delta into the probes.
         with manager.lock.read():
             epoch = manager.epoch
             with maybe_span(trace, "query.cache.probe", "cache-hit"):

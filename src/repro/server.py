@@ -44,7 +44,8 @@ functions from a parsed request to ``(status, content_type, body)``:
     page-access cost.  Compiled plans are cached per ``(query shape,
     ASR epoch)`` (:mod:`repro.query.cache`), so a text whose shape —
     the text with its literals abstracted — was seen skips planning
-    until maintenance or recovery bumps the epoch.  Parse and
+    until a configuration change (registration, re-materialization,
+    quarantine or recovery) bumps the epoch; updates do not.  Parse and
     validation failures return a structured 400
     (``{"error": {"kind": …, "message": …}}``).
 ``GET /advisor``

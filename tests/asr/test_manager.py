@@ -2,6 +2,7 @@
 
 from repro.asr import ASRManager, Decomposition, Extension
 from repro.context import ExecutionContext
+from repro.telemetry import MetricsRegistry
 
 
 class TestRegistration:
@@ -40,6 +41,35 @@ class TestEventRouting:
         for extension in Extension:
             manager.create(path, extension)
         db.set_attr(o["trak"], "Composition", o["parts_sausage"])
+        manager.check_consistency()
+
+    def test_maintained_rows_are_counted_in_the_registry_in_force(self, company_world):
+        db, path, o = company_world
+        registry, explicit = MetricsRegistry(), MetricsRegistry()
+        context = ExecutionContext(metrics=registry)
+        manager = ASRManager(db, context=context)
+        manager.create(path, Extension.FULL)
+        rows = {"extension": "full"}
+        db.set_insert(o["parts_sec"], o["pepper"])  # eager
+        eager = registry.counter_value("asr.maintenance.rows", stage="asr.apply", **rows)
+        assert eager > 0
+        manager._batch_depth += 1  # hold a batch open manually
+        db.set_remove(o["parts_sec"], o["pepper"])
+        manager._batch_depth -= 1
+        changed = manager.flush()
+        assert changed > 0
+        assert registry.counter_value(
+            "asr.maintenance.rows", stage="asr.flush", **rows
+        ) == changed
+        # An explicit registry overrides the context's.
+        manager.metrics = explicit
+        db.set_insert(o["parts_sec"], o["pepper"])
+        assert explicit.counter_value(
+            "asr.maintenance.rows", stage="asr.apply", **rows
+        ) == eager
+        assert registry.counter_value(
+            "asr.maintenance.rows", stage="asr.apply", **rows
+        ) == eager
         manager.check_consistency()
 
     def test_unrelated_schema_events_ignored(self, company_world):

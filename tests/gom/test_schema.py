@@ -118,6 +118,22 @@ class TestInheritance:
         assert schema.attributes_of("Bottom") == {"T": "STRING"}
         assert schema.is_subtype("Bottom", "Top")
 
+    def test_attributes_are_merged_once_until_the_next_define(self, schema):
+        schema.define_tuple("Base", {"Name": "STRING"})
+        schema.define_tuple("Mid", {"Size": "INTEGER"}, supertypes=["Base"])
+        merged = schema.attributes_of("Mid")
+        assert schema.attributes_of("Mid") is merged
+        assert merged == schema._attributes_of_name("Mid")
+        schema.define_tuple("Leaf", {"Extra": "BOOLEAN"}, supertypes=["Mid"])
+        assert schema.attributes_of("Mid") is not merged  # define cleared it
+        assert schema.attributes_of("Mid") == merged
+        assert schema.attributes_of("Leaf") == {
+            "Name": "STRING",
+            "Size": "INTEGER",
+            "Extra": "BOOLEAN",
+        }
+        assert schema.attributes_of("Leaf") is schema.attributes_of("Leaf")
+
 
 class TestAttributeResolution:
     def test_attribute_type(self, schema):

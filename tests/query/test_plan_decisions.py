@@ -2,11 +2,13 @@
 
 ``Planner.plan`` remembers, per ``(path, i, j, kind)``, the fallback's
 price and every covering ASR with its price, for one ``manager.epoch``
-and one generation of ``manager.costs``.  Restrictions are never
-remembered: every decision asks each covering ASR's breaker once.  These
-tests pin when a decision is re-priced, that a remembered decision picks
-what a fresh planner picks, and that ``Planner.execute`` holds the
-manager's read lock once.
+and one generation of ``manager.costs``.  Registration, ``replace`` and
+quarantine transitions move the epoch; maintenance does not, because a
+decision holds ASRs and prices, never rows, so a remembered decision
+survives an update.  Restrictions are never remembered: every decision
+asks each covering ASR's breaker once.  These tests pin when a decision
+is re-priced, that a remembered decision picks what a fresh planner
+picks, and that ``Planner.execute`` holds the manager's read lock once.
 """
 
 import pytest
@@ -136,13 +138,13 @@ def test_quarantine_then_recover_re_decides():
     assert world.planner.plan(world.query).asr is asr
 
 
-def test_an_eager_update_re_decides():
+def test_an_eager_update_keeps_the_decision():
     world = World()
     world.priced_again()
-    epoch = world.manager.epoch
+    epoch, rows = world.manager.epoch, world.asrs[0].tuple_count
     world.insert()
-    assert world.manager.epoch > epoch
-    assert world.priced_again()
+    assert world.asrs[0].tuple_count != rows  # the update was maintained …
+    assert world.manager.epoch == epoch  # … and changed no decision
     assert not world.priced_again()
 
 

@@ -100,6 +100,25 @@ class TestPlanCaching:
         assert outcome.epoch == manager.epoch
         assert registry.counter_value("query.cache.misses") >= 2
 
+    def test_an_eager_update_keeps_the_cached_plan(self, service_world):
+        db, manager, asr, service, _registry, objects = service_world
+        warm = service.execute(QUERY)
+        rows = asr.tuple_count
+        # The 560 SEC gains pepper: Auto and Truck now reach "Pepper".
+        db.set_insert(objects["parts_sec"], objects["pepper"])
+        assert asr.tuple_count != rows  # maintained eagerly
+        pepper = QUERY.replace('"Door"', '"Pepper"')
+        outcome = service.execute(pepper)
+        # Maintenance changes no plan: the shape stays cached …
+        assert outcome.cached is True
+        assert outcome.epoch == warm.epoch == manager.epoch
+        assert outcome.report.strategy.startswith("asr-backward")
+        # … and the answer sees the update.
+        fresh = SelectExecutor(db, None).run(pepper)
+        assert fresh.strategy == "nested-loop traversal"
+        assert sorted(outcome.report.rows) == sorted(fresh.rows)
+        assert sorted(fresh.rows) == [("Auto",), ("Truck",)]
+
     def test_quarantine_and_recovery_both_invalidate(self, company_world):
         from repro.errors import SimulatedCrash
         from repro.faults import FaultInjector

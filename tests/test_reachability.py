@@ -38,6 +38,14 @@ KEEP = {
     "repro.gom.database.ObjectBase.new_list": (
         "§2: instantiates GOM's list type constructor (list-valued paths)"
     ),
+    "repro.asr.asr.StoredPartition.add_projection": (
+        "test oracle: one witness at a time, the per-row path a keyed "
+        "apply_delta must count, store and charge as; rebalancing tests "
+        "drive trees through it"
+    ),
+    "repro.asr.asr.StoredPartition.remove_projection": (
+        "test oracle: add_projection's inverse, one witness at a time"
+    ),
     "repro.gom.traversal.origins_reaching": (
         "test oracle: naive GOM traversal that backward answers must equal"
     ),
